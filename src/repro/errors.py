@@ -52,6 +52,11 @@ class DocumentNotFoundError(StorageError):
     """A row id was requested that does not exist in the shard."""
 
 
+class InvalidDocumentError(StorageError):
+    """A document was rejected before it reached the translog: its id field
+    is missing or a NUMERIC field does not hold a number."""
+
+
 class QueryError(EsdbError):
     """Base class for the SQL / ES-DSL query layer."""
 

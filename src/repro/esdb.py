@@ -37,20 +37,6 @@ from repro.cluster import Cluster, ClusterTopology
 from repro.indexing import FrequencyTracker
 from repro.obsv import Observer, ObsvConfig
 from repro.obsv import runtime as obsv_runtime
-from repro.obsv.cat import (
-    CatTable,
-    cat_caches,
-    cat_events,
-    cat_exec,
-    cat_faults,
-    cat_hotkeys,
-    cat_nodes,
-    cat_rules,
-    cat_shards,
-    cat_slo,
-    cat_tenants,
-    cat_timeseries,
-)
 from repro.obsv.dashboard import cluster_snapshot, render_dashboard
 from repro.consensus import ConsensusConfig, ConsensusMaster, Participant, RuleProposal
 from repro.errors import (
@@ -94,12 +80,7 @@ from repro.telemetry import (
     build_sampler,
     current_context,
 )
-from repro.tenancy import (
-    TenancyConfig,
-    TenantGovernor,
-    cat_tenant_governance,
-    doc_bytes,
-)
+from repro.tenancy import TenancyConfig, TenantGovernor, doc_bytes
 from repro.telemetry.runtime import default_telemetry
 from repro.telemetry.timeseries import (
     DASHBOARD_SERIES,
@@ -175,7 +156,7 @@ class EsdbConfig:
             W3C-shaped trace id, propagated across executor workers, with
             head-based sampling (``always`` / ``ratio`` / ``slow-tail``),
             trace-id exemplars on latency histograms, and a structured
-            event log behind :meth:`ESDB.cat_events` and
+            event log behind :func:`repro.obsv.cat_events` and
             :meth:`ESDB.diagnostics_bundle`. ``TraceConfig.off()``
             restores the pre-trace span trees bit-for-bit.
         slo: service-level objectives and heavy-hitter attribution
@@ -188,7 +169,7 @@ class EsdbConfig:
             alerting (``slo_burn``/``slo_recovered`` events), and bounded
             Space-Saving sketches name the hot routing keys, filter terms
             and query fingerprints per shard and per tenant
-            (:meth:`ESDB.cat_slo` / :meth:`ESDB.cat_hotkeys`).
+            (:func:`repro.obsv.cat_slo` / :func:`repro.obsv.cat_hotkeys`).
     """
 
     topology: ClusterTopology = field(default_factory=ClusterTopology)
@@ -279,18 +260,8 @@ class ESDB:
             self.result_cache = CoordinatorResultCache(
                 cache_config.result_cache_bytes, metrics=self.telemetry.metrics
             )
-        self._catalog = CatalogInfo(
-            schema=self.config.schema,
-            composite_indexes=self.config.composite_columns,
-            scan_columns=self.config.scan_columns,
-            indexed_subattributes=self.config.indexed_subattributes,
-        )
         self.xdriver = Xdriver4ES()
-        self.optimizer = RuleBasedOptimizer(
-            self._catalog,
-            enabled=self.config.optimizer_enabled,
-            telemetry=self.telemetry,
-        )
+        self._set_catalog(self.config.composite_columns)
         self.monitor = WorkloadMonitor(
             registry=self.telemetry.metrics, labels={"instance": self.instance}
         )
@@ -430,87 +401,14 @@ class ESDB:
     def write(self, source: Mapping[str, Any]) -> int:
         """Route and execute one document write; returns the shard id.
 
-        Traced client → router (rule-list lookup) → shard engine; the shard
-        id and routing policy land in the span tags, and per-shard write
-        counters plus a latency histogram land in the metrics registry.
-
-        With governance enabled (``EsdbConfig.tenancy``), the write first
-        passes tenant admission control and may raise
-        :class:`~repro.errors.TenantThrottledError` instead of indexing.
+        The one-document :meth:`bulk_write`: same pipeline, but the
+        document's error — :class:`~repro.errors.TenantThrottledError` from
+        tenant admission control, a storage rejection — is raised instead
+        of being carried on a result item.
         """
-        telemetry = self.telemetry
-        tracer = telemetry.tracer
-        ctx = self._new_trace("write")
-        with tracer.trace("write", ctx, sampler=self.trace_sampler) as span:
-            schema = self.config.schema
-            tenant_id = source[schema.tenant_field]
-            doc_id = source[schema.id_field]
-            created_time = float(source[schema.time_field])
-            self.advance_clock(created_time)
-            if self.governor is not None:
-                # Sizing a document costs a str() per field; only pay it
-                # when an indexed-byte budget actually consumes the number.
-                try:
-                    self.governor.admit_write(
-                        tenant_id,
-                        self._clock,
-                        doc_bytes(source)
-                        if self.governor.config.indexed_bytes_quota is not None
-                        else 0,
-                    )
-                except TenantThrottledError as exc:
-                    self._emit_event(
-                        "shed" if exc.budget == "queue" else "throttle",
-                        tenant=tenant_id, ctx=ctx, op="write", budget=exc.budget,
-                    )
-                    if self.slo is not None:
-                        self.slo.record(
-                            "write", tenant_id, 0.0, self._clock, error=True
-                        )
-                        self._slo_tick(ctx)
-                    raise
-            with tracer.span("write.route", policy=self.policy.name):
-                shard_id = self.policy.route_write(tenant_id, doc_id, created_time)
-            with tracer.span("write.index", shard=shard_id):
-                if shard_id in self.replica_sets:
-                    self.replica_sets[shard_id].index(source)
-                else:
-                    self.engines[shard_id].index(source)
-            self.cluster.shard(shard_id).record_write()
-            self._doc_shard[doc_id] = shard_id
-            self.monitor.record_write(tenant_id, self._clock)
-            raw_attributes = source.get("attributes")
-            if raw_attributes:
-                from repro.storage.document import parse_attributes
-
-                self._subattr_frequencies.record_write(
-                    parse_attributes(str(raw_attributes)).keys()
-                )
-        metrics = telemetry.metrics
-        exemplar = ctx.trace_id if ctx is not None and ctx.sampled else None
-        metrics.counter("esdb_writes_total", shard=shard_id).inc()
-        if telemetry.enabled:
-            span.tags["shard"] = shard_id
-            metrics.histogram("esdb_write_seconds").observe(
-                span.duration, trace_id=exemplar
-            )
-        if self.obsv is not None:
-            self.obsv.record_write(
-                tenant_id,
-                shard_id,
-                span.duration,
-                self._clock,
-                trace=span if telemetry.enabled else None,
-                trace_id=ctx.trace_id if ctx is not None else None,
-            )
-        if self.slo is not None:
-            self.slo.record("write", tenant_id, span.duration, self._clock)
-            if self.hotkeys is not None:
-                self.hotkeys.record_write(tenant_id, shard_id, doc_id)
-            self._slo_tick(ctx)
-        if self.timeseries is not None:
-            self.timeseries.maybe_sample(self._clock)
-        return shard_id
+        result = self._write_batch("write", [source])
+        result.raise_first()
+        return result.items[0].shard_id
 
     def bulk_write(
         self,
@@ -522,12 +420,6 @@ class ESDB:
         shard's batch is applied as a unit — on that shard's worker under
         the ``threads`` backend, in shard-id order under ``serial``.
 
-        Per-document semantics match :meth:`write` exactly — same clock
-        advancement, admission checks, routing decisions and workload
-        accounting, in submission order — but the per-document overheads
-        (span trees, counter lookups, history sampling) are paid once per
-        batch, which is where the bulk throughput win comes from.
-
         Never raises for a per-document failure: every submitted source
         gets a :class:`~repro.exec.BulkItemResult` in submission order and
         failed documents carry their exception. With ``stop_on_error`` the
@@ -535,29 +427,55 @@ class ESDB:
         (matching a per-document loop that raises mid-way); the remaining
         items share the stopping error.
         """
+        result = self._write_batch("bulk_write", list(sources), stop_on_error)
+        # Bulk-only volume counters: ``cat_exec`` stays empty on an
+        # instance that never bulk-wrote.
+        metrics = self.telemetry.metrics
+        metrics.counter("esdb_bulk_writes_total").inc()
+        if result.applied:
+            metrics.counter("esdb_bulk_docs_total").inc(result.applied)
+        return result
+
+    def _write_batch(
+        self, op: str, sources: list, stop_on_error: bool = False
+    ) -> BulkResult:
+        """The one write pipeline behind :meth:`write` and
+        :meth:`bulk_write` (*op* names the root span and labels events and
+        CPU charges): admit → route → group by shard → apply → account →
+        observe.
+
+        The routing pass runs in submission order on the coordinator —
+        clock advancement, tenant admission (governor), the rule-list
+        lookup and workload-monitor accounting per document. Each shard's
+        batch is then applied by :meth:`_apply_shard_batch`, and everything
+        after it — counters, CPU charges, sub-attribute frequencies, skew
+        and slow-log accounting (obsv), SLO classification and heavy
+        hitters, history sampling — happens once per call, back on the
+        coordinator, over the documents that were applied.
+        """
         telemetry = self.telemetry
         tracer = telemetry.tracer
         metrics = telemetry.metrics
         schema = self.config.schema
         governor = self.governor
-        sources = list(sources)
         items: list[BulkItemResult | None] = [None] * len(sources)
         tenants: list[object] = [None] * len(sources)
-        groups: dict[int, list[tuple[int, object, object, Mapping[str, Any]]]] = {}
-        ctx = self._new_trace("bulk_write")
+        groups: dict[int, list[tuple[int, object, Mapping[str, Any]]]] = {}
+        ctx = self._new_trace(op)
         with tracer.trace(
-            "bulk_write", ctx, sampler=self.trace_sampler, docs=len(sources)
+            op, ctx, sampler=self.trace_sampler, docs=len(sources)
         ) as span:
-            stopped_at: int | None = None
-            with tracer.span("bulk.route", policy=self.policy.name):
+            with tracer.span("write.route", policy=self.policy.name):
                 for position, source in enumerate(sources):
-                    doc_id = None
+                    tenant_id = doc_id = None
                     try:
                         tenant_id = source[schema.tenant_field]
                         doc_id = source[schema.id_field]
                         created_time = float(source[schema.time_field])
                         self.advance_clock(created_time)
                         if governor is not None:
+                            # Sizing a document costs a str() per field; only
+                            # pay it when an indexed-byte budget consumes it.
                             governor.admit_write(
                                 tenant_id,
                                 self._clock,
@@ -572,147 +490,109 @@ class ESDB:
                         if isinstance(exc, TenantThrottledError):
                             self._emit_event(
                                 "shed" if exc.budget == "queue" else "throttle",
-                                tenant=exc.tenant, ctx=ctx,
-                                op="bulk_write", budget=exc.budget,
+                                tenant=tenant_id, ctx=ctx, op=op, budget=exc.budget,
                             )
                         if self.slo is not None:
                             self.slo.record(
-                                "write",
-                                getattr(exc, "tenant", None),
-                                0.0,
-                                self._clock,
-                                error=True,
+                                "write", tenant_id, 0.0, self._clock, error=True
                             )
                         items[position] = BulkItemResult(
                             position=position, doc_id=doc_id, ok=False, error=exc
                         )
                         if stop_on_error:
-                            stopped_at = position
+                            # Later documents never enter the routing pass:
+                            # not admitted, not applied, same error.
+                            for skipped in range(position + 1, len(sources)):
+                                items[skipped] = BulkItemResult(
+                                    position=skipped, ok=False, error=exc
+                                )
                             break
                         continue
                     tenants[position] = tenant_id
                     self.monitor.record_write(tenant_id, self._clock)
-                    raw_attributes = source.get("attributes")
-                    if raw_attributes:
-                        from repro.storage.document import parse_attributes
-
-                        self._subattr_frequencies.record_write(
-                            parse_attributes(str(raw_attributes)).keys()
-                        )
-                    groups.setdefault(shard_id, []).append(
-                        (position, tenant_id, doc_id, source)
-                    )
-            if stopped_at is not None:
-                # Documents after the failure never entered the routing
-                # pass — they were not admitted and will not be applied.
-                stopping_error = items[stopped_at].error
-                for position in range(stopped_at + 1, len(sources)):
-                    items[position] = BulkItemResult(
-                        position=position, ok=False, error=stopping_error
-                    )
+                    groups.setdefault(shard_id, []).append((position, doc_id, source))
             shard_ids = sorted(groups)
-            with tracer.span("bulk.apply", shards=len(shard_ids)):
+            with tracer.span("write.index", shards=len(shard_ids)):
                 if self.executor is not None:
-                    self.executor.map_ordered(
-                        lambda shard_id: self._apply_bulk_batch(
+                    outcomes = self.executor.map_ordered(
+                        lambda shard_id: self._apply_shard_batch(
                             shard_id, groups[shard_id], items
                         ),
                         shard_ids,
                         phase="bulk",
                     )
                 else:
-                    for shard_id in shard_ids:
-                        self._apply_bulk_batch(shard_id, groups[shard_id], items)
-        applied = sum(1 for item in items if item is not None and item.ok)
-        metrics.counter("esdb_bulk_writes_total").inc()
-        if applied:
-            metrics.counter("esdb_bulk_docs_total").inc(applied)
+                    outcomes = [
+                        self._apply_shard_batch(shard_id, groups[shard_id], items)
+                        for shard_id in shard_ids
+                    ]
+        for shard_id, (subattr_names, elapsed) in zip(shard_ids, outcomes):
+            # One names tuple per document the engine applied.
+            if subattr_names:
+                metrics.counter("esdb_writes_total", shard=shard_id).inc(
+                    len(subattr_names)
+                )
+            for names in subattr_names:
+                if names:
+                    self._subattr_frequencies.record_write(names)
+            if governor is not None:
+                # CPU accounting for where the work ran: the shard batch's
+                # engine time, split evenly over its documents' tenants.
+                batch = groups[shard_id]
+                for position, _, _ in batch:
+                    governor.charge_cpu(tenants[position], elapsed / len(batch), op=op)
+        applied = [item for item in items if item.ok]
         duration = span.duration
         per_doc = duration / len(sources) if sources else 0.0
+        trace_id = ctx.trace_id if ctx is not None else None
         if telemetry.enabled and applied:
             histogram = metrics.histogram("esdb_write_seconds")
-            exemplar = ctx.trace_id if ctx is not None and ctx.sampled else None
-            for _ in range(applied):
+            exemplar = trace_id if ctx is not None and ctx.sampled else None
+            for _ in applied:
                 histogram.observe(per_doc, trace_id=exemplar)
         if self.obsv is not None:
-            for item in items:
-                if item is not None and item.ok:
-                    self.obsv.record_write(
-                        tenants[item.position],
-                        item.shard_id,
-                        per_doc,
-                        self._clock,
-                        trace=None,
-                        trace_id=ctx.trace_id if ctx is not None else None,
-                    )
+            for item in applied:
+                self.obsv.record_write(
+                    tenants[item.position],
+                    item.shard_id,
+                    per_doc,
+                    self._clock,
+                    trace=span if telemetry.enabled else None,
+                    trace_id=trace_id,
+                )
         if self.slo is not None:
-            for item in items:
-                if item is not None and item.ok:
-                    self.slo.record(
-                        "write", tenants[item.position], per_doc, self._clock
-                    )
-                    if self.hotkeys is not None:
-                        self.hotkeys.record_write(
-                            tenants[item.position], item.shard_id, item.doc_id
-                        )
+            for item in applied:
+                tenant_id = tenants[item.position]
+                self.slo.record("write", tenant_id, per_doc, self._clock)
+                if self.hotkeys is not None:
+                    self.hotkeys.record_write(tenant_id, item.shard_id, item.doc_id)
             self._slo_tick(ctx)
         if self.timeseries is not None:
             self.timeseries.maybe_sample(self._clock)
-        return BulkResult(items=list(items), took=duration)
+        return BulkResult(items=items, took=duration)
 
-    def _apply_bulk_batch(
+    def _apply_shard_batch(
         self,
         shard_id: int,
-        batch: list[tuple[int, object, object, Mapping[str, Any]]],
+        batch: list[tuple[int, object, Mapping[str, Any]]],
         items: list,
-    ) -> None:
-        """Apply one shard's bulk batch (runs on that shard's worker under
-        the thread backend). Documents stay in submission order; each
-        failure is recorded on its item without aborting the batch."""
-        replica_set = self.replica_sets.get(shard_id)
-        engine = self.engines[shard_id]
+    ) -> tuple[list[tuple[str, ...]], float]:
+        """Apply one shard's documents in submission order (on that shard's
+        worker under the thread backend), recording each outcome on its
+        item — a failure never aborts the batch and never re-applies a
+        document. Returns the applied documents' sub-attribute names (one
+        tuple each) and the engine seconds the batch took."""
+        target = self.replica_sets.get(shard_id, self.engines[shard_id])
         shard = self.cluster.shard(shard_id)
-        governor = self.governor
+        subattr_names: list[tuple[str, ...]] = []
         started = time.perf_counter()
-        applied = 0
-        if replica_set is None and len(batch) > 1:
-            # Fast path: one engine lock acquisition for the whole shard
-            # batch. On any failure fall through to the per-document loop
-            # for exact error attribution — re-indexing an already-applied
-            # document is a same-id replace, so the retry is idempotent.
+        for position, doc_id, source in batch:
             try:
-                engine.bulk_index([source for _, _, _, source in batch])
-            except Exception:
-                pass
-            else:
-                for position, tenant_id, doc_id, source in batch:
-                    shard.record_write()
-                    self._doc_shard[doc_id] = shard_id
-                    items[position] = BulkItemResult(
-                        position=position, doc_id=doc_id, shard_id=shard_id
-                    )
-                self.telemetry.metrics.counter(
-                    "esdb_writes_total", shard=shard_id
-                ).inc(len(batch))
-                if governor is not None:
-                    elapsed = time.perf_counter() - started
-                    share = elapsed / len(batch)
-                    for position, tenant_id, _, _ in batch:
-                        governor.charge_cpu(tenant_id, share, op="bulk_write")
-                return
-        for position, tenant_id, doc_id, source in batch:
-            try:
-                if replica_set is not None:
-                    replica_set.index(source)
-                else:
-                    engine.index(source)
+                target.index(source, subattr_names)
             except Exception as exc:
                 items[position] = BulkItemResult(
-                    position=position,
-                    doc_id=doc_id,
-                    shard_id=shard_id,
-                    ok=False,
-                    error=exc,
+                    position=position, doc_id=doc_id, shard_id=shard_id,
+                    ok=False, error=exc,
                 )
                 continue
             shard.record_write()
@@ -720,18 +600,7 @@ class ESDB:
             items[position] = BulkItemResult(
                 position=position, doc_id=doc_id, shard_id=shard_id
             )
-            applied += 1
-        if applied:
-            self.telemetry.metrics.counter(
-                "esdb_writes_total", shard=shard_id
-            ).inc(applied)
-        if governor is not None and batch:
-            # CPU accounting where the work actually ran: the batch's
-            # engine time, attributed evenly to each document's tenant.
-            elapsed = time.perf_counter() - started
-            share = elapsed / len(batch)
-            for position, tenant_id, _, _ in batch:
-                governor.charge_cpu(tenant_id, share, op="bulk_write")
+        return subattr_names, time.perf_counter() - started
 
     def write_many(self, sources: Iterable[Mapping[str, Any]]) -> int:
         result = self.bulk_write(sources, stop_on_error=True)
@@ -886,8 +755,7 @@ class ESDB:
                 committed.append(
                     (proposal.tenant_id, proposal.offset, outcome.effective_time)
                 )
-        if self.slo is not None:
-            self._slo_tick(ctx)
+        self._slo_tick(ctx)
         if self.timeseries is not None:
             self.timeseries.maybe_sample(self._clock)
         return committed
@@ -983,12 +851,12 @@ class ESDB:
                 raise
         with tracer.trace("query", ctx, sampler=self.trace_sampler) as root:
             result_key = None
+            fingerprint = None
+            if sql is None:
+                fingerprint = statement_fingerprint(statement)
+            elif self.result_cache is not None or self.hotkeys is not None:
+                fingerprint = sql_fingerprint(sql)
             if self.result_cache is not None:
-                fingerprint = (
-                    sql_fingerprint(sql)
-                    if sql is not None
-                    else statement_fingerprint(statement)
-                )
                 result_key = (fingerprint, self._rule_version())
                 cached = self.result_cache.get(*result_key, self._engine_generation)
                 if cached is not None:
@@ -1043,16 +911,17 @@ class ESDB:
                     root.duration,
                     trace_id=ctx.trace_id if ctx is not None and ctx.sampled else None,
                 )
+        if governor is None:
+            # Admission extracts the tenant on a governed instance; here it
+            # is read off whatever was parsed (a result-cache hit on raw SQL
+            # never parses, so it has none).
+            query_tenant = self._statement_tenant(statement)
         if self.obsv is not None:
-            if sql is not None:
-                detail = sql.strip()
-            else:
-                detail = statement_fingerprint(statement) if statement else ""
             slow_entry = self.obsv.record_search(
-                self._statement_tenant(statement),
+                query_tenant,
                 root.duration,
                 self._clock,
-                detail=detail,
+                detail=sql.strip() if sql is not None else fingerprint,
                 trace=root,
                 trace_id=ctx.trace_id if ctx is not None else None,
             )
@@ -1065,18 +934,10 @@ class ESDB:
                     elapsed=slow_entry.elapsed,
                 )
         if self.slo is not None:
-            slo_tenant = self._statement_tenant(statement)
-            self.slo.record("query", slo_tenant, root.duration, self._clock)
+            self.slo.record("query", query_tenant, root.duration, self._clock)
             if self.hotkeys is not None:
-                fingerprint = (
-                    sql_fingerprint(sql)
-                    if sql is not None
-                    else statement_fingerprint(statement)
-                )
                 self.hotkeys.record_query(
-                    slo_tenant,
-                    fingerprint,
-                    self._query_terms(statement),
+                    query_tenant, fingerprint, self._query_terms(statement)
                 )
             self._slo_tick(ctx)
         if self.timeseries is not None:
@@ -1365,15 +1226,10 @@ class ESDB:
     def _target_shards(self, statement: SelectStatement) -> list[int]:
         """Shard pruning: a tenant-equality predicate restricts the fan-out
         to the tenant's consecutive shard range; otherwise all shards."""
-        tenant_field = self.config.schema.tenant_field
-        for predicate in iter_predicates(statement.where):
-            if (
-                isinstance(predicate, ComparisonPredicate)
-                and predicate.column == tenant_field
-                and predicate.op == "="
-            ):
-                return list(self.policy.query_shards(predicate.value))
-        return list(range(self.cluster.num_shards))
+        tenant = self._statement_tenant(statement)
+        if tenant is None:
+            return list(range(self.cluster.num_shards))
+        return list(self.policy.query_shards(tenant))
 
     # -- introspection -----------------------------------------------------------
     def doc_count(self) -> int:
@@ -1386,71 +1242,7 @@ class ESDB:
         """Subqueries a query for *tenant_id* currently requires."""
         return len(self.policy.query_shards(tenant_id))
 
-    # -- _cat surfaces and the dashboard (repro.obsv) -------------------------
-    def cat_nodes(self) -> CatTable:
-        """``_cat/nodes``: roles, health, shard placement, per-node load."""
-        return cat_nodes(self)
-
-    def cat_shards(self) -> CatTable:
-        """``_cat/shards``: placement, doc count and segments per shard."""
-        return cat_shards(self)
-
-    def cat_tenants(self, k: int | None = None) -> CatTable:
-        """``_cat``-style tenants table: storage, window load, shard span."""
-        return cat_tenants(self, k=k)
-
-    def cat_tenant_governance(self, k: int | None = None) -> CatTable:
-        """Per-tenant governance table: QoS class and admit/queue/shed
-        counters (empty when governance is disabled)."""
-        return cat_tenant_governance(self, k=k)
-
-    def cat_rules(self) -> CatTable:
-        """Committed secondary hashing rules with their trigger measurements."""
-        return cat_rules(self)
-
-    def cat_caches(self) -> CatTable:
-        """Per-level query-cache statistics."""
-        return cat_caches(self)
-
-    def cat_faults(self) -> CatTable:
-        """Fault-injection history: every inject/recover action with its
-        current status (``active`` while un-recovered)."""
-        return cat_faults(self)
-
-    def cat_exec(self) -> CatTable:
-        """Execution-core statistics: pool shape, per-phase task counts,
-        per-worker spread, bulk volumes and shared-scan savings (empty on
-        a serial instance that never bulk-wrote or batched queries)."""
-        return cat_exec(self)
-
-    def cat_events(
-        self,
-        kind: str | None = None,
-        tenant: str | None = None,
-        trace_id: str | None = None,
-        k: int | None = None,
-    ) -> CatTable:
-        """Structured event log (throttles, demotions, faults, promotions,
-        slow queries, rule commits), filterable by kind/tenant/trace."""
-        return cat_events(self, kind=kind, tenant=tenant, trace_id=trace_id, k=k)
-
-    def cat_timeseries(self, k: int | None = None) -> CatTable:
-        """Performance history: one row per recorded time series with a
-        sparkline over the retained window (top-*k* by name when given)."""
-        return cat_timeseries(self, k=k)
-
-    def cat_slo(self) -> CatTable:
-        """Per-objective SLO status: good/bad totals, error budget
-        remaining, fast/slow burn rates and burn state (empty when SLO
-        tracking is disabled)."""
-        return cat_slo(self)
-
-    def cat_hotkeys(self, k: int | None = None) -> CatTable:
-        """Heavy hitters: top-*k* hot routing keys, filter terms and query
-        fingerprints per scope (global / shard / tenant), each estimate
-        with its count-error bound (empty when profiling is disabled)."""
-        return cat_hotkeys(self, k=k)
-
+    # -- dashboard and flight recorder (``_cat`` tables: repro.obsv.cat) -------
     def diagnostics_bundle(self) -> dict:
         """One-call flight recording: config summary, cat tables, time
         series, recent traces, events and slow logs in a single JSON-ready
@@ -1528,33 +1320,29 @@ class ESDB:
         name = None
         for engine in self.engines.values():
             name = engine.add_composite_index(columns)
-        self._catalog = CatalogInfo(
-            schema=self._catalog.schema,
-            composite_indexes=self._catalog.composite_indexes + (columns,),
-            scan_columns=self._catalog.scan_columns,
-            indexed_subattributes=self._catalog.indexed_subattributes,
-        )
-        self.optimizer = RuleBasedOptimizer(
-            self._catalog,
-            enabled=self.config.optimizer_enabled,
-            telemetry=self.telemetry,
-        )
+        self._set_catalog(self._catalog.composite_indexes + (columns,))
         return name or "_".join(columns)
 
     def drop_index(self, name: str) -> None:
         """Drop a dynamically added composite index cluster-wide."""
         for engine in self.engines.values():
             engine.drop_composite_index(name)
-        remaining = tuple(
-            columns
-            for columns in self._catalog.composite_indexes
-            if "_".join(columns) != name
+        self._set_catalog(
+            tuple(
+                columns
+                for columns in self._catalog.composite_indexes
+                if "_".join(columns) != name
+            )
         )
+
+    def _set_catalog(self, composite_indexes: tuple) -> None:
+        """Point the optimizer at a catalog with *composite_indexes* (the
+        only part of the catalog that changes after construction)."""
         self._catalog = CatalogInfo(
-            schema=self._catalog.schema,
-            composite_indexes=remaining,
-            scan_columns=self._catalog.scan_columns,
-            indexed_subattributes=self._catalog.indexed_subattributes,
+            schema=self.config.schema,
+            composite_indexes=composite_indexes,
+            scan_columns=self.config.scan_columns,
+            indexed_subattributes=self.config.indexed_subattributes,
         )
         self.optimizer = RuleBasedOptimizer(
             self._catalog,

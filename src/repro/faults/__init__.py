@@ -9,7 +9,7 @@ Seed-driven chaos for the reproduction, in three layers:
 * :class:`FaultInjector` — interprets events against a live
   :class:`~repro.esdb.ESDB` instance and knows how to *recover* each
   fault, including the consensus heal-time catch-up; backs the
-  ``ESDB.inject_fault`` / ``ESDB.recover`` / ``ESDB.cat_faults`` API;
+  ``ESDB.inject_fault`` / ``ESDB.recover`` / ``repro.obsv.cat_faults`` API;
 * :class:`ChaosRunner` — interleaves a plan with a seeded workload,
   tracks every acknowledged write, performs full recovery, and asserts
   the safety invariants (no acked write lost, rule lists converge,

@@ -166,14 +166,17 @@ def main(argv=None) -> int:
     if args.replicas < 1:
         parser.error("--replicas must be >= 1 (chaos needs something to fail over to)")
 
+    from repro.obsv import cat_faults
+    from repro.tenancy import cat_tenant_governance
+
     plan, runner, report = _run(args)
     if not args.quiet:
         print(plan.describe())
         print()
-        print(runner.db.cat_faults().render())
+        print(cat_faults(runner.db).render())
         print()
         if runner.db.governor is not None:
-            print(runner.db.cat_tenant_governance(k=8).render())
+            print(cat_tenant_governance(runner.db, k=8).render())
             print()
     print(report.render())
 

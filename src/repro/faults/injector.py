@@ -10,7 +10,7 @@ which permanently change state and are validated by the post-recovery
 invariants instead.
 
 Every action is appended to :attr:`FaultInjector.log` (the data behind
-``ESDB.cat_faults``) and counted in the ``faults_injected_total`` /
+``repro.obsv.cat_faults``) and counted in the ``faults_injected_total`` /
 ``faults_recovered_total`` metrics, which feed the ``faults.*`` dashboard
 time series.
 """

@@ -53,10 +53,10 @@ class ReplicaSet:
             )
 
     # -- write path -----------------------------------------------------------
-    def index(self, source: dict) -> int:
+    def index(self, source: dict, subattr_names: list | None = None) -> int:
         """Write through the primary, forwarding the translog entry to every
         replica in real time (§5.2's durability channel)."""
-        row_id = self.primary.index(source)
+        row_id = self.primary.index(source, subattr_names)
         entry = self.primary.translog._entries[-1]
         for replicator in self.replicators.values():
             replicator.sync_translog_entry(entry)

@@ -39,8 +39,9 @@ class InMemoryBuffer:
         """Align row-id assignment with the shard's committed segments."""
         self._next_base = base_row_id
 
-    def add(self, doc: Document) -> int:
-        """Buffer one document; returns its future shard-global row id."""
+    def add(self, doc: Document) -> tuple[int, int, tuple[str, ...]]:
+        """Buffer one document; returns :meth:`Segment.add_document`'s
+        ``(row_id, entries, subattr_names)`` for its future row."""
         if self._segment is None:
             self._segment = Segment(self._spec, self._next_base, self._analyzer)
         return self._segment.add_document(doc)

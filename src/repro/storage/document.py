@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvalidDocumentError
 
 
 class FieldType(enum.Enum):
@@ -53,6 +54,27 @@ class Schema:
         """Return the declared type of *name* (KEYWORD for unknown fields —
         flexible schema)."""
         return self.fields.get(name, FieldType.KEYWORD)
+
+    @cached_property
+    def numeric_fields(self) -> tuple[str, ...]:
+        """Names of the NUMERIC fields (computed once per schema)."""
+        return tuple(
+            name for name, ftype in self.fields.items() if ftype is FieldType.NUMERIC
+        )
+
+    def check_numeric(self, source: Mapping[str, Any]) -> None:
+        """Reject *source* unless every NUMERIC field it sets holds a number
+        — the one validation a write passes, ahead of the translog, so a
+        rejected document is never logged, half-indexed or replayed."""
+        for name in self.numeric_fields:
+            value = source.get(name)
+            if value is not None:
+                try:
+                    float(value)
+                except (TypeError, ValueError):
+                    raise InvalidDocumentError(
+                        f"field {name!r} must be numeric, got {value!r}"
+                    ) from None
 
     @staticmethod
     def transaction_logs() -> "Schema":
@@ -98,9 +120,11 @@ class Document:
 
     @staticmethod
     def from_source(source: Mapping[str, Any], schema: Schema) -> "Document":
-        """Build a document taking its id from the schema's id field."""
+        """Build a validated document taking its id from the schema's id
+        field."""
         if schema.id_field not in source:
-            raise ConfigurationError(f"document missing id field {schema.id_field!r}")
+            raise InvalidDocumentError(f"document missing id field {schema.id_field!r}")
+        schema.check_numeric(source)
         return Document(doc_id=source[schema.id_field], source=dict(source))
 
 

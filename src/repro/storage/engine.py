@@ -3,8 +3,8 @@
 Ties together the translog, in-memory buffer, segment list and merge policy
 into one write/read path per shard:
 
-* ``index``/``update``/``delete`` append to the translog, then apply to the
-  buffer or mark deletes;
+* ``index``/``update``/``delete`` validate the document, append to the
+  translog, then apply to the buffer or mark deletes;
 * ``refresh`` seals the buffer into a segment (documents become searchable);
 * ``flush`` advances the translog checkpoint (documents become durable in
   segments, log rotates);
@@ -26,7 +26,7 @@ from repro.errors import DocumentNotFoundError, StorageError
 from repro.storage.analysis import StandardAnalyzer
 from repro.storage.buffer import InMemoryBuffer
 from repro.storage.composite import CompositeIndex
-from repro.storage.document import Document, FieldType, Schema, parse_attributes
+from repro.storage.document import Document, Schema
 from repro.storage.merge import MergePolicy, TieredMergePolicy, merge_segments
 from repro.storage.postings import PostingList
 from repro.storage.segment import Segment, SegmentSpec
@@ -143,28 +143,31 @@ class ShardEngine:
         self._merge_listeners.append(callback)
 
     # -- write path ----------------------------------------------------------
-    def index(self, source: Mapping[str, Any]) -> int:
-        """Insert one document; returns its row id."""
+    def index(self, source: Mapping[str, Any], subattr_names: list | None = None) -> int:
+        """Insert one document; returns its row id. Validate → log → apply:
+        a malformed *source* raises :class:`InvalidDocumentError` before the
+        translog or any index structure is touched. *subattr_names*, when
+        given, receives the document's sub-attribute names (a by-product of
+        indexing, for the facade's frequency tracker)."""
         doc = Document.from_source(source, self.config.schema)
         with self._mutex:
-            self.translog.append("index", doc.doc_id, doc.source)
-            row_id = self._apply_index(doc)
-            self._maybe_auto_refresh()
-            return row_id
+            return self._log_and_apply(doc, subattr_names)
 
-    def bulk_index(self, sources: list) -> list[int]:
+    def bulk_index(self, sources: list, subattr_names: list | None = None) -> list[int]:
         """Insert a batch of documents under one lock acquisition; returns
         their row ids in batch order. Semantically identical to calling
         :meth:`index` per document (same translog entries, same auto-refresh
-        points) — the batch just amortizes the mutation lock."""
+        points) except that the whole batch is validated first: one
+        malformed source rejects the batch with nothing logged."""
         docs = [Document.from_source(source, self.config.schema) for source in sources]
-        row_ids = []
         with self._mutex:
-            for doc in docs:
-                self.translog.append("index", doc.doc_id, doc.source)
-                row_ids.append(self._apply_index(doc))
-                self._maybe_auto_refresh()
-        return row_ids
+            return [self._log_and_apply(doc, subattr_names) for doc in docs]
+
+    def _log_and_apply(self, doc: Document, subattr_names: list | None) -> int:
+        self.translog.append("index", doc.doc_id, doc.source)
+        row_id = self._apply_index(doc, subattr_names)
+        self._maybe_auto_refresh()
+        return row_id
 
     def update(self, doc_id: object, changes: Mapping[str, Any]) -> int:
         """Update a document by id (delete-then-reinsert, the Lucene model)."""
@@ -177,6 +180,7 @@ class ShardEngine:
             existing = self._get_by_row(row_id)
             merged_source = dict(existing.source)
             merged_source.update(changes)
+            self.config.schema.check_numeric(merged_source)
             self.translog.append("update", doc_id, merged_source)
             self._apply_delete(doc_id)
             new_row = self._apply_index(Document(doc_id=doc_id, source=merged_source))
@@ -193,18 +197,20 @@ class ShardEngine:
             self.translog.append("delete", doc_id, None)
             self._apply_delete(doc_id)
 
-    def _apply_index(self, doc: Document) -> int:
+    def _apply_index(self, doc: Document, subattr_names: list | None = None) -> int:
         if doc.doc_id in self._doc_locations:
             # Same-id insert acts as replace (ESDB rows are keyed by row ID).
             self._apply_delete(doc.doc_id)
         self.buffer.set_next_base(self._next_row_id())
-        row_id = self.buffer.add(doc)
+        row_id, entries, names = self.buffer.add(doc)
         self._doc_locations[doc.doc_id] = row_id
         for dynamic in self._dynamic_composites.values():
             dynamic.add([doc.get(column) for column in dynamic.columns], row_id)
         self.stats.writes += 1
         self._write_counter.inc()
-        self.stats.indexing_cost += self._indexing_cost(doc)
+        self.stats.indexing_cost += entries
+        if subattr_names is not None:
+            subattr_names.append(names)
         return row_id
 
     def _apply_delete(self, doc_id: object) -> None:
@@ -223,27 +229,6 @@ class ShardEngine:
                     break
         self.stats.deletes += 1
         self._delete_counter.inc()
-
-    def _indexing_cost(self, doc: Document) -> float:
-        """Abstract CPU units to index one document: 1 per indexed term."""
-        cost = 0.0
-        schema = self.config.schema
-        for name, value in doc.source.items():
-            if value is None:
-                continue
-            ftype = schema.type_of(name)
-            if ftype is FieldType.TEXT:
-                cost += len(self._analyzer.analyze(str(value)))
-            elif ftype is FieldType.ATTRIBUTES:
-                allowed = self.config.indexed_subattributes
-                subattrs = parse_attributes(str(value))
-                cost += sum(
-                    1 for key in subattrs if allowed is None or key in allowed
-                )
-            else:
-                cost += 1
-        cost += len(self.config.composite_columns)
-        return cost
 
     def _next_row_id(self) -> int:
         if self.buffer.live_segment() is not None:

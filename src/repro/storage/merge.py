@@ -87,7 +87,7 @@ def merge_segments(segments: list[Segment], spec: SegmentSpec) -> Segment:
     rows.sort(key=lambda pair: pair[0])
     for row_id, doc in rows:
         while merged.base_row_id + len(merged) < row_id:
-            pad_row = merged.add_document(_TOMBSTONE)
+            pad_row, _, _ = merged.add_document(_TOMBSTONE)
             merged.mark_deleted(pad_row)
         merged.add_document(doc)
     merged.seal()

@@ -93,48 +93,53 @@ class Segment:
         return range(self.base_row_id, self.base_row_id + len(self._docs))
 
     # -- construction -----------------------------------------------------------
-    def add_document(self, doc: Document) -> int:
-        """Index one document; returns its shard-global row id."""
+    def add_document(self, doc: Document) -> tuple[int, int, tuple[str, ...]]:
+        """Index one document — the only place a written document is
+        parsed. Returns ``(row_id, entries, subattr_names)``: the shard-global
+        row id, the index entries written (the unit of
+        ``EngineStats.indexing_cost``) and every sub-attribute name the
+        document carries, indexed or not. The last two are by-products for
+        the caller to consume; nothing parsed is retained on the document."""
         if self._sealed:
             raise StorageError(f"segment {self.segment_id} is sealed")
         row_id = self.base_row_id + len(self._docs)
         self._docs.append(doc)
         self._live.append(True)
         schema = self.spec.schema
+        entries = 0
+        subattr_names: tuple[str, ...] = ()
         for name, value in doc.source.items():
             if value is None:
                 continue
             ftype = schema.type_of(name)
             if ftype is FieldType.KEYWORD:
                 self._term_index(name).add(value, row_id)
-                self._dv(name).append(row_id, value)
+                entries += 1
             elif ftype is FieldType.NUMERIC:
                 self._numeric_index(name).add(float(value), row_id)
-                self._dv(name).append(row_id, value)
+                entries += 1
             elif ftype is FieldType.TEXT:
-                self._term_index(name).add_all(self._analyzer.analyze(str(value)), row_id)
-                # Raw value kept in doc values so LIKE/wildcard scans work.
-                self._dv(name).append(row_id, value)
+                tokens = self._analyzer.analyze(str(value))
+                self._term_index(name).add_all(tokens, row_id)
+                entries += len(tokens)
             elif ftype is FieldType.ATTRIBUTES:
-                self._index_attributes(str(value), row_id)
-                self._dv(name).append(row_id, value)
+                # Only sub-attributes selected by frequency-based indexing
+                # receive index terms; unindexed ones stay queryable by
+                # (slow) scan over the raw column in doc values.
+                allowed = self.spec.indexed_subattributes
+                subattrs = parse_attributes(str(value))
+                subattr_names += tuple(subattrs)
+                for key, subvalue in subattrs.items():
+                    if allowed is None or key in allowed:
+                        self._subattr_index.add((key, subvalue), row_id)
+                        entries += 1
+            # Raw value kept in doc values so scans and LIKE/wildcard work.
+            self._dv(name).append(row_id, value)
         for composite in self._composites.values():
             values = [doc.get(column) for column in composite.columns]
             composite.add(values, row_id)
-        return row_id
-
-    def _index_attributes(self, raw: str, row_id: int) -> None:
-        """Index the concatenated sub-attribute column.
-
-        Only sub-attributes selected by frequency-based indexing receive
-        index terms; the raw column always lands in doc values so unindexed
-        sub-attributes remain queryable by (slow) scan.
-        """
-        allowed = self.spec.indexed_subattributes
-        for key, value in parse_attributes(raw).items():
-            if allowed is not None and key not in allowed:
-                continue
-            self._subattr_index.add((key, value), row_id)
+            entries += 1
+        return row_id, entries, subattr_names
 
     def seal(self) -> None:
         """Freeze the segment: no more writes; sort numeric/composite blocks."""

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import DocumentNotFoundError, TranslogCorruptionError
+from repro.errors import (
+    DocumentNotFoundError,
+    InvalidDocumentError,
+    TranslogCorruptionError,
+)
 from repro.storage import (
 
     ShardEngine,
@@ -104,7 +108,7 @@ class TestSegmentLifecycle:
         from repro.storage.document import Document
 
         segment = Segment(engine_config.spec(), base_row_id=0)
-        r0 = segment.add_document(Document.from_source(make_log(1, status=1), engine_config.schema))
+        r0, _, _ = segment.add_document(Document.from_source(make_log(1, status=1), engine_config.schema))
         segment.add_document(Document.from_source(make_log(2, status=1), engine_config.schema))
         segment.mark_deleted(r0)
         assert segment.term_postings("status", 1).to_list() == [1]
@@ -220,7 +224,7 @@ class TestMerging:
 
         spec = self._spec(engine_config)
         seg = Segment(spec, base_row_id=0)
-        r0 = seg.add_document(Document.from_source(make_log(1), engine_config.schema))
+        r0, _, _ = seg.add_document(Document.from_source(make_log(1), engine_config.schema))
         seg.add_document(Document.from_source(make_log(2), engine_config.schema))
         seg.mark_deleted(r0)
         seg.seal()
@@ -293,3 +297,110 @@ class TestIndexingCost:
         full.index(make_log(1, attributes=attrs))
         limited.index(make_log(1, attributes=attrs))
         assert limited.stats.indexing_cost < full.stats.indexing_cost
+
+    @pytest.mark.parametrize("indexed", [None, frozenset({"attr_0001", "attr_0007"})])
+    def test_cost_equals_reference_formula_over_generated_stream(
+        self, engine_config, generator, indexed
+    ):
+        """``stats.indexing_cost`` is counted by ``Segment.add_document``
+        as it writes index entries; the formula the engine used to evaluate
+        separately stays here as the independent reference."""
+        from dataclasses import replace
+
+        from repro.storage.analysis import StandardAnalyzer
+        from repro.storage.document import FieldType, parse_attributes
+
+        config = replace(engine_config, indexed_subattributes=indexed)
+        analyzer = StandardAnalyzer()
+
+        def reference_cost(source: dict) -> float:
+            cost = 0.0
+            for name, value in source.items():
+                if value is None:
+                    continue
+                ftype = config.schema.type_of(name)
+                if ftype is FieldType.TEXT:
+                    cost += len(analyzer.analyze(str(value)))
+                elif ftype is FieldType.ATTRIBUTES:
+                    cost += sum(
+                        1
+                        for key in parse_attributes(str(value))
+                        if indexed is None or key in indexed
+                    )
+                else:
+                    cost += 1
+            return cost + len(config.composite_columns)
+
+        engine = ShardEngine(config)
+        docs = [generator.generate(created_time=float(i)) for i in range(200)]
+        docs.append(make_log(10_000, status=None, title="", attributes=""))
+        expected = 0.0
+        for doc in docs:
+            engine.index(doc)
+            expected += reference_cost(doc)
+            assert engine.stats.indexing_cost == expected
+        assert expected > 0
+
+
+def _engine_state(engine: ShardEngine) -> tuple:
+    return (
+        len(engine.buffer),
+        len(engine.translog),
+        engine.stats.writes,
+        engine.stats.deletes,
+        sorted(engine._doc_locations),
+        engine.term_postings("tenant_id", "t1").to_list(),
+        engine.numeric_range("amount", None, None).to_list(),
+    )
+
+
+class TestValidateBeforeLog:
+    """A rejected write leaves no trace: not in the translog, not in the
+    buffer, not searchable after the next refresh — and the shard still
+    recovers from its log."""
+
+    BAD = {"amount": "abc"}
+
+    def _seed(self, engine: ShardEngine) -> None:
+        engine.index(make_log(1, amount=5.0))
+        engine.refresh()
+        engine.index(make_log(2, amount=7.0))
+
+    def _assert_untouched(self, engine: ShardEngine, before: tuple) -> None:
+        assert _engine_state(engine) == before
+        engine.refresh()
+        assert engine.term_postings("tenant_id", "t1").to_list() == [0, 1]
+        assert [d["amount"] for d in engine.fetch(
+            engine.numeric_range("amount", None, None)
+        )] == [5.0, 7.0]
+        engine.simulate_crash()
+        engine.recover_from_translog()
+        assert engine.contains(1) and engine.contains(2) and not engine.contains(3)
+
+    def test_rejected_index_leaves_no_trace(self, engine):
+        self._seed(engine)
+        before = _engine_state(engine)
+        with pytest.raises(InvalidDocumentError):
+            engine.index(make_log(3, **self.BAD))
+        self._assert_untouched(engine, before)
+
+    def test_rejected_bulk_index_logs_nothing_of_the_batch(self, engine):
+        self._seed(engine)
+        before = _engine_state(engine)
+        with pytest.raises(InvalidDocumentError):
+            engine.bulk_index([make_log(3), make_log(4, **self.BAD), make_log(5)])
+        self._assert_untouched(engine, before)
+
+    def test_rejected_update_keeps_the_good_version(self, engine):
+        self._seed(engine)
+        before = _engine_state(engine)
+        with pytest.raises(InvalidDocumentError):
+            engine.update(1, self.BAD)
+        assert engine.get(1)["amount"] == 5.0
+        self._assert_untouched(engine, before)
+
+    def test_none_and_numeric_strings_are_accepted(self, engine):
+        engine.index(make_log(1, amount=None, quantity="3"))
+        engine.refresh()
+        assert engine.numeric_range("quantity", 3, 3).to_list() == [0]
+

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import (
-    ConfigurationError,
+    InvalidDocumentError,
     PlanningError,
     QueryError,
     RoutingError,
@@ -190,8 +190,9 @@ class TestAggregatorEdges:
 
 class TestShardEngineMisuse:
     def test_index_missing_id_field_rejected(self, engine):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InvalidDocumentError):
             engine.index({"tenant_id": "t", "created_time": 0.0})
+        assert issubclass(InvalidDocumentError, StorageError)
 
     def test_double_delete_raises(self, engine):
         engine.index(make_log(1))

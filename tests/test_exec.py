@@ -22,6 +22,7 @@ from repro.exec import (
     ExecConfig,
     ShardExecutor,
 )
+from repro.obsv import cat_exec
 from repro.workload.generator import TransactionLogGenerator, WorkloadConfig
 from tests.conftest import make_log
 
@@ -199,20 +200,6 @@ class TestBulkWrite:
             db.write_many([make_log(1, created=1.0), {"broken": True}])
         db.refresh()
         assert db.doc_count() == 1  # the earlier document stays written
-
-    def test_bulk_write_matches_write_loop_exactly(self):
-        docs = zipf_docs(200, seed=4)
-        loop_db, bulk_db = make_db(), make_db()
-        for doc in docs:
-            loop_db.write(doc)
-        bulk_db.bulk_write(docs)
-        loop_db.refresh()
-        bulk_db.refresh()
-        assert loop_db._doc_shard == bulk_db._doc_shard
-        sql = "SELECT * FROM transaction_logs WHERE quantity >= 3"
-        assert (
-            loop_db.execute_sql(sql).rows == bulk_db.execute_sql(sql).rows
-        )
 
     def test_bulk_item_result_defaults(self):
         item = BulkItemResult(position=0)
@@ -408,7 +395,7 @@ class TestMultiFullScan:
 class TestExecObservability:
     def test_cat_exec_empty_on_untouched_serial_instance(self):
         db = make_db()
-        table = db.cat_exec()
+        table = cat_exec(db)
         assert len(table) == 0
         assert table.columns == ("stat", "detail", "value")
 
@@ -416,7 +403,7 @@ class TestExecObservability:
         db = make_db(ExecConfig.threads(workers=2))
         try:
             db.bulk_write(zipf_docs(60, seed=3))
-            stats = {(row[0], row[1]) for row in db.cat_exec().rows}
+            stats = {(row[0], row[1]) for row in cat_exec(db).rows}
             assert ("pool", "backend=threads") in stats
             assert ("bulk", "docs") in stats
         finally:

@@ -17,6 +17,7 @@ from repro.faults import (
     FaultPlan,
 )
 from repro.faults.__main__ import build_failover_plan, main
+from repro.obsv import cat_faults
 
 
 def make_db(num_nodes=3, num_shards=4, replicas=1) -> ESDB:
@@ -253,12 +254,12 @@ class TestEsdbFaultFacade:
 
     def test_cat_faults_lists_history(self):
         db = make_db()
-        table = db.cat_faults()
+        table = cat_faults(db)
         assert table.rows == []  # empty before any injection
         db.inject_fault("crash_node", 1)
         db.inject_fault("clock_skew", 2, skew=1.0)
         db.recover("crash_node", 1)
-        table = db.cat_faults()
+        table = cat_faults(db)
         assert table.name == "faults"
         statuses = [row[1] for row in table.rows]
         assert "active" in statuses  # clock_skew still live

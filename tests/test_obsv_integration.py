@@ -11,7 +11,14 @@ import pytest
 from repro.balancer import BalancerConfig
 from repro.cluster import ClusterTopology
 from repro.esdb import ESDB, EsdbConfig
-from repro.obsv import ObsvConfig
+from repro.obsv import (
+    ObsvConfig,
+    cat_caches,
+    cat_nodes,
+    cat_rules,
+    cat_shards,
+    cat_tenants,
+)
 from repro.obsv import runtime as obsv_runtime
 from repro.obsv.__main__ import main as obsv_main
 from repro.routing import DynamicSecondaryHashRouting
@@ -83,7 +90,7 @@ class TestFacadeAcceptance:
     def test_cat_shards_doc_counts_sum_to_ingested(self):
         db = _tiny_db()
         total = _skewed_burst(db)
-        table = db.cat_shards()
+        table = cat_shards(db)
         docs_column = [row[2] for row in table.rows]
         assert sum(docs_column) == total
         assert len(table) == 4
@@ -94,19 +101,19 @@ class TestFacadeAcceptance:
         _skewed_burst(db)
         committed = db.rebalance()
         assert committed, "skewed burst must commit a rule"
-        nodes = db.cat_nodes()
+        nodes = cat_nodes(db)
         assert len(nodes) == 2
         assert sum(row[5] for row in nodes.rows) == 100  # docs column
         assert "m" in nodes.rows[0][1]  # node-0 is master
-        tenants = db.cat_tenants()
+        tenants = cat_tenants(db)
         by_tenant = {row["tenant"]: row for row in tenants.to_dicts()}
         assert by_tenant["whale"]["docs"] == 60
         assert by_tenant["whale"]["span"] > 1  # widened by the commit
         assert by_tenant["b"]["span"] == 1
-        rules = db.cat_rules()
+        rules = cat_rules(db)
         whale_rows = [r for r in rules.to_dicts() if r["tenant"] == "whale"]
         assert whale_rows and "hot tenant whale" in whale_rows[0]["why"]
-        caches = db.cat_caches()
+        caches = cat_caches(db)
         assert [row["level"] for row in caches.to_dicts()] == [
             "filter",
             "request",

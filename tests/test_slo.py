@@ -19,6 +19,7 @@ from repro.cluster import ClusterTopology
 from repro.errors import ConfigurationError, TenantThrottledError
 from repro.esdb import ESDB, EsdbConfig
 from repro.exec import ExecConfig
+from repro.obsv import cat_hotkeys, cat_slo
 from repro.slo import (
     HeavyHitterProfiler,
     SloConfig,
@@ -489,8 +490,8 @@ class TestEsdbSloIntegration:
         assert db.slo is None and db.hotkeys is None
         db.write(make_log(0, "t", 0.0))
         assert db.events.counts().get("slo_burn", 0) == 0
-        assert len(db.cat_slo()) == 0
-        assert len(db.cat_hotkeys()) == 0
+        assert len(cat_slo(db)) == 0
+        assert len(cat_hotkeys(db)) == 0
 
     def test_burn_alert_fires_and_lands_in_event_log(self):
         db = governed_slo_db()
@@ -523,7 +524,7 @@ class TestEsdbSloIntegration:
                 (alert.kind, alert.slo, alert.time)
                 for alert in db.slo.alerts
             ]
-            rows = db.cat_hotkeys().to_dicts()
+            rows = cat_hotkeys(db).to_dicts()
             db.close()
             return ticks, rows
 
@@ -541,8 +542,8 @@ class TestEsdbSloIntegration:
                 (alert.kind, alert.slo, alert.time)
                 for alert in db.slo.alerts
             ]
-            rows = db.cat_hotkeys().to_dicts()
-            slo_rows = db.cat_slo().to_dicts()
+            rows = cat_hotkeys(db).to_dicts()
+            slo_rows = cat_slo(db).to_dicts()
             db.close()
             return ticks, rows, slo_rows
 
@@ -559,7 +560,7 @@ class TestEsdbSloIntegration:
         assert db.hotkeys.query_fingerprints.offered >= 1
         terms = [key for key, _, _ in db.hotkeys.filter_terms.top()]
         assert "tenant_id=whale" in terms
-        rows = db.cat_slo().to_dicts()
+        rows = cat_slo(db).to_dicts()
         query_latency = next(r for r in rows if r["slo"] == "query-latency")
         assert query_latency["good"] + query_latency["bad"] >= 1
 

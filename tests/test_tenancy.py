@@ -13,6 +13,7 @@ from repro.faults.__main__ import (
     build_failover_plan,
     build_noisy_neighbor_plan,
 )
+from repro.obsv import cat_tenants
 from repro.obsv.skew import Alert
 from repro.tenancy import (
     CLUSTER_TENANT,
@@ -336,13 +337,13 @@ class TestFacadeGovernance:
         generator = TransactionLogGenerator(WorkloadConfig(num_tenants=10, seed=1))
         db.write(generator.generate(created_time=0.0, tenant_id="t-1"))
         db.refresh()
-        table = db.cat_tenants()
+        table = cat_tenants(db)
         for column in ("qos", "admitted", "shed", "demoted"):
             assert column in table.columns
         ungoverned = ESDB(EsdbConfig())
         ungoverned.write(generator.generate(created_time=0.0, tenant_id="t-1"))
         ungoverned.refresh()
-        assert "qos" not in ungoverned.cat_tenants().columns
+        assert "qos" not in cat_tenants(ungoverned).columns
 
     def test_cat_tenant_governance_table(self):
         db = governed_db()

@@ -16,6 +16,7 @@ from repro.cluster import ClusterTopology
 from repro.errors import ConfigurationError
 from repro.esdb import ESDB, EsdbConfig
 from repro.exec import ExecConfig, ShardExecutor
+from repro.obsv import cat_events
 from repro.telemetry import (
     EVENT_KINDS,
     AlwaysSampler,
@@ -535,12 +536,12 @@ class TestEsdbTracing:
         try:
             db.inject_fault("crash_node", 1)
             db.recover("crash_node", 1)
-            table = db.cat_events()
+            table = cat_events(db)
             assert table.columns == (
                 "at", "kind", "tenant", "trace_id", "shard", "detail"
             )
             assert len(table) == 2
-            filtered = db.cat_events(kind="fault_inject")
+            filtered = cat_events(db, kind="fault_inject")
             assert len(filtered) == 1
             assert "fault=crash_node" in filtered.rows[0][-1]
             rendered = table.render()
