@@ -28,7 +28,7 @@ from repro.cache.fingerprint import (
     sql_fingerprint,
     statement_fingerprint,
 )
-from repro.cache.lru import CacheStats, LruCache, estimate_bytes, posting_cost
+from repro.cache.lru import CacheStats, LruCache, estimate_bytes, posting_cost, rows_cost
 from repro.cache.request_cache import ShardRequestCache
 from repro.cache.result_cache import CoordinatorResultCache
 
@@ -41,6 +41,7 @@ __all__ = [
     "CoordinatorResultCache",
     "estimate_bytes",
     "posting_cost",
+    "rows_cost",
     "filter_key",
     "normalize_sql",
     "sql_fingerprint",

@@ -91,6 +91,16 @@ def _scaled(sampled: int, length: int) -> int:
     return sampled * length // _SAMPLE
 
 
+def rows_cost(rows) -> int:
+    """Byte cost of a list of result rows, priced from the row count and the
+    first row alone: rows of one result are near-identical dicts, and
+    admission has to stay far below the query cost a hit saves, so it does
+    not grow with the result."""
+    if not rows:
+        return 56
+    return 56 + len(rows) * (8 + estimate_bytes(rows[0]))
+
+
 def posting_cost(postings) -> int:
     """Byte cost of a posting list: header + 8 bytes per row id."""
     return 64 + 8 * len(postings)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.cache.lru import LruCache, estimate_bytes
+from repro.cache.lru import LruCache, rows_cost
 
 
 class CoordinatorResultCache:
@@ -69,7 +69,7 @@ class CoordinatorResultCache:
         cost: int | None = None,
     ) -> bool:
         if cost is None:
-            cost = estimate_bytes(tuple(result.rows)) + 24 * len(validators)
+            cost = rows_cost(result.rows) + 24 * len(validators)
         return self._lru.put((fingerprint, rule_version), (result, validators), cost=cost)
 
     def clear(self) -> None:

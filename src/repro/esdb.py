@@ -30,6 +30,7 @@ from repro.cache import (
     CacheConfig,
     CoordinatorResultCache,
     ShardRequestCache,
+    rows_cost,
     sql_fingerprint,
     statement_fingerprint,
 )
@@ -67,7 +68,7 @@ from repro.routing import (
     RoutingPolicy,
 )
 from repro.slo import HeavyHitterProfiler, SloConfig, SloEngine
-from repro.storage import EngineConfig, Schema, ShardEngine
+from repro.storage import EngineConfig, PostingList, Schema, ShardEngine
 from repro.telemetry import (
     NULL_TELEMETRY,
     EventLog,
@@ -248,6 +249,7 @@ class ESDB:
             )
             for shard in self.cluster.shards
         }
+        self._executors: dict[int, QueryExecutor] = {}  # see _serial_executor
         self.request_cache: ShardRequestCache | None = None
         if cache_config.request_cache_enabled:
             self.request_cache = ShardRequestCache(
@@ -1092,7 +1094,7 @@ class ESDB:
                             continue
                     entry, matched = self._shard_subquery(
                         shard_id, plan, statement, statement_key, push_limit,
-                        telemetry=self.telemetry,
+                        executor=self._serial_executor(shard_id),
                     )
                     sub_span.tags["matched"] = matched
                     shard_results.append(entry)
@@ -1107,16 +1109,16 @@ class ESDB:
         statement: SelectStatement,
         statement_key,
         push_limit: int | None,
-        telemetry=None,
+        executor: QueryExecutor | None = None,
     ) -> tuple[tuple, int]:
         """Execute one shard's subquery (cache miss path): plan execution,
         LIMIT pushdown, raw-document fetch, request-cache fill. Returns the
         shard entry and its matched count. Thread-safe — the parallel
-        fan-out runs it on workers with the no-op telemetry."""
+        fan-out runs it on workers without *executor*, on a throw-away one
+        with the no-op telemetry."""
         engine = self.engines[shard_id]
-        executor = QueryExecutor(
-            engine, telemetry=telemetry if telemetry is not None else NULL_TELEMETRY
-        )
+        if executor is None:
+            executor = QueryExecutor(engine)
         rows, _ = executor.execute(plan)
         matched = len(rows)
         if push_limit is not None:
@@ -1128,13 +1130,24 @@ class ESDB:
                     descending=statement.order_by.descending,
                 )
             elif matched > push_limit:
-                from repro.storage.postings import PostingList
-
                 rows = PostingList(list(rows)[:push_limit], presorted=True)
         entry = ([doc.source for doc in engine.fetch(rows)], matched)
         if statement_key is not None:
-            self.request_cache.put(shard_id, statement_key, engine.generation, entry)
+            self.request_cache.put(
+                shard_id, statement_key, engine.generation, entry, cost=rows_cost(entry[0])
+            )
         return entry, matched
+
+    def _serial_executor(self, shard_id: int) -> QueryExecutor:
+        """The shard's long-lived executor for the serial fan-out: it counts
+        operators into telemetry through counters it binds once, so it is
+        kept, and rebuilt only when failover swaps the shard's engine."""
+        engine = self.engines[shard_id]
+        executor = self._executors.get(shard_id)
+        if executor is None or executor.engine is not engine:
+            executor = QueryExecutor(engine, telemetry=self.telemetry)
+            self._executors[shard_id] = executor
+        return executor
 
     def _parallel_shard_results(
         self,

@@ -80,16 +80,25 @@ class QueryExecutor:
     def __init__(self, engine: ShardEngine, telemetry=None) -> None:
         self.engine = engine
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        # Counters are bound once per executor (one per operator type, on its
+        # first use), not looked up by label per operator per execution.
+        self._operator_counters: dict[str, Any] = {}
+        self._postings_counter = self.telemetry.metrics.counter("executor_postings_total")
 
     def execute(self, plan: PhysicalPlan) -> tuple[PostingList, ExecutionTrace]:
         """Run *plan*; returns the matched rows and the operator trace."""
         trace = ExecutionTrace()
         rows = self._run(plan.root, trace)
         if self.telemetry.enabled:
-            metrics = self.telemetry.metrics
-            for operator, size in trace.steps:
-                metrics.counter("executor_operators_total", operator=operator).inc()
-                metrics.counter("executor_postings_total").inc(size)
+            counters = self._operator_counters
+            for operator, _ in trace.steps:
+                counter = counters.get(operator)
+                if counter is None:
+                    counter = counters[operator] = self.telemetry.metrics.counter(
+                        "executor_operators_total", operator=operator
+                    )
+                counter.inc()
+            self._postings_counter.inc(trace.total_postings)
         return rows, trace
 
     # -- operator dispatch -----------------------------------------------------
@@ -113,14 +122,11 @@ class QueryExecutor:
         elif isinstance(node, TextMatch):
             rows = self.engine.text_postings(node.column, node.text)
         elif isinstance(node, WildcardScan):
-            regex = _like_to_regex(node.pattern)
-            rows = self.engine.full_scan(
-                node.column, lambda v: v is not None and regex.match(str(v)) is not None
-            )
+            rows = self._full_scan(node.column, "like", node.pattern)
         elif isinstance(node, SubAttributeSearch):
             rows = self.engine.subattribute_postings(node.key, node.value)
         elif isinstance(node, SubAttributeScan):
-            rows = self._subattribute_scan(node.key, node.value)
+            rows = self._full_scan("attributes", "attr", (node.key, node.value))
         elif isinstance(node, CompositeSearch):
             kwargs: dict[str, Any] = {}
             if node.range_column is not None:
@@ -158,12 +164,12 @@ class QueryExecutor:
 
     # -- helpers -----------------------------------------------------------------
     def _all_rows(self) -> PostingList:
-        lists = []
-        for segment in self.engine.segments:
-            lists.append(
-                PostingList([row for row, _ in segment.iter_live()], presorted=True)
-            )
-        return PostingList.union_all(lists)
+        return PostingList.union_all(
+            [
+                segment.filter_live(PostingList(segment.row_ids(), presorted=True))
+                for segment in self.engine.segments
+            ]
+        )
 
     def _term(self, column: str, value: Any) -> PostingList:
         ftype = self.engine.config.schema.type_of(column)
@@ -176,19 +182,13 @@ class QueryExecutor:
         return self.engine.scan_filter(column, rows, predicate)
 
     def _full_scan(self, column: str, op: str, value: Any) -> PostingList:
-        predicate = _scan_predicate(op, value)
-        return self.engine.full_scan(column, lambda v: v is not None and predicate(v))
-
-    def _subattribute_scan(self, key: str, value: str) -> PostingList:
-        def matches(raw: Any) -> bool:
-            if raw is None:
-                return False
-            return parse_attributes(str(raw)).get(key) == value
-
-        return self.engine.full_scan("attributes", matches)
+        return self.engine.full_scan(column, _scan_predicate(op, value))
 
 
 def _scan_predicate(op: str, value: Any):
+    """The doc-values predicate for one scan operator. Every one is false for
+    a missing value (SQL's NULL rule), on a scan over candidates and on a
+    whole-shard scan alike."""
     if op == "=":
         return lambda v: v == value
     if op == "!=":
@@ -210,4 +210,7 @@ def _scan_predicate(op: str, value: Any):
     if op == "like":
         regex = _like_to_regex(value)
         return lambda v: v is not None and regex.match(str(v)) is not None
+    if op == "attr":
+        key, wanted = value
+        return lambda v: v is not None and parse_attributes(str(v)).get(key) == wanted
     raise PlanningError(f"unknown scan op {op!r}")

@@ -7,14 +7,20 @@ For AND-connected predicates the RBO ranks access paths:
    next index column folds into the same search.
 2. **Sequential scan** — remaining predicates on columns in the *scan list*
    become :class:`SequentialScanFilter` operators layered on the chosen
-   index plan (cheap: they only touch rows already selected).
+   index plan (cheap: they only touch rows already selected). So does any
+   predicate that has no index at all (a comparison on a KEYWORD column,
+   ``!=``, ``LIKE``, an unindexed sub-attribute): it is scanned over the
+   rows the other parts selected, never over the shard (Figure 8). And so
+   does a range on a NUMERIC column once a composite search leads: its
+   index search would sort every match in the shard by row id.
 3. **Single-column index** — everything else gets its own index search and
    is intersected (the Lucene/Figure-7 default).
 
 OR branches are planned independently and unioned. With the optimizer
-disabled, every predicate becomes a single-column index search — exactly
+disabled, every predicate becomes a single-column access — exactly
 Lucene's rigid plan — which is what Figure 17's "without optimizer" baseline
-measures.
+measures. A whole-shard scan therefore remains only where nothing narrows
+first: at the plan root, under a ``Union``, or with the optimizer off.
 """
 
 from __future__ import annotations
@@ -149,19 +155,31 @@ class RuleBasedOptimizer:
             remaining = [p for p in remaining if p not in used]
             self._pick_counters[AccessPath.COMPOSITE_INDEX].inc()
 
-        scan_predicates = [p for p in remaining if self._scannable(p)]
-        index_predicates = [p for p in remaining if p not in scan_predicates]
-
-        index_parts = []
-        for p in index_predicates:
-            self._pick_counters[AccessPath.SINGLE_COLUMN_INDEX].inc()
-            index_parts.append(self._single_column_plan(p))
         if base is not None:
-            index_parts.insert(0, base)
-        plan = _combine_intersect(parts + index_parts)
+            parts.append(base)
+        scan_predicates = []
+        whole_shard = []  # (predicate, plan) whose only access path walks the shard
+        for p in remaining:
+            if self._scannable(p) or (base is not None and self._numeric_range(p)):
+                scan_predicates.append(p)
+                continue
+            part = self._single_column_plan(p)
+            if isinstance(part, _WHOLE_SHARD_SCANS):
+                whole_shard.append((p, part))
+            else:
+                self._pick_counters[AccessPath.SINGLE_COLUMN_INDEX].inc()
+                parts.append(part)
+        # Cheapest per row first: a comparison, then a pattern, then a parse.
+        whole_shard.sort(key=lambda pair: _WHOLE_SHARD_SCANS.index(type(pair[1])))
+        if whole_shard and not parts:
+            # Nothing narrows first: one predicate has to walk the shard.
+            self._pick_counters[AccessPath.SINGLE_COLUMN_INDEX].inc()
+            parts.append(whole_shard.pop(0)[1])
+        plan = _combine_intersect(parts)
 
-        # Layer sequential scans over the selected rows — cheapest last stage.
-        for predicate in scan_predicates:
+        # Layer sequential scans over the selected rows — cheapest last stage:
+        # the scan list first, then the predicates that have no index (Fig 8).
+        for predicate in scan_predicates + [p for p, _ in whole_shard]:
             self._pick_counters[AccessPath.SEQUENTIAL_SCAN].inc()
             plan = self._wrap_scan(plan, predicate)
         return plan
@@ -242,6 +260,17 @@ class RuleBasedOptimizer:
             return False
         return predicate.column in self.catalog.scan_columns
 
+    def _numeric_range(self, predicate: Predicate) -> bool:
+        """A range over a NUMERIC column. Its index search sorts every match
+        in the shard by row id, so under a composite search it is compared
+        over the rows that search selected instead."""
+        if isinstance(predicate, ComparisonPredicate):
+            if predicate.op not in ("<", "<=", ">", ">="):
+                return False
+        elif not isinstance(predicate, BetweenPredicate):
+            return False
+        return self.catalog.schema.type_of(predicate.column) is FieldType.NUMERIC
+
     def _wrap_scan(self, plan: PlanNode, predicate: Predicate) -> PlanNode:
         if isinstance(predicate, ComparisonPredicate):
             return SequentialScanFilter(plan, predicate.column, predicate.op, predicate.value)
@@ -253,6 +282,10 @@ class RuleBasedOptimizer:
             return SequentialScanFilter(plan, predicate.column, "in", predicate.values)
         if isinstance(predicate, LikePredicate):
             return SequentialScanFilter(plan, predicate.column, "like", predicate.pattern)
+        if isinstance(predicate, SubAttributePredicate):
+            return SequentialScanFilter(
+                plan, predicate.column, "attr", (predicate.key_name, predicate.value)
+            )
         raise PlanningError(f"cannot scan-filter {type(predicate).__name__}")
 
     # -- single-column paths -----------------------------------------------------------
@@ -270,6 +303,8 @@ class RuleBasedOptimizer:
         if isinstance(predicate, InPredicate):
             return TermsSearch(predicate.column, predicate.values)
         if isinstance(predicate, BetweenPredicate):
+            if schema.type_of(predicate.column) is not FieldType.NUMERIC:
+                return FullScan(predicate.column, "between", (predicate.low, predicate.high))
             return RangeSearch(predicate.column, predicate.low, predicate.high)
         if isinstance(predicate, ComparisonPredicate):
             ftype = schema.type_of(predicate.column)
@@ -277,15 +312,10 @@ class RuleBasedOptimizer:
                 if ftype is FieldType.NUMERIC:
                     return RangeSearch(predicate.column, predicate.value, predicate.value)
                 return TermSearch(predicate.column, predicate.value)
-            if predicate.op == "!=":
-                if ftype is FieldType.NUMERIC:
-                    inner: PlanNode = RangeSearch(
-                        predicate.column, predicate.value, predicate.value
-                    )
-                else:
-                    inner = TermSearch(predicate.column, predicate.value)
-                return Exclude(MatchAll(), inner)
-            if ftype is not FieldType.NUMERIC:
+            if predicate.op == "!=" or ftype is not FieldType.NUMERIC:
+                # No index answers these. ``!=`` is a scan on every path so
+                # that it has one NULL rule (SQL's: a row lacking the column
+                # does not match), which ``all rows minus the term`` broke.
                 return FullScan(predicate.column, predicate.op, predicate.value)
             low = high = None
             include_low = include_high = True
@@ -303,6 +333,11 @@ class RuleBasedOptimizer:
                 include_high=include_high,
             )
         raise PlanningError(f"no access path for {type(predicate).__name__}")
+
+
+#: Access paths that evaluate a predicate over every row of the shard, in
+#: ascending order of what one row costs.
+_WHOLE_SHARD_SCANS = (FullScan, WildcardScan, SubAttributeScan)
 
 
 def _combine_intersect(parts: list[PlanNode]) -> PlanNode:

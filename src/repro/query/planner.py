@@ -137,7 +137,7 @@ class SequentialScanFilter(PlanNode):
 
     child: PlanNode
     column: str
-    op: str  # "=", "!=", "in", "between", "like"
+    op: str  # a comparison, "in", "between", "like", or "attr" with (key, value)
     value: Any
 
     def describe(self, indent: int = 0) -> str:
@@ -150,7 +150,8 @@ class SequentialScanFilter(PlanNode):
 
 @dataclass(frozen=True)
 class FullScan(PlanNode):
-    """Whole-column scan (last resort; e.g. negated predicate at the root)."""
+    """Whole-column scan — the last resort for a predicate no index answers
+    (``!=``, a comparison on a KEYWORD column) when nothing narrows first."""
 
     column: str
     op: str

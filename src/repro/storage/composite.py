@@ -147,7 +147,8 @@ class CompositeIndex:
                                    is_range=range_column is not None and high is not None)
         if lo_idx >= hi_idx:
             return PostingList.empty()
-        return PostingList(self._rows[lo_idx:hi_idx])
+        # One entry per row, so no duplicates to drop: order by row id only.
+        return PostingList(sorted(self._rows[lo_idx:hi_idx]), presorted=True)
 
     def _lower_bound(self, key: tuple, *, inclusive: bool, is_range: bool) -> int:
         if not key:

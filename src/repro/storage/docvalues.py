@@ -49,7 +49,13 @@ class DocValues:
     def scan(self, rows: PostingList, predicate: Callable[[Any], bool]) -> PostingList:
         """Filter *rows* by *predicate* over this column — the sequential-scan
         operator of the ESDB query plan (Figure 8, posting list B)."""
-        out = [row for row in rows if predicate(self.get(row))]
+        values, base = self._values, self._base
+        # ``get``'s bounds check, once for the block instead of once per row.
+        covered = rows.between(base, base + len(values))
+        out = [row for row in covered if predicate(values[row - base])]
+        if len(covered) < len(rows) and predicate(None):
+            # A sparse column stops short of the segment: those rows read None.
+            out = sorted(set(rows).difference(covered).union(out))
         return PostingList(out, presorted=True)
 
     def full_scan(self, predicate: Callable[[Any], bool]) -> PostingList:

@@ -408,16 +408,23 @@ class ShardEngine:
             lists.append(self._filter_searchable(dynamic.search(equalities, **kwargs)))
         return PostingList.union_all(lists)
 
+    def _live_blocks(self, rows: PostingList) -> Iterator[tuple[Segment, PostingList]]:
+        """Cut *rows* into one block per searchable segment: the rows inside
+        the segment's row range that are live in it. Two bisections and a
+        liveness pass per segment, never a membership test per row per
+        segment. Row ranges may overlap — a merge of non-adjacent segments
+        pads the gaps with tombstones — so a row is attributed to the one
+        segment it is live in, not to the first range that contains it."""
+        for segment in self._searchable_segments():
+            base = segment.base_row_id
+            block = segment.filter_live(rows.between(base, base + len(segment)))
+            if block:
+                yield segment, block
+
     def _filter_searchable(self, rows: PostingList) -> PostingList:
         """Keep only rows that are live in a *refreshed* segment (dynamic
         composite indexes may hold stale/buffered entries)."""
-        out = []
-        for row in rows:
-            for segment in self._searchable_segments():
-                if segment.is_live(row):
-                    out.append(row)
-                    break
-        return PostingList(out, presorted=True)
+        return PostingList.union_all([block for _, block in self._live_blocks(rows)])
 
     # -- dynamic index management (the "Add/Drop Index" box of Figure 3) ----
     def add_composite_index(self, columns) -> str:
@@ -460,16 +467,12 @@ class ShardEngine:
     def scan_filter(self, field_name: str, rows: PostingList,
                     predicate: Callable[[Any], bool]) -> PostingList:
         """Sequential-scan filter over doc values, segment by segment."""
-        out = PostingList.empty()
-        for segment in self._searchable_segments():
-            in_segment = PostingList(
-                [r for r in rows if r in segment.row_ids()], presorted=True
-            )
+        lists = []
+        for segment, block in self._live_blocks(rows):
             values = segment.doc_values(field_name)
-            if values is None:
-                continue
-            out = out.union(values.scan(in_segment, predicate))
-        return out
+            if values is not None:
+                lists.append(values.scan(block, predicate))
+        return PostingList.union_all(lists)
 
     def full_scan(self, field_name: str, predicate: Callable[[Any], bool]) -> PostingList:
         lists = []
@@ -506,10 +509,9 @@ class ShardEngine:
         """Read one column value for *row_id* from doc values (None when the
         row or column is absent) — used for sort-key extraction without
         materializing the whole document."""
-        for segment in self._searchable_segments():
-            if row_id in segment.row_ids():
-                values = segment.doc_values(field_name)
-                return values.get(row_id) if values is not None else None
+        for segment, _ in self._live_blocks(PostingList.of(row_id)):
+            values = segment.doc_values(field_name)
+            return values.get(row_id) if values is not None else None
         return None
 
     def top_k(self, rows: PostingList, order_column: str, k: int,
@@ -520,10 +522,15 @@ class ShardEngine:
         notes sort/top-k are what make distributed queries expensive)."""
         if k >= len(rows):
             return rows
+        column: dict[int, Any] = {}
+        for segment, block in self._live_blocks(rows):
+            values = segment.doc_values(order_column)
+            if values is not None:
+                column.update((row, values.get(row)) for row in block)
         keyed = []
         for row in rows:
-            value = self.field_value(order_column, row)
-            keyed.append(((value is not None, value) if value is not None else (False, 0), row))
+            value = column.get(row)
+            keyed.append(((True, value) if value is not None else (False, 0), row))
         try:
             keyed.sort(key=lambda pair: pair[0], reverse=descending)
         except TypeError:

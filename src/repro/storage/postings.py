@@ -66,7 +66,8 @@ class PostingList:
 
     # -- algebra ----------------------------------------------------------------
     def intersect(self, other: "PostingList") -> "PostingList":
-        """Sorted-merge intersection; galloping when sizes are lopsided."""
+        """Intersection; galloping when sizes are lopsided, one hashed pass
+        over the long list otherwise."""
         a, b = self._ids, other._ids
         if len(a) > len(b):
             a, b = b, a
@@ -76,41 +77,35 @@ class PostingList:
         if len(b) > 8 * len(a):
             out = [x for x in a if _sorted_contains(b, x)]
             return PostingList(out, presorted=True)
-        out = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            if a[i] == b[j]:
-                out.append(a[i])
-                i += 1
-                j += 1
-            elif a[i] < b[j]:
-                i += 1
-            else:
-                j += 1
-        return PostingList(out, presorted=True)
+        return PostingList(sorted(set(a).intersection(b)), presorted=True)
 
     def union(self, other: "PostingList") -> "PostingList":
-        out = []
+        """Union. Lists over disjoint row ranges — one per segment, the common
+        case — are concatenated as blocks; only overlapping lists are merged."""
         a, b = self._ids, other._ids
-        i = j = 0
-        while i < len(a) and j < len(b):
-            if a[i] == b[j]:
-                out.append(a[i])
-                i += 1
-                j += 1
-            elif a[i] < b[j]:
-                out.append(a[i])
-                i += 1
-            else:
-                out.append(b[j])
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return PostingList(out, presorted=True)
+        if not a:
+            return other
+        if not b:
+            return self
+        if a[-1] < b[0]:
+            return PostingList(a + b, presorted=True)
+        if b[-1] < a[0]:
+            return PostingList(b + a, presorted=True)
+        return PostingList(sorted(set(a).union(b)), presorted=True)
 
     def difference(self, other: "PostingList") -> "PostingList":
         out = [x for x in self._ids if x not in other]
         return PostingList(out, presorted=True)
+
+    def between(self, low: int, high: int) -> "PostingList":
+        """The ids in ``[low, high)`` — two bisections and one slice; how the
+        engine cuts a shard-level list into one segment's block of rows."""
+        ids = self._ids
+        lo = bisect_left(ids, low)
+        hi = bisect_left(ids, high, lo)
+        if lo == 0 and hi == len(ids):
+            return self
+        return PostingList(ids[lo:hi], presorted=True)
 
     def shifted(self, base: int) -> "PostingList":
         """Return a copy with *base* added to every id — used to map

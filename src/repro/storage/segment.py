@@ -63,6 +63,7 @@ class Segment:
         self._analyzer = analyzer or StandardAnalyzer()
         self._docs: list[Document] = []
         self._live: list[bool] = []
+        self._deleted = 0  # rows of _live that are False
         self._term_indexes: dict[str, InvertedIndex] = {}
         self._numeric_indexes: dict[str, SortedIndex] = {}
         self._composites: dict[str, CompositeIndex] = {}
@@ -79,11 +80,11 @@ class Segment:
 
     @property
     def live_count(self) -> int:
-        return sum(self._live)
+        return len(self._live) - self._deleted
 
     @property
     def deleted_count(self) -> int:
-        return len(self._live) - self.live_count
+        return self._deleted
 
     @property
     def sealed(self) -> bool:
@@ -116,8 +117,12 @@ class Segment:
                 self._term_index(name).add(value, row_id)
                 entries += 1
             elif ftype is FieldType.NUMERIC:
-                self._numeric_index(name).add(float(value), row_id)
+                number = float(value)
+                self._numeric_index(name).add(number, row_id)
                 entries += 1
+                if isinstance(value, str):
+                    # A numeric string: a scan must see what the index holds.
+                    value = number
             elif ftype is FieldType.TEXT:
                 tokens = self._analyzer.analyze(str(value))
                 self._term_index(name).add_all(tokens, row_id)
@@ -133,7 +138,7 @@ class Segment:
                     if allowed is None or key in allowed:
                         self._subattr_index.add((key, subvalue), row_id)
                         entries += 1
-            # Raw value kept in doc values so scans and LIKE/wildcard work.
+            # Value kept in doc values so scans and LIKE/wildcard work.
             self._dv(name).append(row_id, value)
         for composite in self._composites.values():
             values = [doc.get(column) for column in composite.columns]
@@ -156,6 +161,7 @@ class Segment:
         if 0 <= index < len(self._live):
             was_live = self._live[index]
             self._live[index] = False
+            self._deleted += was_live
             return was_live
         return False
 
@@ -164,7 +170,16 @@ class Segment:
         return 0 <= index < len(self._live) and self._live[index]
 
     def filter_live(self, rows: PostingList) -> PostingList:
-        return PostingList([r for r in rows if self.is_live(r)], presorted=True)
+        """The live rows of *rows*, which must all lie in this segment's row
+        range (its own indexes' postings do; two bisections check it). One
+        look at the delete counter when nothing was deleted — the input comes
+        back untouched — and one pass over the live bitmap otherwise."""
+        live, base = self._live, self.base_row_id
+        if len(rows.between(base, base + len(live))) != len(rows):
+            raise StorageError(f"rows outside segment {self.segment_id}'s row range")
+        if not self._deleted:
+            return rows
+        return PostingList([r for r in rows if live[r - base]], presorted=True)
 
     # -- access paths ---------------------------------------------------------
     def _term_index(self, name: str) -> InvertedIndex:

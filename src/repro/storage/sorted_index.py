@@ -82,7 +82,8 @@ class SortedIndex:
             hi_idx = (bisect_right if include_high else bisect_left)(self._values, float(high))
         if lo_idx >= hi_idx:
             return PostingList.empty()
-        return PostingList(self._rows[lo_idx:hi_idx])
+        # One entry per row, so no duplicates to drop: order by row id only.
+        return PostingList(sorted(self._rows[lo_idx:hi_idx]), presorted=True)
 
     def point(self, value: float) -> PostingList:
         """Return rows whose value equals *value* exactly."""

@@ -268,6 +268,16 @@ class TestDocValues:
         rows = PostingList(range(10))
         assert dv.scan(rows, lambda v: v == 0).to_list() == [0, 3, 6, 9]
 
+    def test_scan_reads_none_outside_the_column(self):
+        """Rows before the base, in a gap, or past a sparse column's end."""
+        dv = DocValues(base_row_id=10)
+        dv.append(10, "a")
+        dv.append(13, "b")
+        rows = PostingList([8, 10, 11, 13, 15])
+        assert dv.scan(rows, lambda v: v is not None).to_list() == [10, 13]
+        assert dv.scan(rows, lambda v: v is None).to_list() == [8, 11, 15]
+        assert dv.scan(rows, lambda v: v != "a").to_list() == [8, 11, 13, 15]
+
     def test_full_scan(self):
         dv = DocValues()
         for row in range(6):

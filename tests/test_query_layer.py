@@ -18,9 +18,11 @@ from repro.query.ast import OrderBy
 from repro.query.optimizer import CatalogInfo
 from repro.query.planner import (
     CompositeSearch,
-
+    FullScan,
+    Intersect,
+    RangeSearch,
     SequentialScanFilter,
-
+    TermSearch,
     Union,
 )
 from repro.query.aggregator import aggregate_metric
@@ -182,6 +184,73 @@ class TestOptimizerPlans:
         assert isinstance(plan.root, SequentialScanFilter)
         assert plan.root.column == "status"
 
+    def _plan(self, catalog, where, enabled=True):
+        translated = Xdriver4ES().translate(parse_sql(f"SELECT * FROM t WHERE {where}"))
+        return RuleBasedOptimizer(catalog, enabled=enabled).plan(translated.statement)
+
+    @pytest.mark.parametrize(
+        "unindexed, op",
+        [
+            ("group >= 3", ">="),
+            ("buyer_id != 7", "!="),
+            ("auction_title LIKE '%cotton%'", "like"),
+            ("ATTR(attr_0777) = 'y'", "attr"),
+        ],
+    )
+    def test_predicate_without_index_is_scanned_over_the_indexed_rows(
+        self, engine_config, unindexed, op
+    ):
+        """Figure 8's rule: never over the shard when something narrows first."""
+        catalog = CatalogInfo(
+            schema=engine_config.schema,
+            composite_indexes=engine_config.composite_columns,
+            scan_columns=engine_config.scan_columns,
+            indexed_subattributes=frozenset({"attr_0001"}),
+        )
+        plan = self._plan(
+            catalog, f"{unindexed} AND tenant_id = 1 AND created_time BETWEEN 0 AND 9"
+        )
+        assert isinstance(plan.root, SequentialScanFilter) and plan.root.op == op
+        assert isinstance(plan.root.child, CompositeSearch)
+        assert plan.access_path_counts() == {"CompositeSearch": 1}
+        # a single-column index narrows just as well as a composite one
+        plan = self._plan(catalog, f"{unindexed} AND seller_id = 4")
+        assert isinstance(plan.root, SequentialScanFilter)
+        assert plan.root.child == TermSearch("seller_id", 4)
+
+    def test_numeric_range_is_scanned_over_a_composite_search_only(self, catalog):
+        """A range search sorts every match in the shard; the tenant's rows
+        are fewer. Equality stays a point lookup, and so does a range that
+        no composite search narrows."""
+        root = self._plan(
+            catalog, "tenant_id = 1 AND created_time BETWEEN 0 AND 9 AND amount >= 5"
+        ).root
+        assert root == SequentialScanFilter(root.child, "amount", ">=", 5)
+        assert isinstance(root.child, CompositeSearch)
+        between = self._plan(catalog, "tenant_id = 1 AND amount BETWEEN 2 AND 5").root
+        assert (between.op, between.value) == ("between", (2, 5))
+        assert isinstance(between.child, CompositeSearch)
+        point = self._plan(catalog, "tenant_id = 1 AND amount = 5").root
+        assert isinstance(point, Intersect) and RangeSearch("amount", 5, 5) in point.children
+        unnarrowed = self._plan(catalog, "seller_id = 4 AND amount >= 5").root
+        assert isinstance(unnarrowed, Intersect)
+        assert RangeSearch("amount", 5, None) in unnarrowed.children
+
+    def test_whole_shard_scan_remains_only_where_nothing_narrows_first(self, catalog):
+        assert self._plan(catalog, "group >= 3").root == FullScan("group", ">=", 3)
+        assert self._plan(catalog, "group != 3").root == FullScan("group", "!=", 3)
+        under_union = self._plan(catalog, "group >= 3 OR tenant_id = 1").root
+        assert isinstance(under_union, Union)
+        assert under_union.children[0] == FullScan("group", ">=", 3)
+        # two predicates without an index: one walks the shard, the other
+        # scans what it kept
+        both = self._plan(catalog, "group >= 3 AND auction_title LIKE 'red%'").root
+        assert isinstance(both, SequentialScanFilter) and both.op == "like"
+        assert both.child == FullScan("group", ">=", 3)
+        disabled = self._plan(catalog, "group >= 3 AND tenant_id = 1", enabled=False).root
+        assert isinstance(disabled, Intersect)
+        assert FullScan("group", ">=", 3) in disabled.children
+
     def test_no_where_is_match_all(self, catalog):
         plan = RuleBasedOptimizer(catalog).plan(parse_sql("SELECT * FROM t"))
         assert type(plan.root).__name__ == "MatchAll"
@@ -214,6 +283,49 @@ class TestExecutor:
             opt, _, _ = self._run(loaded_engine, catalog, sql, enabled=True)
             raw, _, _ = self._run(loaded_engine, catalog, sql, enabled=False)
             assert opt == raw, sql
+
+    def test_not_equal_has_one_null_rule_on_every_access_path(self, engine, catalog):
+        """SQL's rule: a row lacking the column matches neither ``= v`` nor
+        ``!= v`` — on a KEYWORD, a scan-list and a NUMERIC column, through the
+        composite+scan, the single-column and the optimizer-disabled plans.
+        A numeric string (the schema accepts ``"3"``) is the number on all."""
+        docs = []
+        for i in range(200):
+            doc = make_log(i, tenant="t1", created=float(i), group=i % 5,
+                           quantity=i % 7, amount=float(i % 4))
+            if i % 11 == 0:
+                doc["quantity"], doc["amount"] = str(doc["quantity"]), str(doc["amount"])
+            if i % 10 == 0:
+                del doc["group"]
+            if i % 9 == 0:
+                del doc["quantity"]
+            if i % 8 == 0:
+                del doc["amount"]
+            docs.append(doc)
+            engine.index(doc)
+            if i % 70 == 69:
+                engine.refresh()
+        engine.refresh()
+        assert docs[33]["quantity"] == "5" and docs[33]["amount"] == "1.0"
+        assert docs[143]["quantity"] == "3" and docs[143]["amount"] == "3.0"
+        for column in ("group", "quantity", "amount"):
+            expected = [
+                i for i, doc in enumerate(docs)
+                if doc.get(column) is not None and float(doc[column]) != 3
+            ]
+            assert 0 < len(expected) < sum(1 for doc in docs if doc.get(column) != 3)
+            for where, enabled in [
+                (f"tenant_id = 't1' AND created_time >= 0 AND {column} != 3", True),
+                (f"{column} != 3", True),
+                (f"NOT {column} = 3", True),
+                (f"tenant_id = 't1' AND {column} != 3", False),
+                (f"{column} != 3", False),
+            ]:
+                rows, _, plan = self._run(
+                    engine, catalog, f"SELECT * FROM t WHERE {where}", enabled=enabled
+                )
+                got = [doc.doc_id for doc in engine.fetch(rows)]
+                assert got == expected, f"{where} (optimizer={enabled})\n{plan.describe()}"
 
     def test_optimizer_reduces_intermediate_postings(self, loaded_engine, catalog):
         sql = (
