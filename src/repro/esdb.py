@@ -43,6 +43,7 @@ from repro.consensus import ConsensusConfig, ConsensusMaster, Participant, RuleP
 from repro.errors import (
     ConsensusAborted,
     EsdbError,
+    InvalidDocumentError,
     QueryError,
     TenantThrottledError,
 )
@@ -489,6 +490,8 @@ class ESDB:
                             tenant_id, doc_id, created_time
                         )
                     except Exception as exc:
+                        if not isinstance(exc, EsdbError):
+                            exc = self._unroutable(source) or exc
                         if isinstance(exc, TenantThrottledError):
                             self._emit_event(
                                 "shed" if exc.budget == "queue" else "throttle",
@@ -572,6 +575,27 @@ class ESDB:
         if self.timeseries is not None:
             self.timeseries.maybe_sample(self._clock)
         return BulkResult(items=items, took=duration)
+
+    def _unroutable(self, source: Any) -> InvalidDocumentError | None:
+        """Exception path of the routing pass: the engine's rejection,
+        naming the field, for a document whose tenant, id or creation time
+        the pass could not read or hash — or None when *source* is
+        well-formed and the failure was something else."""
+        schema = self.config.schema
+        if not isinstance(source, Mapping):
+            return InvalidDocumentError(f"a document must be a mapping, got {source!r}")
+        for name in (schema.tenant_field, schema.id_field, schema.time_field):
+            if name not in source:
+                return InvalidDocumentError(f"document missing field {name!r}")
+        if source[schema.time_field] is None:
+            return InvalidDocumentError(
+                f"field {schema.time_field!r} must be numeric, got None"
+            )
+        try:
+            schema.validate(source)
+        except InvalidDocumentError as invalid:
+            return invalid
+        return None
 
     def _apply_shard_batch(
         self,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Mapping
 
 from repro.errors import ConfigurationError, InvalidDocumentError
@@ -25,6 +24,12 @@ class FieldType(enum.Enum):
     NUMERIC = "numeric"  # range-searchable numbers / timestamps
     TEXT = "text"  # analyzed full text (auction_title, nicknames)
     ATTRIBUTES = "attributes"  # the concatenated sub-attribute column
+
+
+# Member access through the enum class costs a metaclass lookup each time;
+# the per-write validator reads these once per field.
+_KEYWORD = FieldType.KEYWORD
+_NUMERIC = FieldType.NUMERIC
 
 
 @dataclass(frozen=True)
@@ -55,26 +60,25 @@ class Schema:
         flexible schema)."""
         return self.fields.get(name, FieldType.KEYWORD)
 
-    @cached_property
-    def numeric_fields(self) -> tuple[str, ...]:
-        """Names of the NUMERIC fields (computed once per schema)."""
-        return tuple(
-            name for name, ftype in self.fields.items() if ftype is FieldType.NUMERIC
-        )
-
-    def check_numeric(self, source: Mapping[str, Any]) -> None:
-        """Reject *source* unless every NUMERIC field it sets holds a number
-        — the one validation a write passes, ahead of the translog, so a
-        rejected document is never logged, half-indexed or replayed."""
-        for name in self.numeric_fields:
-            value = source.get(name)
-            if value is not None:
-                try:
+    def validate(self, source: Mapping[str, Any]) -> None:
+        """Reject *source* unless every field it sets can be indexed: a
+        NUMERIC one holds a number, a KEYWORD one (any undeclared field
+        included) a hashable term. The one validation a write passes, ahead
+        of the translog, so a rejected document is never logged,
+        half-indexed or replayed."""
+        fields = self.fields
+        for name, value in source.items():
+            ftype = fields.get(name, _KEYWORD)
+            try:
+                if ftype is _KEYWORD:
+                    hash(value)
+                elif ftype is _NUMERIC and value is not None:
                     float(value)
-                except (TypeError, ValueError):
-                    raise InvalidDocumentError(
-                        f"field {name!r} must be numeric, got {value!r}"
-                    ) from None
+            except (TypeError, ValueError):
+                expected = "numeric" if ftype is _NUMERIC else "a hashable term"
+                raise InvalidDocumentError(
+                    f"field {name!r} must be {expected}, got {value!r}"
+                ) from None
 
     @staticmethod
     def transaction_logs() -> "Schema":
@@ -124,7 +128,7 @@ class Document:
         field."""
         if schema.id_field not in source:
             raise InvalidDocumentError(f"document missing id field {schema.id_field!r}")
-        schema.check_numeric(source)
+        schema.validate(source)
         return Document(doc_id=source[schema.id_field], source=dict(source))
 
 

@@ -180,7 +180,7 @@ class ShardEngine:
             existing = self._get_by_row(row_id)
             merged_source = dict(existing.source)
             merged_source.update(changes)
-            self.config.schema.check_numeric(merged_source)
+            self.config.schema.validate(merged_source)
             self.translog.append("update", doc_id, merged_source)
             self._apply_delete(doc_id)
             new_row = self._apply_index(Document(doc_id=doc_id, source=merged_source))

@@ -216,7 +216,7 @@ def summarize(values: Iterable[float],
               buckets: tuple[float, ...] = DEFAULT_BUCKETS) -> dict:
     """One-shot :meth:`Histogram.summary` of *values*.
 
-    The bench harness and the simulator both summarize ad-hoc duration
+    The simulator and the arrival statistics summarize ad-hoc duration
     lists through this, so their p50/p95/p99 share the exact
     bucket-interpolation code path of the live telemetry histograms.
     """

@@ -22,8 +22,8 @@ pieces:
   time-series and the dashboard;
 * :class:`ArrivalScenario` / :class:`TraceScenario` adapt a process (or a
   recorded trace) to the per-tick :class:`~repro.workload.scenarios.Scenario`
-  contract, so the simulator, the bench scenarios and the experiments CLI
-  all consume the same stream.
+  contract, so the simulator and the experiments CLI consume the same
+  stream.
 
 Everything is driven by explicit seeds and logical time only: the same
 seed yields a byte-identical arrival stream on every run.

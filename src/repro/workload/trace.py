@@ -16,8 +16,8 @@ Two on-disk versions:
   is supplied. The header carries the process (and optional tenant-churn)
   metadata needed to rebuild the stream; each body line is
   ``{"t": <arrival timestamp>, "doc": {...}}``. One recorded v2 trace
-  drives the simulator (:func:`scenario_from_trace`), the bench harness,
-  and the chaos runner from the same file.
+  drives the simulator (:func:`scenario_from_trace`), a live instance
+  (:func:`replay_trace`) and the chaos runner from the same file.
 
 Also exposes a tiny CLI::
 

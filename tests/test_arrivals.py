@@ -108,6 +108,20 @@ class TestPoissonProcess:
         with pytest.raises(ConfigurationError):
             PoissonProcess(10.0, duration=0.0)
 
+    def test_seeded_event_counts_are_pinned(self):
+        """Every stream is drawn from ``random.Random(seed)``, so its length
+        is exact: a recorded trace, a chaos fingerprint and a benchmark
+        stream all move if a generator drifts. Homogeneous, thinned against
+        a diurnal curve, and the on/off process beside them."""
+        streams = (
+            PoissonProcess(300.0, duration=20.0, seed=1),
+            BurstyProcess(300.0, duration=20.0, off_rate=15.0,
+                          mean_on_seconds=2.0, mean_off_seconds=3.0, seed=2),
+            PoissonProcess(DiurnalRate(300.0, amplitude=0.7, period=20.0),
+                           duration=20.0, seed=3),
+        )
+        assert [sum(1 for _ in s.times()) for s in streams] == [5913, 2934, 6043]
+
 
 class TestBurstyProcess:
     def test_deterministic_given_seed(self):

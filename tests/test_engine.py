@@ -359,7 +359,9 @@ class TestValidateBeforeLog:
     buffer, not searchable after the next refresh — and the shard still
     recovers from its log."""
 
-    BAD = {"amount": "abc"}
+    #: A non-numeric NUMERIC value, an unhashable KEYWORD value, and an
+    #: unhashable value in an undeclared field (KEYWORD by default).
+    BAD = ({"amount": "abc"}, {"status": ["a"]}, {"extra": {"a": 1}})
 
     def _seed(self, engine: ShardEngine) -> None:
         engine.index(make_log(1, amount=5.0))
@@ -380,22 +382,25 @@ class TestValidateBeforeLog:
     def test_rejected_index_leaves_no_trace(self, engine):
         self._seed(engine)
         before = _engine_state(engine)
-        with pytest.raises(InvalidDocumentError):
-            engine.index(make_log(3, **self.BAD))
+        for bad in self.BAD:
+            with pytest.raises(InvalidDocumentError, match=next(iter(bad))):
+                engine.index(make_log(3, **bad))
         self._assert_untouched(engine, before)
 
     def test_rejected_bulk_index_logs_nothing_of_the_batch(self, engine):
         self._seed(engine)
         before = _engine_state(engine)
-        with pytest.raises(InvalidDocumentError):
-            engine.bulk_index([make_log(3), make_log(4, **self.BAD), make_log(5)])
+        for bad in self.BAD:
+            with pytest.raises(InvalidDocumentError, match=next(iter(bad))):
+                engine.bulk_index([make_log(3), make_log(4, **bad), make_log(5)])
         self._assert_untouched(engine, before)
 
     def test_rejected_update_keeps_the_good_version(self, engine):
         self._seed(engine)
         before = _engine_state(engine)
-        with pytest.raises(InvalidDocumentError):
-            engine.update(1, self.BAD)
+        for bad in self.BAD:
+            with pytest.raises(InvalidDocumentError, match=next(iter(bad))):
+                engine.update(1, bad)
         assert engine.get(1)["amount"] == 5.0
         self._assert_untouched(engine, before)
 

@@ -166,6 +166,33 @@ class TestDynamicAdaptivity:
         sim.run()
         assert sim.rule_commits == []
 
+    def test_seeded_model_outputs_are_pinned(self):
+        """The model is seeded end to end, so its outputs are exact: a
+        change to the sampler, the balancer or the tick loop moves these
+        numbers, and a second run must reproduce the first."""
+        config = SimulationConfig(
+            num_nodes=4, num_shards=64, node_capacity=5_000.0,
+            sample_per_tick=300, balance_window=10.0, consensus_interval=5.0,
+        )
+
+        def run():
+            sim = WriteSimulation(
+                DynamicSecondaryHashRouting(config.num_shards),
+                StaticScenario(rate=9_000.0, duration=40.0),
+                config=config,
+            )
+            report = sim.run()
+            return (
+                report.throughput, report.delay_p99, report.max_delay,
+                len(sim.metrics.samples), len(sim.rule_commits),
+            )
+
+        throughput, delay_p99, max_delay, ticks, commits = first = run()
+        assert throughput == pytest.approx(9000.6625, abs=1e-3)
+        assert delay_p99 == max_delay == 0.2
+        assert (ticks, commits) == (40, 23)
+        assert run() == first
+
 
 class TestReplicationModel:
     def test_fig15_physical_replication_raises_ceiling(self):

@@ -794,13 +794,3 @@ class TestSloCli:
         bundle = json.loads(path.read_text())
         assert bundle["slo"]["enabled"] is True
 
-
-# -- bench scenario registration -----------------------------------------------
-
-
-class TestSloBenchScenario:
-    def test_registered_in_slo_family(self):
-        from repro.bench import get, registered
-
-        assert "slo.overhead" in registered()
-        assert get("slo.overhead").family == "slo"

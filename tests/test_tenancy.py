@@ -173,6 +173,27 @@ class TestTenantGovernor:
         # The interactive tenant still has queue share left.
         assert governor.admit_write("vip", 0.0) > 0.0
 
+    def test_qos_ordering_of_three_classes_past_saturation(self):
+        """Three tenants, one per class, each offering 100 writes/s against
+        a 5/s budget on the logical clock: what gets through is ordered by
+        class, and the counts are exact."""
+        classes = ("interactive", "standard", "batch")
+        tenants = tuple(f"t-{qos}" for qos in classes)
+        config = TenancyConfig(
+            enabled=True, write_rate=5.0, write_burst=8.0, queue_capacity=24,
+            tenant_qos=tuple(zip(tenants, classes)),
+        )
+        governor = TenantGovernor(config)
+        for i in range(400):
+            for tenant in tenants:
+                try:
+                    governor.admit_write(tenant, i * 0.01, 64)
+                except TenantThrottledError:
+                    pass
+        admitted = [governor.tenant_counts(tenant)[0] for tenant in tenants]
+        assert admitted == sorted(admitted, reverse=True) and admitted[0] > admitted[-1]
+        assert admitted == [51, 27, 27]
+
     def test_indexed_bytes_quota_sheds_with_window_retry_after(self):
         config = TenancyConfig(
             enabled=True, indexed_bytes_quota=100, quota_window_seconds=10.0

@@ -365,6 +365,9 @@ class TestOneTraceDrivesAll:
         assert db.doc_count() == info.count == stats.count
         assert db.arrivals is stats
         assert stats.realized_rate > 0
+        # The recorded churn schedule rides the replay: two flash tenants
+        # overlap at its peak.
+        assert stats.peak_live_tenants == trace_churn(info).peak_live() == 2
         # Replay republishes the recorded stream's realized statistics.
         assert db.telemetry.metrics.gauge("workload_realized_rate").value == (
             pytest.approx(stats.realized_rate)

@@ -242,9 +242,45 @@ class TestEachDocumentIsParsedOnce:
         assert names == [("attr_0001", "attr_0002")] * len(self.DOCS)
 
 
+#: Marks a field :func:`spoil` removes from the document.
+ABSENT = object()
+
+#: Documents a write must reject whole, as changes to a good one. The first
+#: three route and are refused by the engine's validator; the rest are
+#: refused by the facade's routing pass and never reach an engine.
+MALFORMED = {
+    "non-numeric amount": {"amount": "abc"},
+    "unhashable keyword": {"status": ["a"]},
+    "unhashable undeclared field": {"extra": {"a": 1}},
+    "unhashable tenant": {"tenant_id": ["a"]},
+    "non-numeric created_time": {"created_time": "abc"},
+    "null created_time": {"created_time": None},
+    "no tenant": {"tenant_id": ABSENT},
+    "no id": {"transaction_id": ABSENT},
+    "no created_time": {"created_time": ABSENT},
+}
+
+
+def spoil(doc: dict, change: dict) -> dict:
+    doc.update(change)
+    for name, value in change.items():
+        if value is ABSENT:
+            del doc[name]
+    return doc
+
+
+def stored_state(db: ESDB) -> tuple:
+    return (
+        dict(db._doc_shard),
+        db.doc_count(),
+        [(len(e.translog), len(e.buffer), e.stats.writes) for e in db.engines.values()],
+    )
+
+
+@pytest.mark.parametrize("change", MALFORMED.values(), ids=MALFORMED)
 class TestBulkAppliesEachDocumentOnce:
     @pytest.mark.parametrize("exec_config", [None, ExecConfig.threads(workers=2)])
-    def test_one_malformed_document_does_not_replay_the_batch(self, exec_config):
+    def test_one_malformed_document_does_not_replay_the_batch(self, exec_config, change):
         overrides = {} if exec_config is None else {"exec": exec_config}
         db = make_db(
             topology=ClusterTopology(num_nodes=1, num_shards=1, replicas_per_shard=0),
@@ -252,16 +288,19 @@ class TestBulkAppliesEachDocumentOnce:
         )
         try:
             docs = [make_log(i, created=float(i), amount=1.0) for i in range(1, 5)]
-            docs[2]["amount"] = "abc"
+            spoil(docs[2], change)
             result = db.bulk_write(docs)
             assert [item.ok for item in result.items] == [True, True, False, True]
-            assert isinstance(result.items[2].error, InvalidDocumentError)
+            assert [item.position for item in result.items] == [0, 1, 2, 3]
+            error = result.items[2].error
+            assert isinstance(error, InvalidDocumentError)
+            assert next(iter(change)) in str(error)
             engine = db.engines[0]
             assert engine.stats.writes == 3 and engine.stats.deletes == 0
             assert len(engine.translog) == 3
             assert db.telemetry.metrics.total("engine_writes_total") == 3
             assert db.telemetry.metrics.total("esdb_writes_total") == 3
-            assert 3 not in db._doc_shard
+            assert db._doc_shard.keys() == {1, 2, 4}
             db.refresh()
             assert db.doc_count() == 3
             engine.simulate_crash()
@@ -269,13 +308,15 @@ class TestBulkAppliesEachDocumentOnce:
         finally:
             db.close()
 
-    def test_rejected_single_write_leaves_no_trace(self):
+    def test_rejected_single_write_leaves_no_trace(self, change):
         db = make_db()
         db.write(make_log(1, amount=2.0))
-        with pytest.raises(InvalidDocumentError):
-            db.write(make_log(2, amount="abc"))
-        assert db._doc_shard.keys() == {1}
-        assert sum(len(e.translog) for e in db.engines.values()) == 1
-        assert sum(e.stats.writes for e in db.engines.values()) == 1
+        before = stored_state(db)
+        with pytest.raises(InvalidDocumentError, match=next(iter(change))):
+            db.write(spoil(make_log(2, amount=2.0), change))
+        assert stored_state(db) == before
         db.refresh()
         assert db.doc_count() == 1
+        for engine in db.engines.values():
+            engine.simulate_crash()
+        assert sum(e.recover_from_translog() for e in db.engines.values()) == 1
