@@ -20,7 +20,11 @@ def _encode(value: Any) -> tuple:
     """Encode one column value into a homogeneous, totally ordered key part.
 
     Mixed types (ints and strings in the same column) must not raise during
-    key comparison, so each part is tagged with a type rank.
+    key comparison, so each part is tagged with a type rank. A key is its
+    parts concatenated — ``(rank1, value1, rank2, value2, ...)`` — which
+    orders exactly as a tuple of the parts would (a value is only compared
+    after equal ranks) while holding nothing but numbers and strings, so the
+    cyclic collector stops tracking a key the first time it sees it.
     """
     if isinstance(value, bool):
         return (0, int(value))
@@ -70,14 +74,19 @@ class CompositeIndex:
             )
         if any(v is None for v in values):
             return
-        key = tuple(_encode(v) for v in values)
+        key: tuple = ()
+        for value in values:
+            key += _encode(value)
         self._pending.append((key, row_id))
         self._sealed = False
 
     def seal(self) -> None:
         if self._sealed:
             return
-        merged = sorted(list(zip(self._keys, self._rows)) + self._pending)
+        merged = self._pending
+        if self._keys:
+            merged += zip(self._keys, self._rows)
+        merged.sort()
         self._keys = [k for k, _ in merged]
         self._rows = [r for _, r in merged]
         self._pending = []
@@ -115,11 +124,11 @@ class CompositeIndex:
         protects direct users of the engine API).
         """
         self.seal()
-        prefix: list[tuple] = []
+        prefix: tuple = ()
         consumed = 0
         for column in self.columns:
             if column in equalities:
-                prefix.append(_encode(equalities[column]))
+                prefix += _encode(equalities[column])
                 consumed += 1
             else:
                 break
@@ -134,11 +143,11 @@ class CompositeIndex:
                     f"range column {range_column!r} must be column {consumed} of {self.name}"
                 )
 
-        low_key = tuple(prefix) + (
-            (_encode(low),) if (range_column is not None and low is not None) else ()
+        low_key = prefix + (
+            _encode(low) if (range_column is not None and low is not None) else ()
         )
-        high_key = tuple(prefix) + (
-            (_encode(high),) if (range_column is not None and high is not None) else ()
+        high_key = prefix + (
+            _encode(high) if (range_column is not None and high is not None) else ()
         )
         # Prefix scans: pad with a sentinel so that any longer key sorts inside.
         lo_idx = self._lower_bound(low_key, inclusive=include_low,
@@ -156,7 +165,7 @@ class CompositeIndex:
         if is_range and not inclusive:
             # strictly greater on the range part: skip every key whose range
             # component equals the bound.
-            return bisect_right(self._keys, key + (_MAX_KEYPAD,))
+            return bisect_right(self._keys, key + _MAX_KEYPAD)
         return bisect_left(self._keys, key)
 
     def _upper_bound(self, key: tuple, *, inclusive: bool, is_range: bool) -> int:
@@ -164,7 +173,7 @@ class CompositeIndex:
             return len(self._keys)
         if is_range and not inclusive:
             return bisect_left(self._keys, key)
-        return bisect_right(self._keys, key + (_MAX_KEYPAD,))
+        return bisect_right(self._keys, key + _MAX_KEYPAD)
 
     # -- storage accounting -----------------------------------------------------
     def stored_bytes(self, *, prefix_compressed: bool = True) -> int:
@@ -174,9 +183,9 @@ class CompositeIndex:
         total = 0
         previous: tuple | None = None
         for key in self._keys:
-            flat = "\x00".join(str(part[1]) for part in key)
+            flat = "\x00".join(map(str, key[1::2]))
             if prefix_compressed and previous is not None:
-                prev_flat = "\x00".join(str(part[1]) for part in previous)
+                prev_flat = "\x00".join(map(str, previous[1::2]))
                 common = _common_prefix_len(flat, prev_flat)
                 total += len(flat) - common + 2  # 2 bytes to encode prefix len
             else:
@@ -185,8 +194,8 @@ class CompositeIndex:
         return total
 
 
-# A key part that sorts after every real encoded part (type rank 3 unused by
-# _encode), used to make prefix upper bounds inclusive of longer keys.
+# A type rank that sorts after every real one (3 is unused by _encode):
+# appended to a prefix it bounds every longer key that starts with it.
 _MAX_KEYPAD = (3,)
 
 

@@ -55,10 +55,10 @@ class SortedIndex:
         """Sort the buffered pairs into the block structure."""
         if self._sealed:
             return
-        merged = sorted(
-            list(zip(self._values, self._rows)) + self._pending,
-            key=lambda p: (p[0], p[1]),
-        )
+        merged = self._pending
+        if self._values:
+            merged += zip(self._values, self._rows)
+        merged.sort()
         self._values = [v for v, _ in merged]
         self._rows = [r for _, r in merged]
         self._pending = []

@@ -341,7 +341,9 @@ class TimeSeriesStore:
     spreads) come from :meth:`add_derivation`. Total series count is capped
     by ``max_series`` (new keys beyond the cap are counted in
     :attr:`dropped_series`, never stored), so a tenant-cardinality explosion
-    cannot turn the history buffer into a leak.
+    cannot turn the history buffer into a leak. A registry metric's series —
+    or the cap's verdict that it has none — is looked up once, so a round
+    costs one probe per metric and a dropped metric counts as one drop.
     """
 
     def __init__(
@@ -362,6 +364,7 @@ class TimeSeriesStore:
         self.samples_taken = 0
         self.dropped_series = 0
         self._series: dict[tuple[str, tuple], TimeSeries] = {}
+        self._metric_series: dict[Any, TimeSeries | None] = {}
         self._derivations: list[Derivation] = []
         self._next_sample: float | None = None
         self._last_sample_time: float | None = None
@@ -440,13 +443,19 @@ class TimeSeriesStore:
             for derivation in self._derivations:
                 for series_name, value in derivation.compute(registry, now, elapsed):
                     self.record(series_name, now, value)
+            metric_series = self._metric_series
             for name in registry.names():
                 kind = registry.kind(name) if hasattr(registry, "kind") else None
+                histogram = kind == "histogram"
                 for metric in registry.series(name):
-                    if kind == "histogram":
-                        self.record(f"{name}.count", now, metric.count, **metric.labels)
-                    else:
-                        self.record(name, now, metric.value, **metric.labels)
+                    try:
+                        series = metric_series[metric]
+                    except KeyError:
+                        series = metric_series[metric] = self.series(
+                            f"{name}.count" if histogram else name, **metric.labels
+                        )
+                    if series is not None:
+                        series.append(now, metric.count if histogram else metric.value)
         self.samples_taken += 1
         self._last_sample_time = now
         self._next_sample = now + self.interval

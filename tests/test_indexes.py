@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import struct
+from os.path import commonprefix
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -61,13 +64,63 @@ class TestInvertedIndex:
         ix.add("a", 2)
         assert ix.memory_terms() == 4
 
-    def test_freeze_snapshot_stable(self):
+    def test_postings_snapshot_stable(self):
         ix = InvertedIndex()
         ix.add("a", 1)
-        frozen = ix.freeze()
-        assert frozen["a"].to_list() == [1]
+        snapshot = ix.postings("a")
+        assert snapshot.to_list() == [1]
         ix.add("a", 2)
-        assert ix.freeze()["a"].to_list() == [1, 2]
+        assert ix.postings("a").to_list() == [1, 2]
+        assert snapshot.to_list() == [1]
+
+    def test_row_id_past_int64_raises_instead_of_wrapping(self):
+        ix = InvertedIndex()
+        ix.add("a", 1)
+        with pytest.raises(struct.error):  # the second row packs both
+            ix.add("a", 2**63)
+        ix.add("a", 2)
+        with pytest.raises(struct.error):  # later rows pack one
+            ix.add("a", 2**63)
+        assert ix.postings("a").to_list() == [1, 2]
+
+    @given(
+        st.integers(0, 2**62),
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(-2, 2),
+                    st.sampled_from(["a", "b", ""]),
+                    st.booleans(),
+                    st.tuples(st.sampled_from(["k", "q"]), st.sampled_from(["v", "w"])),
+                ),
+                st.sampled_from([0, 0, 1, 3]),  # row step: repeats are common
+                st.booleans(),  # read the term back right after the add
+            ),
+            max_size=60,
+        ),
+    )
+    def test_property_matches_dict_of_sorted_sets(self, base, operations):
+        """Reads interleave with adds on the unsealed index: a bucket must
+        still grow after it was read (a leaked buffer export would refuse)."""
+        ix = InvertedIndex()
+        model: dict[object, set[int]] = {}
+        row = base
+        for term, step, read_back in operations:
+            row += step
+            ix.add(term, row)
+            model.setdefault(term, set()).add(row)
+            if read_back:
+                assert ix.postings(term).to_list() == sorted(model[term])
+                assert ix.doc_frequency(term) == len(model[term])
+        assert len(ix) == len(model)
+        assert set(ix.terms()) == set(model)
+        assert ix.memory_terms() == sum(len(rows) for rows in model.values())
+        for term, rows in model.items():
+            assert term in ix
+            assert ix.postings(term).to_list() == sorted(rows)
+            assert ix.doc_frequency(term) == len(rows)
+        assert not ix.postings("never added")
+        assert ix.doc_frequency("never added") == 0
 
 
 class TestSortedIndex:
@@ -135,6 +188,44 @@ class TestSortedIndex:
             ix.add(value, row)
         expected = sorted(row for row, v in enumerate(values) if low <= v <= high)
         assert ix.range(low, high).to_list() == expected
+
+
+def _nested_key(values) -> tuple:
+    """The key encoding ``CompositeIndex`` used before flat keys — a tuple of
+    ``(type rank, value)`` parts — kept here as the ordering oracle."""
+    parts = []
+    for value in values:
+        if isinstance(value, bool):
+            parts.append((0, int(value)))
+        elif isinstance(value, (int, float)):
+            parts.append((0, float(value)))
+        elif isinstance(value, str):
+            parts.append((1, value))
+        else:
+            parts.append((2, repr(value)))
+    return tuple(parts)
+
+
+def _nested_stored_bytes(keys: list[tuple], prefix_compressed: bool) -> int:
+    total = 0
+    previous = None
+    for key in keys:
+        flat = "\x00".join(str(part[1]) for part in key)
+        if prefix_compressed and previous is not None:
+            total += len(flat) - len(commonprefix([flat, previous])) + 2
+        else:
+            total += len(flat)
+        previous = flat
+    return total
+
+
+_COLUMN_VALUES = st.one_of(
+    st.booleans(),
+    st.integers(-2, 3),
+    st.sampled_from([-1.5, 0.0, 0.5, 2.0, 1e9]),
+    st.sampled_from(["", "a", "ab", "b", "1"]),
+    st.sampled_from([b"x", (1, 2), frozenset()]),  # "other": ordered by repr
+)
 
 
 class TestCompositeIndex:
@@ -237,6 +328,61 @@ class TestCompositeIndex:
         )
         got = ix.search({"tenant": tenant}, range_column="v", low=low, high=high)
         assert got.to_list() == expected
+
+    @given(st.data())
+    def test_property_flat_keys_order_like_nested_keys(self, data):
+        columns = ("c0", "c1", "c2")[: data.draw(st.integers(1, 3))]
+        rows = data.draw(
+            st.lists(
+                st.tuples(*[st.one_of(st.none(), _COLUMN_VALUES)] * len(columns)),
+                max_size=40,
+            )
+        )
+        ix = CompositeIndex(columns)
+        for row_id, values in enumerate(rows):
+            ix.add(values, row_id)
+        oracle = sorted(
+            (_nested_key(values), row_id)
+            for row_id, values in enumerate(rows)
+            if None not in values
+        )
+        assert len(ix) == len(oracle)
+
+        consumed = data.draw(st.integers(0, len(columns)))
+        prefix = data.draw(st.tuples(*[_COLUMN_VALUES] * consumed))
+        bounds = {}
+        if consumed < len(columns) and data.draw(st.booleans()):
+            bounds = {
+                "range_column": columns[consumed],
+                "low": data.draw(st.one_of(st.none(), _COLUMN_VALUES)),
+                "high": data.draw(st.one_of(st.none(), _COLUMN_VALUES)),
+                "include_low": data.draw(st.booleans()),
+                "include_high": data.draw(st.booleans()),
+            }
+
+        def selected(key: tuple) -> bool:
+            if key[:consumed] != _nested_key(prefix):
+                return False
+            if not bounds:
+                return True
+            part = key[consumed]
+            if bounds["low"] is not None:
+                (low,) = _nested_key([bounds["low"]])
+                if part < low or (part == low and not bounds["include_low"]):
+                    return False
+            if bounds["high"] is not None:
+                (high,) = _nested_key([bounds["high"]])
+                if part > high or (part == high and not bounds["include_high"]):
+                    return False
+            return True
+
+        got = ix.search(dict(zip(columns, prefix)), **bounds)
+        assert got.to_list() == sorted(row for key, row in oracle if selected(key))
+        keys = [key for key, _ in oracle]
+        for compressed in (True, False):
+            assert ix.stored_bytes(prefix_compressed=compressed) == _nested_stored_bytes(
+                keys, compressed
+            )
 
 
 class TestDocValues:

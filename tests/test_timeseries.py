@@ -196,6 +196,11 @@ class TestTimeSeriesStore:
         assert store.dropped_series == 6
         snapshot = store.snapshot()
         assert snapshot["dropped_series"] == 6
+        # A second round re-drops the same six metrics: still six drops.
+        store.sample(1.0)
+        assert len(store.all_series()) == 4
+        assert all(len(series) == 2 for series in store.all_series())
+        assert store.dropped_series == 6
 
     def test_store_level_queries(self):
         store = TimeSeriesStore(interval=1.0)
