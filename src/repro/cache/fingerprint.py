@@ -4,8 +4,9 @@ Three key spaces, each prefixed so they can never collide:
 
 * ``sql:`` — whitespace-normalized SQL text. Computed *before* parsing, so
   a coordinator cache hit skips the whole parse → rewrite → plan → execute
-  pipeline. Normalization is semantics-preserving only (whitespace); two
-  queries differing in literal case stay distinct.
+  pipeline. Normalization is semantics-preserving only (whitespace outside
+  string literals); two queries differing in a literal's case or spacing
+  stay distinct.
 * ``stmt:`` — a parsed (post-Xdriver4ES-rewrite) ``SelectStatement``. Used
   by the shard request cache: the statement fully determines the per-shard
   subquery (filters, projection, pushdown limit, order).
@@ -20,9 +21,14 @@ across processes for the literal types SQL can produce.
 from __future__ import annotations
 
 import hashlib
+import re
 from typing import Any
 
 _DIGEST_CHARS = 20
+
+#: A SQL string literal, in the parser's own grammar ('' escapes a quote).
+_LITERAL_RE = re.compile(r"('(?:[^']|'')*')")
+_WHITESPACE_RE = re.compile(r"\s+")
 
 
 def _digest(text: str) -> str:
@@ -30,8 +36,14 @@ def _digest(text: str) -> str:
 
 
 def normalize_sql(sql: str) -> str:
-    """Collapse runs of whitespace; the only rewrite safe without parsing."""
-    return " ".join(sql.split())
+    """Collapse runs of whitespace outside string literals; the only
+    rewrite safe without parsing."""
+    collapsed = " ".join(sql.split())
+    if collapsed == sql or "'" not in sql:
+        return collapsed  # nothing changed, or no literal to protect
+    pieces = _LITERAL_RE.split(sql)  # literals at the odd positions
+    pieces[::2] = [_WHITESPACE_RE.sub(" ", piece) for piece in pieces[::2]]
+    return "".join(pieces).strip()
 
 
 def sql_fingerprint(sql: str) -> str:

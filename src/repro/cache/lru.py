@@ -123,7 +123,7 @@ class LruCache:
         self.level = level
         self.stats = CacheStats()
         # Even a read mutates an LRU (hits reorder the recency list), so
-        # every entry-map access is serialized; executor workers share the
+        # every entry-map access is serialized; user threads may share the
         # request cache. Uncontended acquire cost is noise next to the
         # query work a hit saves.
         self._mutex = threading.RLock()

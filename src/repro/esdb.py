@@ -47,7 +47,7 @@ from repro.errors import (
     QueryError,
     TenantThrottledError,
 )
-from repro.exec import BulkItemResult, BulkResult, ExecConfig, ShardExecutor
+from repro.exec import BulkItemResult, BulkResult
 from repro.exec import execute_batch as _shared_execute_batch
 from repro.query import (
     QueryExecutor,
@@ -144,19 +144,11 @@ class EsdbConfig:
             backpressure with structured shed-load errors. Disabled by
             default — the instance then builds no governor and every path
             is byte-identical to an ungoverned instance.
-        exec: the concurrent execution core (:mod:`repro.exec`). The
-            default ``serial`` backend builds no executor object and keeps
-            every write/query path byte-identical to the single-threaded
-            instance (chaos fingerprints included). ``ExecConfig.threads()``
-            runs per-shard bulk batches and query scatter-gather on a
-            worker pool with deterministic (shard-id-ordered) merges, and
-            enables SharedDB-style query coalescing in
-            :meth:`ESDB.execute_batch`.
         tracing: request-scoped distributed tracing
             (:mod:`repro.telemetry.context`). Enabled by default: every
             top-level operation gets a deterministic seed-derived
-            W3C-shaped trace id, propagated across executor workers, with
-            head-based sampling (``always`` / ``ratio`` / ``slow-tail``),
+            W3C-shaped trace id, with head-based sampling (``always`` /
+            ``ratio`` / ``slow-tail``),
             trace-id exemplars on latency histograms, and a structured
             event log behind :func:`repro.obsv.cat_events` and
             :meth:`ESDB.diagnostics_bundle`. ``TraceConfig.off()``
@@ -191,7 +183,6 @@ class EsdbConfig:
     timeseries_interval: float = 1.0
     timeseries_capacity: int = 240
     tenancy: TenancyConfig = field(default_factory=TenancyConfig)
-    exec: ExecConfig = field(default_factory=ExecConfig)
     tracing: TraceConfig = field(default_factory=TraceConfig)
     slo: SloConfig = field(default_factory=SloConfig)
 
@@ -316,12 +307,6 @@ class ESDB:
                 self.config.tenancy,
                 metrics=self.telemetry.metrics if self.telemetry.enabled else None,
             )
-        self.executor: ShardExecutor | None = None
-        if self.config.exec.enabled:
-            self.executor = ShardExecutor(
-                self.config.exec,
-                metrics=self.telemetry.metrics if self.telemetry.enabled else None,
-            )
         self.slo: SloEngine | None = None
         self.hotkeys: HeavyHitterProfiler | None = None
         if self.config.slo.enabled:
@@ -420,8 +405,7 @@ class ESDB:
     ) -> BulkResult:
         """The batched bulk-write path (Elasticsearch's ``_bulk``): one
         routing pass groups the documents by routed shard, then each
-        shard's batch is applied as a unit — on that shard's worker under
-        the ``threads`` backend, in shard-id order under ``serial``.
+        shard's batch is applied as a unit, in shard-id order.
 
         Never raises for a per-document failure: every submitted source
         gets a :class:`~repro.exec.BulkItemResult` in submission order and
@@ -518,19 +502,10 @@ class ESDB:
                     groups.setdefault(shard_id, []).append((position, doc_id, source))
             shard_ids = sorted(groups)
             with tracer.span("write.index", shards=len(shard_ids)):
-                if self.executor is not None:
-                    outcomes = self.executor.map_ordered(
-                        lambda shard_id: self._apply_shard_batch(
-                            shard_id, groups[shard_id], items
-                        ),
-                        shard_ids,
-                        phase="bulk",
-                    )
-                else:
-                    outcomes = [
-                        self._apply_shard_batch(shard_id, groups[shard_id], items)
-                        for shard_id in shard_ids
-                    ]
+                outcomes = [
+                    self._apply_shard_batch(shard_id, groups[shard_id], items)
+                    for shard_id in shard_ids
+                ]
         for shard_id, (subattr_names, elapsed) in zip(shard_ids, outcomes):
             # One names tuple per document the engine applied.
             if subattr_names:
@@ -603,11 +578,10 @@ class ESDB:
         batch: list[tuple[int, object, Mapping[str, Any]]],
         items: list,
     ) -> tuple[list[tuple[str, ...]], float]:
-        """Apply one shard's documents in submission order (on that shard's
-        worker under the thread backend), recording each outcome on its
-        item — a failure never aborts the batch and never re-applies a
-        document. Returns the applied documents' sub-attribute names (one
-        tuple each) and the engine seconds the batch took."""
+        """Apply one shard's documents in submission order, recording each
+        outcome on its item — a failure never aborts the batch and never
+        re-applies a document. Returns the applied documents' sub-attribute
+        names (one tuple each) and the engine seconds the batch took."""
         target = self.replica_sets.get(shard_id, self.engines[shard_id])
         shard = self.cluster.shard(shard_id)
         subattr_names: list[tuple[str, ...]] = []
@@ -628,23 +602,13 @@ class ESDB:
             )
         return subattr_names, time.perf_counter() - started
 
-    def write_many(self, sources: Iterable[Mapping[str, Any]]) -> int:
-        result = self.bulk_write(sources, stop_on_error=True)
-        result.raise_first()
-        return len(result.items)
-
     def execute_batch(self, sqls: Iterable[str]) -> list[QueryResult]:
         """Execute a batch of SQL statements with shared execution
         (:mod:`repro.exec.shared`): exact duplicates run once, same-column
-        scan filters share one doc-values pass per shard. With coalescing
-        disabled this is exactly a loop over :meth:`execute_sql` — results
-        always align with the input positions either way."""
+        scan filters share one doc-values pass per shard; every other
+        statement runs as by :meth:`execute_sql`. Results align with the
+        input positions."""
         return _shared_execute_batch(self, list(sqls))
-
-    def close(self) -> None:
-        """Release the execution backend (idempotent; serial is a no-op)."""
-        if self.executor is not None:
-            self.executor.shutdown()
 
     def update(self, doc_id: object, changes: Mapping[str, Any]) -> None:
         """Update by document id — routed via the same rules that placed it
@@ -1009,9 +973,7 @@ class ESDB:
         """One deterministic SLO heartbeat at the instance's logical clock:
         decay the heavy-hitter sketches when their window closed, and when
         an evaluation is due, advance every objective's burn state machine,
-        emitting ``slo_burn``/``slo_recovered`` events for the transitions.
-        Called only from coordinator paths (never workers), so firing ticks
-        are identical under the serial and threads backends."""
+        emitting ``slo_burn``/``slo_recovered`` events for the transitions."""
         slo = self.slo
         if slo is None:
             return
@@ -1094,34 +1056,28 @@ class ESDB:
         statement_key = (
             statement_fingerprint(statement) if self.request_cache is not None else None
         )
-        if self.executor is not None and len(shard_ids) > 1:
-            shard_results = self._parallel_shard_results(
-                tracer, root, plan, statement, shard_ids, statement_key, push_limit
-            )
-        else:
-            shard_results = []
-            for shard_id in shard_ids:
-                with tracer.span(f"query.shard[{shard_id}]") as sub_span:
-                    engine = self.engines[shard_id]
-                    if statement_key is not None:
-                        entry = self.request_cache.get(
-                            shard_id, statement_key, engine.generation
-                        )
-                        if entry is not None:
-                            # Subquery skipped: a cache.hit span stands in
-                            # for the executor subtree.
-                            with tracer.span("cache.hit", level="request"):
-                                pass
-                            sub_span.tags["cache"] = "hit"
-                            sub_span.tags["matched"] = entry[1]
-                            shard_results.append(entry)
-                            continue
-                    entry, matched = self._shard_subquery(
-                        shard_id, plan, statement, statement_key, push_limit,
-                        executor=self._serial_executor(shard_id),
+        shard_results = []
+        for shard_id in shard_ids:
+            with tracer.span(f"query.shard[{shard_id}]") as sub_span:
+                engine = self.engines[shard_id]
+                if statement_key is not None:
+                    entry = self.request_cache.get(
+                        shard_id, statement_key, engine.generation
                     )
-                    sub_span.tags["matched"] = matched
-                    shard_results.append(entry)
+                    if entry is not None:
+                        # Subquery skipped: a cache.hit span stands in for
+                        # the executor subtree.
+                        with tracer.span("cache.hit", level="request"):
+                            pass
+                        sub_span.tags["cache"] = "hit"
+                        sub_span.tags["matched"] = entry[1]
+                        shard_results.append(entry)
+                        continue
+                entry, matched = self._shard_subquery(
+                    shard_id, plan, statement, statement_key, push_limit
+                )
+                sub_span.tags["matched"] = matched
+                shard_results.append(entry)
         with tracer.span("query.aggregate"):
             result = aggregator.aggregate_shards(shard_results)
         return result, shard_ids, statement
@@ -1133,17 +1089,12 @@ class ESDB:
         statement: SelectStatement,
         statement_key,
         push_limit: int | None,
-        executor: QueryExecutor | None = None,
     ) -> tuple[tuple, int]:
         """Execute one shard's subquery (cache miss path): plan execution,
         LIMIT pushdown, raw-document fetch, request-cache fill. Returns the
-        shard entry and its matched count. Thread-safe — the parallel
-        fan-out runs it on workers without *executor*, on a throw-away one
-        with the no-op telemetry."""
+        shard entry and its matched count."""
         engine = self.engines[shard_id]
-        if executor is None:
-            executor = QueryExecutor(engine)
-        rows, _ = executor.execute(plan)
+        rows, _ = self._serial_executor(shard_id).execute(plan)
         matched = len(rows)
         if push_limit is not None:
             if statement.order_by is not None:
@@ -1172,84 +1123,6 @@ class ESDB:
             executor = QueryExecutor(engine, telemetry=self.telemetry)
             self._executors[shard_id] = executor
         return executor
-
-    def _parallel_shard_results(
-        self,
-        tracer,
-        root: Span,
-        plan,
-        statement: SelectStatement,
-        shard_ids: list[int],
-        statement_key,
-        push_limit: int | None,
-    ) -> list:
-        """Scatter-gather: dispatch every shard subquery to the worker pool
-        and merge in shard-id order — results never depend on completion
-        order, so the thread backend's answers equal the serial backend's.
-
-        Each worker records its real span tree on a private single-trace
-        :class:`Tracer` (span stacks are thread-local, so it cannot nest
-        under the coordinator's open span directly); the coordinator
-        re-parents the finished ``query.shard[i]`` roots under *root* in
-        shard-id order, producing a tree structurally identical to the
-        serial backend's. Deterministic span ids are assigned afterwards,
-        at root close, so thread scheduling never leaks into the ids.
-        Workers skip recording entirely when the coordinator tracer is
-        disabled or the propagated trace context is head-unsampled."""
-        governor = self.governor
-        query_tenant = (
-            self._statement_tenant(statement) if governor is not None else None
-        )
-        record_spans = bool(getattr(tracer, "enabled", False))
-
-        def shard_entry(shard_id: int, wtracer) -> tuple[tuple, bool]:
-            engine = self.engines[shard_id]
-            if statement_key is not None:
-                entry = self.request_cache.get(
-                    shard_id, statement_key, engine.generation
-                )
-                if entry is not None:
-                    if wtracer is not None:
-                        # Subquery skipped: a cache.hit span stands in for
-                        # the executor subtree, exactly as in the serial path.
-                        with wtracer.span("cache.hit", level="request"):
-                            pass
-                    return entry, True
-            entry, _ = self._shard_subquery(
-                shard_id, plan, statement, statement_key, push_limit
-            )
-            return entry, False
-
-        def run_shard(shard_id: int):
-            ctx = current_context()
-            record = record_spans and (ctx is None or ctx.sampled)
-            wtracer = Tracer(max_finished=1) if record else None
-            started = time.perf_counter()
-            if wtracer is not None:
-                with wtracer.span(f"query.shard[{shard_id}]") as sub_span:
-                    entry, cache_hit = shard_entry(shard_id, wtracer)
-                    # Tag insertion order mirrors the serial branch so the
-                    # rendered trees compare byte-for-byte across backends.
-                    if cache_hit:
-                        sub_span.tags["cache"] = "hit"
-                    sub_span.tags["matched"] = entry[1]
-                worker_root = wtracer.last_trace()
-            else:
-                entry, _ = shard_entry(shard_id, None)
-                worker_root = None
-            if governor is not None:
-                governor.charge_cpu(
-                    query_tenant, time.perf_counter() - started, op="query"
-                )
-            return entry, worker_root
-
-        outcomes = self.executor.map_ordered(run_shard, shard_ids, phase="query")
-        shard_results = []
-        for entry, worker_root in outcomes:
-            if worker_root is not None:
-                root.children.append(worker_root)
-            shard_results.append(entry)
-        return shard_results
 
     @staticmethod
     def _pushdown_limit(statement: SelectStatement) -> int | None:

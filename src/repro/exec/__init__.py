@@ -1,27 +1,17 @@
-"""The concurrent execution core (``EsdbConfig.exec``).
+"""Batched execution: the bulk-write result type and shared query scans.
 
-* :class:`ExecConfig` — backend selection and pool/coalescing knobs.
-  Serial (the default) builds no executor and keeps every path
-  byte-identical to the single-threaded instance.
-* :class:`ShardExecutor` — deterministic fan-out onto a worker pool:
-  one scheduling shape (:meth:`~ShardExecutor.map_ordered`, input-order
-  gather) shared by bulk writes, query scatter-gather and shared scans.
 * :class:`BulkResult` / :class:`BulkItemResult` — per-document outcomes
-  of :meth:`ESDB.bulk_write`.
-* :func:`execute_batch` — SharedDB-style query coalescing (exact
-  duplicates and same-column scan families run one scan, not N).
+  of :meth:`ESDB.bulk_write`, the write pipeline's result type.
+* :func:`execute_batch` — SharedDB-style query coalescing behind
+  :meth:`ESDB.execute_batch` (exact duplicates and same-column scan
+  families run one scan, not N).
 """
 
 from repro.exec.bulk import BulkItemResult, BulkResult
-from repro.exec.config import BACKENDS, ExecConfig
-from repro.exec.executor import ShardExecutor
 from repro.exec.shared import execute_batch
 
 __all__ = [
-    "BACKENDS",
     "BulkItemResult",
     "BulkResult",
-    "ExecConfig",
-    "ShardExecutor",
     "execute_batch",
 ]

@@ -21,7 +21,8 @@ it runs the work once and fans the *results* back out.
 Everything else falls through to the ordinary per-statement pipeline, so
 a batch of unrelated queries behaves exactly like a loop over
 ``execute_sql``. Savings land in ``exec_shared_groups_total`` /
-``exec_shared_saved_total``.
+``exec_shared_saved_total``. The shared pass runs shard by shard on the
+coordinator: it is the scans that are amortized, not threads.
 """
 
 from __future__ import annotations
@@ -32,15 +33,16 @@ from repro.query import ResultAggregator, parse_sql
 from repro.query.ast import ComparisonPredicate, SelectStatement
 from repro.query.executor import _scan_predicate
 
+#: Largest number of statements fused into one shared scan; a larger
+#: family starts a new group.
+MAX_GROUP = 64
+
 
 def execute_batch(db, sqls: list) -> list:
-    """Execute *sqls* with coalescing; results align with input positions.
-
-    Falls back to a plain loop when coalescing is off or the batch is
-    trivial — result equality with independent execution holds either
-    way (that is the contract the tests pin)."""
+    """Execute *sqls* with coalescing; results align with input positions
+    and equal independent execution (the contract the tests pin)."""
     sqls = list(sqls)
-    if not db.config.exec.coalesce_queries or len(sqls) <= 1:
+    if len(sqls) <= 1:
         return [db.execute_sql(sql) for sql in sqls]
 
     metrics = db.telemetry.metrics
@@ -69,10 +71,9 @@ def execute_batch(db, sqls: list) -> list:
 
     results: list = [None] * len(sqls)
     shared: set[str] = set()
-    max_group = db.config.exec.max_group
     for column, members in sorted(families.items()):
-        for start in range(0, len(members), max_group):
-            chunk = members[start:start + max_group]
+        for start in range(0, len(members), MAX_GROUP):
+            chunk = members[start:start + MAX_GROUP]
             if len(chunk) < 2:
                 continue
             chunk_results = _execute_family(
@@ -139,17 +140,15 @@ def _execute_family(db, column: str, members: list) -> list:
         predicates.append(lambda v, base=base: v is not None and base(v))
     shard_ids = list(range(db.cluster.num_shards))
 
-    def scan_shard(shard_id: int) -> list:
-        engine = db.engines[shard_id]
-        entries = []
-        for rows in engine.multi_full_scan(column, predicates):
-            entries.append(([doc.source for doc in engine.fetch(rows)], len(rows)))
-        return entries
-
     def run_fanout() -> list:
-        if db.executor is not None:
-            return db.executor.map_ordered(scan_shard, shard_ids, phase="shared")
-        return [scan_shard(shard_id) for shard_id in shard_ids]
+        per_shard = []
+        for shard_id in shard_ids:
+            engine = db.engines[shard_id]
+            per_shard.append([
+                ([doc.source for doc in engine.fetch(rows)], len(rows))
+                for rows in engine.multi_full_scan(column, predicates)
+            ])
+        return per_shard
 
     ctx = db._new_trace("execute_batch")
     if ctx is not None:

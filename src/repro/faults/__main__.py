@@ -63,7 +63,6 @@ def noisy_neighbor_config(args) -> "object":
         flood_tenant=FLOOD_TENANT,
         flood_factor=args.flood_factor,
         tenancy=None if args.no_governance else TenancyConfig.strict(),
-        exec_backend=args.exec,
     )
 
 
@@ -98,11 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-governance", action="store_true",
         help="noisy-neighbor: run the same flood ungoverned (comparison runs; "
              "the isolation invariant is skipped)",
-    )
-    parser.add_argument(
-        "--exec", choices=("serial", "threads"), default="serial",
-        help="execution backend for the instance under chaos; fingerprints "
-             "must not depend on the choice (default: serial)",
     )
     parser.add_argument(
         "--trace", metavar="PATH", default=None,
@@ -150,7 +144,6 @@ def _run(args):
             num_nodes=args.nodes,
             num_shards=args.shards,
             replicas_per_shard=args.replicas,
-            exec_backend=args.exec,
             trace_path=args.trace,
         )
     runner = ChaosRunner(plan, config)

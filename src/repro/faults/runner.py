@@ -57,12 +57,6 @@ class ChaosConfig:
         tenancy: a :class:`~repro.tenancy.TenancyConfig` to govern the
             instance under chaos (None, the default, runs ungoverned and
             keeps historical fingerprints bit-identical).
-        exec_backend: execution backend for the instance under chaos
-            ("serial", the default, builds no worker pool and keeps
-            historical fingerprints bit-identical; "threads" runs shard
-            batches on a pool — every fingerprint quantity is
-            deterministic, so serial and threads runs of the same plan
-            must produce the same fingerprint).
         tracing: a :class:`~repro.telemetry.TraceConfig` for the instance
             under chaos (None uses the instance default). Fingerprints
             must be bit-identical whether tracing is on or off — trace-id
@@ -92,7 +86,6 @@ class ChaosConfig:
     flood_tenant: object | None = None
     flood_factor: int = 0
     tenancy: object | None = None
-    exec_backend: str = "serial"
     tracing: object | None = None
     slo: object | None = None
     trace_path: str | None = None
@@ -116,12 +109,6 @@ class ChaosConfig:
             raise ConfigurationError("flood_factor must be >= 0")
         if self.flood_factor and self.flood_tenant is None:
             raise ConfigurationError("flood_factor needs a flood_tenant")
-        from repro.exec import BACKENDS
-
-        if self.exec_backend not in BACKENDS:
-            raise ConfigurationError(
-                f"exec_backend must be one of {BACKENDS}, got {self.exec_backend!r}"
-            )
 
 
 @dataclass
@@ -219,10 +206,6 @@ class ChaosRunner:
         esdb_kwargs = {}
         if self.config.tenancy is not None:
             esdb_kwargs["tenancy"] = self.config.tenancy
-        if self.config.exec_backend != "serial":
-            from repro.exec import ExecConfig
-
-            esdb_kwargs["exec"] = ExecConfig(backend=self.config.exec_backend)
         if self.config.tracing is not None:
             esdb_kwargs["tracing"] = self.config.tracing
         if self.config.slo is not None:

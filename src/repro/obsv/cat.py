@@ -280,29 +280,14 @@ def cat_caches(db) -> CatTable:
 
 
 def cat_exec(db) -> CatTable:
-    """One row per execution-core statistic: the pool shape, task counts
-    per scheduling phase (bulk / query / shared), per-worker task spread,
-    bulk-write volumes and shared-scan savings.
+    """One row per batched-execution statistic: bulk-write volumes and
+    shared-scan savings.
 
-    A serial instance that never used :meth:`ESDB.bulk_write` or
-    :meth:`ESDB.execute_batch` yields an empty, well-formed table — the
-    executor is never constructed and no ``exec_*`` counter exists.
+    An instance that never used :meth:`ESDB.bulk_write` or
+    :meth:`ESDB.execute_batch` yields an empty, well-formed table.
     """
     metrics = db.telemetry.metrics
-    executor = getattr(db, "executor", None)
     rows = []
-    if executor is not None:
-        rows.append(("pool", "backend=" + executor.config.backend,
-                     executor.config.pool_size()))
-        rows.append(("pool", "queue_depth", executor.queue_depth))
-    for series in metrics.series("exec_tasks_total"):
-        labels = ",".join(
-            f"{k}={v}" for k, v in sorted(series.labels.items())
-        )
-        rows.append(("tasks", labels, int(series.value)))
-    for series in metrics.series("exec_worker_tasks_total"):
-        rows.append(("worker", str(series.labels.get("worker", "")),
-                     int(series.value)))
     bulk_writes = int(metrics.value("esdb_bulk_writes_total"))
     if bulk_writes:
         rows.append(("bulk", "batches", bulk_writes))

@@ -182,7 +182,7 @@ def render_dashboard(db) -> str:
     sections += ["", "-- caches --", cat_caches(db).render()]
     exec_table = cat_exec(db)
     if len(exec_table):
-        sections += ["", "-- execution core --", exec_table.render()]
+        sections += ["", "-- batched execution --", exec_table.render()]
     sections += ["", "-- performance history --", performance_history(db)]
     events = getattr(db, "events", None)
     if events is not None:
@@ -246,14 +246,6 @@ def cluster_snapshot(db) -> dict:
     governor = getattr(db, "governor", None)
     if governor is not None:
         snapshot["tenancy"] = governor.snapshot(db.now)
-    if getattr(db, "executor", None) is not None:
-        # Only present when a non-serial backend is configured, mirroring
-        # the tenancy section: absent means "not in play", never "broken".
-        snapshot["exec"] = {
-            "backend": db.config.exec.backend,
-            "workers": db.config.exec.pool_size(),
-            "rows": cat_exec(db).to_dicts(),
-        }
     events = getattr(db, "events", None)
     if events is not None:
         snapshot["events"] = {
@@ -267,7 +259,7 @@ def cluster_snapshot(db) -> dict:
     slo_engine = getattr(db, "slo", None)
     if slo_engine is not None:
         # Only present on an SLO-enabled instance, mirroring the tenancy
-        # and exec sections: absent means "not in play", never "broken".
+        # section: absent means "not in play", never "broken".
         snapshot["slo"] = slo_engine.snapshot()
     profiler = getattr(db, "hotkeys", None)
     if profiler is not None:

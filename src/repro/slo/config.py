@@ -3,7 +3,7 @@
 One frozen dataclass hangs off ``EsdbConfig.slo``. Disabled (the default)
 the facade builds neither the engine nor the profiler and every hot path
 pays a single ``is not None`` check — byte-identical behavior, chaos
-fingerprints included, exactly like ``TenancyConfig`` and ``ExecConfig``.
+fingerprints included, exactly like ``TenancyConfig``.
 """
 
 from __future__ import annotations

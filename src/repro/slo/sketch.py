@@ -17,7 +17,7 @@ guarantees, for a stream of N offers into a sketch of capacity m:
 :func:`rank_top_k` is the one deterministic ranking used everywhere a
 top-k is cut — weight descending, then ``str(key)`` ascending — shared by
 the sketches here and :class:`repro.indexing.FrequencyTracker`, so two
-same-seed runs (serial or threads) always list ties in the same order.
+same-seed runs always list ties in the same order.
 """
 
 from __future__ import annotations

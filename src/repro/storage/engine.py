@@ -96,8 +96,8 @@ class ShardEngine:
         self.config = config
         self.shard_id = shard_id
         #: Serializes every mutation (index/update/delete/refresh/flush/
-        #: merge/recovery) so the thread backend can apply concurrent bulk
-        #: batches safely. Reentrant because refresh → maybe_merge and
+        #: merge/recovery) so user threads sharing one instance can write
+        #: concurrently. Reentrant because refresh → maybe_merge and
         #: index → auto-refresh nest. Readers stay lock-free: they only
         #: traverse the segment list, which is swapped atomically.
         self._mutex = threading.RLock()

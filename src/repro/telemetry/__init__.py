@@ -9,8 +9,8 @@ The measurement substrate for the whole reproduction:
   shard engine → replication; a query traces parse → rewrite → plan →
   per-shard subquery → aggregation);
 * :class:`TraceContext` / :class:`TraceIdGenerator` — deterministic
-  seed-derived W3C-shaped trace ids with cross-thread propagation and
-  head-based sampling (always / ratio / slow-tail);
+  seed-derived W3C-shaped trace ids with head-based sampling (always /
+  ratio / slow-tail);
 * :class:`EventLog` — bounded ring of typed operational events
   (throttles, demotions, faults, promotions, slow queries, rule commits)
   stamped with the active trace id;
@@ -61,7 +61,6 @@ from repro.telemetry.context import (
     TraceConfig,
     TraceContext,
     TraceIdGenerator,
-    activate_context,
     build_sampler,
     current_context,
     derive_span_id,
@@ -88,7 +87,6 @@ __all__ = [
     "build_sampler",
     "derive_span_id",
     "current_context",
-    "activate_context",
     "Event",
     "EventLog",
     "EVENT_KINDS",

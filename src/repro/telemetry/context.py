@@ -8,12 +8,11 @@ no wall clock, no randomness), so two runs of the same seeded workload
 produce byte-identical trace ids and the chaos fingerprints stay stable
 with tracing on or off.
 
-The *active* context is carried in a thread-local (:func:`activate_context`
-/ :func:`current_context`); :meth:`repro.exec.ShardExecutor.map_ordered`
-captures the submitting thread's context and re-activates it inside each
-worker task, so per-shard work on the thread backend knows which request
-it belongs to — the propagation seam a future wire protocol will serialize
-through ``traceparent`` headers.
+The *active* context is carried in a thread-local: a traced root
+(:meth:`repro.telemetry.Tracer.trace`) installs it for the duration of the
+operation and :func:`current_context` reads it, so code deep inside a
+traced operation knows which request it belongs to — the seam a future
+wire protocol will serialize through ``traceparent`` headers.
 
 Head-based sampling keeps full-fidelity tracing affordable: the sampler
 decides per trace (from the trace id bits — deterministic, no RNG) whether
@@ -101,8 +100,7 @@ class TraceContext:
 def derive_span_id(trace_id: str, parent_span_id: str, index: int, name: str) -> str:
     """Deterministic span id for the *index*-th child named *name* under
     *parent_span_id* — a pure function of the finished tree's structure,
-    so serial and threaded executions of the same trace assign identical
-    ids regardless of scheduling order."""
+    so every run of the same trace assigns identical ids."""
     return _digest(f"{trace_id}:{parent_span_id}:{index}:{name}", _SPAN_ID_HEX)
 
 
@@ -111,7 +109,7 @@ class TraceIdGenerator:
 
     ``next_context(op)`` hashes ``seed : counter : op`` — never the clock,
     never a RNG — so the N-th operation of a seeded workload always gets
-    the same trace id, on every backend, on every run.
+    the same trace id, on every run.
     """
 
     __slots__ = ("seed", "_counter", "_lock")
@@ -266,28 +264,3 @@ _ACTIVE = threading.local()
 def current_context() -> TraceContext | None:
     """The context active on this thread, or None outside any trace."""
     return getattr(_ACTIVE, "context", None)
-
-
-class _Activation:
-    """Context manager installing a context on the current thread."""
-
-    __slots__ = ("_context", "_previous")
-
-    def __init__(self, context: TraceContext | None) -> None:
-        self._context = context
-        self._previous = None
-
-    def __enter__(self) -> TraceContext | None:
-        self._previous = getattr(_ACTIVE, "context", None)
-        _ACTIVE.context = self._context
-        return self._context
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        _ACTIVE.context = self._previous
-
-
-def activate_context(context: TraceContext | None) -> _Activation:
-    """Make *context* the current thread's active trace context for the
-    duration of the ``with`` block (None deactivates). The executor uses
-    this to re-home the coordinator's context onto worker threads."""
-    return _Activation(context)

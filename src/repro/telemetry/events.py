@@ -8,10 +8,10 @@ threshold, a rule-list commit — lands here as a typed, timestamped,
 trace-stamped event. The ring is bounded (old events fall off) but the
 per-kind counters are monotone, so rates survive eviction.
 
-Events are emitted only from coordinator code paths (never from worker
-threads), so for a seeded workload the sequence of (kind, tenant, shard)
-tuples is identical under the serial and threads exec backends — the
-same determinism contract the chaos fingerprints pin.
+Events are emitted in the order the instance makes its decisions, so for
+a seeded workload the sequence of (kind, tenant, shard) tuples is
+identical from run to run — the same determinism contract the chaos
+fingerprints pin.
 """
 
 from __future__ import annotations

@@ -240,8 +240,8 @@ class MetricsRegistry:
         self._series: dict[str, dict[tuple, Any]] = {}
         self._buckets: dict[str, tuple[float, ...]] = {}
         self._help: dict[str, str] = {}
-        # Registration is check-then-set over shared dicts; executor
-        # workers register series concurrently, so creation is serialized.
+        # Registration is check-then-set over shared dicts; user threads
+        # may register series concurrently, so creation is serialized.
         # Hot paths cache the returned metric object, so the lock is off
         # the per-operation fast path wherever it matters.
         self._registration = threading.RLock()

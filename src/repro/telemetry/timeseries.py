@@ -514,10 +514,9 @@ def install_esdb_derivations(store: TimeSeriesStore) -> TimeSeriesStore:
     )
     store.add_derivation(CounterRate("tenancy.shed_per_s", "tenancy_shed_total"))
     store.add_derivation(CounterRate("tenancy.queued_per_s", "tenancy_queued_total"))
-    # Execution-core series: exec_* counters only exist once a non-serial
-    # backend runs tasks (and esdb_bulk_docs_total once bulk_write is
-    # used), so a plain serial instance emits nothing here.
-    store.add_derivation(CounterRate("exec.tasks_per_s", "exec_tasks_total"))
+    # Batched-execution series: esdb_bulk_docs_total only exists once
+    # bulk_write is used and exec_shared_* once execute_batch shares work,
+    # so an instance that does neither emits nothing here.
     store.add_derivation(CounterRate("exec.bulk_docs_per_s", "esdb_bulk_docs_total"))
     store.add_derivation(
         CounterRate("exec.shared_saved_per_s", "exec_shared_saved_total")
@@ -557,7 +556,6 @@ DASHBOARD_SERIES = (
     ("recoveries/s", "faults.recovered_per_s"),
     ("admitted/s", "tenancy.admitted_per_s"),
     ("shed/s", "tenancy.shed_per_s"),
-    ("exec tasks/s", "exec.tasks_per_s"),
     ("bulk docs/s", "exec.bulk_docs_per_s"),
     ("budget min %", "slo.budget_min_pct"),
     ("burn fast max", "slo.burn_fast_max"),

@@ -160,13 +160,11 @@ def _tag_error(span: Span, exc_type: type) -> None:
 def _assign_span_ids(root: Span, trace_id: str) -> None:
     """Assign deterministic span ids across the finished tree.
 
-    Runs once, at root close, after worker subtrees have been re-parented
-    in shard-id order — each id is a pure function of (trace_id, parent
-    span id, child index, name), so the ids never depend on which thread
-    recorded a span or when it was scheduled. Spans re-parented from a
-    worker tracer are covered by the same walk. The digest is inlined
-    (same formula as :func:`~repro.telemetry.context.derive_span_id` —
-    pinned by tests) because this runs on every traced operation.
+    Runs once, at root close — each id is a pure function of (trace_id,
+    parent span id, child index, name), so the ids never depend on when a
+    span was recorded. The digest is inlined (same formula as
+    :func:`~repro.telemetry.context.derive_span_id` — pinned by tests)
+    because this runs on every traced operation.
     """
     blake2b = hashlib.blake2b
     root.trace_id = trace_id
@@ -204,7 +202,8 @@ class _RootSpanContext(_SpanContext):
 
     On enter: applies the head-sampling decision to the context, stamps
     the span with the context's ids, activates the context on this thread
-    (so executor submissions pick it up) and — when unsampled — raises the
+    (so :func:`~repro.telemetry.context.current_context` sees it inside
+    the operation) and — when unsampled — raises the
     tracer's suppress flag so descendant ``span()`` calls record nothing.
     On exit: restores thread state, finalizes deterministic span ids over
     the assembled tree, and applies the sampler's retention policy to the
@@ -235,8 +234,8 @@ class _RootSpanContext(_SpanContext):
                 context.sampled = bool(self._sampler.sample(context))
             span.trace_id = context.trace_id
             span.span_id = context.span_id
-            # Inlined activate_context: this is the per-operation hot path,
-            # so the thread-local swap happens without an extra object.
+            # The thread-local swap happens inline: this is the
+            # per-operation hot path.
             self._prev_context = getattr(_ACTIVE, "context", None)
             _ACTIVE.context = context
             self._prev_suppress = getattr(tracer._local, "suppress", False)
@@ -270,9 +269,10 @@ class Tracer:
     """Opens nested spans and collects finished traces.
 
     The open-span stack *is* the propagated context. The stack is kept
-    per-thread (thread-local), so spans opened on an executor worker nest
-    under that worker's own root and never parent across threads; the
-    ``finished`` ring buffer is shared (deque appends are atomic).
+    per-thread (thread-local) because user threads may share one
+    instance: spans opened on one thread nest under that thread's own
+    root and never parent across threads; the ``finished`` ring buffer is
+    shared (deque appends are atomic).
     """
 
     enabled = True

@@ -211,9 +211,8 @@ class TenantGovernor:
 
     def charge_cpu(self, tenant: object | None, seconds: float, op: str = "") -> None:
         """Account CPU time a tenant's work consumed, measured where the
-        work actually executed (a bulk batch on its shard's worker, a shard
-        subquery on the pool) — the per-tenant *CPU* accounting ROADMAP
-        item 3 deferred until the execution layer existed. Accounting only:
+        work actually executed (a write batch's engine time on its shard)
+        — per-tenant *CPU* accounting. Accounting only:
         it never sheds load, so admission decisions (and with them the
         chaos fingerprints) are unchanged."""
         tenant = CLUSTER_TENANT if tenant is None else tenant

@@ -120,6 +120,22 @@ class TestEstimateBytes:
         assert long > short
 
 
+#: ``normalize_sql`` input → output: whitespace collapses outside string
+#: literals only, and a literal ends at the parser's closing quote.
+NORMALIZED = {
+    "runs outside literals": ("SELECT  *\tFROM\n t", "SELECT * FROM t"),
+    "leading and trailing": ("  SELECT 1  ", "SELECT 1"),
+    "spaced literal": ("s = 'a  b'", "s = 'a  b'"),
+    "spaced literal, spaced outside": ("s  =  'a  b'  ", "s = 'a  b'"),
+    "tab and newline in a literal": (
+        "s = 'a\t\nb'   AND x = 1", "s = 'a\t\nb' AND x = 1"
+    ),
+    "escaped quote": ("s = 'it''s  ok'  AND  x = 1", "s = 'it''s  ok' AND x = 1"),
+    "empty literal": ("s = ''   AND t = 'x  y'", "s = '' AND t = 'x  y'"),
+    "literals in a list": ("s IN ('a  b',   'c  d')", "s IN ('a  b', 'c  d')"),
+}
+
+
 class TestFingerprints:
     def test_sql_whitespace_insensitive(self):
         a = sql_fingerprint("SELECT *  FROM t\n WHERE x = 1")
@@ -133,6 +149,28 @@ class TestFingerprints:
 
     def test_normalize_sql(self):
         assert normalize_sql("  a \t b\n c ") == "a b c"
+
+    def test_whitespace_inside_literals_is_kept(self):
+        spaced = "SELECT * FROM t WHERE s = 'a  b'"
+        assert sql_fingerprint(spaced) != sql_fingerprint(
+            "SELECT * FROM t WHERE s = 'a b'"
+        )
+        assert sql_fingerprint("SELECT   *  FROM t WHERE s = 'a  b'") == (
+            sql_fingerprint(spaced)
+        )
+        assert normalize_sql(" x = 'it''s \t a'  AND\ny ") == "x = 'it''s \t a' AND y"
+
+    @pytest.mark.parametrize(
+        ("sql", "normalized"), NORMALIZED.values(), ids=NORMALIZED
+    )
+    def test_normalize_sql_cases(self, sql, normalized):
+        assert normalize_sql(sql) == normalized
+        assert normalize_sql(normalized) == normalized
+
+    def test_literal_case_is_kept(self):
+        assert sql_fingerprint("SELECT * FROM t WHERE s = 'A'") != sql_fingerprint(
+            "SELECT * FROM t WHERE s = 'a'"
+        )
 
     def test_statement_fingerprint_stable_and_discriminating(self):
         s1 = parse_sql("SELECT * FROM t WHERE tenant_id = 1")

@@ -52,6 +52,16 @@ class TestCoordinatorResultCache:
         db.execute_sql(QUERY.replace(" AND ", "  AND\n "))
         assert db.result_cache.stats.hits == 1
 
+    def test_literal_spacing_variant_misses(self):
+        db = ESDB(EsdbConfig(topology=TOPOLOGY, auto_refresh_every=None))
+        db.write(make_log(1, tenant=1, status="a  b"))
+        db.write(make_log(2, tenant=1, status="a b"))
+        db.refresh()
+        sql = "SELECT * FROM t WHERE tenant_id = 1 AND status = '{}'"
+        db.execute_sql(sql.format("a  b"))
+        rows = db.execute_sql(sql.format("a b")).rows
+        assert [row["transaction_id"] for row in rows] == [2]
+
     def test_hit_skips_shard_fanout(self):
         db = build_db()
         db.execute_sql(QUERY)

@@ -197,7 +197,7 @@ class TestWorkloadIntegration:
             WorkloadConfig(num_tenants=200, theta=1.0, seed=7)
         )
         docs = [generator.generate(created_time=i * 0.001) for i in range(2000)]
-        db.write_many(docs)
+        db.bulk_write(docs, stop_on_error=True).raise_first()
         db.refresh()
         assert db.doc_count() == 2000
         # Every document must be retrievable through its tenant's SQL query.

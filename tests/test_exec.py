@@ -1,9 +1,11 @@
-"""Tests for the concurrent execution core (repro.exec).
+"""Tests for batched execution (repro.exec) and the facade's one
+execution path.
 
-The contract under test, in one line: **the serial backend is
-byte-identical to the pre-exec facade, and the threads backend produces
-exactly the serial backend's observable results** — every acked write
-durable, every query result equal, every chaos fingerprint unchanged.
+The contracts under test: ``bulk_write`` reports every document's
+outcome in submission order; ``execute_batch`` answers every statement
+exactly as ``execute_sql`` would while sharing scans; the chaos
+fingerprints and trace sequences stay pinned; and user threads sharing
+one instance lose nothing.
 """
 
 from __future__ import annotations
@@ -13,27 +15,19 @@ import threading
 import pytest
 
 from repro.cluster import ClusterTopology
-from repro.errors import ConfigurationError, EsdbError
 from repro.esdb import ESDB, EsdbConfig
-from repro.exec import (
-    BACKENDS,
-    BulkItemResult,
-    BulkResult,
-    ExecConfig,
-    ShardExecutor,
-)
+from repro.exec import BulkItemResult, BulkResult
 from repro.obsv import cat_exec
+from repro.storage import ShardEngine
 from repro.workload.generator import TransactionLogGenerator, WorkloadConfig
 from tests.conftest import make_log
 
 TOPOLOGY = ClusterTopology(num_nodes=2, num_shards=8, replicas_per_shard=0)
 
 
-def make_db(exec_config: ExecConfig | None = None, **extras) -> ESDB:
-    kwargs = {} if exec_config is None else {"exec": exec_config}
-    kwargs.update(extras)
+def make_db(**extras) -> ESDB:
     return ESDB(
-        EsdbConfig(topology=TOPOLOGY, consensus_interval=1.0, **kwargs)
+        EsdbConfig(topology=TOPOLOGY, consensus_interval=1.0, **extras)
     )
 
 
@@ -42,120 +36,6 @@ def zipf_docs(count: int, seed: int = 0) -> list[dict]:
         WorkloadConfig(num_tenants=100, seed=seed)
     )
     return [generator.generate(created_time=i * 0.02) for i in range(count)]
-
-
-# -- configuration -------------------------------------------------------------
-
-
-class TestExecConfig:
-    def test_serial_default_is_disabled(self):
-        config = ExecConfig()
-        assert config.backend == "serial"
-        assert not config.enabled
-        assert not config.coalesce_queries
-
-    def test_threads_preset(self):
-        config = ExecConfig.threads(workers=3)
-        assert config.backend == "threads"
-        assert config.enabled
-        assert config.coalesce_queries
-        assert config.pool_size() == 3
-
-    def test_pool_size_defaults_to_cpu_bound(self):
-        assert 1 <= ExecConfig.threads().pool_size() <= 8
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ExecConfig(backend="processes")
-
-    def test_bad_workers_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ExecConfig(backend="threads", workers=0)
-
-    def test_bad_max_group_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ExecConfig(max_group=0)
-
-    def test_backends_tuple(self):
-        assert BACKENDS == ("serial", "threads")
-
-    def test_serial_facade_builds_no_executor(self):
-        db = make_db()
-        assert db.executor is None
-
-    def test_threads_facade_builds_executor(self):
-        db = make_db(ExecConfig.threads(workers=2))
-        try:
-            assert db.executor is not None
-            assert db.executor.workers == 2
-        finally:
-            db.close()
-
-
-# -- the executor --------------------------------------------------------------
-
-
-class TestShardExecutor:
-    def test_serial_map_is_a_plain_loop(self):
-        executor = ShardExecutor(ExecConfig())
-        assert executor.map_ordered(lambda k: k * 2, [3, 1, 2]) == [6, 2, 4]
-        assert executor.tasks_run == 3
-
-    def test_threads_map_gathers_in_input_order(self):
-        import time as _time
-
-        executor = ShardExecutor(ExecConfig.threads(workers=4))
-        try:
-            # Later keys finish first: input order must still win.
-            def task(key):
-                _time.sleep(0.002 * (4 - key))
-                return key * 10
-
-            assert executor.map_ordered(task, [0, 1, 2, 3]) == [0, 10, 20, 30]
-        finally:
-            executor.shutdown()
-
-    def test_first_input_order_error_raises_after_all_complete(self):
-        executor = ShardExecutor(ExecConfig.threads(workers=2))
-        completed = []
-
-        def task(key):
-            if key == 1:
-                raise ValueError(f"boom-{key}")
-            completed.append(key)
-            return key
-
-        try:
-            with pytest.raises(ValueError, match="boom-1"):
-                executor.map_ordered(task, [0, 1, 2, 3])
-            assert sorted(completed) == [0, 2, 3]  # the rest still ran
-        finally:
-            executor.shutdown()
-
-    def test_queue_depth_returns_to_zero(self):
-        executor = ShardExecutor(ExecConfig.threads(workers=2))
-        try:
-            executor.map_ordered(lambda k: k, list(range(16)))
-            assert executor.queue_depth == 0
-        finally:
-            executor.shutdown()
-
-    def test_single_key_runs_inline_without_worker_accounting(self):
-        from repro.telemetry.metrics import MetricsRegistry
-
-        metrics = MetricsRegistry()
-        executor = ShardExecutor(ExecConfig.threads(workers=2), metrics=metrics)
-        try:
-            assert executor.map_ordered(lambda k: k + 1, [41]) == [42]
-            assert metrics.series("exec_worker_tasks_total") == []
-            assert metrics.value("exec_queue_depth") == 0.0
-        finally:
-            executor.shutdown()
-
-    def test_shutdown_idempotent_and_context_manager(self):
-        with ShardExecutor(ExecConfig.threads(workers=1)) as executor:
-            assert executor.map_ordered(lambda k: k, [1, 2]) == [1, 2]
-        executor.shutdown()  # second shutdown is a no-op
 
 
 # -- bulk writes ---------------------------------------------------------------
@@ -194,10 +74,13 @@ class TestBulkWrite:
         db.refresh()
         assert db.doc_count() == 1
 
-    def test_write_many_applies_then_raises(self):
+    def test_stop_on_error_raise_first_keeps_earlier_documents(self):
         db = make_db()
+        result = db.bulk_write(
+            [make_log(1, created=1.0), {"broken": True}], stop_on_error=True
+        )
         with pytest.raises(Exception):
-            db.write_many([make_log(1, created=1.0), {"broken": True}])
+            result.raise_first()
         db.refresh()
         assert db.doc_count() == 1  # the earlier document stays written
 
@@ -205,8 +88,25 @@ class TestBulkWrite:
         item = BulkItemResult(position=0)
         assert item.ok and item.error is None and item.shard_id is None
 
+    def test_bulk_write_equals_a_loop_over_write(self):
+        docs = zipf_docs(400, seed=11)
+        looped, bulk = make_db(), make_db()
+        shard_ids = [looped.write(doc) for doc in docs]
+        result = bulk.bulk_write(docs)
+        assert result.ok
+        assert [item.shard_id for item in result.items] == shard_ids
+        for item in result.items:
+            assert bulk.engines[item.shard_id].contains(item.doc_id)
+        looped.refresh()
+        bulk.refresh()
+        for sql in QUERY_SET:
+            expected = looped.execute_sql(sql)
+            actual = bulk.execute_sql(sql)
+            assert actual.rows == expected.rows
+            assert actual.total_hits == expected.total_hits
 
-# -- serial/threads equivalence ------------------------------------------------
+
+# -- shared execution ----------------------------------------------------------
 
 
 QUERY_SET = (
@@ -217,67 +117,180 @@ QUERY_SET = (
     "ORDER BY created_time DESC LIMIT 25",
 )
 
+#: One statement of each shape the planner distinguishes; none of them can
+#: join the ``quantity`` family that rides along in the batch.
+STATEMENT_SHAPES = {
+    "count": "SELECT COUNT(*) FROM transaction_logs WHERE status = 1",
+    "group-by": "SELECT status, COUNT(*) FROM transaction_logs GROUP BY status",
+    "avg": "SELECT status, COUNT(*), AVG(amount) FROM transaction_logs "
+    "GROUP BY status",
+    "order-limit": "SELECT * FROM transaction_logs WHERE amount <= 500 "
+    "ORDER BY created_time DESC LIMIT 25",
+    "limit": "SELECT * FROM transaction_logs WHERE quantity >= 3 LIMIT 5",
+    "in-list": "SELECT * FROM transaction_logs WHERE quantity IN (1, 2)",
+    "between": "SELECT * FROM transaction_logs WHERE created_time BETWEEN 0 AND 1",
+    "conjunction": "SELECT * FROM transaction_logs "
+    "WHERE quantity >= 3 AND status = 1",
+    "tenant": "SELECT * FROM transaction_logs WHERE tenant_id = 1",
+}
 
-class TestBackendEquivalence:
-    def test_threads_backend_equals_serial_over_zipf_workload(self):
-        docs = zipf_docs(400, seed=11)
-        serial = make_db()
-        threads = make_db(ExecConfig.threads(workers=4))
-        try:
-            serial_result = serial.bulk_write(docs)
-            threads_result = threads.bulk_write(docs)
-            assert serial_result.ok and threads_result.ok
-            # Every acked write is durable on the same shard.
-            for s_item, t_item in zip(serial_result.items, threads_result.items):
-                assert t_item.shard_id == s_item.shard_id
-                engine = threads.engines[t_item.shard_id]
-                assert engine.contains(t_item.doc_id)
-            serial.refresh()
-            threads.refresh()
-            # Every query result equals the serial backend's.
-            for sql in QUERY_SET:
-                expected = serial.execute_sql(sql)
-                actual = threads.execute_sql(sql)
-                assert actual.rows == expected.rows
-                assert actual.total_hits == expected.total_hits
-        finally:
-            threads.close()
-
-    def test_threads_fanout_query_span_tree_is_shard_ordered(self):
-        threads = make_db(ExecConfig.threads(workers=4))
-        try:
-            threads.bulk_write(zipf_docs(120, seed=2))
-            threads.refresh()
-            trace = threads.explain_analyze(
-                "SELECT COUNT(*) FROM transaction_logs WHERE quantity >= 3"
-            )
-            shard_spans = [
-                name for name in trace.stage_names()
-                if name.startswith("query.shard[")
-            ]
-            assert shard_spans == sorted(
-                shard_spans, key=lambda n: int(n[len("query.shard["):-1])
-            )
-            assert len(shard_spans) == TOPOLOGY.num_shards
-        finally:
-            threads.close()
+FAMILY_PAIR = (
+    "SELECT * FROM transaction_logs WHERE quantity >= 3",
+    "SELECT * FROM transaction_logs WHERE quantity <= 2",
+)
 
 
-# -- shared execution ----------------------------------------------------------
+def loaded_pair(count: int = 150, **extras) -> tuple[ESDB, ESDB]:
+    """Two instances holding the same documents: one answers a batch, the
+    other a loop over ``execute_sql``, so neither sees the other's caches."""
+    dbs = make_db(**extras), make_db(**extras)
+    for db in dbs:
+        db.bulk_write(zipf_docs(count, seed=6))
+        db.refresh()
+    return dbs
 
 
 class TestExecuteBatch:
-    def test_serial_config_is_a_plain_loop(self):
+    @pytest.mark.parametrize("sql", STATEMENT_SHAPES.values(), ids=STATEMENT_SHAPES)
+    def test_each_shape_coalesces_with_its_duplicate(self, sql):
+        looped, batched = loaded_pair()
+        batch = [sql, FAMILY_PAIR[0], sql, FAMILY_PAIR[1]]
+        results = batched.execute_batch(batch)
+        assert results[0] is results[2]
+        expected = [looped.execute_sql(statement) for statement in batch]
+        assert expected[0].total_hits > 0
+        assert [r.rows for r in results] == [r.rows for r in expected]
+        assert [r.total_hits for r in results] == [r.total_hits for r in expected]
+        metrics = batched.telemetry.metrics
+        assert metrics.value("exec_shared_groups_total", kind="duplicate") == 1.0
+        assert metrics.value("exec_shared_groups_total", kind="family") == 1.0
+        assert metrics.total("exec_shared_saved_total") == 2.0
+
+    def test_empty_batch_answers_nothing(self):
         db = make_db()
-        db.bulk_write(zipf_docs(100, seed=6))
+        assert db.execute_batch([]) == []
+        assert db.telemetry.metrics.total("esdb_queries_total") == 0.0
+
+    def test_family_beyond_max_group_starts_a_new_group(self):
+        from repro.exec.shared import MAX_GROUP
+
+        looped, batched = loaded_pair(100)
+        batch = [
+            f"SELECT * FROM transaction_logs WHERE quantity >= {value}"
+            for value in range(MAX_GROUP + 2)
+        ]
+        results = batched.execute_batch(batch)
+        metrics = batched.telemetry.metrics
+        assert metrics.value("exec_shared_groups_total", kind="family") == 2.0
+        assert metrics.total("exec_shared_saved_total") == len(batch) - 2
+        for sql, result in zip(batch, results):
+            assert result.rows == looped.execute_sql(sql).rows
+
+    def test_each_scan_column_forms_its_own_family(self, monkeypatch):
+        looped, batched = loaded_pair()
+        batch = [
+            FAMILY_PAIR[0],
+            "SELECT * FROM transaction_logs WHERE status = 1",
+            FAMILY_PAIR[1],
+            "SELECT * FROM transaction_logs WHERE status = 2",
+        ]
+        columns = []
+        multi_full_scan = ShardEngine.multi_full_scan
+
+        def recording_scan(engine, column, predicates):
+            columns.append(column)
+            return multi_full_scan(engine, column, predicates)
+
+        monkeypatch.setattr(ShardEngine, "multi_full_scan", recording_scan)
+        results = batched.execute_batch(batch)
+        shards = TOPOLOGY.num_shards
+        assert columns == ["quantity"] * shards + ["status"] * shards
+        metrics = batched.telemetry.metrics
+        assert metrics.value("exec_shared_groups_total", kind="family") == 2.0
+        assert metrics.total("exec_shared_saved_total") == 2.0
+        for sql, result in zip(batch, results):
+            assert result.rows == looped.execute_sql(sql).rows
+
+    def test_tenant_filters_never_join_a_family(self):
+        looped, batched = loaded_pair()
+        batch = [
+            "SELECT * FROM transaction_logs WHERE tenant_id = 1",
+            "SELECT * FROM transaction_logs WHERE tenant_id = 2",
+        ]
+        results = batched.execute_batch(batch)
+        assert batched.telemetry.metrics.series("exec_shared_groups_total") == []
+        for sql, result in zip(batch, results):
+            assert result.rows == looped.execute_sql(sql).rows
+
+    def test_ordered_statements_never_join_a_family(self):
+        looped, batched = loaded_pair()
+        batch = [
+            "SELECT * FROM transaction_logs WHERE quantity >= 3 "
+            "ORDER BY created_time DESC",
+            "SELECT * FROM transaction_logs WHERE quantity <= 2 "
+            "ORDER BY created_time DESC",
+        ]
+        results = batched.execute_batch(batch)
+        assert batched.telemetry.metrics.series("exec_shared_groups_total") == []
+        for sql, result in zip(batch, results):
+            assert result.rows == looped.execute_sql(sql).rows
+
+    def test_unparseable_statement_raises_as_execute_sql_does(self):
+        from repro.errors import QueryError
+
+        db = make_db()
+        bad = "SELEC * FROM transaction_logs"
+        with pytest.raises(QueryError):
+            db.execute_sql(bad)
+        with pytest.raises(QueryError):
+            db.execute_batch([FAMILY_PAIR[0], bad])
+
+    def test_shared_scan_counts_one_subquery_per_shard(self):
+        db = make_db()
+        db.bulk_write(zipf_docs(150, seed=6))
         db.refresh()
-        batch = ["SELECT COUNT(*) FROM transaction_logs WHERE status = 1"] * 3
-        results = db.execute_batch(batch)
-        assert len(results) == 3
-        assert db.telemetry.metrics.total("exec_shared_saved_total") == 0.0
+        batch = [*FAMILY_PAIR, "SELECT * FROM transaction_logs WHERE quantity = 5"]
+        db.execute_batch(batch)
+        metrics = db.telemetry.metrics
+        assert metrics.total("esdb_queries_total") == len(batch)
+        assert metrics.total("esdb_subqueries_total") == TOPOLOGY.num_shards
+
+    def test_family_shares_the_scan_with_tracing_off(self):
+        from repro.telemetry import TraceConfig
+
+        looped, batched = loaded_pair(tracing=TraceConfig.off())
+        results = batched.execute_batch(list(FAMILY_PAIR))
+        metrics = batched.telemetry.metrics
+        assert metrics.value("exec_shared_groups_total", kind="family") == 1.0
+        assert not any(
+            span.name.startswith("batch.scan[")
+            for span in batched.telemetry.tracer.recent_traces()
+        )
+        for sql, result in zip(FAMILY_PAIR, results):
+            assert result.rows == looped.execute_sql(sql).rows
+
+    def test_unrelated_statements_equal_a_loop_over_execute_sql(self):
+        batch = [
+            "SELECT COUNT(*) FROM transaction_logs WHERE status = 1",
+            "SELECT status, COUNT(*) FROM transaction_logs GROUP BY status",
+            "SELECT * FROM transaction_logs WHERE amount <= 500 "
+            "ORDER BY created_time DESC LIMIT 25",
+            "SELECT * FROM transaction_logs WHERE quantity >= 3 LIMIT 5",
+        ]
+        looped, batched = make_db(), make_db()
+        for db in (looped, batched):
+            db.bulk_write(zipf_docs(100, seed=6))
+            db.refresh()
+        expected = [looped.execute_sql(sql) for sql in batch]
+        results = batched.execute_batch(batch)
+        assert [r.rows for r in results] == [r.rows for r in expected]
+        assert [r.total_hits for r in results] == [r.total_hits for r in expected]
+        metrics = batched.telemetry.metrics
+        assert metrics.series("exec_shared_groups_total") == []
+        assert metrics.total("esdb_queries_total") == len(batch)
 
     def test_duplicates_coalesce_to_one_execution(self):
-        db = make_db(ExecConfig(backend="serial", coalesce_queries=True))
+        db = make_db()
         db.bulk_write(zipf_docs(100, seed=6))
         db.refresh()
         batch = ["SELECT * FROM transaction_logs WHERE quantity >= 3"] * 8
@@ -291,8 +304,8 @@ class TestExecuteBatch:
         for result in results:
             assert result.rows == independent.rows
 
-    def test_same_column_family_shares_one_scan(self):
-        db = make_db(ExecConfig(backend="serial", coalesce_queries=True))
+    def test_same_column_family_shares_one_scan(self, monkeypatch):
+        db = make_db()
         db.bulk_write(zipf_docs(150, seed=6))
         db.refresh()
         batch = [
@@ -300,7 +313,19 @@ class TestExecuteBatch:
             "SELECT * FROM transaction_logs WHERE quantity <= 2",
             "SELECT * FROM transaction_logs WHERE quantity = 5",
         ]
+        scans = []
+        multi_full_scan = ShardEngine.multi_full_scan
+
+        def counting_scan(engine, column, predicates):
+            scans.append((engine.shard_id, column, len(predicates)))
+            return multi_full_scan(engine, column, predicates)
+
+        monkeypatch.setattr(ShardEngine, "multi_full_scan", counting_scan)
         results = db.execute_batch(batch)
+        assert scans == [
+            (shard_id, "quantity", len(batch))
+            for shard_id in range(TOPOLOGY.num_shards)
+        ]
         metrics = db.telemetry.metrics
         assert metrics.value("exec_shared_groups_total", kind="family") == 1.0
         assert metrics.total("exec_shared_saved_total") == 2.0
@@ -310,7 +335,7 @@ class TestExecuteBatch:
             assert result.total_hits == independent.total_hits
 
     def test_mixed_batch_results_align_with_positions(self):
-        db = make_db(ExecConfig(backend="serial", coalesce_queries=True))
+        db = make_db()
         db.bulk_write(zipf_docs(150, seed=6))
         db.refresh()
         batch = [
@@ -326,7 +351,7 @@ class TestExecuteBatch:
             assert result.rows == independent.rows
 
     def test_statements_with_limit_never_join_a_family(self):
-        db = make_db(ExecConfig(backend="serial", coalesce_queries=True))
+        db = make_db()
         db.bulk_write(zipf_docs(100, seed=6))
         db.refresh()
         batch = [
@@ -338,23 +363,18 @@ class TestExecuteBatch:
         for sql, result in zip(batch, results):
             assert result.rows == db.execute_sql(sql).rows
 
-    def test_threads_backend_batch_equals_independent(self):
-        db = make_db(ExecConfig.threads(workers=4))
-        try:
-            db.bulk_write(zipf_docs(150, seed=6))
-            db.refresh()
-            batch = [
-                "SELECT * FROM transaction_logs WHERE quantity >= 3",
-                "SELECT * FROM transaction_logs WHERE quantity >= 3",
-                "SELECT * FROM transaction_logs WHERE quantity <= 2",
-                "SELECT COUNT(*) FROM transaction_logs WHERE status = 1",
-            ]
-            results = db.execute_batch(batch)
-            for sql, result in zip(batch, results):
-                independent = db.execute_sql(sql)
-                assert result.rows == independent.rows
-        finally:
-            db.close()
+    def test_statements_differing_in_literal_spacing_stay_apart(self):
+        db = make_db()
+        db.bulk_write([
+            make_log(1, tenant=1, status="a  b"),
+            make_log(2, tenant=1, status="a b"),
+        ])
+        db.refresh()
+        sql = "SELECT * FROM t WHERE tenant_id = 1 AND status = '{}'"
+        results = db.execute_batch([sql.format("a  b"), sql.format("a b")])
+        ids = [[row["transaction_id"] for row in result.rows] for result in results]
+        assert ids == [[1], [2]]
+        assert db.telemetry.metrics.total("exec_shared_saved_total") == 0.0
 
 
 # -- storage: multi_full_scan --------------------------------------------------
@@ -393,45 +413,30 @@ class TestMultiFullScan:
 
 
 class TestExecObservability:
-    def test_cat_exec_empty_on_untouched_serial_instance(self):
+    def test_cat_exec_empty_on_untouched_instance(self):
         db = make_db()
         table = cat_exec(db)
         assert len(table) == 0
         assert table.columns == ("stat", "detail", "value")
 
-    def test_cat_exec_reports_pool_and_counters(self):
-        db = make_db(ExecConfig.threads(workers=2))
-        try:
-            db.bulk_write(zipf_docs(60, seed=3))
-            stats = {(row[0], row[1]) for row in cat_exec(db).rows}
-            assert ("pool", "backend=threads") in stats
-            assert ("bulk", "docs") in stats
-        finally:
-            db.close()
-
-    def test_cluster_snapshot_exec_key_only_when_configured(self):
-        from repro.obsv import cluster_snapshot
-
-        serial = make_db()
-        assert "exec" not in cluster_snapshot(serial)
-        threads = make_db(ExecConfig.threads(workers=2))
-        try:
-            snapshot = cluster_snapshot(threads)
-            assert snapshot["exec"]["backend"] == "threads"
-            assert snapshot["exec"]["workers"] == 2
-        finally:
-            threads.close()
+    def test_cat_exec_reports_bulk_and_shared_counters(self):
+        db = make_db()
+        db.bulk_write(zipf_docs(60, seed=3))
+        db.refresh()
+        db.execute_batch(["SELECT * FROM transaction_logs WHERE quantity >= 3"] * 2)
+        assert cat_exec(db).rows == [
+            ("bulk", "batches", 1),
+            ("bulk", "docs", 60),
+            ("shared", "groups:duplicate", 1),
+            ("shared", "queries_saved", 1),
+        ]
 
     def test_exec_derived_series_registered(self):
-        db = make_db(ExecConfig.threads(workers=2))
-        try:
-            db.bulk_write(zipf_docs(60, seed=3))
-            db.sample_timeseries(now=db.now + 10.0, force=True)
-            names = {series.name for series in db.timeseries.all_series()}
-            assert "exec.tasks_per_s" in names
-            assert "exec.bulk_docs_per_s" in names
-        finally:
-            db.close()
+        db = make_db()
+        db.bulk_write(zipf_docs(60, seed=3))
+        db.sample_timeseries(now=db.now + 10.0, force=True)
+        names = {series.name for series in db.timeseries.all_series()}
+        assert "exec.bulk_docs_per_s" in names
 
 
 # -- governed tenant cache (LRU regression) ------------------------------------
@@ -510,9 +515,8 @@ class TestWriteClientForEsdb:
 # -- chaos fingerprint identity ------------------------------------------------
 
 
-#: Captured before the execution core landed: the serial backend (and the
-#: threads backend, whose fingerprint quantities are all deterministic)
-#: must reproduce these byte-for-byte forever.
+#: Pinned chaos fingerprints: every change must reproduce these
+#: byte-for-byte forever.
 FAILOVER_200_FINGERPRINT = (
     "seed=0 steps=200 acked=200 coalesced=0 redriven=11 faults=4/2 "
     "consensus=3/1 docs=[0:21,1:19,2:17,3:21,4:42,5:20,6:30,7:30] "
@@ -536,17 +540,6 @@ class TestChaosFingerprintIdentity:
         assert report.ok
         assert report.fingerprint() == FAILOVER_200_FINGERPRINT
 
-    def test_threads_failover_fingerprint_equals_serial(self):
-        from repro.faults import ChaosConfig, ChaosRunner
-        from repro.faults.__main__ import build_failover_plan
-
-        report = ChaosRunner(
-            build_failover_plan(0, 200, 8),
-            ChaosConfig(steps=200, exec_backend="threads"),
-        ).run()
-        assert report.ok
-        assert report.fingerprint() == FAILOVER_200_FINGERPRINT
-
     def test_governed_noisy_neighbor_fingerprint_unchanged(self):
         from repro.faults import ChaosConfig, ChaosRunner
         from repro.faults.__main__ import FLOOD_TENANT, build_noisy_neighbor_plan
@@ -564,12 +557,6 @@ class TestChaosFingerprintIdentity:
         assert report.ok
         assert report.fingerprint() == NOISY_200_FINGERPRINT
 
-    def test_unknown_exec_backend_rejected(self):
-        from repro.faults import ChaosConfig
-
-        with pytest.raises(ConfigurationError):
-            ChaosConfig(exec_backend="fibers")
-
 
 # -- engine locking under concurrency ------------------------------------------
 
@@ -579,7 +566,7 @@ class TestEngineLockingStress:
         """Fixed-seed stress: writers, a refresher and readers hammer one
         instance concurrently. No exception may escape any thread and
         every acked write must be durable and readable afterwards."""
-        db = make_db(ExecConfig.threads(workers=4))
+        db = make_db()
         docs = zipf_docs(600, seed=13)
         errors: list[BaseException] = []
         acked: list[dict] = []
@@ -629,7 +616,6 @@ class TestEngineLockingStress:
             stop.set()
             for thread in threads[3:]:
                 thread.join(timeout=60)
-            db.close()
         assert errors == []
         assert len(acked) == len(docs)
         db.refresh()
@@ -697,20 +683,6 @@ class TestChaosFingerprintTracingIdentity:
         assert report.ok
         assert report.fingerprint() == FAILOVER_200_FINGERPRINT
 
-    def test_threads_failover_fingerprint_with_tracing_off(self):
-        from repro.faults import ChaosConfig, ChaosRunner
-        from repro.faults.__main__ import build_failover_plan
-        from repro.telemetry import TraceConfig
-
-        report = ChaosRunner(
-            build_failover_plan(0, 200, 8),
-            ChaosConfig(
-                steps=200, exec_backend="threads", tracing=TraceConfig.off()
-            ),
-        ).run()
-        assert report.ok
-        assert report.fingerprint() == FAILOVER_200_FINGERPRINT
-
     def test_governed_noisy_neighbor_fingerprint_with_tracing_off(self):
         from repro.faults import ChaosConfig, ChaosRunner
         from repro.faults.__main__ import FLOOD_TENANT, build_noisy_neighbor_plan
@@ -733,85 +705,75 @@ class TestChaosFingerprintTracingIdentity:
 
 class TestTraceDeterminism:
     """Same seed ⇒ same trace ids, same sampling decisions, same event
-    sequence — on every backend."""
+    sequence."""
 
-    def _run_workload(self, exec_config, tracing=None):
+    def _run_workload(self, tracing=None):
         from repro.obsv import ObsvConfig
 
         extras = {"obsv": ObsvConfig(search_info_seconds=0.0)}
         if tracing is not None:
             extras["tracing"] = tracing
-        db = make_db(exec_config, **extras)
-        try:
-            for doc in zipf_docs(60, seed=21):
-                db.write(doc)
-            db.refresh()
-            for _ in range(3):
-                db.execute_sql(
-                    "SELECT COUNT(*) FROM transaction_logs WHERE quantity >= 2"
-                )
-            db.rebalance()
-            trace_ids = [
-                span.trace_id for span in db.telemetry.tracer.recent_traces()
-            ]
-            sampled = [
-                span.trace_id is not None
-                for span in db.telemetry.tracer.recent_traces()
-            ]
-            events = [
-                (e.kind, e.tenant, e.shard, e.trace_id) for e in db.events.query()
-            ]
-            issued = db.trace_ids.issued
-        finally:
-            db.close()
-        return trace_ids, sampled, events, issued
+        db = make_db(**extras)
+        for doc in zipf_docs(60, seed=21):
+            db.write(doc)
+        db.refresh()
+        for _ in range(3):
+            db.execute_sql(
+                "SELECT COUNT(*) FROM transaction_logs WHERE quantity >= 2"
+            )
+        db.rebalance()
+        trace_ids = [
+            span.trace_id for span in db.telemetry.tracer.recent_traces()
+        ]
+        sampled = [
+            span.trace_id is not None
+            for span in db.telemetry.tracer.recent_traces()
+        ]
+        events = [
+            (e.kind, e.tenant, e.shard, e.trace_id) for e in db.events.query()
+        ]
+        return trace_ids, sampled, events, db.trace_ids.issued
 
-    def test_serial_and_threads_produce_identical_ids_and_events(self):
-        serial = self._run_workload(None)
-        threads = self._run_workload(ExecConfig.threads(workers=4))
-        assert serial == threads
+    def test_two_runs_are_identical(self):
+        assert self._run_workload() == self._run_workload()
 
-    def test_two_serial_runs_are_identical(self):
-        assert self._run_workload(None) == self._run_workload(None)
-
-    def test_ratio_sampling_is_deterministic_across_backends(self):
+    def test_ratio_sampling_is_deterministic(self):
         from repro.telemetry import TraceConfig
 
         tracing = TraceConfig(sampler="ratio", ratio=0.5)
-        serial = self._run_workload(None, tracing=tracing)
-        threads = self._run_workload(
-            ExecConfig.threads(workers=4), tracing=tracing
+        assert self._run_workload(tracing) == self._run_workload(tracing)
+
+    def test_fanout_query_span_tree_is_shard_ordered(self):
+        db = make_db()
+        db.bulk_write(zipf_docs(120, seed=2))
+        db.refresh()
+        trace = db.explain_analyze(
+            "SELECT COUNT(*) FROM transaction_logs WHERE quantity >= 3"
         )
-        assert serial == threads
+        shard_spans = [
+            name for name in trace.stage_names() if name.startswith("query.shard[")
+        ]
+        assert shard_spans == [
+            f"query.shard[{shard_id}]" for shard_id in range(TOPOLOGY.num_shards)
+        ]
 
-    def test_explain_analyze_tree_structure_equal_serial_vs_threads(self):
-        """Acceptance: under ExecConfig.threads() the multi-shard query tree
-        carries real per-shard worker spans, byte-equal in structure
-        (names, order, non-timing tags, ids) to the serial backend's."""
-
+    def test_explain_analyze_tree_is_identical_across_runs(self):
         def tree_structure(span):
             return (
                 span.name,
                 span.trace_id,
                 span.span_id,
-                {k: v for k, v in span.tags.items()},
+                dict(span.tags),
                 [tree_structure(child) for child in span.children],
             )
 
         sql = "SELECT COUNT(*) FROM transaction_logs WHERE quantity >= 3"
-        trees = {}
-        for label, exec_config in (
-            ("serial", None),
-            ("threads", ExecConfig.threads(workers=4)),
-        ):
-            db = make_db(exec_config)
-            try:
-                db.bulk_write(zipf_docs(120, seed=2))
-                db.refresh()
-                root = db.explain_analyze(sql)
-            finally:
-                db.close()
-            shard_spans = root.find_prefix("query.shard[")
-            assert len(shard_spans) == TOPOLOGY.num_shards
-            trees[label] = tree_structure(root)
-        assert trees["serial"] == trees["threads"]
+        trees = []
+        for _ in range(2):
+            db = make_db()
+            db.bulk_write(zipf_docs(120, seed=2))
+            db.refresh()
+            root = db.explain_analyze(sql)
+            assert len(root.find_prefix("query.shard[")) == TOPOLOGY.num_shards
+            trees.append(tree_structure(root))
+        assert trees[0] == trees[1]

@@ -18,7 +18,6 @@ import pytest
 from repro.cluster import ClusterTopology
 from repro.errors import ConfigurationError, TenantThrottledError
 from repro.esdb import ESDB, EsdbConfig
-from repro.exec import ExecConfig
 from repro.obsv import cat_hotkeys, cat_slo
 from repro.slo import (
     HeavyHitterProfiler,
@@ -525,31 +524,11 @@ class TestEsdbSloIntegration:
                 for alert in db.slo.alerts
             ]
             rows = cat_hotkeys(db).to_dicts()
-            db.close()
             return ticks, rows
 
         first, second = run(), run()
         assert first[0] and first[0] == second[0]
         assert first[1] == second[1]
-
-    def test_threads_backend_matches_serial_ticks_and_tables(self):
-        def run(**extras):
-            db = make_db(
-                tenancy=GOVERNED, slo=self.AVAILABILITY_ONLY, **extras
-            )
-            drive_whale(db)
-            ticks = [
-                (alert.kind, alert.slo, alert.time)
-                for alert in db.slo.alerts
-            ]
-            rows = cat_hotkeys(db).to_dicts()
-            slo_rows = cat_slo(db).to_dicts()
-            db.close()
-            return ticks, rows, slo_rows
-
-        serial = run()
-        threads = run(exec=ExecConfig.threads(workers=4))
-        assert serial == threads
 
     def test_query_side_records_fingerprints_and_terms(self):
         db = make_db(slo=SloConfig(enabled=True))
@@ -734,20 +713,6 @@ class TestSloChaosFingerprints:
         report = ChaosRunner(
             build_failover_plan(0, 200, 8),
             ChaosConfig(steps=200, slo=SloConfig(enabled=True)),
-        ).run()
-        assert report.ok
-        assert report.fingerprint() == FAILOVER_200_FINGERPRINT
-
-    def test_threads_failover_fingerprint_with_slo_on(self):
-        from repro.faults import ChaosConfig, ChaosRunner
-        from repro.faults.__main__ import build_failover_plan
-        from tests.test_exec import FAILOVER_200_FINGERPRINT
-
-        report = ChaosRunner(
-            build_failover_plan(0, 200, 8),
-            ChaosConfig(
-                steps=200, exec_backend="threads", slo=SloConfig(enabled=True)
-            ),
         ).run()
         assert report.ok
         assert report.fingerprint() == FAILOVER_200_FINGERPRINT

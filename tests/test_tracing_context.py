@@ -1,21 +1,21 @@
 """Tests for request-scoped distributed tracing.
 
-Covers the context layer (deterministic ids, traceparent, samplers,
-thread-local propagation), the structured event log, histogram exemplars,
-the facade wiring (trace lookup, slow-log stamping, span links, event
-emission) and the flight-recorder diagnostics bundle.
+Covers the context layer (deterministic ids, traceparent, samplers, the
+thread-local active context), the structured event log, histogram
+exemplars, the facade wiring (trace lookup, slow-log stamping, span links,
+event emission) and the flight-recorder diagnostics bundle.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
 from repro.cluster import ClusterTopology
 from repro.errors import ConfigurationError
 from repro.esdb import ESDB, EsdbConfig
-from repro.exec import ExecConfig, ShardExecutor
 from repro.obsv import cat_events
 from repro.telemetry import (
     EVENT_KINDS,
@@ -30,7 +30,6 @@ from repro.telemetry import (
     TraceContext,
     TraceIdGenerator,
     Tracer,
-    activate_context,
     build_sampler,
     current_context,
     derive_span_id,
@@ -219,40 +218,60 @@ class TestTracerWithContexts:
         assert "links" not in Span("plain").to_dict()
 
 
-class TestContextPropagation:
-    def test_activate_and_current(self):
+class TestActiveContext:
+    def test_trace_activates_its_context_for_its_duration(self):
+        tracer = Tracer()
         assert current_context() is None
         ctx = TraceIdGenerator().next_context()
-        with activate_context(ctx):
+        with tracer.trace("outer", ctx, sampler=AlwaysSampler()):
             assert current_context() is ctx
             inner = TraceIdGenerator(seed=9).next_context()
-            with activate_context(inner):
+            with tracer.trace("inner", inner, sampler=AlwaysSampler()):
                 assert current_context() is inner
             assert current_context() is ctx
         assert current_context() is None
 
-    def test_map_ordered_propagates_context_to_workers(self):
-        ctx = TraceIdGenerator(seed=4).next_context("query")
-        executor = ShardExecutor(ExecConfig.threads(workers=4))
-        try:
-            with activate_context(ctx):
-                seen = executor.map_ordered(
-                    lambda key: (key, current_context()), list(range(8)),
-                )
-        finally:
-            executor.shutdown()
-        assert [key for key, _ in seen] == list(range(8))
-        assert all(c is not None and c.trace_id == ctx.trace_id for _, c in seen)
+    def test_trace_restores_the_outer_context_when_its_body_raises(self):
+        tracer = Tracer()
+        ctx = TraceIdGenerator().next_context()
+        with pytest.raises(ValueError):
+            with tracer.trace("failing", ctx, sampler=AlwaysSampler()):
+                assert current_context() is ctx
+                raise ValueError("boom")
+        assert current_context() is None
+        assert tracer.last_trace().trace_id == ctx.trace_id  # errored: retained
 
-    def test_map_ordered_without_context_stays_bare(self):
-        executor = ShardExecutor(ExecConfig.threads(workers=2))
-        try:
-            seen = executor.map_ordered(
-                lambda key: current_context(), list(range(4)),
-            )
-        finally:
-            executor.shutdown()
-        assert seen == [None] * 4
+    def test_active_context_is_per_thread(self):
+        tracer = Tracer()
+        ctx = TraceIdGenerator().next_context()
+        seen = []
+        with tracer.trace("outer", ctx, sampler=AlwaysSampler()):
+            thread = threading.Thread(target=lambda: seen.append(current_context()))
+            thread.start()
+            thread.join(timeout=30)
+            assert current_context() is ctx
+        assert seen == [None]
+
+    def test_shard_subqueries_run_under_the_query_context(self, monkeypatch):
+        from repro.query.executor import QueryExecutor
+
+        db = make_db()
+        db.bulk_write(zipf_docs(40, seed=5))
+        db.refresh()
+        seen = []
+        execute = QueryExecutor.execute
+
+        def recording_execute(executor, plan):
+            seen.append(current_context())
+            return execute(executor, plan)
+
+        monkeypatch.setattr(QueryExecutor, "execute", recording_execute)
+        db.execute_sql("SELECT * FROM transaction_logs WHERE quantity >= 3")
+        root = db.telemetry.tracer.last_trace()
+        assert root.name == "query" and root.trace_id is not None
+        assert len(seen) == TOPOLOGY.num_shards
+        assert {ctx.trace_id for ctx in seen} == {root.trace_id}
+        assert current_context() is None
 
 
 # -- the event log -------------------------------------------------------------
@@ -358,41 +377,32 @@ class TestEsdbTracing:
         ids = []
         for _ in range(2):
             db = make_db()
-            try:
-                for doc in zipf_docs(10, seed=31):
-                    db.write(doc)
-                db.refresh()
-                db.execute_sql("SELECT COUNT(*) FROM transaction_logs")
-                ids.append(
-                    [s.trace_id for s in db.telemetry.tracer.recent_traces()]
-                )
-            finally:
-                db.close()
+            for doc in zipf_docs(10, seed=31):
+                db.write(doc)
+            db.refresh()
+            db.execute_sql("SELECT COUNT(*) FROM transaction_logs")
+            ids.append(
+                [s.trace_id for s in db.telemetry.tracer.recent_traces()]
+            )
         assert ids[0] == ids[1]
         assert any(t is not None for t in ids[0])
 
     def test_trace_lookup_by_id(self):
         db = make_db()
-        try:
-            db.write(zipf_docs(1, seed=1)[0])
-            root = db.telemetry.tracer.last_trace()
-            assert root.trace_id is not None
-            found = db.trace(root.trace_id)
-            assert found is root
-            assert db.trace("0" * 32) is None
-        finally:
-            db.close()
+        db.write(zipf_docs(1, seed=1)[0])
+        root = db.telemetry.tracer.last_trace()
+        assert root.trace_id is not None
+        found = db.trace(root.trace_id)
+        assert found is root
+        assert db.trace("0" * 32) is None
 
     def test_tracing_off_restores_pre_trace_spans(self):
         db = make_db(tracing=TraceConfig.off())
-        try:
-            db.write(zipf_docs(1, seed=1)[0])
-            root = db.telemetry.tracer.last_trace()
-            assert root.trace_id is None
-            assert all(s.span_id is None for s in root.walk())
-            assert db.trace_ids is None and db.trace_sampler is None
-        finally:
-            db.close()
+        db.write(zipf_docs(1, seed=1)[0])
+        root = db.telemetry.tracer.last_trace()
+        assert root.trace_id is None
+        assert all(s.span_id is None for s in root.walk())
+        assert db.trace_ids is None and db.trace_sampler is None
 
     def test_slowlog_entries_carry_trace_ids(self):
         from repro.obsv import ObsvConfig
@@ -400,30 +410,24 @@ class TestEsdbTracing:
         db = make_db(
             obsv=ObsvConfig(index_info_seconds=0.0, search_info_seconds=0.0)
         )
-        try:
-            db.write(zipf_docs(1, seed=1)[0])
-            db.refresh()
-            db.execute_sql("SELECT COUNT(*) FROM transaction_logs")
-            index_tail = db.obsv.index_slowlog.tail(1)
-            search_tail = db.obsv.search_slowlog.tail(1)
-            assert index_tail and index_tail[0].trace_id is not None
-            assert search_tail and search_tail[0].trace_id is not None
-            assert f"trace={search_tail[0].trace_id}" in search_tail[0].describe()
-            assert search_tail[0].to_dict()["trace_id"] == search_tail[0].trace_id
-        finally:
-            db.close()
+        db.write(zipf_docs(1, seed=1)[0])
+        db.refresh()
+        db.execute_sql("SELECT COUNT(*) FROM transaction_logs")
+        index_tail = db.obsv.index_slowlog.tail(1)
+        search_tail = db.obsv.search_slowlog.tail(1)
+        assert index_tail and index_tail[0].trace_id is not None
+        assert search_tail and search_tail[0].trace_id is not None
+        assert f"trace={search_tail[0].trace_id}" in search_tail[0].describe()
+        assert search_tail[0].to_dict()["trace_id"] == search_tail[0].trace_id
 
     def test_explain_analyze_surfaces_trace_id(self):
         db = make_db()
-        try:
-            db.write(zipf_docs(1, seed=1)[0])
-            db.refresh()
-            root = db.explain_analyze("SELECT COUNT(*) FROM transaction_logs")
-            assert root.trace_id is not None
-            assert root.tags["trace_id"] == root.trace_id
-            assert f"trace_id={root.trace_id}" in root.render()
-        finally:
-            db.close()
+        db.write(zipf_docs(1, seed=1)[0])
+        db.refresh()
+        root = db.explain_analyze("SELECT COUNT(*) FROM transaction_logs")
+        assert root.trace_id is not None
+        assert root.tags["trace_id"] == root.trace_id
+        assert f"trace_id={root.trace_id}" in root.render()
 
     def test_throttle_and_shed_events_emitted(self):
         from repro.errors import TenantThrottledError
@@ -434,23 +438,20 @@ class TestEsdbTracing:
                 enabled=True, write_rate=0.1, write_burst=1.0, queue_capacity=1
             )
         )
-        try:
-            doc = zipf_docs(1, seed=1)[0]
-            doc["tenant_id"] = "flooder"
-            rejected = 0
-            for _ in range(6):
-                try:
-                    db.write(dict(doc))
-                except TenantThrottledError:
-                    rejected += 1
-            assert rejected
-            kinds = set(db.events.counts())
-            assert kinds & {"throttle", "shed"}
-            event = db.events.tail(1)[0]
-            assert event.tenant == "flooder"
-            assert event.trace_id is not None
-        finally:
-            db.close()
+        doc = zipf_docs(1, seed=1)[0]
+        doc["tenant_id"] = "flooder"
+        rejected = 0
+        for _ in range(6):
+            try:
+                db.write(dict(doc))
+            except TenantThrottledError:
+                rejected += 1
+        assert rejected
+        kinds = set(db.events.counts())
+        assert kinds & {"throttle", "shed"}
+        event = db.events.tail(1)[0]
+        assert event.tenant == "flooder"
+        assert event.trace_id is not None
 
     def test_fault_events_emitted(self):
         db = ESDB(
@@ -461,16 +462,13 @@ class TestEsdbTracing:
                 consensus_interval=1.0,
             )
         )
-        try:
-            db.inject_fault("crash_node", 1)
-            db.recover("crash_node", 1)
-            counts = db.events.counts()
-            assert counts.get("fault_inject") == 1
-            assert counts.get("fault_recover") == 1
-            inject = db.events.query(kind="fault_inject")[0]
-            assert inject.detail["fault"] == "crash_node"
-        finally:
-            db.close()
+        db.inject_fault("crash_node", 1)
+        db.recover("crash_node", 1)
+        counts = db.events.counts()
+        assert counts.get("fault_inject") == 1
+        assert counts.get("fault_recover") == 1
+        inject = db.events.query(kind="fault_inject")[0]
+        assert inject.detail["fault"] == "crash_node"
 
     def test_promotion_event_on_failover(self):
         db = ESDB(
@@ -482,47 +480,38 @@ class TestEsdbTracing:
                 consensus_interval=1.0,
             )
         )
-        try:
-            for doc in zipf_docs(8, seed=2):
-                db.write(doc)
-            db.replicate()
-            db.fail_primary(0)
-            promotions = db.events.query(kind="promotion")
-            assert promotions and promotions[0].shard == 0
-        finally:
-            db.close()
+        for doc in zipf_docs(8, seed=2):
+            db.write(doc)
+        db.replicate()
+        db.fail_primary(0)
+        promotions = db.events.query(kind="promotion")
+        assert promotions and promotions[0].shard == 0
 
     def test_execute_batch_scan_links_member_traces(self):
-        db = make_db(exec=ExecConfig(backend="serial", coalesce_queries=True))
-        try:
-            db.bulk_write(zipf_docs(80, seed=6))
-            db.refresh()
-            batch = [
-                "SELECT * FROM transaction_logs WHERE quantity >= 3",
-                "SELECT * FROM transaction_logs WHERE quantity >= 4",
-            ]
-            db.execute_batch(batch)
-            scans = [
-                span
-                for span in db.telemetry.tracer.recent_traces()
-                if span.name.startswith("batch.scan[")
-            ]
-            assert scans
-            assert len(scans[-1].links) == len(batch)
-            assert all(len(link) == 32 for link in scans[-1].links)
-        finally:
-            db.close()
+        db = make_db()
+        db.bulk_write(zipf_docs(80, seed=6))
+        db.refresh()
+        batch = [
+            "SELECT * FROM transaction_logs WHERE quantity >= 3",
+            "SELECT * FROM transaction_logs WHERE quantity >= 4",
+        ]
+        db.execute_batch(batch)
+        scans = [
+            span
+            for span in db.telemetry.tracer.recent_traces()
+            if span.name.startswith("batch.scan[")
+        ]
+        assert scans
+        assert len(scans[-1].links) == len(batch)
+        assert all(len(link) == 32 for link in scans[-1].links)
 
     def test_write_exemplar_lands_in_histogram(self):
         db = make_db()
-        try:
-            db.write(zipf_docs(1, seed=1)[0])
-            snapshot = db.telemetry.metrics.snapshot()
-            entry = _histogram_entry(snapshot, "esdb_write_seconds")
-            assert entry["exemplars"]
-            assert len(entry["exemplars"][0][2]) == 32
-        finally:
-            db.close()
+        db.write(zipf_docs(1, seed=1)[0])
+        snapshot = db.telemetry.metrics.snapshot()
+        entry = _histogram_entry(snapshot, "esdb_write_seconds")
+        assert entry["exemplars"]
+        assert len(entry["exemplars"][0][2]) == 32
 
     def test_cat_events_table(self):
         db = ESDB(
@@ -533,21 +522,18 @@ class TestEsdbTracing:
                 consensus_interval=1.0,
             )
         )
-        try:
-            db.inject_fault("crash_node", 1)
-            db.recover("crash_node", 1)
-            table = cat_events(db)
-            assert table.columns == (
-                "at", "kind", "tenant", "trace_id", "shard", "detail"
-            )
-            assert len(table) == 2
-            filtered = cat_events(db, kind="fault_inject")
-            assert len(filtered) == 1
-            assert "fault=crash_node" in filtered.rows[0][-1]
-            rendered = table.render()
-            assert "fault_inject" in rendered and "fault_recover" in rendered
-        finally:
-            db.close()
+        db.inject_fault("crash_node", 1)
+        db.recover("crash_node", 1)
+        table = cat_events(db)
+        assert table.columns == (
+            "at", "kind", "tenant", "trace_id", "shard", "detail"
+        )
+        assert len(table) == 2
+        filtered = cat_events(db, kind="fault_inject")
+        assert len(filtered) == 1
+        assert "fault=crash_node" in filtered.rows[0][-1]
+        rendered = table.render()
+        assert "fault_inject" in rendered and "fault_recover" in rendered
 
 
 # -- diagnostics bundle --------------------------------------------------------
@@ -570,10 +556,7 @@ class TestDiagnosticsBundle:
         from repro.obsv import validate_bundle
 
         db = self._populated_db()
-        try:
-            bundle = db.diagnostics_bundle()
-        finally:
-            db.close()
+        bundle = db.diagnostics_bundle()
         assert validate_bundle(bundle) == []
         again = json.loads(json.dumps(bundle))
         assert again["kind"] == "esdb-diagnostics"
@@ -590,10 +573,7 @@ class TestDiagnosticsBundle:
             "missing required key" in problem for problem in validate_bundle({})
         )
         db = self._populated_db()
-        try:
-            bundle = db.diagnostics_bundle()
-        finally:
-            db.close()
+        bundle = db.diagnostics_bundle()
         bundle["schema_version"] = BUNDLE_SCHEMA_VERSION + 1
         assert any("schema_version" in p for p in validate_bundle(bundle))
         bundle["schema_version"] = BUNDLE_SCHEMA_VERSION
@@ -604,10 +584,7 @@ class TestDiagnosticsBundle:
         from repro.obsv import cluster_snapshot
 
         db = self._populated_db()
-        try:
-            snapshot = cluster_snapshot(db)
-        finally:
-            db.close()
+        snapshot = cluster_snapshot(db)
         assert set(snapshot["events"]) == {"counts", "total", "recent"}
 
     def test_cli_writes_validated_bundle(self, tmp_path, capsys):

@@ -16,7 +16,6 @@ import pytest
 from repro.cluster import ClusterTopology
 from repro.errors import InvalidDocumentError
 from repro.esdb import ESDB, EsdbConfig
-from repro.exec import ExecConfig
 from repro.obsv import ObsvConfig, cat_hotkeys
 from repro.slo import SloConfig, SloObjective
 from repro.storage import EngineConfig, Schema, ShardEngine, document
@@ -42,7 +41,6 @@ VARIANTS = {
     "tracing-off": {"tracing": TraceConfig.off()},
     "tenancy-on": {"tenancy": TenancyConfig.strict()},
     "slo-on": {"slo": ERROR_RATE_SLO, "tenancy": TenancyConfig.strict()},
-    "exec-threads": {"exec": ExecConfig.threads(workers=2)},
 }
 
 
@@ -126,44 +124,40 @@ class TestWriteIsTheOneDocumentBulkWrite:
     def test_write_equals_bulk_write_of_one(self, variant):
         docs = skewed_stream()
         single, bulk, batch = (make_db(**VARIANTS[variant]) for _ in range(3))
-        try:
-            rejected = 0
-            for doc in docs:
-                item = bulk.bulk_write([doc]).items[0]
-                try:
-                    shard_id = single.write(doc)
-                except Exception as exc:
-                    rejected += 1
-                    assert not item.ok and type(item.error) is type(exc)
-                else:
-                    assert item.ok and item.shard_id == shard_id
-            assert rejected >= 2
-            if single.slo is not None:
-                assert single.events.counts().get("slo_burn")
-            got, expected = observable_state(bulk), observable_state(single)
-            for key in expected:
-                assert got[key] == expected[key], key
-            metrics = bulk.telemetry.metrics
-            if bulk.telemetry.enabled:
-                assert metrics.value("esdb_bulk_writes_total") == len(docs)
-                assert metrics.value("esdb_bulk_docs_total") == len(docs) - rejected
-            assert single.telemetry.metrics.label_cardinality("esdb_bulk_writes_total") == 0
-            # One bulk of the whole stream places and stores the same
-            # documents (its clock and admission run ahead of the applies,
-            # so only ungoverned variants admit the same set).
-            batch_result = batch.bulk_write(docs)
-            if batch.governor is None:
-                assert batch_result.applied == len(docs) - rejected
-                assert batch._doc_shard == single._doc_shard
-            sql = "SELECT * FROM transaction_logs WHERE quantity >= 3"
-            for db in (single, bulk, batch):
-                db.refresh()
-            assert bulk.execute_sql(sql).rows == single.execute_sql(sql).rows
-            if batch.governor is None:
-                assert batch.execute_sql(sql).rows == single.execute_sql(sql).rows
-        finally:
-            for db in (single, bulk, batch):
-                db.close()
+        rejected = 0
+        for doc in docs:
+            item = bulk.bulk_write([doc]).items[0]
+            try:
+                shard_id = single.write(doc)
+            except Exception as exc:
+                rejected += 1
+                assert not item.ok and type(item.error) is type(exc)
+            else:
+                assert item.ok and item.shard_id == shard_id
+        assert rejected >= 2
+        if single.slo is not None:
+            assert single.events.counts().get("slo_burn")
+        got, expected = observable_state(bulk), observable_state(single)
+        for key in expected:
+            assert got[key] == expected[key], key
+        metrics = bulk.telemetry.metrics
+        if bulk.telemetry.enabled:
+            assert metrics.value("esdb_bulk_writes_total") == len(docs)
+            assert metrics.value("esdb_bulk_docs_total") == len(docs) - rejected
+        assert single.telemetry.metrics.label_cardinality("esdb_bulk_writes_total") == 0
+        # One bulk of the whole stream places and stores the same
+        # documents (its clock and admission run ahead of the applies,
+        # so only ungoverned variants admit the same set).
+        batch_result = batch.bulk_write(docs)
+        if batch.governor is None:
+            assert batch_result.applied == len(docs) - rejected
+            assert batch._doc_shard == single._doc_shard
+        sql = "SELECT * FROM transaction_logs WHERE quantity >= 3"
+        for db in (single, bulk, batch):
+            db.refresh()
+        assert bulk.execute_sql(sql).rows == single.execute_sql(sql).rows
+        if batch.governor is None:
+            assert batch.execute_sql(sql).rows == single.execute_sql(sql).rows
 
     def test_root_span_is_named_after_the_public_method(self):
         single, bulk = make_db(), make_db()
@@ -260,6 +254,9 @@ MALFORMED = {
     "no created_time": {"created_time": ABSENT},
 }
 
+#: The MALFORMED documents the facade's routing pass refuses.
+ROUTING_REFUSED = dict(list(MALFORMED.items())[3:])
+
 
 def spoil(doc: dict, change: dict) -> dict:
     doc.update(change)
@@ -279,34 +276,28 @@ def stored_state(db: ESDB) -> tuple:
 
 @pytest.mark.parametrize("change", MALFORMED.values(), ids=MALFORMED)
 class TestBulkAppliesEachDocumentOnce:
-    @pytest.mark.parametrize("exec_config", [None, ExecConfig.threads(workers=2)])
-    def test_one_malformed_document_does_not_replay_the_batch(self, exec_config, change):
-        overrides = {} if exec_config is None else {"exec": exec_config}
+    def test_one_malformed_document_does_not_replay_the_batch(self, change):
         db = make_db(
             topology=ClusterTopology(num_nodes=1, num_shards=1, replicas_per_shard=0),
-            **overrides,
         )
-        try:
-            docs = [make_log(i, created=float(i), amount=1.0) for i in range(1, 5)]
-            spoil(docs[2], change)
-            result = db.bulk_write(docs)
-            assert [item.ok for item in result.items] == [True, True, False, True]
-            assert [item.position for item in result.items] == [0, 1, 2, 3]
-            error = result.items[2].error
-            assert isinstance(error, InvalidDocumentError)
-            assert next(iter(change)) in str(error)
-            engine = db.engines[0]
-            assert engine.stats.writes == 3 and engine.stats.deletes == 0
-            assert len(engine.translog) == 3
-            assert db.telemetry.metrics.total("engine_writes_total") == 3
-            assert db.telemetry.metrics.total("esdb_writes_total") == 3
-            assert db._doc_shard.keys() == {1, 2, 4}
-            db.refresh()
-            assert db.doc_count() == 3
-            engine.simulate_crash()
-            assert engine.recover_from_translog() == 3
-        finally:
-            db.close()
+        docs = [make_log(i, created=float(i), amount=1.0) for i in range(1, 5)]
+        spoil(docs[2], change)
+        result = db.bulk_write(docs)
+        assert [item.ok for item in result.items] == [True, True, False, True]
+        assert [item.position for item in result.items] == [0, 1, 2, 3]
+        error = result.items[2].error
+        assert isinstance(error, InvalidDocumentError)
+        assert next(iter(change)) in str(error)
+        engine = db.engines[0]
+        assert engine.stats.writes == 3 and engine.stats.deletes == 0
+        assert len(engine.translog) == 3
+        assert db.telemetry.metrics.total("engine_writes_total") == 3
+        assert db.telemetry.metrics.total("esdb_writes_total") == 3
+        assert db._doc_shard.keys() == {1, 2, 4}
+        db.refresh()
+        assert db.doc_count() == 3
+        engine.simulate_crash()
+        assert engine.recover_from_translog() == 3
 
     def test_rejected_single_write_leaves_no_trace(self, change):
         db = make_db()
@@ -320,3 +311,26 @@ class TestBulkAppliesEachDocumentOnce:
         for engine in db.engines.values():
             engine.simulate_crash()
         assert sum(e.recover_from_translog() for e in db.engines.values()) == 1
+
+
+@pytest.mark.parametrize("change", ROUTING_REFUSED.values(), ids=ROUTING_REFUSED)
+def test_stop_on_error_applies_nothing_after_a_refused_document(change):
+    db = make_db(
+        topology=ClusterTopology(num_nodes=1, num_shards=1, replicas_per_shard=0),
+    )
+    docs = [make_log(i, created=float(i), amount=1.0) for i in range(1, 5)]
+    spoil(docs[2], change)
+    result = db.bulk_write(docs, stop_on_error=True)
+    assert [item.ok for item in result.items] == [True, True, False, False]
+    error = result.items[2].error
+    assert isinstance(error, InvalidDocumentError)
+    assert result.items[3].error is error
+    with pytest.raises(InvalidDocumentError, match=next(iter(change))):
+        result.raise_first()
+    engine = db.engines[0]
+    assert engine.stats.writes == 2 and len(engine.translog) == 2
+    assert db._doc_shard.keys() == {1, 2}
+    db.refresh()
+    assert db.doc_count() == 2
+    engine.simulate_crash()
+    assert engine.recover_from_translog() == 2
