@@ -38,7 +38,6 @@ from repro.cluster import Cluster, ClusterTopology
 from repro.indexing import FrequencyTracker
 from repro.obsv import Observer, ObsvConfig
 from repro.obsv import runtime as obsv_runtime
-from repro.obsv.dashboard import cluster_snapshot, render_dashboard
 from repro.consensus import ConsensusConfig, ConsensusMaster, Participant, RuleProposal
 from repro.errors import (
     ConsensusAborted,
@@ -84,12 +83,7 @@ from repro.telemetry import (
 )
 from repro.tenancy import TenancyConfig, TenantGovernor, doc_bytes
 from repro.telemetry.runtime import default_telemetry
-from repro.telemetry.timeseries import (
-    DASHBOARD_SERIES,
-    TimeSeriesStore,
-    install_esdb_derivations,
-    sparkline,
-)
+from repro.telemetry.timeseries import TimeSeriesStore, install_esdb_derivations
 
 if TYPE_CHECKING:
     from repro.replication import ReplicaSet
@@ -118,15 +112,16 @@ class EsdbConfig:
             enabling :meth:`ESDB.replicate` and :meth:`ESDB.fail_primary`.
         telemetry_enabled: collect metrics and traces for this instance
             (default). With False the instance runs on the no-op telemetry
-            singletons — near-zero overhead, empty :meth:`ESDB.stats_report`
-            counters.
+            singletons — near-zero overhead, and the report
+            (:func:`repro.obsv.render_report`) shows no registry counters.
         cache: the three query-cache levels (:mod:`repro.cache`): per-shard
             segment filter cache, shard request cache, coordinator result
             cache. Each level is individually disableable and byte-budgeted;
             ``CacheConfig.off()`` is the caches-off baseline.
         obsv: the observability layer (:mod:`repro.obsv`): index/search
             slow logs, rolling-window skew analytics with hot-tenant /
-            hot-shard alerts, and the ``_cat`` / dashboard surfaces.
+            hot-shard alerts, and the slow-log and skew sections of
+            :func:`repro.obsv.snapshot`.
             ``ObsvConfig.off()`` removes the observer; the write path then
             pays one ``is not None`` check.
         timeseries_enabled / timeseries_interval / timeseries_capacity:
@@ -150,8 +145,8 @@ class EsdbConfig:
             W3C-shaped trace id, with head-based sampling (``always`` /
             ``ratio`` / ``slow-tail``),
             trace-id exemplars on latency histograms, and a structured
-            event log behind :func:`repro.obsv.cat_events` and
-            :meth:`ESDB.diagnostics_bundle`. ``TraceConfig.off()``
+            event log behind :func:`repro.obsv.cat_events` and the
+            diagnostics bundle. ``TraceConfig.off()``
             restores the pre-trace span trees bit-for-bit.
         slo: service-level objectives and heavy-hitter attribution
             (:mod:`repro.slo`). Disabled by default — the instance then
@@ -1145,43 +1140,9 @@ class ESDB:
     def doc_count(self) -> int:
         return sum(e.doc_count() for e in self.engines.values())
 
-    def shard_doc_counts(self) -> dict[int, int]:
-        return {sid: e.doc_count() for sid, e in self.engines.items()}
-
     def tenant_fanout(self, tenant_id: object) -> int:
         """Subqueries a query for *tenant_id* currently requires."""
         return len(self.policy.query_shards(tenant_id))
-
-    # -- dashboard and flight recorder (``_cat`` tables: repro.obsv.cat) -------
-    def diagnostics_bundle(self) -> dict:
-        """One-call flight recording: config summary, cat tables, time
-        series, recent traces, events and slow logs in a single JSON-ready
-        dict (see :mod:`repro.obsv.bundle` for the schema)."""
-        from repro.obsv.bundle import diagnostics_bundle
-
-        return diagnostics_bundle(self)
-
-    def sample_timeseries(self, now: float | None = None, force: bool = False) -> bool:
-        """Take a performance-history sample at *now* (default: the
-        instance's logical clock). ``force=True`` samples even between
-        interval boundaries. Returns whether a sample was taken."""
-        if self.timeseries is None:
-            return False
-        at = self._clock if now is None else now
-        self.advance_clock(at)
-        if force:
-            self.timeseries.sample(at)
-            return True
-        return self.timeseries.maybe_sample(at)
-
-    def dashboard(self) -> str:
-        """The one-page text dashboard (nodes, shard heatmap, top tenants,
-        alerts, slow-log tail) — see also ``python -m repro.obsv``."""
-        return render_dashboard(self)
-
-    def obsv_snapshot(self) -> dict:
-        """The dashboard as a JSON-ready dict."""
-        return cluster_snapshot(self)
 
     def suggest_subattribute_indexes(self, k: int = 30) -> frozenset:
         """Frequency-based indexing advisor (§3.2): the top-*k* sub-attributes
@@ -1263,147 +1224,3 @@ class ESDB:
     def list_indexes(self) -> list[str]:
         """Composite indexes currently usable by the optimizer."""
         return sorted("_".join(columns) for columns in self._catalog.composite_indexes)
-
-    def stats_report(self) -> str:
-        """Human-readable instance report built from the telemetry registry:
-        topology, per-node document distribution, engine counters, latency
-        quantiles, optimizer plan picks, cache hit rates, consensus rounds,
-        slow-log and skew summaries, and committed routing rules.
-
-        The report is assembled from named sections rendered in sorted
-        section order (deterministic output for diffing). With telemetry
-        disabled the engine counter lines fall back to the engines' local
-        :class:`~repro.storage.engine.EngineStats` and the registry-only
-        sections are omitted.
-        """
-        metrics = self.telemetry.metrics
-        sections: dict[str, list[str]] = {}
-        cluster_lines = [self.cluster.describe()]
-        per_node: dict[int, int] = {n.node_id: 0 for n in self.cluster.nodes}
-        for shard_id, engine in self.engines.items():
-            per_node[self.cluster.shard(shard_id).node_id] += engine.doc_count()
-        cluster_lines.append("documents per node:")
-        for node_id, count in sorted(per_node.items()):
-            cluster_lines.append(f"  node-{node_id}: {count}")
-        sections["cluster"] = cluster_lines
-        if self.telemetry.enabled:
-            writes = int(metrics.total("engine_writes_total"))
-            refreshes = int(metrics.total("engine_refreshes_total"))
-            merges = int(metrics.total("engine_merges_total"))
-        else:
-            writes = sum(e.stats.writes for e in self.engines.values())
-            refreshes = sum(e.stats.refreshes for e in self.engines.values())
-            merges = sum(e.stats.merges for e in self.engines.values())
-        segments = sum(e.segment_count() for e in self.engines.values())
-        sections["engines"] = [
-            f"engines: {writes} writes, {refreshes} refreshes, {merges} merges, "
-            f"{segments} live segments"
-        ]
-        sections.update(self._registry_report_sections())
-        sections.update(self._timeseries_report_section())
-        if self.obsv is not None:
-            sections.update(self.obsv.report_lines())
-        if self.governor is not None:
-            sections["tenancy"] = self.governor.report_lines()
-        if self.slo is not None:
-            sections["slo"] = self.slo.report_lines()
-        if self.hotkeys is not None:
-            sections["hotkeys"] = self.hotkeys.report_lines()
-        if isinstance(self.policy, DynamicSecondaryHashRouting):
-            rules = self.policy.rules
-            rule_lines = [f"routing rules: {len(rules)} committed"]
-            for rule in list(rules)[:10]:
-                tenants = sorted(map(str, rule.tenants))[:5]
-                suffix = ", ..." if len(rule.tenants) > 5 else ""
-                rule_lines.append(
-                    f"  t={rule.effective_time:.2f} s={rule.offset} "
-                    f"tenants=[{', '.join(tenants)}{suffix}]"
-                )
-            sections["routing"] = rule_lines
-        lines: list[str] = []
-        for name in sorted(sections):
-            lines.extend(sections[name])
-        return "\n".join(lines)
-
-    def _timeseries_report_section(self) -> dict[str, list[str]]:
-        """The performance-history section of :meth:`stats_report` —
-        well-formed (header-only) when the store is disabled, empty, or
-        running against the no-op registry."""
-        store = self.timeseries
-        if store is None:
-            return {}
-        lines = [
-            f"history: {store.samples_taken} samples @ {store.interval:g}s, "
-            f"{len(store.all_series())} series"
-        ]
-        for label, name in DASHBOARD_SERIES:
-            series = store.get(name)
-            if series is None or not len(series):
-                continue
-            summary = series.summary()
-            lines.append(
-                f"  {label:<14} {sparkline(series.values(), width=32)} "
-                f"last={summary['last']:.3f} max={summary['max']:.3f}"
-            )
-        return {"timeseries": lines}
-
-    def _registry_report_sections(self) -> dict[str, list[str]]:
-        """Registry-derived report sections (empty when telemetry is off)."""
-        if not self.telemetry.enabled:
-            return {}
-        metrics = self.telemetry.metrics
-        sections: dict[str, list[str]] = {}
-        queries = int(metrics.total("esdb_queries_total"))
-        if queries:
-            subqueries = int(metrics.total("esdb_subqueries_total"))
-            sections["queries"] = [
-                f"queries: {queries} executed, "
-                f"avg fan-out {subqueries / queries:.1f} shard(s)"
-            ]
-        picks = {
-            metric.labels["path"]: int(metric.value)
-            for metric in metrics.series("optimizer_plan_picks_total")
-        }
-        if picks:
-            rendered = ", ".join(f"{path}={count}" for path, count in sorted(picks.items()))
-            sections["optimizer"] = [f"optimizer picks: {rendered}"]
-        latency_lines = []
-        for title, name in (
-            ("write latency", "esdb_write_seconds"),
-            ("query latency", "esdb_query_seconds"),
-        ):
-            histogram = metrics.get(name)
-            if histogram is not None and histogram.count:
-                p = histogram.summary()
-                latency_lines.append(
-                    f"{title}: p50={p['p50'] * 1e3:.3f}ms p95={p['p95'] * 1e3:.3f}ms "
-                    f"p99={p['p99'] * 1e3:.3f}ms max={p['max'] * 1e3:.3f}ms"
-                )
-        if latency_lines:
-            sections["latency"] = latency_lines
-        cache_lines = []
-        for level in ("filter", "request", "result"):
-            hits = int(metrics.value("cache_hits_total", level=level))
-            misses = int(metrics.value("cache_misses_total", level=level))
-            if hits + misses == 0:
-                continue
-            evictions = int(metrics.value("cache_evictions_total", level=level))
-            size = int(metrics.value("cache_bytes", level=level))
-            rate = 100.0 * hits / (hits + misses)
-            cache_lines.append(
-                f"cache[{level}]: {hits} hits / {misses} misses "
-                f"({rate:.1f}% hit), {evictions} evictions, {size} bytes"
-            )
-        if cache_lines:
-            sections["cache"] = cache_lines
-        rounds = {
-            metric.labels["outcome"]: int(metric.value)
-            for metric in metrics.series("consensus_rounds_total")
-        }
-        if rounds:
-            sections["consensus"] = [
-                "consensus rounds: "
-                f"{rounds.get('committed', 0)} committed, "
-                f"{rounds.get('aborted', 0)} aborted"
-            ]
-        return sections

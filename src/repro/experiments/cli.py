@@ -133,13 +133,13 @@ def main(argv: list | None = None) -> int:
         if args.dashboard or args.history:
             from repro.obsv import runtime as obsv_runtime
 
+            from repro.obsv import cat_timeseries, render_dashboard, snapshot
+
             for db in obsv_runtime.stop_capture():
                 if args.dashboard:
-                    print(db.dashboard())
+                    print(render_dashboard(snapshot(db)))
                     print()
                 if args.history:
-                    from repro.obsv import cat_timeseries
-
                     print(cat_timeseries(db).render())
                     print()
         if profile is not None:

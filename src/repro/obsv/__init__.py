@@ -1,10 +1,24 @@
 """repro.obsv — cluster introspection, slow logs, live skew analytics.
 
-The operator surface on top of :mod:`repro.telemetry`:
+The operator surface on top of :mod:`repro.telemetry`, built as one reader
+and N renderers:
 
-* ``_cat``-style snapshot tables (:func:`cat_nodes`, :func:`cat_shards`,
-  :func:`cat_tenants`, :func:`cat_rules`, :func:`cat_caches`) — structured
-  rows plus aligned-column text, exactly the shape of ``GET _cat/...``;
+* **one reader** — :func:`snapshot` (:mod:`repro.obsv.snapshot`) is the
+  only code that reads operator state off an instance (governor, SLO
+  engine, profiler, observer, history, event log, fault injector) and
+  returns it as one JSON-ready dict, which is also the flight-recorder
+  **diagnostics bundle** (:func:`diagnostics_bundle`, schema-checked by
+  :func:`validate_bundle`, ``python -m repro.obsv --bundle out.json``);
+* **renderers** of that dict, which never touch the instance: the text
+  report (:func:`render_report`), the dashboard (:func:`render_dashboard`,
+  ``python -m repro.obsv``), the JSON cluster snapshot
+  (``python -m repro.obsv --json``, the dict's ``cluster`` section) and the
+  ``_cat``-style tables (:func:`cat_nodes`, :func:`cat_shards`,
+  :func:`cat_tenants`, :func:`cat_rules`, :func:`cat_caches`,
+  :func:`cat_events`, ...) — structured rows plus aligned-column text,
+  exactly the shape of ``GET _cat/...``. A table also accepts a live
+  instance and reads only its own section; a bundle loaded from disk
+  renders exactly as the live instance did;
 * index/search **slow logs** (:class:`SlowLog`) with warn/info thresholds,
   each entry carrying tenant, shard, elapsed time and the operation's full
   span tree;
@@ -12,17 +26,12 @@ The operator surface on top of :mod:`repro.telemetry`:
   :class:`WindowStats`): per-shard and per-tenant CV, Gini and max/mean
   imbalance, a hot-tenant / hot-shard :class:`Alert` detector, and the
   measurement that annotates each committed routing rule ("why did
-  L(k1) grow");
-* a text **dashboard** / JSON snapshot (:func:`render_dashboard`,
-  :func:`cluster_snapshot`, ``python -m repro.obsv``);
-* the **structured event log** table (:func:`cat_events`) and the
-  flight-recorder **diagnostics bundle** (:func:`diagnostics_bundle`,
-  :func:`validate_bundle`, ``python -m repro.obsv --bundle out.json``) —
-  one JSON capture of traces, events, metrics, faults and slow logs.
+  L(k1) grow").
 
-One :class:`Observer` per database instance glues it together; the ESDB
-facade builds it from :class:`ObsvConfig` (``EsdbConfig.obsv``) and the
-simulator reuses the analytics pieces directly.
+One :class:`Observer` per database instance holds the slow logs and skew
+windows; the ESDB facade builds it from :class:`ObsvConfig`
+(``EsdbConfig.obsv``) and the simulator reuses the analytics pieces
+directly.
 """
 
 from repro.obsv.bundle import (
@@ -45,13 +54,9 @@ from repro.obsv.cat import (
     cat_timeseries,
 )
 from repro.obsv.config import DISABLED, ObsvConfig
-from repro.obsv.dashboard import (
-    cluster_snapshot,
-    performance_history,
-    render_dashboard,
-    shard_heatmap,
-)
+from repro.obsv.dashboard import render_dashboard, shard_heatmap
 from repro.obsv.observer import Observer
+from repro.obsv.report import render_report
 from repro.obsv.skew import (
     Alert,
     SkewWindow,
@@ -65,6 +70,7 @@ from repro.obsv.skew import (
     summarize_windows,
 )
 from repro.obsv.slowlog import SlowLog, SlowLogEntry
+from repro.obsv.snapshot import snapshot
 
 __all__ = [
     "Alert",
@@ -89,16 +95,16 @@ __all__ = [
     "cat_slo",
     "cat_tenants",
     "cat_timeseries",
-    "cluster_snapshot",
     "diagnostics_bundle",
     "coefficient_of_variation",
     "detect_alerts",
     "gini",
     "max_mean_ratio",
-    "performance_history",
     "render_dashboard",
+    "render_report",
     "rule_measurement",
     "shard_heatmap",
+    "snapshot",
     "summarize_windows",
     "validate_bundle",
 ]

@@ -162,9 +162,10 @@ def main(argv: list | None = None) -> int:
     if args.writes < 1:
         print("--writes must be >= 1", file=sys.stderr)
         return 2
-    from repro.obsv.bundle import diagnostics_bundle, validate_bundle
+    from repro.obsv.bundle import validate_bundle
     from repro.obsv.cat import cat_events, cat_hotkeys, cat_slo
-    from repro.obsv.dashboard import cluster_snapshot, render_dashboard
+    from repro.obsv.dashboard import burn_alert_line, render_dashboard
+    from repro.obsv.snapshot import snapshot
 
     db = build_demo(
         seed=args.seed,
@@ -173,42 +174,38 @@ def main(argv: list | None = None) -> int:
         chaos=args.chaos,
         slo=args.slo,
     )
+    snap = snapshot(db)
     if args.bundle is not None:
-        bundle = diagnostics_bundle(db)
-        problems = validate_bundle(bundle)
+        problems = validate_bundle(snap)
         if problems:
             for problem in problems:
                 print(f"invalid bundle: {problem}", file=sys.stderr)
             return 1
         with open(args.bundle, "w", encoding="utf-8") as handle:
-            json.dump(bundle, handle, indent=2, sort_keys=True)
+            json.dump(snap, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(
             f"wrote diagnostics bundle to {args.bundle} "
-            f"({len(bundle['events']['entries'])} event(s), "
-            f"{len(bundle['traces'])} trace(s))"
+            f"({len(snap['events']['entries'])} event(s), "
+            f"{len(snap['traces'])} trace(s))"
         )
         return 0
     if args.events:
-        print(cat_events(db, kind=args.kind, tenant=args.tenant).render())
+        print(cat_events(snap, kind=args.kind, tenant=args.tenant).render())
         return 0
     if args.slo and not args.json:
-        lines = ["== slo objectives ==", cat_slo(db).render()]
-        if db.slo is not None and db.slo.alerts:
+        lines = ["== slo objectives ==", cat_slo(snap).render()]
+        alerts = snap["slo"]["alerts"]
+        if alerts:
             lines.append("== burn alerts ==")
-            lines += [
-                f"  {alert.kind} {alert.slo} @ t={alert.time:.2f} "
-                f"burn={alert.fast_burn:.2f}/{alert.slow_burn:.2f} "
-                f"budget={alert.budget_remaining_pct:.1f}%"
-                for alert in db.slo.alerts
-            ]
-        lines += ["== heavy hitters ==", cat_hotkeys(db, k=5).render()]
+            lines += [burn_alert_line(alert) for alert in alerts]
+        lines += ["== heavy hitters ==", cat_hotkeys(snap, k=5).render()]
         print("\n".join(lines))
         return 0
     if args.json:
-        print(json.dumps(cluster_snapshot(db), indent=2, sort_keys=True))
+        print(json.dumps(snap["cluster"], indent=2, sort_keys=True))
     else:
-        print(render_dashboard(db))
+        print(render_dashboard(snap))
     return 0
 
 

@@ -1,24 +1,21 @@
-"""The flight-recorder diagnostics bundle: one JSON dump of everything.
+"""The flight-recorder diagnostics bundle and its schema check.
 
-``diagnostics_bundle(db)`` captures the full observability surface of a
-live instance in a single JSON-ready dict — the artifact an operator (or
-CI) attaches to a bug report so the failure can be diagnosed without
-reproducing it: cluster snapshot, metric registry, recent trace trees,
-the structured event log, the fault log and the slow-log tails. The shape
-is versioned (:data:`BUNDLE_SCHEMA_VERSION`) and checked by
-:func:`validate_bundle`, which returns a list of problems (empty = valid)
-instead of raising — CI treats a non-empty list as a failed smoke step.
+The bundle is :func:`repro.obsv.snapshot`'s dict — everything an operator
+can see of a live instance in one JSON-ready capture, the artifact an
+operator (or CI) attaches to a bug report so the failure can be diagnosed
+without reproducing it: cluster snapshot, metric registry, recent trace
+trees, the structured event log, the fault log and the slow-log tails.
+The report and dashboard render a bundle loaded from disk exactly as they
+render the live instance. The shape is versioned
+(:data:`BUNDLE_SCHEMA_VERSION`) and checked by :func:`validate_bundle`,
+which returns a list of problems (empty = valid) instead of raising — CI
+treats a non-empty list as a failed smoke step.
 """
 
 from __future__ import annotations
 
-from repro.obsv.cat import cat_events, cat_faults
-from repro.obsv.dashboard import cluster_snapshot
+from repro.obsv.snapshot import BUNDLE_SCHEMA_VERSION, snapshot
 from repro.telemetry.events import EVENT_KINDS
-
-#: Bumped whenever a required key is added/renamed; validators pin it.
-#: v2 added the always-present ``slo`` / ``hotkeys`` sections.
-BUNDLE_SCHEMA_VERSION = 2
 
 #: Top-level keys every bundle must carry, with their required types.
 _REQUIRED_KEYS: dict[str, type] = {
@@ -35,73 +32,10 @@ _REQUIRED_KEYS: dict[str, type] = {
     "hotkeys": dict,
 }
 
-#: Maximum finished traces serialised into a bundle.
-MAX_BUNDLE_TRACES = 20
-
-
-def _trace_dicts(db, limit: int = MAX_BUNDLE_TRACES) -> list:
-    """The most recent finished root spans as dicts, oldest first."""
-    tracer = getattr(db.telemetry, "tracer", None)
-    finished = list(getattr(tracer, "finished", ()) or ())
-    return [span.to_dict() for span in finished[-limit:]]
-
-
-def _tracing_summary(db) -> dict:
-    """The effective tracing configuration plus id-generator progress."""
-    config = getattr(db.config, "tracing", None)
-    generator = getattr(db, "trace_ids", None)
-    return {
-        "enabled": bool(config is not None and config.enabled),
-        "sampler": config.sampler if config is not None else "always",
-        "ratio": config.ratio if config is not None else 1.0,
-        "slow_tail_seconds": (
-            config.slow_tail_seconds if config is not None else 0.0
-        ),
-        "traces_started": generator.issued if generator is not None else 0,
-    }
-
-
-def _slo_section(db) -> dict:
-    """The bundle's ``slo`` section — always present, well-formed empty
-    when SLO tracking is disabled (consumers never need a presence check)."""
-    engine = getattr(db, "slo", None)
-    if engine is None:
-        return {"enabled": False, "evaluations": 0, "objectives": [],
-                "alerts": []}
-    return engine.snapshot()
-
-
-def _hotkeys_section(db) -> dict:
-    """The bundle's ``hotkeys`` section — always present, well-formed
-    empty when the heavy-hitter profiler is disabled."""
-    profiler = getattr(db, "hotkeys", None)
-    if profiler is None:
-        return {"enabled": False, "sketch_capacity": 0, "decays": 0,
-                "dropped_tenants": 0, "concentration_pct": 0.0,
-                "shards": {}, "tenants": {}}
-    return profiler.snapshot()
-
 
 def diagnostics_bundle(db) -> dict:
     """One JSON-ready flight recording of *db*'s observable state."""
-    events = getattr(db, "events", None)
-    return {
-        "schema_version": BUNDLE_SCHEMA_VERSION,
-        "kind": "esdb-diagnostics",
-        "time": float(db.now),
-        "cluster": cluster_snapshot(db),
-        "metrics": db.telemetry.metrics.snapshot(),
-        "events": {
-            "counts": events.counts() if events is not None else {},
-            "total": events.total if events is not None else 0,
-            "entries": cat_events(db).to_dicts(),
-        },
-        "faults": cat_faults(db).to_dicts(),
-        "traces": _trace_dicts(db),
-        "tracing": _tracing_summary(db),
-        "slo": _slo_section(db),
-        "hotkeys": _hotkeys_section(db),
-    }
+    return snapshot(db)
 
 
 def validate_bundle(bundle) -> list[str]:

@@ -1,31 +1,39 @@
-"""The text dashboard and the JSON cluster snapshot.
+"""The text dashboard, rendered from a snapshot.
 
-``render_dashboard(db)`` composes one terminal-friendly page from the
-``_cat`` tables and the observer: topology header, node table, a per-shard
-document heatmap, the top-k tenants, recent skew alerts and the slow-log
-tail. ``cluster_snapshot(db)`` is the same information as a JSON-ready
-dict (the ``python -m repro.obsv --json`` payload and the CI artifact).
+``render_dashboard(snap)`` composes one terminal-friendly page from the
+dict :func:`repro.obsv.snapshot` returns: topology header, node table, a
+per-shard document heatmap, the top-k tenants, routing rules, governance,
+SLOs, arrivals, heavy hitters, caches, performance history, events, recent
+skew alerts and the slow-log tail. It never reads the instance, so a saved
+bundle renders exactly as the live instance did.
 """
 
 from __future__ import annotations
 
 from repro.obsv.cat import (
-    _engine_docs,
     cat_caches,
     cat_exec,
     cat_hotkeys,
     cat_nodes,
     cat_rules,
-    cat_shards,
     cat_slo,
     cat_tenants,
 )
-from repro.telemetry.timeseries import DASHBOARD_SERIES, sparkline
+from repro.obsv.skew import Alert, describe_window
+from repro.obsv.slowlog import SlowLogEntry
+from repro.telemetry.events import Event
+from repro.telemetry.timeseries import DASHBOARD_SERIES, sparkline, summarize_values
 
 #: Heat ramp from cold to hot, index scaled by load relative to the max.
 _HEAT = " .:-=+*#%@"
 #: Shards rendered per heatmap line.
 _HEAT_WRAP = 64
+#: The SLO section's sparkline rows.
+_SLO_SERIES = (
+    ("budget min %", "slo.budget_min_pct"),
+    ("burn fast max", "slo.burn_fast_max"),
+    ("burn slow max", "slo.burn_slow_max"),
+)
 
 
 def shard_heatmap(counts: dict) -> str:
@@ -52,114 +60,89 @@ def shard_heatmap(counts: dict) -> str:
     return "\n".join(lines)
 
 
-def _shard_docs(db) -> dict:
-    """Per-shard ingested documents, buffered writes included."""
-    return {
-        shard_id: _engine_docs(engine) for shard_id, engine in db.engines.items()
+def history_lines(
+    timeseries: dict, rows=DASHBOARD_SERIES, width: int = 40, with_max: bool = False
+) -> list[str]:
+    """One sparkline line per ``(label, series name)`` row that has
+    samples in a snapshot's ``timeseries`` section."""
+    values_by_name = {
+        series["name"]: series["values"]
+        for series in timeseries["series"]
+        if not series["labels"]
     }
-
-
-def performance_history(db, width: int = 40) -> str:
-    """Sparkline strip per key series from the instance's
-    :class:`~repro.telemetry.timeseries.TimeSeriesStore`.
-
-    Renders the :data:`~repro.telemetry.timeseries.DASHBOARD_SERIES` rows
-    that have samples; degrades to ``(no samples)`` when the store is
-    disabled, empty, or backed by the no-op registry — never raises.
-    """
-    store = getattr(db, "timeseries", None)
-    if store is None:
-        return "  (history disabled)"
     lines = []
-    for label, name in DASHBOARD_SERIES:
-        series = store.get(name)
-        if series is None or not len(series):
+    for label, name in rows:
+        values = values_by_name.get(name)
+        if not values:
             continue
-        summary = series.summary()
-        lines.append(
-            f"  {label:<14} {sparkline(series.values(), width=width)} "
-            f"last={summary['last']:.3f}"
-        )
-    if not lines:
-        return "  (no samples)"
-    lines.append(
-        f"  {store.samples_taken} samples @ {store.interval:g}s logical interval, "
-        f"ring capacity {store.capacity}"
+        summary = summarize_values(values)
+        line = f"  {label:<14} {sparkline(values, width=width)} last={summary['last']:.3f}"
+        if with_max:
+            line += f" max={summary['max']:.3f}"
+        lines.append(line)
+    return lines
+
+
+def burn_alert_line(alert: dict) -> str:
+    """One SLO burn alert (a snapshot ``slo.alerts`` entry)."""
+    return (
+        f"  {alert['kind']} {alert['slo']} @ t={alert['time']:.2f} "
+        f"burn={alert['fast_burn']:.2f}/{alert['slow_burn']:.2f} "
+        f"budget={alert['budget_remaining_pct']:.1f}%"
     )
-    return "\n".join(lines)
 
 
-def render_dashboard(db) -> str:
+def render_dashboard(snap: dict) -> str:
     """One text page of cluster health: the operator's ``watch`` target."""
-    cluster = db.cluster
-    observer = getattr(db, "obsv", None)
-    top_k = observer.config.top_k if observer is not None else 10
-    shard_docs = _shard_docs(db)
+    cluster = snap["cluster"]
+    totals = cluster["totals"]
+    top_k = cluster.get("top_k", 10)
     sections = [
         (
-            f"== esdb dashboard :: {cluster.num_nodes} nodes / "
-            f"{cluster.num_shards} shards / {sum(shard_docs.values())} docs / "
-            f"t={db.now:.2f} =="
+            f"== esdb dashboard :: {totals['nodes']} nodes / "
+            f"{totals['shards']} shards / {totals['docs']} docs / "
+            f"t={cluster['time']:.2f} =="
         ),
         "",
         "-- nodes --",
-        cat_nodes(db).render(),
+        cat_nodes(snap).render(),
         "",
         "-- shard heatmap (docs) --",
-        shard_heatmap(shard_docs),
+        shard_heatmap({row["shard"]: row["docs"] for row in cluster["shards"]}),
         "",
         f"-- top {top_k} tenants --",
-        cat_tenants(db, k=top_k).render(),
+        cat_tenants(snap, k=top_k).render(),
     ]
-    rules = cat_rules(db)
+    rules = cat_rules(snap)
     if len(rules):
         sections += ["", "-- routing rules --", rules.render()]
-    governor = getattr(db, "governor", None)
-    if governor is not None:
-        totals = governor.totals()
+    tenancy = cluster.get("tenancy")
+    if tenancy is not None:
+        counts = tenancy["totals"]
         sections += [
             "",
             "-- tenancy governance --",
             (
-                f"  {totals['admitted']} admitted / {totals['queued']} queued / "
-                f"{totals['shed']} shed, queue depth "
-                f"{governor.queue_depth(db.now)}/{governor.config.queue_capacity}, "
-                f"{totals['demotions']} demotion(s)"
+                f"  {counts['admitted']} admitted / {counts['queued']} queued / "
+                f"{counts['shed']} shed, queue depth "
+                f"{tenancy['queue_depth']}/{tenancy['queue_capacity']}, "
+                f"{counts['demotions']} demotion(s)"
             ),
         ]
-    slo_engine = getattr(db, "slo", None)
-    if slo_engine is not None:
-        sections += ["", "-- slo --", cat_slo(db).render()]
-        store = getattr(db, "timeseries", None)
-        if store is not None:
-            for label, name in (
-                ("budget min %", "slo.budget_min_pct"),
-                ("burn fast max", "slo.burn_fast_max"),
-                ("burn slow max", "slo.burn_slow_max"),
-            ):
-                series = store.get(name)
-                if series is None or not len(series):
-                    continue
-                summary = series.summary()
-                sections.append(
-                    f"  {label:<14} {sparkline(series.values(), width=40)} "
-                    f"last={summary['last']:.3f}"
-                )
-        for alert in slo_engine.recent_alerts(5):
-            sections.append(
-                f"  {alert.kind} {alert.slo} @ t={alert.time:.2f} "
-                f"burn={alert.fast_burn:.2f}/{alert.slow_burn:.2f} "
-                f"budget={alert.budget_remaining_pct:.1f}%"
-            )
-    arrivals = getattr(db, "arrivals", None)
+    slo = cluster.get("slo")
+    if slo is not None:
+        sections += ["", "-- slo --", cat_slo(snap).render()]
+        sections += history_lines(cluster["timeseries"], _SLO_SERIES)
+        sections += [burn_alert_line(alert) for alert in slo["alerts"][-5:]]
+    arrivals = cluster.get("arrivals")
     if arrivals is not None:
-        quantiles = arrivals.interarrival_quantiles()
+        quantiles = arrivals["interarrival"]
         sections += [
             "",
             "-- workload arrivals --",
             (
-                f"  {arrivals.count} arrivals @ {arrivals.realized_rate:.1f}/s, "
-                f"burstiness {arrivals.burstiness:+.2f}"
+                f"  {arrivals['count']} arrivals @ {arrivals['realized_rate']:.1f}/s, "
+                f"burstiness {arrivals['burstiness']:+.2f}"
             ),
             (
                 f"  interarrival p50={quantiles['p50'] * 1000:.1f}ms "
@@ -167,106 +150,59 @@ def render_dashboard(db) -> str:
                 f"p99={quantiles['p99'] * 1000:.1f}ms"
             ),
             (
-                f"  live flash tenants {arrivals.live_tenants} "
-                f"(peak {arrivals.peak_live_tenants})"
+                f"  live flash tenants {arrivals['live_tenants']} "
+                f"(peak {arrivals['peak_live_tenants']})"
             ),
         ]
-    profiler = getattr(db, "hotkeys", None)
-    if profiler is not None:
+    if "hotkeys" in cluster:
         sections += ["", "-- heavy hitters --"]
-        hot_table = cat_hotkeys(db, k=3)
+        hot_table = cat_hotkeys(snap, k=3)
         if len(hot_table):
             sections.append(hot_table.render())
         else:
             sections.append("  (no traffic profiled)")
-    sections += ["", "-- caches --", cat_caches(db).render()]
-    exec_table = cat_exec(db)
+    sections += ["", "-- caches --", cat_caches(snap).render()]
+    exec_table = cat_exec(snap)
     if len(exec_table):
         sections += ["", "-- batched execution --", exec_table.render()]
-    sections += ["", "-- performance history --", performance_history(db)]
-    events = getattr(db, "events", None)
-    if events is not None:
-        counts = events.counts()
-        summary = (
-            ", ".join(f"{kind}={count}" for kind, count in sorted(counts.items()))
-            if counts
-            else "(none)"
-        )
-        sections += ["", "-- events --", f"  {summary}"]
-        sections += [f"  {event.describe()}" for event in events.tail(5)]
+    sections += ["", "-- performance history --"]
+    timeseries = cluster["timeseries"]
+    history = history_lines(timeseries)
+    if not timeseries["capacity"]:
+        sections.append("  (history disabled)")
+    elif not history:
+        sections.append("  (no samples)")
+    else:
+        sections += history + [
+            f"  {timeseries['samples']} samples @ {timeseries['interval']:g}s "
+            f"logical interval, ring capacity {timeseries['capacity']}"
+        ]
+    events = cluster["events"]
+    kinds = ", ".join(
+        f"{kind}={count}" for kind, count in sorted(events["counts"].items())
+    )
+    sections += ["", "-- events --", f"  {kinds or '(none)'}"]
+    sections += [f"  {Event(**event).describe()}" for event in events["recent"][-5:]]
+    observer = cluster.get("obsv")
     if observer is not None:
-        alerts = observer.recent_alerts(5)
         sections += ["", "-- skew alerts --"]
+        alerts = observer["alerts"][-5:]
         if alerts:
-            sections += [f"  {alert.describe()}" for alert in alerts]
+            sections += [f"  {Alert(**alert).describe()}" for alert in alerts]
         else:
             sections.append("  (none)")
-        stats = observer.last_window()
-        if stats is not None:
-            sections.append(f"  last window: {stats.describe()}")
+        windows = observer["skew"]["windows"]
+        if windows:
+            sections.append(f"  last window: {describe_window(windows[-1])}")
         sections += ["", "-- slow log tail --"]
-        tail = observer.index_slowlog.tail(5) + observer.search_slowlog.tail(5)
-        tail.sort(key=lambda entry: entry.time)
+        slowlog = observer["slowlog"]
+        tail = slowlog["index"][-5:] + slowlog["search"][-5:]
+        tail.sort(key=lambda entry: entry["time"])
         if tail:
-            sections += [f"  {entry.describe()}" for entry in tail[-8:]]
+            sections += [
+                f"  {SlowLogEntry(**{'trace': None, **entry}).describe()}"
+                for entry in tail[-8:]
+            ]
         else:
             sections.append("  (empty)")
     return "\n".join(sections)
-
-
-def cluster_snapshot(db) -> dict:
-    """The dashboard as data: ``nodes`` / ``shards`` / ``tenants`` /
-    ``rules`` / ``caches`` rows plus the observer's ``obsv`` section."""
-    observer = getattr(db, "obsv", None)
-    snapshot = {
-        "time": db.now,
-        "totals": {
-            "nodes": db.cluster.num_nodes,
-            "shards": db.cluster.num_shards,
-            "docs": sum(_shard_docs(db).values()),
-        },
-        "nodes": cat_nodes(db).to_dicts(),
-        "shards": cat_shards(db).to_dicts(),
-        "tenants": cat_tenants(db).to_dicts(),
-        "rules": cat_rules(db).to_dicts(),
-        "caches": cat_caches(db).to_dicts(),
-    }
-    store = getattr(db, "timeseries", None)
-    if store is not None:
-        snapshot["timeseries"] = store.snapshot()
-    else:
-        # Well-formed empty section: consumers never need a presence check.
-        snapshot["timeseries"] = {
-            "interval": 0.0,
-            "capacity": 0,
-            "samples": 0,
-            "dropped_series": 0,
-            "series": [],
-        }
-    governor = getattr(db, "governor", None)
-    if governor is not None:
-        snapshot["tenancy"] = governor.snapshot(db.now)
-    events = getattr(db, "events", None)
-    if events is not None:
-        snapshot["events"] = {
-            "counts": events.counts(),
-            "total": events.total,
-            "recent": events.to_dicts(limit=20),
-        }
-    else:
-        # Well-formed empty section, mirroring the timeseries convention.
-        snapshot["events"] = {"counts": {}, "total": 0, "recent": []}
-    slo_engine = getattr(db, "slo", None)
-    if slo_engine is not None:
-        # Only present on an SLO-enabled instance, mirroring the tenancy
-        # section: absent means "not in play", never "broken".
-        snapshot["slo"] = slo_engine.snapshot()
-    profiler = getattr(db, "hotkeys", None)
-    if profiler is not None:
-        snapshot["hotkeys"] = profiler.snapshot()
-    arrivals = getattr(db, "arrivals", None)
-    if arrivals is not None:
-        snapshot["arrivals"] = arrivals.summary()
-    if observer is not None:
-        snapshot["obsv"] = observer.snapshot()
-    return snapshot

@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING
 
 from repro.obsv.config import ObsvConfig
 from repro.obsv.skew import (
-    Alert,
     SkewWindow,
     WindowStats,
     annotation_reason,
@@ -160,13 +159,6 @@ class Observer:
                 self._metrics.counter("obsv_alerts_total", kind=alert.kind).inc()
         return stats
 
-    def last_window(self) -> WindowStats | None:
-        return self.skew.last()
-
-    def recent_alerts(self, n: int = 10) -> list[Alert]:
-        alerts = list(self.alerts)
-        return alerts[-n:] if n < len(alerts) else alerts
-
     # -- rule annotations --------------------------------------------------
     def annotate_committed(
         self,
@@ -186,39 +178,7 @@ class Observer:
             measurement=measurement or {},
         )
 
-    # -- report lines and snapshots ---------------------------------------
-    def report_lines(self) -> dict[str, list[str]]:
-        """The ``slowlog`` and ``skew`` sections for ``stats_report()``."""
-        sections: dict[str, list[str]] = {}
-        slow_lines = [
-            log.summary_line()
-            for log in (self.index_slowlog, self.search_slowlog)
-            if len(log) or sum(log.counts.values())
-        ]
-        if slow_lines:
-            sections["slowlog"] = slow_lines
-        stats = self.skew.last()
-        if stats is not None:
-            skew_lines = [
-                (
-                    f"skew[shard]: cv={stats.shard_cv:.3f} gini={stats.shard_gini:.3f} "
-                    f"max/mean={stats.shard_max_mean:.2f} "
-                    f"(window [{stats.start:.2f}, {stats.end:.2f}), {stats.writes} writes)"
-                ),
-                (
-                    f"skew[tenant]: cv={stats.tenant_cv:.3f} "
-                    f"gini={stats.tenant_gini:.3f} "
-                    f"max/mean={stats.tenant_max_mean:.2f}"
-                ),
-            ]
-            if self.alerts:
-                latest = self.alerts[-1]
-                skew_lines.append(
-                    f"skew alerts: {len(self.alerts)} (latest {latest.describe()})"
-                )
-            sections["skew"] = skew_lines
-        return sections
-
+    # -- snapshot -----------------------------------------------------------
     def snapshot(self) -> dict:
         """JSON-ready dump of everything the observer holds."""
         return {

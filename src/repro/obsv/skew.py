@@ -100,12 +100,6 @@ class WindowStats:
                 return count / self.writes
         return 0.0
 
-    def top_tenants(self, k: int = 10) -> list[tuple]:
-        return list(self.tenant_loads[:k])
-
-    def top_shards(self, k: int = 10) -> list[tuple]:
-        return list(self.shard_loads[:k])
-
     def to_dict(self) -> dict:
         return {
             "start": self.start,
@@ -126,14 +120,18 @@ class WindowStats:
             },
         }
 
-    def describe(self) -> str:
-        return (
-            f"window [{self.start:.2f}, {self.end:.2f}) {self.writes} writes | "
-            f"shard cv={self.shard_cv:.3f} gini={self.shard_gini:.3f} "
-            f"max/mean={self.shard_max_mean:.2f} | "
-            f"tenant cv={self.tenant_cv:.3f} gini={self.tenant_gini:.3f} "
-            f"max/mean={self.tenant_max_mean:.2f}"
-        )
+
+def describe_window(window: dict) -> str:
+    """One line for a closed window's :meth:`WindowStats.to_dict`."""
+    shard, tenant = window["shard"], window["tenant"]
+    return (
+        f"window [{window['start']:.2f}, {window['end']:.2f}) "
+        f"{window['writes']} writes | "
+        f"shard cv={shard['cv']:.3f} gini={shard['gini']:.3f} "
+        f"max/mean={shard['max_mean']:.2f} | "
+        f"tenant cv={tenant['cv']:.3f} gini={tenant['gini']:.3f} "
+        f"max/mean={tenant['max_mean']:.2f}"
+    )
 
 
 class SkewWindow:

@@ -291,28 +291,6 @@ class SloEngine:
             )
         return rows
 
-    def recent_alerts(self, n: int = 10) -> list[BurnAlert]:
-        alerts = list(self.alerts)
-        return alerts[-n:] if n < len(alerts) else alerts
-
-    def report_lines(self) -> list[str]:
-        """The ``slo`` section of ``ESDB.stats_report()``."""
-        lines = [
-            f"slo: {len(self._states)} objective(s), "
-            f"{self.evaluations} evaluation(s), "
-            f"{sum(s.burn_count for s in self._states)} burn alert(s)"
-        ]
-        for row in self.status():
-            scope = f" tenant={row['tenant']}" if row["tenant"] else ""
-            lines.append(
-                f"  {row['slo']}: {row['op']}/{row['kind']}{scope} "
-                f"target={row['objective']:.3f} good={row['good']} "
-                f"bad={row['bad']} budget={row['budget_remaining_pct']:.1f}% "
-                f"burn={row['fast_burn']:.2f}/{row['slow_burn']:.2f} "
-                f"[{row['state']}]"
-            )
-        return lines
-
     def snapshot(self) -> dict:
         """JSON-ready dump (the bundle's ``slo`` section)."""
         return {

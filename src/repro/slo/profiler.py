@@ -164,26 +164,6 @@ class HeavyHitterProfiler:
                    self.tenant_fingerprints[tenant])
         return rows
 
-    def report_lines(self) -> list[str]:
-        """The ``hotkeys`` section of ``ESDB.stats_report()``."""
-        lines = [
-            f"hotkeys: capacity={self.config.sketch_capacity} "
-            f"tenants={len(self.tenant_keys)} shards={len(self.shard_keys)} "
-            f"decays={self.decays} dropped_tenants={self.dropped_tenants}"
-        ]
-        for label, sketch in (
-            ("routing", self.routing_keys),
-            ("terms", self.filter_terms),
-            ("queries", self.query_fingerprints),
-        ):
-            top = sketch.top(3)
-            rendered = ", ".join(
-                f"{key}={count:.0f}(±{error:.0f})"
-                for key, count, error in top
-            )
-            lines.append(f"  {label}: {rendered if top else '(none)'}")
-        return lines
-
     def snapshot(self) -> dict:
         """JSON-ready dump (the bundle's ``hotkeys`` section)."""
         k = self.config.top_k

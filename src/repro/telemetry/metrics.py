@@ -17,7 +17,7 @@ lives in :mod:`repro.telemetry.runtime` as no-op twins of these classes.
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from repro.errors import ConfigurationError
 
@@ -308,10 +308,6 @@ class MetricsRegistry:
     def series(self, name: str) -> list[Any]:
         """All series (metric objects) registered under *name*."""
         return list(self._series.get(name, {}).values())
-
-    def iter_series(self) -> Iterator[Any]:
-        for name in self.names():
-            yield from self.series(name)
 
     def get(self, name: str, **labels) -> Any | None:
         """The exact series for *labels*, or None if never registered."""

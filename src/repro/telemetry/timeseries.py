@@ -19,7 +19,7 @@ no-ops against the disabled :class:`~repro.telemetry.runtime.NullRegistry`
 instance yields well-formed empty output instead of zeros.
 
 :func:`sparkline` renders any series as a fixed-width unicode strip for
-``ESDB.dashboard()`` / ``cat_timeseries``; it never raises on degenerate
+the dashboard / ``cat_timeseries``; it never raises on degenerate
 input (empty, single point, constant, NaN/None, huge ranges).
 """
 
@@ -74,6 +74,19 @@ def sparkline(values: Iterable[Any], width: int = 32) -> str:
             index = int((float(value) - low) / span * (len(SPARK_BARS) - 1) + 0.5)
             chars.append(SPARK_BARS[min(max(index, 0), len(SPARK_BARS) - 1)])
     return "".join(chars).rjust(width)
+
+
+def summarize_values(values: list) -> dict:
+    """Count/min/max/mean/last of a series' sample values (oldest first),
+    NaN-safe: min/max/mean skip missing and non-finite samples."""
+    finite = [v for v in values if v is not None and math.isfinite(v)]
+    return {
+        "count": len(values),
+        "min": min(finite) if finite else 0.0,
+        "max": max(finite) if finite else 0.0,
+        "mean": sum(finite) / len(finite) if finite else 0.0,
+        "last": values[-1] if values else 0.0,
+    }
 
 
 class TimeSeries:
@@ -155,15 +168,7 @@ class TimeSeries:
 
     def summary(self) -> dict:
         """Count/min/max/mean/last over the retained window, NaN-safe."""
-        finite = [v for v in self.values() if v is not None and math.isfinite(v)]
-        last = self.last()
-        return {
-            "count": len(self._points),
-            "min": min(finite) if finite else 0.0,
-            "max": max(finite) if finite else 0.0,
-            "mean": sum(finite) / len(finite) if finite else 0.0,
-            "last": last[1] if last is not None else 0.0,
-        }
+        return summarize_values(self.values())
 
     def to_dict(self) -> dict:
         return {
@@ -480,7 +485,7 @@ class TimeSeriesStore:
 def install_esdb_derivations(store: TimeSeriesStore) -> TimeSeriesStore:
     """Attach the facade's standard derived series to *store*.
 
-    These are the sparkline series ``ESDB.dashboard()`` renders: writes/s
+    These are the sparkline series the dashboard renders: writes/s
     and queries/s (counter rates), p99 write/query latency in ms (running
     histogram quantiles), the all-level cache hit percentage per interval,
     and the hot-shard max/mean per-interval write spread.

@@ -33,7 +33,7 @@ from typing import Any, Iterable, Mapping
 
 from repro.errors import TenantThrottledError
 from repro.tenancy.bucket import QuotaLedger, TokenBucket
-from repro.tenancy.config import CLUSTER_TENANT, QOS_CLASSES, TenancyConfig
+from repro.tenancy.config import CLUSTER_TENANT, TenancyConfig
 
 
 def doc_bytes(source: Mapping[str, Any]) -> int:
@@ -133,15 +133,6 @@ class TenantGovernor:
             state.demoted_until = None
             state.qos = self._static_qos.get(tenant, self.config.default_qos)
         return state.qos
-
-    def set_qos(self, tenant: object, qos: str) -> None:
-        """Pin a tenant's class at runtime (clears any active demotion)."""
-        if qos not in QOS_CLASSES:
-            raise ValueError(f"unknown QoS class {qos!r}")
-        state = self._state(tenant)
-        state.qos = qos
-        state.demoted_until = None
-        self._static_qos[tenant] = qos
 
     def demote(self, tenant: object, now: float, reason: str = "") -> None:
         """Drop a tenant to ``batch`` until ``now + demote_seconds``."""
@@ -327,59 +318,27 @@ class TenantGovernor:
             "demotions": len(self.demotions),
         }
 
-    def rows(self, now: float, k: int | None = None) -> list[tuple]:
-        """Per-tenant governance rows for :func:`cat_tenant_governance`,
+    def snapshot(self, now: float) -> dict:
+        """Totals, queue, demotions and one row per governed tenant,
         busiest (most admitted + shed) first."""
         ranked = sorted(
             self._tenants.items(),
             key=lambda item: (-(item[1].admitted + item[1].shed), str(item[0])),
         )
-        if k is not None:
-            ranked = ranked[:k]
-        rows = []
-        for tenant, state in ranked:
-            rows.append(
-                (
-                    str(tenant),
-                    self.qos_of(tenant, now),
-                    state.admitted,
-                    state.queued,
-                    state.shed,
-                    "yes" if state.demoted_until is not None else "no",
-                )
-            )
-        return rows
-
-    def report_lines(self) -> list[str]:
-        totals = self.totals()
-        lines = [
-            f"tenancy: {totals['admitted']} admitted "
-            f"({totals['queued']} via backpressure queue), "
-            f"{totals['shed']} shed across {totals['tenants']} tenant(s)"
-        ]
-        if self.demotions:
-            at, tenant, reason = self.demotions[-1]
-            lines.append(
-                f"tenancy demotions: {len(self.demotions)} "
-                f"(latest {tenant!s} @ t={at:.2f}{': ' + reason if reason else ''})"
-            )
-        return lines
-
-    def snapshot(self, now: float) -> dict:
         return {
             "totals": self.totals(),
             "queue_depth": self.queue_depth(now),
             "queue_capacity": self.config.queue_capacity,
             "tenants": [
                 {
-                    "tenant": tenant,
-                    "qos": qos,
-                    "admitted": admitted,
-                    "queued": queued,
-                    "shed": shed,
-                    "demoted": demoted == "yes",
+                    "tenant": str(tenant),
+                    "qos": self.qos_of(tenant, now),
+                    "admitted": state.admitted,
+                    "queued": state.queued,
+                    "shed": state.shed,
+                    "demoted": state.demoted_until is not None,
                 }
-                for tenant, qos, admitted, queued, shed, demoted in self.rows(now)
+                for tenant, state in ranked
             ],
             "demotions": [
                 {"time": at, "tenant": str(tenant), "reason": reason}
@@ -388,16 +347,22 @@ class TenantGovernor:
         }
 
 
-def cat_tenant_governance(db, k: int | None = None):
-    """``_cat``-style governance table: one row per governed tenant with
-    its QoS class and admit/queue/shed counters. Empty, well-formed table
+def cat_tenant_governance(source, k: int | None = None):
+    """``_cat``-style governance table over a snapshot dict or a live
+    instance: one row per governed tenant with its QoS class and
+    admit/queue/shed counters, busiest first. Empty, well-formed table
     when the instance has no governor."""
     from repro.obsv.cat import CatTable
+    from repro.obsv.snapshot import read_tenancy
 
-    governor = getattr(db, "governor", None)
-    rows = governor.rows(db.now, k=k) if governor is not None else []
-    return CatTable(
-        "tenancy",
-        ("tenant", "qos", "admitted", "queued", "shed", "demoted"),
-        rows,
+    tenancy = (
+        source["cluster"].get("tenancy")
+        if isinstance(source, dict)
+        else read_tenancy(source)
     )
+    columns = ("tenant", "qos", "admitted", "queued", "shed", "demoted")
+    rows = [
+        {**row, "demoted": "yes" if row["demoted"] else "no"}
+        for row in (tenancy["tenants"] if tenancy is not None else [])[:k]
+    ]
+    return CatTable.from_dicts("tenancy", columns, rows)

@@ -1,6 +1,6 @@
 """End-to-end tests of the three cache levels through the ESDB facade:
 hit/miss behaviour, read-your-writes under refresh/delete/rule-append,
-explain_analyze cache spans, stats_report lines, and the client cache."""
+explain_analyze cache spans, report lines, and the client cache."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from __future__ import annotations
 from repro import ESDB, CacheConfig, EsdbConfig
 from repro.client import QueryClient
 from repro.cluster import ClusterTopology
+from repro.obsv import render_report, snapshot
 from repro.routing import DynamicSecondaryHashRouting
 from tests.conftest import make_log
 
@@ -188,14 +189,14 @@ class TestStatsReport:
         # A term query on a non-composite column reaches the segment filter
         # cache (tenant-prefixed queries use the composite index instead).
         db.execute_sql("SELECT * FROM transaction_logs WHERE group = 1")
-        report = db.stats_report()
+        report = render_report(snapshot(db))
         assert "cache[filter]:" in report
         assert "cache[result]:" in report
 
     def test_no_cache_lines_when_disabled(self):
         db = build_db(cache=CacheConfig.off())
         db.execute_sql(QUERY)
-        assert "cache[" not in db.stats_report()
+        assert "cache[" not in render_report(snapshot(db))
 
     def test_works_with_telemetry_disabled(self):
         db = build_db(telemetry_enabled=False)
@@ -203,7 +204,7 @@ class TestStatsReport:
         db.execute_sql(QUERY)
         # Local stats still track even though the registry is a no-op.
         assert db.result_cache.stats.hits == 1
-        assert "cache[" not in db.stats_report()
+        assert "cache[" not in render_report(snapshot(db))
 
 
 class TestClientCache:

@@ -434,7 +434,8 @@ class TestExecObservability:
     def test_exec_derived_series_registered(self):
         db = make_db()
         db.bulk_write(zipf_docs(60, seed=3))
-        db.sample_timeseries(now=db.now + 10.0, force=True)
+        db.advance_clock(db.now + 10.0)
+        db.timeseries.sample(db.now)
         names = {series.name for series in db.timeseries.all_series()}
         assert "exec.bulk_docs_per_s" in names
 

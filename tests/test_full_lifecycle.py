@@ -14,6 +14,7 @@ import pytest
 from repro import ESDB, EsdbConfig
 from repro.balancer import BalancerConfig
 from repro.cluster import ClusterTopology
+from repro.obsv import render_report, snapshot
 from repro.query import IndexAdvisor, parse_sql
 from tests.conftest import make_log
 
@@ -122,6 +123,6 @@ class TestLifecycle:
 
     def test_stats_report_coherent(self, story):
         db = story["db"]
-        report = db.stats_report()
+        report = render_report(snapshot(db))
         assert "routing rules:" in report
         assert "whale" in report

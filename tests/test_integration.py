@@ -8,6 +8,7 @@ from repro import ESDB, EsdbConfig, DynamicSecondaryHashRouting
 from repro.balancer import BalancerConfig
 from repro.client import WriteClient, WriteClientConfig
 from repro.cluster import ClusterTopology
+from repro.obsv import render_report, snapshot
 from repro.replication import PhysicalReplicator
 from repro.storage import ShardEngine
 from repro.workload import TransactionLogGenerator, WorkloadConfig
@@ -191,7 +192,7 @@ class TestStatsReport:
             db.write(make_log(i, tenant="whale", created=i * 0.01))
         db.rebalance()
         db.refresh()
-        report = db.stats_report()
+        report = render_report(snapshot(db))
         assert "cluster: 4 nodes" in report
         assert "documents per node" in report
         assert "120 writes" in report

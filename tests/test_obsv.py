@@ -24,6 +24,7 @@ from repro.obsv import (
     shard_heatmap,
     summarize_windows,
 )
+from repro.obsv.slowlog import describe_slowlog
 from repro.telemetry import MetricsRegistry, Tracer
 
 
@@ -190,8 +191,9 @@ class TestSlowLog:
         assert len(log) == 5
         assert log.counts["info"] == 20
         assert [e.detail for e in log.tail(3)] == ["q17", "q18", "q19"]
-        assert "20 info" in log.summary_line()
-        assert "retained 5" in log.summary_line()
+        line = describe_slowlog(log.log, log.summary())
+        assert "20 info" in line
+        assert "retained 5" in line
 
     def test_slowest_and_trace_attachment(self):
         tracer = Tracer()
@@ -234,7 +236,7 @@ class TestObserver:
         observer.record_write("hot", 0, elapsed=0.001, now=10.0)
         assert len(observer.skew.windows) == 1
         assert observer.skew.current_writes == 1
-        alerts = observer.recent_alerts()
+        alerts = list(observer.alerts)
         assert [a.kind for a in alerts] == ["hot_tenant", "hot_shard"]
         assert registry.value("obsv_alerts_total", kind="hot_tenant") == 1.0
         assert registry.value(

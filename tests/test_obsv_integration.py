@@ -18,6 +18,9 @@ from repro.obsv import (
     cat_rules,
     cat_shards,
     cat_tenants,
+    render_dashboard,
+    render_report,
+    snapshot,
 )
 from repro.obsv import runtime as obsv_runtime
 from repro.obsv.__main__ import main as obsv_main
@@ -167,7 +170,7 @@ class TestFacadeAcceptance:
         # This write crosses the boundary: both monitor and observer roll.
         db.write(make_log(99, tenant="whale", created=window))
         assert db.monitor.throughput(), "monitor window closed"
-        stats = db.obsv.last_window()
+        stats = db.obsv.skew.last()
         assert stats is not None
         assert stats.start == 0.0
         assert stats.writes == 10
@@ -181,7 +184,7 @@ class TestStatsReportSections:
         db.rebalance()
         db.refresh()
         db.execute_sql("SELECT * FROM transactions WHERE tenant_id = 'whale'")
-        report = db.stats_report()
+        report = render_report(snapshot(db))
         assert "slowlog[index]:" in report
         assert "slowlog[search]:" in report
         assert "skew[shard]: cv=" in report
@@ -193,16 +196,58 @@ class TestStatsReportSections:
             < report.index("skew[shard]")
             < report.index("slowlog[index]")
         )
-        assert report == db.stats_report()
+        assert report == render_report(snapshot(db))
 
     def test_report_without_observer_keeps_legacy_content(self):
         db = _tiny_db(obsv=ObsvConfig.off())
         _skewed_burst(db)
-        report = db.stats_report()
+        report = render_report(snapshot(db))
         assert "cluster: 2 nodes" in report
         assert "100 writes" in report
         assert "slowlog" not in report
         assert "skew" not in report
+
+    def test_one_document_count_per_node(self):
+        """Report, ``cat_nodes`` and the snapshot totals all count the
+        unrefreshed buffer, so they agree before the first refresh."""
+        db = _tiny_db(auto_refresh_every=None)
+        for i in range(50):
+            db.write(make_log(i, tenant=f"t{i % 5}", created=i * 0.01))
+        snap = snapshot(db)
+        report = render_report(snap)
+        per_node = [
+            int(line.rsplit(": ", 1)[1])
+            for line in report.split("documents per node:\n", 1)[1].splitlines()
+            if line.startswith("  node-")
+        ]
+        assert len(per_node) == 2
+        assert sum(per_node) == 50
+        assert sum(row["docs"] for row in cat_nodes(db).to_dicts()) == 50
+        assert snap["cluster"]["totals"]["docs"] == 50
+
+
+class TestRenderersReadOnlyTheDict:
+    def test_saved_bundle_renders_as_the_live_instance(self):
+        from repro.obsv import cat_events, cat_exec, cat_faults, cat_hotkeys
+        from repro.obsv import cat_slo, cat_timeseries
+        from repro.obsv.__main__ import build_demo
+        from repro.tenancy import cat_tenant_governance
+
+        db = build_demo(writes=200, governed=True, slo=True, chaos=True)
+        snap = snapshot(db)
+        loaded = json.loads(json.dumps(snap))
+        renderers = [render_report, render_dashboard] + [
+            lambda source, cat=cat: cat(source).render()
+            for cat in (
+                cat_nodes, cat_shards, cat_tenants, cat_rules, cat_timeseries,
+                cat_caches, cat_exec, cat_faults, cat_events, cat_slo,
+                cat_hotkeys, cat_tenant_governance,
+            )
+        ]
+        for render in renderers:
+            assert render(snap) == render(loaded)
+        assert "-- nodes --" in render_dashboard(loaded)
+        assert "cluster:" in render_report(loaded)
 
 
 class TestDashboardAndSnapshot:
@@ -212,7 +257,7 @@ class TestDashboardAndSnapshot:
         db.rebalance()
         db.refresh()
         db.execute_sql("SELECT * FROM transactions WHERE tenant_id = 'whale'")
-        page = db.dashboard()
+        page = render_dashboard(snapshot(db))
         for heading in (
             "-- nodes --",
             "-- shard heatmap (docs) --",
@@ -229,21 +274,21 @@ class TestDashboardAndSnapshot:
         db = _tiny_db()
         total = _skewed_burst(db)
         db.rebalance()
-        snapshot = json.loads(json.dumps(db.obsv_snapshot()))
+        cluster = json.loads(json.dumps(snapshot(db)))["cluster"]
         for key in ("nodes", "shards", "tenants", "rules", "caches", "obsv"):
-            assert key in snapshot
-        assert snapshot["totals"]["docs"] == total
-        assert sum(row["docs"] for row in snapshot["shards"]) == total
-        assert snapshot["obsv"]["skew"]["summary"]["windows"] >= 1
+            assert key in cluster
+        assert cluster["totals"]["docs"] == total
+        assert sum(row["docs"] for row in cluster["shards"]) == total
+        assert cluster["obsv"]["skew"]["summary"]["windows"] >= 1
 
     def test_observer_disabled_drops_obsv_surfaces_only(self):
         db = _tiny_db(obsv=ObsvConfig.off())
         _skewed_burst(db)
         assert db.obsv is None
-        snapshot = db.obsv_snapshot()
-        assert "obsv" not in snapshot
-        assert sum(row["docs"] for row in snapshot["shards"]) == 100
-        assert "-- skew alerts --" not in db.dashboard()
+        snap = snapshot(db)
+        assert "obsv" not in snap["cluster"]
+        assert sum(row["docs"] for row in snap["cluster"]["shards"]) == 100
+        assert "-- skew alerts --" not in render_dashboard(snap)
 
 
 class TestRuntimeCapture:

@@ -69,3 +69,18 @@ class TestDocumentedCommandsExist:
             else:
                 runnable = '__name__ == "__main__"' in Path(spec.origin).read_text()
             assert runnable, f"{source} names {name}, which has no entry point"
+
+    METHOD = re.compile(r"\bdb\.(\w+)\(|\bESDB\.(\w+)")
+
+    @pytest.mark.parametrize(
+        "source", ("README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md")
+    )
+    def test_named_esdb_methods_exist(self, source):
+        """Every ``db.<name>(`` / ``ESDB.<name>`` the docs show resolves on
+        the facade — a deleted method cannot leave them pointing at nothing."""
+        from repro.esdb import ESDB
+
+        text = (self.ROOT / source).read_text()
+        named = {a or b for a, b in self.METHOD.findall(text)}
+        missing = sorted(name for name in named if not hasattr(ESDB, name))
+        assert not missing, f"{source} names ESDB methods that do not exist: {missing}"

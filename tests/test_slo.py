@@ -18,7 +18,7 @@ import pytest
 from repro.cluster import ClusterTopology
 from repro.errors import ConfigurationError, TenantThrottledError
 from repro.esdb import ESDB, EsdbConfig
-from repro.obsv import cat_hotkeys, cat_slo
+from repro.obsv import cat_hotkeys, cat_slo, render_report, snapshot
 from repro.slo import (
     HeavyHitterProfiler,
     SloConfig,
@@ -349,13 +349,16 @@ class TestSloEngine:
         engine = SloEngine(error_rate_config())
         engine.record("write", "t", 0.0, 1.0)
         engine.evaluate(1.0)
-        snapshot = engine.snapshot()
-        assert snapshot["enabled"] is True
-        assert snapshot["evaluations"] == 1
-        assert snapshot["objectives"][0]["slo"] == "write-availability"
-        lines = engine.report_lines()
-        assert lines[0].startswith("slo: 1 objective(s)")
-        assert any("write-availability" in line for line in lines)
+        dump = engine.snapshot()
+        assert dump["enabled"] is True
+        assert dump["evaluations"] == 1
+        assert dump["objectives"][0]["slo"] == "write-availability"
+        db = make_db(slo=error_rate_config())
+        db.write(make_log(0, "t", 1.0))
+        lines = render_report(snapshot(db)).splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("slo: "))
+        assert lines[start].startswith("slo: 1 objective(s), ")
+        assert lines[start + 1].startswith("  write-availability: write/error_rate")
 
 
 # -- HeavyHitterProfiler -------------------------------------------------------
@@ -449,12 +452,12 @@ class TestHeavyHitterProfiler:
     def test_snapshot_shape(self):
         profiler = HeavyHitterProfiler(profiler_config())
         profiler.record_write("t", 3, "k")
-        snapshot = profiler.snapshot()
-        assert snapshot["enabled"] is True
-        assert snapshot["sketch_capacity"] == 8
-        assert "3" in snapshot["shards"]
-        assert "t" in snapshot["tenants"]
-        json.dumps(snapshot)  # JSON-ready
+        dump = profiler.snapshot()
+        assert dump["enabled"] is True
+        assert dump["sketch_capacity"] == 8
+        assert "3" in dump["shards"]
+        assert "t" in dump["tenants"]
+        json.dumps(dump)  # JSON-ready
 
 
 # -- facade integration --------------------------------------------------------
@@ -549,7 +552,7 @@ class TestEsdbSloIntegration:
             tenant = "whale" if i % 10 < 8 else f"t{i % 5}"
             db.write(make_log(i, tenant, created=i * 0.1))
         alerts = [
-            alert for alert in db.obsv.recent_alerts(50)
+            alert for alert in list(db.obsv.alerts)[-50:]
             if alert.kind == "hot_tenant" and alert.subject == "whale"
         ]
         assert alerts, "expected a hot-tenant alert from the whale stream"
@@ -574,28 +577,26 @@ class TestEsdbSloIntegration:
         store = db.timeseries
         assert store.get("slo.budget_min_pct") is not None
         assert store.get("slo.burn_fast_max") is not None
-        page = render_dashboard(db)
+        page = render_dashboard(snapshot(db))
         assert "-- slo --" in page
         assert "-- heavy hitters --" in page
         assert "write-availability" in page
 
     def test_cluster_snapshot_sections_present_only_when_enabled(self):
-        from repro.obsv import cluster_snapshot
-
         enabled = governed_slo_db()
         drive_whale(enabled, 80)
-        snapshot = cluster_snapshot(enabled)
-        assert snapshot["slo"]["enabled"] is True
-        assert snapshot["hotkeys"]["enabled"] is True
+        cluster = snapshot(enabled)["cluster"]
+        assert cluster["slo"]["enabled"] is True
+        assert cluster["hotkeys"]["enabled"] is True
         disabled = make_db()
         disabled.write(make_log(0, "t", 0.0))
-        off = cluster_snapshot(disabled)
+        off = snapshot(disabled)["cluster"]
         assert "slo" not in off and "hotkeys" not in off
 
     def test_stats_report_sections_sorted_and_stable(self):
         db = governed_slo_db()
         drive_whale(db)
-        report = db.stats_report()
+        report = render_report(snapshot(db))
         assert "slo: 4 objective(s)" in report
         assert "hotkeys: capacity=" in report
         # Sorted section order: hotkeys < slo < tenancy.
@@ -604,12 +605,12 @@ class TestEsdbSloIntegration:
             < report.index("slo: 4 objective(s)")
             < report.index("tenancy:")
         )
-        assert report == db.stats_report()
+        assert report == render_report(snapshot(db))
 
     def test_overhead_is_one_branch_when_off(self):
         db = make_db()
         assert db.config.slo.enabled is False
-        assert "slo" not in db.stats_report()
+        assert "slo" not in render_report(snapshot(db))
 
 
 # -- event-log behaviour with the new kinds ------------------------------------
@@ -649,7 +650,7 @@ class TestBundleV2:
 
         db = governed_slo_db()
         drive_whale(db)
-        bundle = db.diagnostics_bundle()
+        bundle = snapshot(db)
         assert bundle["schema_version"] == BUNDLE_SCHEMA_VERSION == 2
         assert validate_bundle(bundle) == []
         rehydrated = json.loads(json.dumps(bundle))
@@ -665,7 +666,7 @@ class TestBundleV2:
 
         db = make_db()
         db.write(make_log(0, "t", 0.0))
-        bundle = db.diagnostics_bundle()
+        bundle = snapshot(db)
         assert validate_bundle(bundle) == []
         assert bundle["slo"] == {
             "enabled": False, "evaluations": 0, "objectives": [], "alerts": [],
@@ -676,7 +677,7 @@ class TestBundleV2:
         from repro.obsv import BUNDLE_SCHEMA_VERSION, validate_bundle
 
         db = make_db()
-        bundle = db.diagnostics_bundle()
+        bundle = snapshot(db)
         bundle["schema_version"] = BUNDLE_SCHEMA_VERSION + 1
         problems = validate_bundle(bundle)
         assert len(problems) == 1
@@ -688,7 +689,7 @@ class TestBundleV2:
 
         db = governed_slo_db()
         drive_whale(db, 120)
-        bundle = json.loads(json.dumps(db.diagnostics_bundle()))
+        bundle = json.loads(json.dumps(snapshot(db)))
         bundle["slo"].pop("evaluations")
         bundle["slo"]["alerts"] = [{"kind": "martian"}]
         bundle["hotkeys"]["routing_keys"]["tracked"] = 10_000

@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.esdb import ESDB
+from repro.obsv import render_report, snapshot
 from repro.storage import ShardEngine
 from repro.telemetry import (
     DEFAULT_BUCKETS,
@@ -258,8 +259,8 @@ class TestExporters:
 
     def test_json_round_trip(self):
         registry = self._populated_registry()
-        snapshot = parse_json_snapshot(to_json(registry))
-        assert snapshot == registry.snapshot()
+        parsed = parse_json_snapshot(to_json(registry))
+        assert parsed == registry.snapshot()
         with pytest.raises(ValueError):
             parse_json_snapshot("{}")
 
@@ -419,7 +420,7 @@ class TestFacadeIntegration:
     def test_stats_report_built_on_registry(self):
         db = self._loaded_db()
         db.execute_sql("SELECT * FROM transactions WHERE tenant_id = 't1'")
-        report = db.stats_report()
+        report = render_report(snapshot(db))
         assert "40 writes" in report
         assert "optimizer picks:" in report
         assert "write latency:" in report
@@ -433,4 +434,4 @@ class TestFacadeIntegration:
         result = db.execute_sql("SELECT * FROM transactions WHERE tenant_id = 't1'")
         assert result is not None
         assert db.telemetry is NULL_TELEMETRY
-        assert "5 writes" in db.stats_report()
+        assert "5 writes" in render_report(snapshot(db))

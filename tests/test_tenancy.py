@@ -13,7 +13,7 @@ from repro.faults.__main__ import (
     build_failover_plan,
     build_noisy_neighbor_plan,
 )
-from repro.obsv import cat_tenants
+from repro.obsv import cat_tenants, render_dashboard, render_report, snapshot
 from repro.obsv.skew import Alert
 from repro.tenancy import (
     CLUSTER_TENANT,
@@ -277,9 +277,15 @@ class TestTenantGovernor:
         governor.admit_write("a", 0.0)
         governor.admit_write("b", 0.0)
         governor.admit_write("a", 0.0)
-        rows = governor.rows(0.0)
-        assert rows[0][0] == "a"  # busiest first
-        assert "2 tenant(s)" in governor.report_lines()[0]
+        rows = governor.snapshot(0.0)["tenants"]
+        assert rows[0]["tenant"] == "a"  # busiest first
+        db = governed_db()
+        generator = TransactionLogGenerator(WorkloadConfig(num_tenants=10, seed=1))
+        for tenant in ("a", "b", "a"):
+            db.write(generator.generate(created_time=0.0, tenant_id=tenant))
+        lines = render_report(snapshot(db)).splitlines()
+        tenancy = next(line for line in lines if line.startswith("tenancy: "))
+        assert tenancy.endswith("0 shed across 2 tenant(s)")
 
 
 # -- config -----------------------------------------------------------------
@@ -380,21 +386,21 @@ class TestFacadeGovernance:
         db = governed_db()
         generator = TransactionLogGenerator(WorkloadConfig(num_tenants=10, seed=1))
         db.write(generator.generate(created_time=0.0, tenant_id="t-1"))
-        assert "tenancy" in db.stats_report()
-        assert "tenancy governance" in db.dashboard()
+        snap = snapshot(db)
+        assert "tenancy" in render_report(snap)
+        assert "tenancy governance" in render_dashboard(snap)
         ungoverned = ESDB(EsdbConfig())
         ungoverned.write(generator.generate(created_time=0.0, tenant_id="t-1"))
-        assert "tenancy" not in ungoverned.stats_report()
-        assert "tenancy governance" not in ungoverned.dashboard()
+        snap = snapshot(ungoverned)
+        assert "tenancy" not in render_report(snap)
+        assert "tenancy governance" not in render_dashboard(snap)
 
     def test_cluster_snapshot_tenancy_key_only_when_governed(self):
-        from repro.obsv.dashboard import cluster_snapshot
-
         db = governed_db()
         generator = TransactionLogGenerator(WorkloadConfig(num_tenants=10, seed=1))
         db.write(generator.generate(created_time=0.0, tenant_id="t-1"))
-        assert "tenancy" in cluster_snapshot(db)
-        assert "tenancy" not in cluster_snapshot(ESDB(EsdbConfig()))
+        assert "tenancy" in snapshot(db)["cluster"]
+        assert "tenancy" not in snapshot(ESDB(EsdbConfig()))["cluster"]
 
     def test_tenancy_telemetry_counters(self):
         db = governed_db(write_rate=1.0, write_burst=1.0, queue_capacity=1,

@@ -8,7 +8,7 @@ import pytest
 from repro import ESDB, EsdbConfig
 from repro.cluster import ClusterTopology
 from repro.errors import ConfigurationError
-from repro.obsv import cat_timeseries, cluster_snapshot, performance_history
+from repro.obsv import cat_timeseries, render_dashboard, render_report, snapshot
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.timeseries import (
     DASHBOARD_SERIES,
@@ -338,8 +338,8 @@ class TestEsdbIntegration:
         db.refresh()
         db.execute_sql("SELECT * FROM transaction_logs WHERE tenant_id = 't0'")
         db.execute_sql("SELECT * FROM transaction_logs WHERE tenant_id = 't0'")
-        db.sample_timeseries(force=True)
-        text = db.dashboard()
+        db.timeseries.sample(db.now)
+        text = render_dashboard(snapshot(db))
         assert "-- performance history --" in text
         for label in ("writes/s", "write p99 ms", "cache hit %", "hot shard max"):
             assert label in text
@@ -348,7 +348,7 @@ class TestEsdbIntegration:
     def test_stats_report_has_history_section(self):
         db = small_db()
         self.write_run(db)
-        report = db.stats_report()
+        report = render_report(snapshot(db))
         assert "history:" in report
         assert "writes/s" in report
 
@@ -364,8 +364,7 @@ class TestEsdbIntegration:
     def test_cluster_snapshot_contains_timeseries(self):
         db = small_db()
         self.write_run(db)
-        snapshot = cluster_snapshot(db)
-        section = snapshot["timeseries"]
+        section = snapshot(db)["cluster"]["timeseries"]
         assert section["samples"] == db.timeseries.samples_taken > 0
         names = {s["name"] for s in section["series"]}
         assert "esdb.writes_per_s" in names
@@ -374,7 +373,8 @@ class TestEsdbIntegration:
         db = small_db()
         db.write(make_log(1, tenant="t", created=0.0))
         before = db.timeseries.samples_taken
-        assert db.sample_timeseries(now=10.0) is True
+        db.advance_clock(10.0)
+        db.timeseries.sample(10.0)
         assert db.timeseries.samples_taken == before + 1
         assert db.now == 10.0
 
@@ -399,23 +399,21 @@ class TestDisabledModes:
         assert store is not None
         assert store.samples_taken > 0  # the sampler still ticks...
         assert store.all_series() == []  # ...but records nothing
-        text = db.dashboard()
+        snap = snapshot(db)
+        text = render_dashboard(snap)
         assert "-- performance history --" in text
         assert "(no samples)" in text
-        snapshot = cluster_snapshot(db)
-        assert snapshot["timeseries"]["series"] == []
+        assert snap["cluster"]["timeseries"]["series"] == []
         assert cat_timeseries(db).rows == []
-        assert "history:" in db.stats_report()
+        assert "history:" in render_report(snap)
 
     def test_timeseries_disabled_is_well_formed(self):
         db = small_db(timeseries_enabled=False)
         db.write(make_log(1, tenant="t", created=0.0))
         assert db.timeseries is None
-        assert db.sample_timeseries(now=5.0) is False
-        assert "(history disabled)" in db.dashboard()
-        assert "(history disabled)" in performance_history(db)
-        snapshot = cluster_snapshot(db)
-        assert snapshot["timeseries"] == {
+        snap = snapshot(db)
+        assert "(history disabled)" in render_dashboard(snap)
+        assert snap["cluster"]["timeseries"] == {
             "interval": 0.0,
             "capacity": 0,
             "samples": 0,
@@ -423,7 +421,7 @@ class TestDisabledModes:
             "series": [],
         }
         assert cat_timeseries(db).rows == []
-        assert "history:" not in db.stats_report()
+        assert "history:" not in render_report(snap)
 
 
 class TestSimulatorHistory:

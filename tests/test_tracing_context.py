@@ -553,10 +553,10 @@ class TestDiagnosticsBundle:
         return db
 
     def test_bundle_is_valid_and_json_serializable(self):
-        from repro.obsv import validate_bundle
+        from repro.obsv import diagnostics_bundle, validate_bundle
 
         db = self._populated_db()
-        bundle = db.diagnostics_bundle()
+        bundle = diagnostics_bundle(db)
         assert validate_bundle(bundle) == []
         again = json.loads(json.dumps(bundle))
         assert again["kind"] == "esdb-diagnostics"
@@ -566,14 +566,18 @@ class TestDiagnosticsBundle:
         assert any("trace_id" in trace for trace in again["traces"])
 
     def test_validate_bundle_catches_problems(self):
-        from repro.obsv import BUNDLE_SCHEMA_VERSION, validate_bundle
+        from repro.obsv import (
+            BUNDLE_SCHEMA_VERSION,
+            diagnostics_bundle,
+            validate_bundle,
+        )
 
         assert validate_bundle("nope")
         assert any(
             "missing required key" in problem for problem in validate_bundle({})
         )
         db = self._populated_db()
-        bundle = db.diagnostics_bundle()
+        bundle = diagnostics_bundle(db)
         bundle["schema_version"] = BUNDLE_SCHEMA_VERSION + 1
         assert any("schema_version" in p for p in validate_bundle(bundle))
         bundle["schema_version"] = BUNDLE_SCHEMA_VERSION
@@ -581,11 +585,10 @@ class TestDiagnosticsBundle:
         assert any("martian" in p for p in validate_bundle(bundle))
 
     def test_cluster_snapshot_has_events_section(self):
-        from repro.obsv import cluster_snapshot
+        from repro.obsv import snapshot
 
         db = self._populated_db()
-        snapshot = cluster_snapshot(db)
-        assert set(snapshot["events"]) == {"counts", "total", "recent"}
+        assert set(snapshot(db)["cluster"]["events"]) == {"counts", "total", "recent"}
 
     def test_cli_writes_validated_bundle(self, tmp_path, capsys):
         from repro.obsv.__main__ import main
