@@ -87,8 +87,10 @@ def main() -> None:
         )
     )
 
+    # An update names the record by tenant and id (plus, optionally, its
+    # created_time); the rule list re-derives the shard that holds it.
     print("\n-- updates route back to the shard that holds the record --")
-    db.update(1001, {"status": 3})
+    db.update(1001, {"status": 3}, tenant_id="bookstore-42")
     db.refresh()
     result = db.execute_sql(
         "SELECT transaction_id, status FROM transaction_logs "

@@ -63,10 +63,7 @@ from repro.query.ast import (
     iter_predicates,
 )
 from repro.query.optimizer import CatalogInfo
-from repro.routing import (
-    DynamicSecondaryHashRouting,
-    RoutingPolicy,
-)
+from repro.routing import DynamicSecondaryHashRouting, RoutingPolicy
 from repro.slo import HeavyHitterProfiler, SloConfig, SloEngine
 from repro.storage import EngineConfig, PostingList, Schema, ShardEngine
 from repro.telemetry import (
@@ -314,7 +311,6 @@ class ESDB:
                 if self.obsv is not None:
                     # Skew alerts get upgraded with the hitters behind them.
                     self.obsv.attributor = self._slo_attribution
-        self._doc_shard: dict[object, int] = {}
         self._clock = 0.0
         #: Lazily created FaultInjector (see :meth:`inject_fault`).
         self.faults = None
@@ -591,7 +587,6 @@ class ESDB:
                 )
                 continue
             shard.record_write()
-            self._doc_shard[doc_id] = shard_id
             items[position] = BulkItemResult(
                 position=position, doc_id=doc_id, shard_id=shard_id
             )
@@ -605,28 +600,30 @@ class ESDB:
         input positions."""
         return _shared_execute_batch(self, list(sqls))
 
-    def update(self, doc_id: object, changes: Mapping[str, Any]) -> None:
-        """Update by document id — routed via the same rules that placed it
-        (read-your-writes consistency, §4.2)."""
-        shard_id = self._locate(doc_id)
-        if shard_id in self.replica_sets:
-            self.replica_sets[shard_id].update(doc_id, dict(changes))
-        else:
-            self.engines[shard_id].update(doc_id, changes)
+    def update(
+        self, doc_id: object, changes: Mapping[str, Any], *,
+        tenant_id: object, created_time: float | None = None,
+    ) -> None:
+        """Update record *doc_id* of *tenant_id* where the rule list places
+        it (read-your-writes, §4.2; :meth:`RoutingPolicy.locate`). Its
+        tenant, id and creation time decide that place: *changes* may not
+        name them."""
+        schema = self.config.schema
+        for name in (schema.tenant_field, schema.id_field, schema.time_field):
+            if name in changes:
+                raise InvalidDocumentError(f"an update cannot change routing field {name!r}")
+        self._locate(doc_id, tenant_id, created_time).update(doc_id, dict(changes))
 
-    def delete(self, doc_id: object) -> None:
-        shard_id = self._locate(doc_id)
-        if shard_id in self.replica_sets:
-            self.replica_sets[shard_id].delete(doc_id)
-        else:
-            self.engines[shard_id].delete(doc_id)
-        del self._doc_shard[doc_id]
+    def delete(
+        self, doc_id: object, *, tenant_id: object, created_time: float | None = None
+    ) -> None:
+        self._locate(doc_id, tenant_id, created_time).delete(doc_id)
 
-    def _locate(self, doc_id: object) -> int:
-        shard_id = self._doc_shard.get(doc_id)
-        if shard_id is None:
-            raise QueryError(f"unknown document id {doc_id!r}")
-        return shard_id
+    def _locate(self, doc_id: object, tenant_id: object, created_time: float | None):
+        shard_id = self.policy.locate(
+            tenant_id, doc_id, created_time, lambda shard: self.engines[shard].contains(doc_id)
+        )
+        return self.replica_sets.get(shard_id, self.engines[shard_id])
 
     def refresh(self) -> None:
         """Refresh every shard (make all writes searchable)."""

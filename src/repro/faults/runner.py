@@ -9,8 +9,9 @@ whose dispatch was *acknowledged*. After the run it performs full
 recovery (heal everything, consensus catch-up, dead-letter redrive, one
 final replication round) and checks the safety invariants:
 
-1. **No acknowledged write lost** — every acked document is readable from
-   its shard with exactly the acknowledged source.
+1. **No acknowledged write lost** — every acked document is readable, with
+   exactly the acknowledged source, from the shard the rule list derives
+   from that source's tenant, id and creation time.
 2. **Rule convergence** — every consensus participant's rule list equals
    the master's after catch-up.
 3. **Nothing left blocked** — no participant still holds a dangling
@@ -387,9 +388,14 @@ class ChaosRunner:
         db = self.db
         lost = 0
         mismatched = 0
+        time_field = db.config.schema.time_field
         for doc_id, source in self.acked.items():
-            shard_id = db._doc_shard.get(doc_id)
-            if shard_id is None or not db.engines[shard_id].contains(doc_id):
+            # Where the rule list places the acked source: a document found
+            # anywhere else counts as lost.
+            shard_id = db.policy.route_write(
+                source[self._tenant_field], doc_id, float(source[time_field])
+            )
+            if not db.engines[shard_id].contains(doc_id):
                 lost += 1
                 continue
             if db.engines[shard_id].get(doc_id).source != source:

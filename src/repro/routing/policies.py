@@ -3,20 +3,22 @@
 All policies share the same interface: :meth:`RoutingPolicy.route_write`
 returns the shard id for one write; :meth:`RoutingPolicy.query_shards`
 returns the :class:`ShardRange` of consecutive shards a tenant-scoped query
-must fan out to. The number of shards touched by a query is exactly the
-trade-off the paper studies — ``s = 1`` gives cheap queries but no balancing,
-``s = N`` gives perfect balancing but all-shard queries.
+must fan out to; :meth:`RoutingPolicy.candidate_shards` returns the few
+shards a stored record may sit on when its creation time is unknown. The
+number of shards touched by a query is exactly the trade-off the paper
+studies — ``s = 1`` gives cheap queries but no balancing, ``s = N`` gives
+perfect balancing but all-shard queries.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DocumentNotFoundError
 from repro.hashing import h1, h2
-from repro.routing.rules import RuleList
+from repro.routing.rules import DEFAULT_OFFSET, RuleList
 from repro.telemetry.runtime import NULL_METRIC, NULL_TELEMETRY
 
 
@@ -93,6 +95,52 @@ class RoutingPolicy(ABC):
     def query_shards(self, tenant_id: object) -> ShardRange:
         """Return the consecutive shards holding *tenant_id*'s records."""
 
+    @abstractmethod
+    def offsets(self, tenant_id: object) -> Iterable[int]:
+        """Every offset a record of *tenant_id* may have been routed with."""
+
+    def candidate_shards(self, tenant_id: object, record_id: object) -> tuple[int, ...]:
+        """The distinct shards record *record_id* of *tenant_id* may have
+        been written to, whatever its creation time: one per offset in
+        :meth:`offsets`. UPDATE/DELETE locate a stored record by probing
+        these, never through a per-document directory."""
+        base = self.base_shard(tenant_id)
+        digest = h2(record_id)
+        return tuple(
+            dict.fromkeys(
+                (base + digest % offset) % self.num_shards
+                for offset in self.offsets(tenant_id)
+            )
+        )
+
+    def locate(
+        self,
+        tenant_id: object,
+        record_id: object,
+        created_time: float | None,
+        holds: Callable[[int], bool],
+    ) -> int:
+        """The shard holding stored record *record_id* of *tenant_id*,
+        re-derived from the routing state. With *created_time* it is the
+        shard :meth:`route_write` placed the record on; without, the one
+        of :meth:`candidate_shards` for which ``holds(shard)`` is true.
+
+        Raises :class:`~repro.errors.DocumentNotFoundError` when no
+        candidate holds the id, or when several do (the id was written
+        again after a rule change; *created_time* picks the copy).
+        """
+        if created_time is not None:
+            return self.route_write(tenant_id, record_id, float(created_time))
+        held = [shard for shard in self.candidate_shards(tenant_id, record_id) if holds(shard)]
+        if len(held) == 1:
+            return held[0]
+        if held:
+            raise DocumentNotFoundError(
+                f"doc {record_id!r} of tenant {tenant_id!r} is on shards {held}: "
+                "pass created_time to pick one"
+            )
+        raise DocumentNotFoundError(f"doc {record_id!r} of tenant {tenant_id!r} not found")
+
     def base_shard(self, tenant_id: object) -> int:
         """Return ``h1(k1) mod N``, the first shard of the tenant's range."""
         return h1(tenant_id) % self.num_shards
@@ -117,6 +165,9 @@ class HashRouting(RoutingPolicy):
         shards = ShardRange(self.base_shard(tenant_id), 1, self.num_shards)
         self._fanout_counter.inc(len(shards))
         return shards
+
+    def offsets(self, tenant_id: object) -> Iterable[int]:
+        return (DEFAULT_OFFSET,)
 
 
 class DoubleHashRouting(RoutingPolicy):
@@ -148,6 +199,9 @@ class DoubleHashRouting(RoutingPolicy):
         shards = ShardRange(self.base_shard(tenant_id), self.offset, self.num_shards)
         self._fanout_counter.inc(len(shards))
         return shards
+
+    def offsets(self, tenant_id: object) -> Iterable[int]:
+        return (self.offset,)
 
 
 class DynamicSecondaryHashRouting(RoutingPolicy):
@@ -192,3 +246,10 @@ class DynamicSecondaryHashRouting(RoutingPolicy):
         )
         self._fanout_counter.inc(len(shards))
         return shards
+
+    def offsets(self, tenant_id: object) -> Iterable[int]:
+        # A record created before the tenant's first rule took effect was
+        # routed with the default; every later one with some rule's offset.
+        return sorted(
+            {DEFAULT_OFFSET, *(rule.offset for rule in self.rules.rules_for(tenant_id))}
+        )

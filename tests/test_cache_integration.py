@@ -83,7 +83,7 @@ class TestCoordinatorResultCache:
         db = build_db()
         before = db.execute_sql(QUERY)
         victim = next(iter(before.rows))["transaction_id"]
-        db.delete(victim)
+        db.delete(victim, tenant_id="t1")
         after = db.execute_sql(QUERY)
         assert after.total_hits == before.total_hits - 1
 

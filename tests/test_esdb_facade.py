@@ -7,7 +7,7 @@ import pytest
 from repro import ESDB, EsdbConfig, HashRouting
 from repro.balancer import BalancerConfig
 from repro.cluster import ClusterTopology
-from repro.errors import EsdbError, QueryError
+from repro.errors import DocumentNotFoundError, EsdbError, InvalidDocumentError
 from repro.workload import TransactionLogGenerator, WorkloadConfig
 from tests.conftest import make_log
 
@@ -50,17 +50,19 @@ class TestWriteReadPath:
 
     def test_update_and_delete_follow_rules(self, db):
         db.write(make_log(1, tenant="t", created=0.0, status=0))
-        db.update(1, {"status": 4})
+        db.update(1, {"status": 4}, tenant_id="t")
         db.refresh()
         result = db.execute_sql("SELECT status FROM t WHERE tenant_id = 't'")
         assert result.rows[0]["status"] == 4
-        db.delete(1)
+        db.delete(1, tenant_id="t", created_time=0.0)
         db.refresh()
         assert db.doc_count() == 0
 
     def test_unknown_doc_id_raises(self, db):
-        with pytest.raises(QueryError):
-            db.update(999, {})
+        with pytest.raises(DocumentNotFoundError):
+            db.update(999, {}, tenant_id="t")
+        with pytest.raises(DocumentNotFoundError):
+            db.delete(999, tenant_id="t", created_time=0.0)
 
     def test_limit_and_order(self, db):
         for i in range(20):
@@ -72,6 +74,83 @@ class TestWriteReadPath:
         )
         assert [r["transaction_id"] for r in result.rows] == [19, 18, 17]
         assert result.total_hits == 20
+
+
+def _answers(db: ESDB) -> tuple:
+    db.refresh()
+    return tuple(
+        tuple(sorted(map(repr, db.execute_sql(sql).rows)))
+        for sql in (
+            "SELECT * FROM t WHERE tenant_id = 'a'",
+            "SELECT * FROM t WHERE tenant_id = 'b'",
+            "SELECT * FROM t WHERE status >= 0",
+        )
+    )
+
+
+def _statuses(db: ESDB, *tenants) -> dict:
+    db.refresh()
+    return {
+        tenant: [
+            row["status"]
+            for row in db.execute_sql(f"SELECT status FROM t WHERE tenant_id = '{tenant}'").rows
+        ]
+        for tenant in tenants
+    }
+
+
+class TestUpdateAndDeleteLocateByRules:
+    """UPDATE/DELETE find a record by (tenant, id[, creation time]) through
+    the rule list — there is no per-document shard directory."""
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"tenant_id": "b"}, {"transaction_id": 2}, {"created_time": 200.0}],
+        ids=["tenant_id", "transaction_id", "created_time"],
+    )
+    def test_update_cannot_change_a_routing_field(self, db, change):
+        db.write(make_log(1, tenant="a", created=1.0, status=0))
+        db.policy.rules.update(100.0, 16, "a")
+        before = _answers(db)
+        logged = [len(engine.translog) for engine in db.engines.values()]
+        with pytest.raises(InvalidDocumentError, match=next(iter(change))):
+            db.update(1, {"status": 5, **change}, tenant_id="a")
+        assert [len(engine.translog) for engine in db.engines.values()] == logged
+        assert _answers(db) == before
+
+    def test_same_id_under_two_tenants(self, db):
+        assert db.policy.base_shard("a") != db.policy.base_shard("b")
+        db.write(make_log(7, tenant="a", created=1.0, status=0))
+        db.write(make_log(7, tenant="b", created=1.0, status=0))
+        db.update(7, {"status": 1}, tenant_id="a")
+        db.update(7, {"status": 2}, tenant_id="b", created_time=1.0)
+        assert _statuses(db, "a", "b") == {"a": [1], "b": [2]}
+        db.delete(7, tenant_id="b")
+        assert _statuses(db, "a", "b") == {"a": [1], "b": []}
+        with pytest.raises(DocumentNotFoundError):
+            db.delete(7, tenant_id="b")
+        db.update(7, {"status": 3}, tenant_id="a")
+        assert _statuses(db, "a", "b") == {"a": [3], "b": []}
+        db.delete(7, tenant_id="a", created_time=1.0)
+        assert _statuses(db, "a", "b") == {"a": [], "b": []}
+
+    def test_id_rewritten_across_a_rule_change_needs_created_time(self, db):
+        db.policy.rules.update(10.0, 16, "w")
+        doc_id = next(i for i in range(100) if len(db.policy.candidate_shards("w", i)) == 2)
+        db.write(make_log(doc_id, tenant="w", created=1.0, status=0))
+        db.write(make_log(doc_id, tenant="w", created=20.0, status=0))
+        with pytest.raises(DocumentNotFoundError, match="created_time"):
+            db.update(doc_id, {"status": 1}, tenant_id="w")
+        db.update(doc_id, {"status": 1}, tenant_id="w", created_time=20.0)
+        db.delete(doc_id, tenant_id="w", created_time=1.0)
+        assert _statuses(db, "w") == {"w": [1]}
+
+    def test_two_argument_call_fails_loudly(self, db):
+        db.write(make_log(1, tenant="t", created=1.0))
+        with pytest.raises(TypeError):
+            db.update(1, {"status": 2})
+        with pytest.raises(TypeError):
+            db.delete(1)
 
 
 class TestBalancingLifecycle:
@@ -115,7 +194,7 @@ class TestBalancingLifecycle:
         committed = db.rebalance()
         assert committed
         # Historical records must remain reachable for UPDATE after the split.
-        db.update(5, {"status": 8})
+        db.update(5, {"status": 8}, tenant_id="whale")
         db.refresh()
         result = db.execute_sql(
             "SELECT status FROM t WHERE tenant_id = 'whale' AND transaction_id = 5"
@@ -263,11 +342,10 @@ class TestFacadeReplication:
 
     def test_updates_and_deletes_survive_failover(self):
         db = self._replicated_db()
-        db.write(make_log(1, tenant="t", created=1.0, status=0))
+        shard = db.write(make_log(1, tenant="t", created=1.0, status=0))
         db.write(make_log(2, tenant="t", created=2.0))
-        db.update(1, {"status": 9})
-        db.delete(2)
-        shard = db._doc_shard[1]
+        db.update(1, {"status": 9}, tenant_id="t")
+        db.delete(2, tenant_id="t")
         db.replicate()
         db.fail_primary(shard)
         db.refresh()

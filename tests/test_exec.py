@@ -50,7 +50,7 @@ class TestBulkWrite:
         assert [item.position for item in result.items] == list(range(20))
         assert sum(result.shard_counts().values()) == 20
         for item in result.items:
-            assert item.shard_id == db._doc_shard[item.doc_id]
+            assert db.engines[item.shard_id].contains(item.doc_id)
 
     def test_per_document_error_reporting(self):
         db = make_db()
@@ -570,16 +570,16 @@ class TestEngineLockingStress:
         db = make_db()
         docs = zipf_docs(600, seed=13)
         errors: list[BaseException] = []
-        acked: list[dict] = []
+        acked: list[tuple[dict, int]] = []
         acked_lock = threading.Lock()
         stop = threading.Event()
 
         def writer(chunk: list[dict]) -> None:
             try:
                 for doc in chunk:
-                    db.write(doc)
+                    shard_id = db.write(doc)
                     with acked_lock:
-                        acked.append(doc)
+                        acked.append((doc, shard_id))
             except BaseException as exc:  # noqa: BLE001 - collected, re-raised
                 errors.append(exc)
 
@@ -620,10 +620,8 @@ class TestEngineLockingStress:
         assert errors == []
         assert len(acked) == len(docs)
         db.refresh()
-        for doc in acked:
-            doc_id = doc["transaction_id"]
-            shard_id = db._doc_shard[doc_id]
-            assert db.engines[shard_id].contains(doc_id)
+        for doc, shard_id in acked:
+            assert db.engines[shard_id].contains(doc["transaction_id"])
         id_field = db.config.schema.id_field
         total = sum(
             engine.total_docs_including_buffer()

@@ -183,11 +183,9 @@ class TestFaultInjector:
 
     def test_corrupt_translog_does_not_touch_primary_entries(self):
         db = make_db()
-        for i in range(5):
-            db.write(
-                {"transaction_id": i, "tenant_id": "t", "created_time": 0.0}
-            )
-        shard_id = db._doc_shard[0]
+        shard_id = db.write({"transaction_id": 0, "tenant_id": "t", "created_time": 0.0})
+        for i in range(1, 5):
+            db.write({"transaction_id": i, "tenant_id": "t", "created_time": 0.0})
         injector = FaultInjector(db)
         injector.inject("corrupt_translog", shard_id, entries=2)
         # Primary translog entries stay valid: corruption replaced the
@@ -204,9 +202,9 @@ class TestFaultInjector:
 
     def test_crash_primary_promotes_replica(self):
         db = make_db(replicas=2)
-        for i in range(8):
+        shard_id = db.write({"transaction_id": 0, "tenant_id": "t", "created_time": 0.0})
+        for i in range(1, 8):
             db.write({"transaction_id": i, "tenant_id": "t", "created_time": 0.0})
-        shard_id = db._doc_shard[0]
         old_primary = db.engines[shard_id]
         injector = FaultInjector(db)
         injector.inject("crash_primary", shard_id)

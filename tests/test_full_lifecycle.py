@@ -54,7 +54,7 @@ def story():
     facts["whale_fanout"] = db.tenant_fanout("whale")
 
     # Stage 3: read-your-writes across the split.
-    db.update(0, {"status": 9})
+    db.update(0, {"status": 9}, tenant_id="whale")
     clock = max(t for _, _, t in facts["committed"]) + 1.0
     for i in range(200, 260):
         clock += 0.01

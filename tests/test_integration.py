@@ -25,9 +25,7 @@ class TestWriteClientAgainstFacade:
 
         def dispatch(shard_id: int, sources: list) -> None:
             for source in sources:
-                engine = db.engines[shard_id]
-                engine.index(source)
-                db._doc_shard[source["transaction_id"]] = shard_id
+                db.engines[shard_id].index(source)
 
         client = WriteClient(db.policy, dispatch, WriteClientConfig(batch_size=16))
         generator = TransactionLogGenerator(

@@ -181,3 +181,38 @@ def test_property_spread_never_exceeds_committed_offset(offsets, records):
     created = float(len(offsets) + 1)
     shards = {dynamic.route_write("t", rec, created) for rec in records}
     assert len(shards) <= max(offsets)
+
+
+class TestCandidateShards:
+    def test_static_policies_have_one_candidate(self):
+        for policy in (HashRouting(N), DoubleHashRouting(N, offset=8)):
+            for rec in range(50):
+                assert policy.candidate_shards("t", rec) == (policy.route_write("t", rec),)
+
+    def test_untouched_tenant_has_its_base_shard_only(self):
+        dynamic = DynamicSecondaryHashRouting(N)
+        assert dynamic.candidate_shards("t", 7) == (dynamic.base_shard("t"),)
+
+
+@settings(max_examples=50)
+@given(
+    rules=st.lists(
+        st.tuples(st.floats(0, 100, allow_nan=False), st.sampled_from([2, 4, 8, 16, 64])),
+        max_size=6,
+    ),
+    record=st.integers(min_value=0, max_value=10**9),
+    created=st.floats(min_value=0, max_value=200, allow_nan=False),
+    compact=st.booleans(),
+)
+def test_property_record_is_among_its_candidates(rules, record, created, compact):
+    """Whatever its creation time, a record routes to one of at most
+    1 + (distinct offsets) candidate shards — and compaction keeps it so."""
+    dynamic = DynamicSecondaryHashRouting(N)
+    for effective_time, offset in rules:
+        dynamic.rules.update(effective_time, offset, "t")
+    shard = dynamic.route_write("t", record, created)
+    if compact:
+        dynamic.rules.compact()
+    candidates = dynamic.candidate_shards("t", record)
+    assert shard in candidates
+    assert len(candidates) == len(set(candidates)) <= 1 + len({o for _, o in rules})
