@@ -1,10 +1,13 @@
 """Seller analytics: multi-column ad-hoc SQL with the rule-based optimizer.
 
-Loads a Zipf-skewed transaction corpus, then runs the kinds of ad-hoc
-queries sellers issue — multi-column filters, full-text search, time
-windows, sub-attribute filters — showing the physical plans the RBO picks
-(composite index, sequential scan, single-column index) and comparing
-intermediate work against Lucene's rigid one-index-per-predicate plan.
+Loads a Zipf-skewed transaction corpus, balancing as it goes so the hot
+sellers spread over more shards, then runs the kinds of ad-hoc queries
+sellers issue — multi-column filters, full-text search, time windows,
+sub-attribute filters — showing the physical plans the RBO picks
+(composite index, sequential scan, single-column index), the shards each
+statement fans out to and why, and comparing intermediate work against
+Lucene's rigid one-index-per-predicate plan. Every answer is checked
+against the same plan run on every shard.
 
 Run:  python examples/seller_analytics.py
 """
@@ -12,6 +15,7 @@ Run:  python examples/seller_analytics.py
 import time
 
 from repro import ESDB, EsdbConfig
+from repro.balancer import BalancerConfig
 from repro.cluster import ClusterTopology
 from repro.query import QueryExecutor, RuleBasedOptimizer, Xdriver4ES, parse_sql
 from repro.query.optimizer import CatalogInfo
@@ -23,20 +27,32 @@ def build_database() -> ESDB:
         EsdbConfig(
             topology=ClusterTopology(num_nodes=4, num_shards=16),
             auto_refresh_every=4096,
+            # A hot seller spreads over at most half the shards.
+            balancer=BalancerConfig(max_offset=8),
         )
     )
     generator = TransactionLogGenerator(WorkloadConfig(num_tenants=200, theta=1.0, seed=5))
     print("loading 10,000 transaction logs ...")
     for i in range(10_000):
         db.write(generator.generate(created_time=i * 0.01))
+        if i % 1000 == 999:
+            db.rebalance()
     db.refresh()
     return db
 
 
 QUERIES = [
     # The paper's Figure 6 template: tenant + time window + status OR group.
+    # The second disjunct names no seller, so every shard is read.
     "SELECT * FROM transaction_logs WHERE tenant_id = 1 "
     "AND created_time BETWEEN 0 AND 50 AND status = 1 OR group = 666 LIMIT 20",
+    # Time windows: seller 1 spreads over 8 shards from t = 14.99 on, so
+    # its earlier records sit on one shard. An upper bound before the
+    # spread prunes the fan-out to that shard; a lower bound cannot prune.
+    "SELECT status, COUNT(*) FROM transaction_logs WHERE tenant_id = 1 "
+    "AND created_time <= 12 GROUP BY status",
+    "SELECT status, COUNT(*) FROM transaction_logs WHERE tenant_id = 1 "
+    "AND created_time >= 80 GROUP BY status",
     # Predicate merge: many ORs on one column collapse into IN.
     "SELECT transaction_id FROM transaction_logs "
     "WHERE tenant_id = 1 OR tenant_id = 2 OR tenant_id = 3 LIMIT 10",
@@ -63,11 +79,16 @@ def explain(db: ESDB, sql: str) -> None:
               f"{translated.original_width - translated.width_reduction}")
     print("plan:")
     print("  " + plan.describe().replace("\n", "\n  "))
+    print(next(line for line in db.explain(sql).splitlines() if line.startswith("fan-out")))
     result = db.execute_sql(sql)
     print(f"rows={len(result.rows)} hits={result.total_hits} "
           f"subqueries={result.subqueries}")
     for row in result.rows[:3]:
         print(f"  {row}")
+    everywhere = sum(
+        len(QueryExecutor(engine).execute(plan)[0]) for engine in db.engines.values()
+    )
+    assert result.total_hits == everywhere, f"{result.total_hits} hits, {everywhere} expected"
 
 
 def compare_optimizer(db: ESDB) -> None:

@@ -23,7 +23,7 @@ import itertools
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple
 
 from repro.balancer import BalancerConfig, LoadBalancer, WorkloadMonitor
 from repro.cache import (
@@ -57,7 +57,10 @@ from repro.query import (
 )
 from repro.query.aggregator import QueryResult
 from repro.query.ast import (
+    AndNode,
+    BetweenPredicate,
     ComparisonPredicate,
+    OrNode,
     SelectStatement,
     SubAttributePredicate,
     iter_predicates,
@@ -87,6 +90,66 @@ if TYPE_CHECKING:
 
 #: Distinguishes instances sharing one registry (profiling runs).
 _INSTANCE_IDS = itertools.count()
+
+
+class RoutingBounds(NamedTuple):
+    """What one disjunct of a WHERE tree pins down for routing: its tenant,
+    the tightest numeric bounds on the creation time, and the record id."""
+
+    tenant: object
+    since: float | None = None
+    until: float | None = None
+    record_id: object = None
+
+
+def _is_time_bound(value: object) -> bool:
+    """A creation-time literal routing can compare: a number, not a bool,
+    not NaN."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value == value
+
+
+_LOWER_OPS = frozenset(("=", ">", ">="))
+_UPPER_OPS = frozenset(("=", "<", "<="))
+
+
+def routing_bounds(where: object, schema: Schema) -> tuple[RoutingBounds, ...] | None:
+    """The distinct :class:`RoutingBounds` of the disjuncts of the
+    rewritten (DNF) tree *where*, or None when a disjunct names no tenant:
+    the statement is cross-tenant and visits every shard.
+
+    A disjunct's bounds come from its top-level conjuncts only — each one
+    holds for every row the disjunct matches — so a tenant equality under
+    an OR never prunes: ``tenant_id = 1`` = the tenant; ``=``, ``<``,
+    ``<=`` and ``BETWEEN``'s high end on the time field = an upper bound
+    (the smallest wins); ``=``, ``>``, ``>=`` and ``BETWEEN``'s low end = a
+    lower bound; ``=`` on the id field = the record."""
+    if where is None:
+        return None
+    time_field = schema.time_field
+    bounds = []
+    for disjunct in where.children if isinstance(where, OrNode) else (where,):
+        tenant = record_id = since = until = None
+        for predicate in disjunct.children if isinstance(disjunct, AndNode) else (disjunct,):
+            low = high = None
+            if isinstance(predicate, ComparisonPredicate):
+                column, op = predicate.column, predicate.op
+                if column == time_field:
+                    low = predicate.value if op in _LOWER_OPS else None
+                    high = predicate.value if op in _UPPER_OPS else None
+                elif op == "=" and column == schema.tenant_field:
+                    tenant = predicate.value if tenant is None else tenant
+                elif op == "=" and column == schema.id_field:
+                    record_id = predicate.value if record_id is None else record_id
+            elif isinstance(predicate, BetweenPredicate) and predicate.column == time_field:
+                low, high = predicate.low, predicate.high
+            if low is not None and _is_time_bound(low):
+                since = low if since is None else max(since, low)
+            if high is not None and _is_time_bound(high):
+                until = high if until is None else min(until, high)
+        if tenant is None:
+            return None
+        bounds.append(RoutingBounds(tenant, since, until, record_id))
+    return tuple(dict.fromkeys(bounds))
 
 
 @dataclass(frozen=True)
@@ -803,7 +866,7 @@ class ESDB:
             # extracted tenant is memoized per SQL string so repeat queries
             # (the result-cache hot path) skip the probe parse entirely.
             if statement is not None:
-                query_tenant = self._statement_tenant(statement)
+                query_tenant = self._statement_tenant(statement, rewrite=True)
             elif sql in self._query_tenant_cache:
                 query_tenant = self._query_tenant_cache[sql]
                 self._query_tenant_cache.move_to_end(sql)
@@ -814,7 +877,7 @@ class ESDB:
                     probe = None  # the traced parse below reports the error
                 else:
                     statement = probe
-                query_tenant = self._statement_tenant(probe)
+                query_tenant = self._statement_tenant(probe, rewrite=True)
                 while len(self._query_tenant_cache) >= 512:
                     self._query_tenant_cache.popitem(last=False)
                 self._query_tenant_cache[sql] = query_tenant
@@ -895,9 +958,9 @@ class ESDB:
                 )
         if governor is None:
             # Admission extracts the tenant on a governed instance; here it
-            # is read off whatever was parsed (a result-cache hit on raw SQL
-            # never parses, so it has none).
-            query_tenant = self._statement_tenant(statement)
+            # is read off the rewritten statement — a result-cache hit has
+            # only the caller's statement, and on raw SQL none at all.
+            query_tenant = self._statement_tenant(statement, rewrite=cache_hit)
         if self.obsv is not None:
             slow_entry = self.obsv.record_search(
                 query_tenant,
@@ -926,20 +989,22 @@ class ESDB:
             self.timeseries.maybe_sample(self._clock)
         return result, root
 
-    def _statement_tenant(self, statement: SelectStatement | None):
-        """The tenant a statement targets via an equality predicate (the
-        shard-pruning condition), or None for cross-tenant queries."""
+    def _statement_tenant(
+        self, statement: SelectStatement | None, rewrite: bool = False
+    ):
+        """The tenant every disjunct of the rewritten *statement* names
+        (:func:`routing_bounds`, the reader shard pruning uses), or None
+        for a cross-tenant statement: one whose disjuncts name different
+        tenants or none. *rewrite* first runs a parsed statement through
+        Xdriver4ES."""
         if statement is None:
             return None
-        tenant_field = self.config.schema.tenant_field
-        for predicate in iter_predicates(statement.where):
-            if (
-                isinstance(predicate, ComparisonPredicate)
-                and predicate.column == tenant_field
-                and predicate.op == "="
-            ):
-                return predicate.value
-        return None
+        if rewrite:
+            statement = self.xdriver.translate(statement).statement
+        bounds = routing_bounds(statement.where, self.config.schema)
+        if bounds is None or any(b.tenant != bounds[0].tenant for b in bounds[1:]):
+            return None
+        return bounds[0].tenant
 
     @staticmethod
     def _query_terms(statement: SelectStatement | None) -> list[str]:
@@ -1126,12 +1191,21 @@ class ESDB:
         return statement.limit
 
     def _target_shards(self, statement: SelectStatement) -> list[int]:
-        """Shard pruning: a tenant-equality predicate restricts the fan-out
-        to the tenant's consecutive shard range; otherwise all shards."""
-        tenant = self._statement_tenant(statement)
-        if tenant is None:
+        """Shard pruning through the rule list: the union, over the
+        disjuncts of the rewritten *statement*, of the shards each one's
+        tenant and bounds allow (:meth:`RoutingPolicy.query_shards`);
+        every shard when a disjunct names no tenant."""
+        bounds = routing_bounds(statement.where, self.config.schema)
+        if bounds is None:
             return list(range(self.cluster.num_shards))
-        return list(self.policy.query_shards(tenant))
+        return list(dict.fromkeys(
+            shard for bound in bounds for shard in self._bound_shards(bound)
+        ))
+
+    def _bound_shards(self, bound: RoutingBounds):
+        return self.policy.query_shards(
+            bound.tenant, until=bound.until, record_id=bound.record_id, since=bound.since
+        )
 
     # -- introspection -----------------------------------------------------------
     def doc_count(self) -> int:
@@ -1153,7 +1227,8 @@ class ESDB:
 
     def explain(self, sql: str) -> str:
         """EXPLAIN: show the Xdriver4ES rewrite, the ES-DSL tree, the RBO
-        physical plan, and the shard fan-out for *sql* without executing it."""
+        physical plan, and the shard fan-out for *sql* — with the bounds
+        that pruned it — without executing it."""
         statement = parse_sql(sql)
         translated = self.xdriver.translate(statement)
         plan = self.optimizer.plan(translated.statement)
@@ -1170,15 +1245,49 @@ class ESDB:
             )
         lines.append("plan:")
         lines.append("  " + plan.describe().replace("\n", "\n  "))
-        lines.append(
-            f"fan-out: {len(shard_ids)} shard(s) "
-            f"[{shard_ids[0]}..{shard_ids[-1]}]"
-            if shard_ids
-            else "fan-out: 0 shards"
-        )
+        lines.append(self._describe_fanout(translated.statement, shard_ids))
         if self._pushdown_limit(translated.statement) is not None:
             lines.append(f"pushdown: per-shard LIMIT {translated.statement.limit}")
         return "\n".join(lines)
+
+    def _describe_fanout(self, statement: SelectStatement, shard_ids: list[int]) -> str:
+        """EXPLAIN's fan-out line: the shards — ``[first..last]`` when they
+        are consecutive, else the list — and, per disjunct, the bounds that
+        decided them and how far they pruned."""
+        first, total = shard_ids[0], self.cluster.num_shards
+        consecutive = all(
+            (shard - first) % total == i for i, shard in enumerate(shard_ids)
+        )
+        shards = f"[{first}..{shard_ids[-1]}]" if consecutive else str(shard_ids)
+        bounds = routing_bounds(statement.where, self.config.schema)
+        why = (
+            "cross-tenant: a disjunct names no tenant"
+            if bounds is None
+            else "; ".join(self._describe_bound(bound) for bound in bounds)
+        )
+        return f"fan-out: {len(shard_ids)} shard(s) {shards} ({why})"
+
+    def _describe_bound(self, bound: RoutingBounds) -> str:
+        schema = self.config.schema
+        time_field = schema.time_field
+        terms = [f"{schema.tenant_field} = {bound.tenant!r}"]
+        # A lower bound narrows only a record's candidates.
+        since = bound.since if bound.record_id is not None else None
+        if since is not None and since == bound.until:
+            terms.append(f"{time_field} = {since!r}")
+        else:
+            if since is not None:
+                terms.append(f"{time_field} >= {since!r}")
+            if bound.until is not None:
+                terms.append(f"{time_field} <= {bound.until!r}")
+        visited = len(self._bound_shards(bound))
+        widest = len(self.policy.query_shards(bound.tenant))
+        if bound.record_id is None:
+            reach = f"offset {visited} of {widest}"
+        else:
+            terms.append(f"{schema.id_field} = {bound.record_id!r}")
+            reach = f"{visited} of {widest} shard(s)"
+        return f"{', '.join(terms)} -> {reach}"
 
     # -- index management (the "Add/Drop Index" box of Figure 3) -------------
     def add_index(self, columns) -> str:

@@ -2,12 +2,13 @@
 
 All policies share the same interface: :meth:`RoutingPolicy.route_write`
 returns the shard id for one write; :meth:`RoutingPolicy.query_shards`
-returns the :class:`ShardRange` of consecutive shards a tenant-scoped query
-must fan out to; :meth:`RoutingPolicy.candidate_shards` returns the few
-shards a stored record may sit on when its creation time is unknown. The
-number of shards touched by a query is exactly the trade-off the paper
-studies — ``s = 1`` gives cheap queries but no balancing, ``s = N`` gives
-perfect balancing but all-shard queries.
+returns the shards a tenant-scoped statement must fan out to, narrowed by
+the statement's creation-time bounds and record id;
+:meth:`RoutingPolicy.candidate_shards` returns the few shards a stored
+record may sit on when its creation time is unknown. The number of shards
+touched by a query is exactly the trade-off the paper studies — ``s = 1``
+gives cheap queries but no balancing, ``s = N`` gives perfect balancing but
+all-shard queries.
 """
 
 from __future__ import annotations
@@ -92,8 +93,19 @@ class RoutingPolicy(ABC):
         """Return the shard id for a write of (*tenant_id*, *record_id*)."""
 
     @abstractmethod
-    def query_shards(self, tenant_id: object) -> ShardRange:
-        """Return the consecutive shards holding *tenant_id*'s records."""
+    def query_shards(
+        self,
+        tenant_id: object,
+        until: float | None = None,
+        record_id: object = None,
+        since: float | None = None,
+    ) -> ShardRange | tuple[int, ...]:
+        """Return the shards a statement scoped to *tenant_id* must visit:
+        every shard that may hold a record of the tenant created at or
+        before *until* (no bound: ever) — consecutive from the base shard.
+        With *record_id*, only the shards that record may sit on; *since*
+        (a lower creation-time bound) narrows those further. The static
+        policies ignore all three."""
 
     @abstractmethod
     def offsets(self, tenant_id: object) -> Iterable[int]:
@@ -104,13 +116,16 @@ class RoutingPolicy(ABC):
         been written to, whatever its creation time: one per offset in
         :meth:`offsets`. UPDATE/DELETE locate a stored record by probing
         these, never through a per-document directory."""
+        return self._shards_of(tenant_id, record_id, self.offsets(tenant_id))
+
+    def _shards_of(
+        self, tenant_id: object, record_id: object, offsets: Iterable[int]
+    ) -> tuple[int, ...]:
+        """The distinct shards ``(h1 + h2 mod L) mod N`` for ``L`` in *offsets*."""
         base = self.base_shard(tenant_id)
         digest = h2(record_id)
         return tuple(
-            dict.fromkeys(
-                (base + digest % offset) % self.num_shards
-                for offset in self.offsets(tenant_id)
-            )
+            dict.fromkeys((base + digest % offset) % self.num_shards for offset in offsets)
         )
 
     def locate(
@@ -161,7 +176,9 @@ class HashRouting(RoutingPolicy):
         self._route_counter.inc()
         return self.base_shard(tenant_id)
 
-    def query_shards(self, tenant_id: object) -> ShardRange:
+    def query_shards(
+        self, tenant_id: object, until=None, record_id=None, since=None
+    ) -> ShardRange:
         shards = ShardRange(self.base_shard(tenant_id), 1, self.num_shards)
         self._fanout_counter.inc(len(shards))
         return shards
@@ -195,7 +212,9 @@ class DoubleHashRouting(RoutingPolicy):
         self._route_counter.inc()
         return (self.base_shard(tenant_id) + h2(record_id) % self.offset) % self.num_shards
 
-    def query_shards(self, tenant_id: object) -> ShardRange:
+    def query_shards(
+        self, tenant_id: object, until=None, record_id=None, since=None
+    ) -> ShardRange:
         shards = ShardRange(self.base_shard(tenant_id), self.offset, self.num_shards)
         self._fanout_counter.inc(len(shards))
         return shards
@@ -236,14 +255,42 @@ class DynamicSecondaryHashRouting(RoutingPolicy):
         offset = self.offset_for(tenant_id, created_time)
         return (self.base_shard(tenant_id) + h2(record_id) % offset) % self.num_shards
 
-    def query_shards(self, tenant_id: object) -> ShardRange:
-        # Queries must cover every shard that may hold historical records:
-        # the union over all committed offsets, i.e. the largest one.
-        shards = ShardRange(
-            self.base_shard(tenant_id),
-            self.rules.max_offset(tenant_id),
-            self.num_shards,
+    def query_shards(
+        self,
+        tenant_id: object,
+        until: float | None = None,
+        record_id: object = None,
+        since: float | None = None,
+    ) -> ShardRange | tuple[int, ...]:
+        # A record created at c <= until was routed with an offset
+        # s <= match(tenant, c) <= match(tenant, until): rules are only
+        # appended, match takes the largest applicable offset and compact()
+        # never changes it. The ranges nest from the base shard, so the one
+        # of length match(tenant, until) holds every such record; with no
+        # bound that is the union over all committed offsets, the largest.
+        upper = (
+            self.rules.max_offset(tenant_id)
+            if until is None
+            else self.rules.match(tenant_id, until)
         )
+        if record_id is None:
+            shards = ShardRange(self.base_shard(tenant_id), upper, self.num_shards)
+        else:
+            # A stored record's offset is match(tenant, created_time) under
+            # today's rules (DESIGN.md, Placement), so one created at or
+            # after *since* has an offset of at least match(tenant, since).
+            # Clamped to *upper*: an empty range (since > until) matches
+            # nothing but still visits one shard.
+            lower = (
+                DEFAULT_OFFSET
+                if since is None
+                else min(self.rules.match(tenant_id, since), upper)
+            )
+            shards = self._shards_of(
+                tenant_id,
+                record_id,
+                [offset for offset in self.offsets(tenant_id) if lower <= offset <= upper],
+            )
         self._fanout_counter.inc(len(shards))
         return shards
 

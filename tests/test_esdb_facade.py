@@ -8,6 +8,8 @@ from repro import ESDB, EsdbConfig, HashRouting
 from repro.balancer import BalancerConfig
 from repro.cluster import ClusterTopology
 from repro.errors import DocumentNotFoundError, EsdbError, InvalidDocumentError
+from repro.esdb import RoutingBounds, routing_bounds
+from repro.query.ast import AndNode, ComparisonPredicate
 from repro.workload import TransactionLogGenerator, WorkloadConfig
 from tests.conftest import make_log
 
@@ -290,7 +292,125 @@ class TestWorkloadIntegration:
             )
 
 
+def _eight_tenants(db: ESDB) -> ESDB:
+    """One row per tenant 0..7, each with ``status = 2``."""
+    for tenant in range(8):
+        db.write(make_log(tenant, tenant=tenant, created=float(tenant), status=2))
+    db.refresh()
+    assert len({db.policy.base_shard(tenant) for tenant in range(8)}) > 1
+    return db
+
+
+class TestTenantUnderOr:
+    """A tenant equality under an OR holds for one disjunct only: it must
+    not prune the other disjuncts' rows away."""
+
+    def test_tenant_or_other_filter_reads_every_shard(self, db):
+        result = _eight_tenants(db).execute_sql(
+            "SELECT * FROM t WHERE tenant_id = 1 OR status = 2"
+        )
+        assert result.total_hits == 8
+        assert result.subqueries == 32
+
+    def test_two_tenant_disjuncts_read_both_tenants(self, db):
+        result = _eight_tenants(db).execute_sql(
+            "SELECT transaction_id FROM t WHERE (tenant_id = 1 AND status = 2) "
+            "OR (tenant_id = 2 AND status = 2)"
+        )
+        assert sorted(row["transaction_id"] for row in result.rows) == [1, 2]
+        assert result.subqueries == len(
+            {db.policy.base_shard(1), db.policy.base_shard(2)}
+        )
+
+    def test_figure_6_template_counts_every_match(self, db):
+        # Tenant 1 in a time window with status 1, or any tenant's group 666.
+        for i in range(40):
+            db.write(make_log(i, tenant=i % 8, created=float(i), status=i % 2,
+                              group=666 if i % 5 == 0 else 1))
+        db.refresh()
+        result = db.execute_sql(
+            "SELECT * FROM t WHERE tenant_id = 1 AND created_time BETWEEN 0 AND 50 "
+            "AND status = 1 OR group = 666 LIMIT 20"
+        )
+        expected = [i for i in range(40) if (i % 8 == 1 and i % 2 == 1) or i % 5 == 0]
+        assert result.total_hits == len(expected) == 12
+
+    def test_tenant_and_an_or_still_prunes(self, db):
+        result = _eight_tenants(db).execute_sql(
+            "SELECT * FROM t WHERE tenant_id = 3 AND (status = 2 OR amount <= 5)"
+        )
+        assert result.total_hits == 1
+        assert result.subqueries == 1
+
+
+class TestBoundedFanOut:
+    """A statement visits the shards its own bounds allow, derived from the
+    rule list: ``match(tenant, upper)`` under an upper time bound, every
+    committed offset without one, one shard for an id at a known time."""
+
+    @pytest.fixture()
+    def split(self, db) -> ESDB:
+        rules = db.policy.rules
+        rules.update(10.0, 4, "w")
+        rules.update(20.0, 16, "w")
+        for i in range(60):
+            db.write(make_log(i, tenant="w", created=float(i) * 0.5, status=i % 3))
+        db.refresh()
+        return db
+
+    def _count(self, db, where: str) -> tuple[int, int]:
+        result = db.execute_sql(f"SELECT COUNT(*) FROM t WHERE tenant_id = 'w' AND {where}")
+        return result.scalar(), result.subqueries
+
+    def test_exact_fanouts(self, split):
+        assert self._count(split, "created_time <= 5.0") == (11, 1)
+        assert self._count(split, "created_time BETWEEN 2.0 AND 15.0") == (27, 4)
+        assert self._count(split, "created_time < 19.5") == (39, 4)
+        assert self._count(split, "created_time < 20.0") == (40, 16)
+        assert self._count(split, "created_time >= 25.0") == (10, 16)
+        assert self._count(split, "transaction_id = 50 AND created_time = 25.0") == (1, 1)
+        assert self._count(split, "created_time = 25.0 AND transaction_id = 51") == (0, 1)
+        candidates = split.policy.candidate_shards("w", 50)
+        assert self._count(split, "transaction_id = 50") == (1, len(candidates))
+
+    def test_tightest_numeric_bound_decides(self, split):
+        # Two upper bounds (the rewriter merges two `<=` but not `<`): the
+        # tighter one decides. A string, bool or NaN bound never prunes.
+        assert self._count(split, "created_time < 30 AND created_time <= 5") == (11, 1)
+        assert self._count(split, "created_time <= '5'")[1] == 16
+        schema = split.config.schema
+        for value in (True, float("nan"), "5"):
+            where = AndNode((
+                ComparisonPredicate("tenant_id", "=", "w"),
+                ComparisonPredicate("created_time", "<=", value),
+            ))
+            assert routing_bounds(where, schema) == (RoutingBounds("w"),)
+
+    def test_result_cache_revalidates_pruned_shards(self, split):
+        sql = "SELECT COUNT(*) FROM t WHERE tenant_id = 'w' AND created_time <= 5.0"
+        assert split.execute_sql(sql).scalar() == 11
+        split.write(make_log(1000, tenant="w", created=4.5))
+        split.refresh()
+        assert split.execute_sql(sql).scalar() == 12
+
+
 class TestExplain:
+    def test_explain_names_the_bound_that_pruned(self, db):
+        db.policy.rules.update(10.0, 4, 5)
+        db.policy.rules.update(100.0, 16, 5)
+        base = db.policy.base_shard(5)
+        text = db.explain("SELECT * FROM t WHERE tenant_id = 5 AND created_time <= 50.0")
+        assert (
+            f"fan-out: 4 shard(s) [{base}..{(base + 3) % 32}] "
+            "(tenant_id = 5, created_time <= 50.0 -> offset 4 of 16)"
+        ) in text
+        text = db.explain("SELECT * FROM t WHERE tenant_id = 5 AND transaction_id = 7")
+        shards = list(db.policy.candidate_shards(5, 7))
+        assert f"fan-out: {len(shards)} shard(s) {shards} " in text
+        assert "(tenant_id = 5, transaction_id = 7 -> 3 of 16 shard(s))" in text
+        text = db.explain("SELECT * FROM t WHERE tenant_id = 5 OR status = 1")
+        assert "fan-out: 32 shard(s) [0..31] (cross-tenant: a disjunct names no tenant)" in text
+
     def test_explain_shows_plan_and_fanout(self, db):
         text = db.explain(
             "SELECT * FROM t WHERE tenant_id = 5 AND created_time BETWEEN 0 AND 9 "

@@ -4,8 +4,10 @@ Random interleavings of writes, updates, deletes, refreshes, rebalances,
 rule-list compactions and primary failovers against a dict model. The key
 invariant is the paper's read-your-writes guarantee across offset changes:
 no matter when the balancer splits a tenant, every record ever written
-remains reachable through SQL, updates/deletes land on the copy the rules
-route to, and every stored record re-derives to the shard that holds it.
+remains reachable through SQL — also by the time-bounded and id statements
+whose fan-out the rule list prunes — updates/deletes land on the copy the
+rules route to, and every stored record re-derives to the shard that holds
+it.
 """
 
 from __future__ import annotations
@@ -123,6 +125,47 @@ class EsdbModel(RuleBasedStateMachine):
             }
             assert got == expected, tenant
         assert self.db.doc_count() == len(self.model)
+
+    def _ids(self, where: str) -> set:
+        rows = self.db.execute_sql(f"SELECT transaction_id FROM t WHERE {where}").rows
+        return {row["transaction_id"] for row in rows}
+
+    @invariant()
+    def pruned_statements_match_model(self):
+        """The statements fan-out pruning narrows — an upper time bound, a
+        range, a record id, with and without its time — and one it must not
+        narrow (a tenant under an OR) answer as the model does."""
+        self.db.refresh()
+        docs = sorted(self.model.values(), key=lambda doc: doc["created_time"])
+        tenant = TENANTS[int(self.clock) % len(TENANTS)]
+        low = docs[len(docs) // 4]["created_time"] if docs else 0.0
+        high = docs[len(docs) // 2]["created_time"] if docs else self.clock
+        probe = docs[len(docs) // 3] if docs else {
+            "tenant_id": tenant, "transaction_id": -1, "created_time": 0.0
+        }
+        owner, doc_id, created = (
+            probe["tenant_id"], probe["transaction_id"], probe["created_time"]
+        )
+
+        def expected(keep) -> set:
+            return {key for key, doc in self.model.items() if keep(doc)}
+
+        cases = {
+            f"tenant_id = '{tenant}' AND created_time <= {high}":
+                lambda d: d["tenant_id"] == tenant and d["created_time"] <= high,
+            f"tenant_id = '{tenant}' AND created_time BETWEEN {low} AND {high}":
+                lambda d: d["tenant_id"] == tenant and low <= d["created_time"] <= high,
+            f"tenant_id = '{owner}' AND transaction_id = {doc_id}":
+                lambda d: d["tenant_id"] == owner and d["transaction_id"] == doc_id,
+            f"tenant_id = '{owner}' AND transaction_id = {doc_id} "
+            f"AND created_time = {created}":
+                lambda d: d["tenant_id"] == owner and d["transaction_id"] == doc_id
+                and d["created_time"] == created,
+            f"tenant_id = '{tenant}' OR status = 2":
+                lambda d: d["tenant_id"] == tenant or d["status"] == 2,
+        }
+        for where, keep in cases.items():
+            assert self._ids(where) == expected(keep), where
 
     @invariant()
     def every_stored_record_rederives_to_its_shard(self):

@@ -216,3 +216,64 @@ def test_property_record_is_among_its_candidates(rules, record, created, compact
     candidates = dynamic.candidate_shards("t", record)
     assert shard in candidates
     assert len(candidates) == len(set(candidates)) <= 1 + len({o for _, o in rules})
+
+
+class TestBoundedQueryShards:
+    def test_static_policies_ignore_the_bounds(self):
+        for policy in (HashRouting(N), DoubleHashRouting(N, offset=8)):
+            assert policy.query_shards("t", until=5.0, record_id=3, since=1.0) == (
+                policy.query_shards("t")
+            )
+
+    def test_upper_bound_visits_the_offset_matched_there(self):
+        dynamic = DynamicSecondaryHashRouting(N)
+        dynamic.rules.update(10.0, 4, "t")
+        dynamic.rules.update(20.0, 16, "t")
+        base = dynamic.base_shard("t")
+        assert dynamic.query_shards("t", until=5.0) == ShardRange(base, 1, N)
+        assert dynamic.query_shards("t", until=15.0) == ShardRange(base, 4, N)
+        assert dynamic.query_shards("t", until=20.0) == dynamic.query_shards("t")
+
+    def test_record_with_exact_time_has_one_shard(self):
+        dynamic = DynamicSecondaryHashRouting(N)
+        dynamic.rules.update(10.0, 4, "t")
+        dynamic.rules.update(20.0, 16, "t")
+        for rec in range(50):
+            for created in (5.0, 15.0, 25.0):
+                assert dynamic.query_shards(
+                    "t", since=created, until=created, record_id=rec
+                ) == (dynamic.route_write("t", rec, created),)
+
+    def test_record_without_time_visits_its_candidates(self):
+        dynamic = DynamicSecondaryHashRouting(N)
+        dynamic.rules.update(10.0, 4, "t")
+        dynamic.rules.update(20.0, 16, "t")
+        for rec in range(50):
+            assert dynamic.query_shards("t", record_id=rec) == dynamic.candidate_shards("t", rec)
+
+
+@settings(max_examples=60)
+@given(
+    rules=st.lists(
+        st.tuples(st.floats(0, 100, allow_nan=False), st.sampled_from([2, 4, 8, 16, 64])),
+        max_size=6,
+    ),
+    record=st.integers(min_value=0, max_value=10**9),
+    times=st.lists(st.floats(0, 200, allow_nan=False), min_size=3, max_size=3),
+    compact=st.booleans(),
+)
+def test_property_bounded_fanout_holds_every_record_in_bounds(rules, record, times, compact):
+    """A record created at c lies in the fan-out of any statement whose
+    bounds admit c: ``c <= until`` alone, and ``since <= c <= until`` with
+    its id — across rule appends and compaction."""
+    since, created, until = sorted(times)
+    dynamic = DynamicSecondaryHashRouting(N)
+    for effective_time, offset in rules:
+        dynamic.rules.update(effective_time, offset, "t")
+    shard = dynamic.route_write("t", record, created)
+    if compact:
+        dynamic.rules.compact()
+    assert shard in dynamic.query_shards("t", until=until)
+    assert shard in dynamic.query_shards("t", until=until, record_id=record)
+    assert shard in dynamic.query_shards("t", since=since, until=until, record_id=record)
+    assert shard in dynamic.query_shards("t", since=since, record_id=record)

@@ -15,6 +15,7 @@ from repro.faults.__main__ import (
 )
 from repro.obsv import cat_tenants, render_dashboard, render_report, snapshot
 from repro.obsv.skew import Alert
+from repro.query import parse_sql
 from repro.tenancy import (
     CLUSTER_TENANT,
     GovernancePolicy,
@@ -358,6 +359,24 @@ class TestFacadeGovernance:
         db.refresh()
         db.execute_sql("SELECT COUNT(*) FROM transaction_logs")
         assert db.governor.tenant_counts(CLUSTER_TENANT)[0] == 1
+
+    @pytest.mark.parametrize("where, charged", [
+        ("tenant_id = 'a' OR status = 2", CLUSTER_TENANT),
+        ("(tenant_id = 'a' AND status = 2) OR (tenant_id = 'b' AND status = 2)",
+         CLUSTER_TENANT),
+        ("tenant_id = 'a' AND (status = 2 OR amount <= 5)", "a"),
+        ("(tenant_id = 'a' AND status = 2) OR (tenant_id = 'a' AND amount <= 5)", "a"),
+    ], ids=["tenant-or-filter", "two-tenants", "tenant-and-or", "same-tenant-twice"])
+    def test_query_is_charged_to_the_tenant_every_disjunct_names(self, where, charged):
+        # Admission reads the statement's tenant the way shard pruning does:
+        # one tenant only when every disjunct names it, else cross-tenant.
+        sql = f"SELECT * FROM transaction_logs WHERE {where}"
+        for run in (lambda db: db.execute_sql(sql),
+                    lambda db: db.execute_statement(parse_sql(sql))):
+            db = governed_db()
+            run(db)
+            assert db.governor.tenant_counts(charged)[0] == 1
+            assert db.governor.totals()["admitted"] == 1
 
     def test_cat_tenants_gains_governance_columns(self):
         db = governed_db()
