@@ -152,6 +152,14 @@ def routing_bounds(where: object, schema: Schema) -> tuple[RoutingBounds, ...] |
     return tuple(dict.fromkeys(bounds))
 
 
+def common_tenant(bounds: tuple[RoutingBounds, ...] | None) -> object:
+    """The tenant every one of *bounds* names, or None for a cross-tenant
+    statement: one whose disjuncts name different tenants or none."""
+    if bounds is None or any(b.tenant != bounds[0].tenant for b in bounds[1:]):
+        return None
+    return bounds[0].tenant
+
+
 @dataclass(frozen=True)
 class EsdbConfig:
     """Configuration of one ESDB instance.
@@ -866,7 +874,7 @@ class ESDB:
             # extracted tenant is memoized per SQL string so repeat queries
             # (the result-cache hot path) skip the probe parse entirely.
             if statement is not None:
-                query_tenant = self._statement_tenant(statement, rewrite=True)
+                query_tenant = self._statement_tenant(statement)
             elif sql in self._query_tenant_cache:
                 query_tenant = self._query_tenant_cache[sql]
                 self._query_tenant_cache.move_to_end(sql)
@@ -877,7 +885,7 @@ class ESDB:
                     probe = None  # the traced parse below reports the error
                 else:
                     statement = probe
-                query_tenant = self._statement_tenant(probe, rewrite=True)
+                query_tenant = self._statement_tenant(probe)
                 while len(self._query_tenant_cache) >= 512:
                     self._query_tenant_cache.popitem(last=False)
                 self._query_tenant_cache[sql] = query_tenant
@@ -919,7 +927,9 @@ class ESDB:
                     if hit_subattrs:
                         self._subattr_frequencies.record_query(hit_subattrs)
             if not cache_hit:
-                result, shard_ids, statement = self._execute_fanout(
+                # The fan-out reads the tenant off the rewritten statement:
+                # on a governed instance the one admission read.
+                result, shard_ids, statement, query_tenant = self._execute_fanout(
                     tracer, root, sql, statement
                 )
                 if result_key is not None:
@@ -956,11 +966,10 @@ class ESDB:
                     root.duration,
                     trace_id=ctx.trace_id if ctx is not None and ctx.sampled else None,
                 )
-        if governor is None:
-            # Admission extracts the tenant on a governed instance; here it
-            # is read off the rewritten statement — a result-cache hit has
-            # only the caller's statement, and on raw SQL none at all.
-            query_tenant = self._statement_tenant(statement, rewrite=cache_hit)
+        if cache_hit and governor is None:
+            # A hit skips the fan-out that reads the tenant: read it off the
+            # caller's statement (a hit on raw SQL never parses: none).
+            query_tenant = self._statement_tenant(statement)
         if self.obsv is not None:
             slow_entry = self.obsv.record_search(
                 query_tenant,
@@ -989,22 +998,14 @@ class ESDB:
             self.timeseries.maybe_sample(self._clock)
         return result, root
 
-    def _statement_tenant(
-        self, statement: SelectStatement | None, rewrite: bool = False
-    ):
-        """The tenant every disjunct of the rewritten *statement* names
-        (:func:`routing_bounds`, the reader shard pruning uses), or None
-        for a cross-tenant statement: one whose disjuncts name different
-        tenants or none. *rewrite* first runs a parsed statement through
-        Xdriver4ES."""
+    def _statement_tenant(self, statement: SelectStatement | None):
+        """The :func:`common_tenant` of a parsed, not yet rewritten
+        *statement*, for a caller that has not run its fan-out: governed
+        admission and a result-cache hit."""
         if statement is None:
             return None
-        if rewrite:
-            statement = self.xdriver.translate(statement).statement
-        bounds = routing_bounds(statement.where, self.config.schema)
-        if bounds is None or any(b.tenant != bounds[0].tenant for b in bounds[1:]):
-            return None
-        return bounds[0].tenant
+        rewritten = self.xdriver.translate(statement).statement
+        return common_tenant(routing_bounds(rewritten.where, self.config.schema))
 
     @staticmethod
     def _query_terms(statement: SelectStatement | None) -> list[str]:
@@ -1080,10 +1081,10 @@ class ESDB:
         root: Span,
         sql: str | None,
         statement: SelectStatement | None,
-    ) -> tuple[QueryResult, list[int], SelectStatement]:
+    ) -> tuple[QueryResult, list[int], SelectStatement, object]:
         """Parse → rewrite → plan → per-shard execution (through the shard
-        request cache) → aggregation. Returns the result, the fan-out, and
-        the rewritten statement."""
+        request cache) → aggregation. Returns the result, the fan-out, the
+        rewritten statement and the tenant it targets (None: cross-tenant)."""
         if statement is None:
             with tracer.span("query.parse"):
                 statement = parse_sql(sql)
@@ -1100,7 +1101,8 @@ class ESDB:
         with tracer.span("query.plan") as plan_span:
             plan = self.optimizer.plan(statement)
             plan_span.tags["root"] = type(plan.root).__name__
-        shard_ids = self._target_shards(statement)
+        bounds = routing_bounds(statement.where, self.config.schema)
+        shard_ids = self._target_shards(self._shards_per_bound(bounds))
         root.tags["fanout"] = len(shard_ids)
         aggregator = ResultAggregator(
             columns=statement.columns,
@@ -1137,7 +1139,7 @@ class ESDB:
                 shard_results.append(entry)
         with tracer.span("query.aggregate"):
             result = aggregator.aggregate_shards(shard_results)
-        return result, shard_ids, statement
+        return result, shard_ids, statement, common_tenant(bounds)
 
     def _shard_subquery(
         self,
@@ -1190,22 +1192,26 @@ class ESDB:
             return None
         return statement.limit
 
-    def _target_shards(self, statement: SelectStatement) -> list[int]:
-        """Shard pruning through the rule list: the union, over the
-        disjuncts of the rewritten *statement*, of the shards each one's
-        tenant and bounds allow (:meth:`RoutingPolicy.query_shards`);
-        every shard when a disjunct names no tenant."""
-        bounds = routing_bounds(statement.where, self.config.schema)
+    def _shards_per_bound(self, bounds: tuple[RoutingBounds, ...] | None) -> list | None:
+        """The shards each of a statement's :func:`routing_bounds` allows,
+        one :meth:`RoutingPolicy.query_shards` call per disjunct; None for a
+        cross-tenant statement."""
         if bounds is None:
-            return list(range(self.cluster.num_shards))
-        return list(dict.fromkeys(
-            shard for bound in bounds for shard in self._bound_shards(bound)
-        ))
+            return None
+        return [
+            self.policy.query_shards(
+                bound.tenant, until=bound.until, record_id=bound.record_id, since=bound.since
+            )
+            for bound in bounds
+        ]
 
-    def _bound_shards(self, bound: RoutingBounds):
-        return self.policy.query_shards(
-            bound.tenant, until=bound.until, record_id=bound.record_id, since=bound.since
-        )
+    def _target_shards(self, per_bound: list | None) -> list[int]:
+        """Shard pruning through the rule list: the union of the disjuncts'
+        shards (:meth:`_shards_per_bound`), in disjunct order; every shard
+        when a disjunct names no tenant."""
+        if per_bound is None:
+            return list(range(self.cluster.num_shards))
+        return list(dict.fromkeys(itertools.chain.from_iterable(per_bound)))
 
     # -- introspection -----------------------------------------------------------
     def doc_count(self) -> int:
@@ -1232,7 +1238,8 @@ class ESDB:
         statement = parse_sql(sql)
         translated = self.xdriver.translate(statement)
         plan = self.optimizer.plan(translated.statement)
-        shard_ids = self._target_shards(translated.statement)
+        bounds = routing_bounds(translated.statement.where, self.config.schema)
+        per_bound = self._shards_per_bound(bounds)
         lines = [f"SQL: {sql.strip()}"]
         if translated.dsl is not None:
             lines.append(f"ES-DSL: {translated.dsl.to_json()}")
@@ -1245,29 +1252,34 @@ class ESDB:
             )
         lines.append("plan:")
         lines.append("  " + plan.describe().replace("\n", "\n  "))
-        lines.append(self._describe_fanout(translated.statement, shard_ids))
+        lines.append(self._describe_fanout(bounds, per_bound))
         if self._pushdown_limit(translated.statement) is not None:
             lines.append(f"pushdown: per-shard LIMIT {translated.statement.limit}")
         return "\n".join(lines)
 
-    def _describe_fanout(self, statement: SelectStatement, shard_ids: list[int]) -> str:
+    def _describe_fanout(
+        self, bounds: tuple[RoutingBounds, ...] | None, per_bound: list | None
+    ) -> str:
         """EXPLAIN's fan-out line: the shards — ``[first..last]`` when they
         are consecutive, else the list — and, per disjunct, the bounds that
         decided them and how far they pruned."""
+        shard_ids = self._target_shards(per_bound)
         first, total = shard_ids[0], self.cluster.num_shards
         consecutive = all(
             (shard - first) % total == i for i, shard in enumerate(shard_ids)
         )
         shards = f"[{first}..{shard_ids[-1]}]" if consecutive else str(shard_ids)
-        bounds = routing_bounds(statement.where, self.config.schema)
         why = (
             "cross-tenant: a disjunct names no tenant"
             if bounds is None
-            else "; ".join(self._describe_bound(bound) for bound in bounds)
+            else "; ".join(
+                self._describe_bound(bound, len(visited))
+                for bound, visited in zip(bounds, per_bound)
+            )
         )
         return f"fan-out: {len(shard_ids)} shard(s) {shards} ({why})"
 
-    def _describe_bound(self, bound: RoutingBounds) -> str:
+    def _describe_bound(self, bound: RoutingBounds, visited: int) -> str:
         schema = self.config.schema
         time_field = schema.time_field
         terms = [f"{schema.tenant_field} = {bound.tenant!r}"]
@@ -1280,8 +1292,9 @@ class ESDB:
                 terms.append(f"{time_field} >= {since!r}")
             if bound.until is not None:
                 terms.append(f"{time_field} <= {bound.until!r}")
-        visited = len(self._bound_shards(bound))
-        widest = len(self.policy.query_shards(bound.tenant))
+        # The unbounded fan-out, read without a query_shards call so that
+        # EXPLAIN adds to the fan-out counters only what execution would.
+        widest = max(self.policy.offsets(bound.tenant))
         if bound.record_id is None:
             reach = f"offset {visited} of {widest}"
         else:

@@ -131,9 +131,11 @@ def _execute_family(db, column: str, members: list) -> list:
     in member order. Each member still passes admission and is charged
     for what its own filter matched."""
     governor = db.governor
+    # A member filters one non-tenant column (_family_column): it names no
+    # tenant, so it is admitted and charged as cross-tenant.
     if governor is not None:
-        for statement in members:
-            governor.admit_query(db._statement_tenant(statement), db.now)
+        for _ in members:
+            governor.admit_query(None, db.now)
     predicates = []
     for statement in members:
         base = _scan_predicate(statement.where.op, statement.where.value)
@@ -184,9 +186,7 @@ def _execute_family(db, column: str, members: list) -> list:
         )
         metrics.counter("esdb_queries_total").inc()
         if governor is not None:
-            governor.charge_query(
-                db._statement_tenant(statement), db.now, scanned=result.total_hits
-            )
+            governor.charge_query(None, db.now, scanned=result.total_hits)
         results.append(result)
     metrics.counter("esdb_subqueries_total").inc(len(shard_ids))
     return results

@@ -8,6 +8,13 @@ and Python versions (the built-in ``hash`` is salted per process and is
 therefore unusable for shard routing).
 """
 
-from repro.hashing.functions import fnv1a_64, h1, h2, splitmix64, stable_hash
+from repro.hashing.functions import (
+    equal_keys,
+    fnv1a_64,
+    h1,
+    h2,
+    splitmix64,
+    stable_hash,
+)
 
-__all__ = ["fnv1a_64", "splitmix64", "h1", "h2", "stable_hash"]
+__all__ = ["equal_keys", "fnv1a_64", "splitmix64", "h1", "h2", "stable_hash"]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from repro.errors import ConfigurationError, DocumentNotFoundError
-from repro.hashing import h1, h2
+from repro.hashing import equal_keys, h1, h2
 from repro.routing.rules import DEFAULT_OFFSET, RuleList
 from repro.telemetry.runtime import NULL_METRIC, NULL_TELEMETRY
 
@@ -103,8 +103,10 @@ class RoutingPolicy(ABC):
         """Return the shards a statement scoped to *tenant_id* must visit:
         every shard that may hold a record of the tenant created at or
         before *until* (no bound: ever) — consecutive from the base shard.
-        With *record_id*, only the shards that record may sit on; *since*
-        (a lower creation-time bound) narrows those further. The static
+        With *record_id*, only the shards a record whose id ``==`` it may
+        sit on, every spelling of :func:`~repro.hashing.equal_keys` probed
+        (an id whose equals cannot be listed does not narrow); *since* (a
+        lower creation-time bound) narrows those further. The static
         policies ignore all three."""
 
     @abstractmethod
@@ -273,7 +275,8 @@ class DynamicSecondaryHashRouting(RoutingPolicy):
             if until is None
             else self.rules.match(tenant_id, until)
         )
-        if record_id is None:
+        ids = None if record_id is None else equal_keys(record_id)
+        if ids is None:
             shards = ShardRange(self.base_shard(tenant_id), upper, self.num_shards)
         else:
             # A stored record's offset is match(tenant, created_time) under
@@ -286,11 +289,10 @@ class DynamicSecondaryHashRouting(RoutingPolicy):
                 if since is None
                 else min(self.rules.match(tenant_id, since), upper)
             )
-            shards = self._shards_of(
-                tenant_id,
-                record_id,
-                [offset for offset in self.offsets(tenant_id) if lower <= offset <= upper],
-            )
+            offsets = [o for o in self.offsets(tenant_id) if lower <= o <= upper]
+            shards = tuple(dict.fromkeys(
+                shard for key in ids for shard in self._shards_of(tenant_id, key, offsets)
+            ))
         self._fanout_counter.inc(len(shards))
         return shards
 

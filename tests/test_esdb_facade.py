@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import ESDB, EsdbConfig, HashRouting
@@ -9,6 +11,7 @@ from repro.balancer import BalancerConfig
 from repro.cluster import ClusterTopology
 from repro.errors import DocumentNotFoundError, EsdbError, InvalidDocumentError
 from repro.esdb import RoutingBounds, routing_bounds
+from repro.query import parse_sql
 from repro.query.ast import AndNode, ComparisonPredicate
 from repro.workload import TransactionLogGenerator, WorkloadConfig
 from tests.conftest import make_log
@@ -368,10 +371,21 @@ class TestBoundedFanOut:
         assert self._count(split, "created_time < 19.5") == (39, 4)
         assert self._count(split, "created_time < 20.0") == (40, 16)
         assert self._count(split, "created_time >= 25.0") == (10, 16)
-        assert self._count(split, "transaction_id = 50 AND created_time = 25.0") == (1, 1)
-        assert self._count(split, "created_time = 25.0 AND transaction_id = 51") == (0, 1)
-        candidates = split.policy.candidate_shards("w", 50)
+        # A numeric id probes its int and its float spelling (equal under
+        # `=`, hashed apart): one shard each when the time is pinned too.
+        spellings = (50, 50.0)
+        at_25 = {split.policy.route_write("w", key, 25.0) for key in spellings}
+        assert self._count(split, "transaction_id = 50 AND created_time = 25.0") == (1, len(at_25))
+        candidates = {s for key in spellings for s in split.policy.candidate_shards("w", key)}
         assert self._count(split, "transaction_id = 50") == (1, len(candidates))
+
+    def test_string_id_at_a_known_time_is_one_shard(self, split):
+        split.write(make_log("x50", tenant="w", created=25.0))
+        split.refresh()
+        assert self._count(split, "transaction_id = 'x50' AND created_time = 25.0") == (1, 1)
+        assert self._count(split, "created_time = 25.0 AND transaction_id = 'x51'") == (0, 1)
+        candidates = split.policy.candidate_shards("w", "x50")
+        assert self._count(split, "transaction_id = 'x50'") == (1, len(candidates))
 
     def test_tightest_numeric_bound_decides(self, split):
         # Two upper bounds (the rewriter merges two `<=` but not `<`): the
@@ -394,6 +408,47 @@ class TestBoundedFanOut:
         assert split.execute_sql(sql).scalar() == 12
 
 
+class TestIdSpellings:
+    """``=`` matches ``5`` with ``5.0`` and ``1`` with ``True``, but the
+    routing hash encodes them apart: id pruning must probe every spelling."""
+
+    STORED = (5, 7.0, 1, False)  # each matched by the other spelling below
+    QUERIED = (5.0, 7, True, 0)
+
+    @pytest.fixture()
+    def spread(self, db) -> ESDB:
+        db.policy.rules.update(10.0, 16, "w")  # offsets 1 and 16
+        for stored, queried in zip(self.STORED, self.QUERIED):
+            db.write(make_log(stored, tenant="w", created=20.0))
+            # The premise: the query's spelling routes elsewhere.
+            assert db.policy.route_write("w", queried, 20.0) != db.policy.route_write(
+                "w", stored, 20.0
+            )
+        db.refresh()
+        return db
+
+    def _count(self, db, value, time: bool) -> int:
+        conjuncts = [
+            ComparisonPredicate("tenant_id", "=", "w"),
+            ComparisonPredicate("transaction_id", "=", value),
+        ]
+        if time:
+            conjuncts.append(ComparisonPredicate("created_time", "=", 20.0))
+        statement = replace(parse_sql("SELECT COUNT(*) FROM t"), where=AndNode(tuple(conjuncts)))
+        return db.execute_statement(statement).scalar()
+
+    @pytest.mark.parametrize("time", [False, True])
+    def test_every_equal_spelling_is_found(self, spread, time):
+        for stored, queried in zip(self.STORED, self.QUERIED):
+            assert self._count(spread, queried, time) == 1, (stored, queried)
+
+    def test_float_literal_in_sql(self, spread):
+        result = spread.execute_sql(
+            "SELECT transaction_id FROM t WHERE tenant_id = 'w' AND transaction_id = 5.0"
+        )
+        assert [row["transaction_id"] for row in result.rows] == [5]
+
+
 class TestExplain:
     def test_explain_names_the_bound_that_pruned(self, db):
         db.policy.rules.update(10.0, 4, 5)
@@ -404,10 +459,10 @@ class TestExplain:
             f"fan-out: 4 shard(s) [{base}..{(base + 3) % 32}] "
             "(tenant_id = 5, created_time <= 50.0 -> offset 4 of 16)"
         ) in text
-        text = db.explain("SELECT * FROM t WHERE tenant_id = 5 AND transaction_id = 7")
-        shards = list(db.policy.candidate_shards(5, 7))
+        text = db.explain("SELECT * FROM t WHERE tenant_id = 5 AND transaction_id = 'x7'")
+        shards = list(db.policy.candidate_shards(5, "x7"))
         assert f"fan-out: {len(shards)} shard(s) {shards} " in text
-        assert "(tenant_id = 5, transaction_id = 7 -> 3 of 16 shard(s))" in text
+        assert "(tenant_id = 5, transaction_id = 'x7' -> 3 of 16 shard(s))" in text
         text = db.explain("SELECT * FROM t WHERE tenant_id = 5 OR status = 1")
         assert "fan-out: 32 shard(s) [0..31] (cross-tenant: a disjunct names no tenant)" in text
 
@@ -420,6 +475,20 @@ class TestExplain:
         assert "fan-out: 1 shard(s)" in text
         assert "pushdown: per-shard LIMIT 10" in text
         assert "ES-DSL" in text
+
+    def test_explain_counts_the_fanout_as_execution_does(self, db):
+        db.policy.rules.update(10.0, 16, 5)
+        metrics, policy = db.telemetry.metrics, db.policy.name
+        sql = (
+            "SELECT * FROM t WHERE (tenant_id = 5 AND created_time <= 50.0) "
+            "OR (tenant_id = 5 AND transaction_id = 'x7')"
+        )
+        added = []
+        for run in (db.explain, db.execute_sql):
+            before = metrics.value("routing_query_fanout_total", policy=policy)
+            run(sql)
+            added.append(metrics.value("routing_query_fanout_total", policy=policy) - before)
+        assert added[0] == added[1] > 0
 
     def test_explain_does_not_execute(self, db):
         fetched_before = sum(e.stats.docs_fetched for e in db.engines.values())

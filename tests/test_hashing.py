@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import given, strategies as st
 
-from repro.hashing import fnv1a_64, h1, h2, splitmix64, stable_hash
+from repro.hashing import equal_keys, fnv1a_64, h1, h2, splitmix64, stable_hash
 
 
 class TestFnv1a:
@@ -78,6 +78,43 @@ class TestStableHash:
     def test_arbitrary_objects_hash_via_repr(self):
         assert stable_hash((1, 2)) == stable_hash((1, 2))
         assert stable_hash((1, 2)) != stable_hash((2, 1))
+
+
+class TestEqualKeys:
+    def test_numeric_spellings(self):
+        assert equal_keys(5) == (5, 5.0)
+        assert equal_keys(5.0) == (5, 5.0)
+        assert equal_keys(True) == (1, 1.0, True)
+        assert [repr(k) for k in equal_keys(0)] == ["0", "0.0", "-0.0", "False"]
+        assert equal_keys(2.5) == (2.5,)
+        assert equal_keys(float("inf")) == (float("inf"),)
+        assert equal_keys(2**1100) == (2**1100,)  # no float is that large
+        assert equal_keys(2**53 + 1) == (2**53 + 1,)  # nor that precise
+
+    def test_strings_stand_alone(self):
+        assert equal_keys("5") == ("5",)
+
+    def test_keys_whose_equals_cannot_be_listed(self):
+        for key in (float("nan"), (1, 2), None, b"5"):
+            assert equal_keys(key) is None
+
+    def test_spellings_hash_apart(self):
+        assert len({h2(k) for k in equal_keys(0)}) == 4
+
+
+def _spelled(keys) -> set:
+    return {(type(k), repr(k)) for k in keys}
+
+
+@given(st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans(), st.text()))
+def test_property_equal_keys_are_one_class(key):
+    """*key* is among its equal keys, each of them equals it, and each has
+    the same equal keys: any spelling of a value finds every other."""
+    keys = equal_keys(key)
+    assert (type(key), repr(key)) in _spelled(keys)
+    for other in keys:
+        assert other == key
+        assert _spelled(equal_keys(other)) == _spelled(keys)
 
 
 @given(st.one_of(st.integers(), st.text(), st.binary()))

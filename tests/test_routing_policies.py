@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
+from repro.hashing import equal_keys
 from repro.routing import (
     DoubleHashRouting,
     DynamicSecondaryHashRouting,
@@ -234,22 +235,38 @@ class TestBoundedQueryShards:
         assert dynamic.query_shards("t", until=15.0) == ShardRange(base, 4, N)
         assert dynamic.query_shards("t", until=20.0) == dynamic.query_shards("t")
 
-    def test_record_with_exact_time_has_one_shard(self):
+    def test_record_with_exact_time_has_one_shard_per_spelling(self):
         dynamic = DynamicSecondaryHashRouting(N)
         dynamic.rules.update(10.0, 4, "t")
         dynamic.rules.update(20.0, 16, "t")
         for rec in range(50):
             for created in (5.0, 15.0, 25.0):
                 assert dynamic.query_shards(
-                    "t", since=created, until=created, record_id=rec
-                ) == (dynamic.route_write("t", rec, created),)
+                    "t", since=created, until=created, record_id=f"r{rec}"
+                ) == (dynamic.route_write("t", f"r{rec}", created),)
+                # An int id also probes its float (and, for 0 and 1, bool)
+                # spellings: `=` equates them.
+                assert set(
+                    dynamic.query_shards("t", since=created, until=created, record_id=rec)
+                ) == {dynamic.route_write("t", key, created) for key in equal_keys(rec)}
 
     def test_record_without_time_visits_its_candidates(self):
         dynamic = DynamicSecondaryHashRouting(N)
         dynamic.rules.update(10.0, 4, "t")
         dynamic.rules.update(20.0, 16, "t")
         for rec in range(50):
-            assert dynamic.query_shards("t", record_id=rec) == dynamic.candidate_shards("t", rec)
+            assert dynamic.query_shards("t", record_id=f"r{rec}") == (
+                dynamic.candidate_shards("t", f"r{rec}")
+            )
+            assert set(dynamic.query_shards("t", record_id=rec)) == {
+                s for key in equal_keys(rec) for s in dynamic.candidate_shards("t", key)
+            }
+
+    def test_id_whose_equals_cannot_be_listed_does_not_narrow(self):
+        dynamic = DynamicSecondaryHashRouting(N)
+        dynamic.rules.update(10.0, 16, "t")
+        for record_id in ((1, 2), float("nan")):
+            assert dynamic.query_shards("t", record_id=record_id) == dynamic.query_shards("t")
 
 
 @settings(max_examples=60)
@@ -258,14 +275,19 @@ class TestBoundedQueryShards:
         st.tuples(st.floats(0, 100, allow_nan=False), st.sampled_from([2, 4, 8, 16, 64])),
         max_size=6,
     ),
-    record=st.integers(min_value=0, max_value=10**9),
+    record=st.one_of(
+        st.integers(min_value=0, max_value=10**9),
+        st.integers(min_value=0, max_value=10**6).map(float),
+        st.booleans(),
+        st.text(max_size=8),
+    ),
     times=st.lists(st.floats(0, 200, allow_nan=False), min_size=3, max_size=3),
     compact=st.booleans(),
 )
 def test_property_bounded_fanout_holds_every_record_in_bounds(rules, record, times, compact):
     """A record created at c lies in the fan-out of any statement whose
     bounds admit c: ``c <= until`` alone, and ``since <= c <= until`` with
-    its id — across rule appends and compaction."""
+    any id equal to its own — across rule appends and compaction."""
     since, created, until = sorted(times)
     dynamic = DynamicSecondaryHashRouting(N)
     for effective_time, offset in rules:
@@ -274,6 +296,7 @@ def test_property_bounded_fanout_holds_every_record_in_bounds(rules, record, tim
     if compact:
         dynamic.rules.compact()
     assert shard in dynamic.query_shards("t", until=until)
-    assert shard in dynamic.query_shards("t", until=until, record_id=record)
-    assert shard in dynamic.query_shards("t", since=since, until=until, record_id=record)
-    assert shard in dynamic.query_shards("t", since=since, record_id=record)
+    for key in equal_keys(record):
+        assert shard in dynamic.query_shards("t", until=until, record_id=key)
+        assert shard in dynamic.query_shards("t", since=since, until=until, record_id=key)
+        assert shard in dynamic.query_shards("t", since=since, record_id=key)
