@@ -3,11 +3,8 @@
 * :class:`WriteClient` — routing-aware transport client with one-hop
   routing, hotspot-isolation queues, and workload batching of repeated
   modifications to the same row.
-* :class:`QueryClient` — resolves a tenant's shard range from the committed
-  rules and fans the query out to exactly those shards.
 """
 
-from repro.client.query_client import QueryClient
 from repro.client.write_client import BatchDecision, WriteClient, WriteClientConfig
 
-__all__ = ["WriteClient", "WriteClientConfig", "BatchDecision", "QueryClient"]
+__all__ = ["WriteClient", "WriteClientConfig", "BatchDecision"]

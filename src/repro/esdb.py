@@ -6,7 +6,7 @@ system would see:
 * a :class:`~repro.cluster.Cluster` topology with one
   :class:`~repro.storage.engine.ShardEngine` per primary shard;
 * a routing policy (dynamic secondary hashing by default) shared by the
-  write and query clients;
+  write path and the query fan-out;
 * the workload monitor + load balancer + consensus loop that commits new
   secondary hashing rules as hotspots emerge;
 * SQL execution: parse → Xdriver4ES → per-shard RBO plan → execute →

@@ -9,7 +9,6 @@ therefore unusable for shard routing).
 """
 
 from repro.hashing.functions import (
-    equal_keys,
     fnv1a_64,
     h1,
     h2,
@@ -17,4 +16,4 @@ from repro.hashing.functions import (
     stable_hash,
 )
 
-__all__ = ["equal_keys", "fnv1a_64", "splitmix64", "h1", "h2", "stable_hash"]
+__all__ = ["fnv1a_64", "splitmix64", "h1", "h2", "stable_hash"]

@@ -20,18 +20,21 @@ _FNV_PRIME = 0x100000001B3
 
 
 def _to_bytes(key: object) -> bytes:
-    """Encode a routing key deterministically.
+    """Encode a routing key deterministically, by value.
 
-    Integers, strings and bytes are supported; anything else is hashed via
-    its ``repr`` which is stable for the value types used in workloads.
+    Equal ``str``, ``int``, ``float`` and ``bool`` keys encode alike, as
+    rule matching and a query's ``=`` compare them: a bool or an integral
+    float is encoded as its ``int`` (``True`` and ``1.0`` as ``1``).
+    Anything else is hashed via its ``repr``, which is stable for the value
+    types used in workloads.
     """
     if isinstance(key, bytes):
         return key
     if isinstance(key, str):
         return key.encode("utf-8")
-    if isinstance(key, bool):
-        return b"\x01" if key else b"\x00"
-    if isinstance(key, int):
+    if isinstance(key, float) and key.is_integer():
+        key = int(key)
+    if isinstance(key, int):  # a bool too: True encodes as 1
         return key.to_bytes((key.bit_length() + 8) // 8 + 1, "little", signed=True)
     return repr(key).encode("utf-8")
 
@@ -73,32 +76,3 @@ def h1(key: object) -> int:
 def h2(key: object) -> int:
     """Secondary routing hash, applied to the record id (``k2`` in Eq. 1/2)."""
     return splitmix64(stable_hash(key, seed=0x5EED))
-
-
-def equal_keys(key: object) -> tuple[object, ...] | None:
-    """Every ``str``, ``int``, ``float`` or ``bool`` key that ``==`` equates
-    with *key*, which is how a query's ``=`` matches a stored value.
-
-    The hashes encode these types apart — ``5``, ``5.0`` and, for 0 and 1,
-    ``True``/``False`` (and ``-0.0``) are different routing keys — so a
-    reader that hashes one spelling must probe them all. None when *key* is
-    of another type or NaN: its equals cannot be listed.
-    """
-    if isinstance(key, str):
-        return (key,)
-    if not isinstance(key, (int, float)) or key != key:
-        return None
-    if isinstance(key, float) and not key.is_integer():
-        return (key,)  # no int equals it (infinities included)
-    value = int(key)
-    keys: list[object] = [value]
-    try:
-        if float(value) == value:
-            keys.append(float(value))
-    except OverflowError:
-        pass  # too large for any float to equal it
-    if value == 0:
-        keys.append(-0.0)
-    if value in (0, 1):
-        keys.append(bool(value))
-    return tuple(keys)

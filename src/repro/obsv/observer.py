@@ -69,14 +69,6 @@ class Observer:
         #: hot" to "tenant X is hot *because of these keys and queries*").
         self.attributor = None
         self._metrics = metrics
-        if metrics is not None:
-            metrics.set_help(
-                "obsv_alerts_total", "Skew alerts raised, by kind (repro.obsv)"
-            )
-            metrics.set_help(
-                "obsv_slowlog_entries_total",
-                "Slow-log entries recorded, by log and level (repro.obsv)",
-            )
 
     # -- recording ---------------------------------------------------------
     def record_write(

@@ -23,14 +23,12 @@ from repro.query.ast import (
     SelectStatement,
     SubAttributePredicate,
 )
-from repro.query.advisor import IndexAdvice, IndexAdvisor
 from repro.query.dsl import DslQuery, to_dsl
 from repro.query.executor import QueryExecutor
 from repro.query.optimizer import AccessPath, RuleBasedOptimizer
 from repro.query.planner import PhysicalPlan
 from repro.query.aggregator import QueryResult, ResultAggregator
 from repro.query.sql_parser import parse_sql
-from repro.query.validator import StatementValidator, UnknownColumnError
 from repro.query.xdriver import Xdriver4ES
 
 __all__ = [
@@ -54,8 +52,4 @@ __all__ = [
     "QueryExecutor",
     "ResultAggregator",
     "QueryResult",
-    "IndexAdvisor",
-    "IndexAdvice",
-    "StatementValidator",
-    "UnknownColumnError",
 ]

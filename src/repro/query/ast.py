@@ -128,9 +128,6 @@ class NotNode:
     child: object
 
 
-BoolNode = object  # AndNode | OrNode | NotNode | Predicate
-
-
 @dataclass(frozen=True)
 class OrderBy:
     column: str
@@ -185,13 +182,6 @@ class FunctionProjection:
     @property
     def output_name(self) -> str:
         return f"{self.func}({self.column})"
-
-
-def projection_name(item: object) -> str:
-    """Output column name of one SELECT-list item."""
-    if isinstance(item, (AggregateProjection, FunctionProjection)):
-        return item.output_name
-    return str(item)
 
 
 @dataclass(frozen=True)

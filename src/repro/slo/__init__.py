@@ -13,7 +13,7 @@ the logical clock:
 
 from repro.slo.config import SLO_KINDS, SLO_OPS, SloConfig, SloObjective
 from repro.slo.engine import BurnAlert, SloEngine
-from repro.slo.profiler import HOTKEY_DIMENSIONS, HeavyHitterProfiler
+from repro.slo.profiler import HeavyHitterProfiler
 from repro.slo.sketch import SpaceSavingSketch, rank_top_k
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "SloObjective",
     "BurnAlert",
     "SloEngine",
-    "HOTKEY_DIMENSIONS",
     "HeavyHitterProfiler",
     "SpaceSavingSketch",
     "rank_top_k",

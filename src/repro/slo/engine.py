@@ -104,25 +104,6 @@ class SloEngine:
         self.evaluations = 0
         self._next_evaluation: float | None = None
         self._metrics = metrics
-        if metrics is not None:
-            metrics.set_help(
-                "slo_budget_remaining_pct",
-                "Error budget remaining per objective, percent (repro.slo)",
-            )
-            metrics.set_help(
-                "slo_burn_rate",
-                "Error-budget burn rate per objective and window (repro.slo)",
-            )
-            metrics.set_help(
-                "slo_good_total", "Good operations per objective (repro.slo)"
-            )
-            metrics.set_help(
-                "slo_bad_total", "Bad operations per objective (repro.slo)"
-            )
-            metrics.set_help(
-                "slo_burn_alerts_total",
-                "slo_burn transitions fired per objective (repro.slo)",
-            )
 
     # -- recording ---------------------------------------------------------
     def record(

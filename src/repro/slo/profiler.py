@@ -16,9 +16,6 @@ from __future__ import annotations
 from repro.slo.config import SloConfig
 from repro.slo.sketch import SpaceSavingSketch
 
-#: The profiled dimensions, in the order every table and snapshot uses.
-HOTKEY_DIMENSIONS = ("routing_key", "filter_term", "query_fingerprint")
-
 
 class HeavyHitterProfiler:
     """Bounded per-shard / per-tenant heavy-hitter tracking."""
@@ -36,14 +33,9 @@ class HeavyHitterProfiler:
         self.dropped_tenants = 0
         self.decays = 0
         self._next_decay: float | None = None
-        self._conc_gauge = None
-        if metrics is not None:
-            metrics.set_help(
-                "slo_hotkey_concentration_pct",
-                "Top routing key's share of tracked writes, percent "
-                "(repro.slo)",
-            )
-            self._conc_gauge = metrics.gauge("slo_hotkey_concentration_pct")
+        self._conc_gauge = (
+            metrics.gauge("slo_hotkey_concentration_pct") if metrics is not None else None
+        )
 
     # -- recording ---------------------------------------------------------
     def record_write(self, tenant, shard_id: int, routing_key) -> None:

@@ -14,8 +14,8 @@ The measurement substrate for the whole reproduction:
 * :class:`EventLog` — bounded ring of typed operational events
   (throttles, demotions, faults, promotions, slow queries, rule commits)
   stamped with the active trace id;
-* exporters — JSON dumps (round-trippable) and Prometheus-style text
-  with OpenMetrics trace-id exemplars on histogram buckets;
+* :func:`profile_dump` — the ``--profile`` JSON payload (metrics
+  snapshot, trace-id exemplars on histogram buckets, recent traces);
 * a near-zero-overhead disabled mode (:data:`NULL_TELEMETRY`) so
   instrumentation can stay in hot paths permanently.
 
@@ -24,13 +24,7 @@ for no-ops, ``set_default_telemetry`` to capture every instance created
 afterwards (the ``--profile`` flag of ``repro.experiments`` uses this).
 """
 
-from repro.telemetry.export import (
-    parse_json_snapshot,
-    parse_prometheus,
-    profile_dump,
-    to_json,
-    to_prometheus,
-)
+from repro.telemetry.export import profile_dump
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -116,9 +110,5 @@ __all__ = [
     "NullTracer",
     "default_telemetry",
     "set_default_telemetry",
-    "to_json",
-    "to_prometheus",
-    "parse_json_snapshot",
-    "parse_prometheus",
     "profile_dump",
 ]

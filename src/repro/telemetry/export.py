@@ -1,195 +1,10 @@
-"""Exporters: JSON dumps and Prometheus-style text exposition.
-
-The JSON format round-trips (``parse_json_snapshot`` restores the snapshot
-dict), so a ``--profile out.json`` dump from one run can be diffed against
-another. The Prometheus format follows the text exposition conventions —
-one ``# HELP`` + ``# TYPE`` pair per metric name, ``name{label="value"}
-value`` samples with escaped label values, ``_bucket``/``_sum``/``_count``
-series with cumulative ``le`` buckets for histograms — closely enough for
-a real scraper, and :func:`parse_prometheus` reads the sample lines (and,
-on request, the HELP/TYPE metadata) back for round-trip tests.
-"""
+"""The ``--profile out.json`` dump of the experiments CLI."""
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.telemetry.metrics import MetricsRegistry
-
-
-def to_json(registry: MetricsRegistry, indent: int | None = 2) -> str:
-    """Serialize the registry snapshot as JSON."""
-    return json.dumps(registry.snapshot(), indent=indent, sort_keys=True)
-
-
-def parse_json_snapshot(text: str) -> dict:
-    """Parse a :func:`to_json` dump back into a snapshot dict."""
-    snapshot = json.loads(text)
-    for section in ("counters", "gauges", "histograms"):
-        if section not in snapshot:
-            raise ValueError(f"not a telemetry snapshot: missing {section!r}")
-    return snapshot
-
-
-def _escape_label_value(value: str) -> str:
-    """Escape per the exposition format: backslash, double quote, newline."""
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
-
-
-def _unescape_label_value(value: str) -> str:
-    out: list[str] = []
-    escaped = False
-    for char in value:
-        if escaped:
-            out.append({"n": "\n"}.get(char, char))
-            escaped = False
-        elif char == "\\":
-            escaped = True
-        else:
-            out.append(char)
-    return "".join(out)
-
-
-def _format_labels(labels: dict) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(
-        f'{key}="{_escape_label_value(str(value))}"' for key, value in labels.items()
-    )
-    return "{" + inner + "}"
-
-
-def _merge_labels(labels: dict, **extra) -> dict:
-    merged = dict(labels)
-    merged.update({k: str(v) for k, v in extra.items()})
-    return merged
-
-
-def to_prometheus(registry: MetricsRegistry) -> str:
-    """Render the registry in the Prometheus text exposition format.
-
-    Metric names come out in sorted order, each introduced by exactly one
-    ``# HELP`` line (from :meth:`MetricsRegistry.set_help`, or a generated
-    default) and one ``# TYPE`` line, followed by every series under the
-    name. Histograms expand into cumulative ``_bucket`` series plus
-    ``_sum``/``_count``.
-    """
-    snapshot = registry.snapshot()
-    entries_by_name: dict[str, tuple[str, list[dict]]] = {}
-    for kind_key, kind in (
-        ("counters", "counter"),
-        ("gauges", "gauge"),
-        ("histograms", "histogram"),
-    ):
-        for entry in snapshot[kind_key]:
-            entries_by_name.setdefault(entry["name"], (kind, []))[1].append(entry)
-    help_for = getattr(registry, "help_for", None)
-    lines: list[str] = []
-    for name in sorted(entries_by_name):
-        kind, entries = entries_by_name[name]
-        help_text = help_for(name) if help_for is not None else f"{name} ({kind})"
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {kind}")
-        for entry in entries:
-            labels = entry["labels"]
-            if kind == "histogram":
-                exemplars = {
-                    index: (value, trace_id)
-                    for index, value, trace_id in entry.get("exemplars", [])
-                }
-                cumulative = 0
-                for index, (bound, count) in enumerate(entry["buckets"]):
-                    cumulative += count
-                    le = "+Inf" if bound == "+Inf" else f"{bound:g}"
-                    sample = (
-                        f"{name}_bucket"
-                        f"{_format_labels(_merge_labels(labels, le=le))} {cumulative}"
-                    )
-                    if index in exemplars:
-                        # OpenMetrics exemplar: `... # {trace_id="..."} value`.
-                        value, trace_id = exemplars[index]
-                        sample += f' # {{trace_id="{trace_id}"}} {value:g}'
-                    lines.append(sample)
-                lines.append(f"{name}_sum{_format_labels(labels)} {entry['sum']:g}")
-                lines.append(f"{name}_count{_format_labels(labels)} {entry['count']}")
-            else:
-                lines.append(f"{name}{_format_labels(labels)} {entry['value']:g}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_prometheus(text: str, with_meta: bool = False) -> dict | tuple[dict, dict]:
-    """Parse sample lines back into ``{(name, labels): value}``.
-
-    Labels come back as a sorted tuple of ``(key, value)`` pairs with
-    escape sequences resolved — enough for round-trip tests; not a full
-    exposition-format parser. With ``with_meta=True`` the return value is
-    ``(samples, meta)`` where ``meta`` maps each metric name to its parsed
-    ``{"help": ..., "type": ...}`` comment lines.
-    """
-    samples: dict[tuple, float] = {}
-    meta: dict[str, dict] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split(None, 3)
-            if len(parts) >= 3 and parts[1] in ("HELP", "TYPE"):
-                name = parts[2]
-                value = parts[3] if len(parts) > 3 else ""
-                meta.setdefault(name, {})[parts[1].lower()] = value
-            continue
-        # Strip any OpenMetrics exemplar suffix before splitting off the
-        # value — exemplar payloads contain spaces of their own.
-        line = line.split(" # {", 1)[0].rstrip()
-        metric_part, _, value_part = line.rpartition(" ")
-        name, labels = _parse_metric(metric_part)
-        samples[(name, labels)] = float(value_part)
-    if with_meta:
-        return samples, meta
-    return samples
-
-
-def _parse_metric(metric_part: str) -> tuple[str, tuple]:
-    if "{" not in metric_part:
-        return metric_part, ()
-    name, _, rest = metric_part.partition("{")
-    body = rest.rstrip("}")
-    labels: list[tuple[str, str]] = []
-    for piece in _split_label_pairs(body):
-        key, _, raw = piece.partition("=")
-        labels.append((key, _unescape_label_value(raw.strip('"'))))
-    return name, tuple(sorted(labels))
-
-
-def _split_label_pairs(body: str) -> list[str]:
-    """Split ``k1="v1",k2="v2"`` on commas outside quotes, honouring
-    backslash escapes (so values may contain commas, quotes, spaces)."""
-    pairs: list[str] = []
-    current: list[str] = []
-    in_quotes = False
-    escaped = False
-    for char in body:
-        if escaped:
-            current.append(char)
-            escaped = False
-        elif char == "\\" and in_quotes:
-            current.append(char)
-            escaped = True
-        elif char == '"':
-            in_quotes = not in_quotes
-            current.append(char)
-        elif char == "," and not in_quotes:
-            pairs.append("".join(current))
-            current = []
-        else:
-            current.append(char)
-    if current:
-        pairs.append("".join(current))
-    return pairs
 
 
 def profile_dump(registry: MetricsRegistry, traces: list | None = None) -> dict[str, Any]:

@@ -239,7 +239,6 @@ class MetricsRegistry:
         self._kinds: dict[str, str] = {}
         self._series: dict[str, dict[tuple, Any]] = {}
         self._buckets: dict[str, tuple[float, ...]] = {}
-        self._help: dict[str, str] = {}
         # Registration is check-then-set over shared dicts; user threads
         # may register series concurrently, so creation is serialized.
         # Hot paths cache the returned metric object, so the lock is off
@@ -285,19 +284,6 @@ class MetricsRegistry:
             "histogram", name, labels, lambda: Histogram(name, labels, buckets=chosen)
         )
 
-    def set_help(self, name: str, text: str) -> None:
-        """Attach a one-line description to metric *name* — emitted as the
-        ``# HELP`` line by the Prometheus exporter."""
-        self._help[name] = " ".join(str(text).split())
-
-    def help_for(self, name: str) -> str:
-        """The registered help text for *name*, or a generated default."""
-        text = self._help.get(name)
-        if text:
-            return text
-        kind = self._kinds.get(name, "metric")
-        return f"{name} ({kind})"
-
     # -- introspection -----------------------------------------------------
     def names(self) -> list[str]:
         return sorted(self._kinds)
@@ -328,7 +314,8 @@ class MetricsRegistry:
 
     # -- snapshots ---------------------------------------------------------
     def snapshot(self) -> dict:
-        """A JSON-ready dump of every series (see repro.telemetry.export)."""
+        """A JSON-ready dump of every series: the ``metrics`` section of the
+        diagnostics bundle and of ``--profile`` dumps."""
         counters, gauges, histograms = [], [], []
         for name in self.names():
             kind = self._kinds[name]

@@ -67,12 +67,6 @@ class NullRegistry:
     def histogram(self, name: str, buckets=None, **labels) -> NullMetric:
         return NULL_METRIC
 
-    def set_help(self, name: str, text: str) -> None:
-        pass
-
-    def help_for(self, name: str) -> str:
-        return ""
-
     def names(self) -> list:
         return []
 

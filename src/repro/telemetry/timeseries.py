@@ -135,37 +135,6 @@ class TimeSeries:
             return None
         return self._points[(self._head - 1) % len(self._points)]
 
-    # -- queries -----------------------------------------------------------
-    def delta(self, samples: int = 1) -> float | None:
-        """Value change over the last *samples* intervals (None if the ring
-        holds fewer than ``samples + 1`` points)."""
-        if samples < 1:
-            raise ConfigurationError("delta needs samples >= 1")
-        pts = self.points()
-        if len(pts) <= samples:
-            return None
-        return pts[-1][1] - pts[-1 - samples][1]
-
-    def rate(self, samples: int = 1) -> float | None:
-        """Per-second rate of change over the last *samples* intervals."""
-        if samples < 1:
-            raise ConfigurationError("rate needs samples >= 1")
-        pts = self.points()
-        if len(pts) <= samples:
-            return None
-        elapsed = pts[-1][0] - pts[-1 - samples][0]
-        if elapsed <= 0:
-            return None
-        return (pts[-1][1] - pts[-1 - samples][1]) / elapsed
-
-    def window(self, start: float | None = None, end: float | None = None) -> list[tuple[float, float]]:
-        """Samples with ``start <= time <= end`` (either bound optional)."""
-        return [
-            (t, v)
-            for t, v in self.points()
-            if (start is None or t >= start) and (end is None or t <= end)
-        ]
-
     def summary(self) -> dict:
         """Count/min/max/mean/last over the retained window, NaN-safe."""
         return summarize_values(self.values())
@@ -405,20 +374,6 @@ class TimeSeriesStore:
         series = self.series(name, **labels)
         if series is not None:
             series.append(time, value)
-
-    # -- queries (store-level conveniences) --------------------------------
-    def delta(self, name: str, samples: int = 1, **labels) -> float | None:
-        series = self.get(name, **labels)
-        return series.delta(samples) if series is not None else None
-
-    def rate(self, name: str, samples: int = 1, **labels) -> float | None:
-        series = self.get(name, **labels)
-        return series.rate(samples) if series is not None else None
-
-    def window(self, name: str, start: float | None = None, end: float | None = None,
-               **labels) -> list[tuple[float, float]]:
-        series = self.get(name, **labels)
-        return series.window(start, end) if series is not None else []
 
     # -- sampling ----------------------------------------------------------
     def add_derivation(self, derivation: Derivation) -> "TimeSeriesStore":

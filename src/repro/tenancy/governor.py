@@ -96,22 +96,6 @@ class TenantGovernor:
         self._queued_counters: dict[str, object] = {}
         self._shed_counters: dict[tuple, object] = {}
         self._depth_gauge = metrics.gauge("tenancy_queue_depth") if metrics else None
-        if metrics is not None:
-            metrics.set_help(
-                "tenancy_admitted_total",
-                "Operations admitted by tenant governance, by op and qos",
-            )
-            metrics.set_help(
-                "tenancy_queued_total",
-                "Admitted operations that booked a backpressure queue slot",
-            )
-            metrics.set_help(
-                "tenancy_shed_total",
-                "Operations rejected by tenant governance, by op and budget",
-            )
-            metrics.set_help(
-                "tenancy_queue_depth", "Booked admission-queue slots right now"
-            )
 
     # -- tenant state --------------------------------------------------------
     def _state(self, tenant: object) -> _TenantState:

@@ -55,3 +55,15 @@ def make_log(
     }
     doc.update(extra)
     return doc
+
+
+def equal_spellings(key: object) -> list:
+    """*key* and every int, float or bool ``==`` it: the spellings a
+    query's ``=`` matches with the same stored value."""
+    others = [True, False, -0.0]
+    for convert in (int, float):
+        try:
+            others.append(convert(key))
+        except (OverflowError, ValueError, TypeError):
+            pass
+    return [key] + [other for other in others if other == key]

@@ -1,15 +1,13 @@
 """End-to-end tests of the three cache levels through the ESDB facade:
 hit/miss behaviour, read-your-writes under refresh/delete/rule-append,
-explain_analyze cache spans, report lines, and the client cache."""
+explain_analyze cache spans and report lines."""
 
 from __future__ import annotations
 
 
 from repro import ESDB, CacheConfig, EsdbConfig
-from repro.client import QueryClient
 from repro.cluster import ClusterTopology
 from repro.obsv import render_report, snapshot
-from repro.routing import DynamicSecondaryHashRouting
 from tests.conftest import make_log
 
 TOPOLOGY = ClusterTopology(num_nodes=2, num_shards=8)
@@ -205,40 +203,3 @@ class TestStatsReport:
         # Local stats still track even though the registry is a no-op.
         assert db.result_cache.stats.hits == 1
         assert "cache[" not in render_report(snapshot(db))
-
-
-class TestClientCache:
-    def test_client_cache_hits_and_rule_version_invalidates(self):
-        policy = DynamicSecondaryHashRouting(8)
-        calls = []
-
-        def run_subquery(shard_id):
-            calls.append(shard_id)
-            return [{"tenant_id": "t1", "v": shard_id}]
-
-        client = QueryClient(policy, run_subquery, cache_bytes=64 * 1024)
-        first = client.query("t1")
-        assert client.cache.stats.misses == 1
-        second = client.query("t1")
-        assert client.cache.stats.hits == 1
-        assert first.rows == second.rows
-        assert len(calls) == first.subqueries  # no extra subqueries on hit
-        policy.rules.update(10.0, 4, "t1")  # version bump -> miss
-        client.query("t1")
-        assert client.cache.stats.hits == 1
-        assert len(calls) > first.subqueries
-
-    def test_invalidate_cache(self):
-        policy = DynamicSecondaryHashRouting(8)
-        client = QueryClient(policy, lambda s: [], cache_bytes=1024)
-        client.query("t1")
-        assert client.invalidate_cache() == 1
-        client.query("t1")
-        assert client.cache.stats.misses == 2
-
-    def test_cache_off_by_default(self):
-        policy = DynamicSecondaryHashRouting(8)
-        client = QueryClient(policy, lambda s: [])
-        assert client.cache is None
-        client.query("t1")
-        assert client.invalidate_cache() == 0

@@ -1,11 +1,10 @@
-"""Tests for the write client (§3.1) and the query client."""
+"""Tests for the write client (§3.1)."""
 
 from __future__ import annotations
 
 
-from repro.client import BatchDecision, QueryClient, WriteClient, WriteClientConfig
-from repro.query.ast import OrderBy
-from repro.routing import DoubleHashRouting, DynamicSecondaryHashRouting, HashRouting
+from repro.client import BatchDecision, WriteClient, WriteClientConfig
+from repro.routing import DynamicSecondaryHashRouting, HashRouting
 from tests.conftest import make_log
 
 
@@ -125,37 +124,6 @@ class TestBatchDispatch:
         # Window reached: queue flushed without an explicit flush() call.
         assert client.queue_depths() == (0, 0)
         assert len(sink.all_sources()) == 5
-
-
-class TestQueryClient:
-    def _run_subquery_factory(self, data_by_shard):
-        return lambda shard_id: data_by_shard.get(shard_id, [])
-
-    def test_fanout_matches_policy(self):
-        policy = DoubleHashRouting(64, offset=8)
-        client = QueryClient(policy, self._run_subquery_factory({}))
-        result = client.query("tenant")
-        assert result.subqueries == 8
-        assert client.avg_fanout == 8
-
-    def test_small_tenant_single_subquery_with_dynamic(self):
-        policy = DynamicSecondaryHashRouting(64)
-        policy.rules.update(0.0, 16, "hot")
-        client = QueryClient(policy, self._run_subquery_factory({}))
-        assert client.query("cold").subqueries == 1
-        assert client.query("hot").subqueries == 16
-
-    def test_results_merged_sorted_limited(self):
-        policy = DoubleHashRouting(8, offset=2)
-        base = policy.base_shard("t")
-        data = {
-            base % 8: [{"id": 3}, {"id": 1}],
-            (base + 1) % 8: [{"id": 2}],
-        }
-        client = QueryClient(policy, self._run_subquery_factory(data))
-        result = client.query("t", order_by=OrderBy("id"), limit=2)
-        assert [r["id"] for r in result.rows] == [1, 2]
-        assert result.total_hits == 3
 
 
 class TestCrossQueueCoalescing:

@@ -371,12 +371,9 @@ class TestBoundedFanOut:
         assert self._count(split, "created_time < 19.5") == (39, 4)
         assert self._count(split, "created_time < 20.0") == (40, 16)
         assert self._count(split, "created_time >= 25.0") == (10, 16)
-        # A numeric id probes its int and its float spelling (equal under
-        # `=`, hashed apart): one shard each when the time is pinned too.
-        spellings = (50, 50.0)
-        at_25 = {split.policy.route_write("w", key, 25.0) for key in spellings}
-        assert self._count(split, "transaction_id = 50 AND created_time = 25.0") == (1, len(at_25))
-        candidates = {s for key in spellings for s in split.policy.candidate_shards("w", key)}
+        # An id with the time pinned too: one shard.
+        assert self._count(split, "transaction_id = 50 AND created_time = 25.0") == (1, 1)
+        candidates = split.policy.candidate_shards("w", 50)
         assert self._count(split, "transaction_id = 50") == (1, len(candidates))
 
     def test_string_id_at_a_known_time_is_one_shard(self, split):
@@ -408,9 +405,15 @@ class TestBoundedFanOut:
         assert split.execute_sql(sql).scalar() == 12
 
 
+def _count_where(db: ESDB, *conjuncts: ComparisonPredicate) -> int:
+    statement = replace(parse_sql("SELECT COUNT(*) FROM t"), where=AndNode(conjuncts))
+    return db.execute_statement(statement).scalar()
+
+
 class TestIdSpellings:
-    """``=`` matches ``5`` with ``5.0`` and ``1`` with ``True``, but the
-    routing hash encodes them apart: id pruning must probe every spelling."""
+    """``=`` matches ``5`` with ``5.0`` and ``1`` with ``True``, and the
+    routing hash encodes them alike: a record is found, and a tenant's
+    shards are visited, under any spelling of its key."""
 
     STORED = (5, 7.0, 1, False)  # each matched by the other spelling below
     QUERIED = (5.0, 7, True, 0)
@@ -418,12 +421,8 @@ class TestIdSpellings:
     @pytest.fixture()
     def spread(self, db) -> ESDB:
         db.policy.rules.update(10.0, 16, "w")  # offsets 1 and 16
-        for stored, queried in zip(self.STORED, self.QUERIED):
+        for stored in self.STORED:
             db.write(make_log(stored, tenant="w", created=20.0))
-            # The premise: the query's spelling routes elsewhere.
-            assert db.policy.route_write("w", queried, 20.0) != db.policy.route_write(
-                "w", stored, 20.0
-            )
         db.refresh()
         return db
 
@@ -434,8 +433,7 @@ class TestIdSpellings:
         ]
         if time:
             conjuncts.append(ComparisonPredicate("created_time", "=", 20.0))
-        statement = replace(parse_sql("SELECT COUNT(*) FROM t"), where=AndNode(tuple(conjuncts)))
-        return db.execute_statement(statement).scalar()
+        return _count_where(db, *conjuncts)
 
     @pytest.mark.parametrize("time", [False, True])
     def test_every_equal_spelling_is_found(self, spread, time):
@@ -447,6 +445,16 @@ class TestIdSpellings:
             "SELECT transaction_id FROM t WHERE tenant_id = 'w' AND transaction_id = 5.0"
         )
         assert [row["transaction_id"] for row in result.rows] == [5]
+
+    def test_tenant_literal_finds_the_tenant_in_any_spelling(self, db):
+        for tenant in range(8):
+            for i in range(20):
+                db.write(make_log(f"{tenant}-{i}", tenant=tenant, created=float(i)))
+        db.refresh()
+        assert db.execute_sql("SELECT COUNT(*) FROM t WHERE tenant_id = 5.0").scalar() == 20
+        for value, tenant in ((5.0, 5), (True, 1)):
+            tenant_rows = _count_where(db, ComparisonPredicate("tenant_id", "=", tenant))
+            assert _count_where(db, ComparisonPredicate("tenant_id", "=", value)) == tenant_rows == 20
 
 
 class TestExplain:

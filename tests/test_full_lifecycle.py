@@ -2,7 +2,7 @@
 
 A single scenario that chains, in order: replicated writes → hotspot
 balancing via consensus → read-your-writes updates across the split →
-advisor-driven dynamic index creation → aggregate analytics with HAVING →
+dynamic index creation → aggregate analytics with HAVING →
 frequency-indexing suggestions → primary failover → final consistency
 checks. If any two features interact badly, this is where it shows.
 """
@@ -15,7 +15,6 @@ from repro import ESDB, EsdbConfig
 from repro.balancer import BalancerConfig
 from repro.cluster import ClusterTopology
 from repro.obsv import render_report, snapshot
-from repro.query import IndexAdvisor, parse_sql
 from tests.conftest import make_log
 
 
@@ -61,15 +60,8 @@ def story():
         db.write(make_log(i, tenant="whale", created=clock, amount=float(i)))
     facts["post_split_writes"] = 60
 
-    # Stage 4: advisor recommends an index for the analytics workload.
-    advisor = IndexAdvisor(max_indexes=1)
-    workload_sql = "SELECT * FROM t WHERE group = 1 AND amount >= 10"
-    for _ in range(10):
-        advisor.observe(parse_sql(workload_sql))
-    advice = advisor.recommend()
-    facts["advice"] = advice
-    if advice.composite_indexes:
-        db.add_index(advice.composite_indexes[0])
+    # Stage 4: a composite index for the analytics workload, built live.
+    db.add_index(("group", "amount"))
 
     # Stage 5: replicate, then lose every primary of the whale's range.
     db.replicate()
@@ -100,12 +92,8 @@ class TestLifecycle:
         )
         assert result.rows[0]["status"] == 9
 
-    def test_advisor_index_is_live(self, story):
-        db = story["db"]
-        advice = story["advice"]
-        assert advice.composite_indexes, "advisor should recommend for the workload"
-        name = "_".join(advice.composite_indexes[0])
-        assert name in db.list_indexes()
+    def test_added_index_is_live(self, story):
+        assert "group_amount" in story["db"].list_indexes()
 
     def test_aggregate_with_having_after_failover(self, story):
         db = story["db"]

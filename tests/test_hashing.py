@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from hypothesis import given, strategies as st
 
-from repro.hashing import equal_keys, fnv1a_64, h1, h2, splitmix64, stable_hash
+from repro.hashing import fnv1a_64, h1, h2, splitmix64, stable_hash
+from tests.conftest import equal_spellings
 
 
 class TestFnv1a:
@@ -41,13 +42,16 @@ class TestH1H2Independence:
             assert h1(key) != h2(key)
 
     def test_h1_stable_across_types_consistently(self):
-        # Same value, same type => same hash; int vs str must differ
-        # (tenant ids are type-sensitive routing keys).
+        # Same value => same hash; int vs str must differ (they are not
+        # equal, and `=` never matches one with the other).
         assert h1(7) == h1(7)
         assert h1("7") != h1(7)
 
     def test_bool_not_confused_with_int(self):
-        assert h1(True) != h1(1)
+        # `=` matches True with 1 and False with 0, so each bool is one
+        # routing key with the int it equals, and only with that one.
+        assert h1(True) == h1(1) != h1(0)
+        assert h2(False) == h2(0) != h2(1)
 
     def test_mod_n_roughly_uniform(self):
         n = 64
@@ -81,40 +85,35 @@ class TestStableHash:
 
 
 class TestEqualKeys:
+    """Keys ``=`` equates are one routing key: ``h1``/``h2`` encode a
+    ``str``, ``int``, ``float`` or ``bool`` by value."""
+
     def test_numeric_spellings(self):
-        assert equal_keys(5) == (5, 5.0)
-        assert equal_keys(5.0) == (5, 5.0)
-        assert equal_keys(True) == (1, 1.0, True)
-        assert [repr(k) for k in equal_keys(0)] == ["0", "0.0", "-0.0", "False"]
-        assert equal_keys(2.5) == (2.5,)
-        assert equal_keys(float("inf")) == (float("inf"),)
-        assert equal_keys(2**1100) == (2**1100,)  # no float is that large
-        assert equal_keys(2**53 + 1) == (2**53 + 1,)  # nor that precise
+        assert {h1(k) for k in (5, 5.0)} == {h1(5)}
+        assert {h2(k) for k in (1, 1.0, True)} == {h2(1)}
+        assert {h2(k) for k in (0, 0.0, -0.0, False)} == {h2(0)}
+        assert h2(2.5) != h2(2) and h2(2.5) != h2(3)
+        assert h2(2**53 + 1) != h2(float(2**53 + 1))  # no float is that precise
 
     def test_strings_stand_alone(self):
-        assert equal_keys("5") == ("5",)
+        assert h2("5") != h2(5)
 
     def test_keys_whose_equals_cannot_be_listed(self):
-        for key in (float("nan"), (1, 2), None, b"5"):
-            assert equal_keys(key) is None
+        # Only the four scalar types hash by value; a tuple hashes by repr.
+        assert (1, 2) == (1.0, 2)
+        assert h2((1, 2)) != h2((1.0, 2))
 
-    def test_spellings_hash_apart(self):
-        assert len({h2(k) for k in equal_keys(0)}) == 4
-
-
-def _spelled(keys) -> set:
-    return {(type(k), repr(k)) for k in keys}
+    def test_spellings_hash_alike(self):
+        assert {type(k) for k in equal_spellings(0)} == {int, float, bool}
+        assert len({h2(k) for k in equal_spellings(0)}) == 1
 
 
 @given(st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans(), st.text()))
 def test_property_equal_keys_are_one_class(key):
-    """*key* is among its equal keys, each of them equals it, and each has
-    the same equal keys: any spelling of a value finds every other."""
-    keys = equal_keys(key)
-    assert (type(key), repr(key)) in _spelled(keys)
-    for other in keys:
-        assert other == key
-        assert _spelled(equal_keys(other)) == _spelled(keys)
+    """Every key ``==`` *key* hashes as *key* does under ``h1`` and ``h2``."""
+    for other in equal_spellings(key):
+        assert h1(other) == h1(key)
+        assert h2(other) == h2(key)
 
 
 @given(st.one_of(st.integers(), st.text(), st.binary()))

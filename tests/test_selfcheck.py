@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import re
 from pathlib import Path
@@ -84,3 +85,61 @@ class TestDocumentedCommandsExist:
         named = {a or b for a, b in self.METHOD.findall(text)}
         missing = sorted(name for name in named if not hasattr(ESDB, name))
         assert not missing, f"{source} names ESDB methods that do not exist: {missing}"
+
+
+def _public_names(module: Path) -> set[str]:
+    """The public top-level names *module* defines."""
+    names = set()
+    for node in ast.parse(module.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names if not name.startswith("_")}
+
+
+def _registered_modules(init: Path, package: str) -> set[str]:
+    """The submodules *init* imports as module objects (``from <package>
+    import <module>``) — registration, as ``repro.experiments`` does."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(init.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == package
+        for alias in node.names
+    }
+
+
+class TestEveryModuleIsNeeded:
+    """The deletion census: every module under ``src/repro`` is reached from
+    code that is not a test. Some file under ``src/``, ``bench/``,
+    ``benchmarks/`` or ``examples/`` other than the module itself and its
+    package ``__init__`` names one of its public top-level names, or that
+    ``__init__`` imports the module object to register it. ``__main__``
+    modules are reached by their command (checked above)."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+    READERS = ("src", "bench", "benchmarks", "examples")
+
+    def test_every_module_is_reached_from_non_test_code(self):
+        src = self.ROOT / "src"
+        words = {
+            path: set(re.findall(r"\w+", path.read_text()))
+            for top in self.READERS
+            for path in (self.ROOT / top).rglob("*.py")
+        }
+        unreached = []
+        for module in sorted((src / "repro").rglob("*.py")):
+            if module.name in ("__init__.py", "__main__.py"):
+                continue
+            init = module.parent / "__init__.py"
+            package = ".".join(module.parent.relative_to(src).parts)
+            if module.stem in _registered_modules(init, package):
+                continue
+            names = _public_names(module)
+            if not any(
+                names & text for path, text in words.items() if path not in (module, init)
+            ):
+                unreached.append(str(module.relative_to(src)))
+        assert not unreached, f"modules no figure, tool or example reaches: {unreached}"

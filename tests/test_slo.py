@@ -559,15 +559,13 @@ class TestEsdbSloIntegration:
         assert "hot_keys" in alerts[0].measurement
         assert alerts[0].measurement["hot_keys"]
 
-    def test_slo_metrics_reach_prometheus_export(self):
-        from repro.telemetry import to_prometheus
-
+    def test_slo_metrics_reach_the_metrics_snapshot(self):
         db = governed_slo_db()
         drive_whale(db, 120)
-        text = to_prometheus(db.telemetry.metrics)
-        assert "slo_budget_remaining_pct" in text
-        assert "slo_burn_rate" in text
-        assert "slo_hotkey_concentration_pct" in text
+        gauges = {entry["name"] for entry in db.telemetry.metrics.snapshot()["gauges"]}
+        assert {
+            "slo_budget_remaining_pct", "slo_burn_rate", "slo_hotkey_concentration_pct"
+        } <= gauges
 
     def test_derived_series_and_dashboard_sections(self):
         from repro.obsv import render_dashboard

@@ -107,41 +107,6 @@ class TestTimeSeries:
         assert series.times() == [7.0, 8.0, 9.0]
         assert series.last() == (9.0, 9.0)
 
-    def test_delta_and_rate(self):
-        series = TimeSeries("s", capacity=8)
-        series.append(0.0, 100.0)
-        series.append(2.0, 150.0)
-        series.append(4.0, 250.0)
-        assert series.delta() == 100.0
-        assert series.delta(samples=2) == 150.0
-        assert series.rate() == 50.0
-        assert series.rate(samples=2) == 37.5
-
-    def test_delta_and_rate_need_enough_points(self):
-        series = TimeSeries("s", capacity=4)
-        assert series.delta() is None
-        series.append(0.0, 1.0)
-        assert series.delta() is None
-        assert series.rate() is None
-        with pytest.raises(ConfigurationError):
-            series.delta(samples=0)
-
-    def test_rate_refuses_zero_elapsed(self):
-        series = TimeSeries("s", capacity=4)
-        series.append(1.0, 1.0)
-        series.append(1.0, 2.0)
-        assert series.rate() is None
-
-    def test_window_bounds(self):
-        series = TimeSeries("s", capacity=16)
-        for i in range(10):
-            series.append(float(i), float(i))
-        assert series.window(start=3.0, end=5.0) == [
-            (3.0, 3.0), (4.0, 4.0), (5.0, 5.0)
-        ]
-        assert series.window(start=8.5) == [(9.0, 9.0)]
-        assert [t for t, _ in series.window(end=1.0)] == [0.0, 1.0]
-
     def test_summary_is_nan_safe(self):
         series = TimeSeries("s", capacity=8)
         series.append(0.0, 1.0)
@@ -206,12 +171,9 @@ class TestTimeSeriesStore:
         store = TimeSeriesStore(interval=1.0)
         store.record("x", 0.0, 10.0)
         store.record("x", 1.0, 30.0)
-        assert store.delta("x") == 20.0
-        assert store.rate("x") == 20.0
-        assert store.window("x", start=0.5) == [(1.0, 30.0)]
-        assert store.delta("missing") is None
-        assert store.rate("missing") is None
-        assert store.window("missing") == []
+        assert store.get("x").points() == [(0.0, 10.0), (1.0, 30.0)]
+        assert store.names() == ["x"]
+        assert store.get("missing") is None
 
     def test_snapshot_filters_names(self):
         store = TimeSeriesStore(interval=2.0, capacity=8)

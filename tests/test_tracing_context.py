@@ -33,8 +33,6 @@ from repro.telemetry import (
     build_sampler,
     current_context,
     derive_span_id,
-    parse_prometheus,
-    to_prometheus,
 )
 from repro.telemetry.tracing import _assign_span_ids
 from repro.workload.generator import TransactionLogGenerator, WorkloadConfig
@@ -349,24 +347,6 @@ class TestExemplars:
         registry.histogram("h").observe(0.1, trace_id="ee" * 16)
         again = json.loads(json.dumps(registry.snapshot()))
         assert _histogram_entry(again, "h")["exemplars"][0][2] == "ee" * 16
-
-    def test_prometheus_export_carries_openmetrics_exemplars(self):
-        registry = MetricsRegistry()
-        registry.histogram("esdb_write_seconds").observe(0.002, trace_id="ab" * 16)
-        text = to_prometheus(registry)
-        exemplar_lines = [line for line in text.splitlines() if "# {" in line]
-        assert exemplar_lines, text
-        assert f'# {{trace_id="{"ab" * 16}"}} 0.002' in exemplar_lines[0]
-        # And the parser still round-trips the sample values despite the
-        # exemplar suffix on bucket lines.
-        parsed = parse_prometheus(text)
-        bucket_samples = {
-            labels: value
-            for (name, labels), value in parsed.items()
-            if name == "esdb_write_seconds_bucket"
-        }
-        assert bucket_samples
-        assert all(value == int(value) for value in bucket_samples.values())
 
 
 # -- facade wiring -------------------------------------------------------------
