@@ -10,7 +10,9 @@ system would see:
 * the workload monitor + load balancer + consensus loop that commits new
   secondary hashing rules as hotspots emerge;
 * SQL execution: parse → Xdriver4ES → per-shard RBO plan → execute →
-  coordinator aggregation.
+  coordinator aggregation; a statement whose shape was compiled before
+  binds its literals into that rewrite and plan instead
+  (:mod:`repro.query.shapes`).
 
 This facade favours clarity over throughput — the performance experiments
 use :mod:`repro.sim`; this class is the *functional* system behind the
@@ -60,12 +62,15 @@ from repro.query.ast import (
     AndNode,
     BetweenPredicate,
     ComparisonPredicate,
+    InPredicate,
     OrNode,
     SelectStatement,
     SubAttributePredicate,
     iter_predicates,
 )
 from repro.query.optimizer import CatalogInfo
+from repro.query.planner import PhysicalPlan
+from repro.query.shapes import Shape, ShapeMap, lift, slot_where, subattribute_keys
 from repro.routing import DynamicSecondaryHashRouting, RoutingPolicy
 from repro.slo import HeavyHitterProfiler, SloConfig, SloEngine
 from repro.storage import EngineConfig, PostingList, Schema, ShardEngine
@@ -119,16 +124,17 @@ def routing_bounds(where: object, schema: Schema) -> tuple[RoutingBounds, ...] |
 
     A disjunct's bounds come from its top-level conjuncts only — each one
     holds for every row the disjunct matches — so a tenant equality under
-    an OR never prunes: ``tenant_id = 1`` = the tenant; ``=``, ``<``,
-    ``<=`` and ``BETWEEN``'s high end on the time field = an upper bound
-    (the smallest wins); ``=``, ``>``, ``>=`` and ``BETWEEN``'s low end = a
-    lower bound; ``=`` on the id field = the record."""
+    an OR never prunes: ``tenant_id = 1`` = the tenant, ``tenant_id IN (1,
+    2)`` = one bound per listed tenant; ``=``, ``<``, ``<=`` and
+    ``BETWEEN``'s high end on the time field = an upper bound (the smallest
+    wins); ``=``, ``>``, ``>=`` and ``BETWEEN``'s low end = a lower bound;
+    ``=`` on the id field = the record."""
     if where is None:
         return None
     time_field = schema.time_field
     bounds = []
     for disjunct in where.children if isinstance(where, OrNode) else (where,):
-        tenant = record_id = since = until = None
+        tenants = record_id = since = until = None
         for predicate in disjunct.children if isinstance(disjunct, AndNode) else (disjunct,):
             low = high = None
             if isinstance(predicate, ComparisonPredicate):
@@ -137,18 +143,20 @@ def routing_bounds(where: object, schema: Schema) -> tuple[RoutingBounds, ...] |
                     low = predicate.value if op in _LOWER_OPS else None
                     high = predicate.value if op in _UPPER_OPS else None
                 elif op == "=" and column == schema.tenant_field:
-                    tenant = predicate.value if tenant is None else tenant
+                    tenants = (predicate.value,) if tenants is None else tenants
                 elif op == "=" and column == schema.id_field:
                     record_id = predicate.value if record_id is None else record_id
             elif isinstance(predicate, BetweenPredicate) and predicate.column == time_field:
                 low, high = predicate.low, predicate.high
+            elif isinstance(predicate, InPredicate) and predicate.column == schema.tenant_field:
+                tenants = predicate.values if tenants is None else tenants
             if low is not None and _is_time_bound(low):
                 since = low if since is None else max(since, low)
             if high is not None and _is_time_bound(high):
                 until = high if until is None else min(until, high)
-        if tenant is None:
+        if tenants is None:
             return None
-        bounds.append(RoutingBounds(tenant, since, until, record_id))
+        bounds.extend(RoutingBounds(tenant, since, until, record_id) for tenant in tenants)
     return tuple(dict.fromkeys(bounds))
 
 
@@ -318,6 +326,8 @@ class ESDB:
                 cache_config.result_cache_bytes, metrics=self.telemetry.metrics
             )
         self.xdriver = Xdriver4ES()
+        #: statement shape -> its compiled rewrite and plan (repro.query.shapes)
+        self._shapes = ShapeMap(self.telemetry.metrics)
         self._set_catalog(self.config.composite_columns)
         self.monitor = WorkloadMonitor(
             registry=self.telemetry.metrics, labels={"instance": self.instance}
@@ -815,8 +825,8 @@ class ESDB:
 
     # -- query path ----------------------------------------------------------------
     def execute_sql(self, sql: str) -> QueryResult:
-        """End-to-end SQL execution: parse, translate, plan, fan out,
-        aggregate."""
+        """End-to-end SQL execution: parse, translate and plan (or bind the
+        literals into the statement's compiled shape), fan out, aggregate."""
         result, _ = self._execute_traced(self.telemetry.tracer, sql=sql)
         return result
 
@@ -865,14 +875,14 @@ class ESDB:
         shard_ids: list[int] = []
         governor = self.governor
         query_tenant = None
+        prepared = None
         ctx = self._new_trace("query")
         if governor is not None:
             # Admission needs the target tenant before the pipeline runs.
-            # Raw SQL is parsed up front and the parse reused downstream — a
-            # governed execute_sql enters the pipeline at the rewrite stage,
-            # exactly like execute_statement (never two parses) — and the
-            # extracted tenant is memoized per SQL string so repeat queries
-            # (the result-cache hot path) skip the probe parse entirely.
+            # Raw SQL is prepared (bound or compiled) up front, untraced, and
+            # the result reused downstream — never prepared twice — and the
+            # tenant is memoized per SQL string so repeat queries (the
+            # result-cache hot path) skip preparing entirely.
             if statement is not None:
                 query_tenant = self._statement_tenant(statement)
             elif sql in self._query_tenant_cache:
@@ -880,12 +890,13 @@ class ESDB:
                 self._query_tenant_cache.move_to_end(sql)
             else:
                 try:
-                    probe = parse_sql(sql)
+                    prepared = self._prepare(NULL_TELEMETRY.tracer, sql)
                 except QueryError:
-                    probe = None  # the traced parse below reports the error
+                    pass  # the traced prepare below reports the error
                 else:
-                    statement = probe
-                query_tenant = self._statement_tenant(probe)
+                    query_tenant = common_tenant(
+                        routing_bounds(prepared[0].where, self.config.schema)
+                    )
                 while len(self._query_tenant_cache) >= 512:
                     self._query_tenant_cache.popitem(last=False)
                 self._query_tenant_cache[sql] = query_tenant
@@ -927,10 +938,19 @@ class ESDB:
                     if hit_subattrs:
                         self._subattr_frequencies.record_query(hit_subattrs)
             if not cache_hit:
+                if prepared is None:
+                    prepared = (
+                        self._prepare(tracer, sql)
+                        if statement is None
+                        else self._rewrite_and_plan(tracer, statement)
+                    )
+                statement, plan, subattrs = prepared
+                if subattrs:
+                    self._subattr_frequencies.record_query(subattrs)
                 # The fan-out reads the tenant off the rewritten statement:
                 # on a governed instance the one admission read.
-                result, shard_ids, statement, query_tenant = self._execute_fanout(
-                    tracer, root, sql, statement
+                result, shard_ids, query_tenant = self._execute_fanout(
+                    tracer, root, statement, plan
                 )
                 if result_key is not None:
                     validators = tuple(
@@ -940,11 +960,7 @@ class ESDB:
                     self.result_cache.put(*result_key, result, validators)
                     while len(self._subattr_by_fingerprint) >= 512:
                         self._subattr_by_fingerprint.popitem(last=False)
-                    self._subattr_by_fingerprint[result_key[0]] = tuple(
-                        p.key_name
-                        for p in iter_predicates(statement.where)
-                        if isinstance(p, SubAttributePredicate)
-                    )
+                    self._subattr_by_fingerprint[result_key[0]] = subattrs
         if governor is not None:
             governor.charge_query(
                 query_tenant,
@@ -1075,32 +1091,47 @@ class ESDB:
                 detail["hot_keys"] = ",".join(str(key) for key, _, _ in keys)
         return detail
 
-    def _execute_fanout(
-        self,
-        tracer,
-        root: Span,
-        sql: str | None,
-        statement: SelectStatement | None,
-    ) -> tuple[QueryResult, list[int], SelectStatement, object]:
-        """Parse → rewrite → plan → per-shard execution (through the shard
-        request cache) → aggregation. Returns the result, the fan-out, the
-        rewritten statement and the tenant it targets (None: cross-tenant)."""
-        if statement is None:
-            with tracer.span("query.parse"):
-                statement = parse_sql(sql)
+    def _prepare(
+        self, tracer, sql: str
+    ) -> tuple[SelectStatement, PhysicalPlan, tuple[str, ...]]:
+        """The rewritten statement of *sql*, its plan and the sub-attributes
+        it filters on: its shape's compiled template bound to its literals,
+        or parse → rewrite → plan when the shape is new, or value-dependent
+        (:mod:`repro.query.shapes`). Routing stays per call: nothing here
+        depends on the rule list."""
+        key, literals = lift(sql)
+        bound = self._shapes.bind(key, literals, tracer)
+        if bound is not None:
+            statement, plan, shape = bound
+            self.optimizer.count_picks(shape.picks)
+            return statement, plan, shape.subattrs
+        with tracer.span("query.parse"):
+            statement = parse_sql(sql)
+        slotted = slot_where(statement, literals)
+        if slotted is None:
+            self._shapes.count_unstable()
+            return self._rewrite_and_plan(tracer, statement)
+        rewritten, plan, _ = self._rewrite_and_plan(tracer, slotted.statement)
+        shape = self._shapes.add(key, Shape(key, slotted, rewritten, plan))
+        # slot_where accepted these very literals, so they bind.
+        return (*shape.bind(literals), shape.subattrs)
+
+    def _rewrite_and_plan(
+        self, tracer, statement: SelectStatement
+    ) -> tuple[SelectStatement, PhysicalPlan, tuple[str, ...]]:
         with tracer.span("query.rewrite"):
-            translated = self.xdriver.translate(statement)
-            statement = translated.statement
-        queried_subattrs = [
-            p.key_name
-            for p in iter_predicates(statement.where)
-            if isinstance(p, SubAttributePredicate)
-        ]
-        if queried_subattrs:
-            self._subattr_frequencies.record_query(queried_subattrs)
+            statement = self.xdriver.translate(statement).statement
         with tracer.span("query.plan") as plan_span:
             plan = self.optimizer.plan(statement)
             plan_span.tags["root"] = type(plan.root).__name__
+        return statement, plan, subattribute_keys(statement.where)
+
+    def _execute_fanout(
+        self, tracer, root: Span, statement: SelectStatement, plan: PhysicalPlan
+    ) -> tuple[QueryResult, list[int], object]:
+        """Per-shard execution of a rewritten *statement*'s *plan* (through
+        the shard request cache) → aggregation. Returns the result, the
+        fan-out and the tenant it targets (None: cross-tenant)."""
         bounds = routing_bounds(statement.where, self.config.schema)
         shard_ids = self._target_shards(self._shards_per_bound(bounds))
         root.tags["fanout"] = len(shard_ids)
@@ -1139,7 +1170,7 @@ class ESDB:
                 shard_results.append(entry)
         with tracer.span("query.aggregate"):
             result = aggregator.aggregate_shards(shard_results)
-        return result, shard_ids, statement, common_tenant(bounds)
+        return result, shard_ids, common_tenant(bounds)
 
     def _shard_subquery(
         self,
@@ -1327,7 +1358,9 @@ class ESDB:
 
     def _set_catalog(self, composite_indexes: tuple) -> None:
         """Point the optimizer at a catalog with *composite_indexes* (the
-        only part of the catalog that changes after construction)."""
+        only part of the catalog that changes after construction), and
+        forget every statement shape planned against the old one."""
+        self._shapes.clear()
         self._catalog = CatalogInfo(
             schema=self.config.schema,
             composite_indexes=composite_indexes,

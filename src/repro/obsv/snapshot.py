@@ -241,30 +241,47 @@ def read_rules(db) -> list[dict]:
 
 
 def read_caches(db) -> list[dict]:
-    """One row per query-cache level: hit rate, evictions, bytes held."""
+    """One row per query-cache level: hit rate, evictions, bytes held; and
+    the statement-shape map, whose hits are binds and misses compiles (it
+    keeps a shape count, not a byte budget)."""
     metrics = db.telemetry.metrics
     config = db.config.cache
-    enabled = {
-        "filter": config.filter_cache_enabled,
-        "request": config.request_cache_enabled,
-        "result": config.result_cache_enabled,
-    }
-    rows = []
-    for level, on in enabled.items():
-        hits = int(metrics.value("cache_hits_total", level=level))
-        misses = int(metrics.value("cache_misses_total", level=level))
-        rows.append(
-            {
-                "level": level,
-                "enabled": "on" if on else "off",
-                "hits": hits,
-                "misses": misses,
-                "hit_pct": 100.0 * hits / (hits + misses) if hits + misses else 0.0,
-                "evictions": int(metrics.value("cache_evictions_total", level=level)),
-                "bytes": int(metrics.value("cache_bytes", level=level)),
-            }
+    levels = [
+        (
+            level,
+            on,
+            metrics.value("cache_hits_total", level=level),
+            metrics.value("cache_misses_total", level=level),
+            metrics.value("cache_evictions_total", level=level),
+            metrics.value("cache_bytes", level=level),
         )
-    return rows
+        for level, on in (
+            ("filter", config.filter_cache_enabled),
+            ("request", config.request_cache_enabled),
+            ("result", config.result_cache_enabled),
+        )
+    ]
+    levels.append((
+        "shapes",
+        True,
+        metrics.value("query_shapes_total", outcome="bind"),
+        metrics.value("query_shapes_total", outcome="compile")
+        + metrics.value("query_shapes_total", outcome="unstable"),
+        metrics.value("query_shape_evictions_total"),
+        0,
+    ))
+    return [
+        {
+            "level": level,
+            "enabled": "on" if on else "off",
+            "hits": int(hits),
+            "misses": int(misses),
+            "hit_pct": 100.0 * hits / (hits + misses) if hits + misses else 0.0,
+            "evictions": int(evictions),
+            "bytes": int(held),
+        }
+        for level, on, hits, misses, evictions, held in levels
+    ]
 
 
 def read_exec(db) -> list[dict]:

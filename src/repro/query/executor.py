@@ -188,7 +188,17 @@ class QueryExecutor:
 def _scan_predicate(op: str, value: Any):
     """The doc-values predicate for one scan operator. Every one is false for
     a missing value (SQL's NULL rule), on a scan over candidates and on a
-    whole-shard scan alike."""
+    whole-shard scan alike. ``"not <op>"`` negates *op* over the rows that
+    hold a value; ``"exists"`` is those rows."""
+    if op == "exists":
+        return lambda v: v is not None
+    if op == "not attr":
+        key, wanted = value
+        # ATTR(key) of a row without the sub-attribute is NULL too.
+        return lambda v: v is not None and parse_attributes(str(v)).get(key, wanted) != wanted
+    if op.startswith("not "):
+        matches = _scan_predicate(op[4:], value)
+        return lambda v: v is not None and not matches(v)
     if op == "=":
         return lambda v: v == value
     if op == "!=":

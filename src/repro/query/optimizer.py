@@ -9,7 +9,8 @@ For AND-connected predicates the RBO ranks access paths:
    become :class:`SequentialScanFilter` operators layered on the chosen
    index plan (cheap: they only touch rows already selected). So does any
    predicate that has no index at all (a comparison on a KEYWORD column,
-   ``!=``, ``LIKE``, an unindexed sub-attribute): it is scanned over the
+   ``!=``, ``LIKE``, an unindexed sub-attribute, a ``NOT`` over ``IN``,
+   ``BETWEEN``, ``LIKE`` or ``ATTR``): it is scanned over the
    rows the other parts selected, never over the shard (Figure 8). And so
    does a range on a NUMERIC column once a composite search leads: its
    index search would sort every match in the shard by row id.
@@ -26,6 +27,7 @@ first: at the plan root, under a ``Union``, or with the optimizer off.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.errors import PlanningError
@@ -42,6 +44,7 @@ from repro.query.ast import (
     SelectStatement,
     SubAttributePredicate,
     flatten,
+    push_down_not,
 )
 from repro.query.planner import (
     CompositeSearch,
@@ -109,40 +112,47 @@ class RuleBasedOptimizer:
 
     def plan(self, statement: SelectStatement) -> PhysicalPlan:
         """Plan one statement (whose WHERE tree Xdriver4ES already rewrote)."""
+        picks: list[AccessPath] = []
         if statement.where is None:
             root: PlanNode = MatchAll()
         else:
-            root = self._plan_node(flatten(statement.where))
-        return PhysicalPlan(
+            root = self._plan_node(flatten(statement.where), picks)
+        plan = PhysicalPlan(
             root=root,
             columns=statement.columns,
             order_by=statement.order_by,
             limit=statement.limit,
+            picks=tuple(Counter(picks).items()),
         )
+        self.count_picks(plan.picks)
+        return plan
+
+    def count_picks(self, picks: tuple) -> None:
+        """Add one plan's :attr:`~PhysicalPlan.picks` to
+        ``optimizer_plan_picks_total``."""
+        for path, count in picks:
+            self._pick_counters[path].inc(count)
 
     # -- recursive planning ----------------------------------------------------
-    def _plan_node(self, node: object) -> PlanNode:
+    def _plan_node(self, node: object, picks: list) -> PlanNode:
         if isinstance(node, OrNode):
-            return Union(tuple(self._plan_node(child) for child in node.children))
+            return Union(tuple(self._plan_node(child, picks) for child in node.children))
         if isinstance(node, AndNode):
-            return self._plan_conjunction(list(node.children))
-        if isinstance(node, NotNode):
-            return self._plan_negation(node)
-        return self._plan_conjunction([node])
+            return self._plan_conjunction(list(node.children), picks)
+        return self._plan_conjunction([node], picks)
 
-    def _plan_negation(self, node: NotNode) -> PlanNode:
-        inner = self._plan_node(node.child)
-        return Exclude(MatchAll(), inner)
-
-    def _plan_conjunction(self, predicates: list) -> PlanNode:
+    def _plan_conjunction(self, predicates: list, picks: list) -> PlanNode:
         """Plan AND-connected predicates with the three-path ranking."""
-        nested = [p for p in predicates if isinstance(p, (AndNode, OrNode, NotNode))]
-        leaves = [p for p in predicates if isinstance(p, Predicate)]
-        parts: list[PlanNode] = [self._plan_node(n) for n in nested]
+        # De Morgan until every NOT sits on a leaf no comparison negates;
+        # such a negated leaf is planned as one more leaf (see _scan_terms).
+        predicates = [push_down_not(p) if isinstance(p, NotNode) else p for p in predicates]
+        nested = [p for p in predicates if isinstance(p, (AndNode, OrNode))]
+        leaves = [p for p in predicates if not isinstance(p, (AndNode, OrNode))]
+        parts: list[PlanNode] = [self._plan_node(n, picks) for n in nested]
 
         if not self.enabled:
             for p in leaves:
-                self._pick_counters[AccessPath.SINGLE_COLUMN_INDEX].inc()
+                picks.append(AccessPath.SINGLE_COLUMN_INDEX)
                 parts.append(self._single_column_plan(p))
             return _combine_intersect(parts)
 
@@ -153,7 +163,7 @@ class RuleBasedOptimizer:
         if composite_pick is not None:
             base, used = composite_pick
             remaining = [p for p in remaining if p not in used]
-            self._pick_counters[AccessPath.COMPOSITE_INDEX].inc()
+            picks.append(AccessPath.COMPOSITE_INDEX)
 
         if base is not None:
             parts.append(base)
@@ -167,21 +177,21 @@ class RuleBasedOptimizer:
             if isinstance(part, _WHOLE_SHARD_SCANS):
                 whole_shard.append((p, part))
             else:
-                self._pick_counters[AccessPath.SINGLE_COLUMN_INDEX].inc()
+                picks.append(AccessPath.SINGLE_COLUMN_INDEX)
                 parts.append(part)
         # Cheapest per row first: a comparison, then a pattern, then a parse.
         whole_shard.sort(key=lambda pair: _WHOLE_SHARD_SCANS.index(type(pair[1])))
         if whole_shard and not parts:
             # Nothing narrows first: one predicate has to walk the shard.
-            self._pick_counters[AccessPath.SINGLE_COLUMN_INDEX].inc()
+            picks.append(AccessPath.SINGLE_COLUMN_INDEX)
             parts.append(whole_shard.pop(0)[1])
         plan = _combine_intersect(parts)
 
         # Layer sequential scans over the selected rows — cheapest last stage:
         # the scan list first, then the predicates that have no index (Fig 8).
         for predicate in scan_predicates + [p for p, _ in whole_shard]:
-            self._pick_counters[AccessPath.SEQUENTIAL_SCAN].inc()
-            plan = self._wrap_scan(plan, predicate)
+            picks.append(AccessPath.SEQUENTIAL_SCAN)
+            plan = SequentialScanFilter(plan, *_scan_terms(predicate))
         return plan
 
     # -- composite index selection ------------------------------------------------
@@ -253,7 +263,9 @@ class RuleBasedOptimizer:
         return search, used
 
     # -- sequential scan ------------------------------------------------------------
-    def _scannable(self, predicate: Predicate) -> bool:
+    def _scannable(self, predicate) -> bool:
+        if isinstance(predicate, NotNode):
+            predicate = predicate.child
         if isinstance(predicate, SubAttributePredicate):
             return False
         if isinstance(predicate, MatchPredicate):
@@ -271,26 +283,17 @@ class RuleBasedOptimizer:
             return False
         return self.catalog.schema.type_of(predicate.column) is FieldType.NUMERIC
 
-    def _wrap_scan(self, plan: PlanNode, predicate: Predicate) -> PlanNode:
-        if isinstance(predicate, ComparisonPredicate):
-            return SequentialScanFilter(plan, predicate.column, predicate.op, predicate.value)
-        if isinstance(predicate, BetweenPredicate):
-            return SequentialScanFilter(
-                plan, predicate.column, "between", (predicate.low, predicate.high)
-            )
-        if isinstance(predicate, InPredicate):
-            return SequentialScanFilter(plan, predicate.column, "in", predicate.values)
-        if isinstance(predicate, LikePredicate):
-            return SequentialScanFilter(plan, predicate.column, "like", predicate.pattern)
-        if isinstance(predicate, SubAttributePredicate):
-            return SequentialScanFilter(
-                plan, predicate.column, "attr", (predicate.key_name, predicate.value)
-            )
-        raise PlanningError(f"cannot scan-filter {type(predicate).__name__}")
-
     # -- single-column paths -----------------------------------------------------------
-    def _single_column_plan(self, predicate: Predicate) -> PlanNode:
+    def _single_column_plan(self, predicate) -> PlanNode:
         schema = self.catalog.schema
+        if isinstance(predicate, NotNode):
+            child = predicate.child
+            if isinstance(child, MatchPredicate):
+                # No doc-values scan analyzes text: the rows that hold the
+                # column, minus the matches.
+                present = FullScan(child.column, "exists", None)
+                return Exclude(present, self._single_column_plan(child))
+            return FullScan(*_scan_terms(predicate))
         if isinstance(predicate, SubAttributePredicate):
             allowed = self.catalog.indexed_subattributes
             if allowed is None or predicate.key_name in allowed:
@@ -333,6 +336,27 @@ class RuleBasedOptimizer:
                 include_high=include_high,
             )
         raise PlanningError(f"no access path for {type(predicate).__name__}")
+
+
+def _scan_terms(predicate) -> tuple:
+    """``(column, op, value)`` of the doc-values scan that evaluates
+    *predicate* (:func:`~repro.query.executor._scan_predicate`). A negated
+    leaf scans with ``"not <op>"``, which, like ``!=``, keeps only rows that
+    hold the column (SQL's NULL rule)."""
+    if isinstance(predicate, NotNode):
+        column, op, value = _scan_terms(predicate.child)
+        return column, "not " + op, value
+    if isinstance(predicate, ComparisonPredicate):
+        return predicate.column, predicate.op, predicate.value
+    if isinstance(predicate, BetweenPredicate):
+        return predicate.column, "between", (predicate.low, predicate.high)
+    if isinstance(predicate, InPredicate):
+        return predicate.column, "in", predicate.values
+    if isinstance(predicate, LikePredicate):
+        return predicate.column, "like", predicate.pattern
+    if isinstance(predicate, SubAttributePredicate):
+        return predicate.column, "attr", (predicate.key_name, predicate.value)
+    raise PlanningError(f"cannot scan-filter {type(predicate).__name__}")
 
 
 #: Access paths that evaluate a predicate over every row of the shard, in

@@ -14,7 +14,7 @@ operator costs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 
@@ -221,12 +221,15 @@ class MatchAll(PlanNode):
 
 @dataclass(frozen=True)
 class PhysicalPlan:
-    """A complete per-shard plan plus the projection/ordering envelope."""
+    """A complete per-shard plan plus the projection/ordering envelope, and
+    the access paths the optimizer picked to build it, as ``(AccessPath,
+    count)`` pairs (not part of the plan's identity)."""
 
     root: PlanNode
     columns: tuple = ("*",)
     order_by: object | None = None
     limit: int | None = None
+    picks: tuple = field(default=(), compare=False, repr=False)
 
     def describe(self) -> str:
         return self.root.describe()

@@ -335,13 +335,13 @@ class _Parser:
         if text.kind != "string":
             raise SqlSyntaxError("MATCH expects a quoted string")
         self._expect_punct(")")
-        return MatchPredicate(column.value, _unquote(text.value))
+        return MatchPredicate(column.value, unquote(text.value))
 
     def _parse_attr(self):
         self._expect_punct("(")
         key = self._advance()
         if key.kind == "string":
-            key_name = _unquote(key.value)
+            key_name = unquote(key.value)
         elif key.kind == "word":
             key_name = key.value
         else:
@@ -380,7 +380,7 @@ class _Parser:
             pattern = self._advance()
             if pattern.kind != "string":
                 raise SqlSyntaxError("LIKE expects a quoted pattern")
-            return LikePredicate(column, _unquote(pattern.value))
+            return LikePredicate(column, unquote(pattern.value))
         if self._at_word("not"):
             self._advance()
             if self._at_word("in"):
@@ -397,24 +397,33 @@ class _Parser:
                 pattern = self._advance()
                 if pattern.kind != "string":
                     raise SqlSyntaxError("NOT LIKE expects a quoted pattern")
-                return NotNode(LikePredicate(column, _unquote(pattern.value)))
+                return NotNode(LikePredicate(column, unquote(pattern.value)))
             raise UnsupportedSqlError("NOT must be followed by IN or LIKE here")
         raise SqlSyntaxError(f"expected operator after column {column!r}")
 
     def _parse_value(self) -> Any:
         token = self._advance()
-        if token.kind == "number":
-            return float(token.value) if "." in token.value else int(token.value)
-        if token.kind == "string":
-            text = _unquote(token.value)
-            if _TIMESTAMP_RE.match(text):
-                return timestamp_to_epoch(text)
-            return text
+        if token.kind == "number" or token.kind == "string":
+            return literal_value(token.value)
         raise SqlSyntaxError(f"expected a value, got {token.value!r}")
 
 
-def _unquote(quoted: str) -> str:
+def unquote(quoted: str) -> str:
+    """The text of a quoted string literal (``''`` escapes a quote)."""
     return quoted[1:-1].replace("''", "'")
+
+
+def literal_value(literal: str) -> Any:
+    """The value of one number or string literal as written in SQL: an int,
+    a float (the text has a decimal point), epoch seconds for a timestamp
+    string, else the unquoted string. The one conversion the parser and
+    :mod:`repro.query.shapes` share."""
+    if literal[0] != "'":
+        return float(literal) if "." in literal else int(literal)
+    text = unquote(literal)
+    if _TIMESTAMP_RE.match(text):
+        return timestamp_to_epoch(text)
+    return text
 
 
 def parse_sql(sql: str) -> SelectStatement:

@@ -33,12 +33,25 @@ from repro.query.dsl import DslQuery, to_dsl
 
 @dataclass(frozen=True)
 class TranslatedQuery:
-    """Output of Xdriver4ES: the rewritten statement and its ES-DSL tree."""
+    """Output of Xdriver4ES: the rewritten statement and the WHERE tree it
+    was rewritten from. The ES-DSL tree and the depth/width accounting are
+    derived on demand, because only EXPLAIN reads them."""
 
     statement: SelectStatement
-    dsl: DslQuery | None
-    original_depth: int
-    original_width: int
+    original_where: object
+
+    @property
+    def dsl(self) -> DslQuery | None:
+        where = self.statement.where
+        return to_dsl(where) if where is not None else None
+
+    @property
+    def original_depth(self) -> int:
+        return depth(self.original_where)
+
+    @property
+    def original_width(self) -> int:
+        return width(self.original_where)
 
     @property
     def depth_reduction(self) -> int:
@@ -67,10 +80,9 @@ class Xdriver4ES:
         self._normal_form = normal_form
 
     def translate(self, statement: SelectStatement) -> TranslatedQuery:
-        """Rewrite *statement*'s WHERE tree and produce the ES-DSL tree."""
+        """Rewrite *statement*'s WHERE tree (its ES-DSL tree is
+        :attr:`TranslatedQuery.dsl`)."""
         where = statement.where
-        original_depth = depth(where)
-        original_width = width(where)
         if where is not None:
             where = flatten(where)
             if self._normal_form == "dnf":
@@ -87,13 +99,7 @@ class Xdriver4ES:
             group_by=statement.group_by,
             having=statement.having,
         )
-        dsl = to_dsl(where) if where is not None else None
-        return TranslatedQuery(
-            statement=rewritten,
-            dsl=dsl,
-            original_depth=original_depth,
-            original_width=original_width,
-        )
+        return TranslatedQuery(statement=rewritten, original_where=statement.where)
 
     # -- result mapping -----------------------------------------------------
     def map_row(self, row: Mapping[str, Any], columns: tuple) -> dict:

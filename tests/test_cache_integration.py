@@ -194,7 +194,11 @@ class TestStatsReport:
     def test_no_cache_lines_when_disabled(self):
         db = build_db(cache=CacheConfig.off())
         db.execute_sql(QUERY)
-        assert "cache[" not in render_report(snapshot(db))
+        report = render_report(snapshot(db))
+        for level in ("filter", "request", "result"):
+            assert f"cache[{level}]" not in report
+        # The statement-shape map is no CacheConfig level: it always runs.
+        assert "cache[shapes]: 0 hits / 1 misses" in report
 
     def test_works_with_telemetry_disabled(self):
         db = build_db(telemetry_enabled=False)

@@ -121,6 +121,7 @@ class TestFacadeAcceptance:
             "filter",
             "request",
             "result",
+            "shapes",
         ]
         # Rendered tables are aligned text with a header line.
         assert nodes.render().splitlines()[0].startswith("node ")

@@ -134,7 +134,8 @@ class EsdbModel(RuleBasedStateMachine):
     def pruned_statements_match_model(self):
         """The statements fan-out pruning narrows — an upper time bound, a
         range, a record id, with and without its time — and one it must not
-        narrow (a tenant under an OR) answer as the model does."""
+        narrow (a tenant under an OR) answer as the model does, compiled
+        and bound into their shapes alike."""
         self.db.refresh()
         docs = sorted(self.model.values(), key=lambda doc: doc["created_time"])
         tenant = TENANTS[int(self.clock) % len(TENANTS)]
@@ -164,8 +165,13 @@ class EsdbModel(RuleBasedStateMachine):
             f"tenant_id = '{tenant}' OR status = 2":
                 lambda d: d["tenant_id"] == tenant or d["status"] == 2,
         }
+        metrics = self.db.telemetry.metrics
+        binds = metrics.value("query_shapes_total", outcome="bind")
         for where, keep in cases.items():
-            assert self._ids(where) == expected(keep), where
+            for _ in range(2):  # the second run binds the shape the first prepared
+                self.db.result_cache.clear()
+                assert self._ids(where) == expected(keep), where
+        assert metrics.value("query_shapes_total", outcome="bind") >= binds + len(cases)
 
     @invariant()
     def every_stored_record_rederives_to_its_shard(self):

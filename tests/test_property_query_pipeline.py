@@ -10,6 +10,8 @@ semantics, every access path, the normalization rewrites and the executor.
 
 from __future__ import annotations
 
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +21,7 @@ from repro.query.ast import (
     BetweenPredicate,
     ComparisonPredicate,
     InPredicate,
+    LikePredicate,
     NotNode,
     OrNode,
     SelectStatement,
@@ -37,9 +40,11 @@ def _doc_strategy():
         {
             "tenant_id": st.sampled_from(_TENANTS),
             "created_time": st.sampled_from(_TIMES),
+        },
+        optional={
             "status": st.sampled_from(_STATUSES),
             "quantity": st.integers(min_value=0, max_value=4),
-        }
+        },
     )
 
 
@@ -63,10 +68,21 @@ def _leaf_strategy():
         st.sampled_from(_TIMES),
     )
     in_list = st.builds(
-        lambda vs: InPredicate("quantity", tuple(sorted(set(vs)))),
+        lambda column, vs: InPredicate(column, tuple(sorted(set(vs)))),
+        st.sampled_from(["quantity", "status"]),
         st.lists(st.integers(0, 4), min_size=1, max_size=3),
     )
-    return st.one_of(keyword_eq, status_cmp, time_range, between, in_list)
+    quantity_between = st.builds(
+        lambda a, b: BetweenPredicate("quantity", min(a, b), max(a, b)),
+        st.integers(0, 4),
+        st.integers(0, 4),
+    )
+    status_like = st.builds(
+        lambda pattern: LikePredicate("status", pattern), st.sampled_from(["1", "%", "_", "2%"])
+    )
+    return st.one_of(
+        keyword_eq, status_cmp, time_range, between, in_list, quantity_between, status_like
+    )
 
 
 def _tree_strategy():
@@ -81,18 +97,29 @@ def _tree_strategy():
     )
 
 
-def _evaluate(node, doc: dict) -> bool:
-    if isinstance(node, AndNode):
-        return all(_evaluate(c, doc) for c in node.children)
-    if isinstance(node, OrNode):
-        return any(_evaluate(c, doc) for c in node.children)
+def _evaluate(node, doc: dict) -> bool | None:
+    """The predicate tree's truth value: True, False or None (unknown)."""
+    if isinstance(node, (AndNode, OrNode)):
+        values = [_evaluate(c, doc) for c in node.children]
+        decisive = isinstance(node, OrNode)  # True decides an OR, False an AND
+        if decisive in values:
+            return decisive
+        return None if None in values else not decisive
     if isinstance(node, NotNode):
-        return not _evaluate(node.child, doc)
+        value = _evaluate(node.child, doc)
+        return None if value is None else not value
+    value = doc.get(node.column)
+    if value is None:
+        return None
     if isinstance(node, BetweenPredicate):
-        return node.low <= doc[node.column] <= node.high
+        return node.low <= value <= node.high
     if isinstance(node, InPredicate):
-        return doc[node.column] in node.values
-    value = doc[node.column]
+        return value in node.values
+    if isinstance(node, LikePredicate):
+        regex = "".join(
+            ".*" if c == "%" else "." if c == "_" else re.escape(c) for c in node.pattern
+        )
+        return re.fullmatch(regex, str(value)) is not None
     return {
         "=": value == node.value,
         "!=": value != node.value,
@@ -130,7 +157,7 @@ def test_property_pipeline_matches_bruteforce(docs, where):
     statement = SelectStatement(columns=("*",), table="t", where=where)
     translated = Xdriver4ES().translate(statement)
     expected = {
-        i for i, doc in enumerate(docs) if _evaluate(where, doc)
+        i for i, doc in enumerate(docs) if _evaluate(where, doc) is True
     }
 
     for enabled in (True, False):
