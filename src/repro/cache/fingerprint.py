@@ -2,14 +2,14 @@
 
 Three key spaces, each prefixed so they can never collide:
 
-* ``sql:`` — whitespace-normalized SQL text. Computed *before* parsing, so
-  a coordinator cache hit skips the whole parse → rewrite → plan → execute
-  pipeline. Normalization is semantics-preserving only (whitespace outside
-  string literals); two queries differing in a literal's case or spacing
-  stay distinct.
+* ``sql:`` — whitespace-normalized SQL text, the coordinator result
+  cache's only key. Computed *before* parsing, so a result-cache hit skips
+  the whole parse → rewrite → plan → execute pipeline. Normalization is
+  semantics-preserving only (whitespace outside string literals); two
+  queries differing in a literal's case or spacing stay distinct.
 * ``stmt:`` — a parsed (post-Xdriver4ES-rewrite) ``SelectStatement``. Used
-  by the shard request cache: the statement fully determines the per-shard
-  subquery (filters, projection, pushdown limit, order).
+  only by the shard request cache: the statement fully determines the
+  per-shard subquery (filters, projection, pushdown limit, order).
 * ``filter:`` — one normalized leaf filter of a physical plan, the unit the
   segment filter cache stores posting lists under.
 

@@ -1,7 +1,12 @@
 """Level 3: the coordinator result cache.
 
 Caches whole fan-out results in the :class:`~repro.esdb.ESDB` facade, keyed
-by ``(sql fingerprint, rule-list version)``. The rule-list version is the
+by ``(sql fingerprint, rule-list version)``. An entry is opaque here: the
+facade stores the result together with what a hit still has to account
+for (the statement's tenant, ``ATTR`` keys and filter terms), and prices
+it by the result's rows.
+
+The rule-list version is the
 append-only :class:`~repro.routing.rules.RuleList`'s monotone counter: any
 routing change (rule append, compaction) moves every dependent cached
 fan-out to an unreachable key atomically, which is what keeps
@@ -20,11 +25,11 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.cache.lru import LruCache, rows_cost
+from repro.cache.lru import LruCache
 
 
 class CoordinatorResultCache:
-    """Full query results keyed by ``(fingerprint, rule-list version)``."""
+    """Query-result entries keyed by ``(fingerprint, rule-list version)``."""
 
     def __init__(self, max_bytes: int, *, metrics=None) -> None:
         self._lru = LruCache(max_bytes, level="result", metrics=metrics)
@@ -42,7 +47,7 @@ class CoordinatorResultCache:
         rule_version: int,
         current_generation: Callable[[int], object],
     ):
-        """Return the cached result, or None. *current_generation* maps a
+        """Return the cached entry, or None. *current_generation* maps a
         shard id to the engine's live read generation; any drift since the
         entry was stored drops the entry (stale data)."""
         key = (fingerprint, rule_version)
@@ -50,7 +55,7 @@ class CoordinatorResultCache:
         if entry is None:
             self._lru.record_miss()
             return None
-        result, validators = entry
+        value, validators = entry
         for shard_id, generation in validators:
             if current_generation(shard_id) != generation:
                 self._lru.pop(key)  # stale data: a would-be hit is a miss
@@ -58,19 +63,14 @@ class CoordinatorResultCache:
                 return None
         self._lru.touch(key)
         self._lru.record_hit()
-        return result
+        return value
 
     def put(
-        self,
-        fingerprint: str,
-        rule_version: int,
-        result,
-        validators: tuple,
-        cost: int | None = None,
+        self, fingerprint: str, rule_version: int, value, validators: tuple, cost: int
     ) -> bool:
-        if cost is None:
-            cost = rows_cost(result.rows) + 24 * len(validators)
-        return self._lru.put((fingerprint, rule_version), (result, validators), cost=cost)
+        """Store *value* with the ``(shard_id, generation)`` *validators*
+        it was computed against, charged *cost* bytes."""
+        return self._lru.put((fingerprint, rule_version), (value, validators), cost=cost)
 
     def clear(self) -> None:
         self._lru.clear()

@@ -20,10 +20,6 @@ class RoutingError(EsdbError):
     """A write or query could not be routed to a shard."""
 
 
-class RuleMatchError(RoutingError):
-    """No secondary hashing rule matches a record (violates §4.2 invariants)."""
-
-
 class ConsensusError(EsdbError):
     """The secondary-hashing-rule consensus protocol failed."""
 

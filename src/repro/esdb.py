@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple
 
@@ -45,11 +44,9 @@ from repro.errors import (
     ConsensusAborted,
     EsdbError,
     InvalidDocumentError,
-    QueryError,
     TenantThrottledError,
 )
 from repro.exec import BulkItemResult, BulkResult
-from repro.exec import execute_batch as _shared_execute_batch
 from repro.query import (
     QueryExecutor,
     ResultAggregator,
@@ -363,18 +360,6 @@ class ESDB:
                 )
             )
         self.governor: TenantGovernor | None = None
-        #: sql text -> target tenant, memoized for admission (the tenant of a
-        #: SQL string is a pure function of the text, so repeat queries —
-        #: the result-cache hot path — skip the probe parse entirely).
-        #: LRU-bounded: at capacity the stalest probe is evicted, never the
-        #: whole map — a hot result-cache path keeps its memoized tenants.
-        self._query_tenant_cache: OrderedDict[str, object] = OrderedDict()
-        #: query fingerprint -> sub-attribute names it filters on. A result-
-        #: cache hit skips the fan-out (where frequencies are normally
-        #: recorded), but the cached query is still real demand — without
-        #: this memo, repeat queries would never count toward adaptive
-        #: sub-attribute index selection. Same LRU bound as above.
-        self._subattr_by_fingerprint: OrderedDict[str, tuple] = OrderedDict()
         if self.config.tenancy.enabled:
             self.governor = TenantGovernor(
                 self.config.tenancy,
@@ -673,14 +658,6 @@ class ESDB:
             )
         return subattr_names, time.perf_counter() - started
 
-    def execute_batch(self, sqls: Iterable[str]) -> list[QueryResult]:
-        """Execute a batch of SQL statements with shared execution
-        (:mod:`repro.exec.shared`): exact duplicates run once, same-column
-        scan filters share one doc-values pass per shard; every other
-        statement runs as by :meth:`execute_sql`. Results align with the
-        input positions."""
-        return _shared_execute_batch(self, list(sqls))
-
     def update(
         self, doc_id: object, changes: Mapping[str, Any], *,
         tenant_id: object, created_time: float | None = None,
@@ -830,10 +807,6 @@ class ESDB:
         result, _ = self._execute_traced(self.telemetry.tracer, sql=sql)
         return result
 
-    def execute_statement(self, statement: SelectStatement) -> QueryResult:
-        result, _ = self._execute_traced(self.telemetry.tracer, statement=statement)
-        return result
-
     def explain_analyze(self, sql: str) -> Span:
         """EXPLAIN ANALYZE: execute *sql* and return the span tree of the
         run — parse → rewrite → plan selection → one span per shard
@@ -862,108 +835,58 @@ class ESDB:
     def _engine_generation(self, shard_id: int) -> int:
         return self.engines[shard_id].generation
 
-    def _execute_traced(
-        self,
-        tracer,
-        sql: str | None = None,
-        statement: SelectStatement | None = None,
-    ) -> tuple[QueryResult, Span]:
-        """The traced query pipeline shared by execute_sql/execute_statement
-        and explain_analyze."""
+    def _execute_traced(self, tracer, sql: str) -> tuple[QueryResult, Span]:
+        """The one query pipeline, behind :meth:`execute_sql` and
+        :meth:`explain_analyze`: probe the result cache; on a miss, prepare
+        the statement and read its routing bounds once — its tenant and its
+        shards; admit the tenant (governed instances); fan out and put the
+        result. A cache entry carries the tenant, ``ATTR`` keys and filter
+        terms its miss computed, so a hit accounts for them as a miss does."""
         metrics = self.telemetry.metrics
-        cache_hit = False
-        shard_ids: list[int] = []
         governor = self.governor
-        query_tenant = None
-        prepared = None
+        result_cache = self.result_cache
         ctx = self._new_trace("query")
-        if governor is not None:
-            # Admission needs the target tenant before the pipeline runs.
-            # Raw SQL is prepared (bound or compiled) up front, untraced, and
-            # the result reused downstream — never prepared twice — and the
-            # tenant is memoized per SQL string so repeat queries (the
-            # result-cache hot path) skip preparing entirely.
-            if statement is not None:
-                query_tenant = self._statement_tenant(statement)
-            elif sql in self._query_tenant_cache:
-                query_tenant = self._query_tenant_cache[sql]
-                self._query_tenant_cache.move_to_end(sql)
-            else:
-                try:
-                    prepared = self._prepare(NULL_TELEMETRY.tracer, sql)
-                except QueryError:
-                    pass  # the traced prepare below reports the error
-                else:
-                    query_tenant = common_tenant(
-                        routing_bounds(prepared[0].where, self.config.schema)
-                    )
-                while len(self._query_tenant_cache) >= 512:
-                    self._query_tenant_cache.popitem(last=False)
-                self._query_tenant_cache[sql] = query_tenant
-            try:
-                governor.admit_query(query_tenant, self._clock)
-            except TenantThrottledError as exc:
-                self._emit_event(
-                    "shed" if exc.budget == "queue" else "throttle",
-                    tenant=query_tenant, ctx=ctx, op="query", budget=exc.budget,
-                )
-                if self.slo is not None:
-                    self.slo.record(
-                        "query", query_tenant, 0.0, self._clock, error=True
-                    )
-                    self._slo_tick(ctx)
-                raise
+        fingerprint = sql_fingerprint(sql)
         with tracer.trace("query", ctx, sampler=self.trace_sampler) as root:
-            result_key = None
-            fingerprint = None
-            if sql is None:
-                fingerprint = statement_fingerprint(statement)
-            elif self.result_cache is not None or self.hotkeys is not None:
-                fingerprint = sql_fingerprint(sql)
-            if self.result_cache is not None:
-                result_key = (fingerprint, self._rule_version())
-                cached = self.result_cache.get(*result_key, self._engine_generation)
-                if cached is not None:
-                    # The whole fan-out is skipped: surface the hit as its
-                    # own span where the executor subtree would have been.
-                    with tracer.span(
-                        "cache.hit", level="result", fingerprint=fingerprint
-                    ):
-                        pass
-                    root.tags["cache"] = "hit"
-                    root.tags["fanout"] = cached.subqueries
-                    result = cached
-                    cache_hit = True
-                    hit_subattrs = self._subattr_by_fingerprint.get(fingerprint)
-                    if hit_subattrs:
-                        self._subattr_frequencies.record_query(hit_subattrs)
-            if not cache_hit:
-                if prepared is None:
-                    prepared = (
-                        self._prepare(tracer, sql)
-                        if statement is None
-                        else self._rewrite_and_plan(tracer, statement)
-                    )
-                statement, plan, subattrs = prepared
-                if subattrs:
-                    self._subattr_frequencies.record_query(subattrs)
-                # The fan-out reads the tenant off the rewritten statement:
-                # on a governed instance the one admission read.
-                result, shard_ids, query_tenant = self._execute_fanout(
-                    tracer, root, statement, plan
-                )
-                if result_key is not None:
+            key = (fingerprint, self._rule_version())
+            cached = (
+                result_cache.get(*key, self._engine_generation)
+                if result_cache is not None
+                else None
+            )
+            if cached is None:
+                statement, plan, subattrs = self._prepare(tracer, sql)
+                bounds = routing_bounds(statement.where, self.config.schema)
+                tenant = common_tenant(bounds)
+            else:
+                result, tenant, subattrs, terms = cached
+            if governor is not None:
+                self._admit_query(governor, tenant, ctx)
+            if cached is None:
+                shard_ids = self._target_shards(self._shards_per_bound(bounds))
+                result = self._execute_fanout(tracer, root, statement, plan, shard_ids)
+                terms = self._query_terms(statement) if self.hotkeys is not None else ()
+                if result_cache is not None:
                     validators = tuple(
                         (shard_id, self.engines[shard_id].generation)
                         for shard_id in shard_ids
                     )
-                    self.result_cache.put(*result_key, result, validators)
-                    while len(self._subattr_by_fingerprint) >= 512:
-                        self._subattr_by_fingerprint.popitem(last=False)
-                    self._subattr_by_fingerprint[result_key[0]] = subattrs
+                    result_cache.put(
+                        *key, (result, tenant, subattrs, terms), validators,
+                        cost=rows_cost(result.rows) + 24 * len(validators),
+                    )
+            else:
+                # The whole fan-out is skipped: surface the hit as its own
+                # span where the executor subtree would have been.
+                with tracer.span("cache.hit", level="result", fingerprint=fingerprint):
+                    pass
+                root.tags["cache"] = "hit"
+                root.tags["fanout"] = result.subqueries
+        if subattrs:
+            self._subattr_frequencies.record_query(subattrs)
         if governor is not None:
             governor.charge_query(
-                query_tenant,
+                tenant,
                 self._clock,
                 # Summing row sizes costs a str() per field; only pay it
                 # when a result-byte budget actually consumes the number.
@@ -972,26 +895,22 @@ class ESDB:
                     if governor.config.result_bytes_quota is not None
                     else 0
                 ),
-                scanned=0 if cache_hit else result.total_hits,
+                scanned=result.total_hits if cached is None else 0,
             )
         metrics.counter("esdb_queries_total").inc()
-        if not cache_hit:
-            metrics.counter("esdb_subqueries_total").inc(len(shard_ids))
+        if cached is None:
+            metrics.counter("esdb_subqueries_total").inc(result.subqueries)
             if self.telemetry.enabled:
                 metrics.histogram("esdb_query_seconds").observe(
                     root.duration,
                     trace_id=ctx.trace_id if ctx is not None and ctx.sampled else None,
                 )
-        if cache_hit and governor is None:
-            # A hit skips the fan-out that reads the tenant: read it off the
-            # caller's statement (a hit on raw SQL never parses: none).
-            query_tenant = self._statement_tenant(statement)
         if self.obsv is not None:
             slow_entry = self.obsv.record_search(
-                query_tenant,
+                tenant,
                 root.duration,
                 self._clock,
-                detail=sql.strip() if sql is not None else fingerprint,
+                detail=sql.strip(),
                 trace=root,
                 trace_id=ctx.trace_id if ctx is not None else None,
             )
@@ -1004,34 +923,35 @@ class ESDB:
                     elapsed=slow_entry.elapsed,
                 )
         if self.slo is not None:
-            self.slo.record("query", query_tenant, root.duration, self._clock)
+            self.slo.record("query", tenant, root.duration, self._clock)
             if self.hotkeys is not None:
-                self.hotkeys.record_query(
-                    query_tenant, fingerprint, self._query_terms(statement)
-                )
+                self.hotkeys.record_query(tenant, fingerprint, terms)
             self._slo_tick(ctx)
         if self.timeseries is not None:
             self.timeseries.maybe_sample(self._clock)
         return result, root
 
-    def _statement_tenant(self, statement: SelectStatement | None):
-        """The :func:`common_tenant` of a parsed, not yet rewritten
-        *statement*, for a caller that has not run its fan-out: governed
-        admission and a result-cache hit."""
-        if statement is None:
-            return None
-        rewritten = self.xdriver.translate(statement).statement
-        return common_tenant(routing_bounds(rewritten.where, self.config.schema))
+    def _admit_query(self, governor: TenantGovernor, tenant: object, ctx) -> None:
+        """Governed admission of one query for *tenant*. A rejection emits
+        its ``shed``/``throttle`` event and an SLO error, then raises —
+        before any fan-out, and before the query counts as executed."""
+        try:
+            governor.admit_query(tenant, self._clock)
+        except TenantThrottledError as exc:
+            self._emit_event(
+                "shed" if exc.budget == "queue" else "throttle",
+                tenant=tenant, ctx=ctx, op="query", budget=exc.budget,
+            )
+            if self.slo is not None:
+                self.slo.record("query", tenant, 0.0, self._clock, error=True)
+                self._slo_tick(ctx)
+            raise
 
     @staticmethod
-    def _query_terms(statement: SelectStatement | None) -> list[str]:
+    def _query_terms(statement: SelectStatement) -> tuple[str, ...]:
         """The filter terms a statement exercises, for heavy-hitter
         tracking: ``column=value`` for equality comparisons, the bare
-        column for ranges, ``attr:key`` for sub-attribute filters. A
-        result-cache hit on raw SQL never parses, so it contributes no
-        terms (the fingerprint still counts)."""
-        if statement is None:
-            return []
+        column for ranges, ``attr:key`` for sub-attribute filters."""
         terms: list[str] = []
         for predicate in iter_predicates(statement.where):
             if isinstance(predicate, SubAttributePredicate):
@@ -1041,7 +961,7 @@ class ESDB:
                     terms.append(f"{predicate.column}={predicate.value}")
                 else:
                     terms.append(str(predicate.column))
-        return terms
+        return tuple(terms)
 
     def _slo_tick(self, ctx: TraceContext | None = None) -> None:
         """One deterministic SLO heartbeat at the instance's logical clock:
@@ -1127,13 +1047,15 @@ class ESDB:
         return statement, plan, subattribute_keys(statement.where)
 
     def _execute_fanout(
-        self, tracer, root: Span, statement: SelectStatement, plan: PhysicalPlan
-    ) -> tuple[QueryResult, list[int], object]:
-        """Per-shard execution of a rewritten *statement*'s *plan* (through
-        the shard request cache) → aggregation. Returns the result, the
-        fan-out and the tenant it targets (None: cross-tenant)."""
-        bounds = routing_bounds(statement.where, self.config.schema)
-        shard_ids = self._target_shards(self._shards_per_bound(bounds))
+        self,
+        tracer,
+        root: Span,
+        statement: SelectStatement,
+        plan: PhysicalPlan,
+        shard_ids: list[int],
+    ) -> QueryResult:
+        """Per-shard execution of a rewritten *statement*'s *plan* on
+        *shard_ids* (through the shard request cache) → aggregation."""
         root.tags["fanout"] = len(shard_ids)
         aggregator = ResultAggregator(
             columns=statement.columns,
@@ -1169,8 +1091,7 @@ class ESDB:
                 sub_span.tags["matched"] = matched
                 shard_results.append(entry)
         with tracer.span("query.aggregate"):
-            result = aggregator.aggregate_shards(shard_results)
-        return result, shard_ids, common_tenant(bounds)
+            return aggregator.aggregate_shards(shard_results)
 
     def _shard_subquery(
         self,
@@ -1372,7 +1293,3 @@ class ESDB:
             enabled=self.config.optimizer_enabled,
             telemetry=self.telemetry,
         )
-
-    def list_indexes(self) -> list[str]:
-        """Composite indexes currently usable by the optimizer."""
-        return sorted("_".join(columns) for columns in self._catalog.composite_indexes)

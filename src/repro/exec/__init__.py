@@ -1,17 +1,13 @@
-"""Batched execution: the bulk-write result type and shared query scans.
+"""Batched execution: the bulk-write result type.
 
-* :class:`BulkResult` / :class:`BulkItemResult` — per-document outcomes
-  of :meth:`ESDB.bulk_write`, the write pipeline's result type.
-* :func:`execute_batch` — SharedDB-style query coalescing behind
-  :meth:`ESDB.execute_batch` (exact duplicates and same-column scan
-  families run one scan, not N).
+:class:`BulkResult` / :class:`BulkItemResult` are the per-document
+outcomes of :meth:`ESDB.bulk_write`, the write pipeline's result type.
+Queries have one entry point, :meth:`ESDB.execute_sql`.
 """
 
 from repro.exec.bulk import BulkItemResult, BulkResult
-from repro.exec.shared import execute_batch
 
 __all__ = [
     "BulkItemResult",
     "BulkResult",
-    "execute_batch",
 ]

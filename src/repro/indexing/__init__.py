@@ -1,5 +1,5 @@
 """Frequency-based indexing of the "attributes" sub-attributes (§3.2, §6.3.3)."""
 
-from repro.indexing.frequency import FrequencyTracker, select_indexed_subattributes
+from repro.indexing.frequency import FrequencyTracker
 
-__all__ = ["FrequencyTracker", "select_indexed_subattributes"]
+__all__ = ["FrequencyTracker"]

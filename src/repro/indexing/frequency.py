@@ -71,16 +71,3 @@ class FrequencyTracker:
             return 0.0
         covered = sum(self.query_counts[name] for name in selected)
         return covered / total
-
-
-def select_indexed_subattributes(
-    tracker: FrequencyTracker, k: int = 30, min_coverage: float = 0.0
-) -> frozenset:
-    """Select the top-*k* sub-attributes, growing *k* until *min_coverage*
-    of query references are covered (bounded by the universe size)."""
-    universe = set(tracker.query_counts) | set(tracker.write_counts)
-    selected = tracker.top_k(k)
-    while tracker.coverage(selected) < min_coverage and len(selected) < len(universe):
-        k *= 2
-        selected = tracker.top_k(k)
-    return selected

@@ -175,9 +175,8 @@ def cat_caches(source) -> CatTable:
 
 
 def cat_exec(source) -> CatTable:
-    """One row per batched-execution statistic: bulk-write volumes and
-    shared-scan savings. Empty and well-formed on an instance that never
-    used :meth:`ESDB.bulk_write` or :meth:`ESDB.execute_batch`."""
+    """One row per bulk-write statistic: batches and documents. Empty and
+    well-formed on an instance that never used :meth:`ESDB.bulk_write`."""
     return CatTable.from_dicts(
         "exec",
         ("stat", "detail", "value"),

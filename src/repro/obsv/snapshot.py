@@ -285,8 +285,7 @@ def read_caches(db) -> list[dict]:
 
 
 def read_exec(db) -> list[dict]:
-    """Bulk-write volumes and shared-scan savings; empty on an instance
-    that never bulk-wrote nor shared a scan."""
+    """Bulk-write volumes; empty on an instance that never bulk-wrote."""
     metrics = db.telemetry.metrics
     rows = []
     bulk_writes = int(metrics.value("esdb_bulk_writes_total"))
@@ -294,14 +293,6 @@ def read_exec(db) -> list[dict]:
         rows.append({"stat": "bulk", "detail": "batches", "value": bulk_writes})
         docs = int(metrics.value("esdb_bulk_docs_total"))
         rows.append({"stat": "bulk", "detail": "docs", "value": docs})
-    for series in metrics.series("exec_shared_groups_total"):
-        kind = str(series.labels.get("kind", ""))
-        rows.append(
-            {"stat": "shared", "detail": "groups:" + kind, "value": int(series.value)}
-        )
-    saved = int(metrics.total("exec_shared_saved_total"))
-    if saved:
-        rows.append({"stat": "shared", "detail": "queries_saved", "value": saved})
     return rows
 
 

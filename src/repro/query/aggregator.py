@@ -189,21 +189,3 @@ def apply_function(item: FunctionProjection, row: Mapping[str, Any]) -> Any:
     if value is None:
         return None
     return date_format(value, item.argument or "%Y-%m-%d %H:%M:%S")
-
-
-def aggregate_metric(rows: Iterable[Mapping[str, Any]], column: str, op: str) -> float:
-    """Global aggregate over fetched rows: count/sum/avg/min/max."""
-    values = [row[column] for row in rows if row.get(column) is not None]
-    if op == "count":
-        return float(len(values))
-    if not values:
-        raise QueryError(f"no non-null values in column {column!r} for {op}")
-    if op == "sum":
-        return float(sum(values))
-    if op == "avg":
-        return float(sum(values)) / len(values)
-    if op == "min":
-        return float(min(values))
-    if op == "max":
-        return float(max(values))
-    raise QueryError(f"unknown aggregate {op!r}")

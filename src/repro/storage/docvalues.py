@@ -68,21 +68,6 @@ class DocValues:
         ]
         return PostingList(out, presorted=True)
 
-    def multi_full_scan(
-        self, predicates: "list[Callable[[Any], bool]]"
-    ) -> "list[PostingList]":
-        """Evaluate many predicates in one pass over the column — the
-        shared-scan operator (SharedDB): N same-column filters cost one
-        column traversal instead of N."""
-        outs: list[list[int]] = [[] for _ in predicates]
-        base = self._base
-        for i, value in enumerate(self._values):
-            row = base + i
-            for j, predicate in enumerate(predicates):
-                if predicate(value):
-                    outs[j].append(row)
-        return [PostingList(out, presorted=True) for out in outs]
-
     def distinct_count(self) -> int:
         """Cardinality estimate used to decide scan-list membership."""
         return len({v for v in self._values if v is not None})

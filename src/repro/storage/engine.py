@@ -482,22 +482,6 @@ class ShardEngine:
                 lists.append(segment.filter_live(values.full_scan(predicate)))
         return PostingList.union_all(lists)
 
-    def multi_full_scan(
-        self, field_name: str, predicates: list[Callable[[Any], bool]]
-    ) -> list[PostingList]:
-        """Shared scan: evaluate every predicate over *field_name* with one
-        doc-values pass per segment, returning one posting list per
-        predicate — each identical to what :meth:`full_scan` would return
-        for that predicate alone."""
-        per_predicate: list[list[PostingList]] = [[] for _ in predicates]
-        for segment in self._searchable_segments():
-            values = segment.doc_values(field_name)
-            if values is None:
-                continue
-            for i, scanned in enumerate(values.multi_full_scan(predicates)):
-                per_predicate[i].append(segment.filter_live(scanned))
-        return [PostingList.union_all(lists) for lists in per_predicate]
-
     def fetch(self, rows: PostingList) -> list[Document]:
         """Fetch raw documents for a posting list (the coordinator's second
         phase: row-id collection then raw-data fetch, §3.2)."""

@@ -31,7 +31,6 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    bucket_quantiles,
     exponential_buckets,
     summarize,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
-    "bucket_quantiles",
     "exponential_buckets",
     "summarize",
     "TimeSeries",

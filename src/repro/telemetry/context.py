@@ -1,7 +1,7 @@
 """Deterministic trace contexts: W3C-shaped ids, propagation, sampling.
 
-Every top-level ESDB operation (write, bulk_write, query, execute_batch,
-rebalance) is assigned a :class:`TraceContext` — a W3C-traceparent-shaped
+Every top-level ESDB operation (write, bulk_write, query, rebalance) is
+assigned a :class:`TraceContext` — a W3C-traceparent-shaped
 ``trace_id``/``span_id`` pair — by a :class:`TraceIdGenerator`. Ids are
 derived purely from a seed and a monotone per-instance counter (blake2b,
 no wall clock, no randomness), so two runs of the same seeded workload

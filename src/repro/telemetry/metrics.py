@@ -197,21 +197,6 @@ class Histogram:
         }
 
 
-def bucket_quantiles(values: Iterable[float], quantiles: tuple[float, ...] = (0.5, 0.95, 0.99),
-                     buckets: tuple[float, ...] = DEFAULT_BUCKETS) -> dict:
-    """One-shot helper: histogram-bucket quantiles of *values*.
-
-    This is the shared quantile math between the telemetry registry and
-    :mod:`repro.sim.metrics` — both report p50/p95/p99 through the same
-    bucket-interpolation code path so sim-side and telemetry-side latency
-    numbers are comparable.
-    """
-    histogram = Histogram("_adhoc", {}, buckets=buckets)
-    for value in values:
-        histogram.observe(value)
-    return {q: histogram.quantile(q) for q in quantiles}
-
-
 def summarize(values: Iterable[float],
               buckets: tuple[float, ...] = DEFAULT_BUCKETS) -> dict:
     """One-shot :meth:`Histogram.summary` of *values*.

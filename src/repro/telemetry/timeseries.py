@@ -475,12 +475,9 @@ def install_esdb_derivations(store: TimeSeriesStore) -> TimeSeriesStore:
     store.add_derivation(CounterRate("tenancy.shed_per_s", "tenancy_shed_total"))
     store.add_derivation(CounterRate("tenancy.queued_per_s", "tenancy_queued_total"))
     # Batched-execution series: esdb_bulk_docs_total only exists once
-    # bulk_write is used and exec_shared_* once execute_batch shares work,
-    # so an instance that does neither emits nothing here.
+    # bulk_write is used, so an instance that never bulk-writes emits
+    # nothing here.
     store.add_derivation(CounterRate("exec.bulk_docs_per_s", "esdb_bulk_docs_total"))
-    store.add_derivation(
-        CounterRate("exec.shared_saved_per_s", "exec_shared_saved_total")
-    )
     # SLO series: the slo_* gauges only exist on an SLO-enabled instance,
     # so everything else emits nothing here. Budget is aggregated as the
     # *minimum* (the worst objective is the headline); burn rates as the

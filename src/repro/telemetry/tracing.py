@@ -35,12 +35,10 @@ class Span:
     ``trace_id``/``span_id`` are assigned when the operation runs under a
     :class:`~repro.telemetry.context.TraceContext` (see :meth:`Tracer.trace`);
     they stay None for bare ``tracer.span`` trees so pre-trace callers see
-    no difference. ``links`` carries the trace ids of *other* requests this
-    span did work for — how a coalesced shared scan credits every
-    participating statement.
+    no difference.
     """
 
-    __slots__ = ("name", "tags", "start", "end", "children", "trace_id", "span_id", "links")
+    __slots__ = ("name", "tags", "start", "end", "children", "trace_id", "span_id")
 
     def __init__(self, name: str, tags: dict | None = None) -> None:
         self.name = name
@@ -50,7 +48,6 @@ class Span:
         self.children: list[Span] = []
         self.trace_id: str | None = None
         self.span_id: str | None = None
-        self.links: list[str] | None = None
 
     @property
     def duration(self) -> float:
@@ -80,12 +77,6 @@ class Span:
         """All spans in the tree whose name starts with *prefix*."""
         return [span for span in self.walk() if span.name.startswith(prefix)]
 
-    def add_link(self, trace_id: str) -> None:
-        """Link this span to another request's trace (shared-work credit)."""
-        if self.links is None:
-            self.links = []
-        self.links.append(trace_id)
-
     def to_dict(self) -> dict:
         """JSON-ready representation of the span tree."""
         out: dict[str, Any] = {"name": self.name, "duration": self.duration}
@@ -93,8 +84,6 @@ class Span:
             out["trace_id"] = self.trace_id
         if self.span_id is not None:
             out["span_id"] = self.span_id
-        if self.links:
-            out["links"] = list(self.links)
         if self.tags:
             out["tags"] = {str(k): str(v) for k, v in self.tags.items()}
         if self.children:

@@ -43,7 +43,6 @@ from repro.workload.arrivals import (
     SpikeRate,
     TenantChurn,
     TraceScenario,
-    arrival_from_json,
 )
 from repro.workload.generator import TransactionLogGenerator, WorkloadConfig
 
@@ -278,13 +277,6 @@ def read_trace_events(path: str | Path) -> tuple[TraceInfo, Iterator[tuple[float
             yield _unwrap(path, info, line_number, record)
 
     return info, events()
-
-
-def trace_arrival(info: TraceInfo) -> ArrivalProcess | None:
-    """Rebuild the arrival process recorded in a v2 header (None for v1)."""
-    if info.arrival is None:
-        return None
-    return arrival_from_json(info.arrival)
 
 
 def trace_churn(info: TraceInfo) -> TenantChurn | None:

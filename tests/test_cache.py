@@ -254,14 +254,10 @@ class TestShardRequestCache:
 
 
 class TestCoordinatorResultCache:
-    class _Result:
-        def __init__(self, rows=("r",)):
-            self.rows = rows
-
     def test_hit_requires_matching_generations(self):
         cache = CoordinatorResultCache(4096)
-        result = self._Result()
-        cache.put("sql:q", 0, result, validators=((0, 1), (1, 2)))
+        result = object()
+        cache.put("sql:q", 0, result, validators=((0, 1), (1, 2)), cost=64)
         generations = {0: 1, 1: 2}
         assert cache.get("sql:q", 0, generations.__getitem__) is result
         generations[1] = 3  # shard 1 refreshed since
@@ -271,14 +267,14 @@ class TestCoordinatorResultCache:
 
     def test_rule_version_is_part_of_the_key(self):
         cache = CoordinatorResultCache(4096)
-        result = self._Result()
-        cache.put("sql:q", 0, result, validators=())
+        result = object()
+        cache.put("sql:q", 0, result, validators=(), cost=64)
         assert cache.get("sql:q", 1, lambda s: 0) is None
         assert cache.get("sql:q", 0, lambda s: 0) is result
 
     def test_stale_lookup_counts_as_miss_not_hit(self):
         cache = CoordinatorResultCache(4096)
-        cache.put("sql:q", 0, self._Result(), validators=((0, 1),))
+        cache.put("sql:q", 0, object(), validators=((0, 1),), cost=64)
         cache.get("sql:q", 0, lambda s: 99)
         assert cache.stats.hits == 0
         assert cache.stats.misses == 1

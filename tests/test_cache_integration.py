@@ -100,14 +100,40 @@ class TestCoordinatorResultCache:
         db.refresh()
         assert db.execute_sql(QUERY).total_hits == result.total_hits + 1
 
-    def test_execute_statement_cached_too(self):
-        from repro.query import parse_sql
 
-        db = build_db()
-        statement = parse_sql(QUERY)
-        db.execute_statement(statement)
-        db.execute_statement(parse_sql(QUERY))
-        assert db.result_cache.stats.hits == 1
+def _tap(fn, calls: list):
+    """*fn*, recording each call's positional arguments in *calls*."""
+
+    def tapped(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return tapped
+
+
+class TestResultCacheHitAccounting:
+    """A result-cache entry carries the tenant and filter terms its miss
+    computed, so a hit is accounted to the same tenant on an ungoverned
+    instance too."""
+
+    def test_hit_records_the_tenant_and_terms_of_its_miss(self):
+        from repro.slo import SloConfig
+
+        db = build_db(slo=SloConfig(enabled=True))
+        slo, hot, search = [], [], []
+        db.slo.record = _tap(db.slo.record, slo)
+        db.hotkeys.record_query = _tap(db.hotkeys.record_query, hot)
+        db.obsv.record_search = _tap(db.obsv.record_search, search)
+        sql = QUERY + " LIMIT 5"
+        for _ in range(3):
+            db.execute_sql(sql)
+        assert db.result_cache.stats.hits == 2
+        assert [args[:2] for args in slo] == [("query", "t1")] * 3
+        assert [args[0] for args in search] == ["t1"] * 3
+        tenant, _, terms = hot[0]
+        assert tenant == "t1"
+        assert set(terms) == {"tenant_id=t1", "status=1"}
+        assert hot == [hot[0]] * 3
 
 
 class TestShardRequestCache:
@@ -179,7 +205,7 @@ class TestExplainAnalyzeCacheSpans:
             assert span.find("cache.hit") is not None
 
 
-class TestStatsReport:
+class TestRenderedReport:
     def test_cache_lines_present_after_activity(self):
         db = build_db()
         db.execute_sql(QUERY)

@@ -13,7 +13,6 @@ from repro.errors import (
     InvalidDocumentError,
     PlanningError,
     QueryError,
-    RoutingError,
     SqlSyntaxError,
     StorageError,
     UnsupportedSqlError,
@@ -40,12 +39,10 @@ class TestErrorHierarchy:
         from repro.errors import (
             ConsensusAborted,
             ConsensusError,
-            RuleMatchError,
             TranslogCorruptionError,
         )
 
         assert issubclass(ConsensusAborted, ConsensusError)
-        assert issubclass(RuleMatchError, RoutingError)
         assert issubclass(TranslogCorruptionError, StorageError)
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro import ESDB, EsdbConfig, HashRouting
@@ -474,40 +472,42 @@ class TestBoundedFanOut:
         assert split.execute_sql(sql).scalar() == 12
 
 
-def _count_where(db: ESDB, *conjuncts: ComparisonPredicate) -> int:
-    statement = replace(parse_sql("SELECT COUNT(*) FROM t"), where=AndNode(conjuncts))
-    return db.execute_statement(statement).scalar()
-
-
 class TestIdSpellings:
     """``=`` matches ``5`` with ``5.0`` and ``1`` with ``True``, and the
     routing hash encodes them alike: a record is found, and a tenant's
-    shards are visited, under any spelling of its key."""
+    shards are visited, under any spelling of its key. SQL cannot spell
+    ``True`` or ``False``, so the bool spellings are checked on the
+    routing policy that decides the fan-out."""
 
-    STORED = (5, 7.0, 1, False)  # each matched by the other spelling below
-    QUERIED = (5.0, 7, True, 0)
+    STORED = (5, 7.0, False)  # each matched by the SQL spelling below
+    QUERIED = ("5.0", "7", "0")
 
     @pytest.fixture()
     def spread(self, db) -> ESDB:
         db.policy.rules.update(10.0, 16, "w")  # offsets 1 and 16
-        for stored in self.STORED:
+        for stored in (*self.STORED, 1):
             db.write(make_log(stored, tenant="w", created=20.0))
         db.refresh()
         return db
 
-    def _count(self, db, value, time: bool) -> int:
-        conjuncts = [
-            ComparisonPredicate("tenant_id", "=", "w"),
-            ComparisonPredicate("transaction_id", "=", value),
-        ]
-        if time:
-            conjuncts.append(ComparisonPredicate("created_time", "=", 20.0))
-        return _count_where(db, *conjuncts)
-
     @pytest.mark.parametrize("time", [False, True])
     def test_every_equal_spelling_is_found(self, spread, time):
+        at_time = " AND created_time = 20.0" if time else ""
         for stored, queried in zip(self.STORED, self.QUERIED):
-            assert self._count(spread, queried, time) == 1, (stored, queried)
+            sql = (
+                "SELECT COUNT(*) FROM t WHERE tenant_id = 'w' "
+                f"AND transaction_id = {queried}{at_time}"
+            )
+            assert spread.execute_sql(sql).scalar() == 1, (stored, queried)
+
+    def test_bool_id_visits_the_shard_of_its_int(self, spread):
+        policy = spread.policy
+        home = policy.route_write("w", 1, 20.0)
+        assert spread.engines[home].contains(1)
+        at_time = policy.query_shards("w", until=20.0, record_id=True, since=20.0)
+        assert list(at_time) == [home]
+        assert home in policy.query_shards("w", record_id=True)
+        assert policy.route_write("w", False, 20.0) == policy.route_write("w", 0, 20.0)
 
     def test_float_literal_in_sql(self, spread):
         result = spread.execute_sql(
@@ -520,10 +520,10 @@ class TestIdSpellings:
             for i in range(20):
                 db.write(make_log(f"{tenant}-{i}", tenant=tenant, created=float(i)))
         db.refresh()
-        assert db.execute_sql("SELECT COUNT(*) FROM t WHERE tenant_id = 5.0").scalar() == 20
-        for value, tenant in ((5.0, 5), (True, 1)):
-            tenant_rows = _count_where(db, ComparisonPredicate("tenant_id", "=", tenant))
-            assert _count_where(db, ComparisonPredicate("tenant_id", "=", value)) == tenant_rows == 20
+        count = "SELECT COUNT(*) FROM t WHERE tenant_id = {}"
+        assert db.execute_sql(count.format("5.0")).scalar() == 20
+        assert db.execute_sql(count.format("5")).scalar() == 20
+        assert list(db.policy.query_shards(True)) == list(db.policy.query_shards(1))
 
 
 #: EXPLAIN text for five statements on the ``db`` fixture with tenant 5

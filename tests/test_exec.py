@@ -2,10 +2,9 @@
 execution path.
 
 The contracts under test: ``bulk_write`` reports every document's
-outcome in submission order; ``execute_batch`` answers every statement
-exactly as ``execute_sql`` would while sharing scans; the chaos
-fingerprints and trace sequences stay pinned; and user threads sharing
-one instance lose nothing.
+outcome in submission order and answers queries as a loop over
+``write`` does; the chaos fingerprints and trace sequences stay pinned;
+and user threads sharing one instance lose nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from repro.cluster import ClusterTopology
 from repro.esdb import ESDB, EsdbConfig
 from repro.exec import BulkItemResult, BulkResult
 from repro.obsv import cat_exec
-from repro.storage import ShardEngine
 from repro.workload.generator import TransactionLogGenerator, WorkloadConfig
 from tests.conftest import make_log
 
@@ -36,6 +34,15 @@ def zipf_docs(count: int, seed: int = 0) -> list[dict]:
         WorkloadConfig(num_tenants=100, seed=seed)
     )
     return [generator.generate(created_time=i * 0.02) for i in range(count)]
+
+
+QUERY_SET = (
+    "SELECT * FROM transaction_logs WHERE quantity >= 3",
+    "SELECT COUNT(*) FROM transaction_logs WHERE status = 1",
+    "SELECT status, COUNT(*) FROM transaction_logs GROUP BY status",
+    "SELECT * FROM transaction_logs WHERE amount <= 500 "
+    "ORDER BY created_time DESC LIMIT 25",
+)
 
 
 # -- bulk writes ---------------------------------------------------------------
@@ -106,308 +113,6 @@ class TestBulkWrite:
             assert actual.total_hits == expected.total_hits
 
 
-# -- shared execution ----------------------------------------------------------
-
-
-QUERY_SET = (
-    "SELECT * FROM transaction_logs WHERE quantity >= 3",
-    "SELECT COUNT(*) FROM transaction_logs WHERE status = 1",
-    "SELECT status, COUNT(*) FROM transaction_logs GROUP BY status",
-    "SELECT * FROM transaction_logs WHERE amount <= 500 "
-    "ORDER BY created_time DESC LIMIT 25",
-)
-
-#: One statement of each shape the planner distinguishes; none of them can
-#: join the ``quantity`` family that rides along in the batch.
-STATEMENT_SHAPES = {
-    "count": "SELECT COUNT(*) FROM transaction_logs WHERE status = 1",
-    "group-by": "SELECT status, COUNT(*) FROM transaction_logs GROUP BY status",
-    "avg": "SELECT status, COUNT(*), AVG(amount) FROM transaction_logs "
-    "GROUP BY status",
-    "order-limit": "SELECT * FROM transaction_logs WHERE amount <= 500 "
-    "ORDER BY created_time DESC LIMIT 25",
-    "limit": "SELECT * FROM transaction_logs WHERE quantity >= 3 LIMIT 5",
-    "in-list": "SELECT * FROM transaction_logs WHERE quantity IN (1, 2)",
-    "between": "SELECT * FROM transaction_logs WHERE created_time BETWEEN 0 AND 1",
-    "conjunction": "SELECT * FROM transaction_logs "
-    "WHERE quantity >= 3 AND status = 1",
-    "tenant": "SELECT * FROM transaction_logs WHERE tenant_id = 1",
-}
-
-FAMILY_PAIR = (
-    "SELECT * FROM transaction_logs WHERE quantity >= 3",
-    "SELECT * FROM transaction_logs WHERE quantity <= 2",
-)
-
-
-def loaded_pair(count: int = 150, **extras) -> tuple[ESDB, ESDB]:
-    """Two instances holding the same documents: one answers a batch, the
-    other a loop over ``execute_sql``, so neither sees the other's caches."""
-    dbs = make_db(**extras), make_db(**extras)
-    for db in dbs:
-        db.bulk_write(zipf_docs(count, seed=6))
-        db.refresh()
-    return dbs
-
-
-class TestExecuteBatch:
-    @pytest.mark.parametrize("sql", STATEMENT_SHAPES.values(), ids=STATEMENT_SHAPES)
-    def test_each_shape_coalesces_with_its_duplicate(self, sql):
-        looped, batched = loaded_pair()
-        batch = [sql, FAMILY_PAIR[0], sql, FAMILY_PAIR[1]]
-        results = batched.execute_batch(batch)
-        assert results[0] is results[2]
-        expected = [looped.execute_sql(statement) for statement in batch]
-        assert expected[0].total_hits > 0
-        assert [r.rows for r in results] == [r.rows for r in expected]
-        assert [r.total_hits for r in results] == [r.total_hits for r in expected]
-        metrics = batched.telemetry.metrics
-        assert metrics.value("exec_shared_groups_total", kind="duplicate") == 1.0
-        assert metrics.value("exec_shared_groups_total", kind="family") == 1.0
-        assert metrics.total("exec_shared_saved_total") == 2.0
-
-    def test_empty_batch_answers_nothing(self):
-        db = make_db()
-        assert db.execute_batch([]) == []
-        assert db.telemetry.metrics.total("esdb_queries_total") == 0.0
-
-    def test_family_beyond_max_group_starts_a_new_group(self):
-        from repro.exec.shared import MAX_GROUP
-
-        looped, batched = loaded_pair(100)
-        batch = [
-            f"SELECT * FROM transaction_logs WHERE quantity >= {value}"
-            for value in range(MAX_GROUP + 2)
-        ]
-        results = batched.execute_batch(batch)
-        metrics = batched.telemetry.metrics
-        assert metrics.value("exec_shared_groups_total", kind="family") == 2.0
-        assert metrics.total("exec_shared_saved_total") == len(batch) - 2
-        for sql, result in zip(batch, results):
-            assert result.rows == looped.execute_sql(sql).rows
-
-    def test_each_scan_column_forms_its_own_family(self, monkeypatch):
-        looped, batched = loaded_pair()
-        batch = [
-            FAMILY_PAIR[0],
-            "SELECT * FROM transaction_logs WHERE status = 1",
-            FAMILY_PAIR[1],
-            "SELECT * FROM transaction_logs WHERE status = 2",
-        ]
-        columns = []
-        multi_full_scan = ShardEngine.multi_full_scan
-
-        def recording_scan(engine, column, predicates):
-            columns.append(column)
-            return multi_full_scan(engine, column, predicates)
-
-        monkeypatch.setattr(ShardEngine, "multi_full_scan", recording_scan)
-        results = batched.execute_batch(batch)
-        shards = TOPOLOGY.num_shards
-        assert columns == ["quantity"] * shards + ["status"] * shards
-        metrics = batched.telemetry.metrics
-        assert metrics.value("exec_shared_groups_total", kind="family") == 2.0
-        assert metrics.total("exec_shared_saved_total") == 2.0
-        for sql, result in zip(batch, results):
-            assert result.rows == looped.execute_sql(sql).rows
-
-    def test_tenant_filters_never_join_a_family(self):
-        looped, batched = loaded_pair()
-        batch = [
-            "SELECT * FROM transaction_logs WHERE tenant_id = 1",
-            "SELECT * FROM transaction_logs WHERE tenant_id = 2",
-        ]
-        results = batched.execute_batch(batch)
-        assert batched.telemetry.metrics.series("exec_shared_groups_total") == []
-        for sql, result in zip(batch, results):
-            assert result.rows == looped.execute_sql(sql).rows
-
-    def test_ordered_statements_never_join_a_family(self):
-        looped, batched = loaded_pair()
-        batch = [
-            "SELECT * FROM transaction_logs WHERE quantity >= 3 "
-            "ORDER BY created_time DESC",
-            "SELECT * FROM transaction_logs WHERE quantity <= 2 "
-            "ORDER BY created_time DESC",
-        ]
-        results = batched.execute_batch(batch)
-        assert batched.telemetry.metrics.series("exec_shared_groups_total") == []
-        for sql, result in zip(batch, results):
-            assert result.rows == looped.execute_sql(sql).rows
-
-    def test_unparseable_statement_raises_as_execute_sql_does(self):
-        from repro.errors import QueryError
-
-        db = make_db()
-        bad = "SELEC * FROM transaction_logs"
-        with pytest.raises(QueryError):
-            db.execute_sql(bad)
-        with pytest.raises(QueryError):
-            db.execute_batch([FAMILY_PAIR[0], bad])
-
-    def test_shared_scan_counts_one_subquery_per_shard(self):
-        db = make_db()
-        db.bulk_write(zipf_docs(150, seed=6))
-        db.refresh()
-        batch = [*FAMILY_PAIR, "SELECT * FROM transaction_logs WHERE quantity = 5"]
-        db.execute_batch(batch)
-        metrics = db.telemetry.metrics
-        assert metrics.total("esdb_queries_total") == len(batch)
-        assert metrics.total("esdb_subqueries_total") == TOPOLOGY.num_shards
-
-    def test_family_shares_the_scan_with_tracing_off(self):
-        from repro.telemetry import TraceConfig
-
-        looped, batched = loaded_pair(tracing=TraceConfig.off())
-        results = batched.execute_batch(list(FAMILY_PAIR))
-        metrics = batched.telemetry.metrics
-        assert metrics.value("exec_shared_groups_total", kind="family") == 1.0
-        assert not any(
-            span.name.startswith("batch.scan[")
-            for span in batched.telemetry.tracer.recent_traces()
-        )
-        for sql, result in zip(FAMILY_PAIR, results):
-            assert result.rows == looped.execute_sql(sql).rows
-
-    def test_unrelated_statements_equal_a_loop_over_execute_sql(self):
-        batch = [
-            "SELECT COUNT(*) FROM transaction_logs WHERE status = 1",
-            "SELECT status, COUNT(*) FROM transaction_logs GROUP BY status",
-            "SELECT * FROM transaction_logs WHERE amount <= 500 "
-            "ORDER BY created_time DESC LIMIT 25",
-            "SELECT * FROM transaction_logs WHERE quantity >= 3 LIMIT 5",
-        ]
-        looped, batched = make_db(), make_db()
-        for db in (looped, batched):
-            db.bulk_write(zipf_docs(100, seed=6))
-            db.refresh()
-        expected = [looped.execute_sql(sql) for sql in batch]
-        results = batched.execute_batch(batch)
-        assert [r.rows for r in results] == [r.rows for r in expected]
-        assert [r.total_hits for r in results] == [r.total_hits for r in expected]
-        metrics = batched.telemetry.metrics
-        assert metrics.series("exec_shared_groups_total") == []
-        assert metrics.total("esdb_queries_total") == len(batch)
-
-    def test_duplicates_coalesce_to_one_execution(self):
-        db = make_db()
-        db.bulk_write(zipf_docs(100, seed=6))
-        db.refresh()
-        batch = ["SELECT * FROM transaction_logs WHERE quantity >= 3"] * 8
-        before = db.telemetry.metrics.total("esdb_queries_total")
-        results = db.execute_batch(batch)
-        metrics = db.telemetry.metrics
-        assert metrics.total("esdb_queries_total") - before == 1.0
-        assert metrics.total("exec_shared_saved_total") == 7.0
-        assert metrics.value("exec_shared_groups_total", kind="duplicate") == 1.0
-        independent = db.execute_sql(batch[0])
-        for result in results:
-            assert result.rows == independent.rows
-
-    def test_same_column_family_shares_one_scan(self, monkeypatch):
-        db = make_db()
-        db.bulk_write(zipf_docs(150, seed=6))
-        db.refresh()
-        batch = [
-            "SELECT * FROM transaction_logs WHERE quantity >= 3",
-            "SELECT * FROM transaction_logs WHERE quantity <= 2",
-            "SELECT * FROM transaction_logs WHERE quantity = 5",
-        ]
-        scans = []
-        multi_full_scan = ShardEngine.multi_full_scan
-
-        def counting_scan(engine, column, predicates):
-            scans.append((engine.shard_id, column, len(predicates)))
-            return multi_full_scan(engine, column, predicates)
-
-        monkeypatch.setattr(ShardEngine, "multi_full_scan", counting_scan)
-        results = db.execute_batch(batch)
-        assert scans == [
-            (shard_id, "quantity", len(batch))
-            for shard_id in range(TOPOLOGY.num_shards)
-        ]
-        metrics = db.telemetry.metrics
-        assert metrics.value("exec_shared_groups_total", kind="family") == 1.0
-        assert metrics.total("exec_shared_saved_total") == 2.0
-        for sql, result in zip(batch, results):
-            independent = db.execute_sql(sql)
-            assert result.rows == independent.rows
-            assert result.total_hits == independent.total_hits
-
-    def test_mixed_batch_results_align_with_positions(self):
-        db = make_db()
-        db.bulk_write(zipf_docs(150, seed=6))
-        db.refresh()
-        batch = [
-            "SELECT * FROM transaction_logs WHERE quantity >= 3",
-            "SELECT COUNT(*) FROM transaction_logs WHERE status = 1",
-            "SELECT * FROM transaction_logs WHERE quantity >= 3",
-            "SELECT status, COUNT(*) FROM transaction_logs GROUP BY status",
-            "SELECT * FROM transaction_logs WHERE quantity <= 1",
-        ]
-        results = db.execute_batch(batch)
-        for sql, result in zip(batch, results):
-            independent = db.execute_sql(sql)
-            assert result.rows == independent.rows
-
-    def test_statements_with_limit_never_join_a_family(self):
-        db = make_db()
-        db.bulk_write(zipf_docs(100, seed=6))
-        db.refresh()
-        batch = [
-            "SELECT * FROM transaction_logs WHERE quantity >= 3 LIMIT 5",
-            "SELECT * FROM transaction_logs WHERE quantity <= 2 LIMIT 5",
-        ]
-        results = db.execute_batch(batch)
-        assert db.telemetry.metrics.series("exec_shared_groups_total") == []
-        for sql, result in zip(batch, results):
-            assert result.rows == db.execute_sql(sql).rows
-
-    def test_statements_differing_in_literal_spacing_stay_apart(self):
-        db = make_db()
-        db.bulk_write([
-            make_log(1, tenant=1, status="a  b"),
-            make_log(2, tenant=1, status="a b"),
-        ])
-        db.refresh()
-        sql = "SELECT * FROM t WHERE tenant_id = 1 AND status = '{}'"
-        results = db.execute_batch([sql.format("a  b"), sql.format("a b")])
-        ids = [[row["transaction_id"] for row in result.rows] for result in results]
-        assert ids == [[1], [2]]
-        assert db.telemetry.metrics.total("exec_shared_saved_total") == 0.0
-
-
-# -- storage: multi_full_scan --------------------------------------------------
-
-
-class TestMultiFullScan:
-    def test_equals_per_predicate_full_scan(self):
-        db = make_db()
-        db.bulk_write(zipf_docs(200, seed=8))
-        db.refresh()
-        predicates = [
-            lambda v: v is not None and v >= 3,
-            lambda v: v is not None and v <= 2,
-            lambda v: v is not None and v == 5,
-        ]
-        for engine in db.engines.values():
-            expected = [
-                list(engine.full_scan("quantity", predicate))
-                for predicate in predicates
-            ]
-            actual = [
-                list(rows)
-                for rows in engine.multi_full_scan("quantity", predicates)
-            ]
-            assert actual == expected
-
-    def test_empty_predicates_empty_result(self):
-        db = make_db()
-        db.bulk_write(zipf_docs(20, seed=8))
-        db.refresh()
-        engine = next(iter(db.engines.values()))
-        assert engine.multi_full_scan("quantity", []) == []
-
 
 # -- observability -------------------------------------------------------------
 
@@ -419,17 +124,12 @@ class TestExecObservability:
         assert len(table) == 0
         assert table.columns == ("stat", "detail", "value")
 
-    def test_cat_exec_reports_bulk_and_shared_counters(self):
+    def test_cat_exec_reports_bulk_counters(self):
         db = make_db()
         db.bulk_write(zipf_docs(60, seed=3))
         db.refresh()
-        db.execute_batch(["SELECT * FROM transaction_logs WHERE quantity >= 3"] * 2)
-        assert cat_exec(db).rows == [
-            ("bulk", "batches", 1),
-            ("bulk", "docs", 60),
-            ("shared", "groups:duplicate", 1),
-            ("shared", "queries_saved", 1),
-        ]
+        db.execute_sql("SELECT * FROM transaction_logs WHERE quantity >= 3")
+        assert cat_exec(db).rows == [("bulk", "batches", 1), ("bulk", "docs", 60)]
 
     def test_exec_derived_series_registered(self):
         db = make_db()
@@ -438,44 +138,6 @@ class TestExecObservability:
         db.timeseries.sample(db.now)
         names = {series.name for series in db.timeseries.all_series()}
         assert "exec.bulk_docs_per_s" in names
-
-
-# -- governed tenant cache (LRU regression) ------------------------------------
-
-
-class TestQueryTenantCacheLru:
-    def test_cache_evicts_stalest_entry_not_everything(self):
-        from repro.tenancy import TenancyConfig
-
-        db = make_db(tenancy=TenancyConfig(enabled=True))
-        for i in range(512):
-            db._query_tenant_cache[f"SELECT {i}"] = None
-        db.write(make_log(1, tenant="t-cache", created=1.0))
-        db.refresh()
-        db.execute_sql(
-            "SELECT * FROM transaction_logs WHERE tenant_id = 't-cache'"
-        )
-        # One probe evicted (the stalest), the rest retained — never a
-        # wholesale clear.
-        assert len(db._query_tenant_cache) == 512
-        assert "SELECT 0" not in db._query_tenant_cache
-        assert "SELECT 511" in db._query_tenant_cache
-
-    def test_cache_hit_refreshes_recency(self):
-        from repro.tenancy import TenancyConfig
-
-        db = make_db(tenancy=TenancyConfig(enabled=True))
-        db.write(make_log(1, tenant="t-cache", created=1.0))
-        db.refresh()
-        sql = "SELECT * FROM transaction_logs WHERE tenant_id = 't-cache'"
-        db.execute_sql(sql)
-        for i in range(511):
-            db._query_tenant_cache[f"SELECT {i}"] = None
-        db.execute_sql(sql)  # hit: moves the real entry to the fresh end
-        db._query_tenant_cache["SELECT overflow"] = None
-        while len(db._query_tenant_cache) > 512:
-            db._query_tenant_cache.popitem(last=False)
-        assert sql in db._query_tenant_cache
 
 
 # -- write client integration --------------------------------------------------

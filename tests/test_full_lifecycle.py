@@ -93,7 +93,7 @@ class TestLifecycle:
         assert result.rows[0]["status"] == 9
 
     def test_added_index_is_live(self, story):
-        assert "group_amount" in story["db"].list_indexes()
+        assert ("group", "amount") in story["db"]._catalog.composite_indexes
 
     def test_aggregate_with_having_after_failover(self, story):
         db = story["db"]
@@ -109,7 +109,7 @@ class TestLifecycle:
         suggested = db.suggest_subattribute_indexes(k=1)
         assert suggested == frozenset({"activity"})
 
-    def test_stats_report_coherent(self, story):
+    def test_rendered_report_coherent(self, story):
         db = story["db"]
         report = render_report(snapshot(db))
         assert "routing rules:" in report

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.indexing import FrequencyTracker, select_indexed_subattributes
+from repro.indexing import FrequencyTracker
 
 
 class TestFrequencyTracker:
@@ -60,20 +60,6 @@ class TestFrequencyTracker:
 
 
 class TestSelection:
-    def test_grows_until_min_coverage(self):
-        tracker = FrequencyTracker()
-        # 10 attributes queried equally: top-2 covers 20%.
-        for i in range(10):
-            tracker.record_query([f"a{i}"])
-        selected = select_indexed_subattributes(tracker, k=2, min_coverage=0.5)
-        assert len(selected) >= 5
-
-    def test_bounded_by_universe(self):
-        tracker = FrequencyTracker()
-        tracker.record_query(["only"])
-        selected = select_indexed_subattributes(tracker, k=1, min_coverage=0.999)
-        assert selected == frozenset({"only"})
-
     def test_paper_skew_top30_covers_half(self):
         """With Zipf(1)-skewed sub-attribute usage over 1500 names, the top
         30 cover roughly half the references (§6.3.3)."""

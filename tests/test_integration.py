@@ -177,7 +177,7 @@ class TestRuleCompactionLifecycle:
         assert before.scalar() == after.scalar() == 300
 
 
-class TestStatsReport:
+class TestRenderedReport:
     def test_report_mentions_everything(self):
         db = ESDB(
             EsdbConfig(

@@ -178,7 +178,7 @@ class TestFacadeAcceptance:
         assert db.obsv.skew.current_writes == 1
 
 
-class TestStatsReportSections:
+class TestRenderedReportSections:
     def test_slowlog_and_skew_sections_present_and_sorted(self):
         db = _tiny_db()
         _skewed_burst(db)

@@ -25,7 +25,6 @@ from repro.query.planner import (
     TermSearch,
     Union,
 )
-from repro.query.aggregator import aggregate_metric
 from repro.query.xdriver import date_format, ifnull
 from repro.storage import ShardEngine
 from tests.conftest import make_log
@@ -404,22 +403,6 @@ class TestAggregator:
         agg = ResultAggregator(order_by=OrderBy("x"))
         with pytest.raises(QueryError):
             agg.aggregate([[{"x": 1}, {"x": "s"}]])
-
-    def test_aggregate_metrics(self):
-        rows = [{"v": 1}, {"v": 2}, {"v": 3}, {"v": None}]
-        assert aggregate_metric(rows, "v", "count") == 3
-        assert aggregate_metric(rows, "v", "sum") == 6
-        assert aggregate_metric(rows, "v", "avg") == 2
-        assert aggregate_metric(rows, "v", "min") == 1
-        assert aggregate_metric(rows, "v", "max") == 3
-
-    def test_aggregate_unknown_op(self):
-        with pytest.raises(QueryError):
-            aggregate_metric([{"v": 1}], "v", "median")
-
-    def test_aggregate_all_null(self):
-        with pytest.raises(QueryError):
-            aggregate_metric([{"v": None}], "v", "avg")
 
 
 class TestLikeRegexMemoization:

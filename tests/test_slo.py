@@ -345,7 +345,7 @@ class TestSloEngine:
         assert row["fast_burn"] == 0.0
         assert row["slow_burn"] == 0.0
 
-    def test_snapshot_and_report_lines(self):
+    def test_snapshot_and_rendered_report(self):
         engine = SloEngine(error_rate_config())
         engine.record("write", "t", 0.0, 1.0)
         engine.evaluate(1.0)
@@ -580,7 +580,7 @@ class TestEsdbSloIntegration:
         assert "-- heavy hitters --" in page
         assert "write-availability" in page
 
-    def test_cluster_snapshot_sections_present_only_when_enabled(self):
+    def test_snapshot_sections_present_only_when_enabled(self):
         enabled = governed_slo_db()
         drive_whale(enabled, 80)
         cluster = snapshot(enabled)["cluster"]
@@ -591,7 +591,7 @@ class TestEsdbSloIntegration:
         off = snapshot(disabled)["cluster"]
         assert "slo" not in off and "hotkeys" not in off
 
-    def test_stats_report_sections_sorted_and_stable(self):
+    def test_rendered_report_sections_sorted_and_stable(self):
         db = governed_slo_db()
         drive_whale(db)
         report = render_report(snapshot(db))

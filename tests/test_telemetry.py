@@ -18,11 +18,11 @@ from repro.telemetry import (
     NULL_TELEMETRY,
     Telemetry,
     Tracer,
-    bucket_quantiles,
     default_telemetry,
     exponential_buckets,
     profile_dump,
     set_default_telemetry,
+    summarize,
 )
 from repro.telemetry.runtime import NULL_METRIC
 from tests.conftest import make_log
@@ -75,14 +75,13 @@ class TestHistogramQuantiles:
         assert hist.quantile(0.5) == 0.0
         assert hist.percentiles() == {"p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}
 
-    def test_bucket_quantiles_helper_matches_histogram(self):
+    def test_summarize_helper_matches_histogram(self):
         values = [float(v) for v in range(1, 101)]
-        result = bucket_quantiles(
-            values, buckets=tuple(float(i) for i in range(1, 101))
-        )
-        assert result[0.5] == pytest.approx(50.0)
-        assert result[0.95] == pytest.approx(95.0)
-        assert result[0.99] == pytest.approx(99.0)
+        result = summarize(values, buckets=tuple(float(i) for i in range(1, 101)))
+        assert result["p50"] == pytest.approx(50.0)
+        assert result["p95"] == pytest.approx(95.0)
+        assert result["p99"] == pytest.approx(99.0)
+        assert result["count"] == 100
 
     def test_bucket_mismatch_rejected(self):
         registry = MetricsRegistry()
@@ -353,7 +352,7 @@ class TestFacadeIntegration:
         assert metrics.total("esdb_queries_total") >= 1.0
         assert metrics.total("optimizer_plan_picks_total") >= 1.0
 
-    def test_stats_report_built_on_registry(self):
+    def test_rendered_report_built_on_registry(self):
         db = self._loaded_db()
         db.execute_sql("SELECT * FROM transactions WHERE tenant_id = 't1'")
         report = render_report(snapshot(db))

@@ -15,7 +15,6 @@ from repro.faults.__main__ import (
 )
 from repro.obsv import cat_tenants, render_dashboard, render_report, snapshot
 from repro.obsv.skew import Alert
-from repro.query import parse_sql
 from repro.tenancy import (
     CLUSTER_TENANT,
     GovernancePolicy,
@@ -273,7 +272,7 @@ class TestTenantGovernor:
         assert governor.apply_alerts([alert], now=0.0) == []
         assert not governor.is_demoted("whale", 0.0)
 
-    def test_rows_and_report_lines(self):
+    def test_rows_and_rendered_report(self):
         governor = TenantGovernor(TenancyConfig(enabled=True))
         governor.admit_write("a", 0.0)
         governor.admit_write("b", 0.0)
@@ -371,12 +370,12 @@ class TestFacadeGovernance:
         # Admission reads the statement's tenant the way shard pruning does:
         # one tenant only when every disjunct names it, else cross-tenant.
         sql = f"SELECT * FROM transaction_logs WHERE {where}"
-        for run in (lambda db: db.execute_sql(sql),
-                    lambda db: db.execute_statement(parse_sql(sql))):
-            db = governed_db()
-            run(db)
-            assert db.governor.tenant_counts(charged)[0] == 1
-            assert db.governor.totals()["admitted"] == 1
+        db = governed_db()
+        db.execute_sql(sql)
+        assert db.governor.tenant_counts(charged)[0] == 1
+        db.execute_sql(sql)  # a result-cache hit is admitted for the same tenant
+        assert db.governor.tenant_counts(charged)[0] == 2
+        assert db.governor.totals()["admitted"] == 2
 
     def test_cat_tenants_gains_governance_columns(self):
         db = governed_db()
@@ -401,7 +400,7 @@ class TestFacadeGovernance:
         empty = cat_tenant_governance(ESDB(EsdbConfig()))
         assert empty.rows == []
 
-    def test_stats_report_and_dashboard_sections(self):
+    def test_rendered_report_and_dashboard_sections(self):
         db = governed_db()
         generator = TransactionLogGenerator(WorkloadConfig(num_tenants=10, seed=1))
         db.write(generator.generate(created_time=0.0, tenant_id="t-1"))
@@ -414,7 +413,7 @@ class TestFacadeGovernance:
         assert "tenancy" not in render_report(snap)
         assert "tenancy governance" not in render_dashboard(snap)
 
-    def test_cluster_snapshot_tenancy_key_only_when_governed(self):
+    def test_snapshot_tenancy_key_only_when_governed(self):
         db = governed_db()
         generator = TransactionLogGenerator(WorkloadConfig(num_tenants=10, seed=1))
         db.write(generator.generate(created_time=0.0, tenant_id="t-1"))
@@ -435,6 +434,69 @@ class TestFacadeGovernance:
         assert metrics.value(
             "tenancy_shed_total", op="write", budget="queue"
         ) == 1
+
+
+class TestShedQuery:
+    """A governed query is admitted after the result-cache probe, and on a
+    miss after its traced prepare; a rejected one still raises before any
+    fan-out, emits its event, records an SLO error and counts as no query."""
+
+    SQL = "SELECT * FROM transaction_logs WHERE tenant_id = 't-1' AND status = {}"
+
+    @pytest.fixture()
+    def spent(self) -> ESDB:
+        """A governed, SLO-enabled instance whose tenant ``t-1`` used up its
+        scanned-documents quota on one query (``status = 1``)."""
+        from repro.slo import SloConfig
+        from tests.conftest import make_log
+
+        db = ESDB(EsdbConfig(
+            topology=ClusterTopology(num_nodes=2, num_shards=4, replicas_per_shard=0),
+            tenancy=TenancyConfig(enabled=True, scanned_docs_quota=1),
+            slo=SloConfig(enabled=True),
+        ))
+        for i in range(4):
+            db.write(make_log(i, tenant="t-1", created=float(i), status=1))
+        db.refresh()
+        assert len(db.execute_sql(self.SQL.format(1))) == 4
+        return db
+
+    def _shed(self, db: ESDB, sql: str) -> TenantThrottledError:
+        metrics = db.telemetry.metrics
+        queries = metrics.total("esdb_queries_total")
+        subqueries = metrics.total("esdb_subqueries_total")
+        slo_errors = []
+        record = db.slo.record
+
+        def tapped(op, tenant, latency, now, error=False):
+            if error:
+                slo_errors.append((op, tenant))
+            return record(op, tenant, latency, now, error=error)
+
+        db.slo.record = tapped
+        db._execute_fanout = lambda *args: pytest.fail("a shed query fanned out")
+        with pytest.raises(TenantThrottledError) as caught:
+            db.execute_sql(sql)
+        assert (caught.value.tenant, caught.value.budget) == ("t-1", "quota:scanned_docs")
+        (event,) = db.events.query(kind="throttle")
+        assert event.tenant == "t-1" and event.detail["op"] == "query"
+        assert event.trace_id is not None
+        assert slo_errors == [("query", "t-1")]
+        assert metrics.total("esdb_queries_total") == queries
+        assert metrics.total("esdb_subqueries_total") == subqueries
+        return caught.value
+
+    def test_shed_on_a_result_cache_hit(self, spent):
+        self._shed(spent, self.SQL.format(1))
+        # The probe ran first and counts as a lookup.
+        assert spent.result_cache.stats.hits == 1
+
+    def test_shed_on_a_miss_after_its_prepare(self, spent):
+        misses = spent.result_cache.stats.misses
+        self._shed(spent, self.SQL.format(2))
+        assert spent.result_cache.stats.misses == misses + 1
+        # The statement was prepared (bound into the shape of status = 1).
+        assert spent.telemetry.metrics.value("query_shapes_total", outcome="bind") == 1
 
 
 # -- write client ------------------------------------------------------------

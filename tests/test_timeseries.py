@@ -307,7 +307,7 @@ class TestEsdbIntegration:
             assert label in text
         assert any(bar in text for bar in SPARK_BARS)
 
-    def test_stats_report_has_history_section(self):
+    def test_rendered_report_has_history_section(self):
         db = small_db()
         self.write_run(db)
         report = render_report(snapshot(db))
@@ -323,7 +323,7 @@ class TestEsdbIntegration:
         rendered = table.render()
         assert "spark" in rendered
 
-    def test_cluster_snapshot_contains_timeseries(self):
+    def test_snapshot_contains_timeseries(self):
         db = small_db()
         self.write_run(db)
         section = snapshot(db)["cluster"]["timeseries"]

@@ -12,14 +12,13 @@ from repro.cluster import ClusterTopology
 from repro.errors import ConfigurationError
 from repro.exec.bulk import BulkItemResult, BulkResult
 from repro.workload import WorkloadConfig
-from repro.workload.arrivals import BurstyProcess, TenantChurn
+from repro.workload.arrivals import BurstyProcess, TenantChurn, arrival_from_json
 from repro.workload.trace import (
     load_into,
     read_trace,
     read_trace_events,
     replay_trace,
     scenario_from_trace,
-    trace_arrival,
     trace_churn,
     write_trace,
 )
@@ -179,7 +178,7 @@ class TestTraceV2:
         assert loaded.arrival["kind"] == "bursty"
         assert loaded.churn is not None
         # The header rebuilds both the process and the churn schedule.
-        assert list(trace_arrival(loaded).times()) == list(self._bursty().times())
+        assert list(arrival_from_json(loaded.arrival).times()) == list(self._bursty().times())
         assert trace_churn(loaded).events == churn.events
 
     def test_v2_events_carry_arrival_timestamps(self, trace_path):

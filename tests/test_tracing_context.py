@@ -208,13 +208,6 @@ class TestTracerWithContexts:
         assert tracer.find_trace(contexts[1].trace_id).trace_id == contexts[1].trace_id
         assert tracer.find_trace("f" * 32) is None
 
-    def test_span_links_serialize(self):
-        span = Span("batch.scan")
-        span.add_link("aa" * 16)
-        span.add_link("bb" * 16)
-        assert span.to_dict()["links"] == ["aa" * 16, "bb" * 16]
-        assert "links" not in Span("plain").to_dict()
-
 
 class TestActiveContext:
     def test_trace_activates_its_context_for_its_duration(self):
@@ -467,24 +460,6 @@ class TestEsdbTracing:
         promotions = db.events.query(kind="promotion")
         assert promotions and promotions[0].shard == 0
 
-    def test_execute_batch_scan_links_member_traces(self):
-        db = make_db()
-        db.bulk_write(zipf_docs(80, seed=6))
-        db.refresh()
-        batch = [
-            "SELECT * FROM transaction_logs WHERE quantity >= 3",
-            "SELECT * FROM transaction_logs WHERE quantity >= 4",
-        ]
-        db.execute_batch(batch)
-        scans = [
-            span
-            for span in db.telemetry.tracer.recent_traces()
-            if span.name.startswith("batch.scan[")
-        ]
-        assert scans
-        assert len(scans[-1].links) == len(batch)
-        assert all(len(link) == 32 for link in scans[-1].links)
-
     def test_write_exemplar_lands_in_histogram(self):
         db = make_db()
         db.write(zipf_docs(1, seed=1)[0])
@@ -564,7 +539,7 @@ class TestDiagnosticsBundle:
         bundle["events"]["counts"]["martian"] = 1
         assert any("martian" in p for p in validate_bundle(bundle))
 
-    def test_cluster_snapshot_has_events_section(self):
+    def test_snapshot_has_events_section(self):
         from repro.obsv import snapshot
 
         db = self._populated_db()
