@@ -3,8 +3,10 @@ execution path.
 
 The contracts under test: ``bulk_write`` reports every document's
 outcome in submission order and answers queries as a loop over
-``write`` does; the chaos fingerprints and trace sequences stay pinned;
-and user threads sharing one instance lose nothing.
+``write`` does; every query takes one path, whose result-cache hits
+answer and account as their misses did; the chaos fingerprints and trace
+sequences stay pinned; and user threads sharing one instance lose
+nothing.
 """
 
 from __future__ import annotations
@@ -112,6 +114,266 @@ class TestBulkWrite:
             assert actual.rows == expected.rows
             assert actual.total_hits == expected.total_hits
 
+
+# -- the one query path --------------------------------------------------------
+
+
+#: One statement of each shape the planner distinguishes.
+STATEMENT_SHAPES = {
+    "count": "SELECT COUNT(*) FROM transaction_logs WHERE status = 1",
+    "group-by": "SELECT status, COUNT(*) FROM transaction_logs GROUP BY status",
+    "avg": "SELECT status, COUNT(*), AVG(amount) FROM transaction_logs "
+    "GROUP BY status",
+    "order-limit": "SELECT * FROM transaction_logs WHERE amount <= 500 "
+    "ORDER BY created_time DESC LIMIT 25",
+    "limit": "SELECT * FROM transaction_logs WHERE quantity >= 3 LIMIT 5",
+    "in-list": "SELECT * FROM transaction_logs WHERE quantity IN (1, 2)",
+    "between": "SELECT * FROM transaction_logs WHERE created_time BETWEEN 0 AND 1",
+    "conjunction": "SELECT * FROM transaction_logs "
+    "WHERE quantity >= 3 AND status = 1",
+    "tenant": "SELECT * FROM transaction_logs WHERE tenant_id = 1",
+}
+
+#: Statements over :func:`tenant_docs`, each with the tenant a query of
+#: it is charged to: the one every disjunct names, else None.
+TENANT_SHAPES = {
+    "count": ("SELECT COUNT(*) FROM t WHERE tenant_id = 1 AND status = 1", 1),
+    "group-by": ("SELECT status, COUNT(*) FROM t WHERE tenant_id = 1 GROUP BY status", 1),
+    "avg": (
+        "SELECT status, COUNT(*), AVG(amount) FROM t WHERE tenant_id = 1 GROUP BY status",
+        1,
+    ),
+    "order-limit": (
+        "SELECT * FROM t WHERE tenant_id = 1 AND amount <= 150 "
+        "ORDER BY created_time DESC LIMIT 2",
+        1,
+    ),
+    "limit": ("SELECT * FROM t WHERE tenant_id = 2 AND quantity >= 2 LIMIT 2", 2),
+    "in-list": ("SELECT * FROM t WHERE tenant_id = 2 AND quantity IN (1, 2)", 2),
+    "time-window": ("SELECT * FROM t WHERE tenant_id = 3 AND created_time BETWEEN 0 AND 12", 3),
+    "tenant-in-both-disjuncts": (
+        "SELECT * FROM t WHERE (tenant_id = 3 AND status = 0) "
+        "OR (tenant_id = 3 AND status = 2)",
+        3,
+    ),
+    "two-tenants": ("SELECT * FROM t WHERE tenant_id = 1 OR tenant_id = 2", None),
+    "tenant-in-list": ("SELECT * FROM t WHERE tenant_id IN (1, 3)", None),
+    "cross-tenant": ("SELECT * FROM t WHERE status = 1", None),
+}
+
+
+def tenant_docs() -> list[dict]:
+    """24 documents, 8 for each of the tenants 1, 2 and 3."""
+    return [
+        make_log(
+            i, tenant=1 + i % 3, created=float(i), status=i // 3 % 3,
+            amount=float(i * 10), quantity=i % 5,
+        )
+        for i in range(24)
+    ]
+
+
+def loaded_db(**extras) -> ESDB:
+    db = make_db(**extras)
+    db.bulk_write(zipf_docs(150, seed=6))
+    db.refresh()
+    return db
+
+
+def tenant_db(**extras) -> ESDB:
+    db = make_db(**extras)
+    db.bulk_write(tenant_docs())
+    db.refresh()
+    return db
+
+
+def tap(fn, calls: list):
+    """*fn*, recording each call's positional arguments in *calls*."""
+
+    def tapped(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return tapped
+
+
+class TestOneQueryPath:
+    """``execute_sql`` and ``explain_analyze`` share one pipeline: probe
+    the result cache; on a miss prepare, read the routing bounds once, fan
+    out and put an entry that carries the tenant, ``ATTR`` keys and terms
+    a hit accounts for."""
+
+    @pytest.mark.parametrize("sql", STATEMENT_SHAPES.values(), ids=STATEMENT_SHAPES)
+    def test_each_shape_repeats_from_the_result_cache(self, sql):
+        from repro import CacheConfig
+
+        db = loaded_db()
+        uncached = loaded_db(cache=CacheConfig.off())
+        first = db.execute_sql(sql)
+        assert first.total_hits > 0
+        subqueries = db.telemetry.metrics.total("esdb_subqueries_total")
+        second = db.execute_sql(sql)
+        assert db.result_cache.stats.hits == 1
+        assert db.telemetry.metrics.total("esdb_subqueries_total") == subqueries
+        assert db.telemetry.metrics.total("esdb_queries_total") == 2
+        expected = uncached.execute_sql(sql)
+        for result in (first, second):
+            assert result.rows == expected.rows
+            assert result.total_hits == expected.total_hits
+            assert result.subqueries == expected.subqueries
+
+    @pytest.mark.parametrize("sql", STATEMENT_SHAPES.values(), ids=STATEMENT_SHAPES)
+    def test_explain_analyze_shares_the_cache_entry_of_execute_sql(self, sql):
+        db = loaded_db()
+        cold = db.explain_analyze(sql)
+        assert cold.find("cache.hit") is None
+        result = db.execute_sql(sql)
+        assert db.result_cache.stats.hits == 1
+        assert (len(result.rows), result.total_hits) == (
+            cold.tags["rows"], cold.tags["total_hits"]
+        )
+        warm = db.explain_analyze(sql)
+        assert warm.find("cache.hit") is not None
+        assert not warm.find_prefix("query.shard[")
+        assert warm.tags["rows"] == cold.tags["rows"]
+        assert db.result_cache.stats.hits == 2
+
+    @pytest.mark.parametrize(
+        "sql, tenant", TENANT_SHAPES.values(), ids=TENANT_SHAPES
+    )
+    def test_hit_is_charged_to_the_tenant_its_miss_read(self, sql, tenant):
+        from repro.slo import SloConfig
+
+        db = tenant_db(slo=SloConfig(enabled=True))
+        records = []
+        db.slo.record = tap(db.slo.record, records)
+        first = db.execute_sql(sql)
+        assert first.total_hits > 0
+        second = db.execute_sql(sql)
+        assert db.result_cache.stats.hits == 1
+        assert second.rows == first.rows
+        assert [args[:2] for args in records] == [("query", tenant)] * 2
+
+    def test_hit_does_not_prepare_the_statement(self, monkeypatch):
+        db = loaded_db()
+        sql = STATEMENT_SHAPES["conjunction"]
+        expected = db.execute_sql(sql)
+        monkeypatch.setattr(
+            db, "_prepare", lambda *args: pytest.fail("a hit prepared its statement")
+        )
+        assert db.execute_sql(sql).rows == expected.rows
+
+    def test_miss_reads_the_routing_bounds_once(self, monkeypatch):
+        import repro.esdb
+
+        calls = []
+        monkeypatch.setattr(
+            repro.esdb, "routing_bounds", tap(repro.esdb.routing_bounds, calls)
+        )
+        db = tenant_db()
+        sql, _ = TENANT_SHAPES["tenant-in-both-disjuncts"]
+        db.execute_sql(sql)
+        assert len(calls) == 1
+        db.execute_sql(sql)
+        assert len(calls) == 1  # the hit reads its entry instead
+
+    def test_repeated_statement_fans_out_once(self):
+        db = loaded_db()
+        sql = STATEMENT_SHAPES["conjunction"]
+        results = [db.execute_sql(sql) for _ in range(8)]
+        metrics = db.telemetry.metrics
+        assert metrics.total("esdb_queries_total") == 8
+        assert metrics.total("esdb_subqueries_total") == TOPOLOGY.num_shards
+        assert db.result_cache.stats.hits == 7
+        assert all(result.rows == results[0].rows for result in results)
+
+    def test_unparseable_statement_raises_and_caches_nothing(self):
+        from repro.errors import QueryError
+
+        db = loaded_db()
+        bad = "SELEC * FROM transaction_logs"
+        for _ in range(2):
+            with pytest.raises(QueryError):
+                db.execute_sql(bad)
+        assert len(db.result_cache) == 0
+        assert db.result_cache.stats.hits == 0
+        assert db.telemetry.metrics.total("esdb_queries_total") == 0
+
+    def test_hits_count_toward_subattribute_suggestions(self):
+        db = make_db()
+        db.write(make_log(1, tenant=1, created=0.0, attributes="hot:v;cold:v"))
+        db.refresh()
+        for _ in range(3):
+            db.execute_sql("SELECT * FROM t WHERE tenant_id = 1 AND ATTR(hot) = 'v'")
+        for value in ("v", "w"):
+            db.execute_sql(f"SELECT * FROM t WHERE tenant_id = 1 AND ATTR(cold) = '{value}'")
+        # Two of hot's three queries were hits; counted, hot leads 3 to 2.
+        assert db.result_cache.stats.hits == 2
+        assert db.suggest_subattribute_indexes(k=1) == frozenset({"hot"})
+
+    def test_governed_hit_is_admitted_and_charged_to_its_tenant(self):
+        from repro.tenancy import TenancyConfig
+
+        db = tenant_db(tenancy=TenancyConfig(enabled=True))
+        admitted, charged = [], []
+        governor = db.governor
+        governor.admit_query = tap(governor.admit_query, admitted)
+        charge_query = governor.charge_query
+
+        def charge(tenant, now, result_bytes=0, scanned=0):
+            charged.append((tenant, scanned))
+            charge_query(tenant, now, result_bytes=result_bytes, scanned=scanned)
+
+        governor.charge_query = charge
+        sql, tenant = TENANT_SHAPES["count"]
+        for _ in range(2):
+            db.execute_sql(sql)
+        assert db.result_cache.stats.hits == 1
+        assert [args[0] for args in admitted] == [tenant, tenant]
+        # The miss scanned its matches; the hit scanned nothing.
+        assert charged[0][0] == tenant and charged[0][1] > 0
+        assert charged[1] == (tenant, 0)
+
+
+class TestResultCacheEviction:
+    """A full result cache evicts its stalest entry, never everything, and
+    an evicted statement's next run is a miss charged to its tenant."""
+
+    STATEMENT = "SELECT COUNT(*) FROM t WHERE tenant_id = {}"
+
+    def two_entry_db(self, **extras) -> ESDB:
+        from repro import CacheConfig
+
+        probe = tenant_db()
+        probe.execute_sql(self.STATEMENT.format(1))
+        cost = probe.result_cache.stats.bytes
+        # Room for two entries of equal cost (each tenant counts 8
+        # documents on one shard), not for three.
+        return tenant_db(cache=CacheConfig(result_cache_bytes=2 * cost + cost // 2), **extras)
+
+    def test_full_cache_evicts_the_stalest_entry_only(self):
+        db = self.two_entry_db()
+        for tenant in (1, 2, 1, 3):  # the hit on 1 makes 2 the stalest
+            db.execute_sql(self.STATEMENT.format(tenant))
+        assert db.result_cache.stats.hits == 1
+        assert db.result_cache.stats.evictions == 1
+        assert len(db.result_cache) == 2
+        for tenant in (1, 3):
+            db.execute_sql(self.STATEMENT.format(tenant))
+        assert db.result_cache.stats.hits == 3
+
+    def test_evicted_statement_is_charged_to_its_tenant_again(self):
+        from repro.slo import SloConfig
+
+        db = self.two_entry_db(slo=SloConfig(enabled=True))
+        for tenant in (1, 2, 3):
+            db.execute_sql(self.STATEMENT.format(tenant))
+        records = []
+        db.slo.record = tap(db.slo.record, records)
+        result = db.execute_sql(self.STATEMENT.format(1))
+        assert db.result_cache.stats.hits == 0
+        assert result.scalar() == 8
+        assert [args[:2] for args in records] == [("query", 1)]
 
 
 # -- observability -------------------------------------------------------------

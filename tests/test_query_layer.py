@@ -404,6 +404,29 @@ class TestAggregator:
         with pytest.raises(QueryError):
             agg.aggregate([[{"x": 1}, {"x": "s"}]])
 
+    def test_aggregates_skip_nulls(self):
+        statement = parse_sql(
+            "SELECT COUNT(*), COUNT(v), SUM(v), AVG(v), MIN(v), MAX(v) FROM t"
+        )
+        agg = ResultAggregator(columns=statement.columns)
+        result = agg.aggregate([[{"v": 1}, {"v": 2}], [{"v": 3}, {"v": None}]])
+        assert list(result.rows) == [{
+            "count(*)": 4, "count(v)": 3, "sum(v)": 6,
+            "avg(v)": 2, "min(v)": 1, "max(v)": 3,
+        }]
+
+    def test_aggregates_over_only_nulls_are_null(self):
+        statement = parse_sql("SELECT COUNT(v), SUM(v), AVG(v), MIN(v) FROM t")
+        agg = ResultAggregator(columns=statement.columns)
+        result = agg.aggregate([[{"v": None}], []])
+        assert list(result.rows) == [
+            {"count(v)": 0, "sum(v)": None, "avg(v)": None, "min(v)": None}
+        ]
+
+    def test_unknown_aggregate_is_a_query_error(self):
+        with pytest.raises(QueryError):
+            parse_sql("SELECT MEDIAN(v) FROM t")
+
 
 class TestLikeRegexMemoization:
     def test_same_pattern_returns_same_compiled_object(self):
