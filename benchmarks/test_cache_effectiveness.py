@@ -165,7 +165,9 @@ def test_parity_across_rule_append_and_writes(instances):
 
 def test_cache_smoke_tiny(benchmark):
     """CI smoke: tiny corpus, asserts cached-vs-uncached parity (including
-    across a mid-run rule append) and that the warm pass actually hits."""
+    across mid-run rule appends) and that the warm passes actually hit: the
+    second pass in the result cache, and the pass after the second rule
+    append in the request entries the pass before it stored."""
     cached = _build(CacheConfig(), num_docs=400, num_tenants=50)
     uncached = _build(CacheConfig.off(), num_docs=400, num_tenants=50)
     sqls = _templates(4)
@@ -180,3 +182,12 @@ def test_cache_smoke_tiny(benchmark):
     _, out_on = _run_pass(cached, sqls)
     _, out_off = _run_pass(uncached, sqls)
     assert out_on == out_off
+    # The request cache stores a statement from its second fan-out on: the
+    # pass above stored, and this one — a result-cache miss, because the
+    # rule version moved again — hits what it stored.
+    for db in (cached, uncached):
+        db.policy.rules.update(0.0, 2, 2)
+    _, out_on = _run_pass(cached, sqls)
+    _, out_off = _run_pass(uncached, sqls)
+    assert out_on == out_off
+    assert cached.request_cache.stats.hits > 0

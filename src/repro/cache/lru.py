@@ -176,11 +176,9 @@ class LruCache:
         self.stats.misses += 1
         self._miss_counter.inc()
 
-    def put(self, key: Any, value: Any, cost: int | None = None) -> bool:
-        """Insert *value* under *key*; returns False when the value alone
-        exceeds the whole budget (not cached)."""
-        if cost is None:
-            cost = estimate_bytes(value)
+    def put(self, key: Any, value: Any, cost: int) -> bool:
+        """Insert *value* under *key*, charged *cost* bytes; returns False
+        when that alone exceeds the whole budget (not cached)."""
         if cost > self.max_bytes:
             return False
         with self._mutex:

@@ -7,6 +7,15 @@ segment-level deletes), so an entry can only ever be served against the
 exact searchable state it was computed from; this mirrors Elasticsearch's
 shard request cache, which keys on the reader and invalidates on refresh.
 
+A statement is stored from its second sighting on. Application traffic
+varies its literals from call to call, so most statements are never seen
+again, and storing them only prices rows, fills the budget and evicts
+entries something might still read. A doorkeeper (TinyLFU's filter of keys
+seen once) records the last :data:`SEEN_STATEMENTS` fingerprints the facade
+asked :meth:`ShardRequestCache.admit` about, once per fan-out; only a
+fingerprint already in it is stored. Lookups do not consult it: a statement
+the doorkeeper forgot still finds its live entries.
+
 The cache additionally invalidates a shard's entries *eagerly* through the
 engine's ``on_refresh``/``on_merge`` hooks (:meth:`ShardRequestCache.attach`)
 to reclaim memory as soon as the old reader state becomes unreachable.
@@ -19,7 +28,13 @@ queries populate the new one.
 
 from __future__ import annotations
 
-from repro.cache.lru import LruCache, estimate_bytes
+import threading
+from collections import OrderedDict
+
+from repro.cache.lru import LruCache
+
+#: Most statement fingerprints the doorkeeper remembers; the oldest goes.
+SEEN_STATEMENTS = 4096
 
 
 class ShardRequestCache:
@@ -30,6 +45,8 @@ class ShardRequestCache:
             max_bytes, level="request", metrics=metrics, on_evict=self._forget
         )
         self._by_shard: dict[int, set] = {}
+        self._seen: OrderedDict[str, None] = OrderedDict()  # the doorkeeper
+        self._seen_mutex = threading.Lock()
 
     @property
     def stats(self):
@@ -38,20 +55,26 @@ class ShardRequestCache:
     def __len__(self) -> int:
         return len(self._lru)
 
+    def admit(self, fingerprint: str) -> bool:
+        """Whether a fan-out of *fingerprint* stores its subqueries: True
+        when the statement was asked about before; otherwise remember it
+        (forgetting the oldest past :data:`SEEN_STATEMENTS`) and say no."""
+        seen = self._seen
+        with self._seen_mutex:
+            if fingerprint in seen:
+                return True
+            seen[fingerprint] = None
+            if len(seen) > SEEN_STATEMENTS:
+                seen.popitem(last=False)
+            return False
+
     def get(self, shard_id: int, fingerprint: str, generation: object):
         return self._lru.get((shard_id, fingerprint, generation))
 
     def put(
-        self,
-        shard_id: int,
-        fingerprint: str,
-        generation: object,
-        value,
-        cost: int | None = None,
+        self, shard_id: int, fingerprint: str, generation: object, value, cost: int
     ) -> bool:
         key = (shard_id, fingerprint, generation)
-        if cost is None:
-            cost = estimate_bytes(value)
         if not self._lru.put(key, value, cost=cost):
             return False
         self._by_shard.setdefault(shard_id, set()).add(key)

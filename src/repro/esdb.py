@@ -1065,15 +1065,20 @@ class ESDB:
             having=statement.having,
         )
         push_limit = self._pushdown_limit(statement)
-        statement_key = (
-            statement_fingerprint(statement) if self.request_cache is not None else None
-        )
+        request_cache = self.request_cache
+        statement_key = store_key = None
+        if request_cache is not None:
+            statement_key = statement_fingerprint(statement)
+            # Asked once per fan-out: another shard of a statement's first
+            # sighting is not its second.
+            if request_cache.admit(statement_key):
+                store_key = statement_key
         shard_results = []
         for shard_id in shard_ids:
             with tracer.span(f"query.shard[{shard_id}]") as sub_span:
                 engine = self.engines[shard_id]
                 if statement_key is not None:
-                    entry = self.request_cache.get(
+                    entry = request_cache.get(
                         shard_id, statement_key, engine.generation
                     )
                     if entry is not None:
@@ -1086,7 +1091,7 @@ class ESDB:
                         shard_results.append(entry)
                         continue
                 entry, matched = self._shard_subquery(
-                    shard_id, plan, statement, statement_key, push_limit
+                    shard_id, plan, statement, store_key, push_limit
                 )
                 sub_span.tags["matched"] = matched
                 shard_results.append(entry)
@@ -1098,12 +1103,13 @@ class ESDB:
         shard_id: int,
         plan,
         statement: SelectStatement,
-        statement_key,
+        store_key,
         push_limit: int | None,
     ) -> tuple[tuple, int]:
         """Execute one shard's subquery (cache miss path): plan execution,
-        LIMIT pushdown, raw-document fetch, request-cache fill. Returns the
-        shard entry and its matched count."""
+        LIMIT pushdown, raw-document fetch, and the request-cache fill under
+        *store_key* — None unless the cache admitted the statement. Returns
+        the shard entry and its matched count."""
         engine = self.engines[shard_id]
         rows, _ = self._serial_executor(shard_id).execute(plan)
         matched = len(rows)
@@ -1118,9 +1124,9 @@ class ESDB:
             elif matched > push_limit:
                 rows = PostingList(list(rows)[:push_limit], presorted=True)
         entry = ([doc.source for doc in engine.fetch(rows)], matched)
-        if statement_key is not None:
+        if store_key is not None:
             self.request_cache.put(
-                shard_id, statement_key, engine.generation, entry, cost=rows_cost(entry[0])
+                shard_id, store_key, engine.generation, entry, cost=rows_cost(entry[0])
             )
         return entry, matched
 

@@ -6,6 +6,9 @@ column values concatenated in declaration order, stored sorted with
 common-prefix compression in leaf blocks (the paper's storage/key-comparison
 optimization). Searches must comply with the leftmost principle — equality on
 a prefix of the columns, optionally a range on the next column.
+
+A row that lacks a column is keyed by the columns before it: an equality
+prefix it holds finds it, and a search naming the column it lacks never does.
 """
 
 from __future__ import annotations
@@ -65,18 +68,21 @@ class CompositeIndex:
 
     # -- construction ------------------------------------------------------
     def add(self, values: Sequence[Any], row_id: int) -> None:
-        """Index one row. *values* follow the declared column order; a None
-        anywhere means the row lacks a column and is skipped (the row is then
-        only findable via single-column indexes or scans)."""
+        """Index one row. *values* follow the declared column order; None
+        means the row lacks that column. The row is keyed by the leading
+        columns it holds, up to the first it lacks; a row lacking the first
+        column is skipped (only single-column indexes or scans find it)."""
         if len(values) != len(self.columns):
             raise StorageError(
                 f"expected {len(self.columns)} values for {self.name}, got {len(values)}"
             )
-        if any(v is None for v in values):
-            return
         key: tuple = ()
         for value in values:
+            if value is None:
+                break
             key += _encode(value)
+        if not key:
+            return
         self._pending.append((key, row_id))
         self._sealed = False
 
@@ -150,8 +156,13 @@ class CompositeIndex:
             _encode(high) if (range_column is not None and high is not None) else ()
         )
         # Prefix scans: pad with a sentinel so that any longer key sorts inside.
-        lo_idx = self._lower_bound(low_key, inclusive=include_low,
-                                   is_range=range_column is not None and low is not None)
+        if range_column is not None and low is None:
+            # A key equal to the bare prefix is a row lacking the range
+            # column: an open low bound starts after it, not at it.
+            lo_idx = bisect_right(self._keys, prefix)
+        else:
+            lo_idx = self._lower_bound(low_key, inclusive=include_low,
+                                       is_range=range_column is not None)
         hi_idx = self._upper_bound(high_key, inclusive=include_high,
                                    is_range=range_column is not None and high is not None)
         if lo_idx >= hi_idx:

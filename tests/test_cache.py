@@ -18,6 +18,8 @@ from repro.cache import (
     sql_fingerprint,
     statement_fingerprint,
 )
+from repro import ESDB, EsdbConfig
+from repro.cache.request_cache import SEEN_STATEMENTS
 from repro.errors import ConfigurationError
 from repro.query import parse_sql
 from repro.storage import EngineConfig, Schema, ShardEngine
@@ -215,14 +217,41 @@ class TestSegmentFilterCache:
 class TestShardRequestCache:
     def test_generation_is_part_of_the_key(self):
         cache = ShardRequestCache(4096)
-        cache.put(0, "stmt:x", 1, (["row"], 1))
+        cache.put(0, "stmt:x", 1, (["row"], 1), cost=64)
         assert cache.get(0, "stmt:x", 1) == (["row"], 1)
         assert cache.get(0, "stmt:x", 2) is None  # new generation -> miss
 
+    def test_admit_forgets_its_oldest_fingerprint_past_the_bound(self):
+        cache = ShardRequestCache(4096)
+        for i in range(SEEN_STATEMENTS):
+            assert not cache.admit(f"stmt:{i}")
+        assert cache.admit("stmt:0")  # a repeat keeps its place: insertion order
+        assert not cache.admit("stmt:new")  # one past the bound: stmt:0 goes
+        assert not cache.admit("stmt:0")
+        assert cache.admit(f"stmt:{SEEN_STATEMENTS - 1}")
+
+    def test_a_forgotten_statement_still_hits_its_live_entries(self):
+        db = ESDB(
+            EsdbConfig(cache=CacheConfig(result_cache_enabled=False), auto_refresh_every=None)
+        )
+        for i in range(20):
+            db.write(make_log(i, tenant=i % 2, created=float(i)))
+        db.refresh()
+        sql = "SELECT * FROM t WHERE tenant_id = 1"
+        for _ in range(2):  # the second sighting stores
+            db.execute_sql(sql)
+        cache = db.request_cache
+        stored = cache.stats.insertions
+        assert stored > 0
+        for i in range(SEEN_STATEMENTS):
+            cache.admit(f"stmt:other{i}")
+        db.execute_sql(sql)
+        assert cache.stats.hits == stored
+
     def test_invalidate_shard_only_touches_that_shard(self):
         cache = ShardRequestCache(4096)
-        cache.put(0, "stmt:x", 1, ([], 0))
-        cache.put(1, "stmt:x", 1, ([], 0))
+        cache.put(0, "stmt:x", 1, ([], 0), cost=64)
+        cache.put(1, "stmt:x", 1, ([], 0), cost=64)
         assert cache.invalidate_shard(0) == 1
         assert cache.get(0, "stmt:x", 1) is None
         assert cache.get(1, "stmt:x", 1) == ([], 0)
@@ -238,7 +267,7 @@ class TestShardRequestCache:
         )
         cache = ShardRequestCache(4096)
         cache.attach(engine)
-        cache.put(engine.shard_id, "stmt:x", engine.generation, ([], 0))
+        cache.put(engine.shard_id, "stmt:x", engine.generation, ([], 0), cost=64)
         engine.index(make_log(1))
         engine.refresh()  # refresh hook -> shard invalidated (merge may follow)
         assert cache.get(engine.shard_id, "stmt:x", 0) is None
@@ -247,8 +276,8 @@ class TestShardRequestCache:
         """Generations gate nothing: an entry can be (re)stored under a past
         generation — what point-in-time searchers rely on."""
         cache = ShardRequestCache(4096)
-        cache.put(0, "stmt:x", 5, (["new"], 1))
-        cache.put(0, "stmt:x", 3, (["pinned"], 1))
+        cache.put(0, "stmt:x", 5, (["new"], 1), cost=64)
+        cache.put(0, "stmt:x", 3, (["pinned"], 1), cost=64)
         assert cache.get(0, "stmt:x", 3) == (["pinned"], 1)
         assert cache.get(0, "stmt:x", 5) == (["new"], 1)
 

@@ -142,29 +142,44 @@ class TestShardRequestCache:
         return CacheConfig(result_cache_enabled=False)
 
     def test_per_shard_hits_when_result_cache_off(self):
+        """A statement is stored from its second sighting on: the first
+        misses every shard and stores nothing, the second stores one entry
+        per shard, the third hits every shard."""
         db = build_db(cache=self.cfg())
         assert db.result_cache is None
+        stats = db.request_cache.stats
         first = db.execute_sql(QUERY)
-        misses = db.request_cache.stats.misses
-        assert misses >= 1
-        second = db.execute_sql(QUERY)
-        assert db.request_cache.stats.hits == misses
-        assert rows_of(first) == rows_of(second)
+        shards = first.subqueries
+        assert shards >= 1
+        assert (stats.misses, stats.insertions) == (shards, 0)
+        db.execute_sql(QUERY)
+        assert (stats.hits, stats.insertions) == (0, shards)
+        third = db.execute_sql(QUERY)
+        assert stats.hits == shards
+        assert rows_of(first) == rows_of(third)
 
     def test_refresh_on_one_shard_only_invalidates_that_shard(self):
         db = build_db(cache=self.cfg())
         wide = "SELECT * FROM transaction_logs WHERE status = 1"  # all shards
         before = db.execute_sql(wide)
         assert before.subqueries == TOPOLOGY.num_shards
+        # One admission per fan-out: the other shards of a first sighting
+        # are not its second.
+        assert db.request_cache.stats.insertions == 0
+        db.execute_sql(wide)
+        assert db.request_cache.stats.insertions == TOPOLOGY.num_shards
         shard = db.write(make_log(300, tenant="t1", created=300.0, status=1))
         db.engines[shard].refresh()
         after = db.execute_sql(wide)
-        # Only the refreshed shard recomputes; the other 7 hit the cache.
+        # Only the refreshed shard recomputes (and is stored again); the
+        # other 7 hit the cache.
         assert db.request_cache.stats.hits == TOPOLOGY.num_shards - 1
+        assert db.request_cache.stats.insertions == TOPOLOGY.num_shards + 1
         assert after.total_hits == before.total_hits + 1
 
     def test_cached_vs_uncached_results_identical(self):
         cached = build_db()
+        request_only = build_db(cache=self.cfg())
         uncached = build_db(cache=CacheConfig.off())
         assert uncached.request_cache is None and uncached.result_cache is None
         for sql in (
@@ -174,11 +189,14 @@ class TestShardRequestCache:
             "SELECT * FROM transaction_logs WHERE tenant_id = 't0' "
             "ORDER BY created_time DESC LIMIT 5",
         ):
-            for _ in range(2):  # second pass exercises warm caches
-                a = cached.execute_sql(sql)
-                b = uncached.execute_sql(sql)
-                assert rows_of(a) == rows_of(b)
-                assert a.total_hits == b.total_hits
+            # The third pass hits the request entries the second stored.
+            for _ in range(3):
+                expected = uncached.execute_sql(sql)
+                for db in (cached, request_only):
+                    got = db.execute_sql(sql)
+                    assert rows_of(got) == rows_of(expected)
+                    assert got.total_hits == expected.total_hits
+        assert request_only.request_cache.stats.hits > 0
 
 
 class TestExplainAnalyzeCacheSpans:
@@ -197,6 +215,7 @@ class TestExplainAnalyzeCacheSpans:
     def test_request_level_hit_span_inside_shard_span(self):
         db = build_db(cache=CacheConfig(result_cache_enabled=False))
         db.explain_analyze(QUERY)
+        db.explain_analyze(QUERY)  # the second sighting stores
         warm = db.explain_analyze(QUERY)
         shard_spans = warm.find_prefix("query.shard[")
         assert shard_spans

@@ -75,22 +75,25 @@ class TestScanOverCandidates:
 
 class TestCacheAdmission:
     def test_pricing_a_statement_for_the_caches_does_not_grow_with_its_rows(self, monkeypatch):
-        """One statement fills the request cache (one shard) and the result
-        cache; each prices its entry from the row count and one row."""
+        """A statement's second sighting fills the request cache (one shard)
+        and the result cache; each prices its entry from the row count and
+        one row."""
         db = ESDB(EsdbConfig())
         db.bulk_write([make_log(i, tenant=1, created=float(i)) for i in range(1000)])
         db.refresh()
         calls = _count_calls(monkeypatch, lru, "estimate_bytes")
         per_statement, cached_bytes = [], []
         for count in (1, 10, 1000):
+            sql = f"SELECT * FROM t WHERE tenant_id = 1 AND created_time < {count}"
+            db.execute_sql(sql)  # the first sighting: the request cache stores nothing
+            db.result_cache.clear()
             before = len(calls)
-            result = db.execute_sql(
-                f"SELECT * FROM t WHERE tenant_id = 1 AND created_time < {count}"
-            )
+            result = db.execute_sql(sql)
             assert len(result.rows) == count
             per_statement.append(len(calls) - before)
             cached_bytes.append(db.request_cache.stats.bytes + db.result_cache.stats.bytes)
-        assert db.request_cache.stats.insertions == db.result_cache.stats.insertions == 3
+        assert db.request_cache.stats.insertions == 3
+        assert db.result_cache.stats.insertions == 6
         assert per_statement[0] == per_statement[1] == per_statement[2] > 0
         # ...while the price itself still does: budgets stay meaningful
         assert cached_bytes[2] - cached_bytes[1] > 2 * 1000 * 100

@@ -99,6 +99,19 @@ class TestFacadeLevel:
         after = db.execute_sql("SELECT COUNT(*) FROM t WHERE group = 2").scalar()
         assert before == after == 8
 
+    def test_composite_prefix_finds_rows_lacking_a_trailing_column(self):
+        db = ESDB(EsdbConfig(topology=SMALL, auto_refresh_every=None))
+        for i in range(15):
+            doc = make_log(i, tenant=1, created=float(i), group=2, status=1)
+            if i >= 10:
+                del doc["status"]
+            db.write(doc)
+        db.refresh()
+        db.add_index(("tenant_id", "group", "status"))
+        sql = "SELECT * FROM transaction_logs WHERE tenant_id = 1 AND group = 2 LIMIT 1000"
+        assert "tenant_id_group_status" in db.explain(sql)
+        assert len(db.execute_sql(sql).rows) == 15
+
     def test_drop_index_reverts_planning(self, db):
         db.add_index(("group",))
         db.drop_index("group")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+from itertools import takewhile
 from os.path import commonprefix
 
 import pytest
@@ -219,6 +220,11 @@ def _nested_stored_bytes(keys: list[tuple], prefix_compressed: bool) -> int:
     return total
 
 
+def _held(values) -> tuple:
+    """The values a row's composite key holds: those before its first None."""
+    return tuple(takewhile(lambda value: value is not None, values))
+
+
 _COLUMN_VALUES = st.one_of(
     st.booleans(),
     st.integers(-2, 3),
@@ -282,11 +288,18 @@ class TestCompositeIndex:
         assert ix.match_length({"a", "c"}) == 1
         assert ix.match_length({"b", "c"}) == 0
 
-    def test_rows_with_none_skipped(self):
+    def test_row_lacking_a_column_is_keyed_by_the_columns_before_it(self):
         ix = CompositeIndex(("x", "y"))
         ix.add(("k", None), 0)
         ix.add(("k", 1), 1)
-        assert ix.search({"x": "k"}).to_list() == [1]
+        ix.add((None, 1), 2)  # lacks the first column: not indexed
+        assert len(ix) == 2
+        assert ix.search({"x": "k"}).to_list() == [0, 1]
+        assert ix.search({"x": "k", "y": 1}).to_list() == [1]
+        # A range on y never matches the row lacking y, whichever bound is open.
+        assert ix.search({"x": "k"}, range_column="y").to_list() == [1]
+        assert ix.search({"x": "k"}, range_column="y", high=5).to_list() == [1]
+        assert ix.search({"x": "k"}, range_column="y", low=0).to_list() == [1]
 
     def test_mixed_type_values_do_not_crash_comparison(self):
         ix = CompositeIndex(("x",))
@@ -342,9 +355,9 @@ class TestCompositeIndex:
         for row_id, values in enumerate(rows):
             ix.add(values, row_id)
         oracle = sorted(
-            (_nested_key(values), row_id)
+            (_nested_key(_held(values)), row_id)
             for row_id, values in enumerate(rows)
-            if None not in values
+            if values[0] is not None
         )
         assert len(ix) == len(oracle)
 
@@ -365,6 +378,8 @@ class TestCompositeIndex:
                 return False
             if not bounds:
                 return True
+            if len(key) == consumed:  # the row lacks the range column
+                return False
             part = key[consumed]
             if bounds["low"] is not None:
                 (low,) = _nested_key([bounds["low"]])
@@ -383,6 +398,45 @@ class TestCompositeIndex:
             assert ix.stored_bytes(prefix_compressed=compressed) == _nested_stored_bytes(
                 keys, compressed
             )
+
+    @given(st.data())
+    def test_property_search_matches_a_filter_over_optional_columns(self, data):
+        """Rows may lack any column. Equality on a prefix finds exactly the
+        rows holding those values, and a range on the next column never
+        finds a row lacking it, whichever bound is open."""
+        columns = ("c0", "c1", "c2")
+        value = st.one_of(st.none(), st.integers(0, 3))
+        rows = data.draw(st.lists(st.tuples(value, value, value), max_size=40))
+        ix = CompositeIndex(columns)
+        for row_id, row in enumerate(rows):
+            ix.add(row, row_id)
+        consumed = data.draw(st.integers(0, len(columns)))
+        prefix = data.draw(st.tuples(*[st.integers(0, 3)] * consumed))
+        bounds = {}
+        # With no equality at all, a search needs a range on the first column.
+        if consumed < len(columns) and (consumed == 0 or data.draw(st.booleans())):
+            bounds = {
+                "range_column": columns[consumed],
+                "low": data.draw(value),
+                "high": data.draw(value),
+                "include_low": data.draw(st.booleans()),
+                "include_high": data.draw(st.booleans()),
+            }
+
+        def matches(row) -> bool:
+            if row[:consumed] != prefix:
+                return False
+            if not bounds:
+                return True
+            held, low, high = row[consumed], bounds["low"], bounds["high"]
+            if held is None:
+                return False
+            if low is not None and (held < low or (held == low and not bounds["include_low"])):
+                return False
+            return high is None or held < high or (held == high and bounds["include_high"])
+
+        got = ix.search(dict(zip(columns, prefix)), **bounds)
+        assert got.to_list() == [row_id for row_id, row in enumerate(rows) if matches(row)]
 
 
 class TestDocValues:

@@ -115,7 +115,7 @@ class TestLifecycleEdges:
     def test_generation_stable_across_concurrent_refresh(self, engine):
         """An open searcher's generation never moves, so it stays usable as
         a shard-request-cache key while the engine refreshes underneath."""
-        from repro.cache import ShardRequestCache
+        from repro.cache import ShardRequestCache, rows_cost
 
         for i in range(3):
             engine.index(make_log(i, status=1))
@@ -124,7 +124,7 @@ class TestLifecycleEdges:
         pinned = searcher.generation
         cache = ShardRequestCache(4096)
         rows = [d.doc_id for d in searcher.fetch(searcher.term_postings("status", 1))]
-        cache.put(engine.shard_id, "stmt:q", pinned, (rows, len(rows)))
+        cache.put(engine.shard_id, "stmt:q", pinned, (rows, len(rows)), cost=rows_cost(rows))
         # Concurrent refreshes move the engine's generation but not the
         # searcher's; the cached point-in-time entry stays addressable.
         for i in range(3, 6):
