@@ -9,8 +9,6 @@ a simulator, not Alibaba's testbed (see DESIGN.md).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.routing import DoubleHashRouting, DynamicSecondaryHashRouting, HashRouting
 from repro.sim import SimulationConfig
 from repro.workload import WorkloadConfig

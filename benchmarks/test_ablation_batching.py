@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
-from benchmarks.conftest import fmt, print_table
+from benchmarks.conftest import print_table
 from repro.client import WriteClient, WriteClientConfig
 from repro.routing import HashRouting
 

@@ -10,8 +10,6 @@ end-to-end adaptation lag in the simulator.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import fmt, print_table, workload
 from repro.consensus import (
     ConsensusConfig,

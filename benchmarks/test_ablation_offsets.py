@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
-from benchmarks.conftest import fmt, print_table
+from benchmarks.conftest import print_table
 from repro.balancer import compute_offset_size
 from repro.routing import RuleList
 from repro.workload.zipf import zipf_weights

@@ -13,8 +13,6 @@ with and without the early pre-replication call.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import print_table
 from repro.replication import PhysicalReplicator
 from repro.storage import EngineConfig, Schema, ShardEngine, TieredMergePolicy

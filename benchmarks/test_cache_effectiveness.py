@@ -5,7 +5,7 @@ Not a paper figure — ESDB inherits Elasticsearch's node-query/shard-request
 caching (§2) and the paper's repeated per-tenant query templates (the
 Figure 17 workload) are exactly the shape caches accelerate. This benchmark
 replays a fixed template mix twice against two otherwise identical
-instances (``CacheConfig()`` vs ``CacheConfig.off()``) and checks:
+instances (``EsdbConfig(cache=True)`` vs ``cache=False``) and checks:
 
 * the warm (second) pass on the cached instance is at least 2x faster at
   the median than the same pass uncached;
@@ -27,7 +27,7 @@ import time
 import pytest
 
 from benchmarks.conftest import fmt, print_table
-from repro import ESDB, CacheConfig, EsdbConfig
+from repro import ESDB, EsdbConfig
 from repro.cluster import ClusterTopology
 from repro.workload import TransactionLogGenerator, WorkloadConfig
 
@@ -40,7 +40,7 @@ TEMPLATES_PER_TENANT = 4
 TOPOLOGY = ClusterTopology(num_nodes=4, num_shards=NUM_SHARDS)
 
 
-def _build(cache: CacheConfig, num_docs: int, num_tenants: int) -> ESDB:
+def _build(cache: bool, num_docs: int, num_tenants: int) -> ESDB:
     db = ESDB(
         EsdbConfig(topology=TOPOLOGY, cache=cache, auto_refresh_every=4096)
     )
@@ -95,8 +95,8 @@ def _p50(values: list[float]) -> float:
 
 @pytest.fixture(scope="module")
 def instances():
-    cached = _build(CacheConfig(), NUM_DOCS, NUM_TENANTS)
-    uncached = _build(CacheConfig.off(), NUM_DOCS, NUM_TENANTS)
+    cached = _build(True, NUM_DOCS, NUM_TENANTS)
+    uncached = _build(False, NUM_DOCS, NUM_TENANTS)
     return cached, uncached
 
 
@@ -168,8 +168,8 @@ def test_cache_smoke_tiny(benchmark):
     across mid-run rule appends) and that the warm passes actually hit: the
     second pass in the result cache, and the pass after the second rule
     append in the request entries the pass before it stored."""
-    cached = _build(CacheConfig(), num_docs=400, num_tenants=50)
-    uncached = _build(CacheConfig.off(), num_docs=400, num_tenants=50)
+    cached = _build(True, num_docs=400, num_tenants=50)
+    uncached = _build(False, num_docs=400, num_tenants=50)
     sqls = _templates(4)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     for pass_no in range(2):

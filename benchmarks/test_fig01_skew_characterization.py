@@ -9,11 +9,9 @@ top-10 concentration.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import fmt, print_table
 from repro.workload import ZipfSampler

@@ -8,8 +8,6 @@ pytest-benchmark runs each kernel many times and reports ops/second.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.query import RuleBasedOptimizer, Xdriver4ES, parse_sql
 from repro.query.optimizer import CatalogInfo
 from repro.routing import DynamicSecondaryHashRouting, HashRouting, RuleList

@@ -16,7 +16,6 @@ Public entry points:
 * :mod:`repro.workload` -- Zipf-skewed workload generation and scenarios.
 """
 
-from repro.cache import CacheConfig
 from repro.esdb import ESDB, EsdbConfig
 from repro.routing import (
     DoubleHashRouting,
@@ -31,7 +30,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ESDB",
     "EsdbConfig",
-    "CacheConfig",
     "HashRouting",
     "DoubleHashRouting",
     "DynamicSecondaryHashRouting",

@@ -19,10 +19,11 @@ query templates (the §6 workload: 1000 near-identical queries per tenant):
 All levels evict LRU within a byte budget, each entry priced by its caller
 (``rows_cost`` / ``posting_cost``), and report hit/miss/eviction
 counters plus a byte gauge into :mod:`repro.telemetry` under a ``level``
-label (``filter`` / ``request`` / ``result``).
+label (``filter`` / ``request`` / ``result``). ``EsdbConfig.cache``
+switches all three on (the default) or off together; their budgets are the
+constants below.
 """
 
-from repro.cache.config import CacheConfig
 from repro.cache.filter_cache import SegmentFilterCache
 from repro.cache.fingerprint import (
     filter_key,
@@ -34,8 +35,17 @@ from repro.cache.lru import CacheStats, LruCache, estimate_bytes, posting_cost, 
 from repro.cache.request_cache import ShardRequestCache
 from repro.cache.result_cache import CoordinatorResultCache
 
+#: Segment filter cache budget, per shard (like Lucene's per-segment cache).
+FILTER_CACHE_BYTES = 4 << 20
+#: Shard request cache budget, shared by every shard of an instance.
+REQUEST_CACHE_BYTES = 8 << 20
+#: Coordinator result cache budget.
+RESULT_CACHE_BYTES = 8 << 20
+
 __all__ = [
-    "CacheConfig",
+    "FILTER_CACHE_BYTES",
+    "REQUEST_CACHE_BYTES",
+    "RESULT_CACHE_BYTES",
     "CacheStats",
     "LruCache",
     "SegmentFilterCache",

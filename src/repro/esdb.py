@@ -28,7 +28,9 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple
 
 from repro.balancer import BalancerConfig, LoadBalancer, WorkloadMonitor
 from repro.cache import (
-    CacheConfig,
+    FILTER_CACHE_BYTES,
+    REQUEST_CACHE_BYTES,
+    RESULT_CACHE_BYTES,
     CoordinatorResultCache,
     ShardRequestCache,
     rows_cost,
@@ -69,7 +71,7 @@ from repro.query.optimizer import CatalogInfo
 from repro.query.planner import PhysicalPlan
 from repro.query.shapes import Shape, ShapeMap, lift, slot_where, subattribute_keys
 from repro.routing import DynamicSecondaryHashRouting, RoutingPolicy
-from repro.slo import HeavyHitterProfiler, SloConfig, SloEngine
+from repro.slo import HeavyHitterProfiler, SloEngine
 from repro.storage import EngineConfig, PostingList, Schema, ShardEngine
 from repro.telemetry import (
     NULL_TELEMETRY,
@@ -80,7 +82,6 @@ from repro.telemetry import (
     TraceContext,
     TraceIdGenerator,
     Tracer,
-    build_sampler,
     current_context,
 )
 from repro.tenancy import TenancyConfig, TenantGovernor, doc_bytes
@@ -187,51 +188,25 @@ class EsdbConfig:
             (default). With False the instance runs on the no-op telemetry
             singletons — near-zero overhead, and the report
             (:func:`repro.obsv.render_report`) shows no registry counters.
-        cache: the three query-cache levels (:mod:`repro.cache`): per-shard
-            segment filter cache, shard request cache, coordinator result
-            cache. Each level is individually disableable and byte-budgeted;
-            ``CacheConfig.off()`` is the caches-off baseline.
-        obsv: the observability layer (:mod:`repro.obsv`): index/search
-            slow logs, rolling-window skew analytics with hot-tenant /
-            hot-shard alerts, and the slow-log and skew sections of
-            :func:`repro.obsv.snapshot`.
-            ``ObsvConfig.off()`` removes the observer; the write path then
-            pays one ``is not None`` check.
-        timeseries_enabled / timeseries_interval / timeseries_capacity:
-            performance history (:mod:`repro.telemetry.timeseries`): a
-            :class:`~repro.telemetry.timeseries.TimeSeriesStore` samples
-            the metrics registry every ``timeseries_interval`` seconds of
-            the instance's *logical* clock into ring buffers of
-            ``timeseries_capacity`` samples per series — the data behind
-            the dashboard sparklines and ``cat_timeseries``. Disabling it
-            removes the store; the write path then pays one ``is not
-            None`` check.
-        tenancy: multi-tenant resource governance (:mod:`repro.tenancy`):
-            per-tenant token-bucket rate limits, QoS classes with a
-            weighted admission queue, tumbling byte/operation quotas, and
-            backpressure with structured shed-load errors. Disabled by
-            default — the instance then builds no governor and every path
-            is byte-identical to an ungoverned instance.
-        tracing: request-scoped distributed tracing
-            (:mod:`repro.telemetry.context`). Enabled by default: every
-            top-level operation gets a deterministic seed-derived
-            W3C-shaped trace id, with head-based sampling (``always`` /
-            ``ratio`` / ``slow-tail``),
-            trace-id exemplars on latency histograms, and a structured
-            event log behind :func:`repro.obsv.cat_events` and the
-            diagnostics bundle. ``TraceConfig.off()``
-            restores the pre-trace span trees bit-for-bit.
+        cache: the three query-cache levels (:mod:`repro.cache`) — segment
+            filter, shard request and coordinator result cache — all on
+            (default) or all off, within the budgets
+            :mod:`repro.cache` fixes.
+        obsv: slow logs and skew analytics (:mod:`repro.obsv`);
+            ``ObsvConfig.off()`` builds no observer.
+        timeseries_enabled: performance history
+            (:mod:`repro.telemetry.timeseries`), sampled every logical
+            second into 240-sample rings — the dashboard sparklines and
+            ``cat_timeseries``.
+        tenancy: per-tenant admission control (:mod:`repro.tenancy`);
+            off by default, when no governor is built.
+        tracing: a deterministic trace id per top-level operation
+            (:mod:`repro.telemetry.context`), seeded by the topology;
+            ``TraceConfig.off()`` restores the pre-trace span trees.
         slo: service-level objectives and heavy-hitter attribution
-            (:mod:`repro.slo`). Disabled by default — the instance then
-            builds neither the :class:`~repro.slo.SloEngine` nor the
-            :class:`~repro.slo.HeavyHitterProfiler` and every path is
-            byte-identical (chaos fingerprints included). Enabled, write
-            and query outcomes are classified against declarative
-            latency/error-rate objectives with multi-window burn-rate
-            alerting (``slo_burn``/``slo_recovered`` events), and bounded
-            Space-Saving sketches name the hot routing keys, filter terms
-            and query fingerprints per shard and per tenant
-            (:func:`repro.obsv.cat_slo` / :func:`repro.obsv.cat_hotkeys`).
+            (:mod:`repro.slo`); off by default, when neither the
+            :class:`~repro.slo.SloEngine` nor the
+            :class:`~repro.slo.HeavyHitterProfiler` is built.
     """
 
     topology: ClusterTopology = field(default_factory=ClusterTopology)
@@ -245,14 +220,12 @@ class EsdbConfig:
     auto_refresh_every: int | None = 1024
     replication: str | None = None
     telemetry_enabled: bool = True
-    cache: CacheConfig = field(default_factory=CacheConfig)
+    cache: bool = True
     obsv: ObsvConfig = field(default_factory=ObsvConfig)
     timeseries_enabled: bool = True
-    timeseries_interval: float = 1.0
-    timeseries_capacity: int = 240
     tenancy: TenancyConfig = field(default_factory=TenancyConfig)
     tracing: TraceConfig = field(default_factory=TraceConfig)
-    slo: SloConfig = field(default_factory=SloConfig)
+    slo: bool = False
 
 
 class ESDB:
@@ -271,18 +244,12 @@ class ESDB:
             telemetry = Telemetry() if self.config.telemetry_enabled else NULL_TELEMETRY
         self.telemetry = telemetry
         self.instance = f"esdb{next(_INSTANCE_IDS)}"
-        tracing = self.config.tracing
         self.trace_ids: TraceIdGenerator | None = None
-        self.trace_sampler = None
-        if tracing.enabled:
-            trace_seed = (
-                tracing.seed if tracing.seed is not None else self.config.topology.seed
-            )
-            self.trace_ids = TraceIdGenerator(trace_seed)
-            self.trace_sampler = build_sampler(tracing)
+        if self.config.tracing.enabled:
+            self.trace_ids = TraceIdGenerator(self.config.topology.seed)
         #: Structured operational event log (always present; emission sites
         #: stamp the active trace id when tracing is on).
-        self.events = EventLog(capacity=tracing.events_capacity)
+        self.events = EventLog()
         self.cluster = Cluster(self.config.topology)
         self.policy = policy or DynamicSecondaryHashRouting(self.cluster.num_shards)
         if self.policy.num_shards != self.cluster.num_shards:
@@ -290,18 +257,14 @@ class ESDB:
                 "routing policy shard count does not match cluster topology"
             )
         self.policy.instrument(self.telemetry)
-        cache_config = self.config.cache
+        caches = self.config.cache
         engine_config = EngineConfig(
             schema=self.config.schema,
             composite_columns=self.config.composite_columns,
             scan_columns=self.config.scan_columns,
             indexed_subattributes=self.config.indexed_subattributes,
             auto_refresh_every=self.config.auto_refresh_every,
-            filter_cache_bytes=(
-                cache_config.filter_cache_bytes
-                if cache_config.filter_cache_enabled
-                else None
-            ),
+            filter_cache_bytes=FILTER_CACHE_BYTES if caches else None,
         )
         self.engines: dict[int, ShardEngine] = {
             shard.shard_id: ShardEngine(
@@ -311,16 +274,15 @@ class ESDB:
         }
         self._executors: dict[int, QueryExecutor] = {}  # see _serial_executor
         self.request_cache: ShardRequestCache | None = None
-        if cache_config.request_cache_enabled:
+        self.result_cache: CoordinatorResultCache | None = None
+        if caches:
             self.request_cache = ShardRequestCache(
-                cache_config.request_cache_bytes, metrics=self.telemetry.metrics
+                REQUEST_CACHE_BYTES, metrics=self.telemetry.metrics
             )
             for engine in self.engines.values():
                 self.request_cache.attach(engine)
-        self.result_cache: CoordinatorResultCache | None = None
-        if cache_config.result_cache_enabled:
             self.result_cache = CoordinatorResultCache(
-                cache_config.result_cache_bytes, metrics=self.telemetry.metrics
+                RESULT_CACHE_BYTES, metrics=self.telemetry.metrics
             )
         self.xdriver = Xdriver4ES()
         #: statement shape -> its compiled rewrite and plan (repro.query.shapes)
@@ -344,8 +306,7 @@ class ESDB:
                 self.config.obsv,
                 num_shards=self.cluster.num_shards,
                 metrics=self.telemetry.metrics if self.telemetry.enabled else None,
-                window_seconds=self.config.obsv.window_seconds
-                or self.monitor.window_seconds,
+                window_seconds=self.monitor.window_seconds,
             )
             obsv_runtime.register(self)
         self.timeseries: TimeSeriesStore | None = None
@@ -353,11 +314,7 @@ class ESDB:
             # Works against the no-op registry too: the null registry has
             # no metric names, so sampling rounds simply record no series.
             self.timeseries = install_esdb_derivations(
-                TimeSeriesStore(
-                    self.telemetry.metrics,
-                    interval=self.config.timeseries_interval,
-                    capacity=self.config.timeseries_capacity,
-                )
+                TimeSeriesStore(self.telemetry.metrics)
             )
         self.governor: TenantGovernor | None = None
         if self.config.tenancy.enabled:
@@ -367,16 +324,13 @@ class ESDB:
             )
         self.slo: SloEngine | None = None
         self.hotkeys: HeavyHitterProfiler | None = None
-        if self.config.slo.enabled:
+        if self.config.slo:
             slo_metrics = self.telemetry.metrics if self.telemetry.enabled else None
-            self.slo = SloEngine(self.config.slo, metrics=slo_metrics)
-            if self.config.slo.profiler_enabled:
-                self.hotkeys = HeavyHitterProfiler(
-                    self.config.slo, metrics=slo_metrics
-                )
-                if self.obsv is not None:
-                    # Skew alerts get upgraded with the hitters behind them.
-                    self.obsv.attributor = self._slo_attribution
+            self.slo = SloEngine(metrics=slo_metrics)
+            self.hotkeys = HeavyHitterProfiler(metrics=slo_metrics)
+            if self.obsv is not None:
+                # Skew alerts get upgraded with the hitters behind them.
+                self.obsv.attributor = self._slo_attribution
         self._clock = 0.0
         #: Lazily created FaultInjector (see :meth:`inject_fault`).
         self.faults = None
@@ -506,9 +460,7 @@ class ESDB:
         tenants: list[object] = [None] * len(sources)
         groups: dict[int, list[tuple[int, object, Mapping[str, Any]]]] = {}
         ctx = self._new_trace(op)
-        with tracer.trace(
-            op, ctx, sampler=self.trace_sampler, docs=len(sources)
-        ) as span:
+        with tracer.trace(op, ctx, docs=len(sources)) as span:
             with tracer.span("write.route", policy=self.policy.name):
                 for position, source in enumerate(sources):
                     tenant_id = doc_id = None
@@ -538,10 +490,12 @@ class ESDB:
                                 "shed" if exc.budget == "queue" else "throttle",
                                 tenant=tenant_id, ctx=ctx, op=op, budget=exc.budget,
                             )
-                        if self.slo is not None:
-                            self.slo.record(
-                                "write", tenant_id, 0.0, self._clock, error=True
-                            )
+                        if self.slo is not None and not isinstance(
+                            exc, InvalidDocumentError
+                        ):
+                            # A malformed document is the caller's error,
+                            # not an outage: it spends no availability budget.
+                            self.slo.record("write", 0.0, self._clock, error=True)
                         items[position] = BulkItemResult(
                             position=position, doc_id=doc_id, ok=False, error=exc
                         )
@@ -584,9 +538,8 @@ class ESDB:
         trace_id = ctx.trace_id if ctx is not None else None
         if telemetry.enabled and applied:
             histogram = metrics.histogram("esdb_write_seconds")
-            exemplar = trace_id if ctx is not None and ctx.sampled else None
             for _ in applied:
-                histogram.observe(per_doc, trace_id=exemplar)
+                histogram.observe(per_doc, trace_id=trace_id)
         if self.obsv is not None:
             for item in applied:
                 self.obsv.record_write(
@@ -600,9 +553,8 @@ class ESDB:
         if self.slo is not None:
             for item in applied:
                 tenant_id = tenants[item.position]
-                self.slo.record("write", tenant_id, per_doc, self._clock)
-                if self.hotkeys is not None:
-                    self.hotkeys.record_write(tenant_id, item.shard_id, item.doc_id)
+                self.slo.record("write", per_doc, self._clock)
+                self.hotkeys.record_write(tenant_id, item.shard_id, item.doc_id)
             self._slo_tick(ctx)
         if self.timeseries is not None:
             self.timeseries.maybe_sample(self._clock)
@@ -748,9 +700,7 @@ class ESDB:
             return []
         metrics = self.telemetry.metrics
         ctx = self._new_trace("rebalance")
-        with self.telemetry.tracer.trace(
-            "balance.round", ctx, sampler=self.trace_sampler
-        ):
+        with self.telemetry.tracer.trace("balance.round", ctx):
             self.monitor.roll_window(self._clock)
             if self.obsv is not None:
                 # Same clock, same window length: the observer's skew window
@@ -847,7 +797,7 @@ class ESDB:
         result_cache = self.result_cache
         ctx = self._new_trace("query")
         fingerprint = sql_fingerprint(sql)
-        with tracer.trace("query", ctx, sampler=self.trace_sampler) as root:
+        with tracer.trace("query", ctx) as root:
             key = (fingerprint, self._rule_version())
             cached = (
                 result_cache.get(*key, self._engine_generation)
@@ -865,7 +815,7 @@ class ESDB:
             if cached is None:
                 shard_ids = self._target_shards(self._shards_per_bound(bounds))
                 result = self._execute_fanout(tracer, root, statement, plan, shard_ids)
-                terms = self._query_terms(statement) if self.hotkeys is not None else ()
+                terms = self._query_terms(statement) if self.slo is not None else ()
                 if result_cache is not None:
                     validators = tuple(
                         (shard_id, self.engines[shard_id].generation)
@@ -897,13 +847,13 @@ class ESDB:
                 ),
                 scanned=result.total_hits if cached is None else 0,
             )
+        trace_id = ctx.trace_id if ctx is not None else None
         metrics.counter("esdb_queries_total").inc()
         if cached is None:
             metrics.counter("esdb_subqueries_total").inc(result.subqueries)
             if self.telemetry.enabled:
                 metrics.histogram("esdb_query_seconds").observe(
-                    root.duration,
-                    trace_id=ctx.trace_id if ctx is not None and ctx.sampled else None,
+                    root.duration, trace_id=trace_id
                 )
         if self.obsv is not None:
             slow_entry = self.obsv.record_search(
@@ -912,7 +862,7 @@ class ESDB:
                 self._clock,
                 detail=sql.strip(),
                 trace=root,
-                trace_id=ctx.trace_id if ctx is not None else None,
+                trace_id=trace_id,
             )
             if slow_entry is not None:
                 self._emit_event(
@@ -923,9 +873,8 @@ class ESDB:
                     elapsed=slow_entry.elapsed,
                 )
         if self.slo is not None:
-            self.slo.record("query", tenant, root.duration, self._clock)
-            if self.hotkeys is not None:
-                self.hotkeys.record_query(tenant, fingerprint, terms)
+            self.slo.record("query", root.duration, self._clock)
+            self.hotkeys.record_query(tenant, fingerprint, terms)
             self._slo_tick(ctx)
         if self.timeseries is not None:
             self.timeseries.maybe_sample(self._clock)
@@ -943,7 +892,7 @@ class ESDB:
                 tenant=tenant, ctx=ctx, op="query", budget=exc.budget,
             )
             if self.slo is not None:
-                self.slo.record("query", tenant, 0.0, self._clock, error=True)
+                self.slo.record("query", 0.0, self._clock, error=True)
                 self._slo_tick(ctx)
             raise
 
@@ -971,16 +920,13 @@ class ESDB:
         slo = self.slo
         if slo is None:
             return
-        if self.hotkeys is not None:
-            self.hotkeys.maybe_roll(self._clock)
+        self.hotkeys.maybe_roll(self._clock)
         if not slo.due(self._clock):
             return
-        if self.hotkeys is not None:
-            self.hotkeys.export_gauges()
+        self.hotkeys.export_gauges()
         for alert in slo.evaluate(self._clock):
             self._emit_event(
                 alert.kind,
-                tenant=alert.tenant,
                 ctx=ctx,
                 slo=alert.slo,
                 fast_burn=round(alert.fast_burn, 4),
@@ -990,12 +936,10 @@ class ESDB:
 
     def _slo_attribution(self, alert) -> dict:
         """Name the heavy hitters behind one skew alert (the Observer calls
-        this for every alert it fires when profiling is on): hot routing
-        keys and query fingerprints for a hot tenant, hot routing keys for
-        a hot shard."""
+        this for every alert it fires when SLOs are on): hot routing keys
+        and query fingerprints for a hot tenant, hot routing keys for a hot
+        shard."""
         hotkeys = self.hotkeys
-        if hotkeys is None:
-            return {}
         detail: dict = {}
         subject = str(alert.subject)
         if alert.kind == "hot_tenant":

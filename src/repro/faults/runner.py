@@ -62,9 +62,9 @@ class ChaosConfig:
             under chaos (None uses the instance default). Fingerprints
             must be bit-identical whether tracing is on or off — trace-id
             allocation never touches the workload's RNG or clocks.
-        slo: a :class:`~repro.slo.SloConfig` for the instance under chaos
-            (None uses the instance default, i.e. disabled). Like tracing,
-            SLO tracking observes the workload without touching its RNG or
+        slo: track SLOs and heavy hitters on the instance under chaos
+            (``EsdbConfig.slo``; off by default). Like tracing, SLO
+            tracking observes the workload without touching its RNG or
             clocks, so fingerprints must be bit-identical on or off.
         trace_path: a recorded workload trace (v1 or v2, see
             :mod:`repro.workload.trace`) to drive the run instead of the
@@ -88,7 +88,7 @@ class ChaosConfig:
     flood_factor: int = 0
     tenancy: object | None = None
     tracing: object | None = None
-    slo: object | None = None
+    slo: bool = False
     trace_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -209,8 +209,6 @@ class ChaosRunner:
             esdb_kwargs["tenancy"] = self.config.tenancy
         if self.config.tracing is not None:
             esdb_kwargs["tracing"] = self.config.tracing
-        if self.config.slo is not None:
-            esdb_kwargs["slo"] = self.config.slo
         self.db = ESDB(
             EsdbConfig(
                 topology=ClusterTopology(
@@ -222,6 +220,7 @@ class ChaosRunner:
                 replication="physical",
                 consensus_interval=1.0,
                 auto_refresh_every=64,
+                slo=self.config.slo,
                 **esdb_kwargs,
             ),
             telemetry=telemetry,

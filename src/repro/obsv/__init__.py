@@ -53,7 +53,7 @@ from repro.obsv.cat import (
     cat_tenants,
     cat_timeseries,
 )
-from repro.obsv.config import DISABLED, ObsvConfig
+from repro.obsv.config import ObsvConfig
 from repro.obsv.dashboard import render_dashboard, shard_heatmap
 from repro.obsv.observer import Observer
 from repro.obsv.report import render_report
@@ -76,7 +76,6 @@ __all__ = [
     "Alert",
     "BUNDLE_SCHEMA_VERSION",
     "CatTable",
-    "DISABLED",
     "Observer",
     "ObsvConfig",
     "SkewWindow",

@@ -43,7 +43,6 @@ def build_demo(
     from repro.errors import TenantThrottledError
     from repro.esdb import ESDB, EsdbConfig
     from repro.obsv.config import ObsvConfig
-    from repro.slo import SloConfig
     from repro.tenancy import TenancyConfig
 
     config = EsdbConfig(
@@ -60,7 +59,7 @@ def build_demo(
             if governed
             else TenancyConfig()
         ),
-        slo=SloConfig(enabled=True) if slo else SloConfig(),
+        slo=slo,
     )
     db = ESDB(config)
     rng = random.Random(seed)

@@ -83,7 +83,7 @@ def validate_bundle(bundle) -> list[str]:
         elif "trace_id" in trace and not isinstance(trace["trace_id"], str):
             problems.append(f"traces[{index}] trace_id is not a string")
     tracing = bundle["tracing"]
-    for key in ("enabled", "sampler", "traces_started"):
+    for key in ("enabled", "traces_started"):
         if key not in tracing:
             problems.append(f"tracing section missing {key!r}")
     slo = bundle["slo"]

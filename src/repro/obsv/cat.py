@@ -227,7 +227,6 @@ def cat_slo(source) -> CatTable:
             status["slo"],
             status["op"],
             status["kind"],
-            status["tenant"] if status["tenant"] is not None else "*",
             status["objective"],
             status["good"],
             status["bad"],
@@ -241,7 +240,7 @@ def cat_slo(source) -> CatTable:
     ]
     return CatTable(
         "slo",
-        ("slo", "op", "kind", "tenant", "objective", "good", "bad",
+        ("slo", "op", "kind", "objective", "good", "bad",
          "budget_pct", "fast_burn", "slow_burn", "state", "alerts"),
         rows,
     )

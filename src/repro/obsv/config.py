@@ -1,85 +1,59 @@
 """Configuration of the observability layer (:mod:`repro.obsv`).
 
-One frozen dataclass hangs off ``EsdbConfig.obsv`` and tunes the three
-operator surfaces: index/search slow logs (Elasticsearch-style warn/info
-thresholds over a bounded ring buffer), rolling-window skew analytics
-(tumbling windows with CV/Gini/max-mean statistics), and the hot-tenant /
-hot-shard alert detector. ``ObsvConfig.off()`` removes the observer
-entirely — the write path then pays a single ``is not None`` check.
+One frozen dataclass hangs off ``EsdbConfig.obsv``: whether the instance
+builds an :class:`~repro.obsv.Observer` at all (``ObsvConfig.off()``
+removes it — the write path then pays a single ``is not None`` check),
+and the *info* thresholds of the index/search slow logs, which the
+``python -m repro.obsv`` demo drops to zero so every operation is logged.
+Everything else the observer uses is fixed below.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
-#: Threshold value that disables a slow-log level entirely.
-DISABLED = math.inf
+#: Warn thresholds of the index (write) and search (query) slow logs.
+INDEX_WARN_SECONDS = 0.100
+SEARCH_WARN_SECONDS = 0.500
+#: A tenant whose share of a skew window's writes meets this raises a
+#: ``hot_tenant`` alert.
+HOT_TENANT_SHARE = 0.20
+#: A skew window whose per-shard max/mean load meets this raises a
+#: ``hot_shard`` alert.
+HOT_SHARD_RATIO = 3.0
+#: Alert events retained (ring buffer).
+MAX_ALERTS = 256
+#: Tenants/shards the dashboard lists.
+TOP_K = 10
 
 
 @dataclass(frozen=True)
 class ObsvConfig:
-    """Tuning knobs for cluster introspection.
+    """Whether to observe, and the slow logs' info thresholds.
 
     Attributes:
         enabled: build an :class:`~repro.obsv.Observer` for the instance.
-        slowlog_capacity: entries retained per slow log (ring buffer).
-        index_info_seconds / index_warn_seconds: elapsed-time thresholds
-            for the *index* (write) slow log; an operation logs at the
-            highest level whose threshold it meets. Use
-            :data:`DISABLED` (``math.inf``) to mute a level.
-        search_info_seconds / search_warn_seconds: same for the *search*
-            (query) slow log.
-        window_seconds: tumbling-window length for skew analytics. ``None``
-            (default) inherits the workload monitor's reporting window so
-            skew windows and balancing decisions stay aligned.
-        max_windows: closed windows retained for trend inspection.
-        hot_tenant_share: a tenant whose share of a window's writes meets
-            this fraction raises a ``hot_tenant`` alert.
-        hot_shard_ratio: a window whose per-shard max/mean load imbalance
-            meets this ratio raises a ``hot_shard`` alert.
-        max_alerts: alert events retained (ring buffer).
-        top_k: tenants/shards listed by the dashboard and cat tables.
+        index_info_seconds: elapsed time at which a write enters the index
+            slow log at ``info`` (``warn`` from :data:`INDEX_WARN_SECONDS`).
+        search_info_seconds: same for queries and the search slow log
+            (``warn`` from :data:`SEARCH_WARN_SECONDS`).
     """
 
     enabled: bool = True
-    slowlog_capacity: int = 128
     index_info_seconds: float = 0.010
-    index_warn_seconds: float = 0.100
     search_info_seconds: float = 0.050
-    search_warn_seconds: float = 0.500
-    window_seconds: float | None = None
-    max_windows: int = 64
-    hot_tenant_share: float = 0.20
-    hot_shard_ratio: float = 3.0
-    max_alerts: int = 256
-    top_k: int = 10
 
     def __post_init__(self) -> None:
-        if self.slowlog_capacity < 1:
-            raise ConfigurationError("slowlog_capacity must be >= 1")
-        for name in (
-            "index_info_seconds",
-            "index_warn_seconds",
-            "search_info_seconds",
-            "search_warn_seconds",
-        ):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0")
-        if self.index_warn_seconds < self.index_info_seconds:
-            raise ConfigurationError("index warn threshold must be >= info threshold")
-        if self.search_warn_seconds < self.search_info_seconds:
-            raise ConfigurationError("search warn threshold must be >= info threshold")
-        if self.window_seconds is not None and self.window_seconds <= 0:
-            raise ConfigurationError("window_seconds must be positive")
-        if not 0.0 < self.hot_tenant_share <= 1.0:
-            raise ConfigurationError("hot_tenant_share must be in (0, 1]")
-        if self.hot_shard_ratio < 1.0:
-            raise ConfigurationError("hot_shard_ratio must be >= 1")
-        if self.max_windows < 1 or self.max_alerts < 1 or self.top_k < 1:
-            raise ConfigurationError("max_windows, max_alerts, top_k must be >= 1")
+        if not 0 <= self.index_info_seconds <= INDEX_WARN_SECONDS:
+            raise ConfigurationError(
+                f"index_info_seconds must be in [0, {INDEX_WARN_SECONDS}]"
+            )
+        if not 0 <= self.search_info_seconds <= SEARCH_WARN_SECONDS:
+            raise ConfigurationError(
+                f"search_info_seconds must be in [0, {SEARCH_WARN_SECONDS}]"
+            )
 
     @staticmethod
     def off() -> "ObsvConfig":

@@ -19,6 +19,7 @@ from repro.obsv.cat import (
     cat_slo,
     cat_tenants,
 )
+from repro.obsv.config import TOP_K
 from repro.obsv.skew import Alert, describe_window
 from repro.obsv.slowlog import SlowLogEntry
 from repro.telemetry.events import Event
@@ -96,7 +97,6 @@ def render_dashboard(snap: dict) -> str:
     """One text page of cluster health: the operator's ``watch`` target."""
     cluster = snap["cluster"]
     totals = cluster["totals"]
-    top_k = cluster.get("top_k", 10)
     sections = [
         (
             f"== esdb dashboard :: {totals['nodes']} nodes / "
@@ -110,8 +110,8 @@ def render_dashboard(snap: dict) -> str:
         "-- shard heatmap (docs) --",
         shard_heatmap({row["shard"]: row["docs"] for row in cluster["shards"]}),
         "",
-        f"-- top {top_k} tenants --",
-        cat_tenants(snap, k=top_k).render(),
+        f"-- top {TOP_K} tenants --",
+        cat_tenants(snap, k=TOP_K).render(),
     ]
     rules = cat_rules(snap)
     if len(rules):

@@ -13,7 +13,14 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING
 
-from repro.obsv.config import ObsvConfig
+from repro.obsv.config import (
+    HOT_SHARD_RATIO,
+    HOT_TENANT_SHARE,
+    INDEX_WARN_SECONDS,
+    MAX_ALERTS,
+    SEARCH_WARN_SECONDS,
+    ObsvConfig,
+)
 from repro.obsv.skew import (
     SkewWindow,
     WindowStats,
@@ -38,28 +45,21 @@ class Observer:
         config: ObsvConfig | None = None,
         num_shards: int = 1,
         metrics=None,
-        window_seconds: float | None = None,
+        window_seconds: float = 10.0,
     ) -> None:
         self.config = config or ObsvConfig()
-        window = window_seconds or self.config.window_seconds or 10.0
-        self.skew = SkewWindow(
-            num_shards,
-            window_seconds=window,
-            max_windows=self.config.max_windows,
-        )
+        self.skew = SkewWindow(num_shards, window_seconds=window_seconds)
         self.index_slowlog = SlowLog(
             "index",
-            warn_seconds=self.config.index_warn_seconds,
+            warn_seconds=INDEX_WARN_SECONDS,
             info_seconds=self.config.index_info_seconds,
-            capacity=self.config.slowlog_capacity,
         )
         self.search_slowlog = SlowLog(
             "search",
-            warn_seconds=self.config.search_warn_seconds,
+            warn_seconds=SEARCH_WARN_SECONDS,
             info_seconds=self.config.search_info_seconds,
-            capacity=self.config.slowlog_capacity,
         )
-        self.alerts: deque = deque(maxlen=self.config.max_alerts)
+        self.alerts: deque = deque(maxlen=MAX_ALERTS)
         #: Alerts raised by the most recent :meth:`roll` — the batch the
         #: facade hands to the tenant governor's governance policy.
         self.last_alerts: list = []
@@ -137,8 +137,8 @@ class Observer:
         stats = self.skew.roll(now)
         fresh = detect_alerts(
             stats,
-            hot_tenant_share=self.config.hot_tenant_share,
-            hot_shard_ratio=self.config.hot_shard_ratio,
+            hot_tenant_share=HOT_TENANT_SHARE,
+            hot_shard_ratio=HOT_SHARD_RATIO,
         )
         self.last_alerts = list(fresh)
         for alert in fresh:

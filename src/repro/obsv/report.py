@@ -145,9 +145,8 @@ def _slo_lines(slo: dict) -> list[str]:
         f"{sum(row['burn_alerts'] for row in objectives)} burn alert(s)"
     ]
     for row in objectives:
-        scope = f" tenant={row['tenant']}" if row["tenant"] else ""
         lines.append(
-            f"  {row['slo']}: {row['op']}/{row['kind']}{scope} "
+            f"  {row['slo']}: {row['op']}/{row['kind']} "
             f"target={row['objective']:.3f} good={row['good']} "
             f"bad={row['bad']} budget={row['budget_remaining_pct']:.1f}% "
             f"burn={row['fast_burn']:.2f}/{row['slow_burn']:.2f} "

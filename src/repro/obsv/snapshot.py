@@ -20,8 +20,9 @@ from __future__ import annotations
 from repro.routing import DynamicSecondaryHashRouting
 
 #: Bumped whenever a required key is added/renamed; validators pin it.
-#: v2 added the always-present ``slo`` / ``hotkeys`` sections.
-BUNDLE_SCHEMA_VERSION = 2
+#: v2 added the always-present ``slo`` / ``hotkeys`` sections; v3 dropped
+#: the sampler settings from ``tracing``.
+BUNDLE_SCHEMA_VERSION = 3
 
 #: Maximum finished traces serialised into a snapshot.
 MAX_SNAPSHOT_TRACES = 20
@@ -37,7 +38,6 @@ def format_cell(value) -> str:
 
 def snapshot(db) -> dict:
     """Everything an operator can see of *db*, as one JSON-ready dict."""
-    tracing = db.config.tracing
     finished = list(db.telemetry.tracer.finished)[-MAX_SNAPSHOT_TRACES:]
     hotkeys = {
         "enabled": False,
@@ -58,10 +58,7 @@ def snapshot(db) -> dict:
         "faults": read_faults(db),
         "traces": [span.to_dict() for span in finished],
         "tracing": {
-            "enabled": bool(tracing.enabled),
-            "sampler": tracing.sampler,
-            "ratio": tracing.ratio,
-            "slow_tail_seconds": tracing.slow_tail_seconds,
+            "enabled": db.config.tracing.enabled,
             "traces_started": db.trace_ids.issued if db.trace_ids is not None else 0,
         },
         "slo": read_slo(db),
@@ -142,7 +139,6 @@ def read_cluster(db) -> dict:
     observer = db.obsv
     if observer is not None:
         cluster["obsv"] = observer.snapshot()
-        cluster["top_k"] = observer.config.top_k
         cluster["slowlogs"] = {
             log.log: log.summary()
             for log in (observer.index_slowlog, observer.search_slowlog)
@@ -245,21 +241,16 @@ def read_caches(db) -> list[dict]:
     the statement-shape map, whose hits are binds and misses compiles (it
     keeps a shape count, not a byte budget)."""
     metrics = db.telemetry.metrics
-    config = db.config.cache
     levels = [
         (
             level,
-            on,
+            db.config.cache,
             metrics.value("cache_hits_total", level=level),
             metrics.value("cache_misses_total", level=level),
             metrics.value("cache_evictions_total", level=level),
             metrics.value("cache_bytes", level=level),
         )
-        for level, on in (
-            ("filter", config.filter_cache_enabled),
-            ("request", config.request_cache_enabled),
-            ("result", config.result_cache_enabled),
-        )
+        for level in ("filter", "request", "result")
     ]
     levels.append((
         "shapes",

@@ -3,7 +3,7 @@
 Two cooperating surfaces, both off by default and both deterministic on
 the logical clock:
 
-* :class:`SloEngine` — declarative per-operation / per-tenant objectives
+* :class:`SloEngine` — declarative per-operation objectives
   with rolling-window error budgets and Google-SRE multi-window burn-rate
   alerts (``slo_burn`` / ``slo_recovered`` events).
 * :class:`HeavyHitterProfiler` — bounded Space-Saving sketches naming the
@@ -11,15 +11,13 @@ the logical clock:
   tenant, with count-error bounds on every estimate.
 """
 
-from repro.slo.config import SLO_KINDS, SLO_OPS, SloConfig, SloObjective
+from repro.slo.config import OBJECTIVES, SloObjective
 from repro.slo.engine import BurnAlert, SloEngine
 from repro.slo.profiler import HeavyHitterProfiler
 from repro.slo.sketch import SpaceSavingSketch, rank_top_k
 
 __all__ = [
-    "SLO_KINDS",
-    "SLO_OPS",
-    "SloConfig",
+    "OBJECTIVES",
     "SloObjective",
     "BurnAlert",
     "SloEngine",

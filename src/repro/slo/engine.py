@@ -24,7 +24,18 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from repro.slo.config import SloConfig, SloObjective
+from repro.slo.config import (
+    BUCKET_SECONDS,
+    BURN_THRESHOLD,
+    EVALUATION_INTERVAL_SECONDS,
+    FAST_WINDOW_SECONDS,
+    OBJECTIVES,
+    SLOW_WINDOW_SECONDS,
+    SloObjective,
+)
+
+#: Closed buckets an objective keeps: enough to cover the slow window.
+_MAX_BUCKETS = int(math.ceil(SLOW_WINDOW_SECONDS / BUCKET_SECONDS)) + 1
 
 
 @dataclass(frozen=True)
@@ -34,7 +45,6 @@ class BurnAlert:
     time: float
     kind: str  # "slo_burn" | "slo_recovered"
     slo: str
-    tenant: str | None
     fast_burn: float
     slow_burn: float
     budget_remaining_pct: float
@@ -44,7 +54,6 @@ class BurnAlert:
             "time": self.time,
             "kind": self.kind,
             "slo": self.slo,
-            "tenant": self.tenant,
             "fast_burn": self.fast_burn,
             "slow_burn": self.slow_burn,
             "budget_remaining_pct": self.budget_remaining_pct,
@@ -60,10 +69,10 @@ class _ObjectiveState:
         "fast_burn", "slow_burn",
     )
 
-    def __init__(self, objective: SloObjective, max_buckets: int) -> None:
+    def __init__(self, objective: SloObjective) -> None:
         self.objective = objective
         #: Closed buckets: (start_time, good, bad), oldest first.
-        self.buckets: deque = deque(maxlen=max_buckets)
+        self.buckets: deque = deque(maxlen=_MAX_BUCKETS)
         self.bucket_start: float | None = None
         self.bucket_good = 0
         self.bucket_bad = 0
@@ -85,16 +94,8 @@ class _ObjectiveState:
 class SloEngine:
     """Rolling-window SLO evaluation with multi-window burn-rate alerts."""
 
-    def __init__(self, config: SloConfig | None = None, metrics=None) -> None:
-        self.config = config or SloConfig(enabled=True)
-        max_buckets = (
-            int(math.ceil(self.config.slow_window_seconds
-                          / self.config.bucket_seconds)) + 1
-        )
-        self._states = [
-            _ObjectiveState(objective, max_buckets)
-            for objective in self.config.objectives
-        ]
+    def __init__(self, metrics=None) -> None:
+        self._states = [_ObjectiveState(objective) for objective in OBJECTIVES]
         #: Hot-path index: record() only walks the states matching its op.
         self._states_by_op: dict[str, list] = {}
         for state in self._states:
@@ -106,14 +107,7 @@ class SloEngine:
         self._metrics = metrics
 
     # -- recording ---------------------------------------------------------
-    def record(
-        self,
-        op: str,
-        tenant: object | None,
-        elapsed: float,
-        now: float,
-        error: bool = False,
-    ) -> None:
+    def record(self, op: str, elapsed: float, now: float, error: bool = False) -> None:
         """Classify one finished operation against every matching
         objective. Errored operations count against ``error_rate``
         objectives and produce no latency sample (a shed write has no
@@ -121,14 +115,9 @@ class SloEngine:
         states = self._states_by_op.get(op)
         if not states:
             return
-        bucket = self.config.bucket_seconds
-        start = (now // bucket) * bucket
+        start = (now // BUCKET_SECONDS) * BUCKET_SECONDS
         for state in states:
             objective = state.objective
-            if objective.tenant is not None and (
-                tenant is None or str(tenant) != objective.tenant
-            ):
-                continue
             if objective.kind == "latency":
                 if error:
                     continue
@@ -171,14 +160,10 @@ class SloEngine:
         every objective, advance alert state machines, update gauges.
         Returns the transitions fired at this tick."""
         fired: list[BurnAlert] = []
-        threshold = self.config.burn_threshold
+        threshold = BURN_THRESHOLD
         for state in self._states:
-            fast, fast_n = self._window_burn(
-                state, now, self.config.fast_window_seconds
-            )
-            slow, _ = self._window_burn(
-                state, now, self.config.slow_window_seconds
-            )
+            fast, fast_n = self._window_burn(state, now, FAST_WINDOW_SECONDS)
+            slow, _ = self._window_burn(state, now, SLOW_WINDOW_SECONDS)
             state.fast_burn = fast
             state.slow_burn = slow
             if not state.burning:
@@ -192,7 +177,7 @@ class SloEngine:
             self._export(state)
         self.alerts.extend(fired)
         self.evaluations += 1
-        self._next_evaluation = now + self.config.evaluation_interval_seconds
+        self._next_evaluation = now + EVALUATION_INTERVAL_SECONDS
         return fired
 
     def _window_burn(
@@ -203,11 +188,11 @@ class SloEngine:
         cutoff = now - window
         good = bad = 0
         for start, bucket_good, bucket_bad in state.buckets:
-            if start + self.config.bucket_seconds > cutoff:
+            if start + BUCKET_SECONDS > cutoff:
                 good += bucket_good
                 bad += bucket_bad
         if state.bucket_start is not None and (
-            state.bucket_start + self.config.bucket_seconds > cutoff
+            state.bucket_start + BUCKET_SECONDS > cutoff
         ):
             good += state.bucket_good
             bad += state.bucket_bad
@@ -223,7 +208,6 @@ class SloEngine:
             time=now,
             kind=kind,
             slo=state.objective.name,
-            tenant=state.objective.tenant,
             fast_burn=state.fast_burn,
             slow_burn=state.slow_burn,
             budget_remaining_pct=state.budget_remaining_pct(),
@@ -259,7 +243,6 @@ class SloEngine:
                     "slo": objective.name,
                     "op": objective.op,
                     "kind": objective.kind,
-                    "tenant": objective.tenant,
                     "objective": objective.objective,
                     "good": state.total_good,
                     "bad": state.total_bad,
@@ -276,9 +259,9 @@ class SloEngine:
         """JSON-ready dump (the bundle's ``slo`` section)."""
         return {
             "enabled": True,
-            "burn_threshold": self.config.burn_threshold,
-            "fast_window_seconds": self.config.fast_window_seconds,
-            "slow_window_seconds": self.config.slow_window_seconds,
+            "burn_threshold": BURN_THRESHOLD,
+            "fast_window_seconds": FAST_WINDOW_SECONDS,
+            "slow_window_seconds": SLOW_WINDOW_SECONDS,
             "evaluations": self.evaluations,
             "objectives": self.status(),
             "alerts": [alert.to_dict() for alert in self.alerts],

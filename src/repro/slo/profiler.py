@@ -6,26 +6,30 @@ routing keys, filter terms and query fingerprints doing it. One bounded
 per-shard sketches (routing keys) and bounded per-tenant sketch maps, all
 decayed on logical-clock window boundaries so the picture tracks *current*
 heat. Every estimate ships with its count-error bound, and the tenant maps
-are capped (``max_tracked_tenants``) so a tenant-id flood cannot grow
-memory — overflow tenants still count globally and per shard, and are
-tallied in ``dropped_tenants``.
+are capped (:data:`~repro.slo.config.MAX_TRACKED_TENANTS`) so a tenant-id
+flood cannot grow memory — overflow tenants still count globally and per
+shard, and are tallied in ``dropped_tenants``.
 """
 
 from __future__ import annotations
 
-from repro.slo.config import SloConfig
+from repro.slo.config import (
+    DECAY_FACTOR,
+    DECAY_WINDOW_SECONDS,
+    MAX_TRACKED_TENANTS,
+    SKETCH_CAPACITY,
+    TOP_K,
+)
 from repro.slo.sketch import SpaceSavingSketch
 
 
 class HeavyHitterProfiler:
     """Bounded per-shard / per-tenant heavy-hitter tracking."""
 
-    def __init__(self, config: SloConfig | None = None, metrics=None) -> None:
-        self.config = config or SloConfig(enabled=True)
-        capacity = self.config.sketch_capacity
-        self.routing_keys = SpaceSavingSketch(capacity)
-        self.filter_terms = SpaceSavingSketch(capacity)
-        self.query_fingerprints = SpaceSavingSketch(capacity)
+    def __init__(self, metrics=None) -> None:
+        self.routing_keys = SpaceSavingSketch(SKETCH_CAPACITY)
+        self.filter_terms = SpaceSavingSketch(SKETCH_CAPACITY)
+        self.query_fingerprints = SpaceSavingSketch(SKETCH_CAPACITY)
         self.shard_keys: dict[int, SpaceSavingSketch] = {}
         self.tenant_keys: dict[str, SpaceSavingSketch] = {}
         self.tenant_terms: dict[str, SpaceSavingSketch] = {}
@@ -44,9 +48,7 @@ class HeavyHitterProfiler:
         self.routing_keys.offer(routing_key)
         shard_sketch = self.shard_keys.get(shard_id)
         if shard_sketch is None:
-            shard_sketch = self.shard_keys[shard_id] = SpaceSavingSketch(
-                self.config.sketch_capacity
-            )
+            shard_sketch = self.shard_keys[shard_id] = SpaceSavingSketch(SKETCH_CAPACITY)
         shard_sketch.offer(routing_key)
         tenant_sketch = self._tenant_sketch(self.tenant_keys, tenant)
         if tenant_sketch is not None:
@@ -78,29 +80,25 @@ class HeavyHitterProfiler:
         sketch = table.get(key)
         if sketch is not None:
             return sketch
-        if len(table) >= self.config.max_tracked_tenants:
+        if len(table) >= MAX_TRACKED_TENANTS:
             self.dropped_tenants += 1
             return None
-        sketch = table[key] = SpaceSavingSketch(self.config.sketch_capacity)
+        sketch = table[key] = SpaceSavingSketch(SKETCH_CAPACITY)
         return sketch
 
     # -- decay -------------------------------------------------------------
     def maybe_roll(self, now: float) -> bool:
-        """Decay every sketch once per ``decay_window_seconds`` of logical
-        time (0 disables decay). First call anchors the schedule."""
-        window = self.config.decay_window_seconds
-        if window <= 0:
-            return False
+        """Decay every sketch once per :data:`DECAY_WINDOW_SECONDS` of
+        logical time. First call anchors the schedule."""
         if self._next_decay is None:
-            self._next_decay = now + window
+            self._next_decay = now + DECAY_WINDOW_SECONDS
             return False
         if now < self._next_decay:
             return False
-        factor = self.config.decay_factor
         for sketch in self._all_sketches():
-            sketch.decay(factor)
+            sketch.decay(DECAY_FACTOR)
         self.decays += 1
-        self._next_decay = now + window
+        self._next_decay = now + DECAY_WINDOW_SECONDS
         return True
 
     def _all_sketches(self):
@@ -130,7 +128,7 @@ class HeavyHitterProfiler:
         """``cat_hotkeys`` rows: (dimension, scope, subject, rank, key,
         count, error) — global rows first, then per-shard and per-tenant
         scopes in sorted subject order. Fully deterministic."""
-        k = self.config.top_k if k is None else k
+        k = TOP_K if k is None else k
         rows: list[tuple] = []
 
         def extend(dimension: str, scope: str, subject: str,
@@ -158,10 +156,10 @@ class HeavyHitterProfiler:
 
     def snapshot(self) -> dict:
         """JSON-ready dump (the bundle's ``hotkeys`` section)."""
-        k = self.config.top_k
+        k = TOP_K
         return {
             "enabled": True,
-            "sketch_capacity": self.config.sketch_capacity,
+            "sketch_capacity": SKETCH_CAPACITY,
             "decays": self.decays,
             "dropped_tenants": self.dropped_tenants,
             "concentration_pct": 100.0 * self.routing_keys.concentration(),

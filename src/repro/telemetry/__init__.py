@@ -9,8 +9,7 @@ The measurement substrate for the whole reproduction:
   shard engine → replication; a query traces parse → rewrite → plan →
   per-shard subquery → aggregation);
 * :class:`TraceContext` / :class:`TraceIdGenerator` — deterministic
-  seed-derived W3C-shaped trace ids with head-based sampling (always /
-  ratio / slow-tail);
+  seed-derived W3C-shaped trace ids;
 * :class:`EventLog` — bounded ring of typed operational events
   (throttles, demotions, faults, promotions, slow queries, rule commits)
   stamped with the active trace id;
@@ -47,14 +46,9 @@ from repro.telemetry.timeseries import (
     sparkline,
 )
 from repro.telemetry.context import (
-    SAMPLERS,
-    AlwaysSampler,
-    RatioSampler,
-    SlowTailSampler,
     TraceConfig,
     TraceContext,
     TraceIdGenerator,
-    build_sampler,
     current_context,
     derive_span_id,
 )
@@ -73,11 +67,6 @@ __all__ = [
     "TraceContext",
     "TraceConfig",
     "TraceIdGenerator",
-    "AlwaysSampler",
-    "RatioSampler",
-    "SlowTailSampler",
-    "SAMPLERS",
-    "build_sampler",
     "derive_span_id",
     "current_context",
     "Event",

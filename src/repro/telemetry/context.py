@@ -1,4 +1,4 @@
-"""Deterministic trace contexts: W3C-shaped ids, propagation, sampling.
+"""Deterministic trace contexts: W3C-shaped ids and their propagation.
 
 Every top-level ESDB operation (write, bulk_write, query, rebalance) is
 assigned a :class:`TraceContext` — a W3C-traceparent-shaped
@@ -11,16 +11,8 @@ with tracing on or off.
 The *active* context is carried in a thread-local: a traced root
 (:meth:`repro.telemetry.Tracer.trace`) installs it for the duration of the
 operation and :func:`current_context` reads it, so code deep inside a
-traced operation knows which request it belongs to — the seam a future
-wire protocol will serialize through ``traceparent`` headers.
-
-Head-based sampling keeps full-fidelity tracing affordable: the sampler
-decides per trace (from the trace id bits — deterministic, no RNG) whether
-child spans are recorded and whether the finished root is retained in the
-tracer's ring. ``always`` records everything; ``ratio(p)`` head-drops a
-deterministic fraction; ``slow-tail`` records everything but only retains
-roots that crossed a latency threshold. Errored roots are always retained
-regardless of sampler.
+traced operation knows which request it belongs to. Every trace is
+recorded in full and its finished root retained in the tracer's ring.
 """
 
 from __future__ import annotations
@@ -28,14 +20,6 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-
-from repro.errors import ConfigurationError
-
-#: The only traceparent version this module emits or accepts.
-TRACEPARENT_VERSION = "00"
-
-#: Recognized sampler names for :class:`TraceConfig`.
-SAMPLERS = ("always", "ratio", "slow-tail")
 
 _TRACE_ID_HEX = 32
 _SPAN_ID_HEX = 16
@@ -49,52 +33,26 @@ def _digest(payload: str, hex_chars: int) -> str:
 
 
 class TraceContext:
-    """One request's identity: trace id, root span id, sampling decision."""
+    """One request's identity: trace id and root span id."""
 
-    __slots__ = ("trace_id", "span_id", "sampled")
+    __slots__ = ("trace_id", "span_id")
 
-    def __init__(self, trace_id: str, span_id: str, sampled: bool = True) -> None:
+    def __init__(self, trace_id: str, span_id: str) -> None:
         self.trace_id = trace_id
         self.span_id = span_id
-        self.sampled = sampled
-
-    def traceparent(self) -> str:
-        """The W3C ``traceparent`` header value for this context."""
-        flags = "01" if self.sampled else "00"
-        return f"{TRACEPARENT_VERSION}-{self.trace_id}-{self.span_id}-{flags}"
-
-    @classmethod
-    def parse(cls, header: str) -> "TraceContext":
-        """Parse a ``traceparent`` header back into a context."""
-        parts = header.strip().split("-")
-        if len(parts) != 4:
-            raise ConfigurationError(f"malformed traceparent {header!r}")
-        version, trace_id, span_id, flags = parts
-        if version != TRACEPARENT_VERSION:
-            raise ConfigurationError(f"unsupported traceparent version {version!r}")
-        if len(trace_id) != _TRACE_ID_HEX or len(span_id) != _SPAN_ID_HEX:
-            raise ConfigurationError(f"malformed traceparent ids in {header!r}")
-        try:
-            int(trace_id, 16), int(span_id, 16), int(flags, 16)
-        except ValueError:
-            raise ConfigurationError(
-                f"non-hex traceparent field in {header!r}"
-            ) from None
-        return cls(trace_id, span_id, sampled=bool(int(flags, 16) & 0x1))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TraceContext({self.traceparent()})"
+        return f"TraceContext({self.trace_id}-{self.span_id})"
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TraceContext)
             and self.trace_id == other.trace_id
             and self.span_id == other.span_id
-            and self.sampled == other.sampled
         )
 
     def __hash__(self) -> int:
-        return hash((self.trace_id, self.span_id, self.sampled))
+        return hash((self.trace_id, self.span_id))
 
 
 def derive_span_id(trace_id: str, parent_span_id: str, index: int, name: str) -> str:
@@ -132,73 +90,7 @@ class TraceIdGenerator:
         # The root span id is the trace id's leading half: already uniform
         # blake2b bits, and one digest per operation instead of two — this
         # runs on the write hot path.
-        return TraceContext(trace_id, trace_id[:_SPAN_ID_HEX], sampled=True)
-
-
-# -- samplers -----------------------------------------------------------------
-
-
-class AlwaysSampler:
-    """Record and retain every trace."""
-
-    name = "always"
-
-    def sample(self, context: TraceContext) -> bool:
-        return True
-
-    def retain(self, context: TraceContext, root) -> bool:
-        return True
-
-
-class RatioSampler:
-    """Head-based ratio sampling, decided from the trace id bits.
-
-    The decision is a pure function of the trace id (its leading 8 hex
-    digits scaled to [0, 1) against *ratio*), so the same trace is sampled
-    on every run and on every node that sees it — no coordination, no RNG.
-    Unsampled traces keep their (timed, tagged) root span for metrics but
-    record no children and are not retained in the finished ring.
-    """
-
-    name = "ratio"
-
-    def __init__(self, ratio: float) -> None:
-        if not 0.0 <= ratio <= 1.0:
-            raise ConfigurationError(f"sampling ratio must be in [0, 1], got {ratio}")
-        self.ratio = ratio
-
-    def sample(self, context: TraceContext) -> bool:
-        if self.ratio >= 1.0:
-            return True
-        if self.ratio <= 0.0:
-            return False
-        return int(context.trace_id[:8], 16) / float(0xFFFFFFFF) < self.ratio
-
-    def retain(self, context: TraceContext, root) -> bool:
-        return context.sampled
-
-
-class SlowTailSampler:
-    """Record everything; retain only roots that crossed the threshold.
-
-    The keep-if-slow policy: every trace is recorded in full (children
-    included) so a slow one is complete when it finishes, but fast roots
-    are dropped from the finished ring — the ring becomes a reservoir of
-    exactly the traces an operator wants to look at.
-    """
-
-    name = "slow-tail"
-
-    def __init__(self, threshold_seconds: float) -> None:
-        if threshold_seconds < 0:
-            raise ConfigurationError("slow-tail threshold must be >= 0")
-        self.threshold_seconds = threshold_seconds
-
-    def sample(self, context: TraceContext) -> bool:
-        return True
-
-    def retain(self, context: TraceContext, root) -> bool:
-        return root.duration >= self.threshold_seconds
+        return TraceContext(trace_id, trace_id[:_SPAN_ID_HEX])
 
 
 @dataclass(frozen=True)
@@ -207,53 +99,18 @@ class TraceConfig:
 
     Attributes:
         enabled: allocate a deterministic :class:`TraceContext` per
-            top-level operation. Disabled, the instance allocates no ids
-            and every span tree looks exactly as it did before this layer
-            existed — the bit-identity the chaos fingerprint tests pin.
-        sampler: head-sampling policy — ``"always"`` (default),
-            ``"ratio"`` (keep a deterministic ``ratio`` fraction of
-            traces) or ``"slow-tail"`` (record all, retain only roots
-            slower than ``slow_tail_seconds``).
-        ratio: fraction of traces kept by the ``ratio`` sampler.
-        slow_tail_seconds: retention threshold for ``slow-tail``.
-        seed: trace-id seed. None (default) uses the cluster topology's
-            seed, so one seeded scenario fully determines its trace ids.
-        events_capacity: ring size of the structured event log
-            (:class:`repro.telemetry.events.EventLog`).
+            top-level operation, seeded by the cluster topology's seed.
+            Disabled, the instance allocates no ids and every span tree
+            looks exactly as it did before this layer existed — the
+            bit-identity the chaos fingerprint tests pin.
     """
 
     enabled: bool = True
-    sampler: str = "always"
-    ratio: float = 1.0
-    slow_tail_seconds: float = 0.005
-    seed: int | None = None
-    events_capacity: int = 256
-
-    def __post_init__(self) -> None:
-        if self.sampler not in SAMPLERS:
-            raise ConfigurationError(
-                f"unknown sampler {self.sampler!r}; expected one of {SAMPLERS}"
-            )
-        if not 0.0 <= self.ratio <= 1.0:
-            raise ConfigurationError(f"ratio must be in [0, 1], got {self.ratio}")
-        if self.slow_tail_seconds < 0:
-            raise ConfigurationError("slow_tail_seconds must be >= 0")
-        if self.events_capacity < 1:
-            raise ConfigurationError("events_capacity must be >= 1")
 
     @classmethod
     def off(cls) -> "TraceConfig":
-        """Tracing disabled — no contexts, no sampling, pre-trace spans."""
+        """Tracing disabled — no contexts, pre-trace spans."""
         return cls(enabled=False)
-
-
-def build_sampler(config: TraceConfig):
-    """The sampler object a :class:`TraceConfig` selects."""
-    if config.sampler == "ratio":
-        return RatioSampler(config.ratio)
-    if config.sampler == "slow-tail":
-        return SlowTailSampler(config.slow_tail_seconds)
-    return AlwaysSampler()
 
 
 # -- thread-local propagation -------------------------------------------------

@@ -118,7 +118,7 @@ class NullTracer:
     def span(self, name: str, **tags) -> _NullSpanContext:
         return _NULL_SPAN_CONTEXT
 
-    def trace(self, name: str, context=None, sampler=None, **tags) -> _NullSpanContext:
+    def trace(self, name: str, context=None, **tags) -> _NullSpanContext:
         return _NULL_SPAN_CONTEXT
 
     @property

@@ -170,65 +170,35 @@ def _assign_span_ids(root: Span, trace_id: str) -> None:
             pending.append(child)
 
 
-class _SuppressedSpanContext:
-    """Span context handed out while the active trace is head-unsampled:
-    yields a fresh detached span (safe to tag) that joins no tree."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> Span:
-        return Span("suppressed")
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-_SUPPRESSED_SPAN_CONTEXT = _SuppressedSpanContext()
-
-
 class _RootSpanContext(_SpanContext):
     """Root span of one traced operation.
 
-    On enter: applies the head-sampling decision to the context, stamps
-    the span with the context's ids, activates the context on this thread
-    (so :func:`~repro.telemetry.context.current_context` sees it inside
-    the operation) and — when unsampled — raises the
-    tracer's suppress flag so descendant ``span()`` calls record nothing.
-    On exit: restores thread state, finalizes deterministic span ids over
-    the assembled tree, and applies the sampler's retention policy to the
-    finished ring (errored roots are always retained).
+    On enter: stamps the span with the context's ids and activates the
+    context on this thread (so
+    :func:`~repro.telemetry.context.current_context` sees it inside the
+    operation). On exit: restores the thread's previous context and
+    finalizes deterministic span ids over the assembled tree.
     """
 
-    __slots__ = ("_context", "_sampler", "_prev_context", "_prev_suppress")
+    __slots__ = ("_context", "_prev_context")
 
     def __init__(
-        self,
-        tracer: "Tracer",
-        span: Span,
-        context: TraceContext | None,
-        sampler,
+        self, tracer: "Tracer", span: Span, context: TraceContext | None
     ) -> None:
         super().__init__(tracer, span)
         self._context = context
-        self._sampler = sampler
         self._prev_context = None
-        self._prev_suppress = False
 
     def __enter__(self) -> Span:
-        tracer = self._tracer
-        span = self._span
         context = self._context
         if context is not None:
-            if self._sampler is not None:
-                context.sampled = bool(self._sampler.sample(context))
+            span = self._span
             span.trace_id = context.trace_id
             span.span_id = context.span_id
             # The thread-local swap happens inline: this is the
             # per-operation hot path.
             self._prev_context = getattr(_ACTIVE, "context", None)
             _ACTIVE.context = context
-            self._prev_suppress = getattr(tracer._local, "suppress", False)
-            tracer._local.suppress = not context.sampled
         return super().__enter__()
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -242,16 +212,11 @@ class _RootSpanContext(_SpanContext):
             stack.pop()
         context = self._context
         if context is not None:
-            tracer._local.suppress = self._prev_suppress
             _ACTIVE.context = self._prev_context
         if not stack:
             if context is not None:
                 _assign_span_ids(span, context.trace_id)
-            retained = True
-            if exc_type is None and context is not None and self._sampler is not None:
-                retained = bool(self._sampler.retain(context, span))
-            if retained:
-                tracer.finished.append(span)
+            tracer.finished.append(span)
 
 
 class Tracer:
@@ -285,27 +250,19 @@ class Tracer:
         return stack
 
     def span(self, name: str, **tags):
-        """Open a span named *name* as a child of the current span. While
-        the active trace is head-unsampled, returns a detached no-op span
-        instead — the root keeps its timing, the children cost nothing."""
-        if getattr(self._local, "suppress", False):
-            return _SUPPRESSED_SPAN_CONTEXT
+        """Open a span named *name* as a child of the current span."""
         return _SpanContext(self, Span(name, tags or None))
 
     def trace(
-        self,
-        name: str,
-        context: TraceContext | None = None,
-        sampler=None,
-        **tags,
+        self, name: str, context: TraceContext | None = None, **tags
     ) -> _RootSpanContext:
         """Open the root span of one traced operation.
 
         With ``context=None`` (tracing disabled) this behaves exactly like
-        :meth:`span` — no ids, no sampling, always retained — so the
-        pre-trace span trees and chaos fingerprints are bit-identical.
+        :meth:`span` — no ids — so the pre-trace span trees and chaos
+        fingerprints are bit-identical.
         """
-        return _RootSpanContext(self, Span(name, tags or None), context, sampler)
+        return _RootSpanContext(self, Span(name, tags or None), context)
 
     @property
     def current(self) -> Span | None:

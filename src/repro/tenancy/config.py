@@ -1,10 +1,11 @@
 """Configuration of multi-tenant resource governance (``EsdbConfig.tenancy``).
 
-One frozen dataclass tunes the four governance mechanisms of
+One frozen dataclass tunes the governance mechanisms of
 :mod:`repro.tenancy`: per-tenant token-bucket rate limits (writes/s and
-queries/s with burst allowance), QoS priority classes with weighted access
-to the shared admission queue, per-tenant byte/operation quotas over
-tumbling logical-clock windows, and the alert-driven auto-demotion policy.
+queries/s with burst allowance), the shared admission queue, and
+per-tenant byte/operation quotas over tumbling logical-clock windows. The
+QoS classes' queue shares and the alert-driven auto-demotion policy are
+fixed below.
 
 ``TenancyConfig()`` is **disabled** by default — the facade then builds no
 governor and every path is byte-identical to an ungoverned instance.
@@ -14,15 +15,20 @@ chaos scenario and benchmarks use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
-#: QoS priority classes, highest priority first. Admission under
-#: saturation is granted in this order: a class may only occupy its
-#: configured fraction of the shared admission queue, so low-priority
-#: backlog is shed first while interactive traffic still books slots.
-QOS_CLASSES = ("interactive", "standard", "batch")
+#: The QoS classes and the fraction of the admission queue each may fill.
+#: Every tenant is ``standard`` until the governance policy demotes it to
+#: ``batch``, whose backlog sheds once the queue is 25% full (standard at
+#: 60%) — low-priority backlog is shed first under saturation.
+QUEUE_SHARES = {"standard": 0.6, "batch": 0.25}
+#: A hot-tenant skew alert at or above this window write share demotes
+#: the tenant to ``batch`` ...
+DEMOTE_SHARE = 0.35
+#: ... for this many logical seconds.
+DEMOTE_SECONDS = 60.0
 
 #: Pseudo-tenant that owns cross-tenant (fan-out-all) queries.
 CLUSTER_TENANT = "*"
@@ -42,16 +48,9 @@ class TenancyConfig:
         query_rate / query_burst: same for queries.
         queue_capacity: slots in the shared bounded admission queue. A
             request that exceeds its tenant's rate *books* a future-token
-            slot here (backpressure) instead of failing immediately;
-            overflow is shed with
+            slot here (backpressure) instead of failing immediately; a
+            class past its :data:`QUEUE_SHARES` fraction is shed with
             :class:`~repro.errors.TenantThrottledError`.
-        interactive_queue_share / standard_queue_share / batch_queue_share:
-            fraction of ``queue_capacity`` each QoS class may fill. With
-            the defaults, batch backlog sheds once the queue is 25% full,
-            standard at 60%, while interactive may use all of it — the
-            weighted-admission ordering under saturation.
-        default_qos: class assigned to tenants without an explicit entry.
-        tenant_qos: ``((tenant, qos), ...)`` static class assignments.
         indexed_bytes_quota: bytes a tenant may index per quota window
             (None = unlimited).
         result_bytes_quota: result-set bytes a tenant's queries may return
@@ -61,12 +60,6 @@ class TenancyConfig:
         quota_window_seconds: tumbling quota window length on the
             instance's *logical* clock; usage resets exactly at window
             boundaries, deterministically.
-        auto_demote: let the governance policy demote tenants to ``batch``
-            when the skew window raises a hot-tenant alert at or above
-            ``demote_share``.
-        demote_share: window write share at which a hot tenant is demoted.
-        demote_seconds: logical seconds a demotion lasts before the tenant
-            is restored to its configured class.
     """
 
     enabled: bool = False
@@ -75,18 +68,10 @@ class TenancyConfig:
     query_rate: float = 200.0
     query_burst: float = 40.0
     queue_capacity: int = 64
-    interactive_queue_share: float = 1.0
-    standard_queue_share: float = 0.6
-    batch_queue_share: float = 0.25
-    default_qos: str = "standard"
-    tenant_qos: tuple = ()
     indexed_bytes_quota: int | None = None
     result_bytes_quota: int | None = None
     scanned_docs_quota: int | None = None
     quota_window_seconds: float = 60.0
-    auto_demote: bool = True
-    demote_share: float = 0.35
-    demote_seconds: float = 60.0
 
     def __post_init__(self) -> None:
         if self.write_rate <= 0 or self.query_rate <= 0:
@@ -95,49 +80,12 @@ class TenancyConfig:
             raise ConfigurationError("write_burst/query_burst must be >= 1")
         if self.queue_capacity < 1:
             raise ConfigurationError("queue_capacity must be >= 1")
-        for name in (
-            "interactive_queue_share",
-            "standard_queue_share",
-            "batch_queue_share",
-        ):
-            share = getattr(self, name)
-            if not 0.0 < share <= 1.0:
-                raise ConfigurationError(f"{name} must be in (0, 1]")
-        if not (
-            self.interactive_queue_share
-            >= self.standard_queue_share
-            >= self.batch_queue_share
-        ):
-            raise ConfigurationError(
-                "queue shares must not increase with lower priority"
-            )
-        if self.default_qos not in QOS_CLASSES:
-            raise ConfigurationError(
-                f"default_qos must be one of {QOS_CLASSES}, got {self.default_qos!r}"
-            )
-        for tenant, qos in self.tenant_qos:
-            if qos not in QOS_CLASSES:
-                raise ConfigurationError(
-                    f"tenant {tenant!r} assigned unknown QoS class {qos!r}"
-                )
         for name in ("indexed_bytes_quota", "result_bytes_quota", "scanned_docs_quota"):
             quota = getattr(self, name)
             if quota is not None and quota < 1:
                 raise ConfigurationError(f"{name} must be >= 1 or None")
         if self.quota_window_seconds <= 0:
             raise ConfigurationError("quota_window_seconds must be positive")
-        if not 0.0 < self.demote_share <= 1.0:
-            raise ConfigurationError("demote_share must be in (0, 1]")
-        if self.demote_seconds <= 0:
-            raise ConfigurationError("demote_seconds must be positive")
-
-    def queue_share(self, qos: str) -> float:
-        """The fraction of the admission queue *qos* may occupy."""
-        return {
-            "interactive": self.interactive_queue_share,
-            "standard": self.standard_queue_share,
-            "batch": self.batch_queue_share,
-        }[qos]
 
     @staticmethod
     def strict(**overrides) -> "TenancyConfig":
@@ -157,7 +105,3 @@ class TenancyConfig:
         )
         params.update(overrides)
         return TenancyConfig(**params)
-
-    def with_qos(self, tenant: object, qos: str) -> "TenancyConfig":
-        """A copy with one extra static QoS assignment."""
-        return replace(self, tenant_qos=self.tenant_qos + ((tenant, qos),))

@@ -17,10 +17,9 @@ the query pipeline. An operation meets four gates, in order:
    token accrues. Bounded queue, deterministic drain.
 4. **Shed** — a request whose QoS class has already filled its share of
    the queue is rejected with a structured
-   :class:`~repro.errors.TenantThrottledError`. Because class shares
-   shrink with priority (batch < standard < interactive), low-priority
-   backlog sheds first and interactive tenants are still admitted when
-   the cluster saturates.
+   :class:`~repro.errors.TenantThrottledError`. Because a demoted
+   (``batch``) tenant's share is the smaller one, its backlog sheds first
+   when the cluster saturates.
 
 Everything runs on the injected logical clock — no wall time — so a
 governed chaos run keeps the same-seed ⇒ same-fingerprint guarantee.
@@ -33,7 +32,12 @@ from typing import Any, Iterable, Mapping
 
 from repro.errors import TenantThrottledError
 from repro.tenancy.bucket import QuotaLedger, TokenBucket
-from repro.tenancy.config import CLUSTER_TENANT, TenancyConfig
+from repro.tenancy.config import (
+    CLUSTER_TENANT,
+    DEMOTE_SECONDS,
+    QUEUE_SHARES,
+    TenancyConfig,
+)
 
 
 def doc_bytes(source: Mapping[str, Any]) -> int:
@@ -58,8 +62,8 @@ class _TenantState:
         "cpu_seconds",
     )
 
-    def __init__(self, config: TenancyConfig, qos: str) -> None:
-        self.qos = qos
+    def __init__(self, config: TenancyConfig) -> None:
+        self.qos = "standard"
         self.write_bucket = TokenBucket(config.write_rate, config.write_burst)
         self.query_bucket = TokenBucket(config.query_rate, config.query_burst)
         self.ledger = QuotaLedger(config.quota_window_seconds)
@@ -73,20 +77,18 @@ class _TenantState:
 class TenantGovernor:
     """Admission control, QoS, quotas and backpressure for one instance.
 
-    The *policy* hook (default :class:`~repro.tenancy.policy.
-    GovernancePolicy`) consumes the observer's skew alerts via
-    :meth:`apply_alerts` and may demote abusive tenants; a custom policy
-    object only needs an ``on_alerts(governor, alerts, now)`` method.
+    Its :class:`~repro.tenancy.policy.GovernancePolicy` consumes the
+    observer's skew alerts via :meth:`apply_alerts` and may demote abusive
+    tenants.
     """
 
-    def __init__(self, config: TenancyConfig, metrics=None, policy=None) -> None:
+    def __init__(self, config: TenancyConfig, metrics=None) -> None:
         from repro.tenancy.policy import GovernancePolicy
 
         self.config = config
-        self.policy = policy if policy is not None else GovernancePolicy(config)
+        self.policy = GovernancePolicy()
         self._metrics = metrics
         self._tenants: dict[object, _TenantState] = {}
-        self._static_qos = dict(config.tenant_qos)
         #: Booked admission-queue slots: release times, a min-heap.
         self._queue: list[float] = []
         self.demotions: list[tuple[float, object, str]] = []
@@ -101,9 +103,7 @@ class TenantGovernor:
     def _state(self, tenant: object) -> _TenantState:
         state = self._tenants.get(tenant)
         if state is None:
-            qos = self._static_qos.get(tenant, self.config.default_qos)
-            state = _TenantState(self.config, qos)
-            self._tenants[tenant] = state
+            state = self._tenants[tenant] = _TenantState(self.config)
         return state
 
     def qos_of(self, tenant: object, now: float) -> str:
@@ -112,17 +112,17 @@ class TenantGovernor:
         unseen tenant's class is reported without creating its state."""
         state = self._tenants.get(tenant)
         if state is None:
-            return self._static_qos.get(tenant, self.config.default_qos)
+            return "standard"
         if state.demoted_until is not None and now >= state.demoted_until:
             state.demoted_until = None
-            state.qos = self._static_qos.get(tenant, self.config.default_qos)
+            state.qos = "standard"
         return state.qos
 
     def demote(self, tenant: object, now: float, reason: str = "") -> None:
-        """Drop a tenant to ``batch`` until ``now + demote_seconds``."""
+        """Drop a tenant to ``batch`` until ``now + DEMOTE_SECONDS``."""
         state = self._state(tenant)
         state.qos = "batch"
-        state.demoted_until = now + self.config.demote_seconds
+        state.demoted_until = now + DEMOTE_SECONDS
         self.demotions.append((now, tenant, reason))
 
     def is_demoted(self, tenant: object, now: float) -> bool:
@@ -223,7 +223,7 @@ class TenantGovernor:
             return 0.0
         # Bucket empty: book a future token through the shared queue if the
         # class's share still has room, else shed.
-        allowed = max(1, int(self.config.queue_capacity * self.config.queue_share(qos)))
+        allowed = max(1, int(self.config.queue_capacity * QUEUE_SHARES[qos]))
         if len(self._queue) >= allowed:
             retry_after = (
                 self._queue[0] - now if self._queue else bucket.wait_time(now)

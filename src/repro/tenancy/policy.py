@@ -1,38 +1,34 @@
 """Alert-driven governance policy: demote abusive tenants automatically.
 
 The observer's :class:`~repro.obsv.skew.SkewWindow` already raises
-``hot_tenant`` alerts when one tenant dominates a write window. The
-default :class:`GovernancePolicy` closes the loop: when governance is on
-and an alert's window share reaches ``TenancyConfig.demote_share``, the
-offending tenant is demoted to the ``batch`` QoS class for
-``demote_seconds`` — its backlog then sheds first under saturation while
-well-behaved tenants keep their priority. Custom policies only need an
-``on_alerts(governor, alerts, now)`` method.
+``hot_tenant`` alerts when one tenant dominates a write window.
+:class:`GovernancePolicy` closes the loop: when governance is on and an
+alert's window share reaches :data:`~repro.tenancy.config.DEMOTE_SHARE`,
+the offending tenant is demoted to the ``batch`` QoS class for
+:data:`~repro.tenancy.config.DEMOTE_SECONDS` — its backlog then sheds
+first under saturation while well-behaved tenants keep their priority.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+from repro.tenancy.config import DEMOTE_SHARE
+
 
 class GovernancePolicy:
     """Demote tenants named by hot-tenant skew alerts to ``batch``."""
-
-    def __init__(self, config) -> None:
-        self.config = config
 
     def on_alerts(self, governor, alerts: Iterable, now: float) -> list[object]:
         """Apply one round of freshly raised alerts; returns the tenants
         demoted this round (already-demoted tenants are not re-demoted,
         their window just restarts)."""
         demoted: list[object] = []
-        if not self.config.auto_demote:
-            return demoted
         for alert in alerts:
             if getattr(alert, "kind", None) != "hot_tenant":
                 continue
             share = float(alert.measurement.get("share", 0.0))
-            if share < self.config.demote_share:
+            if share < DEMOTE_SHARE:
                 continue
             tenant = alert.subject
             already = governor.is_demoted(tenant, now)

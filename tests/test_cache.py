@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cache import (
-    CacheConfig,
+    FILTER_CACHE_BYTES,
     CoordinatorResultCache,
     LruCache,
     SegmentFilterCache,
@@ -22,7 +22,7 @@ from repro import ESDB, EsdbConfig
 from repro.cache.request_cache import SEEN_STATEMENTS
 from repro.errors import ConfigurationError
 from repro.query import parse_sql
-from repro.storage import EngineConfig, Schema, ShardEngine
+from repro.storage import EngineConfig, ShardEngine
 from repro.storage.postings import PostingList
 from repro.telemetry import Telemetry
 from tests.conftest import make_log
@@ -231,9 +231,8 @@ class TestShardRequestCache:
         assert cache.admit(f"stmt:{SEEN_STATEMENTS - 1}")
 
     def test_a_forgotten_statement_still_hits_its_live_entries(self):
-        db = ESDB(
-            EsdbConfig(cache=CacheConfig(result_cache_enabled=False), auto_refresh_every=None)
-        )
+        db = ESDB(EsdbConfig(auto_refresh_every=None))
+        db.result_cache = None  # every repeat reaches the shards
         for i in range(20):
             db.write(make_log(i, tenant=i % 2, created=float(i)))
         db.refresh()
@@ -309,23 +308,34 @@ class TestCoordinatorResultCache:
         assert cache.stats.misses == 1
 
 
-class TestCacheConfig:
-    def test_default_all_enabled(self):
-        config = CacheConfig()
-        assert config.filter_cache_enabled
-        assert config.request_cache_enabled
-        assert config.result_cache_enabled
+class TestCacheSwitch:
+    def test_default_builds_every_level(self):
+        db = ESDB(EsdbConfig())
+        assert db.result_cache is not None and db.request_cache is not None
+        for engine in db.engines.values():
+            assert engine.filter_cache._lru.max_bytes == FILTER_CACHE_BYTES
 
-    def test_off_disables_every_level(self):
-        config = CacheConfig.off()
-        assert not config.filter_cache_enabled
-        assert not config.request_cache_enabled
-        assert not config.result_cache_enabled
+    def test_cat_caches_reads_the_switch(self):
+        from repro.obsv import cat_caches
 
-    def test_scaled_multiplies_budgets(self):
-        config = CacheConfig().scaled(0.5)
-        assert config.filter_cache_bytes == CacheConfig().filter_cache_bytes // 2
-        assert config.filter_cache_enabled  # switches untouched
+        for cache, shown in ((True, "on"), (False, "off")):
+            rows = cat_caches(ESDB(EsdbConfig(cache=cache))).to_dicts()
+            assert {row["level"]: row["enabled"] for row in rows} == {
+                "filter": shown, "request": shown, "result": shown, "shapes": "on",
+            }
+
+    def test_request_and_result_budgets_are_fixed(self):
+        from repro.cache import REQUEST_CACHE_BYTES, RESULT_CACHE_BYTES
+
+        db = ESDB(EsdbConfig())
+        assert db.request_cache._lru.max_bytes == REQUEST_CACHE_BYTES == 8 << 20
+        assert db.result_cache._lru.max_bytes == RESULT_CACHE_BYTES == 8 << 20
+        assert FILTER_CACHE_BYTES == 4 << 20
+
+    def test_off_builds_no_level(self):
+        db = ESDB(EsdbConfig(cache=False))
+        assert db.result_cache is None and db.request_cache is None
+        assert all(engine.filter_cache is None for engine in db.engines.values())
 
 
 class TestEngineFilterCache:

@@ -5,7 +5,7 @@ explain_analyze cache spans and report lines."""
 from __future__ import annotations
 
 
-from repro import ESDB, CacheConfig, EsdbConfig
+from repro import ESDB, EsdbConfig
 from repro.cluster import ClusterTopology
 from repro.obsv import render_report, snapshot
 from tests.conftest import make_log
@@ -13,14 +13,12 @@ from tests.conftest import make_log
 TOPOLOGY = ClusterTopology(num_nodes=2, num_shards=8)
 
 
-def build_db(cache: CacheConfig | None = None, **kwargs) -> ESDB:
-    config = EsdbConfig(
-        topology=TOPOLOGY,
-        auto_refresh_every=None,
-        cache=cache if cache is not None else CacheConfig(),
-        **kwargs,
-    )
-    db = ESDB(config)
+def build_db(result_cache: bool = True, **kwargs) -> ESDB:
+    """The test instance; without *result_cache* its coordinator cache is
+    dropped, so repeats reach the shard request cache."""
+    db = ESDB(EsdbConfig(topology=TOPOLOGY, auto_refresh_every=None, **kwargs))
+    if not result_cache:
+        db.result_cache = None
     for i in range(40):
         db.write(make_log(i, tenant=f"t{i % 4}", created=float(i), status=i % 3))
     db.refresh()
@@ -117,9 +115,7 @@ class TestResultCacheHitAccounting:
     instance too."""
 
     def test_hit_records_the_tenant_and_terms_of_its_miss(self):
-        from repro.slo import SloConfig
-
-        db = build_db(slo=SloConfig(enabled=True))
+        db = build_db(slo=True)
         slo, hot, search = [], [], []
         db.slo.record = _tap(db.slo.record, slo)
         db.hotkeys.record_query = _tap(db.hotkeys.record_query, hot)
@@ -128,7 +124,7 @@ class TestResultCacheHitAccounting:
         for _ in range(3):
             db.execute_sql(sql)
         assert db.result_cache.stats.hits == 2
-        assert [args[:2] for args in slo] == [("query", "t1")] * 3
+        assert [args[0] for args in slo] == ["query"] * 3
         assert [args[0] for args in search] == ["t1"] * 3
         tenant, _, terms = hot[0]
         assert tenant == "t1"
@@ -137,15 +133,11 @@ class TestResultCacheHitAccounting:
 
 
 class TestShardRequestCache:
-    def cfg(self) -> CacheConfig:
-        # Result cache off so lookups reach the shard level.
-        return CacheConfig(result_cache_enabled=False)
-
     def test_per_shard_hits_when_result_cache_off(self):
         """A statement is stored from its second sighting on: the first
         misses every shard and stores nothing, the second stores one entry
         per shard, the third hits every shard."""
-        db = build_db(cache=self.cfg())
+        db = build_db(result_cache=False)
         assert db.result_cache is None
         stats = db.request_cache.stats
         first = db.execute_sql(QUERY)
@@ -159,7 +151,7 @@ class TestShardRequestCache:
         assert rows_of(first) == rows_of(third)
 
     def test_refresh_on_one_shard_only_invalidates_that_shard(self):
-        db = build_db(cache=self.cfg())
+        db = build_db(result_cache=False)
         wide = "SELECT * FROM transaction_logs WHERE status = 1"  # all shards
         before = db.execute_sql(wide)
         assert before.subqueries == TOPOLOGY.num_shards
@@ -179,8 +171,8 @@ class TestShardRequestCache:
 
     def test_cached_vs_uncached_results_identical(self):
         cached = build_db()
-        request_only = build_db(cache=self.cfg())
-        uncached = build_db(cache=CacheConfig.off())
+        request_only = build_db(result_cache=False)
+        uncached = build_db(cache=False)
         assert uncached.request_cache is None and uncached.result_cache is None
         for sql in (
             QUERY,
@@ -213,7 +205,7 @@ class TestExplainAnalyzeCacheSpans:
         assert warm.tags["rows"] == cold.tags["rows"]
 
     def test_request_level_hit_span_inside_shard_span(self):
-        db = build_db(cache=CacheConfig(result_cache_enabled=False))
+        db = build_db(result_cache=False)
         db.explain_analyze(QUERY)
         db.explain_analyze(QUERY)  # the second sighting stores
         warm = db.explain_analyze(QUERY)
@@ -237,12 +229,12 @@ class TestRenderedReport:
         assert "cache[result]:" in report
 
     def test_no_cache_lines_when_disabled(self):
-        db = build_db(cache=CacheConfig.off())
+        db = build_db(cache=False)
         db.execute_sql(QUERY)
         report = render_report(snapshot(db))
         for level in ("filter", "request", "result"):
             assert f"cache[{level}]" not in report
-        # The statement-shape map is no CacheConfig level: it always runs.
+        # The statement-shape map is no cache level: it always runs.
         assert "cache[shapes]: 0 hits / 1 misses" in report
 
     def test_works_with_telemetry_disabled(self):

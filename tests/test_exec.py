@@ -205,10 +205,8 @@ class TestOneQueryPath:
 
     @pytest.mark.parametrize("sql", STATEMENT_SHAPES.values(), ids=STATEMENT_SHAPES)
     def test_each_shape_repeats_from_the_result_cache(self, sql):
-        from repro import CacheConfig
-
         db = loaded_db()
-        uncached = loaded_db(cache=CacheConfig.off())
+        uncached = loaded_db(cache=False)
         first = db.execute_sql(sql)
         assert first.total_hits > 0
         subqueries = db.telemetry.metrics.total("esdb_subqueries_total")
@@ -242,17 +240,15 @@ class TestOneQueryPath:
         "sql, tenant", TENANT_SHAPES.values(), ids=TENANT_SHAPES
     )
     def test_hit_is_charged_to_the_tenant_its_miss_read(self, sql, tenant):
-        from repro.slo import SloConfig
-
-        db = tenant_db(slo=SloConfig(enabled=True))
+        db = tenant_db(slo=True)
         records = []
-        db.slo.record = tap(db.slo.record, records)
+        db.hotkeys.record_query = tap(db.hotkeys.record_query, records)
         first = db.execute_sql(sql)
         assert first.total_hits > 0
         second = db.execute_sql(sql)
         assert db.result_cache.stats.hits == 1
         assert second.rows == first.rows
-        assert [args[:2] for args in records] == [("query", tenant)] * 2
+        assert [args[0] for args in records] == [tenant] * 2
 
     def test_hit_does_not_prepare_the_statement(self, monkeypatch):
         db = loaded_db()
@@ -342,14 +338,17 @@ class TestResultCacheEviction:
     STATEMENT = "SELECT COUNT(*) FROM t WHERE tenant_id = {}"
 
     def two_entry_db(self, **extras) -> ESDB:
-        from repro import CacheConfig
+        from repro.cache import CoordinatorResultCache
 
-        probe = tenant_db()
-        probe.execute_sql(self.STATEMENT.format(1))
-        cost = probe.result_cache.stats.bytes
+        db = tenant_db(**extras)
+        db.execute_sql(self.STATEMENT.format(1))
+        cost = db.result_cache.stats.bytes
         # Room for two entries of equal cost (each tenant counts 8
         # documents on one shard), not for three.
-        return tenant_db(cache=CacheConfig(result_cache_bytes=2 * cost + cost // 2), **extras)
+        db.result_cache = CoordinatorResultCache(
+            2 * cost + cost // 2, metrics=db.telemetry.metrics
+        )
+        return db
 
     def test_full_cache_evicts_the_stalest_entry_only(self):
         db = self.two_entry_db()
@@ -363,17 +362,15 @@ class TestResultCacheEviction:
         assert db.result_cache.stats.hits == 3
 
     def test_evicted_statement_is_charged_to_its_tenant_again(self):
-        from repro.slo import SloConfig
-
-        db = self.two_entry_db(slo=SloConfig(enabled=True))
+        db = self.two_entry_db(slo=True)
         for tenant in (1, 2, 3):
             db.execute_sql(self.STATEMENT.format(tenant))
         records = []
-        db.slo.record = tap(db.slo.record, records)
+        db.hotkeys.record_query = tap(db.hotkeys.record_query, records)
         result = db.execute_sql(self.STATEMENT.format(1))
         assert db.result_cache.stats.hits == 0
         assert result.scalar() == 8
-        assert [args[:2] for args in records] == [("query", 1)]
+        assert [args[0] for args in records] == [1]
 
 
 # -- observability -------------------------------------------------------------
@@ -627,16 +624,12 @@ class TestChaosFingerprintTracingIdentity:
 
 
 class TestTraceDeterminism:
-    """Same seed ⇒ same trace ids, same sampling decisions, same event
-    sequence."""
+    """Same seed ⇒ same trace ids and the same event sequence."""
 
-    def _run_workload(self, tracing=None):
+    def _run_workload(self):
         from repro.obsv import ObsvConfig
 
-        extras = {"obsv": ObsvConfig(search_info_seconds=0.0)}
-        if tracing is not None:
-            extras["tracing"] = tracing
-        db = make_db(**extras)
+        db = make_db(obsv=ObsvConfig(search_info_seconds=0.0))
         for doc in zipf_docs(60, seed=21):
             db.write(doc)
         db.refresh()
@@ -648,23 +641,13 @@ class TestTraceDeterminism:
         trace_ids = [
             span.trace_id for span in db.telemetry.tracer.recent_traces()
         ]
-        sampled = [
-            span.trace_id is not None
-            for span in db.telemetry.tracer.recent_traces()
-        ]
         events = [
             (e.kind, e.tenant, e.shard, e.trace_id) for e in db.events.query()
         ]
-        return trace_ids, sampled, events, db.trace_ids.issued
+        return trace_ids, events, db.trace_ids.issued
 
     def test_two_runs_are_identical(self):
         assert self._run_workload() == self._run_workload()
-
-    def test_ratio_sampling_is_deterministic(self):
-        from repro.telemetry import TraceConfig
-
-        tracing = TraceConfig(sampler="ratio", ratio=0.5)
-        assert self._run_workload(tracing) == self._run_workload(tracing)
 
     def test_fanout_query_span_tree_is_shard_ordered(self):
         db = make_db()

@@ -24,6 +24,7 @@ from repro.obsv import (
     shard_heatmap,
     summarize_windows,
 )
+from repro.obsv.config import INDEX_WARN_SECONDS, SEARCH_WARN_SECONDS
 from repro.obsv.slowlog import describe_slowlog
 from repro.telemetry import MetricsRegistry, Tracer
 
@@ -225,7 +226,7 @@ class TestObserver:
     def test_auto_roll_aligns_with_window_and_counts_alert_metrics(self):
         registry = MetricsRegistry()
         observer = Observer(
-            ObsvConfig(hot_tenant_share=0.5, index_info_seconds=0.0),
+            ObsvConfig(index_info_seconds=0.0),
             num_shards=4,
             metrics=registry,
             window_seconds=10.0,
@@ -255,25 +256,62 @@ class TestObserver:
         assert isinstance(snapshot["alerts"], list)
 
 
+class TestObserverFixedSettings:
+    """The thresholds and bounds ``ObsvConfig`` no longer carries, reached
+    through an observer fed on the logical clock."""
+
+    def test_slow_log_levels_split_at_the_fixed_warn_thresholds(self):
+        observer = Observer(ObsvConfig(), num_shards=1)
+        for elapsed in (0.009, 0.010, INDEX_WARN_SECONDS - 0.001, INDEX_WARN_SECONDS):
+            observer.record_write("t", 0, elapsed=elapsed, now=1.0)
+        for elapsed in (0.049, 0.050, SEARCH_WARN_SECONDS):
+            observer.record_search("t", elapsed=elapsed, now=1.0)
+        assert observer.index_slowlog.counts == {"warn": 1, "info": 2}
+        assert observer.search_slowlog.counts == {"warn": 1, "info": 1}
+
+    def test_hot_tenant_alert_from_a_fifth_of_the_window(self):
+        observer = Observer(ObsvConfig(), num_shards=50)
+        writes = [("edge", 0)] * 20 + [("under", 1)] * 19
+        writes += [(f"t{i}", i) for i in range(2, 63)]
+        for tenant, shard in writes:  # 100 writes over 50 shards
+            observer.record_write(tenant, shard % 50, elapsed=0.0, now=1.0)
+        observer.roll(10.0)
+        hot = [a.subject for a in observer.alerts if a.kind == "hot_tenant"]
+        assert hot == ["edge"]  # 20% alerts, 19% does not
+
+    def test_hot_shard_alert_from_three_times_the_mean(self):
+        for hottest, fired in ((6, True), (5, False)):
+            observer = Observer(ObsvConfig(), num_shards=4)
+            loads = [hottest] + [(8 - hottest) // 3 + (i < (8 - hottest) % 3) for i in range(3)]
+            tenant = 0
+            for shard, load in enumerate(loads):
+                for _ in range(load):  # one write per tenant: no hot tenant
+                    observer.record_write(f"t{tenant}", shard, elapsed=0.0, now=1.0)
+                    tenant += 1
+            observer.roll(10.0)
+            kinds = [a.kind for a in observer.alerts]
+            assert ("hot_shard" in kinds) is fired, loads
+
+    def test_alert_ring_keeps_the_last_256(self):
+        observer = Observer(ObsvConfig(), num_shards=1)
+        for window in range(300):
+            observer.record_write("whale", 0, elapsed=0.0, now=window * 10.0)
+        observer.roll(3000.0)
+        assert len(observer.alerts) == 256
+        assert observer.alerts[-1].measurement["window_start"] == 2990.0
+
+
 class TestObsvConfig:
     def test_off_disables(self):
         assert ObsvConfig.off().enabled is False
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            ObsvConfig(slowlog_capacity=0)
+            ObsvConfig(index_info_seconds=-0.001)
         with pytest.raises(ConfigurationError):
-            ObsvConfig(index_warn_seconds=0.001, index_info_seconds=0.01)
+            ObsvConfig(index_info_seconds=INDEX_WARN_SECONDS + 0.001)
         with pytest.raises(ConfigurationError):
-            ObsvConfig(search_warn_seconds=0.001, search_info_seconds=0.01)
-        with pytest.raises(ConfigurationError):
-            ObsvConfig(window_seconds=0.0)
-        with pytest.raises(ConfigurationError):
-            ObsvConfig(hot_tenant_share=0.0)
-        with pytest.raises(ConfigurationError):
-            ObsvConfig(hot_shard_ratio=0.5)
-        with pytest.raises(ConfigurationError):
-            ObsvConfig(top_k=0)
+            ObsvConfig(search_info_seconds=SEARCH_WARN_SECONDS + 0.001)
 
 
 class TestCatTable:

@@ -4,7 +4,6 @@ the experiments CLI plumbing, and ``python -m repro.obsv``."""
 from __future__ import annotations
 
 import json
-import math
 
 import pytest
 
@@ -35,20 +34,17 @@ def _tiny_db(**overrides) -> ESDB:
         topology=ClusterTopology(num_nodes=2, num_shards=4),
         balancer=BalancerConfig(hotspot_share=0.3, target_share_per_shard=0.05),
         consensus_interval=1.0,
-        obsv=ObsvConfig(
-            index_info_seconds=0.0,
-            search_info_seconds=0.0,
-            hot_tenant_share=0.5,
-        ),
+        obsv=ObsvConfig(index_info_seconds=0.0, search_info_seconds=0.0),
     )
     defaults.update(overrides)
     return ESDB(EsdbConfig(**defaults))
 
 
 def _skewed_burst(db: ESDB) -> int:
-    """100 writes in the [0, 10) window: 60 for 'whale', 20 each for 'b'
-    and 'c', interleaved with increasing creation times."""
-    tenants = (["whale", "whale", "whale", "b", "c"]) * 20
+    """100 writes in the [0, 10) window: 60 for 'whale', 10 each for 'b',
+    'c', 'd' and 'e' (under the hot-tenant share), interleaved with
+    increasing creation times."""
+    tenants = (["whale", "b", "whale", "c", "whale", "d", "whale", "e"] + ["whale"] * 2) * 10
     for i, tenant in enumerate(tenants):
         db.write(make_log(i, tenant=tenant, created=i * 0.0999))
     db.advance_clock(10.0)
@@ -83,11 +79,12 @@ class TestFacadeAcceptance:
         alerts = [a for a in db.obsv.alerts if a.kind == "hot_tenant"]
         assert [a.subject for a in alerts] == ["whale"]
         m = alerts[0].measurement
-        # Tenant loads 60/20/20 — the reference values from the unit tests.
+        # Tenant loads 60/10/10/10/10: mean 20, standard deviation 20; Gini
+        # sums |x_i - x_j| over ordered pairs (8 gaps of 50) / (2 n^2 mean).
         assert m["share"] == pytest.approx(0.6)
-        assert m["tenant_cv"] == pytest.approx(math.sqrt(2.0) / 2.5)
-        assert m["tenant_gini"] == pytest.approx(4.0 / 15.0)
-        assert m["tenant_max_mean"] == pytest.approx(1.8)
+        assert m["tenant_cv"] == pytest.approx(1.0)
+        assert m["tenant_gini"] == pytest.approx(8 * 50 / (2 * 25 * 20))
+        assert m["tenant_max_mean"] == pytest.approx(3.0)
         assert m["window_writes"] == 100
 
     def test_cat_shards_doc_counts_sum_to_ingested(self):

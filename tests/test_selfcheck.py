@@ -143,3 +143,90 @@ class TestEveryModuleIsNeeded:
             ):
                 unreached.append(str(module.relative_to(src)))
         assert not unreached, f"modules no figure, tool or example reaches: {unreached}"
+
+
+class TestEveryOptionHasACaller:
+    """The option census, one level below the module census: every field of
+    the instance configuration is passed by keyword from code that is not
+    a test. A field only tests set is a default nobody changes — it belongs
+    in a module constant, with the code only its other values reached
+    deleted."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+    #: ``config class -> field -> a file (under src/, bench/, benchmarks/ or
+    #: examples/) that passes the field by keyword``. A preset such as
+    #: ``ObsvConfig.off()`` counts where it is defined: bench reaches it.
+    CALLERS = {
+        "EsdbConfig": {
+            "topology": "bench/runner.py",
+            "indexed_subattributes": "src/repro/experiments/query_side.py",
+            "optimizer_enabled": "src/repro/experiments/query_side.py",
+            "balancer": "examples/flash_sale_balancing.py",
+            "consensus_interval": "src/repro/faults/runner.py",
+            "auto_refresh_every": "src/repro/faults/runner.py",
+            "replication": "src/repro/faults/runner.py",
+            "telemetry_enabled": "bench/runner.py",
+            "cache": "benchmarks/test_cache_effectiveness.py",
+            "obsv": "bench/runner.py",
+            "timeseries_enabled": "bench/runner.py",
+            "tenancy": "src/repro/obsv/__main__.py",
+            "tracing": "bench/runner.py",
+            "slo": "src/repro/obsv/__main__.py",
+        },
+        "ObsvConfig": {
+            "enabled": "src/repro/obsv/config.py",
+            "index_info_seconds": "src/repro/obsv/__main__.py",
+            "search_info_seconds": "src/repro/obsv/__main__.py",
+        },
+        "TenancyConfig": {
+            "enabled": "src/repro/obsv/__main__.py",
+            "write_rate": "src/repro/obsv/__main__.py",
+            "write_burst": "src/repro/obsv/__main__.py",
+            "query_rate": "src/repro/tenancy/config.py",
+            "query_burst": "src/repro/tenancy/config.py",
+            "queue_capacity": "src/repro/obsv/__main__.py",
+            "indexed_bytes_quota": "src/repro/experiments/tenancy_side.py",
+            "result_bytes_quota": "src/repro/experiments/tenancy_side.py",
+            "scanned_docs_quota": "src/repro/experiments/tenancy_side.py",
+            "quota_window_seconds": "src/repro/tenancy/config.py",
+        },
+        "TraceConfig": {
+            "enabled": "src/repro/telemetry/context.py",
+        },
+    }
+    #: The paper's Figure 3 catalog: no caller outside the tests changes
+    #: it, but tests build custom schemas and index sets through it.
+    CATALOG = {"schema", "composite_columns", "scan_columns"}
+
+    @staticmethod
+    def _classes() -> dict:
+        from repro.esdb import EsdbConfig
+        from repro.obsv import ObsvConfig
+        from repro.telemetry import TraceConfig
+        from repro.tenancy import TenancyConfig
+
+        return {
+            cls.__name__: cls
+            for cls in (EsdbConfig, ObsvConfig, TenancyConfig, TraceConfig)
+        }
+
+    def test_table_names_every_field(self):
+        import dataclasses
+
+        for name, cls in self._classes().items():
+            fields = {field.name for field in dataclasses.fields(cls)}
+            exempt = self.CATALOG if name == "EsdbConfig" else set()
+            assert set(self.CALLERS[name]) == fields - exempt, name
+            assert exempt <= fields
+
+    def test_each_field_is_passed_by_its_caller(self):
+        for name, callers in self.CALLERS.items():
+            for field, path in callers.items():
+                assert path.split("/")[0] in ("src", "bench", "benchmarks", "examples")
+                text = (self.ROOT / path).read_text()
+                assert re.search(rf"\b{field}\s*=", text), f"{name}.{field}: {path}"
+
+    def test_at_most_31_settable_values(self):
+        import dataclasses
+
+        assert sum(len(dataclasses.fields(cls)) for cls in self._classes().values()) <= 31

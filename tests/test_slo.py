@@ -20,12 +20,17 @@ from repro.errors import ConfigurationError, TenantThrottledError
 from repro.esdb import ESDB, EsdbConfig
 from repro.obsv import cat_hotkeys, cat_slo, render_report, snapshot
 from repro.slo import (
+    OBJECTIVES,
     HeavyHitterProfiler,
-    SloConfig,
     SloEngine,
-    SloObjective,
     SpaceSavingSketch,
     rank_top_k,
+)
+from repro.slo.config import (
+    BURN_THRESHOLD,
+    DECAY_WINDOW_SECONDS,
+    MAX_TRACKED_TENANTS,
+    SKETCH_CAPACITY,
 )
 from repro.telemetry import MetricsRegistry
 from repro.tenancy import TenancyConfig
@@ -185,118 +190,114 @@ class TestSpaceSavingSketch:
         assert payload["top"][0] == {"key": "k", "count": 3, "error": 0.0}
 
 
-# -- SloConfig / SloObjective --------------------------------------------------
+# -- objectives ----------------------------------------------------------------
 
 
-class TestSloConfig:
-    def test_defaults_cover_latency_and_availability(self):
-        config = SloConfig(enabled=True)
-        kinds = {(o.op, o.kind) for o in config.objectives}
+class TestObjectives:
+    def test_latency_and_availability_for_each_operation(self):
+        kinds = {(o.op, o.kind) for o in OBJECTIVES}
         assert kinds == {
             ("write", "latency"), ("query", "latency"),
             ("write", "error_rate"), ("query", "error_rate"),
         }
-        for objective in config.objectives:
+        assert len({o.name for o in OBJECTIVES}) == len(OBJECTIVES)
+        for objective in OBJECTIVES:
             assert objective.budget == pytest.approx(1.0 - objective.objective)
 
-    def test_off_is_disabled(self):
-        assert not SloConfig.off().enabled
-        assert not SloConfig().enabled
-
-    def test_objective_validation(self):
-        with pytest.raises(ConfigurationError):
-            SloObjective("bad", "truncate", "latency", 0.99)
-        with pytest.raises(ConfigurationError):
-            SloObjective("bad", "write", "availability", 0.99)
-        with pytest.raises(ConfigurationError):
-            SloObjective("bad", "write", "latency", 1.0)
-        with pytest.raises(ConfigurationError):
-            SloConfig(enabled=True, burn_threshold=0.0)
-        with pytest.raises(ConfigurationError):
-            SloConfig(enabled=True, fast_window_seconds=60.0,
-                      slow_window_seconds=30.0)
+    def test_off_by_default(self):
+        assert EsdbConfig().slo is False
 
 
 # -- SloEngine -----------------------------------------------------------------
 
 
-def error_rate_config(**overrides) -> SloConfig:
-    defaults = dict(
-        enabled=True,
-        objectives=(
-            SloObjective("write-availability", "write", "error_rate", 0.99),
-        ),
-        bucket_seconds=1.0,
-        fast_window_seconds=5.0,
-        slow_window_seconds=30.0,
-        burn_threshold=2.0,
-        evaluation_interval_seconds=1.0,
-    )
-    defaults.update(overrides)
-    return SloConfig(**defaults)
+def status_of(engine: SloEngine, name: str) -> dict:
+    return next(row for row in engine.status() if row["slo"] == name)
 
 
 class TestSloEngine:
     def test_latency_classification_with_synthetic_elapsed(self):
-        config = SloConfig(
-            enabled=True,
-            objectives=(
-                SloObjective("wl", "write", "latency", 0.9,
-                             threshold_seconds=0.010),
-            ),
-        )
-        engine = SloEngine(config)
-        engine.record("write", "t1", 0.005, 1.0)  # good
-        engine.record("write", "t1", 0.020, 1.0)  # bad: over threshold
-        engine.record("write", "t1", 0.0, 1.0, error=True)  # no latency sample
-        engine.record("query", "t1", 0.5, 1.0)  # wrong op: ignored
-        row = engine.status()[0]
+        engine = SloEngine()
+        engine.record("write", 0.005, 1.0)  # good: under the 10 ms threshold
+        engine.record("write", 0.020, 1.0)  # bad: over it
+        engine.record("write", 0.0, 1.0, error=True)  # no latency sample
+        engine.record("query", 0.5, 1.0)  # another op's objective
+        row = status_of(engine, "write-latency")
         assert (row["good"], row["bad"]) == (1, 1)
 
     def test_budget_math(self):
-        engine = SloEngine(error_rate_config())
+        engine = SloEngine()
         for i in range(90):
-            engine.record("write", "t", 0.0, 1.0)
+            engine.record("write", 0.0, 1.0)
         for i in range(10):
-            engine.record("write", "t", 0.0, 1.0, error=True)
-        row = engine.status()[0]
+            engine.record("write", 0.0, 1.0, error=True)
+        row = status_of(engine, "write-availability")
         # bad fraction 0.1 against a 0.01 budget: 10x consumed.
         assert row["budget_remaining_pct"] == pytest.approx(100 * (1 - 10.0))
 
     def test_burn_fires_then_recovers(self):
-        engine = SloEngine(error_rate_config())
+        engine = SloEngine()
         # Steady errors: 1 bad in 10 per second for 6 seconds -> burn 10x.
         now = 0.0
         for second in range(6):
             for i in range(9):
-                engine.record("write", "t", 0.0, now + second)
-            engine.record("write", "t", 0.0, now + second, error=True)
+                engine.record("write", 0.0, now + second)
+            engine.record("write", 0.0, now + second, error=True)
         fired = engine.evaluate(6.0)
         assert [alert.kind for alert in fired] == ["slo_burn"]
         assert fired[0].slo == "write-availability"
-        assert fired[0].fast_burn >= 2.0 and fired[0].slow_burn >= 2.0
+        assert fired[0].fast_burn >= BURN_THRESHOLD
+        assert fired[0].slow_burn >= BURN_THRESHOLD
         # No double-fire while still burning.
         for i in range(10):
-            engine.record("write", "t", 0.0, 7.0, error=True)
+            engine.record("write", 0.0, 7.0, error=True)
         assert engine.evaluate(7.0) == []
         # Clean traffic pushes the fast window under the threshold.
         for second in range(8, 16):
             for i in range(50):
-                engine.record("write", "t", 0.0, float(second))
+                engine.record("write", 0.0, float(second))
         fired = engine.evaluate(15.0)
         assert [alert.kind for alert in fired] == ["slo_recovered"]
-        assert engine.status()[0]["state"] == "ok"
-        assert engine.status()[0]["burn_alerts"] == 1
+        row = status_of(engine, "write-availability")
+        assert row["state"] == "ok"
+        assert row["burn_alerts"] == 1
+
+    def test_burn_needs_both_windows(self):
+        """Errors the slow window still sees but the fast window no longer
+        does fire nothing; the same errors inside the fast window but
+        diluted over the slow one fire nothing either."""
+        engine = SloEngine()
+        for i in range(10):
+            engine.record("write", 0.0, 20.0, error=True)
+        for second in range(21, 31):
+            engine.record("write", 0.0, float(second))
+        assert engine.evaluate(30.0) == []  # fast window: 5 good, 0 bad
+        diluted = SloEngine()
+        for second in range(0, 30):
+            for i in range(100):
+                diluted.record("write", 0.0, float(second))
+        for i in range(15):
+            diluted.record("write", 0.0, 29.0, error=True)
+        # Fast: 15 bad of 515 (burn 2.9); slow: 15 of 3015 (burn 0.5).
+        assert diluted.evaluate(29.0) == []
+        row = status_of(diluted, "write-availability")
+        assert row["fast_burn"] >= BURN_THRESHOLD > row["slow_burn"]
+
+    def test_evaluations_follow_the_logical_second(self):
+        engine = SloEngine()
+        for tick in range(40):
+            engine.maybe_evaluate(tick * 0.25)
+        assert engine.evaluations == 10  # at 0, 1, ..., 9
 
     def test_no_fire_without_traffic_in_fast_window(self):
-        engine = SloEngine(error_rate_config())
+        engine = SloEngine()
         for i in range(10):
-            engine.record("write", "t", 0.0, 0.0, error=True)
+            engine.record("write", 0.0, 0.0, error=True)
         # Way past the fast window: burn in the fast window is empty.
         assert engine.evaluate(100.0) == []
 
     def test_evaluation_schedule_anchors_on_first_call(self):
-        engine = SloEngine(error_rate_config())
+        engine = SloEngine()
         assert engine.due(0.0)
         engine.evaluate(0.0)
         assert not engine.due(0.5)
@@ -304,25 +305,11 @@ class TestSloEngine:
         assert engine.evaluations == 1
         assert engine.due(1.0)
 
-    def test_tenant_scoped_objective_only_counts_its_tenant(self):
-        config = error_rate_config(
-            objectives=(
-                SloObjective("whale-writes", "write", "error_rate", 0.99,
-                             tenant="whale"),
-            ),
-        )
-        engine = SloEngine(config)
-        engine.record("write", "whale", 0.0, 1.0, error=True)
-        engine.record("write", "minnow", 0.0, 1.0, error=True)
-        row = engine.status()[0]
-        assert (row["good"], row["bad"]) == (0, 1)
-        assert row["tenant"] == "whale"
-
     def test_gauges_exported_on_evaluate(self):
         metrics = MetricsRegistry()
-        engine = SloEngine(error_rate_config(), metrics=metrics)
+        engine = SloEngine(metrics=metrics)
         for i in range(4):
-            engine.record("write", "t", 0.0, 1.0, error=bool(i % 2))
+            engine.record("write", 0.0, 1.0, error=bool(i % 2))
         engine.evaluate(1.0)
         assert metrics.value(
             "slo_budget_remaining_pct", slo="write-availability"
@@ -335,45 +322,40 @@ class TestSloEngine:
         ) == pytest.approx(2)
 
     def test_rolling_window_forgets_old_buckets(self):
-        engine = SloEngine(error_rate_config())
+        engine = SloEngine()
         for i in range(10):
-            engine.record("write", "t", 0.0, 0.0, error=True)
+            engine.record("write", 0.0, 0.0, error=True)
         # 40 logical seconds later the slow window no longer sees them.
-        engine.record("write", "t", 0.0, 40.0)
+        engine.record("write", 0.0, 40.0)
         engine.evaluate(40.0)
-        row = engine.status()[0]
+        row = status_of(engine, "write-availability")
         assert row["fast_burn"] == 0.0
         assert row["slow_burn"] == 0.0
 
     def test_snapshot_and_rendered_report(self):
-        engine = SloEngine(error_rate_config())
-        engine.record("write", "t", 0.0, 1.0)
+        engine = SloEngine()
+        engine.record("write", 0.0, 1.0)
         engine.evaluate(1.0)
         dump = engine.snapshot()
         assert dump["enabled"] is True
         assert dump["evaluations"] == 1
-        assert dump["objectives"][0]["slo"] == "write-availability"
-        db = make_db(slo=error_rate_config())
+        assert [row["slo"] for row in dump["objectives"]] == [
+            o.name for o in OBJECTIVES
+        ]
+        db = make_db(slo=True)
         db.write(make_log(0, "t", 1.0))
         lines = render_report(snapshot(db)).splitlines()
         start = next(i for i, line in enumerate(lines) if line.startswith("slo: "))
-        assert lines[start].startswith("slo: 1 objective(s), ")
-        assert lines[start + 1].startswith("  write-availability: write/error_rate")
+        assert lines[start].startswith(f"slo: {len(OBJECTIVES)} objective(s), ")
+        assert lines[start + 1].startswith("  write-latency: write/latency")
 
 
 # -- HeavyHitterProfiler -------------------------------------------------------
 
 
-def profiler_config(**overrides) -> SloConfig:
-    defaults = dict(enabled=True, sketch_capacity=8, max_tracked_tenants=4,
-                    decay_window_seconds=10.0, decay_factor=0.5)
-    defaults.update(overrides)
-    return SloConfig(**defaults)
-
-
 class TestHeavyHitterProfiler:
     def test_tracks_keys_per_shard_and_tenant(self):
-        profiler = HeavyHitterProfiler(profiler_config())
+        profiler = HeavyHitterProfiler()
         for i in range(20):
             profiler.record_write("whale", i % 2, f"key-{i % 3}")
         assert profiler.hot_keys_for_tenant("whale")
@@ -383,7 +365,7 @@ class TestHeavyHitterProfiler:
         assert profiler.hot_keys_for_tenant("nobody") == []
 
     def test_query_dimension(self):
-        profiler = HeavyHitterProfiler(profiler_config())
+        profiler = HeavyHitterProfiler()
         profiler.record_query("t1", "fp-1", ["tenant_id=whale", "status=1"])
         profiler.record_query("t1", "fp-1", ["tenant_id=whale"])
         assert profiler.hot_queries_for_tenant("t1")[0][0] == "fp-1"
@@ -391,47 +373,49 @@ class TestHeavyHitterProfiler:
         assert top_terms[0] == "tenant_id=whale"
 
     def test_bounded_over_zipf_run(self):
-        """10k skewed writes: every sketch stays O(capacity) and the
-        tenant maps stay capped at max_tracked_tenants."""
-        config = profiler_config(max_tracked_tenants=16)
-        profiler = HeavyHitterProfiler(config)
+        """10k skewed writes from 76 tenants (the quadratic residues mod
+        151): every sketch stays O(capacity) and the tenant maps stay
+        capped."""
+        profiler = HeavyHitterProfiler()
         for i in range(10_000):
-            tenant = f"tenant-{(i * i + i) % 97}"  # ~97 distinct tenants
+            tenant = f"tenant-{(i * i) % 151}"
             profiler.record_write(tenant, i % 8, f"doc-{i}")
-        assert len(profiler.routing_keys) <= config.sketch_capacity
+        assert len(profiler.routing_keys) <= SKETCH_CAPACITY
         for sketch in profiler.shard_keys.values():
-            assert len(sketch) <= config.sketch_capacity
-        assert len(profiler.tenant_keys) <= 16
+            assert len(sketch) <= SKETCH_CAPACITY
+        assert len(profiler.tenant_keys) == MAX_TRACKED_TENANTS
         assert profiler.dropped_tenants > 0
 
     def test_tenant_cap_never_grows(self):
-        profiler = HeavyHitterProfiler(profiler_config(max_tracked_tenants=2))
-        for name in ("a", "b", "c", "d", "a"):
+        profiler = HeavyHitterProfiler()
+        names = [f"t{i:03d}" for i in range(MAX_TRACKED_TENANTS + 2)]
+        for name in names + names[:1]:
             profiler.record_write(name, 0, "k")
-        assert sorted(profiler.tenant_keys) == ["a", "b"]
+        assert sorted(profiler.tenant_keys) == names[:MAX_TRACKED_TENANTS]
         assert profiler.dropped_tenants == 2
 
+    def test_facade_decays_the_sketches_every_minute(self):
+        db = make_db(slo=True)
+        for i in range(130):
+            db.write(make_log(i, "whale", created=float(i)))
+        assert db.hotkeys.decays == 2  # at 60 and 120
+        # The 61 offers up to t=60 halve, then with the 60 after them
+        # halve again at t=120; the last 9 count whole.
+        assert db.hotkeys.routing_keys.offered == (61 / 2 + 60) / 2 + 9
+
     def test_decay_rolls_on_logical_window(self):
-        profiler = HeavyHitterProfiler(profiler_config())
+        profiler = HeavyHitterProfiler()
         profiler.record_write("t", 0, "old-key")
         assert not profiler.maybe_roll(0.0)  # anchors the schedule
-        assert not profiler.maybe_roll(5.0)
-        assert profiler.maybe_roll(10.0)
+        assert not profiler.maybe_roll(DECAY_WINDOW_SECONDS / 2)
+        assert profiler.maybe_roll(DECAY_WINDOW_SECONDS)
         assert profiler.decays == 1
         # Counts aged: a single offer decays to 0.5 and is dropped.
         assert profiler.routing_keys.estimate("old-key") is None
 
-    def test_decay_disabled_with_zero_window(self):
-        profiler = HeavyHitterProfiler(
-            profiler_config(decay_window_seconds=0.0)
-        )
-        profiler.record_write("t", 0, "k")
-        assert not profiler.maybe_roll(1e9)
-        assert profiler.decays == 0
-
     def test_table_rows_deterministic_and_ordered(self):
         def build():
-            profiler = HeavyHitterProfiler(profiler_config())
+            profiler = HeavyHitterProfiler()
             for i in range(30):
                 profiler.record_write(f"t{i % 3}", i % 2, f"k{i % 5}")
             profiler.record_query("t0", "fp", ["status=1"])
@@ -450,11 +434,11 @@ class TestHeavyHitterProfiler:
             assert row[5] >= 0 and row[6] >= 0  # count, error
 
     def test_snapshot_shape(self):
-        profiler = HeavyHitterProfiler(profiler_config())
+        profiler = HeavyHitterProfiler()
         profiler.record_write("t", 3, "k")
         dump = profiler.snapshot()
         assert dump["enabled"] is True
-        assert dump["sketch_capacity"] == 8
+        assert dump["sketch_capacity"] == SKETCH_CAPACITY
         assert "3" in dump["shards"]
         assert "t" in dump["tenants"]
         json.dumps(dump)  # JSON-ready
@@ -470,7 +454,7 @@ GOVERNED = TenancyConfig(
 
 def governed_slo_db(**extras) -> ESDB:
     return make_db(
-        tenancy=GOVERNED, slo=SloConfig(enabled=True), **extras
+        tenancy=GOVERNED, slo=True, **extras
     )
 
 
@@ -487,6 +471,13 @@ def drive_whale(db: ESDB, writes: int = 300) -> int:
 
 
 class TestEsdbSloIntegration:
+    def test_profiler_exists_exactly_when_slo_does(self):
+        on, off = make_db(slo=True), make_db(slo=False)
+        assert on.slo is not None and on.hotkeys is not None
+        assert off.slo is None and off.hotkeys is None
+        on.write(make_log(0, "t", 0.0))
+        assert on.hotkeys.routing_keys.offered == 1
+
     def test_disabled_by_default(self):
         db = make_db()
         assert db.slo is None and db.hotkeys is None
@@ -501,30 +492,29 @@ class TestEsdbSloIntegration:
         assert throttled > 0
         counts = db.events.counts()
         assert counts.get("slo_burn", 0) >= 1
+        # Write latency classifies wall time and may burn too; the
+        # whale's throttles burn write availability whatever the clock.
         burn_events = db.events.query(kind="slo_burn")
-        assert burn_events
-        detail = burn_events[0].detail
-        assert detail["slo"] == "write-availability"
-        assert detail["fast_burn"] >= db.config.slo.burn_threshold
+        availability = [
+            event for event in burn_events
+            if event.detail["slo"] == "write-availability"
+        ]
+        assert availability
+        detail = availability[0].detail
+        assert detail["fast_burn"] >= BURN_THRESHOLD
         assert "budget_remaining_pct" in detail
 
-    # Latency objectives classify real elapsed wall time, which varies
-    # run to run; determinism is pinned on the error-rate objectives
-    # (driven by deterministic throttle decisions) and the sketches.
-    AVAILABILITY_ONLY = SloConfig(
-        enabled=True,
-        objectives=(
-            SloObjective("write-availability", "write", "error_rate", 0.99),
-        ),
-    )
-
     def test_same_seed_same_firing_ticks(self):
+        # Latency objectives classify real elapsed wall time, which varies
+        # run to run; determinism is pinned on the error-rate objectives
+        # (driven by deterministic throttle decisions) and the sketches.
         def run():
-            db = make_db(tenancy=GOVERNED, slo=self.AVAILABILITY_ONLY)
+            db = governed_slo_db()
             drive_whale(db)
             ticks = [
                 (alert.kind, alert.slo, alert.time)
                 for alert in db.slo.alerts
+                if alert.slo.endswith("-availability")
             ]
             rows = cat_hotkeys(db).to_dicts()
             return ticks, rows
@@ -534,7 +524,7 @@ class TestEsdbSloIntegration:
         assert first[1] == second[1]
 
     def test_query_side_records_fingerprints_and_terms(self):
-        db = make_db(slo=SloConfig(enabled=True))
+        db = make_db(slo=True)
         for i in range(10):
             db.write(make_log(i, "whale", created=i * 0.1))
         db.refresh()
@@ -547,7 +537,7 @@ class TestEsdbSloIntegration:
         assert query_latency["good"] + query_latency["bad"] >= 1
 
     def test_skew_alerts_name_heavy_hitters(self):
-        db = make_db(slo=SloConfig(enabled=True))
+        db = make_db(slo=True)
         for i in range(220):
             tenant = "whale" if i % 10 < 8 else f"t{i % 5}"
             db.write(make_log(i, tenant, created=i * 0.1))
@@ -605,9 +595,43 @@ class TestEsdbSloIntegration:
         )
         assert report == render_report(snapshot(db))
 
+    def test_malformed_documents_spend_no_availability_budget(self):
+        """A document rejected for a bad field is the caller's error,
+        whichever field it is: the routing pass (bad creation time) and
+        the engine (bad quantity) both leave the availability budget
+        alone."""
+        db = make_db(slo=True)
+        good = {"tenant_id": 1, "transaction_id": 1, "created_time": 1.0}
+        result = db.bulk_write([
+            good,
+            {**good, "transaction_id": 2, "created_time": "abc"},
+            {**good, "transaction_id": 3, "quantity": "abc"},
+        ])
+        errors = [type(item.error).__name__ for item in result.items[1:]]
+        assert errors == ["InvalidDocumentError", "InvalidDocumentError"]
+        row = status_of(db.slo, "write-availability")
+        assert (row["good"], row["bad"]) == (1, 0)
+
+    def test_throttled_write_spends_availability_budget(self):
+        db = make_db(
+            slo=True,
+            tenancy=TenancyConfig(
+                enabled=True, write_rate=1.0, write_burst=1.0, queue_capacity=1
+            ),
+        )
+        result = db.bulk_write(
+            [make_log(i, "whale", created=0.0) for i in range(4)]
+        )
+        shed = sum(
+            isinstance(item.error, TenantThrottledError) for item in result.items
+        )
+        assert shed > 0
+        row = status_of(db.slo, "write-availability")
+        assert (row["good"], row["bad"]) == (len(result.items) - shed, shed)
+
     def test_overhead_is_one_branch_when_off(self):
         db = make_db()
-        assert db.config.slo.enabled is False
+        assert db.config.slo is False
         assert "slo" not in render_report(snapshot(db))
 
 
@@ -639,17 +663,20 @@ class TestSloEventKinds:
         assert len(everything) > len(table)
 
 
-# -- diagnostics bundle v2 -----------------------------------------------------
+# -- diagnostics bundle v3 -----------------------------------------------------
 
 
-class TestBundleV2:
+class TestBundleV3:
     def test_round_trip_with_slo_enabled(self):
         from repro.obsv import BUNDLE_SCHEMA_VERSION, validate_bundle
 
         db = governed_slo_db()
         drive_whale(db)
         bundle = snapshot(db)
-        assert bundle["schema_version"] == BUNDLE_SCHEMA_VERSION == 2
+        assert bundle["schema_version"] == BUNDLE_SCHEMA_VERSION == 3
+        assert bundle["tracing"] == {
+            "enabled": True, "traces_started": db.trace_ids.issued,
+        }
         assert validate_bundle(bundle) == []
         rehydrated = json.loads(json.dumps(bundle))
         assert validate_bundle(rehydrated) == []
@@ -682,6 +709,18 @@ class TestBundleV2:
         assert "unknown schema_version" in problems[0]
         assert str(BUNDLE_SCHEMA_VERSION) in problems[0]
 
+    def test_v2_bundle_rejected_with_the_unknown_version_error(self):
+        from repro.obsv import validate_bundle
+
+        db = make_db()
+        db.write(make_log(0, "t", 0.0))
+        bundle = snapshot(db)
+        bundle["schema_version"] = 2
+        bundle["tracing"].update(sampler="always", ratio=1.0, slow_tail_seconds=0.005)
+        assert validate_bundle(bundle) == [
+            "unknown schema_version 2: this validator understands version 3 only"
+        ]
+
     def test_lint_catches_malformed_slo_and_hotkeys(self):
         from repro.obsv import validate_bundle
 
@@ -711,7 +750,7 @@ class TestSloChaosFingerprints:
 
         report = ChaosRunner(
             build_failover_plan(0, 200, 8),
-            ChaosConfig(steps=200, slo=SloConfig(enabled=True)),
+            ChaosConfig(steps=200, slo=True),
         ).run()
         assert report.ok
         assert report.fingerprint() == FAILOVER_200_FINGERPRINT
@@ -728,7 +767,7 @@ class TestSloChaosFingerprints:
                 flood_tenant=FLOOD_TENANT,
                 flood_factor=20,
                 tenancy=TenancyConfig.strict(),
-                slo=SloConfig(enabled=True),
+                slo=True,
             ),
         ).run()
         assert report.ok

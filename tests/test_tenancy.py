@@ -17,7 +17,7 @@ from repro.obsv import cat_tenants, render_dashboard, render_report, snapshot
 from repro.obsv.skew import Alert
 from repro.tenancy import (
     CLUSTER_TENANT,
-    GovernancePolicy,
+    QUEUE_SHARES,
     QuotaLedger,
     TenancyConfig,
     TenantGovernor,
@@ -25,10 +25,17 @@ from repro.tenancy import (
     cat_tenant_governance,
     doc_bytes,
 )
+from repro.tenancy.config import DEMOTE_SECONDS, DEMOTE_SHARE
 from repro.workload.generator import TransactionLogGenerator, WorkloadConfig
 
 #: The governance-off failover fingerprint at seed 0 / 120 steps, captured
 #: before repro.tenancy existed. Default-off governance must never move it.
+#: What the standard and the demoted tenant of
+#: ``test_qos_ordering_past_saturation`` get admitted — the same counts a
+#: statically configured batch tenant got before demotion was its only way
+#: into the class.
+ADMITTED_PAST_SATURATION = [41, 27]
+
 SEED_FINGERPRINT = (
     "seed=0 steps=120 acked=120 coalesced=0 redriven=6 faults=4/2 "
     "consensus=1/1 docs=[0:12,1:11,2:10,3:11,4:24,5:14,6:21,7:17] "
@@ -128,9 +135,9 @@ class TestQuotaLedger:
 
 class TestTenantGovernor:
     def test_admits_within_rate_then_queues_then_sheds(self):
+        # A standard tenant may fill 60% of the queue: 3 of 5 slots.
         config = TenancyConfig(
-            enabled=True, write_rate=1.0, write_burst=2.0, queue_capacity=3,
-            interactive_queue_share=1.0, standard_queue_share=1.0,
+            enabled=True, write_rate=1.0, write_burst=2.0, queue_capacity=5
         )
         governor = TenantGovernor(config)
         assert governor.admit_write("a", 0.0) == 0.0
@@ -143,9 +150,9 @@ class TestTenantGovernor:
         assert excinfo.value.retry_after > 0
 
     def test_queue_drains_as_logical_clock_advances(self):
+        # 60% of 4 slots: a standard tenant may book 2.
         config = TenancyConfig(
-            enabled=True, write_rate=1.0, write_burst=1.0, queue_capacity=2,
-            standard_queue_share=1.0,
+            enabled=True, write_rate=1.0, write_burst=1.0, queue_capacity=4
         )
         governor = TenantGovernor(config)
         governor.admit_write("a", 0.0)
@@ -159,40 +166,40 @@ class TestTenantGovernor:
 
     def test_qos_shed_ordering_batch_first(self):
         config = TenancyConfig(
-            enabled=True, write_rate=1.0, write_burst=1.0, queue_capacity=10,
-            tenant_qos=(("vip", "interactive"), ("bulk", "batch")),
+            enabled=True, write_rate=1.0, write_burst=1.0, queue_capacity=10
         )
         governor = TenantGovernor(config)
-        for tenant in ("vip", "bulk"):
+        governor.demote("bulk", 0.0)
+        for tenant in ("std", "bulk"):
             governor.admit_write(tenant, 0.0)  # burst tokens
         # Fill the queue from the batch tenant until its 25% share sheds.
         with pytest.raises(TenantThrottledError) as excinfo:
             for _ in range(20):
                 governor.admit_write("bulk", 0.0)
         assert excinfo.value.qos == "batch"
-        # The interactive tenant still has queue share left.
-        assert governor.admit_write("vip", 0.0) > 0.0
+        assert governor.queue_depth(0.0) == int(10 * QUEUE_SHARES["batch"])
+        # The standard tenant still has queue share left.
+        assert governor.admit_write("std", 0.0) > 0.0
 
-    def test_qos_ordering_of_three_classes_past_saturation(self):
-        """Three tenants, one per class, each offering 100 writes/s against
-        a 5/s budget on the logical clock: what gets through is ordered by
-        class, and the counts are exact."""
-        classes = ("interactive", "standard", "batch")
-        tenants = tuple(f"t-{qos}" for qos in classes)
+    def test_qos_ordering_past_saturation(self):
+        """Two tenants, one standard and one demoted to batch, each
+        offering 100 writes/s against a 5/s budget on the logical clock:
+        the standard one gets more through, and the counts are exact."""
+        tenants = ("t-standard", "t-batch")
         config = TenancyConfig(
-            enabled=True, write_rate=5.0, write_burst=8.0, queue_capacity=24,
-            tenant_qos=tuple(zip(tenants, classes)),
+            enabled=True, write_rate=5.0, write_burst=8.0, queue_capacity=24
         )
         governor = TenantGovernor(config)
+        governor.demote("t-batch", 0.0)
         for i in range(400):
             for tenant in tenants:
                 try:
                     governor.admit_write(tenant, i * 0.01, 64)
                 except TenantThrottledError:
                     pass
+        assert governor.qos_of("t-batch", 4.0) == "batch"
         admitted = [governor.tenant_counts(tenant)[0] for tenant in tenants]
-        assert admitted == sorted(admitted, reverse=True) and admitted[0] > admitted[-1]
-        assert admitted == [51, 27, 27]
+        assert admitted == ADMITTED_PAST_SATURATION
 
     def test_indexed_bytes_quota_sheds_with_window_retry_after(self):
         config = TenancyConfig(
@@ -242,20 +249,19 @@ class TestTenantGovernor:
         assert "tenant-9" in str(error)
 
     def test_demote_and_lazy_restore(self):
-        config = TenancyConfig(enabled=True, demote_seconds=5.0)
-        governor = TenantGovernor(config)
+        governor = TenantGovernor(TenancyConfig(enabled=True))
         governor.demote("noisy", now=10.0, reason="test")
         assert governor.qos_of("noisy", 11.0) == "batch"
-        assert governor.is_demoted("noisy", 11.0)
-        assert governor.qos_of("noisy", 15.0) == "standard"  # expired
-        assert not governor.is_demoted("noisy", 15.0)
+        assert governor.is_demoted("noisy", 10.0 + DEMOTE_SECONDS - 0.001)
+        restored = 10.0 + DEMOTE_SECONDS
+        assert governor.qos_of("noisy", restored) == "standard"  # expired
+        assert not governor.is_demoted("noisy", restored)
 
     def test_policy_demotes_on_hot_tenant_alert(self):
-        config = TenancyConfig(enabled=True, demote_share=0.5)
-        governor = TenantGovernor(config)
+        governor = TenantGovernor(TenancyConfig(enabled=True))
         alerts = [
-            Alert(1.0, "hot_tenant", "whale", {"share": 0.8}),
-            Alert(1.0, "hot_tenant", "minnow", {"share": 0.1}),
+            Alert(1.0, "hot_tenant", "whale", {"share": DEMOTE_SHARE}),
+            Alert(1.0, "hot_tenant", "minnow", {"share": DEMOTE_SHARE - 0.01}),
             Alert(1.0, "hot_shard", "3", {"share": 0.9}),
         ]
         assert governor.apply_alerts(alerts, now=1.0) == ["whale"]
@@ -263,14 +269,6 @@ class TestTenantGovernor:
         assert not governor.is_demoted("minnow", 2.0)
         # Re-alerting restarts the window without re-reporting the tenant.
         assert governor.apply_alerts(alerts[:1], now=2.0) == []
-
-    def test_policy_respects_auto_demote_off(self):
-        config = TenancyConfig(enabled=True, auto_demote=False)
-        policy = GovernancePolicy(config)
-        governor = TenantGovernor(config, policy=policy)
-        alert = Alert(0.0, "hot_tenant", "whale", {"share": 0.99})
-        assert governor.apply_alerts([alert], now=0.0) == []
-        assert not governor.is_demoted("whale", 0.0)
 
     def test_rows_and_rendered_report(self):
         governor = TenantGovernor(TenancyConfig(enabled=True))
@@ -296,20 +294,15 @@ class TestTenancyConfig:
         with pytest.raises(ConfigurationError):
             TenancyConfig(write_rate=0)
         with pytest.raises(ConfigurationError):
-            TenancyConfig(default_qos="platinum")
+            TenancyConfig(queue_capacity=0)
         with pytest.raises(ConfigurationError):
-            TenancyConfig(tenant_qos=(("a", "gold"),))
-        with pytest.raises(ConfigurationError):
-            TenancyConfig(interactive_queue_share=1.5)
+            TenancyConfig(scanned_docs_quota=0)
 
-    def test_strict_preset_and_with_qos(self):
+    def test_strict_preset(self):
         strict = TenancyConfig.strict(write_rate=99.0)
         assert strict.enabled
         assert strict.write_rate == 99.0
         assert strict.indexed_bytes_quota is not None
-        updated = strict.with_qos("vip", "interactive")
-        assert dict(updated.tenant_qos)["vip"] == "interactive"
-        assert dict(strict.tenant_qos).get("vip") is None  # frozen original
 
     def test_doc_bytes_is_deterministic_and_positive(self):
         doc = make_doc()
@@ -324,9 +317,26 @@ class TestFacadeGovernance:
         db = ESDB(EsdbConfig())
         assert db.governor is None
 
+    def test_hot_tenant_is_demoted_and_restored_on_the_logical_clock(self):
+        """A tenant writing 60% of a skew window is demoted to batch when
+        the window closes, and is standard again a minute later."""
+        db = governed_db(write_rate=1000.0, write_burst=1000.0)
+        generator = TransactionLogGenerator(WorkloadConfig(num_tenants=10, seed=3))
+        tenants = ["whale", "whale", "whale", "b", "c"] * 20
+        for i, tenant in enumerate(tenants):
+            db.write(generator.generate(created_time=i * 0.09, tenant_id=tenant))
+        db.advance_clock(10.0)
+        db.rebalance()
+        assert [event.tenant for event in db.events.query(kind="demotion")] == ["whale"]
+        governor = db.governor
+        assert governor.qos_of("whale", 10.0) == "batch"
+        assert governor.qos_of("b", 10.0) == "standard"  # 20%: under the share
+        db.write(generator.generate(created_time=10.0 + DEMOTE_SECONDS, tenant_id="whale"))
+        assert governor.qos_of("whale", db.now) == "standard"
+        assert not governor.is_demoted("whale", db.now)
+
     def test_governed_write_sheds_and_surfaces_error(self):
-        db = governed_db(write_rate=1.0, write_burst=1.0, queue_capacity=1,
-                         standard_queue_share=1.0)
+        db = governed_db(write_rate=1.0, write_burst=1.0, queue_capacity=1)
         generator = TransactionLogGenerator(WorkloadConfig(num_tenants=10, seed=1))
         db.write(generator.generate(created_time=0.0, tenant_id="t-1"))
         db.write(generator.generate(created_time=0.0, tenant_id="t-1"))
@@ -421,8 +431,7 @@ class TestFacadeGovernance:
         assert "tenancy" not in snapshot(ESDB(EsdbConfig()))["cluster"]
 
     def test_tenancy_telemetry_counters(self):
-        db = governed_db(write_rate=1.0, write_burst=1.0, queue_capacity=1,
-                         standard_queue_share=1.0)
+        db = governed_db(write_rate=1.0, write_burst=1.0, queue_capacity=1)
         generator = TransactionLogGenerator(WorkloadConfig(num_tenants=10, seed=1))
         for _ in range(2):
             db.write(generator.generate(created_time=0.0, tenant_id="t-1"))
@@ -447,13 +456,12 @@ class TestShedQuery:
     def spent(self) -> ESDB:
         """A governed, SLO-enabled instance whose tenant ``t-1`` used up its
         scanned-documents quota on one query (``status = 1``)."""
-        from repro.slo import SloConfig
         from tests.conftest import make_log
 
         db = ESDB(EsdbConfig(
             topology=ClusterTopology(num_nodes=2, num_shards=4, replicas_per_shard=0),
             tenancy=TenancyConfig(enabled=True, scanned_docs_quota=1),
-            slo=SloConfig(enabled=True),
+            slo=True,
         ))
         for i in range(4):
             db.write(make_log(i, tenant="t-1", created=float(i), status=1))
@@ -468,10 +476,10 @@ class TestShedQuery:
         slo_errors = []
         record = db.slo.record
 
-        def tapped(op, tenant, latency, now, error=False):
+        def tapped(op, latency, now, error=False):
             if error:
-                slo_errors.append((op, tenant))
-            return record(op, tenant, latency, now, error=error)
+                slo_errors.append(op)
+            return record(op, latency, now, error=error)
 
         db.slo.record = tapped
         db._execute_fanout = lambda *args: pytest.fail("a shed query fanned out")
@@ -481,7 +489,7 @@ class TestShedQuery:
         (event,) = db.events.query(kind="throttle")
         assert event.tenant == "t-1" and event.detail["op"] == "query"
         assert event.trace_id is not None
-        assert slo_errors == [("query", "t-1")]
+        assert slo_errors == ["query"]
         assert metrics.total("esdb_queries_total") == queries
         assert metrics.total("esdb_subqueries_total") == subqueries
         return caught.value
@@ -515,8 +523,7 @@ class TestWriteClientThrottling:
         )
 
     def test_throttle_surfaces_without_dead_lettering(self):
-        db = governed_db(write_rate=1.0, write_burst=2.0, queue_capacity=1,
-                         standard_queue_share=1.0)
+        db = governed_db(write_rate=1.0, write_burst=2.0, queue_capacity=1)
         client = self.make_client(db)
         generator = TransactionLogGenerator(WorkloadConfig(num_tenants=10, seed=1))
         for i in range(8):
@@ -530,8 +537,7 @@ class TestWriteClientThrottling:
         assert sum(client.queue_depths()) > 0
 
     def test_throttled_pendings_redispatch_after_backoff(self):
-        db = governed_db(write_rate=2.0, write_burst=2.0, queue_capacity=1,
-                         standard_queue_share=1.0)
+        db = governed_db(write_rate=2.0, write_burst=2.0, queue_capacity=1)
         # Small batches: a throttled chunk is restored whole, so progress
         # per retry round is bounded by batch size vs. the refill rate.
         client = self.make_client(db, batch_size=2)

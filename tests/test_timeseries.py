@@ -341,15 +341,17 @@ class TestEsdbIntegration:
         assert db.now == 10.0
 
     def test_memory_bounded_over_long_run(self):
-        # Satellite: a 10k-write run must stay within the ring capacity.
-        db = small_db(timeseries_capacity=32, timeseries_interval=0.5)
+        # A 10k-write run over 500 logical seconds, one sample each, must
+        # stay within the 240-sample rings.
+        db = small_db()
         for i in range(10_000):
             db.write(make_log(i, tenant=f"t{i % 7}", created=i * 0.05))
         store = db.timeseries
-        assert store.samples_taken > 32  # the ring actually wrapped
+        assert store.capacity == 240
+        assert store.samples_taken > store.capacity  # the ring actually wrapped
         assert store.all_series()  # and something was recorded
         for series in store.all_series():
-            assert len(series) <= 32
+            assert len(series) <= store.capacity
 
 
 class TestDisabledModes:

@@ -1,7 +1,7 @@
 """Tests for request-scoped distributed tracing.
 
-Covers the context layer (deterministic ids, traceparent, samplers, the
-thread-local active context), the structured event log, histogram
+Covers the context layer (deterministic ids, the thread-local active
+context), the structured event log, histogram
 exemplars, the facade wiring (trace lookup, slow-log stamping, span links,
 event emission) and the flight-recorder diagnostics bundle.
 """
@@ -19,18 +19,12 @@ from repro.esdb import ESDB, EsdbConfig
 from repro.obsv import cat_events
 from repro.telemetry import (
     EVENT_KINDS,
-    AlwaysSampler,
     EventLog,
     MetricsRegistry,
-    RatioSampler,
-    SlowTailSampler,
     Span,
-    SlowTailSampler as _SlowTail,  # noqa: F401 - alias exercised below
     TraceConfig,
-    TraceContext,
     TraceIdGenerator,
     Tracer,
-    build_sampler,
     current_context,
     derive_span_id,
 )
@@ -69,25 +63,6 @@ class TestTraceContext:
         assert first.trace_id != second.trace_id
         assert TraceIdGenerator(seed=8).next_context("write") != first
 
-    def test_traceparent_round_trip(self):
-        ctx = TraceIdGenerator(seed=1).next_context("query")
-        parsed = TraceContext.parse(ctx.traceparent())
-        assert parsed == ctx
-        ctx.sampled = False
-        assert ctx.traceparent().endswith("-00")
-        assert TraceContext.parse(ctx.traceparent()).sampled is False
-
-    @pytest.mark.parametrize("header", [
-        "",
-        "00-abc",
-        "ff-" + "0" * 32 + "-" + "1" * 16 + "-01",
-        "00-" + "0" * 31 + "-" + "1" * 16 + "-01",
-        "00-" + "g" * 32 + "-" + "1" * 16 + "-01",
-    ])
-    def test_malformed_traceparent_rejected(self, header):
-        with pytest.raises(ConfigurationError):
-            TraceContext.parse(header)
-
     def test_derive_span_id_is_pure(self):
         a = derive_span_id("ab" * 16, "cd" * 8, 0, "parse")
         assert a == derive_span_id("ab" * 16, "cd" * 8, 0, "parse")
@@ -109,54 +84,11 @@ class TestTraceContext:
         assert grand.span_id == derive_span_id(trace_id, child.span_id, 0, "sub")
 
 
-class TestSamplers:
-    def test_always(self):
-        sampler = AlwaysSampler()
-        ctx = TraceIdGenerator().next_context()
-        assert sampler.sample(ctx) and sampler.retain(ctx, Span("x"))
-
-    def test_ratio_bounds_and_determinism(self):
-        gen = TraceIdGenerator(seed=3)
-        contexts = [gen.next_context("op") for _ in range(200)]
-        kept = [c for c in contexts if RatioSampler(0.5).sample(c)]
-        assert 0 < len(kept) < len(contexts)
-        # Pure function of the id: a second sampler agrees exactly.
-        assert [RatioSampler(0.5).sample(c) for c in contexts] == [
-            RatioSampler(0.5).sample(c) for c in contexts
-        ]
-        assert all(RatioSampler(1.0).sample(c) for c in contexts)
-        assert not any(RatioSampler(0.0).sample(c) for c in contexts)
-        with pytest.raises(ConfigurationError):
-            RatioSampler(1.5)
-
-    def test_slow_tail_retention(self):
-        sampler = SlowTailSampler(0.010)
-        ctx = TraceIdGenerator().next_context()
-        fast, slow = Span("fast"), Span("slow")
-        fast.start, fast.end = 0.0, 0.001
-        slow.start, slow.end = 0.0, 0.5
-        assert sampler.sample(ctx)
-        assert not sampler.retain(ctx, fast)
-        assert sampler.retain(ctx, slow)
-
-    def test_build_sampler_and_config_validation(self):
-        assert build_sampler(TraceConfig()).name == "always"
-        assert build_sampler(TraceConfig(sampler="ratio", ratio=0.25)).name == "ratio"
-        assert build_sampler(TraceConfig(sampler="slow-tail")).name == "slow-tail"
-        with pytest.raises(ConfigurationError):
-            TraceConfig(sampler="coin-flip")
-        with pytest.raises(ConfigurationError):
-            TraceConfig(ratio=2.0)
-        with pytest.raises(ConfigurationError):
-            TraceConfig(events_capacity=0)
-        assert TraceConfig.off().enabled is False
-
-
 class TestTracerWithContexts:
     def test_traced_tree_gets_deterministic_ids(self):
         tracer = Tracer()
         ctx = TraceIdGenerator(seed=5).next_context("write")
-        with tracer.trace("write", ctx, sampler=AlwaysSampler()):
+        with tracer.trace("write", ctx):
             with tracer.span("route"):
                 pass
             with tracer.span("engine.index"):
@@ -168,21 +100,11 @@ class TestTracerWithContexts:
         assert len(set(ids)) == len(ids)
         assert all(s.trace_id == ctx.trace_id for s in root.walk())
 
-    def test_unsampled_trace_suppresses_children_and_is_dropped(self):
-        tracer = Tracer()
-        ctx = TraceIdGenerator(seed=5).next_context("write")
-        with tracer.trace("write", ctx, sampler=RatioSampler(0.0)) as root:
-            with tracer.span("route") as child:
-                child.tags["safe"] = True  # detached span accepts tags
-        assert not ctx.sampled
-        assert root.children == []
-        assert tracer.last_trace() is None
-
-    def test_errored_root_is_retained_despite_sampler(self):
+    def test_errored_root_is_retained(self):
         tracer = Tracer()
         ctx = TraceIdGenerator(seed=5).next_context("write")
         with pytest.raises(ValueError):
-            with tracer.trace("write", ctx, sampler=SlowTailSampler(10.0)):
+            with tracer.trace("write", ctx):
                 raise ValueError("boom")
         root = tracer.last_trace()
         assert root is not None
@@ -203,7 +125,7 @@ class TestTracerWithContexts:
         gen = TraceIdGenerator(seed=2)
         contexts = [gen.next_context("op") for _ in range(3)]
         for ctx in contexts:
-            with tracer.trace("op", ctx, sampler=AlwaysSampler()):
+            with tracer.trace("op", ctx):
                 pass
         assert tracer.find_trace(contexts[1].trace_id).trace_id == contexts[1].trace_id
         assert tracer.find_trace("f" * 32) is None
@@ -214,10 +136,10 @@ class TestActiveContext:
         tracer = Tracer()
         assert current_context() is None
         ctx = TraceIdGenerator().next_context()
-        with tracer.trace("outer", ctx, sampler=AlwaysSampler()):
+        with tracer.trace("outer", ctx):
             assert current_context() is ctx
             inner = TraceIdGenerator(seed=9).next_context()
-            with tracer.trace("inner", inner, sampler=AlwaysSampler()):
+            with tracer.trace("inner", inner):
                 assert current_context() is inner
             assert current_context() is ctx
         assert current_context() is None
@@ -226,7 +148,7 @@ class TestActiveContext:
         tracer = Tracer()
         ctx = TraceIdGenerator().next_context()
         with pytest.raises(ValueError):
-            with tracer.trace("failing", ctx, sampler=AlwaysSampler()):
+            with tracer.trace("failing", ctx):
                 assert current_context() is ctx
                 raise ValueError("boom")
         assert current_context() is None
@@ -236,7 +158,7 @@ class TestActiveContext:
         tracer = Tracer()
         ctx = TraceIdGenerator().next_context()
         seen = []
-        with tracer.trace("outer", ctx, sampler=AlwaysSampler()):
+        with tracer.trace("outer", ctx):
             thread = threading.Thread(target=lambda: seen.append(current_context()))
             thread.start()
             thread.join(timeout=30)
@@ -346,6 +268,60 @@ class TestExemplars:
 
 
 class TestEsdbTracing:
+    def test_trace_ids_are_seeded_by_the_topology(self):
+        def first_trace_id(seed: int) -> str:
+            topology = ClusterTopology(
+                num_nodes=2, num_shards=8, replicas_per_shard=0, seed=seed
+            )
+            db = ESDB(EsdbConfig(topology=topology))
+            db.write(zipf_docs(1, seed=1)[0])
+            return db.telemetry.tracer.last_trace().trace_id
+
+        expected = TraceIdGenerator(seed=3).next_context("write").trace_id
+        assert first_trace_id(3) == expected
+        assert first_trace_id(3) != first_trace_id(4)
+
+    def test_every_span_of_every_operation_is_recorded_and_retained(self):
+        db = make_db()
+        docs = zipf_docs(30, seed=4)
+        for doc in docs:
+            db.write(doc)
+        db.refresh()
+        db.execute_sql("SELECT COUNT(*) FROM transaction_logs WHERE quantity >= 2")
+        traces = db.telemetry.tracer.recent_traces()
+        writes = [root for root in traces if root.name == "write"]
+        assert len(writes) == len(docs)
+        for root in writes:
+            assert [child.name for child in root.children] == [
+                "write.route", "write.index",
+            ]
+        query = traces[-1]
+        assert query.name == "query"
+        assert len(query.find_prefix("query.shard[")) == TOPOLOGY.num_shards
+        assert db.trace_ids.issued == len(docs) + 1
+
+    def test_event_log_keeps_the_last_256_events(self):
+        from repro.errors import TenantThrottledError
+        from repro.tenancy import TenancyConfig
+
+        db = make_db(
+            tenancy=TenancyConfig(
+                enabled=True, write_rate=1.0, write_burst=1.0, queue_capacity=1
+            )
+        )
+        generator = TransactionLogGenerator(WorkloadConfig(num_tenants=5, seed=2))
+        for i in range(300):
+            try:
+                db.write(generator.generate(created_time=0.0, tenant_id="flood"))
+            except TenantThrottledError:
+                pass
+        counts = db.events.counts()
+        emitted = counts.get("throttle", 0) + counts.get("shed", 0)
+        assert emitted >= 290
+        assert db.events.capacity == 256
+        assert len(db.events.query()) == 256
+        assert db.events.total == emitted
+
     def test_write_and_query_allocate_deterministic_traces(self):
         ids = []
         for _ in range(2):
@@ -375,7 +351,7 @@ class TestEsdbTracing:
         root = db.telemetry.tracer.last_trace()
         assert root.trace_id is None
         assert all(s.span_id is None for s in root.walk())
-        assert db.trace_ids is None and db.trace_sampler is None
+        assert db.trace_ids is None
 
     def test_slowlog_entries_carry_trace_ids(self):
         from repro.obsv import ObsvConfig
