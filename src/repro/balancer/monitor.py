@@ -1,27 +1,35 @@
 """Workload monitor: windowed per-tenant write-throughput statistics (§3.2).
 
 The monitor is the control-layer component that "collects metrics for
-workload balancing": every write lands in a per-tenant counter
-(``esdb_tenant_writes_total``) of a :class:`~repro.telemetry.MetricsRegistry`,
-and at the end of each reporting period the balancer pulls a per-tenant
-throughput snapshot computed from counter deltas. Storage per tenant is
-tracked cumulatively for the initialization phase of Algorithm 1.
-
-The registry may be shared (the ESDB facade passes its telemetry registry,
-with an ``instance`` label separating facades), in which case the monitor's
-raw counters show up in metric exports alongside everything else.
+workload balancing": every routed write is counted for its tenant and its
+shard in the open window, and each closed window is kept (the last
+:data:`MAX_WINDOWS`) as a :class:`LoadWindow`. The balancer reads the
+per-tenant throughput of the last closed window; the observer
+(:mod:`repro.obsv`) derives its skew statistics from the same windows.
+Storage per tenant is tracked cumulatively for the initialization phase of
+Algorithm 1.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ConfigurationError
-from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.runtime import NullRegistry
 
-TENANT_WRITES_METRIC = "esdb_tenant_writes_total"
+#: Closed windows retained.
+MAX_WINDOWS = 64
+
+
+class LoadWindow(NamedTuple):
+    """One closed window of routed writes: ``[start, end)`` and the writes
+    each tenant and each shard received in it (nonzero counts only)."""
+
+    start: float
+    end: float
+    tenants: dict
+    shards: dict
 
 
 @dataclass
@@ -43,105 +51,83 @@ class TenantStats:
 
 
 class WorkloadMonitor:
-    """Collects per-tenant write counts in fixed windows.
+    """Collects per-tenant and per-shard write counts in fixed windows.
 
     The monitor is deliberately simple — Alibaba's production monitor reports
     periodic throughput proportions, and that is exactly the interface
     Algorithm 1 consumes (``T(K)`` at line 13, ``S(K)`` at line 5).
 
-    Writes accumulate in cumulative registry counters; window statistics are
-    deltas against the counter values captured at the last window roll.
-
     Args:
         window_seconds: length of one reporting window.
-        registry: metrics registry to count in; a private one is created
-            when omitted (or when a no-op registry is passed, so a disabled
-            telemetry domain never breaks balancing).
-        labels: extra labels stamped on every tenant counter (e.g. the
-            facade's ``instance``), keeping monitors on a shared registry
-            from interfering with each other.
     """
 
-    def __init__(
-        self,
-        window_seconds: float = 10.0,
-        registry: MetricsRegistry | None = None,
-        labels: dict | None = None,
-    ) -> None:
+    def __init__(self, window_seconds: float = 10.0) -> None:
         if window_seconds <= 0:
             raise ConfigurationError("window_seconds must be positive")
         self.window_seconds = window_seconds
-        if registry is None or isinstance(registry, NullRegistry):
-            registry = MetricsRegistry()
-        self.registry = registry
-        self._labels = dict(labels or {})
-        self._counters: dict = {}  # tenant -> Counter metric
-        self._window_base: dict = {}  # tenant -> counter value at window start
-        self._storage_base: dict = {}  # tenant -> counter value at seed time
-        self._storage_seed: Counter = Counter()
+        #: Closed windows, oldest first.
+        self.windows: deque = deque(maxlen=MAX_WINDOWS)
+        # Tenants keep their first-seen order from window to window (a
+        # closed window lists them in it), so the balancer proposes in a
+        # stable order.
+        self._tenants: dict = {}
+        self._shards: dict = {}
+        self._storage: Counter = Counter()
         self._window_start = 0.0
-        self._last_window: Counter = Counter()
-        self._last_window_seconds = 0.0
 
-    def _counter(self, tenant_id: object):
-        counter = self._counters.get(tenant_id)
-        if counter is None:
-            counter = self.registry.counter(
-                TENANT_WRITES_METRIC, tenant=str(tenant_id), **self._labels
-            )
-            self._counters[tenant_id] = counter
-        return counter
+    def record_write(self, tenant_id: object, shard_id: int, now: float) -> bool:
+        """Count one write routed to *shard_id* for *tenant_id* at *now*.
 
-    def record_write(self, tenant_id: object, now: float, count: int = 1) -> None:
-        """Record *count* writes for *tenant_id* at time *now*.
-
-        Rolls the window automatically when *now* passes the window boundary.
+        Closes the open window first when *now* passes its boundary, and
+        returns True when it did.
         """
-        if now - self._window_start >= self.window_seconds:
+        rolled = now - self._window_start >= self.window_seconds
+        if rolled:
             self.roll_window(now)
-        self._counter(tenant_id).inc(count)
+        tenants = self._tenants
+        tenants[tenant_id] = tenants.get(tenant_id, 0) + 1
+        shards = self._shards
+        shards[shard_id] = shards.get(shard_id, 0) + 1
+        self._storage[tenant_id] += 1
+        return rolled
 
     def roll_window(self, now: float) -> None:
-        """Close the current window, making it available to :meth:`throughput`."""
-        elapsed = max(now - self._window_start, 1e-9)
-        window = Counter()
-        for tenant, counter in self._counters.items():
-            delta = counter.value - self._window_base.get(tenant, 0.0)
-            if delta:
-                window[tenant] = int(delta)
-            self._window_base[tenant] = counter.value
-        self._last_window = window
-        self._last_window_seconds = min(elapsed, self.window_seconds) or self.window_seconds
+        """Close the open window at *now*, making it the one
+        :meth:`throughput` reads."""
+        self.windows.append(
+            LoadWindow(
+                self._window_start,
+                now,
+                {tenant: count for tenant, count in self._tenants.items() if count},
+                self._shards,
+            )
+        )
+        self._tenants = dict.fromkeys(self._tenants, 0)
+        self._shards = {}
         self._window_start = now
+
+    def _last_window(self) -> dict:
+        return self.windows[-1].tenants if self.windows else {}
 
     def throughput(self) -> dict:
         """Return {tenant_id: writes/sec} for the last closed window."""
-        if not self._last_window:
+        if not self.windows:
             return {}
-        seconds = self._last_window_seconds or self.window_seconds
-        return {k: v / seconds for k, v in self._last_window.items()}
+        window = self.windows[-1]
+        seconds = min(max(window.end - window.start, 1e-9), self.window_seconds)
+        return {k: v / seconds for k, v in window.tenants.items()}
 
     def shares(self) -> dict:
         """Return {tenant_id: fraction of window writes} — ``r`` in Algorithm 1."""
-        total = sum(self._last_window.values())
+        window = self._last_window()
+        total = sum(window.values())
         if total == 0:
             return {}
-        return {k: v / total for k, v in self._last_window.items()}
-
-    def _storage_for(self, tenant_id: object) -> int:
-        counter = self._counters.get(tenant_id)
-        written = counter.value - self._storage_base.get(tenant_id, 0.0) if counter else 0.0
-        return int(self._storage_seed.get(tenant_id, 0) + written)
+        return {k: v / total for k, v in window.items()}
 
     def storage(self) -> dict:
         """Return {tenant_id: cumulative records stored} — ``S(K)``."""
-        tenants = set(self._storage_seed) | set(self._counters)
-        out = {}
-        for tenant in tenants:
-            total = self._storage_for(tenant)
-            if total:
-                out[tenant] = total
-        return out
+        return {tenant: total for tenant, total in self._storage.items() if total}
 
     def storage_shares(self) -> dict:
         """Return {tenant_id: fraction of total storage}."""
@@ -154,23 +140,20 @@ class WorkloadMonitor:
     def seed_storage(self, storage: dict) -> None:
         """Preload cumulative storage (used when attaching the monitor to an
         existing cluster whose shards already hold data). Replaces any
-        storage accumulated so far, matching the historical semantics."""
-        self._storage_seed = Counter(storage)
-        self._storage_base = {
-            tenant: counter.value for tenant, counter in self._counters.items()
-        }
+        storage accumulated so far."""
+        self._storage = Counter(storage)
 
     def stats(self) -> list[TenantStats]:
         """Return a combined snapshot sorted by descending write share."""
-        shares = self.shares()
+        window = self._last_window()
         out = [
             TenantStats(
                 tenant_id=tenant,
-                writes=self._last_window[tenant],
+                writes=window[tenant],
                 share=share,
-                storage=self._storage_for(tenant),
+                storage=self._storage[tenant],
             )
-            for tenant, share in shares.items()
+            for tenant, share in self.shares().items()
         ]
         out.sort(key=lambda s: s.share, reverse=True)
         return out

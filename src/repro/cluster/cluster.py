@@ -113,9 +113,6 @@ class Cluster:
         attacks)."""
         return [self.node_of_shard(shard_id)] + self.replica_nodes_of_shard(shard_id)
 
-    def shards_on_node(self, node_id: int) -> set:
-        return set(self.nodes[node_id].shard_ids)
-
     # -- master election ---------------------------------------------------------
     @property
     def master(self) -> Node:

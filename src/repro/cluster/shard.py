@@ -4,7 +4,7 @@ A shard is the unit of routing and storage; each shard has exactly one
 replica (the paper's configuration). The shard object here is pure topology
 metadata — the actual per-shard storage engine lives in
 :mod:`repro.storage.engine` and is attached by the :class:`~repro.esdb.ESDB`
-facade, while the performance simulator only tracks counters.
+facade.
 """
 
 from __future__ import annotations
@@ -21,21 +21,14 @@ class Shard:
     Attributes:
         shard_id: index in ``[0, num_shards)``; routing targets this id.
         node_id: the worker node hosting the primary copy.
-        doc_count: number of documents written (shard-size metric, Fig 13d).
     """
 
     shard_id: int
     node_id: int
-    doc_count: int = 0
-    bytes_size: int = 0
 
     def __post_init__(self) -> None:
         if self.shard_id < 0:
             raise ConfigurationError("shard_id must be non-negative")
-
-    def record_write(self, size_bytes: int = 1) -> None:
-        self.doc_count += 1
-        self.bytes_size += size_bytes
 
 
 @dataclass

@@ -16,10 +16,6 @@ class ConfigurationError(EsdbError):
     """A component was constructed with invalid parameters."""
 
 
-class RoutingError(EsdbError):
-    """A write or query could not be routed to a shard."""
-
-
 class ConsensusError(EsdbError):
     """The secondary-hashing-rule consensus protocol failed."""
 

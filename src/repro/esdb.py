@@ -288,9 +288,7 @@ class ESDB:
         #: statement shape -> its compiled rewrite and plan (repro.query.shapes)
         self._shapes = ShapeMap(self.telemetry.metrics)
         self._set_catalog(self.config.composite_columns)
-        self.monitor = WorkloadMonitor(
-            registry=self.telemetry.metrics, labels={"instance": self.instance}
-        )
+        self.monitor = WorkloadMonitor()
         self.balancer = LoadBalancer(
             self.monitor, self.cluster.num_shards, self.config.balancer
         )
@@ -303,10 +301,10 @@ class ESDB:
         self.obsv: Observer | None = None
         if self.config.obsv.enabled:
             self.obsv = Observer(
+                self.monitor,
+                self.cluster.num_shards,
                 self.config.obsv,
-                num_shards=self.cluster.num_shards,
                 metrics=self.telemetry.metrics if self.telemetry.enabled else None,
-                window_seconds=self.monitor.window_seconds,
             )
             obsv_runtime.register(self)
         self.timeseries: TimeSeriesStore | None = None
@@ -444,12 +442,13 @@ class ESDB:
 
         The routing pass runs in submission order on the coordinator —
         clock advancement, tenant admission (governor), the rule-list
-        lookup and workload-monitor accounting per document. Each shard's
-        batch is then applied by :meth:`_apply_shard_batch`, and everything
-        after it — counters, CPU charges, sub-attribute frequencies, skew
-        and slow-log accounting (obsv), SLO classification and heavy
-        hitters, history sampling — happens once per call, back on the
-        coordinator, over the documents that were applied.
+        lookup and workload-monitor accounting per document (a window the
+        monitor closes there is handed to the observer's skew analytics).
+        Each shard's batch is then applied by :meth:`_apply_shard_batch`,
+        and everything after it — counters, CPU charges, sub-attribute
+        frequencies, the index slow log (obsv), SLO classification and
+        heavy hitters, history sampling — happens once per call, back on
+        the coordinator, over the documents that were applied.
         """
         telemetry = self.telemetry
         tracer = telemetry.tracer
@@ -509,7 +508,11 @@ class ESDB:
                             break
                         continue
                     tenants[position] = tenant_id
-                    self.monitor.record_write(tenant_id, self._clock)
+                    if (
+                        self.monitor.record_write(tenant_id, shard_id, self._clock)
+                        and self.obsv is not None
+                    ):
+                        self.obsv.roll()
                     groups.setdefault(shard_id, []).append((position, doc_id, source))
             shard_ids = sorted(groups)
             with tracer.span("write.index", shards=len(shard_ids)):
@@ -592,7 +595,6 @@ class ESDB:
         re-applies a document. Returns the applied documents' sub-attribute
         names (one tuple each) and the engine seconds the batch took."""
         target = self.replica_sets.get(shard_id, self.engines[shard_id])
-        shard = self.cluster.shard(shard_id)
         subattr_names: list[tuple[str, ...]] = []
         started = time.perf_counter()
         for position, doc_id, source in batch:
@@ -604,7 +606,6 @@ class ESDB:
                     ok=False, error=exc,
                 )
                 continue
-            shard.record_write()
             items[position] = BulkItemResult(
                 position=position, doc_id=doc_id, shard_id=shard_id
             )
@@ -703,10 +704,7 @@ class ESDB:
         with self.telemetry.tracer.trace("balance.round", ctx):
             self.monitor.roll_window(self._clock)
             if self.obsv is not None:
-                # Same clock, same window length: the observer's skew window
-                # closes exactly with the monitor's balancing window, so an
-                # alert and the rule it triggers share one measurement.
-                self.obsv.roll(self._clock)
+                self.obsv.roll()
                 if self.governor is not None and self.obsv.last_alerts:
                     demoted = self.governor.apply_alerts(
                         self.obsv.last_alerts, self._clock

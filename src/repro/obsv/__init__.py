@@ -22,16 +22,15 @@ and N renderers:
 * index/search **slow logs** (:class:`SlowLog`) with warn/info thresholds,
   each entry carrying tenant, shard, elapsed time and the operation's full
   span tree;
-* tumbling-window **skew analytics** (:class:`SkewWindow` →
-  :class:`WindowStats`): per-shard and per-tenant CV, Gini and max/mean
-  imbalance, a hot-tenant / hot-shard :class:`Alert` detector, and the
-  measurement that annotates each committed routing rule ("why did
-  L(k1) grow").
+* **skew analytics** over the windows the workload monitor closes
+  (:func:`window_stats` → :class:`WindowStats`): per-shard and per-tenant
+  CV, Gini and max/mean imbalance, a hot-tenant / hot-shard :class:`Alert`
+  detector, and the measurement that annotates each committed routing
+  rule ("why did L(k1) grow").
 
-One :class:`Observer` per database instance holds the slow logs and skew
-windows; the ESDB facade builds it from :class:`ObsvConfig`
-(``EsdbConfig.obsv``) and the simulator reuses the analytics pieces
-directly.
+One :class:`Observer` per database instance holds the slow logs, the
+statistics of the monitor's closed windows and the alerts; the ESDB facade
+builds it from :class:`ObsvConfig` (``EsdbConfig.obsv``).
 """
 
 from repro.obsv.bundle import (
@@ -59,7 +58,6 @@ from repro.obsv.observer import Observer
 from repro.obsv.report import render_report
 from repro.obsv.skew import (
     Alert,
-    SkewWindow,
     WindowStats,
     annotation_reason,
     coefficient_of_variation,
@@ -68,6 +66,7 @@ from repro.obsv.skew import (
     max_mean_ratio,
     rule_measurement,
     summarize_windows,
+    window_stats,
 )
 from repro.obsv.slowlog import SlowLog, SlowLogEntry
 from repro.obsv.snapshot import snapshot
@@ -78,7 +77,6 @@ __all__ = [
     "CatTable",
     "Observer",
     "ObsvConfig",
-    "SkewWindow",
     "SlowLog",
     "SlowLogEntry",
     "WindowStats",
@@ -106,4 +104,5 @@ __all__ = [
     "snapshot",
     "summarize_windows",
     "validate_bundle",
+    "window_stats",
 ]

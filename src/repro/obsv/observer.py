@@ -1,11 +1,13 @@
 """The per-instance Observer: slow logs + skew windows + alerts in one box.
 
 The ESDB facade owns one Observer (when ``ObsvConfig.enabled``); its write
-and query paths feed it after each operation's span closes, and
-``ESDB.rebalance`` rolls its skew window in lockstep with the workload
-monitor so every closed window corresponds to exactly one balancing
-decision. Alerts and slow-log volumes are mirrored into the telemetry
-registry (``obsv_*`` series) so they travel with metric exports.
+and query paths feed the slow logs after each operation's span closes. The
+observer counts no load of its own: whenever the workload monitor closes a
+window — mid-stream or at ``ESDB.rebalance`` — the facade calls
+:meth:`Observer.roll`, which derives that window's skew statistics and
+alerts, so an alert and the rule it triggers share one measurement. Alerts
+and slow-log volumes are mirrored into the telemetry registry (``obsv_*``
+series) so they travel with metric exports.
 """
 
 from __future__ import annotations
@@ -22,16 +24,17 @@ from repro.obsv.config import (
     ObsvConfig,
 )
 from repro.obsv.skew import (
-    SkewWindow,
     WindowStats,
     annotation_reason,
     detect_alerts,
     rule_measurement,
     summarize_windows,
+    window_stats,
 )
 from repro.obsv.slowlog import SlowLog
 
 if TYPE_CHECKING:
+    from repro.balancer.monitor import WorkloadMonitor
     from repro.obsv.slowlog import SlowLogEntry
     from repro.routing.rules import RuleList
     from repro.telemetry import Span
@@ -42,13 +45,17 @@ class Observer:
 
     def __init__(
         self,
+        monitor: "WorkloadMonitor",
+        num_shards: int,
         config: ObsvConfig | None = None,
-        num_shards: int = 1,
         metrics=None,
-        window_seconds: float = 10.0,
     ) -> None:
         self.config = config or ObsvConfig()
-        self.skew = SkewWindow(num_shards, window_seconds=window_seconds)
+        self.monitor = monitor
+        self.num_shards = num_shards
+        #: Statistics of the monitor's closed windows, one per window, in
+        #: order (the monitor's retention).
+        self.windows: deque = deque(maxlen=monitor.windows.maxlen)
         self.index_slowlog = SlowLog(
             "index",
             warn_seconds=INDEX_WARN_SECONDS,
@@ -80,16 +87,8 @@ class Observer:
         trace: "Span | None" = None,
         trace_id: str | None = None,
     ) -> "SlowLogEntry | None":
-        """Feed one routed write: skew accounting + index slow log.
-        Returns the slow-log entry when the write crossed a threshold.
-
-        Rolls the skew window first when *now* crossed its boundary — the
-        workload monitor does the same with identical window length, so
-        both always close windows at the same instant.
-        """
-        if self.skew.due(now):
-            self.roll(now)
-        self.skew.record(tenant, shard)
+        """Feed one applied write into the index slow log. Returns the
+        slow-log entry when the write crossed a threshold."""
         entry = self.index_slowlog.record(
             time=now,
             elapsed=elapsed,
@@ -132,9 +131,11 @@ class Observer:
         return entry
 
     # -- windows and alerts ------------------------------------------------
-    def roll(self, now: float) -> WindowStats:
-        """Close the open skew window and run hot-spot detection on it."""
-        stats = self.skew.roll(now)
+    def roll(self) -> WindowStats:
+        """Derive the statistics of the window the monitor just closed and
+        run hot-spot detection on them."""
+        stats = window_stats(self.monitor.windows[-1], self.num_shards)
+        self.windows.append(stats)
         fresh = detect_alerts(
             stats,
             hot_tenant_share=HOT_TENANT_SHARE,
@@ -160,8 +161,9 @@ class Observer:
         effective_time: float,
     ) -> None:
         """Annotate a freshly committed rule with the window measurement
-        that triggered it ("why did L(k1) grow")."""
-        measurement = rule_measurement(self.skew.last(), tenant)
+        that triggered it ("why did L(k1) grow"): the window the
+        rebalance round closed."""
+        measurement = rule_measurement(self.windows[-1], tenant)
         rules.annotate(
             effective_time,
             offset,
@@ -183,9 +185,8 @@ class Observer:
                 },
             },
             "skew": {
-                "summary": summarize_windows(self.skew.windows),
-                "windows": [w.to_dict() for w in self.skew.windows],
-                "open_window_writes": self.skew.current_writes,
+                "summary": summarize_windows(self.windows),
+                "windows": [w.to_dict() for w in self.windows],
             },
             "alerts": [a.to_dict() for a in self.alerts],
         }

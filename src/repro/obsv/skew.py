@@ -3,13 +3,13 @@
 The paper evaluates dynamic secondary hashing by the standard deviation of
 per-shard throughput and the per-node distribution *after* a run. This
 module computes the same family of imbalance statistics — coefficient of
-variation, Gini coefficient, max/mean ratio — over *tumbling windows* of
-live traffic, so an operator (or a test) can watch skew build and dissolve
-as the balancer commits rules.
+variation, Gini coefficient, max/mean ratio — over the *tumbling windows*
+the workload monitor (:mod:`repro.balancer.monitor`) closes, so an operator
+can watch skew build and dissolve as the balancer commits rules, measured
+on exactly the counts the balancer acted on.
 
-A :class:`SkewWindow` accumulates per-tenant and per-shard write counts;
-:meth:`SkewWindow.roll` closes the window into an immutable
-:class:`WindowStats`. :func:`detect_alerts` turns a closed window into
+:func:`window_stats` turns one closed :class:`~repro.balancer.monitor.LoadWindow`
+into an immutable :class:`WindowStats`. :func:`detect_alerts` turns it into
 hot-tenant / hot-shard :class:`Alert` events, and :func:`rule_measurement`
 extracts the "why did L(k1) grow" measurement that annotates rule-list
 insertions.
@@ -18,11 +18,11 @@ insertions.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.errors import ConfigurationError
+if TYPE_CHECKING:
+    from repro.balancer.monitor import LoadWindow
 
 # -- imbalance statistics ----------------------------------------------------
 
@@ -91,15 +91,6 @@ class WindowStats:
     shard_gini: float
     shard_max_mean: float
 
-    def tenant_share(self, tenant: object) -> float:
-        """Fraction of the window's writes issued by *tenant*."""
-        if not self.writes:
-            return 0.0
-        for candidate, count in self.tenant_loads:
-            if candidate == tenant:
-                return count / self.writes
-        return 0.0
-
     def to_dict(self) -> dict:
         return {
             "start": self.start,
@@ -134,91 +125,31 @@ def describe_window(window: dict) -> str:
     )
 
 
-class SkewWindow:
-    """Tumbling-window accumulator of per-tenant and per-shard write load.
-
-    ``record`` is hot-path code (two dict increments); all statistics are
-    deferred to :meth:`roll`, which the caller invokes at window
-    boundaries — the ESDB facade and the simulator both roll it in
-    lockstep with the workload monitor so a skew window corresponds
-    one-to-one to a balancing decision window.
-    """
-
-    def __init__(
-        self,
-        num_shards: int,
-        window_seconds: float = 10.0,
-        max_windows: int = 64,
-    ) -> None:
-        if num_shards < 1:
-            raise ConfigurationError("num_shards must be >= 1")
-        if window_seconds <= 0:
-            raise ConfigurationError("window_seconds must be positive")
-        self.num_shards = num_shards
-        self.window_seconds = window_seconds
-        self.windows: deque = deque(maxlen=max_windows)
-        self._tenant_counts: dict = {}
-        self._shard_counts: dict = {}
-        self._writes = 0
-        self._window_start = 0.0
-
-    @property
-    def window_start(self) -> float:
-        return self._window_start
-
-    @property
-    def current_writes(self) -> int:
-        """Writes accumulated in the still-open window."""
-        return self._writes
-
-    def due(self, now: float) -> bool:
-        """True when *now* lies past the open window's boundary."""
-        return now - self._window_start >= self.window_seconds
-
-    def record(self, tenant: object, shard: int, count: int = 1) -> None:
-        tenants = self._tenant_counts
-        tenants[tenant] = tenants.get(tenant, 0) + count
-        shards = self._shard_counts
-        shards[shard] = shards.get(shard, 0) + count
-        self._writes += count
-
-    def roll(self, now: float) -> WindowStats:
-        """Close the open window into a :class:`WindowStats` and start the
-        next one at *now*."""
-        tenant_loads = tuple(
-            sorted(self._tenant_counts.items(), key=lambda kv: (-kv[1], str(kv[0])))
-        )
-        shard_loads = tuple(
-            sorted(self._shard_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        )
-        tenant_values = [count for _, count in tenant_loads]
-        shard_values = [0.0] * self.num_shards
-        for shard, count in self._shard_counts.items():
-            shard_values[shard] = float(count)
-        stats = WindowStats(
-            start=self._window_start,
-            end=now,
-            writes=self._writes,
-            num_shards=self.num_shards,
-            tenant_loads=tenant_loads,
-            shard_loads=shard_loads,
-            tenant_cv=coefficient_of_variation(tenant_values),
-            tenant_gini=gini(tenant_values),
-            tenant_max_mean=max_mean_ratio(tenant_values),
-            shard_cv=coefficient_of_variation(shard_values),
-            shard_gini=gini(shard_values),
-            shard_max_mean=max_mean_ratio(shard_values),
-        )
-        self.windows.append(stats)
-        self._tenant_counts = {}
-        self._shard_counts = {}
-        self._writes = 0
-        self._window_start = now
-        return stats
-
-    def last(self) -> WindowStats | None:
-        """The most recently closed window, or None before the first roll."""
-        return self.windows[-1] if self.windows else None
+def window_stats(window: LoadWindow, num_shards: int) -> WindowStats:
+    """The imbalance statistics of one window the workload monitor closed.
+    Shard statistics run over all *num_shards* shards, idle ones included."""
+    tenant_loads = tuple(
+        sorted(window.tenants.items(), key=lambda kv: (-kv[1], str(kv[0])))
+    )
+    shard_loads = tuple(sorted(window.shards.items(), key=lambda kv: (-kv[1], kv[0])))
+    tenant_values = [count for _, count in tenant_loads]
+    shard_values = [0.0] * num_shards
+    for shard, count in window.shards.items():
+        shard_values[shard] = float(count)
+    return WindowStats(
+        start=window.start,
+        end=window.end,
+        writes=sum(tenant_values),
+        num_shards=num_shards,
+        tenant_loads=tenant_loads,
+        shard_loads=shard_loads,
+        tenant_cv=coefficient_of_variation(tenant_values),
+        tenant_gini=gini(tenant_values),
+        tenant_max_mean=max_mean_ratio(tenant_values),
+        shard_cv=coefficient_of_variation(shard_values),
+        shard_gini=gini(shard_values),
+        shard_max_mean=max_mean_ratio(shard_values),
+    )
 
 
 # -- alerts ------------------------------------------------------------------
@@ -309,12 +240,10 @@ def detect_alerts(
     return alerts
 
 
-def rule_measurement(stats: WindowStats | None, tenant: object) -> dict | None:
+def rule_measurement(stats: WindowStats, tenant: object) -> dict | None:
     """The triggering measurement attached to a committed rule — answers
     "why did L(k1) grow" with the tenant's load in the window that drove
     the balancer's proposal. None when the tenant left no trace."""
-    if stats is None or not stats.writes:
-        return None
     count = next((c for t, c in stats.tenant_loads if t == tenant), None)
     if count is None:
         return None

@@ -53,10 +53,6 @@ class ExecutionTrace:
         paper's optimizer reduces (large lists are what make Figure 7 slow)."""
         return sum(size for _, size in self.steps)
 
-    @property
-    def operator_count(self) -> int:
-        return len(self.steps)
-
 
 @functools.lru_cache(maxsize=512)
 def _like_to_regex(pattern: str) -> re.Pattern:

@@ -49,9 +49,3 @@ class ReplicationAccounting:
     @property
     def max_visibility_delay(self) -> float:
         return max(self.visibility_delays, default=0.0)
-
-    @property
-    def avg_visibility_delay(self) -> float:
-        if not self.visibility_delays:
-            return 0.0
-        return sum(self.visibility_delays) / len(self.visibility_delays)

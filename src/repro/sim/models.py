@@ -92,8 +92,3 @@ class SimulationConfig:
             raise ConfigurationError("sample_per_tick must be >= 1")
         if self.tick_seconds <= 0:
             raise ConfigurationError("tick_seconds must be positive")
-
-    @property
-    def cluster_capacity(self) -> float:
-        """Total service units/second across the cluster."""
-        return self.num_nodes * self.node_capacity

@@ -40,18 +40,9 @@ import numpy as np
 from repro.balancer import BalancerConfig, LoadBalancer, WorkloadMonitor
 from repro.consensus import ConsensusConfig, ConsensusMaster, Participant, RuleProposal
 from repro.errors import ConsensusAborted, SimulationError
-from repro.obsv.skew import (
-    SkewWindow,
-    WindowStats,
-    annotation_reason,
-    detect_alerts,
-    rule_measurement,
-    summarize_windows,
-)
 from repro.routing import DynamicSecondaryHashRouting, RoutingPolicy
 from repro.sim.metrics import MetricsCollector, SimulationReport
 from repro.sim.models import ReplicationCostModel, SimulationConfig
-from repro.telemetry.timeseries import TimeSeriesStore
 from repro.workload.generator import TransactionLogGenerator, WorkloadConfig
 from repro.workload.scenarios import Scenario
 
@@ -136,22 +127,6 @@ class WriteSimulation:
         )
         self._next_balance_time = self.config.balance_window
         self.rule_commits: list[tuple[float, object, int]] = []
-
-        # Live skew analytics (repro.obsv): the routed sample stream feeds a
-        # tumbling window aligned with the balance window, so every alert
-        # and rule commit can point at one closed window's measurement.
-        self.skew = SkewWindow(
-            self.config.num_shards, window_seconds=self.config.balance_window
-        )
-        self.skew_alerts: list = []
-
-        # Performance history: bounded per-tick model series, fed directly
-        # (no registry) on the simulation's logical clock. The same ring
-        # bound as the facade store applies, so week-long scenario runs
-        # keep O(capacity) history per series.
-        self.timeseries = TimeSeriesStore(
-            interval=self.config.tick_seconds, capacity=512
-        )
         #: Realized arrival statistics (set after ``run`` for scenarios
         #: that carry an :class:`~repro.workload.arrivals.ArrivalStats`).
         self.arrival_stats = None
@@ -159,14 +134,9 @@ class WriteSimulation:
     # -- main loop -----------------------------------------------------------
     def run(self) -> SimulationReport:
         """Run the scenario to completion; returns the steady-state report."""
-        live_count = getattr(self.scenario, "live_tenant_count", None)
         for tick in self.scenario.ticks():
             self.scenario.apply(self.generator, tick)
             self._step(tick.time, tick.rate)
-            if live_count is not None:
-                self.timeseries.record(
-                    "workload.live_tenants", tick.time, float(live_count(tick.time))
-                )
         # Arrival-driven scenarios accumulate realized-stream statistics
         # (interarrival quantiles, burstiness) as their ticks are drawn;
         # surface them for reports and the dashboard.
@@ -194,9 +164,8 @@ class WriteSimulation:
             shard_fraction[shard] += 1.0
             samples.append((tenant, shard))
             tenant_counts[tenant] = tenant_counts.get(tenant, 0) + 1
-            self.skew.record(tenant, shard)
             if self._is_dynamic:
-                self.monitor.record_write(tenant, now, count=1)
+                self.monitor.record_write(tenant, shard, now)
         shard_fraction /= sample_size
 
         hot_shard_fraction = None
@@ -288,17 +257,10 @@ class WriteSimulation:
             node_cpu=node_cpu,
             shard_throughput=shard_fraction * admitted,
         )
-        self.timeseries.record("sim.offered_rate", now, rate)
-        self.timeseries.record("sim.throughput", now, completed / cfg.tick_seconds)
-        self.timeseries.record("sim.avg_delay", now, avg_delay)
-        self.timeseries.record("sim.max_delay", now, max_delay)
-        self.timeseries.record("sim.client_backlog", now, self._client_backlog)
 
         if self._is_dynamic and now >= self._next_balance_time:
             self._rebalance(now)
             self._next_balance_time = now + self.config.balance_window
-        elif not self._is_dynamic and self.skew.due(now):
-            self._roll_skew(now)
 
     def _node_work(self, shard_mass: np.ndarray) -> np.ndarray:
         """Map per-shard write mass to per-node service work."""
@@ -414,18 +376,9 @@ class WriteSimulation:
         return admitted, node_served
 
     # -- balancing -----------------------------------------------------------
-    def _roll_skew(self, now: float) -> WindowStats:
-        """Close the skew window and run hot-spot detection over it."""
-        stats = self.skew.roll(now)
-        self.skew_alerts.extend(
-            detect_alerts(stats, hot_tenant_share=0.2, hot_shard_ratio=3.0)
-        )
-        return stats
-
     def _rebalance(self, now: float) -> None:
         """Run one balance round: monitor window → proposals → consensus."""
         self.monitor.roll_window(now)
-        stats = self._roll_skew(now)
         proposals = self.balancer.rebalance()
         rules = self.policy.rules  # type: ignore[attr-defined]
         for proposal in proposals:
@@ -437,39 +390,9 @@ class WriteSimulation:
                 self.balancer.retract(proposal)
                 continue
             rules.update(outcome.effective_time, proposal.offset, proposal.tenant_id)
-            measurement = rule_measurement(stats, proposal.tenant_id)
-            rules.annotate(
-                outcome.effective_time,
-                proposal.offset,
-                proposal.tenant_id,
-                reason=annotation_reason(
-                    proposal.tenant_id, proposal.offset, measurement
-                ),
-                measurement=measurement or {},
-            )
             self.rule_commits.append(
                 (outcome.effective_time, proposal.tenant_id, proposal.offset)
             )
-
-    # -- skew introspection ---------------------------------------------------
-    def skew_report(self) -> dict:
-        """JSON-ready summary of the run's skew windows and alerts."""
-        return {
-            "summary": summarize_windows(self.skew.windows),
-            "windows": [w.to_dict() for w in self.skew.windows],
-            "alerts": [a.to_dict() for a in self.skew_alerts],
-            "rule_annotations": [
-                {
-                    "effective_time": a.effective_time,
-                    "offset": a.offset,
-                    "tenant": a.tenant,
-                    "reason": a.reason,
-                }
-                for a in getattr(self.policy, "rules", None).annotations()
-            ]
-            if getattr(self.policy, "rules", None) is not None
-            else [],
-        }
 
 
 def run_policy_comparison(

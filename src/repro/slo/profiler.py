@@ -1,6 +1,6 @@
 """Heavy-hitter attribution: *which* keys, terms and queries are hot.
 
-``SkewWindow`` can say a tenant or shard is hot; this profiler names the
+A skew alert can say a tenant or shard is hot; this profiler names the
 routing keys, filter terms and query fingerprints doing it. One bounded
 :class:`~repro.slo.SpaceSavingSketch` per dimension globally, plus lazy
 per-shard sketches (routing keys) and bounded per-tenant sketch maps, all

@@ -230,9 +230,6 @@ class Segment:
     def composite(self, name: str) -> CompositeIndex | None:
         return self._composites.get(name)
 
-    def composites(self) -> dict[str, CompositeIndex]:
-        return dict(self._composites)
-
     def doc_values(self, field_name: str) -> DocValues | None:
         return self._doc_values.get(field_name)
 

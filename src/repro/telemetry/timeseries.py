@@ -4,9 +4,10 @@ Everything in :mod:`repro.telemetry.metrics` is *cumulative*: a counter
 only says how many writes have ever happened, not whether the last second
 was fast or slow. This module adds the time axis. A :class:`TimeSeriesStore`
 samples a registry at a fixed logical interval — the clock is injected via
-the ``now`` argument of :meth:`TimeSeriesStore.maybe_sample`, so tests and
-the simulator drive it deterministically and nothing here reads the wall
-clock — into bounded ring-buffered :class:`TimeSeries` per labeled metric.
+the ``now`` argument of :meth:`TimeSeriesStore.maybe_sample`, so the
+facade's logical clock drives it deterministically and nothing here reads
+the wall clock — into bounded ring-buffered :class:`TimeSeries` per
+labeled metric.
 
 On top of the raw samples, *derivations* compute the operator-facing series
 every dashboard wants: per-interval throughput from counter deltas
@@ -308,7 +309,7 @@ class TimeSeriesStore:
     has advanced past the next interval boundary (one sample per call —
     logical clocks jump, and one fresh sample per jump is what a dashboard
     wants). ``record()`` feeds series directly, bypassing the registry —
-    the simulator uses it for its per-tick model series.
+    trace replay uses it for the arrival rate and live tenant count.
 
     Raw registry sampling records every labeled counter/gauge value and
     every histogram's count; derived series (rates, ratios, quantiles,

@@ -1,7 +1,7 @@
 """Alert-driven governance policy: demote abusive tenants automatically.
 
-The observer's :class:`~repro.obsv.skew.SkewWindow` already raises
-``hot_tenant`` alerts when one tenant dominates a write window.
+The observer (:class:`~repro.obsv.Observer`) already raises
+``hot_tenant`` alerts when one tenant dominates a workload-monitor window.
 :class:`GovernancePolicy` closes the loop: when governance is on and an
 alert's window share reaches :data:`~repro.tenancy.config.DEMOTE_SHARE`,
 the offending tenant is demoted to the ``batch`` QoS class for

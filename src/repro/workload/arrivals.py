@@ -738,9 +738,6 @@ class ArrivalScenario(Scenario):
             for event in tick.events:
                 self.churn.apply_event(generator.tenants, event)
 
-    def live_tenant_count(self, now: float) -> int:
-        return self.churn.live_count(now) if self.churn is not None else 0
-
 
 class TraceScenario(Scenario):
     """Drive a scenario from *recorded* arrival timestamps (trace v2).
@@ -793,6 +790,3 @@ class TraceScenario(Scenario):
         if self.churn is not None:
             for event in tick.events:
                 self.churn.apply_event(generator.tenants, event)
-
-    def live_tenant_count(self, now: float) -> int:
-        return self.churn.live_count(now) if self.churn is not None else 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -116,7 +116,3 @@ class ZipfSampler:
         ids = self._tenant_ids or list(range(1, self.num_tenants + 1))
         shift %= self.num_tenants
         self._tenant_ids = ids[shift:] + ids[:shift]
-
-    def iter_samples(self) -> Iterator:
-        while True:
-            yield self.sample()

@@ -18,16 +18,16 @@ from repro.routing import RuleList
 class TestWorkloadMonitor:
     def test_window_rolls_automatically(self):
         monitor = WorkloadMonitor(window_seconds=10.0)
-        monitor.record_write("a", now=1.0)
-        monitor.record_write("a", now=2.0)
-        monitor.record_write("b", now=11.0)  # triggers roll
+        monitor.record_write("a", 0, now=1.0)
+        monitor.record_write("a", 0, now=2.0)
+        monitor.record_write("b", 0, now=11.0)  # triggers roll
         shares = monitor.shares()
         assert shares == {"a": 1.0}
 
     def test_throughput_normalized_by_window(self):
         monitor = WorkloadMonitor(window_seconds=10.0)
         for i in range(50):
-            monitor.record_write("a", now=float(i % 10) / 2)
+            monitor.record_write("a", 0, now=float(i % 10) / 2)
         monitor.roll_window(now=10.0)
         assert monitor.throughput()["a"] == pytest.approx(5.0)
 
@@ -35,7 +35,7 @@ class TestWorkloadMonitor:
         monitor = WorkloadMonitor(window_seconds=5.0)
         for tenant, count in (("a", 30), ("b", 60), ("c", 10)):
             for _ in range(count):
-                monitor.record_write(tenant, now=1.0)
+                monitor.record_write(tenant, 0, now=1.0)
         monitor.roll_window(now=5.0)
         shares = monitor.shares()
         assert sum(shares.values()) == pytest.approx(1.0)
@@ -43,10 +43,35 @@ class TestWorkloadMonitor:
 
     def test_storage_accumulates_across_windows(self):
         monitor = WorkloadMonitor(window_seconds=1.0)
-        monitor.record_write("a", now=0.0)
-        monitor.record_write("a", now=5.0)
-        monitor.record_write("b", now=9.0)
+        monitor.record_write("a", 0, now=0.0)
+        monitor.record_write("a", 0, now=5.0)
+        monitor.record_write("b", 0, now=9.0)
         assert monitor.storage() == {"a": 2, "b": 1}
+
+    def test_seeded_storage_is_replaced_then_accumulates(self):
+        monitor = WorkloadMonitor(window_seconds=1.0)
+        monitor.record_write("a", 0, now=0.0)
+        monitor.seed_storage({"a": 10, "b": 5})
+        monitor.record_write("b", 0, now=0.5)
+        assert monitor.storage() == {"a": 10, "b": 6}
+
+    def test_short_window_throughput_uses_its_length(self):
+        monitor = WorkloadMonitor(window_seconds=10.0)
+        for _ in range(4):
+            monitor.record_write("a", 0, now=1.0)
+        monitor.roll_window(now=2.0)  # a rebalance before the boundary
+        assert monitor.throughput() == {"a": 2.0}
+
+    def test_window_lists_tenants_in_first_seen_order(self):
+        monitor = WorkloadMonitor(window_seconds=1.0)
+        for tenant in ("a", "b", "c"):
+            monitor.record_write(tenant, 0, now=0.0)
+        monitor.roll_window(now=1.0)
+        for tenant in ("c", "b"):
+            monitor.record_write(tenant, 1, now=1.5)
+        monitor.roll_window(now=2.0)
+        assert list(monitor.shares()) == ["b", "c"]
+        assert monitor.windows[-1].shards == {1: 2}
 
     def test_storage_shares(self):
         monitor = WorkloadMonitor()
@@ -57,7 +82,7 @@ class TestWorkloadMonitor:
         monitor = WorkloadMonitor(window_seconds=1.0)
         for tenant, count in (("small", 1), ("big", 9)):
             for _ in range(count):
-                monitor.record_write(tenant, now=0.5)
+                monitor.record_write(tenant, 0, now=0.5)
         monitor.roll_window(1.0)
         stats = monitor.stats()
         assert stats[0].tenant_id == "big"
@@ -109,7 +134,7 @@ class TestLoadBalancerRuntime:
         monitor = WorkloadMonitor(window_seconds=10.0)
         for tenant, count in shares.items():
             for _ in range(count):
-                monitor.record_write(tenant, now=1.0)
+                monitor.record_write(tenant, 0, now=1.0)
         monitor.roll_window(10.0)
         return monitor
 

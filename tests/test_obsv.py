@@ -7,13 +7,13 @@ import math
 
 import pytest
 
+from repro.balancer.monitor import MAX_WINDOWS, LoadWindow, WorkloadMonitor
 from repro.errors import ConfigurationError
 from repro.obsv import (
     Alert,
     CatTable,
     ObsvConfig,
     Observer,
-    SkewWindow,
     SlowLog,
     annotation_reason,
     coefficient_of_variation,
@@ -23,6 +23,7 @@ from repro.obsv import (
     rule_measurement,
     shard_heatmap,
     summarize_windows,
+    window_stats,
 )
 from repro.obsv.config import INDEX_WARN_SECONDS, SEARCH_WARN_SECONDS
 from repro.obsv.slowlog import describe_slowlog
@@ -57,64 +58,72 @@ class TestImbalanceStatistics:
             assert stat([0.0, 0.0]) == 0.0
 
 
-class TestSkewWindow:
-    def test_roll_computes_stats_over_all_shards(self):
-        window = SkewWindow(num_shards=4, window_seconds=10.0)
+def _observed(num_shards: int, config=None, metrics=None, window: float = 10.0):
+    """A workload monitor and the observer that reads its windows."""
+    monitor = WorkloadMonitor(window_seconds=window)
+    return monitor, Observer(monitor, num_shards, config or ObsvConfig(), metrics=metrics)
+
+
+def _route(monitor, observer, tenant, shard, now):
+    """Count one routed write the way the facade does: a window the monitor
+    closes on the way is handed to the observer."""
+    if monitor.record_write(tenant, shard, now):
+        observer.roll()
+
+
+def _close(monitor, observer, now):
+    """Close the open window the way ``ESDB.rebalance`` does."""
+    monitor.roll_window(now)
+    observer.roll()
+
+
+class TestWindowStats:
+    def test_stats_cover_all_shards(self):
+        monitor = WorkloadMonitor(window_seconds=10.0)
         for _ in range(10):
-            window.record("hot", 0)
-        stats = window.roll(10.0)
+            monitor.record_write("hot", 0, 1.0)
+        monitor.roll_window(10.0)
+        stats = window_stats(monitor.windows[-1], num_shards=4)
         # Shard loads [10, 0, 0, 0] including the idle shards.
         assert stats.shard_cv == pytest.approx(math.sqrt(3.0))
         assert stats.shard_gini == pytest.approx(0.75)
         assert stats.shard_max_mean == pytest.approx(4.0)
         assert stats.writes == 10
         assert stats.shard_loads == ((0, 10),)
+        assert (stats.start, stats.end) == (0.0, 10.0)
 
     def test_tenant_stats_cover_observed_tenants_only(self):
-        window = SkewWindow(num_shards=8, window_seconds=10.0)
-        for tenant, count in (("a", 60), ("b", 20), ("c", 20)):
-            window.record(tenant, 0, count=count)
-        stats = window.roll(10.0)
+        window = LoadWindow(0.0, 10.0, {"b": 20, "a": 60, "c": 20}, {0: 100})
+        stats = window_stats(window, num_shards=8)
         assert stats.tenant_cv == pytest.approx(math.sqrt(2.0) / 2.5)
         assert stats.tenant_gini == pytest.approx(4.0 / 15.0)
         assert stats.tenant_max_mean == pytest.approx(1.8)
-        assert stats.tenant_loads[0] == ("a", 60)
-        assert stats.tenant_share("a") == pytest.approx(0.6)
-        assert stats.tenant_share("missing") == 0.0
+        assert stats.tenant_loads == (("a", 60), ("b", 20), ("c", 20))
+        assert stats.writes == 100
 
-    def test_due_and_tumbling_boundaries(self):
-        window = SkewWindow(num_shards=2, window_seconds=5.0)
-        assert not window.due(4.9)
-        assert window.due(5.0)
-        window.record("t", 0)
-        first = window.roll(5.0)
-        assert (first.start, first.end) == (0.0, 5.0)
-        window.record("t", 1)
-        second = window.roll(10.0)
-        assert (second.start, second.end) == (5.0, 10.0)
-        assert window.last() is second
-        assert len(window.windows) == 2
+    def test_monitor_windows_tumble(self):
+        monitor = WorkloadMonitor(window_seconds=5.0)
+        assert monitor.record_write("t", 0, 4.9) is False
+        assert monitor.record_write("t", 1, 5.0) is True
+        assert monitor.windows[-1] == LoadWindow(0.0, 5.0, {"t": 1}, {0: 1})
+        monitor.roll_window(10.0)
+        assert monitor.windows[-1] == LoadWindow(5.0, 10.0, {"t": 1}, {1: 1})
+        assert len(monitor.windows) == 2
 
     def test_window_retention_bounded(self):
-        window = SkewWindow(num_shards=2, window_seconds=1.0, max_windows=3)
-        for i in range(10):
-            window.record("t", 0)
-            window.roll(float(i + 1))
-        assert len(window.windows) == 3
-        assert window.last().end == 10.0
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            SkewWindow(num_shards=0)
-        with pytest.raises(ConfigurationError):
-            SkewWindow(num_shards=2, window_seconds=0.0)
+        monitor, observer = _observed(num_shards=2, window=1.0)
+        for i in range(100):
+            _route(monitor, observer, "t", 0, float(i))
+        assert len(monitor.windows) == len(observer.windows) == MAX_WINDOWS
+        assert observer.windows[-1].end == 99.0
+        assert [(w.start, w.end) for w in observer.windows] == [
+            (w.start, w.end) for w in monitor.windows
+        ]
 
     def test_summarize_windows(self):
-        window = SkewWindow(num_shards=2, window_seconds=1.0)
-        assert summarize_windows(window.windows) == {"windows": 0}
-        window.record("a", 0, count=3)
-        window.roll(1.0)
-        summary = summarize_windows(window.windows)
+        assert summarize_windows([]) == {"windows": 0}
+        stats = window_stats(LoadWindow(0.0, 1.0, {"a": 3}, {0: 3}), num_shards=2)
+        summary = summarize_windows([stats])
         assert summary["windows"] == 1
         assert summary["total_writes"] == 3
         assert summary["tenant_max_share_last"] == pytest.approx(1.0)
@@ -122,10 +131,8 @@ class TestSkewWindow:
 
 class TestAlerts:
     def _stats(self):
-        window = SkewWindow(num_shards=4, window_seconds=10.0)
-        for tenant, count in (("whale", 60), ("b", 20), ("c", 20)):
-            window.record(tenant, 0 if tenant == "whale" else 1, count=count)
-        return window.roll(10.0)
+        window = LoadWindow(0.0, 10.0, {"whale": 60, "b": 20, "c": 20}, {0: 60, 1: 40})
+        return window_stats(window, num_shards=4)
 
     def test_hot_tenant_and_hot_shard_detection(self):
         stats = self._stats()
@@ -146,8 +153,7 @@ class TestAlerts:
         assert sorted(a.subject for a in alerts) == ["b", "c", "whale"]
 
     def test_empty_window_raises_nothing(self):
-        window = SkewWindow(num_shards=2, window_seconds=1.0)
-        stats = window.roll(1.0)
+        stats = window_stats(LoadWindow(0.0, 1.0, {}, {}), num_shards=2)
         assert detect_alerts(stats, hot_tenant_share=0.1, hot_shard_ratio=1.0) == []
 
     def test_alert_round_trips_and_describes(self):
@@ -170,7 +176,6 @@ class TestAlerts:
         assert "60.0%" in reason
         assert "offset 4" in reason
         assert rule_measurement(stats, "never-seen") is None
-        assert rule_measurement(None, "whale") is None
         assert "no window measurement" in annotation_reason("t", 2, None)
 
 
@@ -225,18 +230,16 @@ class TestSlowLog:
 class TestObserver:
     def test_auto_roll_aligns_with_window_and_counts_alert_metrics(self):
         registry = MetricsRegistry()
-        observer = Observer(
-            ObsvConfig(index_info_seconds=0.0),
-            num_shards=4,
-            metrics=registry,
-            window_seconds=10.0,
+        monitor, observer = _observed(
+            4, ObsvConfig(index_info_seconds=0.0), metrics=registry
         )
-        for _ in range(10):
-            observer.record_write("hot", 0, elapsed=0.001, now=1.0)
-        # Crossing the boundary rolls the open window first.
-        observer.record_write("hot", 0, elapsed=0.001, now=10.0)
-        assert len(observer.skew.windows) == 1
-        assert observer.skew.current_writes == 1
+        for now in [1.0] * 10 + [10.0]:
+            # Crossing the boundary closes the monitor's open window first.
+            _route(monitor, observer, "hot", 0, now)
+            observer.record_write("hot", 0, elapsed=0.001, now=now)
+        assert len(observer.windows) == 1
+        assert observer.windows[0].writes == 10
+        assert (observer.windows[0].start, observer.windows[0].end) == (0.0, 10.0)
         alerts = list(observer.alerts)
         assert [a.kind for a in alerts] == ["hot_tenant", "hot_shard"]
         assert registry.value("obsv_alerts_total", kind="hot_tenant") == 1.0
@@ -245,10 +248,11 @@ class TestObserver:
         ) == 11.0
 
     def test_snapshot_shape(self):
-        observer = Observer(ObsvConfig(index_info_seconds=0.0), num_shards=2)
+        monitor, observer = _observed(2, ObsvConfig(index_info_seconds=0.0))
+        _route(monitor, observer, "t", 0, 1.0)
         observer.record_write("t", 0, elapsed=0.5, now=1.0)
         observer.record_search("t", elapsed=0.9, now=2.0, detail="SELECT 1")
-        observer.roll(10.0)
+        _close(monitor, observer, 10.0)
         snapshot = observer.snapshot()
         assert snapshot["skew"]["summary"]["windows"] == 1
         assert snapshot["slowlog"]["counts"]["index"] == {"warn": 1, "info": 0}
@@ -261,7 +265,7 @@ class TestObserverFixedSettings:
     through an observer fed on the logical clock."""
 
     def test_slow_log_levels_split_at_the_fixed_warn_thresholds(self):
-        observer = Observer(ObsvConfig(), num_shards=1)
+        _, observer = _observed(num_shards=1)
         for elapsed in (0.009, 0.010, INDEX_WARN_SECONDS - 0.001, INDEX_WARN_SECONDS):
             observer.record_write("t", 0, elapsed=elapsed, now=1.0)
         for elapsed in (0.049, 0.050, SEARCH_WARN_SECONDS):
@@ -270,33 +274,33 @@ class TestObserverFixedSettings:
         assert observer.search_slowlog.counts == {"warn": 1, "info": 1}
 
     def test_hot_tenant_alert_from_a_fifth_of_the_window(self):
-        observer = Observer(ObsvConfig(), num_shards=50)
+        monitor, observer = _observed(num_shards=50)
         writes = [("edge", 0)] * 20 + [("under", 1)] * 19
         writes += [(f"t{i}", i) for i in range(2, 63)]
         for tenant, shard in writes:  # 100 writes over 50 shards
-            observer.record_write(tenant, shard % 50, elapsed=0.0, now=1.0)
-        observer.roll(10.0)
+            _route(monitor, observer, tenant, shard % 50, 1.0)
+        _close(monitor, observer, 10.0)
         hot = [a.subject for a in observer.alerts if a.kind == "hot_tenant"]
         assert hot == ["edge"]  # 20% alerts, 19% does not
 
     def test_hot_shard_alert_from_three_times_the_mean(self):
         for hottest, fired in ((6, True), (5, False)):
-            observer = Observer(ObsvConfig(), num_shards=4)
+            monitor, observer = _observed(num_shards=4)
             loads = [hottest] + [(8 - hottest) // 3 + (i < (8 - hottest) % 3) for i in range(3)]
             tenant = 0
             for shard, load in enumerate(loads):
                 for _ in range(load):  # one write per tenant: no hot tenant
-                    observer.record_write(f"t{tenant}", shard, elapsed=0.0, now=1.0)
+                    _route(monitor, observer, f"t{tenant}", shard, 1.0)
                     tenant += 1
-            observer.roll(10.0)
+            _close(monitor, observer, 10.0)
             kinds = [a.kind for a in observer.alerts]
             assert ("hot_shard" in kinds) is fired, loads
 
     def test_alert_ring_keeps_the_last_256(self):
-        observer = Observer(ObsvConfig(), num_shards=1)
+        monitor, observer = _observed(num_shards=1)
         for window in range(300):
-            observer.record_write("whale", 0, elapsed=0.0, now=window * 10.0)
-        observer.roll(3000.0)
+            _route(monitor, observer, "whale", 0, window * 10.0)
+        _close(monitor, observer, 3000.0)
         assert len(observer.alerts) == 256
         assert observer.alerts[-1].measurement["window_start"] == 2990.0
 

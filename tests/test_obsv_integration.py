@@ -1,5 +1,5 @@
-"""End-to-end tests for repro.obsv through the ESDB facade, the simulator,
-the experiments CLI plumbing, and ``python -m repro.obsv``."""
+"""End-to-end tests for repro.obsv through the ESDB facade, the experiments
+CLI plumbing, and ``python -m repro.obsv``."""
 
 from __future__ import annotations
 
@@ -23,9 +23,6 @@ from repro.obsv import (
 )
 from repro.obsv import runtime as obsv_runtime
 from repro.obsv.__main__ import main as obsv_main
-from repro.routing import DynamicSecondaryHashRouting
-from repro.sim import SimulationConfig, WriteSimulation
-from repro.workload import StaticScenario, WorkloadConfig
 from tests.conftest import make_log
 
 
@@ -157,22 +154,65 @@ class TestFacadeAcceptance:
             is note
         )
 
-    def test_observer_rolls_in_lockstep_with_monitor(self):
-        """Auto-roll alignment: crossing the window boundary mid-stream must
-        close the same [0, window) slice in monitor and observer."""
+    def test_observer_windows_are_the_monitors(self):
+        """Crossing the window boundary mid-stream closes one window, in the
+        monitor, and the observer's statistics describe exactly it."""
         db = _tiny_db()
         window = db.monitor.window_seconds
-        assert db.obsv.skew.window_seconds == window
         for i in range(10):
             db.write(make_log(i, tenant="whale", created=1.0 + i * 0.1))
-        # This write crosses the boundary: both monitor and observer roll.
+        # This write crosses the boundary: the monitor closes [0, window).
         db.write(make_log(99, tenant="whale", created=window))
         assert db.monitor.throughput(), "monitor window closed"
-        stats = db.obsv.skew.last()
-        assert stats is not None
-        assert stats.start == 0.0
+        (closed,) = db.monitor.windows
+        (stats,) = db.obsv.windows
+        assert (stats.start, stats.end) == (closed.start, closed.end) == (0.0, window)
         assert stats.writes == 10
-        assert db.obsv.skew.current_writes == 1
+        assert dict(stats.tenant_loads) == closed.tenants == {"whale": 10}
+
+    def test_bulk_write_straddling_a_boundary_is_measured_once(self):
+        """A bulk write whose documents straddle the window boundary: the
+        observer's windows are the monitor's, and the committed rule's
+        annotation cites the window the balancer acted on."""
+        db = _tiny_db()
+        docs = [make_log(i, tenant="whale", created=9.0 + i * 0.2) for i in range(5)]
+        docs += [make_log(5 + i, tenant="minnow", created=10.0 + i * 0.2) for i in range(5)]
+        db.bulk_write(docs)
+        committed = db.rebalance()
+        assert [(tenant, offset) for tenant, offset, _ in committed] == [("minnow", 4)]
+        assert [(w.start, w.end, dict(w.tenant_loads)) for w in db.obsv.windows] == [
+            (w.start, w.end, w.tenants) for w in db.monitor.windows
+        ]
+        assert [dict(w.tenant_loads) for w in db.obsv.windows] == [
+            {"whale": 5},
+            {"minnow": 5},
+        ]
+        (note,) = db.policy.rules.annotations()
+        assert "100.0% of 5 writes in window [10.00, 10.80)" in note.reason
+
+    def test_shard_skew_drops_after_balancing(self):
+        """The live version of Fig 12: the per-shard CV of the first window
+        (before any rule lands) exceeds the last window's once rebalance
+        rounds have widened the whale."""
+        db = ESDB(
+            EsdbConfig(
+                topology=ClusterTopology(num_nodes=4, num_shards=16),
+                balancer=BalancerConfig(hotspot_share=0.3, target_share_per_shard=0.05),
+                consensus_interval=1.0,
+            )
+        )
+        doc_id = 0
+        for round_ in range(4):
+            base = round_ * 10.0
+            for i in range(200):
+                tenant = "whale" if i % 4 else f"t{i % 40}"
+                db.write(make_log(doc_id, tenant=tenant, created=base + i * 0.045))
+                doc_id += 1
+            db.advance_clock(base + 9.5)
+            db.rebalance()
+        windows = list(db.obsv.windows)
+        assert len(windows) >= 4
+        assert windows[-1].shard_cv < windows[0].shard_cv
 
 
 class TestRenderedReportSections:
@@ -311,46 +351,6 @@ class TestRuntimeCapture:
         finally:
             captured = obsv_runtime.stop_capture()
         assert db not in captured
-
-
-class TestSimulatorSkew:
-    def _run(self, policy_cls=DynamicSecondaryHashRouting):
-        config = SimulationConfig(
-            num_nodes=4,
-            num_shards=16,
-            sample_per_tick=300,
-            balance_window=5.0,
-        )
-        sim = WriteSimulation(
-            policy_cls(config.num_shards),
-            StaticScenario(rate=50_000, duration=30.0),
-            config=config,
-            workload=WorkloadConfig(num_tenants=500, theta=1.2, seed=3),
-        )
-        sim.run()
-        return sim
-
-    def test_windows_alerts_and_annotated_commits(self):
-        sim = self._run()
-        assert len(sim.skew.windows) >= 3
-        assert sim.skew_alerts, "zipf(1.2) traffic must raise skew alerts"
-        assert sim.rule_commits, "dynamic policy must commit rules"
-        annotations = sim.policy.rules.annotations()
-        committed = {(t, tenant, s) for t, tenant, s in sim.rule_commits}
-        assert len(annotations) == len(committed)
-        report = sim.skew_report()
-        assert report["summary"]["windows"] == len(sim.skew.windows)
-        assert report["alerts"]
-        assert len(report["rule_annotations"]) == len(annotations)
-        json.dumps(report)  # JSON-ready
-
-    def test_skew_drops_after_balancing(self):
-        """The live version of Fig 12: per-shard CV in the first window
-        (before any rule lands) exceeds the last window's."""
-        sim = self._run()
-        first = sim.skew.windows[0]
-        last = sim.skew.windows[-1]
-        assert last.shard_cv < first.shard_cv
 
 
 class TestObsvCli:

@@ -230,3 +230,43 @@ class TestEveryOptionHasACaller:
         import dataclasses
 
         assert sum(len(dataclasses.fields(cls)) for cls in self._classes().values()) <= 31
+
+
+class TestEveryNameIsReferenced:
+    """The census one level below the option census: every function,
+    method and class defined under ``src/`` is named again somewhere under
+    ``src/``, ``tests/``, ``bench/``, ``benchmarks/`` or ``examples/``. A
+    name that only its own ``def`` spells is dead code. Exempt are dunders,
+    the fault handlers :class:`~repro.faults.FaultInjector` reaches by
+    ``getattr(self, f"_inject_{kind}")`` / ``_recover_``, and the figures
+    ``@experiment`` registers by figure id."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+    READERS = ("src", "tests", "bench", "benchmarks", "examples")
+    DISPATCHED = re.compile(r"__\w+__|_inject_\w+|_recover_\w+")
+
+    @staticmethod
+    def _registered(node) -> bool:
+        return any(
+            isinstance(d, ast.Call) and getattr(d.func, "id", None) == "experiment"
+            for d in node.decorator_list
+        )
+
+    def test_every_definition_is_named_elsewhere(self):
+        words: dict = {}
+        for top in self.READERS:
+            for path in (self.ROOT / top).rglob("*.py"):
+                for word in re.findall(r"\w+", path.read_text()):
+                    words[word] = words.get(word, 0) + 1
+        defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        unnamed = []
+        for path in sorted((self.ROOT / "src").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, defs)
+                    and not self.DISPATCHED.fullmatch(node.name)
+                    and not self._registered(node)
+                    and words[node.name] < 2
+                ):
+                    unnamed.append(f"{path.relative_to(self.ROOT)}:{node.name}")
+        assert not unnamed, f"defined but named nowhere else: {unnamed}"

@@ -386,29 +386,3 @@ class TestDisabledModes:
         }
         assert cat_timeseries(db).rows == []
         assert "history:" not in render_report(snap)
-
-
-class TestSimulatorHistory:
-    def test_simulation_records_model_series(self):
-        from repro.routing import DynamicSecondaryHashRouting
-        from repro.sim import SimulationConfig, WriteSimulation
-        from repro.workload.scenarios import StaticScenario
-
-        config = SimulationConfig(
-            num_nodes=2, num_shards=16, node_capacity=2_000.0, sample_per_tick=100
-        )
-        simulation = WriteSimulation(
-            DynamicSecondaryHashRouting(config.num_shards),
-            StaticScenario(rate=1_000.0, duration=20.0),
-            config=config,
-        )
-        simulation.run()
-        store = simulation.timeseries
-        throughput = store.get("sim.throughput")
-        assert throughput is not None
-        assert len(throughput) == len(simulation.metrics.samples)
-        assert {"sim.avg_delay", "sim.max_delay", "sim.client_backlog"} <= set(
-            store.names()
-        )
-        for series in store.all_series():
-            assert len(series) <= store.capacity

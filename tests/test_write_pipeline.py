@@ -114,12 +114,11 @@ def observable_state(db: ESDB) -> dict:
     state = {
         "stored_ids": stored_ids(db),
         "clock": db.now,
-        "monitor": (db.monitor.throughput(), db.monitor.storage()),
+        "monitor": (list(db.monitor.windows), db.monitor.storage()),
         "engines": {
             shard_id: (engine.stats, len(engine.translog), len(engine.buffer))
             for shard_id, engine in db.engines.items()
         },
-        "shard_writes": [shard.doc_count for shard in db.cluster.shards],
         "frequencies": dict(db._subattr_frequencies.write_counts),
         "events": [
             (e.time, e.kind, e.tenant, e.shard,
