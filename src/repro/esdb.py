@@ -95,6 +95,23 @@ if TYPE_CHECKING:
 _INSTANCE_IDS = itertools.count()
 
 
+class _BoundSeries(dict):
+    """Metric series by key, each resolved through *resolve* at its first
+    use and kept: the series is registered when something first records
+    into it, as a lookup per use would, and every later use is one dict
+    probe."""
+
+    __slots__ = ("_resolve",)
+
+    def __init__(self, resolve) -> None:
+        super().__init__()
+        self._resolve = resolve
+
+    def __missing__(self, key):
+        metric = self[key] = self._resolve(key)
+        return metric
+
+
 class RoutingBounds(NamedTuple):
     """What one disjunct of a WHERE tree pins down for routing: its tenant,
     the tightest numeric bounds on the creation time, and the record id."""
@@ -257,6 +274,12 @@ class ESDB:
                 "routing policy shard count does not match cluster topology"
             )
         self.policy.instrument(self.telemetry)
+        metrics = self.telemetry.metrics
+        self._counters = _BoundSeries(metrics.counter)
+        self._histograms = _BoundSeries(metrics.histogram)
+        self._shard_writes = _BoundSeries(
+            lambda shard: metrics.counter("esdb_writes_total", shard=shard)
+        )
         caches = self.config.cache
         engine_config = EngineConfig(
             schema=self.config.schema,
@@ -276,17 +299,13 @@ class ESDB:
         self.request_cache: ShardRequestCache | None = None
         self.result_cache: CoordinatorResultCache | None = None
         if caches:
-            self.request_cache = ShardRequestCache(
-                REQUEST_CACHE_BYTES, metrics=self.telemetry.metrics
-            )
+            self.request_cache = ShardRequestCache(REQUEST_CACHE_BYTES, metrics=metrics)
             for engine in self.engines.values():
                 self.request_cache.attach(engine)
-            self.result_cache = CoordinatorResultCache(
-                RESULT_CACHE_BYTES, metrics=self.telemetry.metrics
-            )
+            self.result_cache = CoordinatorResultCache(RESULT_CACHE_BYTES, metrics=metrics)
         self.xdriver = Xdriver4ES()
         #: statement shape -> its compiled rewrite and plan (repro.query.shapes)
-        self._shapes = ShapeMap(self.telemetry.metrics)
+        self._shapes = ShapeMap(metrics)
         self._set_catalog(self.config.composite_columns)
         self.monitor = WorkloadMonitor()
         self.balancer = LoadBalancer(
@@ -304,26 +323,24 @@ class ESDB:
                 self.monitor,
                 self.cluster.num_shards,
                 self.config.obsv,
-                metrics=self.telemetry.metrics if self.telemetry.enabled else None,
+                metrics=metrics if self.telemetry.enabled else None,
             )
             obsv_runtime.register(self)
         self.timeseries: TimeSeriesStore | None = None
         if self.config.timeseries_enabled:
             # Works against the no-op registry too: the null registry has
             # no metric names, so sampling rounds simply record no series.
-            self.timeseries = install_esdb_derivations(
-                TimeSeriesStore(self.telemetry.metrics)
-            )
+            self.timeseries = install_esdb_derivations(TimeSeriesStore(metrics))
         self.governor: TenantGovernor | None = None
         if self.config.tenancy.enabled:
             self.governor = TenantGovernor(
                 self.config.tenancy,
-                metrics=self.telemetry.metrics if self.telemetry.enabled else None,
+                metrics=metrics if self.telemetry.enabled else None,
             )
         self.slo: SloEngine | None = None
         self.hotkeys: HeavyHitterProfiler | None = None
         if self.config.slo:
-            slo_metrics = self.telemetry.metrics if self.telemetry.enabled else None
+            slo_metrics = metrics if self.telemetry.enabled else None
             self.slo = SloEngine(metrics=slo_metrics)
             self.hotkeys = HeavyHitterProfiler(metrics=slo_metrics)
             if self.obsv is not None:
@@ -426,10 +443,9 @@ class ESDB:
         result = self._write_batch("bulk_write", list(sources), stop_on_error)
         # Bulk-only volume counters: ``cat_exec`` stays empty on an
         # instance that never bulk-wrote.
-        metrics = self.telemetry.metrics
-        metrics.counter("esdb_bulk_writes_total").inc()
+        self._counters["esdb_bulk_writes_total"].inc()
         if result.applied:
-            metrics.counter("esdb_bulk_docs_total").inc(result.applied)
+            self._counters["esdb_bulk_docs_total"].inc(result.applied)
         return result
 
     def _write_batch(
@@ -452,7 +468,6 @@ class ESDB:
         """
         telemetry = self.telemetry
         tracer = telemetry.tracer
-        metrics = telemetry.metrics
         schema = self.config.schema
         governor = self.governor
         items: list[BulkItemResult | None] = [None] * len(sources)
@@ -523,9 +538,7 @@ class ESDB:
         for shard_id, (subattr_names, elapsed) in zip(shard_ids, outcomes):
             # One names tuple per document the engine applied.
             if subattr_names:
-                metrics.counter("esdb_writes_total", shard=shard_id).inc(
-                    len(subattr_names)
-                )
+                self._shard_writes[shard_id].inc(len(subattr_names))
             for names in subattr_names:
                 if names:
                     self._subattr_frequencies.record_write(names)
@@ -538,20 +551,14 @@ class ESDB:
         applied = [item for item in items if item.ok]
         duration = span.duration
         per_doc = duration / len(sources) if sources else 0.0
-        trace_id = ctx.trace_id if ctx is not None else None
         if telemetry.enabled and applied:
-            histogram = metrics.histogram("esdb_write_seconds")
+            histogram = self._histograms["esdb_write_seconds"]
             for _ in applied:
-                histogram.observe(per_doc, trace_id=trace_id)
+                histogram.observe(per_doc, ctx)
         if self.obsv is not None:
             for item in applied:
                 self.obsv.record_write(
-                    tenants[item.position],
-                    item.shard_id,
-                    per_doc,
-                    self._clock,
-                    trace=span if telemetry.enabled else None,
-                    trace_id=trace_id,
+                    tenants[item.position], item.shard_id, per_doc, self._clock, span
                 )
         if self.slo is not None:
             for item in applied:
@@ -790,7 +797,6 @@ class ESDB:
         shards; admit the tenant (governed instances); fan out and put the
         result. A cache entry carries the tenant, ``ATTR`` keys and filter
         terms its miss computed, so a hit accounts for them as a miss does."""
-        metrics = self.telemetry.metrics
         governor = self.governor
         result_cache = self.result_cache
         ctx = self._new_trace("query")
@@ -845,22 +851,14 @@ class ESDB:
                 ),
                 scanned=result.total_hits if cached is None else 0,
             )
-        trace_id = ctx.trace_id if ctx is not None else None
-        metrics.counter("esdb_queries_total").inc()
+        self._counters["esdb_queries_total"].inc()
         if cached is None:
-            metrics.counter("esdb_subqueries_total").inc(result.subqueries)
+            self._counters["esdb_subqueries_total"].inc(result.subqueries)
             if self.telemetry.enabled:
-                metrics.histogram("esdb_query_seconds").observe(
-                    root.duration, trace_id=trace_id
-                )
+                self._histograms["esdb_query_seconds"].observe(root.duration, ctx)
         if self.obsv is not None:
             slow_entry = self.obsv.record_search(
-                tenant,
-                root.duration,
-                self._clock,
-                detail=sql.strip(),
-                trace=root,
-                trace_id=trace_id,
+                tenant, root.duration, self._clock, sql, root
             )
             if slow_entry is not None:
                 self._emit_event(

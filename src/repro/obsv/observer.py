@@ -85,24 +85,13 @@ class Observer:
         elapsed: float,
         now: float,
         trace: "Span | None" = None,
-        trace_id: str | None = None,
     ) -> "SlowLogEntry | None":
-        """Feed one applied write into the index slow log. Returns the
-        slow-log entry when the write crossed a threshold."""
-        entry = self.index_slowlog.record(
-            time=now,
-            elapsed=elapsed,
-            tenant=tenant,
-            shard=shard,
-            detail=f"write shard={shard}",
-            trace=trace,
-            trace_id=trace_id,
+        """Feed one applied write into the index slow log: *trace* is the
+        operation's root span, and an entry keeps it with its trace id.
+        Returns the slow-log entry when the write crossed a threshold."""
+        return self._count(
+            self.index_slowlog.record(now, elapsed, tenant, shard, "write", trace)
         )
-        if entry is not None and self._metrics is not None:
-            self._metrics.counter(
-                "obsv_slowlog_entries_total", log="index", level=entry.level
-            ).inc()
-        return entry
 
     def record_search(
         self,
@@ -111,22 +100,18 @@ class Observer:
         now: float,
         detail: str = "",
         trace: "Span | None" = None,
-        trace_id: str | None = None,
     ) -> "SlowLogEntry | None":
-        """Feed one executed query into the search slow log. Returns the
-        slow-log entry when the query crossed a threshold — the facade
-        turns it into a ``slow_query`` event."""
-        entry = self.search_slowlog.record(
-            time=now,
-            elapsed=elapsed,
-            tenant=tenant,
-            detail=detail,
-            trace=trace,
-            trace_id=trace_id,
+        """Feed one executed query (*detail* is its SQL text) into the
+        search slow log. Returns the slow-log entry when the query crossed a
+        threshold — the facade turns it into a ``slow_query`` event."""
+        return self._count(
+            self.search_slowlog.record(now, elapsed, tenant, None, detail, trace)
         )
+
+    def _count(self, entry: "SlowLogEntry | None") -> "SlowLogEntry | None":
         if entry is not None and self._metrics is not None:
             self._metrics.counter(
-                "obsv_slowlog_entries_total", log="search", level=entry.level
+                "obsv_slowlog_entries_total", log=entry.log, level=entry.level
             ).inc()
         return entry
 

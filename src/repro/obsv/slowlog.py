@@ -108,14 +108,17 @@ class SlowLog:
         shard: int | None = None,
         detail: str = "",
         trace: "Span | None" = None,
-        trace_id: str | None = None,
     ) -> SlowLogEntry | None:
-        """Record one operation; returns the entry, or None below threshold."""
+        """Record one operation; returns the entry, or None below threshold.
+        The entry's text is *detail*, stripped, then `` shard=N`` when the
+        operation names a shard; its trace id is read off *trace*, the
+        operation's root. Nothing is formatted below threshold."""
         level = self.level_for(elapsed)
         if level is None:
             return None
-        if trace_id is None and trace is not None:
-            trace_id = getattr(trace, "trace_id", None)
+        text = str(detail).strip()
+        if shard is not None:
+            text = f"{text} shard={shard}"
         entry = SlowLogEntry(
             log=self.log,
             level=level,
@@ -123,9 +126,9 @@ class SlowLog:
             elapsed=elapsed,
             tenant=str(tenant) if tenant is not None else None,
             shard=shard,
-            detail=str(detail)[:MAX_DETAIL_CHARS],
+            detail=text[:MAX_DETAIL_CHARS],
             trace=trace,
-            trace_id=trace_id,
+            trace_id=trace.trace_id if trace is not None else None,
         )
         self.entries.append(entry)
         self.counts[level] += 1

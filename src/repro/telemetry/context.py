@@ -6,7 +6,9 @@ assigned a :class:`TraceContext` — a W3C-traceparent-shaped
 derived purely from a seed and a monotone per-instance counter (blake2b,
 no wall clock, no randomness), so two runs of the same seeded workload
 produce byte-identical trace ids and the chaos fingerprints stay stable
-with tracing on or off.
+with tracing on or off. A context holds only its seed, counter and
+operation; the ids are computed on first read and kept, so an operation
+whose ids nothing reads never hashes.
 
 The *active* context is carried in a thread-local: a traced root
 (:meth:`repro.telemetry.Tracer.trace`) installs it for the duration of the
@@ -33,26 +35,40 @@ def _digest(payload: str, hex_chars: int) -> str:
 
 
 class TraceContext:
-    """One request's identity: trace id and root span id."""
+    """One request's identity: trace id and root span id, hashed from
+    ``seed:counter:op`` on first read."""
 
-    __slots__ = ("trace_id", "span_id")
+    __slots__ = ("seed", "counter", "op", "_trace_id")
 
-    def __init__(self, trace_id: str, span_id: str) -> None:
-        self.trace_id = trace_id
-        self.span_id = span_id
+    def __init__(self, seed: int, counter: int, op: str) -> None:
+        self.seed = seed
+        self.counter = counter
+        self.op = op
+        self._trace_id: str | None = None
+
+    @property
+    def trace_id(self) -> str:
+        trace_id = self._trace_id
+        if trace_id is None:
+            trace_id = self._trace_id = _digest(
+                f"{self.seed}:{self.counter}:{self.op}", _TRACE_ID_HEX
+            )
+        return trace_id
+
+    @property
+    def span_id(self) -> str:
+        # The root span id is the trace id's leading half: already uniform
+        # blake2b bits, and one digest per operation instead of two.
+        return self.trace_id[:_SPAN_ID_HEX]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TraceContext({self.trace_id}-{self.span_id})"
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TraceContext)
-            and self.trace_id == other.trace_id
-            and self.span_id == other.span_id
-        )
+        return isinstance(other, TraceContext) and self.trace_id == other.trace_id
 
     def __hash__(self) -> int:
-        return hash((self.trace_id, self.span_id))
+        return hash(self.trace_id)
 
 
 def derive_span_id(trace_id: str, parent_span_id: str, index: int, name: str) -> str:
@@ -65,9 +81,10 @@ def derive_span_id(trace_id: str, parent_span_id: str, index: int, name: str) ->
 class TraceIdGenerator:
     """Allocates seed-derived trace contexts from a monotone counter.
 
-    ``next_context(op)`` hashes ``seed : counter : op`` — never the clock,
-    never a RNG — so the N-th operation of a seeded workload always gets
-    the same trace id, on every run.
+    ``next_context(op)`` takes the next counter value; its context's trace
+    id hashes ``seed : counter : op`` — never the clock, never a RNG — so
+    the N-th operation of a seeded workload always gets the same trace id,
+    on every run.
     """
 
     __slots__ = ("seed", "_counter", "_lock")
@@ -86,11 +103,7 @@ class TraceIdGenerator:
         with self._lock:
             counter = self._counter
             self._counter += 1
-        trace_id = _digest(f"{self.seed}:{counter}:{op}", _TRACE_ID_HEX)
-        # The root span id is the trace id's leading half: already uniform
-        # blake2b bits, and one digest per operation instead of two — this
-        # runs on the write hot path.
-        return TraceContext(trace_id, trace_id[:_SPAN_ID_HEX])
+        return TraceContext(self.seed, counter, op)
 
 
 @dataclass(frozen=True)

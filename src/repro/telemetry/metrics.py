@@ -113,12 +113,16 @@ class Histogram:
         self.total = 0.0
         self.min_value = float("inf")
         self.max_value = float("-inf")
-        # bucket index -> (value, trace_id): the latest traced observation
-        # per bucket, so a p99 spike in any bucket links to a concrete
-        # trace. O(buckets) memory, overwrite-on-arrival.
-        self.exemplars: dict[int, tuple[float, str]] = {}
+        # bucket index -> (value, trace): the latest traced observation per
+        # bucket, so a p99 spike in any bucket links to a concrete trace.
+        # The trace is an id or the operation's TraceContext, whose id is
+        # hashed only if a snapshot reads it. O(buckets) memory,
+        # overwrite-on-arrival.
+        self.exemplars: dict[int, tuple[float, Any]] = {}
 
-    def observe(self, value: float, trace_id: str | None = None) -> None:
+    def observe(self, value: float, trace_id=None) -> None:
+        """Record *value*; *trace_id* (an id string or a TraceContext), when
+        given, becomes the exemplar of the value's bucket."""
         self.count += 1
         self.total += value
         if value < self.min_value:
@@ -324,8 +328,8 @@ class MetricsRegistry:
                         # to an equal object; key absent when never traced so
                         # untraced snapshots keep their pre-exemplar shape.
                         entry["exemplars"] = [
-                            [index, value, trace_id]
-                            for index, (value, trace_id) in sorted(metric.exemplars.items())
+                            [index, value, trace if isinstance(trace, str) else trace.trace_id]
+                            for index, (value, trace) in sorted(metric.exemplars.items())
                         ]
                     histograms.append(entry)
                 else:

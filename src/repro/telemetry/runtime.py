@@ -2,8 +2,12 @@
 
 Instrumented components take a ``telemetry`` argument and default to
 :data:`NULL_TELEMETRY` — a singleton whose registry hands out no-op
-counters/gauges/histograms and whose tracer returns a shared no-op context
-manager. The no-op calls are a few attribute lookups each, so leaving
+counters/gauges/histograms and whose tracer hands out untraced spans. An
+untraced span is fresh per call and reads the clock on enter and exit but
+links into no tree and no ring, so an operation's duration (a bulk
+result's ``took``, the latency the slow logs and SLOs classify) is
+measured with telemetry disabled too, and no two operations share span
+state. The no-op calls are a few attribute lookups each, so leaving
 instrumentation in a hot path costs well under 5% of a write (the overhead
 guard in ``tests/test_telemetry.py`` enforces this).
 
@@ -14,6 +18,8 @@ one dump.
 """
 
 from __future__ import annotations
+
+from time import perf_counter
 
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import Span, Tracer
@@ -33,7 +39,7 @@ class NullMetric:
     def add(self, delta: float) -> None:
         pass
 
-    def observe(self, value: float, trace_id: str | None = None) -> None:
+    def observe(self, value: float, trace_id=None) -> None:
         pass
 
     def quantile(self, q: float) -> float:
@@ -92,34 +98,36 @@ class NullRegistry:
         return {"counters": [], "gauges": [], "histograms": []}
 
 
-class _NullSpanContext:
-    """Shared context manager yielding a single throwaway span."""
+class _UntracedSpan(Span):
+    """A span no tracer records: it times its operation and nothing else.
+    Its position is the operation's context, if any, so a root still reads
+    its trace id."""
 
     __slots__ = ()
-    _span = Span("noop")
 
     def __enter__(self) -> Span:
-        return self._span
+        self.start = perf_counter()
+        return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-_NULL_SPAN_CONTEXT = _NullSpanContext()
+        self.end = perf_counter()
 
 
 class NullTracer:
-    """Tracer twin: ``span()`` hands back the shared no-op context."""
+    """Tracer twin: ``span()`` and ``trace()`` hand back a fresh untraced
+    span."""
 
     __slots__ = ()
     enabled = False
     finished: tuple = ()
 
-    def span(self, name: str, **tags) -> _NullSpanContext:
-        return _NULL_SPAN_CONTEXT
+    def span(self, name: str, **tags) -> Span:
+        return _UntracedSpan(name, tags)
 
-    def trace(self, name: str, context=None, **tags) -> _NullSpanContext:
-        return _NULL_SPAN_CONTEXT
+    def trace(self, name: str, context=None, **tags) -> Span:
+        span = _UntracedSpan(name, tags)
+        span._position = context
+        return span
 
     @property
     def current(self) -> None:

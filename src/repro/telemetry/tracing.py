@@ -1,53 +1,120 @@
-"""Lightweight tracing: spans with context propagation.
+"""Tracing: spans with context propagation.
 
-A :class:`Tracer` maintains a stack of open spans; ``tracer.span(name)``
-opens a child of whatever span is currently active, so a single write can
-be traced client → router → consensus → shard engine → replication without
-threading a context object through every call. Finished root spans are kept
-in a bounded ring buffer (:data:`MAX_FINISHED_TRACES` by default,
-configurable per tracer) so long-running processes never accumulate span
-trees — the slow log in :mod:`repro.obsv` references recent traces through
-:meth:`Tracer.recent_traces`, and ``ESDB.explain_analyze`` hands one back
-as its result.
+A :class:`Tracer` maintains a per-thread stack of open spans;
+``tracer.span(name)`` opens a child of whatever span is currently active,
+so a single write can be traced client → router → consensus → shard
+engine → replication without threading a context object through every
+call. A span is its own context manager: entering it links it under its
+parent and reads the clock; leaving it reads the clock and pops it.
+Finished root spans are kept in a ring of the last
+:data:`MAX_FINISHED_TRACES` so long-running processes never accumulate
+span trees — the slow log in :mod:`repro.obsv` references recent traces
+through :meth:`Tracer.recent_traces`, and ``ESDB.explain_analyze`` hands
+one back as its result.
 
-Spans are cheap (one object, two clock reads) but not free — the disabled
-mode in :mod:`repro.telemetry.runtime` replaces the tracer with a no-op
-twin whose ``span()`` returns a shared singleton context manager.
+Ids are derived when read, never while an operation runs. A traced root
+holds its operation's :class:`~repro.telemetry.context.TraceContext`
+(whose ids are hashed on first read); a child records only its position —
+its parent's position, its index among its parent's children and its name
+— and its span id is :func:`~repro.telemetry.context.derive_span_id` of
+that position, computed on first read and kept in the position, so each
+span hashes at most once. A tree therefore reads the same ids whenever it
+is read, and an operation nobody inspects hashes nothing. No span
+references its parent or its root, and a span drops its tracer when it
+closes, so reference counting alone frees a tree the ring drops.
+
+The disabled mode in :mod:`repro.telemetry.runtime` hands out spans that
+time their operation and record nothing.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
-import time
 from collections import deque
-from typing import Any, Callable, Iterator
+from time import perf_counter
+from typing import Any, Iterator
 
-from repro.telemetry.context import _ACTIVE, TraceContext
+from repro.telemetry.context import _ACTIVE, TraceContext, derive_span_id
 
 #: Finished root spans retained per tracer (old traces are discarded).
 MAX_FINISHED_TRACES = 128
 
 
+def _position_ids(position) -> tuple[str | None, str | None]:
+    """``(trace_id, span_id)`` of a span *position*: None (untraced), a
+    traced root's context, or a child's ``[parent position, index, name,
+    ids]``, whose ``ids`` slot caches the pair once it is first derived."""
+    if position is None:
+        return None, None
+    if type(position) is not list:
+        return position.trace_id, position.span_id
+    ids = position[3]
+    if ids is None:
+        parent, index, name, _ = position
+        trace_id, parent_span_id = _position_ids(parent)
+        ids = position[3] = (
+            trace_id, derive_span_id(trace_id, parent_span_id, index, name)
+        )
+    return ids
+
+
 class Span:
     """One timed stage of an operation, with tags and child spans.
 
-    ``trace_id``/``span_id`` are assigned when the operation runs under a
-    :class:`~repro.telemetry.context.TraceContext` (see :meth:`Tracer.trace`);
-    they stay None for bare ``tracer.span`` trees so pre-trace callers see
-    no difference.
+    ``trace_id``/``span_id`` are derived from the span's position when read
+    (see the module docstring); they are None for a tree whose root carries
+    no :class:`~repro.telemetry.context.TraceContext`.
     """
 
-    __slots__ = ("name", "tags", "start", "end", "children", "trace_id", "span_id")
+    __slots__ = ("name", "tags", "start", "end", "children", "_tracer", "_position")
 
-    def __init__(self, name: str, tags: dict | None = None) -> None:
+    def __init__(
+        self, name: str, tags: dict | None = None, tracer: "Tracer | None" = None
+    ) -> None:
         self.name = name
-        self.tags = tags or {}
+        self.tags = tags if tags is not None else {}
         self.start = 0.0
         self.end: float | None = None
         self.children: list[Span] = []
-        self.trace_id: str | None = None
-        self.span_id: str | None = None
+        self._tracer = tracer
+        self._position = None
+
+    def __enter__(self) -> "Span":
+        stack = self._tracer._local.stack
+        if stack:
+            parent = stack[-1]
+            siblings = parent.children
+            position = parent._position
+            if position is not None:
+                self._position = [position, len(siblings), self.name, None]
+            siblings.append(self)
+        stack.append(self)
+        self.start = perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.end = perf_counter()
+        if exc_type is not None:
+            _tag_error(self, exc_type)
+        tracer = self._tracer
+        stack = tracer._local.stack
+        if stack and stack[-1] is self:
+            stack.pop()
+        if not stack:
+            tracer.finished.append(self)
+        # The ring holds its roots: a finished span must not hold the ring.
+        self._tracer = None
+
+    @property
+    def trace_id(self) -> str | None:
+        position = self._position
+        while type(position) is list:
+            position = position[0]
+        return None if position is None else position.trace_id
+
+    @property
+    def span_id(self) -> str | None:
+        return _position_ids(self._position)[1]
 
     @property
     def duration(self) -> float:
@@ -80,10 +147,10 @@ class Span:
     def to_dict(self) -> dict:
         """JSON-ready representation of the span tree."""
         out: dict[str, Any] = {"name": self.name, "duration": self.duration}
-        if self.trace_id is not None:
-            out["trace_id"] = self.trace_id
-        if self.span_id is not None:
-            out["span_id"] = self.span_id
+        trace_id, span_id = _position_ids(self._position)
+        if trace_id is not None:
+            out["trace_id"] = trace_id
+            out["span_id"] = span_id
         if self.tags:
             out["tags"] = {str(k): str(v) for k, v in self.tags.items()}
         if self.children:
@@ -106,36 +173,22 @@ class Span:
         return f"Span({self.name!r}, {self.duration * 1000:.3f}ms, {len(self.children)} children)"
 
 
-class _SpanContext:
-    """Context manager opening one span under the tracer's current span."""
+class _TracedRoot(Span):
+    """Root span of one traced operation: its position is the operation's
+    context, which it makes the thread's active context while it is open
+    (so :func:`~repro.telemetry.context.current_context` sees it inside the
+    operation)."""
 
-    __slots__ = ("_tracer", "_span")
-
-    def __init__(self, tracer: "Tracer", span: Span) -> None:
-        self._tracer = tracer
-        self._span = span
+    __slots__ = ("_outer",)
 
     def __enter__(self) -> Span:
-        tracer = self._tracer
-        span = self._span
-        parent = tracer._stack[-1] if tracer._stack else None
-        if parent is not None:
-            parent.children.append(span)
-        tracer._stack.append(span)
-        span.start = tracer.clock()
-        return span
+        self._outer = getattr(_ACTIVE, "context", None)
+        _ACTIVE.context = self._position
+        return Span.__enter__(self)
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        tracer = self._tracer
-        span = self._span
-        span.end = tracer.clock()
-        if exc_type is not None:
-            _tag_error(span, exc_type)
-        stack = tracer._stack
-        if stack and stack[-1] is span:
-            stack.pop()
-        if not stack:
-            tracer.finished.append(span)
+        _ACTIVE.context = self._outer
+        Span.__exit__(self, exc_type, exc, tb)
 
 
 def _tag_error(span: Span, exc_type: type) -> None:
@@ -146,77 +199,11 @@ def _tag_error(span: Span, exc_type: type) -> None:
     span.tags.setdefault("error_type", exc_type.__name__)
 
 
-def _assign_span_ids(root: Span, trace_id: str) -> None:
-    """Assign deterministic span ids across the finished tree.
+class _Stacks(threading.local):
+    """One open-span stack per thread."""
 
-    Runs once, at root close — each id is a pure function of (trace_id,
-    parent span id, child index, name), so the ids never depend on when a
-    span was recorded. The digest is inlined (same formula as
-    :func:`~repro.telemetry.context.derive_span_id` — pinned by tests)
-    because this runs on every traced operation.
-    """
-    blake2b = hashlib.blake2b
-    root.trace_id = trace_id
-    pending = [root]
-    while pending:
-        parent = pending.pop()
-        parent_span_id = parent.span_id
-        for index, child in enumerate(parent.children):
-            child.trace_id = trace_id
-            child.span_id = blake2b(
-                f"{trace_id}:{parent_span_id}:{index}:{child.name}".encode("utf-8"),
-                digest_size=8,
-            ).hexdigest()
-            pending.append(child)
-
-
-class _RootSpanContext(_SpanContext):
-    """Root span of one traced operation.
-
-    On enter: stamps the span with the context's ids and activates the
-    context on this thread (so
-    :func:`~repro.telemetry.context.current_context` sees it inside the
-    operation). On exit: restores the thread's previous context and
-    finalizes deterministic span ids over the assembled tree.
-    """
-
-    __slots__ = ("_context", "_prev_context")
-
-    def __init__(
-        self, tracer: "Tracer", span: Span, context: TraceContext | None
-    ) -> None:
-        super().__init__(tracer, span)
-        self._context = context
-        self._prev_context = None
-
-    def __enter__(self) -> Span:
-        context = self._context
-        if context is not None:
-            span = self._span
-            span.trace_id = context.trace_id
-            span.span_id = context.span_id
-            # The thread-local swap happens inline: this is the
-            # per-operation hot path.
-            self._prev_context = getattr(_ACTIVE, "context", None)
-            _ACTIVE.context = context
-        return super().__enter__()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        tracer = self._tracer
-        span = self._span
-        span.end = tracer.clock()
-        if exc_type is not None:
-            _tag_error(span, exc_type)
-        stack = tracer._stack
-        if stack and stack[-1] is span:
-            stack.pop()
-        context = self._context
-        if context is not None:
-            _ACTIVE.context = self._prev_context
-        if not stack:
-            if context is not None:
-                _assign_span_ids(span, context.trace_id)
-            tracer.finished.append(span)
+    def __init__(self) -> None:
+        self.stack: list[Span] = []
 
 
 class Tracer:
@@ -231,43 +218,32 @@ class Tracer:
 
     enabled = True
 
-    def __init__(
-        self,
-        clock: Callable[[], float] = time.perf_counter,
-        max_finished: int = MAX_FINISHED_TRACES,
-    ) -> None:
-        if max_finished < 1:
-            raise ValueError("max_finished must be >= 1")
-        self.clock = clock
-        self._local = threading.local()
-        self.finished: deque = deque(maxlen=max_finished)
+    def __init__(self) -> None:
+        self._local = _Stacks()
+        self.finished: deque = deque(maxlen=MAX_FINISHED_TRACES)
 
-    @property
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def span(self, name: str, **tags):
+    def span(self, name: str, **tags) -> Span:
         """Open a span named *name* as a child of the current span."""
-        return _SpanContext(self, Span(name, tags or None))
+        return Span(name, tags, self)
 
-    def trace(
-        self, name: str, context: TraceContext | None = None, **tags
-    ) -> _RootSpanContext:
+    def trace(self, name: str, context: TraceContext | None = None, **tags) -> Span:
         """Open the root span of one traced operation.
 
         With ``context=None`` (tracing disabled) this behaves exactly like
         :meth:`span` — no ids — so the pre-trace span trees and chaos
         fingerprints are bit-identical.
         """
-        return _RootSpanContext(self, Span(name, tags or None), context)
+        if context is None:
+            return Span(name, tags, self)
+        root = _TracedRoot(name, tags, self)
+        root._position = context
+        return root
 
     @property
     def current(self) -> Span | None:
         """The innermost open span, or None outside any trace."""
-        return self._stack[-1] if self._stack else None
+        stack = self._local.stack
+        return stack[-1] if stack else None
 
     def last_trace(self) -> Span | None:
         """The most recently finished root span."""

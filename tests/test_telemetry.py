@@ -25,6 +25,7 @@ from repro.telemetry import (
     summarize,
 )
 from repro.telemetry.runtime import NULL_METRIC
+from repro.telemetry.tracing import MAX_FINISHED_TRACES
 from tests.conftest import make_log
 
 
@@ -165,9 +166,9 @@ class TestTracing:
         assert tracer.current is None
 
     def test_error_tagging_on_root_trace_path(self):
-        # Both exit paths (_SpanContext and _RootSpanContext) tag
-        # identically, and an errored root is recorded in the finished
-        # ring even though the exception propagates.
+        # Both exit paths (a span's and a traced root's) tag identically,
+        # and an errored root is recorded in the finished ring even though
+        # the exception propagates.
         tracer = Tracer()
         with pytest.raises(RuntimeError):
             with tracer.trace("op") as root:
@@ -198,21 +199,15 @@ class TestTracing:
         assert payload["children"][0]["name"] == "b"
 
     def test_finished_traces_ring_buffer(self):
-        tracer = Tracer(max_finished=4)
-        for i in range(10):
+        tracer = Tracer()
+        for i in range(MAX_FINISHED_TRACES + 6):
             with tracer.span(f"op{i}"):
                 pass
-        assert len(tracer.finished) == 4
-        assert [s.name for s in tracer.recent_traces()] == [
-            "op6",
-            "op7",
-            "op8",
-            "op9",
-        ]
-        assert [s.name for s in tracer.recent_traces(2)] == ["op8", "op9"]
-        assert tracer.recent_traces(100) == list(tracer.finished)
-        with pytest.raises(ValueError):
-            Tracer(max_finished=0)
+        assert len(tracer.finished) == MAX_FINISHED_TRACES == 128
+        names = [s.name for s in tracer.recent_traces()]
+        assert names[0] == "op6" and names[-1] == "op133"
+        assert [s.name for s in tracer.recent_traces(2)] == ["op132", "op133"]
+        assert tracer.recent_traces(1000) == list(tracer.finished)
 
     def test_traced_write_memory_bounded_across_10k_writes(self):
         """Regression guard for span retention: 10k traced facade writes
@@ -281,6 +276,37 @@ class TestDisabledMode:
         with telemetry.tracer.span("noop") as span:
             assert span.name == "noop"
         assert telemetry.tracer.last_trace() is None
+
+    def test_disabled_spans_share_no_state(self):
+        tracer = NULL_TELEMETRY.tracer
+        with tracer.trace("query") as first:
+            first.tags["fanout"] = 1
+        with tracer.trace("query") as second:
+            pass
+        assert second is not first
+        assert second.tags == {}
+
+    def test_disabled_instance_measures_durations(self, monkeypatch):
+        """With telemetry off, an operation's duration still comes from the
+        clock: a bulk result's took and the index slow log see slow
+        writes."""
+        from repro.esdb import EsdbConfig
+
+        index = ShardEngine.index
+
+        def slow_index(engine, *args, **kwargs):
+            time.sleep(0.02)
+            return index(engine, *args, **kwargs)
+
+        monkeypatch.setattr(ShardEngine, "index", slow_index)
+        db = ESDB(EsdbConfig(telemetry_enabled=False))
+        result = db.bulk_write(
+            [make_log(i, tenant="t1", created=float(i)) for i in range(3)]
+        )
+        assert result.took >= 0.06
+        entries = db.obsv.index_slowlog.tail(10)
+        assert len(entries) == 3
+        assert all(entry.elapsed >= 0.02 for entry in entries)
 
     def test_default_telemetry_install_and_clear(self):
         assert default_telemetry() is None

@@ -21,14 +21,12 @@ from repro.telemetry import (
     EVENT_KINDS,
     EventLog,
     MetricsRegistry,
-    Span,
     TraceConfig,
     TraceIdGenerator,
     Tracer,
     current_context,
     derive_span_id,
 )
-from repro.telemetry.tracing import _assign_span_ids
 from repro.workload.generator import TransactionLogGenerator, WorkloadConfig
 
 TOPOLOGY = ClusterTopology(num_nodes=2, num_shards=8, replicas_per_shard=0)
@@ -70,15 +68,15 @@ class TestTraceContext:
         assert len(a) == 16
 
     def test_assign_span_ids_matches_derive_formula(self):
-        # The walk inlines the digest for speed; the formula is pinned here.
-        root = Span("op")
-        child = Span("stage")
-        grand = Span("sub")
-        root.children.append(child)
-        child.children.append(grand)
-        root.span_id = "ab" * 8
-        trace_id = "cd" * 16
-        _assign_span_ids(root, trace_id)
+        # Ids are derived from each span's position when read; the formula
+        # is pinned here.
+        tracer = Tracer()
+        ctx = TraceIdGenerator(seed=5).next_context("op")
+        with tracer.trace("op", ctx) as root:
+            with tracer.span("stage") as child:
+                with tracer.span("sub") as grand:
+                    pass
+        trace_id = ctx.trace_id
         assert root.trace_id == trace_id
         assert child.span_id == derive_span_id(trace_id, root.span_id, 0, "stage")
         assert grand.span_id == derive_span_id(trace_id, child.span_id, 0, "sub")
