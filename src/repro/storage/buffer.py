@@ -8,8 +8,6 @@ write-path sections reason about.
 
 from __future__ import annotations
 
-
-from repro.storage.analysis import StandardAnalyzer
 from repro.storage.document import Document
 from repro.storage.segment import Segment, SegmentSpec
 
@@ -22,9 +20,8 @@ class InMemoryBuffer:
     buffer writes the already-built in-memory index to disk.
     """
 
-    def __init__(self, spec: SegmentSpec, analyzer: StandardAnalyzer | None = None) -> None:
+    def __init__(self, spec: SegmentSpec) -> None:
         self._spec = spec
-        self._analyzer = analyzer or StandardAnalyzer()
         self._segment: Segment | None = None
         self._next_base = 0
 
@@ -43,7 +40,7 @@ class InMemoryBuffer:
         """Buffer one document; returns :meth:`Segment.add_document`'s
         ``(row_id, entries, subattr_names)`` for its future row."""
         if self._segment is None:
-            self._segment = Segment(self._spec, self._next_base, self._analyzer)
+            self._segment = Segment(self._spec, self._next_base)
         return self._segment.add_document(doc)
 
     def delete(self, row_id: int) -> bool:

@@ -18,6 +18,7 @@ from typing import Any, Iterable, Sequence
 
 from repro.errors import PlanningError, StorageError
 from repro.storage.postings import PostingList
+from repro.storage.sorted_index import merge_runs
 
 def _encode(value: Any) -> tuple:
     """Encode one column value into a homogeneous, totally ordered key part.
@@ -93,10 +94,24 @@ class CompositeIndex:
         if self._keys:
             merged += zip(self._keys, self._rows)
         merged.sort()
-        self._keys = [k for k, _ in merged]
-        self._rows = [r for _, r in merged]
+        self._load(merged)
+
+    def _load(self, pairs: list[tuple[tuple, int]]) -> None:
+        """Seal onto sorted *pairs*, replacing whatever the index held."""
+        self._keys = [k for k, _ in pairs]
+        self._rows = [r for _, r in pairs]
         self._pending = []
         self._sealed = True
+
+    @classmethod
+    def merged(
+        cls, columns: Sequence[str], parts: list[tuple[CompositeIndex, frozenset]]
+    ) -> CompositeIndex:
+        """One sealed index on *columns* over *parts* — sealed indexes on the
+        same columns, each with the rows to drop from it."""
+        merged = cls(columns)
+        merged._load(merge_runs([(ix._keys, ix._rows, dropped) for ix, dropped in parts]))
+        return merged
 
     # -- planner support -----------------------------------------------------
     def match_length(self, equality_columns: Iterable[str]) -> int:

@@ -39,6 +39,43 @@ class DocValues:
         else:
             self._values[index] = value
 
+    @classmethod
+    def merged(
+        cls,
+        base_row_id: int,
+        parts: list[tuple[DocValues, int, int, frozenset]],
+        interleaved: bool,
+    ) -> DocValues | None:
+        """One column from *base_row_id* over *parts*: each a column with the
+        first and last row it contributes and the rows in between to blank
+        (deleted ones). The column ends at its last value, as one built by
+        :meth:`append` does; None when no part contributes a value. Parts
+        that are not *interleaved* cover disjoint row spans and are copied
+        span by span; interleaved ones are copied value by value."""
+        pieces = []
+        for column, first, last, dropped in parts:
+            values = column._values[first - column._base : last + 1 - column._base]
+            for row in dropped:
+                if first <= row < first + len(values):
+                    values[row - first] = None
+            while values and values[-1] is None:
+                values.pop()
+            if values:
+                pieces.append((first - base_row_id, values))
+        if not pieces:
+            return None
+        out: list[Any] = [None] * max(start + len(values) for start, values in pieces)
+        for start, values in pieces:
+            if interleaved:
+                for offset, value in enumerate(values, start):
+                    if value is not None:
+                        out[offset] = value
+            else:
+                out[start : start + len(values)] = values
+        merged = cls(base_row_id)
+        merged._values = out
+        return merged
+
     def get(self, row_id: int, default: Any = None) -> Any:
         index = row_id - self._base
         if 0 <= index < len(self._values):

@@ -23,7 +23,6 @@ from typing import Any, Callable, Iterator, Mapping
 
 from repro.cache import SegmentFilterCache, filter_key
 from repro.errors import DocumentNotFoundError, StorageError
-from repro.storage.analysis import StandardAnalyzer
 from repro.storage.buffer import InMemoryBuffer
 from repro.storage.composite import CompositeIndex
 from repro.storage.document import Document, Schema
@@ -90,7 +89,6 @@ class ShardEngine:
         config: EngineConfig,
         shard_id: int = 0,
         merge_policy: MergePolicy | None = None,
-        analyzer: StandardAnalyzer | None = None,
         telemetry=None,
     ) -> None:
         self.config = config
@@ -103,9 +101,8 @@ class ShardEngine:
         self._mutex = threading.RLock()
         self.translog = Translog()
         self.merge_policy = merge_policy or TieredMergePolicy()
-        self._analyzer = analyzer or StandardAnalyzer()
         self._spec = config.spec()
-        self.buffer = InMemoryBuffer(self._spec, self._analyzer)
+        self.buffer = InMemoryBuffer(self._spec)
         self.segments: list[Segment] = []
         self._doc_locations: dict[object, int] = {}  # doc_id -> row_id
         self._dynamic_composites: dict[str, CompositeIndex] = {}
@@ -320,7 +317,7 @@ class ShardEngine:
 
     def simulate_crash(self) -> None:
         """Drop all in-memory (unrefreshed) state, keeping segments+translog."""
-        self.buffer = InMemoryBuffer(self._spec, self._analyzer)
+        self.buffer = InMemoryBuffer(self._spec)
         self.buffer.set_next_base(self._next_row_id())
         # Forget locations that pointed into the lost buffer.
         max_committed = self._next_row_id()

@@ -8,6 +8,7 @@ term.
 
 from __future__ import annotations
 
+from array import array
 from struct import Struct
 from typing import Iterable, Iterator
 
@@ -62,6 +63,32 @@ class InvertedIndex:
         for term in terms:
             self.add(term, row_id)
 
+    @classmethod
+    def merged(
+        cls, parts: list[tuple[InvertedIndex, frozenset]], interleaved: bool
+    ) -> InvertedIndex:
+        """One index over *parts* — sealed indexes, each with the rows to
+        drop from it, listed in row order. A term only one part holds keeps
+        that part's bucket, the object itself: a sealed bucket is never
+        written again, so sharing it is safe. A term several parts hold gets
+        a new bucket of their rows concatenated, or sorted when the parts'
+        rows are *interleaved*. Python runs once per term that several parts
+        share and per term of a part with rows to drop; the rest is dict and
+        set operations."""
+        merged = cls()
+        postings = merged._postings
+        dicts = [_without(ix._postings, dropped) if dropped else ix._postings
+                 for ix, dropped in parts]
+        shared: set = set()
+        for terms in dicts:
+            shared |= postings.keys() & terms.keys()
+            postings.update(terms)
+        for term in shared:
+            postings[term] = _joined(
+                [terms[term] for terms in dicts if term in terms], interleaved
+            )
+        return merged
+
     def postings(self, term: object) -> PostingList:
         """Return the posting list for *term* (empty when absent)."""
         bucket = self._postings.get(term)
@@ -80,6 +107,48 @@ class InvertedIndex:
         """Approximate index size in stored (term, row) pairs — the storage
         overhead metric used by frequency-based indexing (§6.3.3)."""
         return sum(map(_rows_in, self._postings.values()))
+
+
+def _rows_of(bucket: int | bytearray) -> list[int]:
+    if isinstance(bucket, bytearray):
+        return memoryview(bucket).cast("q").tolist()
+    return [bucket]
+
+
+def _bucket(rows: list[int]) -> int | bytearray:
+    """The bucket of sorted, distinct, non-empty *rows*."""
+    return bytearray(array("q", rows)) if len(rows) > 1 else rows[0]
+
+
+def _joined(buckets: list[int | bytearray], interleaved: bool) -> bytearray:
+    """A new bucket of *buckets*' rows, distinct across them; none is
+    written."""
+    if interleaved:
+        rows: list[int] = []
+        for bucket in buckets:
+            rows += _rows_of(bucket)
+        rows.sort()
+        return _bucket(rows)
+    return bytearray().join(
+        [b if isinstance(b, bytearray) else _ROW.pack(b) for b in buckets]
+    )
+
+
+def _without(postings: dict, dropped: frozenset) -> dict:
+    """*postings* minus the *dropped* rows; a bucket holding none of them is
+    kept as it is, and a term left with no row goes."""
+    kept = {}
+    for term, bucket in postings.items():
+        if isinstance(bucket, bytearray):
+            if dropped.isdisjoint(memoryview(bucket).cast("q")):
+                kept[term] = bucket
+            else:
+                rows = [row for row in _rows_of(bucket) if row not in dropped]
+                if rows:
+                    kept[term] = _bucket(rows)
+        elif bucket not in dropped:
+            kept[term] = bucket
+    return kept
 
 
 def _rows_in(bucket: int | bytearray | None) -> int:

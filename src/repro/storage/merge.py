@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import pairwise
+from operator import attrgetter
 
 from repro.errors import StorageError
-from repro.storage.document import Document
 from repro.storage.segment import Segment, SegmentSpec
 
-# Padding placeholder for row-id gaps left by reclaimed deletes: an empty
-# doc, tombstoned immediately, which never matches any query.
-_TOMBSTONE = Document(doc_id="__tombstone__", source={})
+# The most live documents one merge may produce.
+MAX_MERGED_DOCS = 1_000_000
 
 
 class MergePolicy(ABC):
@@ -39,7 +39,6 @@ class TieredMergePolicy(MergePolicy):
 
     merge_factor: int = 4
     tier_base: int = 10
-    max_merged_docs: int = 1_000_000
 
     def __post_init__(self) -> None:
         if self.merge_factor < 2:
@@ -63,7 +62,7 @@ class TieredMergePolicy(MergePolicy):
             group = tiers[tier]
             if len(group) >= self.merge_factor:
                 candidates = group[: self.merge_factor]
-                if sum(s.live_count for s in candidates) <= self.max_merged_docs:
+                if sum(s.live_count for s in candidates) <= MAX_MERGED_DOCS:
                     return candidates
         return []
 
@@ -72,23 +71,24 @@ def merge_segments(segments: list[Segment], spec: SegmentSpec) -> Segment:
     """Merge *segments* into one new sealed segment.
 
     Deleted documents are dropped (merge is when deletes are reclaimed).
-    Shard-global row ids are preserved — gaps left by reclaimed deletes are
-    padded with tombstones — so posting lists and doc values stay valid
-    without the renumbering bookkeeping real Lucene needs.
+    Shard-global row ids are preserved, so the merged segment spans its
+    inputs' whole row range — a row a shard handed out stays its own — and a
+    row it holds no live document for is a tombstone. This function orders
+    the inputs by their first live row and notes whether their live rows
+    interleave (a merge of non-adjacent segments pads over the rows of the
+    segments between them, which a later merge may take in); each index
+    structure then merges its own kind (:meth:`Segment.merged`).
     """
     if not segments:
         raise StorageError("nothing to merge")
-    base = min(s.base_row_id for s in segments)
+    runs = sorted(
+        filter(None, (segment.live_run() for segment in segments)),
+        key=attrgetter("first"),
+    )
+    interleaved = any(a.last >= b.first for a, b in pairwise(runs))
+    rows = range(
+        min(s.base_row_id for s in segments),
+        max(s.base_row_id + len(s) for s in segments),
+    )
     generation = max(s.generation for s in segments) + 1
-    merged = Segment(spec, base, generation=generation)
-    rows: list[tuple[int, Document]] = []
-    for segment in segments:
-        rows.extend(segment.iter_live())
-    rows.sort(key=lambda pair: pair[0])
-    for row_id, doc in rows:
-        while merged.base_row_id + len(merged) < row_id:
-            pad_row, _, _ = merged.add_document(_TOMBSTONE)
-            merged.mark_deleted(pad_row)
-        merged.add_document(doc)
-    merged.seal()
-    return merged
+    return Segment.merged(spec, rows, generation, runs, interleaved)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.errors import StorageError
 from repro.storage.analysis import StandardAnalyzer
@@ -24,6 +24,14 @@ from repro.storage.postings import PostingList
 from repro.storage.sorted_index import SortedIndex
 
 _segment_ids = itertools.count(1)
+
+# Every segment tokenises text with the same analyzer, so a merged segment
+# holds the tokens its inputs were indexed with.
+_ANALYZER = StandardAnalyzer()
+
+# What a row that holds no document reads as: a slot a merge keeps for a
+# reclaimed delete or for another segment's row. Never live, never indexed.
+_TOMBSTONE = Document(doc_id="__tombstone__", source={})
 
 
 @dataclass(frozen=True)
@@ -46,6 +54,19 @@ class SegmentSpec:
     indexed_subattributes: frozenset | None = None
 
 
+class LiveRun(NamedTuple):
+    """What one segment contributes to a merge: its first and last live row
+    and the rows deleted after they were indexed — their index entries are
+    still in the segment's structures. Rows the segment holds no document
+    for (a merge's padding) are dead but carry no entry, so they are not
+    listed."""
+
+    segment: "Segment"
+    first: int
+    last: int
+    dropped: frozenset
+
+
 class Segment:
     """One immutable segment of a shard."""
 
@@ -53,14 +74,12 @@ class Segment:
         self,
         spec: SegmentSpec,
         base_row_id: int,
-        analyzer: StandardAnalyzer | None = None,
         generation: int = 0,
     ) -> None:
         self.segment_id = next(_segment_ids)
         self.spec = spec
         self.base_row_id = base_row_id
         self.generation = generation  # merge depth: 0 = fresh refresh
-        self._analyzer = analyzer or StandardAnalyzer()
         self._docs: list[Document] = []
         self._live: list[bool] = []
         self._deleted = 0  # rows of _live that are False
@@ -124,7 +143,7 @@ class Segment:
                     # A numeric string: a scan must see what the index holds.
                     value = number
             elif ftype is FieldType.TEXT:
-                tokens = self._analyzer.analyze(str(value))
+                tokens = _ANALYZER.analyze(str(value))
                 self._term_index(name).add_all(tokens, row_id)
                 entries += len(tokens)
             elif ftype is FieldType.ATTRIBUTES:
@@ -153,6 +172,69 @@ class Segment:
         for composite in self._composites.values():
             composite.seal()
         self._sealed = True
+
+    @classmethod
+    def merged(
+        cls,
+        spec: SegmentSpec,
+        rows: range,
+        generation: int,
+        runs: list[LiveRun],
+        interleaved: bool,
+    ) -> Segment:
+        """A sealed segment over *rows* holding the live rows of *runs*,
+        listed by first live row; every other row is a tombstone. Each
+        structure merges the inputs' own: nothing is re-parsed and no input
+        is written. *interleaved* says the runs' live rows overlap."""
+        merged = cls(spec, rows.start, generation=generation)
+        docs = [_TOMBSTONE] * len(rows)
+        live = [False] * len(rows)
+        for run in runs:
+            segment = run.segment
+            shift = segment.base_row_id - rows.start
+            for offset in itertools.compress(range(len(segment)), segment._live):
+                docs[shift + offset] = segment._docs[offset]
+                live[shift + offset] = True
+        merged._docs, merged._live = docs, live
+        merged._deleted = live.count(False)
+
+        for name in dict.fromkeys(n for run in runs for n in run.segment._doc_values):
+            holders = [run for run in runs if name in run.segment._doc_values]
+            column = DocValues.merged(
+                rows.start,
+                [(r.segment._doc_values[name], r.first, r.last, r.dropped) for r in holders],
+                interleaved,
+            )
+            # A field has indexes exactly where it has a column: add_document
+            # creates both for every value (a text of stopwords only gets an
+            # empty term index), so no live row holding it means neither.
+            if column is None:
+                continue
+            merged._doc_values[name] = column
+            terms = [
+                (r.segment._term_indexes[name], r.dropped)
+                for r in holders
+                if name in r.segment._term_indexes
+            ]
+            if terms:
+                merged._term_indexes[name] = InvertedIndex.merged(terms, interleaved)
+            numbers = [
+                (r.segment._numeric_indexes[name], r.dropped)
+                for r in holders
+                if name in r.segment._numeric_indexes
+            ]
+            if numbers:
+                merged._numeric_indexes[name] = SortedIndex.merged(numbers)
+        merged._subattr_index = InvertedIndex.merged(
+            [(run.segment._subattr_index, run.dropped) for run in runs], interleaved
+        )
+        for name, composite in merged._composites.items():
+            merged._composites[name] = CompositeIndex.merged(
+                composite.columns,
+                [(run.segment._composites[name], run.dropped) for run in runs],
+            )
+        merged._sealed = True
+        return merged
 
     # -- deletes -----------------------------------------------------------------
     def mark_deleted(self, row_id: int) -> bool:
@@ -208,7 +290,7 @@ class Segment:
         index = self._term_indexes.get(field_name)
         if index is None:
             return PostingList.empty()
-        tokens = self._analyzer.analyze(text)
+        tokens = _ANALYZER.analyze(text)
         if not tokens:
             return PostingList.empty()
         lists = [index.postings(token) for token in tokens]
@@ -238,6 +320,25 @@ class Segment:
         if 0 <= index < len(self._docs) and self._live[index]:
             return self._docs[index]
         return None
+
+    def live_run(self) -> LiveRun | None:
+        """This segment's part in a merge; None when no row is live."""
+        if not self.live_count:
+            return None
+        base, docs, live = self.base_row_id, self._docs, self._live
+        dropped: frozenset = frozenset()
+        if self._deleted:
+            dropped = frozenset(
+                base + offset
+                for offset, alive in enumerate(live)
+                if not alive and docs[offset] is not _TOMBSTONE
+            )
+        return LiveRun(
+            self,
+            base + live.index(True),
+            base + len(live) - 1 - live[::-1].index(True),
+            dropped,
+        )
 
     def iter_live(self) -> Iterator[tuple[int, Document]]:
         for offset, (doc, live) in enumerate(zip(self._docs, self._live)):

@@ -59,13 +59,25 @@ class SortedIndex:
         if self._values:
             merged += zip(self._values, self._rows)
         merged.sort()
-        self._values = [v for v, _ in merged]
-        self._rows = [r for _, r in merged]
+        self._load(merged)
+
+    def _load(self, pairs: list[tuple[float, int]]) -> None:
+        """Seal onto sorted *pairs*, replacing whatever the index held."""
+        self._values = [v for v, _ in pairs]
+        self._rows = [r for _, r in pairs]
         self._pending = []
         self._block_mins = [
             self._values[i] for i in range(0, len(self._values), self._block_size)
         ]
         self._sealed = True
+
+    @classmethod
+    def merged(cls, parts: list[tuple[SortedIndex, frozenset]]) -> SortedIndex:
+        """One sealed index over *parts* — sealed indexes, each with the rows
+        to drop from it."""
+        merged = cls()
+        merged._load(merge_runs([(ix._values, ix._rows, dropped) for ix, dropped in parts]))
+        return merged
 
     # -- queries ---------------------------------------------------------------
     def range(self, low: float | None, high: float | None, *,
@@ -110,3 +122,16 @@ class SortedIndex:
         first_block = lo_idx // self._block_size
         last_block = (hi_idx - 1) // self._block_size
         return last_block - first_block + 1
+
+
+def merge_runs(runs: list[tuple[list, list[int], frozenset]]) -> list[tuple]:
+    """The ``(key, row)`` pairs of sorted runs — each ``(keys, rows,
+    dropped)`` — minus the dropped rows, in one sorted list. Row ids are
+    distinct across runs, so no two pairs tie; the sort finds the runs
+    already sorted and only merges them."""
+    pairs: list[tuple] = []
+    for keys, rows, dropped in runs:
+        run = zip(keys, rows)
+        pairs += [pair for pair in run if pair[1] not in dropped] if dropped else run
+    pairs.sort()
+    return pairs

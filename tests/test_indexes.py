@@ -14,6 +14,27 @@ from repro.storage import CompositeIndex, DocValues, InvertedIndex, PostingList,
 from repro.storage.analysis import StandardAnalyzer, tokenize
 
 
+@st.composite
+def _partitions(draw, rows: list[int]) -> tuple[list[list[int]], frozenset, bool]:
+    """Cut distinct *rows* into the rows of sealed parts a merge takes in
+    row order: consecutive runs, or — *interleaved* — any row in any part.
+    Also draws the rows the merge drops (deleted after they were indexed)."""
+    rows = sorted(set(rows))
+    interleaved = draw(st.booleans())
+    parts: list[list[int]] = [[]]
+    for row in rows:
+        if interleaved:
+            index = draw(st.integers(0, 3))
+            parts += [[] for _ in range(index + 1 - len(parts))]
+            parts[index].append(row)
+        else:
+            if parts[-1] and draw(st.booleans()):
+                parts.append([])
+            parts[-1].append(row)
+    dropped = frozenset(row for row in rows if draw(st.sampled_from([False, False, True])))
+    return parts, dropped, interleaved
+
+
 class TestAnalyzer:
     def test_tokenize_lowercases_and_splits(self):
         assert tokenize("Red COTTON-Shirt 42") == ["red", "cotton", "shirt", "42"]
@@ -123,6 +144,37 @@ class TestInvertedIndex:
         assert not ix.postings("never added")
         assert ix.doc_frequency("never added") == 0
 
+    @given(st.data())
+    def test_property_merging_sealed_parts_equals_one_index_over_their_union(self, data):
+        """A term one part holds keeps its bucket (the object); a term
+        several hold gets a new bucket in the same format — an int for one
+        row, packed rows for more — and no part is written."""
+        entries = data.draw(
+            st.lists(st.tuples(st.sampled_from(["a", "b", 0, ("k", "v")]), st.integers(0, 30)),
+                     max_size=60)
+        )
+        parts_rows, dropped, interleaved = data.draw(_partitions([row for _, row in entries]))
+        union, parts = InvertedIndex(), []
+        for rows in parts_rows:
+            part = InvertedIndex()
+            for term, row in sorted(entries, key=lambda entry: entry[1]):
+                if row in rows:
+                    part.add(term, row)
+            parts.append(part)
+        for term, row in sorted(entries, key=lambda entry: entry[1]):
+            if row not in dropped:
+                union.add(term, row)
+        before = [{t: bytes(b) if isinstance(b, bytearray) else b for t, b in p._postings.items()}
+                  for p in parts]
+        merged = InvertedIndex.merged([(part, dropped) for part in parts], interleaved)
+        assert {t: (type(b), b) for t, b in merged._postings.items()} == {
+            t: (type(b), b) for t, b in union._postings.items()
+        }
+        assert [
+            {t: bytes(b) if isinstance(b, bytearray) else b for t, b in p._postings.items()}
+            for p in parts
+        ] == before
+
 
 class TestSortedIndex:
     def _index(self, values):
@@ -189,6 +241,27 @@ class TestSortedIndex:
             ix.add(value, row)
         expected = sorted(row for row, v in enumerate(values) if low <= v <= high)
         assert ix.range(low, high).to_list() == expected
+
+    @given(st.data())
+    def test_property_merging_sealed_parts_equals_one_index_over_their_union(self, data):
+        values = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0, 7.0]), max_size=80))
+        parts_rows, dropped, _ = data.draw(_partitions(list(range(len(values)))))
+        parts = []
+        for rows in parts_rows:
+            part = SortedIndex()
+            part.add_all((values[row], row) for row in rows)
+            part.seal()
+            parts.append(part)
+        union = SortedIndex()
+        union.add_all((v, row) for row, v in enumerate(values) if row not in dropped)
+        union.seal()
+        before = [(list(p._values), list(p._rows)) for p in parts]
+        merged = SortedIndex.merged([(part, dropped) for part in parts])
+        assert (merged._values, merged._rows, merged._block_mins) == (
+            union._values, union._rows, union._block_mins
+        )
+        assert merged.range(0.0, 2.0) == union.range(0.0, 2.0)
+        assert [(p._values, p._rows) for p in parts] == before
 
 
 def _nested_key(values) -> tuple:
@@ -437,6 +510,26 @@ class TestCompositeIndex:
 
         got = ix.search(dict(zip(columns, prefix)), **bounds)
         assert got.to_list() == [row_id for row_id, row in enumerate(rows) if matches(row)]
+
+        # Merging sealed parts of the rows equals one index over their union.
+        parts_rows, dropped, _ = data.draw(_partitions(list(range(len(rows)))))
+        parts = []
+        for members in parts_rows:
+            part = CompositeIndex(columns)
+            for row_id in members:
+                part.add(rows[row_id], row_id)
+            part.seal()
+            parts.append(part)
+        union = CompositeIndex(columns)
+        for row_id, row in enumerate(rows):
+            if row_id not in dropped:
+                union.add(row, row_id)
+        union.seal()
+        merged = CompositeIndex.merged(columns, [(part, dropped) for part in parts])
+        assert (merged._keys, merged._rows) == (union._keys, union._rows)
+        assert merged.search(dict(zip(columns, prefix)), **bounds) == union.search(
+            dict(zip(columns, prefix)), **bounds
+        )
 
 
 class TestDocValues:
