@@ -67,6 +67,8 @@ class WorkloadMonitor:
         self.window_seconds = window_seconds
         #: Closed windows, oldest first.
         self.windows: deque = deque(maxlen=MAX_WINDOWS)
+        #: Windows closed so far, the evicted ones included.
+        self.closed = 0
         # Tenants keep their first-seen order from window to window (a
         # closed window lists them in it), so the balancer proposes in a
         # stable order.
@@ -102,6 +104,7 @@ class WorkloadMonitor:
                 self._shards,
             )
         )
+        self.closed += 1
         self._tenants = dict.fromkeys(self._tenants, 0)
         self._shards = {}
         self._window_start = now

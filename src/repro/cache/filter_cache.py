@@ -16,12 +16,13 @@ filter cannot pin the budget.
 from __future__ import annotations
 
 from repro.cache.lru import LruCache, posting_cost
+from repro.telemetry.runtime import NULL_REGISTRY
 
 
 class SegmentFilterCache:
     """Posting lists keyed by ``(segment_id, filter_key)``."""
 
-    def __init__(self, max_bytes: int, *, metrics=None) -> None:
+    def __init__(self, max_bytes: int, *, metrics=NULL_REGISTRY) -> None:
         self._lru = LruCache(
             max_bytes, level="filter", metrics=metrics, on_evict=self._forget
         )

@@ -4,7 +4,8 @@ One :class:`LruCache` holds opaque values under hashable keys, each with an
 explicit byte cost; inserting past the budget evicts from the
 least-recently-used end. The cache keeps local :class:`CacheStats` (always
 available, even with telemetry disabled) and mirrors them into a
-:class:`~repro.telemetry.metrics.MetricsRegistry` when one is attached:
+:class:`~repro.telemetry.metrics.MetricsRegistry` (the no-op
+``NULL_REGISTRY`` unless one is passed):
 ``cache_hits_total`` / ``cache_misses_total`` / ``cache_evictions_total``
 counters and a ``cache_bytes`` gauge, all labeled with the cache's
 ``level`` so every shard's filter cache aggregates into one series.
@@ -114,7 +115,7 @@ class LruCache:
         max_bytes: int,
         *,
         level: str = "cache",
-        metrics=None,
+        metrics=NULL_REGISTRY,
         on_evict: Callable[[Any, Any], None] | None = None,
     ) -> None:
         if max_bytes <= 0:
@@ -129,11 +130,10 @@ class LruCache:
         self._mutex = threading.RLock()
         self._entries: OrderedDict[Any, tuple[Any, int]] = OrderedDict()
         self._on_evict = on_evict
-        registry = metrics if metrics is not None else NULL_REGISTRY
-        self._hit_counter = registry.counter("cache_hits_total", level=level)
-        self._miss_counter = registry.counter("cache_misses_total", level=level)
-        self._eviction_counter = registry.counter("cache_evictions_total", level=level)
-        self._bytes_gauge = registry.gauge("cache_bytes", level=level)
+        self._hit_counter = metrics.counter("cache_hits_total", level=level)
+        self._miss_counter = metrics.counter("cache_misses_total", level=level)
+        self._eviction_counter = metrics.counter("cache_evictions_total", level=level)
+        self._bytes_gauge = metrics.gauge("cache_bytes", level=level)
 
     # -- core ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -32,6 +32,7 @@ import threading
 from collections import OrderedDict
 
 from repro.cache.lru import LruCache
+from repro.telemetry.runtime import NULL_REGISTRY
 
 #: Most statement fingerprints the doorkeeper remembers; the oldest goes.
 SEEN_STATEMENTS = 4096
@@ -40,7 +41,7 @@ SEEN_STATEMENTS = 4096
 class ShardRequestCache:
     """Per-shard subquery results keyed by fingerprint + generation."""
 
-    def __init__(self, max_bytes: int, *, metrics=None) -> None:
+    def __init__(self, max_bytes: int, *, metrics=NULL_REGISTRY) -> None:
         self._lru = LruCache(
             max_bytes, level="request", metrics=metrics, on_evict=self._forget
         )

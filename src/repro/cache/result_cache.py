@@ -26,12 +26,13 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.cache.lru import LruCache
+from repro.telemetry.runtime import NULL_REGISTRY
 
 
 class CoordinatorResultCache:
     """Query-result entries keyed by ``(fingerprint, rule-list version)``."""
 
-    def __init__(self, max_bytes: int, *, metrics=None) -> None:
+    def __init__(self, max_bytes: int, *, metrics=NULL_REGISTRY) -> None:
         self._lru = LruCache(max_bytes, level="result", metrics=metrics)
 
     @property

@@ -42,6 +42,7 @@ from repro.indexing import FrequencyTracker
 from repro.obsv import Observer, ObsvConfig
 from repro.obsv import runtime as obsv_runtime
 from repro.consensus import ConsensusConfig, ConsensusMaster, Participant, RuleProposal
+from repro.consumers import BalanceRound, Query, WriteBatch
 from repro.errors import (
     ConsensusAborted,
     EsdbError,
@@ -64,14 +65,12 @@ from repro.query.ast import (
     InPredicate,
     OrNode,
     SelectStatement,
-    SubAttributePredicate,
-    iter_predicates,
 )
 from repro.query.optimizer import CatalogInfo
 from repro.query.planner import PhysicalPlan
 from repro.query.shapes import Shape, ShapeMap, lift, slot_where, subattribute_keys
 from repro.routing import DynamicSecondaryHashRouting, RoutingPolicy
-from repro.slo import HeavyHitterProfiler, SloEngine
+from repro.slo import SloEngine, query_terms
 from repro.storage import EngineConfig, PostingList, Schema, ShardEngine
 from repro.telemetry import (
     NULL_TELEMETRY,
@@ -84,7 +83,7 @@ from repro.telemetry import (
     Tracer,
     current_context,
 )
-from repro.tenancy import TenancyConfig, TenantGovernor, doc_bytes
+from repro.tenancy import TenancyConfig, TenantGovernor
 from repro.telemetry.runtime import default_telemetry
 from repro.telemetry.timeseries import TimeSeriesStore, install_esdb_derivations
 
@@ -214,7 +213,7 @@ class EsdbConfig:
         timeseries_enabled: performance history
             (:mod:`repro.telemetry.timeseries`), sampled every logical
             second into 240-sample rings — the dashboard sparklines and
-            ``cat_timeseries``.
+            ``cat_timeseries``; False builds no store.
         tenancy: per-tenant admission control (:mod:`repro.tenancy`);
             off by default, when no governor is built.
         tracing: a deterministic trace id per top-level operation
@@ -222,8 +221,13 @@ class EsdbConfig:
             ``TraceConfig.off()`` restores the pre-trace span trees.
         slo: service-level objectives and heavy-hitter attribution
             (:mod:`repro.slo`); off by default, when neither the
-            :class:`~repro.slo.SloEngine` nor the
+            :class:`~repro.slo.SloEngine` nor its
             :class:`~repro.slo.HeavyHitterProfiler` is built.
+
+    The subsystems that are on become the instance's ``consumers``: every
+    write batch, query and balance round is handed to each of them, in
+    order, and a subsystem that is off is not in the tuple. The governor
+    is also the admission hook at the top of the write and query paths.
     """
 
     topology: ClusterTopology = field(default_factory=ClusterTopology)
@@ -317,39 +321,42 @@ class ESDB:
             ConsensusConfig(effective_interval=self.config.consensus_interval),
             telemetry=self.telemetry,
         )
-        self.obsv: Observer | None = None
+        # The recording consumers that are on (repro.consumers), in the
+        # order each write batch, query and round reaches them: the observer
+        # rolls a batch's windows before the profiler records it, and the
+        # time series samples what the others recorded. The attributes are
+        # read handles (snapshot, faults, tests), None when off.
+        self.obsv = self.timeseries = self.governor = self.slo = self.hotkeys = None
+        #: A statement's filter terms, which a result-cache entry keeps for
+        #: its hits: computed only when the SLO profiler reads them.
+        self._filter_terms = lambda statement: ()
+        consumers: list = []
         if self.config.obsv.enabled:
-            self.obsv = Observer(
-                self.monitor,
-                self.cluster.num_shards,
-                self.config.obsv,
-                metrics=metrics if self.telemetry.enabled else None,
-            )
+            self.obsv = Observer(self.monitor, self.cluster.num_shards, self.config.obsv, metrics)
             obsv_runtime.register(self)
-        self.timeseries: TimeSeriesStore | None = None
+            consumers.append(self.obsv)
+        self._subattr_frequencies = FrequencyTracker()
+        consumers.append(self._subattr_frequencies)
+        if self.config.tenancy.enabled:
+            self.governor = TenantGovernor(self.config.tenancy, metrics)
+            consumers.append(self.governor)
+        if self.config.slo:
+            self.slo = SloEngine(metrics)
+            self.hotkeys = self.slo.hotkeys
+            self._filter_terms = query_terms
+            if self.config.obsv.enabled:
+                # Skew alerts get upgraded with the hitters behind them.
+                self.obsv.attributor = self.hotkeys.attribute
+            consumers.append(self.slo)
         if self.config.timeseries_enabled:
             # Works against the no-op registry too: the null registry has
             # no metric names, so sampling rounds simply record no series.
             self.timeseries = install_esdb_derivations(TimeSeriesStore(metrics))
-        self.governor: TenantGovernor | None = None
-        if self.config.tenancy.enabled:
-            self.governor = TenantGovernor(
-                self.config.tenancy,
-                metrics=metrics if self.telemetry.enabled else None,
-            )
-        self.slo: SloEngine | None = None
-        self.hotkeys: HeavyHitterProfiler | None = None
-        if self.config.slo:
-            slo_metrics = metrics if self.telemetry.enabled else None
-            self.slo = SloEngine(metrics=slo_metrics)
-            self.hotkeys = HeavyHitterProfiler(metrics=slo_metrics)
-            if self.obsv is not None:
-                # Skew alerts get upgraded with the hitters behind them.
-                self.obsv.attributor = self._slo_attribution
+            consumers.append(self.timeseries)
+        self.consumers = tuple(consumers)
         self._clock = 0.0
         #: Lazily created FaultInjector (see :meth:`inject_fault`).
         self.faults = None
-        self._subattr_frequencies = FrequencyTracker()
         self.replica_sets: dict[int, ReplicaSet] = {}
         if self.config.replication is not None:
             if self.config.replication != "physical":
@@ -453,25 +460,22 @@ class ESDB:
     ) -> BulkResult:
         """The one write pipeline behind :meth:`write` and
         :meth:`bulk_write` (*op* names the root span and labels events and
-        CPU charges): admit → route → group by shard → apply → account →
-        observe.
+        CPU charges): admit → route → group by shard → apply → account.
 
         The routing pass runs in submission order on the coordinator —
         clock advancement, tenant admission (governor), the rule-list
-        lookup and workload-monitor accounting per document (a window the
-        monitor closes there is handed to the observer's skew analytics).
-        Each shard's batch is then applied by :meth:`_apply_shard_batch`,
-        and everything after it — counters, CPU charges, sub-attribute
-        frequencies, the index slow log (obsv), SLO classification and
-        heavy hitters, history sampling — happens once per call, back on
-        the coordinator, over the documents that were applied.
+        lookup and workload-monitor accounting per document. Each shard's
+        batch is then applied by :meth:`_apply_shard_batch`, and the rest
+        happens once per call, back on the coordinator: the facade's own
+        counters, then one :class:`~repro.consumers.WriteBatch` to every
+        consumer.
         """
-        telemetry = self.telemetry
-        tracer = telemetry.tracer
+        tracer = self.telemetry.tracer
         schema = self.config.schema
         governor = self.governor
         items: list[BulkItemResult | None] = [None] * len(sources)
         tenants: list[object] = [None] * len(sources)
+        refused: list[tuple[float, Exception]] = []
         groups: dict[int, list[tuple[int, object, Mapping[str, Any]]]] = {}
         ctx = self._new_trace(op)
         with tracer.trace(op, ctx, docs=len(sources)) as span:
@@ -484,15 +488,7 @@ class ESDB:
                         created_time = float(source[schema.time_field])
                         self.advance_clock(created_time)
                         if governor is not None:
-                            # Sizing a document costs a str() per field; only
-                            # pay it when an indexed-byte budget consumes it.
-                            governor.admit_write(
-                                tenant_id,
-                                self._clock,
-                                doc_bytes(source)
-                                if governor.config.indexed_bytes_quota is not None
-                                else 0,
-                            )
+                            governor.admit_document(tenant_id, self._clock, source)
                         shard_id = self.policy.route_write(
                             tenant_id, doc_id, created_time
                         )
@@ -504,12 +500,7 @@ class ESDB:
                                 "shed" if exc.budget == "queue" else "throttle",
                                 tenant=tenant_id, ctx=ctx, op=op, budget=exc.budget,
                             )
-                        if self.slo is not None and not isinstance(
-                            exc, InvalidDocumentError
-                        ):
-                            # A malformed document is the caller's error,
-                            # not an outage: it spends no availability budget.
-                            self.slo.record("write", 0.0, self._clock, error=True)
+                        refused.append((self._clock, exc))
                         items[position] = BulkItemResult(
                             position=position, doc_id=doc_id, ok=False, error=exc
                         )
@@ -523,52 +514,31 @@ class ESDB:
                             break
                         continue
                     tenants[position] = tenant_id
-                    if (
-                        self.monitor.record_write(tenant_id, shard_id, self._clock)
-                        and self.obsv is not None
-                    ):
-                        self.obsv.roll()
+                    self.monitor.record_write(tenant_id, shard_id, self._clock)
                     groups.setdefault(shard_id, []).append((position, doc_id, source))
             shard_ids = sorted(groups)
             with tracer.span("write.index", shards=len(shard_ids)):
-                outcomes = [
-                    self._apply_shard_batch(shard_id, groups[shard_id], items)
+                shards = [
+                    (groups[shard_id], *self._apply_shard_batch(shard_id, groups[shard_id], items))
                     for shard_id in shard_ids
                 ]
-        for shard_id, (subattr_names, elapsed) in zip(shard_ids, outcomes):
+        for shard_id, (_, _, subattr_names) in zip(shard_ids, shards):
             # One names tuple per document the engine applied.
             if subattr_names:
                 self._shard_writes[shard_id].inc(len(subattr_names))
-            for names in subattr_names:
-                if names:
-                    self._subattr_frequencies.record_write(names)
-            if governor is not None:
-                # CPU accounting for where the work ran: the shard batch's
-                # engine time, split evenly over its documents' tenants.
-                batch = groups[shard_id]
-                for position, _, _ in batch:
-                    governor.charge_cpu(tenants[position], elapsed / len(batch), op=op)
         applied = [item for item in items if item.ok]
-        duration = span.duration
-        per_doc = duration / len(sources) if sources else 0.0
-        if telemetry.enabled and applied:
+        per_doc = span.duration / len(sources) if sources else 0.0
+        if self.telemetry.enabled and applied:
             histogram = self._histograms["esdb_write_seconds"]
             for _ in applied:
                 histogram.observe(per_doc, ctx)
-        if self.obsv is not None:
-            for item in applied:
-                self.obsv.record_write(
-                    tenants[item.position], item.shard_id, per_doc, self._clock, span
-                )
-        if self.slo is not None:
-            for item in applied:
-                tenant_id = tenants[item.position]
-                self.slo.record("write", per_doc, self._clock)
-                self.hotkeys.record_write(tenant_id, item.shard_id, item.doc_id)
-            self._slo_tick(ctx)
-        if self.timeseries is not None:
-            self.timeseries.maybe_sample(self._clock)
-        return BulkResult(items=items, took=duration)
+        batch = WriteBatch(
+            op, self._clock, ctx, self._emit_event, span, per_doc, tenants, applied, refused,
+            shards,
+        )
+        for consumer in self.consumers:
+            consumer.on_writes(batch)
+        return BulkResult(items=items, took=span.duration)
 
     def _unroutable(self, source: Any) -> InvalidDocumentError | None:
         """Exception path of the routing pass: the engine's rejection,
@@ -596,11 +566,11 @@ class ESDB:
         shard_id: int,
         batch: list[tuple[int, object, Mapping[str, Any]]],
         items: list,
-    ) -> tuple[list[tuple[str, ...]], float]:
+    ) -> tuple[float, list[tuple[str, ...]]]:
         """Apply one shard's documents in submission order, recording each
         outcome on its item — a failure never aborts the batch and never
-        re-applies a document. Returns the applied documents' sub-attribute
-        names (one tuple each) and the engine seconds the batch took."""
+        re-applies a document. Returns the engine seconds the batch took
+        and the applied documents' sub-attribute names (one tuple each)."""
         target = self.replica_sets.get(shard_id, self.engines[shard_id])
         subattr_names: list[tuple[str, ...]] = []
         started = time.perf_counter()
@@ -616,7 +586,7 @@ class ESDB:
             items[position] = BulkItemResult(
                 position=position, doc_id=doc_id, shard_id=shard_id
             )
-        return subattr_names, time.perf_counter() - started
+        return time.perf_counter() - started, subattr_names
 
     def update(
         self, doc_id: object, changes: Mapping[str, Any], *,
@@ -703,22 +673,16 @@ class ESDB:
     # -- balancing --------------------------------------------------------------
     def rebalance(self) -> list[tuple[object, int, float]]:
         """Run one balance round; returns committed (tenant, offset,
-        effective_time) tuples. No-op for non-dynamic policies."""
+        effective_time) tuples. No-op for non-dynamic policies. After the
+        commits, every consumer gets the round (the observer adds the alerts
+        raised since the previous one, which the governor consumes)."""
         if not isinstance(self.policy, DynamicSecondaryHashRouting):
             return []
         metrics = self.telemetry.metrics
         ctx = self._new_trace("rebalance")
+        committed = []
         with self.telemetry.tracer.trace("balance.round", ctx):
             self.monitor.roll_window(self._clock)
-            if self.obsv is not None:
-                self.obsv.roll()
-                if self.governor is not None and self.obsv.last_alerts:
-                    demoted = self.governor.apply_alerts(
-                        self.obsv.last_alerts, self._clock
-                    )
-                    for tenant in demoted:
-                        self._emit_event("demotion", tenant=tenant, ctx=ctx)
-            committed = []
             for proposal in self.balancer.rebalance():
                 try:
                     outcome = self.consensus.propose(
@@ -733,26 +697,19 @@ class ESDB:
                     outcome.effective_time, proposal.offset, proposal.tenant_id
                 )
                 metrics.counter("balancer_proposals_total", outcome="committed").inc()
-                if self.obsv is not None:
-                    self.obsv.annotate_committed(
-                        self.policy.rules,
-                        proposal.tenant_id,
-                        proposal.offset,
-                        outcome.effective_time,
-                    )
-                self._emit_event(
-                    "rule_commit",
-                    tenant=proposal.tenant_id,
-                    ctx=ctx,
-                    offset=proposal.offset,
-                    effective_time=outcome.effective_time,
-                )
                 committed.append(
                     (proposal.tenant_id, proposal.offset, outcome.effective_time)
                 )
-        self._slo_tick(ctx)
-        if self.timeseries is not None:
-            self.timeseries.maybe_sample(self._clock)
+        balance = BalanceRound(
+            self._clock, ctx, self._emit_event, self.policy.rules, committed, []
+        )
+        for consumer in self.consumers:
+            consumer.on_round(balance)
+        for tenant, offset, effective_time in committed:
+            self._emit_event(
+                "rule_commit", tenant=tenant, ctx=ctx, offset=offset,
+                effective_time=effective_time,
+            )
         return committed
 
     # -- query path ----------------------------------------------------------------
@@ -795,8 +752,9 @@ class ESDB:
         :meth:`explain_analyze`: probe the result cache; on a miss, prepare
         the statement and read its routing bounds once — its tenant and its
         shards; admit the tenant (governed instances); fan out and put the
-        result. A cache entry carries the tenant, ``ATTR`` keys and filter
-        terms its miss computed, so a hit accounts for them as a miss does."""
+        result; hand the :class:`~repro.consumers.Query` to every consumer. A
+        cache entry carries the tenant, ``ATTR`` keys and filter terms its
+        miss computed, so a hit is accounted for as its miss was."""
         governor = self.governor
         result_cache = self.result_cache
         ctx = self._new_trace("query")
@@ -815,11 +773,26 @@ class ESDB:
             else:
                 result, tenant, subattrs, terms = cached
             if governor is not None:
-                self._admit_query(governor, tenant, ctx)
+                try:
+                    governor.admit_query(tenant, self._clock)
+                except TenantThrottledError as exc:
+                    # Refused before any fan-out, and before the query
+                    # counts as executed: the consumers see it without a
+                    # result.
+                    self._emit_event(
+                        "shed" if exc.budget == "queue" else "throttle",
+                        tenant=tenant, ctx=ctx, op="query", budget=exc.budget,
+                    )
+                    refused = Query(self._clock, ctx, self._emit_event, tenant, sql,
+                                    fingerprint, subattrs, (), root, None, 0)
+                    for consumer in self.consumers:
+                        consumer.on_query(refused)
+                    raise
             if cached is None:
                 shard_ids = self._target_shards(self._shards_per_bound(bounds))
                 result = self._execute_fanout(tracer, root, statement, plan, shard_ids)
-                terms = self._query_terms(statement) if self.slo is not None else ()
+                scanned = result.total_hits
+                terms = self._filter_terms(statement)
                 if result_cache is not None:
                     validators = tuple(
                         (shard_id, self.engines[shard_id].generation)
@@ -836,120 +809,17 @@ class ESDB:
                     pass
                 root.tags["cache"] = "hit"
                 root.tags["fanout"] = result.subqueries
-        if subattrs:
-            self._subattr_frequencies.record_query(subattrs)
-        if governor is not None:
-            governor.charge_query(
-                tenant,
-                self._clock,
-                # Summing row sizes costs a str() per field; only pay it
-                # when a result-byte budget actually consumes the number.
-                result_bytes=(
-                    sum(doc_bytes(row) for row in result.rows)
-                    if governor.config.result_bytes_quota is not None
-                    else 0
-                ),
-                scanned=result.total_hits if cached is None else 0,
-            )
+                scanned = 0
         self._counters["esdb_queries_total"].inc()
         if cached is None:
             self._counters["esdb_subqueries_total"].inc(result.subqueries)
             if self.telemetry.enabled:
                 self._histograms["esdb_query_seconds"].observe(root.duration, ctx)
-        if self.obsv is not None:
-            slow_entry = self.obsv.record_search(
-                tenant, root.duration, self._clock, sql, root
-            )
-            if slow_entry is not None:
-                self._emit_event(
-                    "slow_query",
-                    tenant=slow_entry.tenant,
-                    ctx=ctx,
-                    level=slow_entry.level,
-                    elapsed=slow_entry.elapsed,
-                )
-        if self.slo is not None:
-            self.slo.record("query", root.duration, self._clock)
-            self.hotkeys.record_query(tenant, fingerprint, terms)
-            self._slo_tick(ctx)
-        if self.timeseries is not None:
-            self.timeseries.maybe_sample(self._clock)
+        query = Query(self._clock, ctx, self._emit_event, tenant, sql, fingerprint,
+                      subattrs, terms, root, result, scanned)
+        for consumer in self.consumers:
+            consumer.on_query(query)
         return result, root
-
-    def _admit_query(self, governor: TenantGovernor, tenant: object, ctx) -> None:
-        """Governed admission of one query for *tenant*. A rejection emits
-        its ``shed``/``throttle`` event and an SLO error, then raises —
-        before any fan-out, and before the query counts as executed."""
-        try:
-            governor.admit_query(tenant, self._clock)
-        except TenantThrottledError as exc:
-            self._emit_event(
-                "shed" if exc.budget == "queue" else "throttle",
-                tenant=tenant, ctx=ctx, op="query", budget=exc.budget,
-            )
-            if self.slo is not None:
-                self.slo.record("query", 0.0, self._clock, error=True)
-                self._slo_tick(ctx)
-            raise
-
-    @staticmethod
-    def _query_terms(statement: SelectStatement) -> tuple[str, ...]:
-        """The filter terms a statement exercises, for heavy-hitter
-        tracking: ``column=value`` for equality comparisons, the bare
-        column for ranges, ``attr:key`` for sub-attribute filters."""
-        terms: list[str] = []
-        for predicate in iter_predicates(statement.where):
-            if isinstance(predicate, SubAttributePredicate):
-                terms.append(f"attr:{predicate.key_name}")
-            elif isinstance(predicate, ComparisonPredicate):
-                if predicate.op == "=":
-                    terms.append(f"{predicate.column}={predicate.value}")
-                else:
-                    terms.append(str(predicate.column))
-        return tuple(terms)
-
-    def _slo_tick(self, ctx: TraceContext | None = None) -> None:
-        """One deterministic SLO heartbeat at the instance's logical clock:
-        decay the heavy-hitter sketches when their window closed, and when
-        an evaluation is due, advance every objective's burn state machine,
-        emitting ``slo_burn``/``slo_recovered`` events for the transitions."""
-        slo = self.slo
-        if slo is None:
-            return
-        self.hotkeys.maybe_roll(self._clock)
-        if not slo.due(self._clock):
-            return
-        self.hotkeys.export_gauges()
-        for alert in slo.evaluate(self._clock):
-            self._emit_event(
-                alert.kind,
-                ctx=ctx,
-                slo=alert.slo,
-                fast_burn=round(alert.fast_burn, 4),
-                slow_burn=round(alert.slow_burn, 4),
-                budget_remaining_pct=round(alert.budget_remaining_pct, 2),
-            )
-
-    def _slo_attribution(self, alert) -> dict:
-        """Name the heavy hitters behind one skew alert (the Observer calls
-        this for every alert it fires when SLOs are on): hot routing keys
-        and query fingerprints for a hot tenant, hot routing keys for a hot
-        shard."""
-        hotkeys = self.hotkeys
-        detail: dict = {}
-        subject = str(alert.subject)
-        if alert.kind == "hot_tenant":
-            keys = hotkeys.hot_keys_for_tenant(subject)
-            queries = hotkeys.hot_queries_for_tenant(subject)
-            if keys:
-                detail["hot_keys"] = ",".join(str(key) for key, _, _ in keys)
-            if queries:
-                detail["hot_queries"] = ",".join(str(q) for q, _, _ in queries)
-        elif alert.kind == "hot_shard" and subject.startswith("shard-"):
-            keys = hotkeys.hot_keys_for_shard(int(subject.split("-", 1)[1]))
-            if keys:
-                detail["hot_keys"] = ",".join(str(key) for key, _, _ in keys)
-        return detail
 
     def _prepare(
         self, tracer, sql: str

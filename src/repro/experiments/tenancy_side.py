@@ -110,7 +110,7 @@ def fig20_governed_spike(scale: Scale, tenancy: bool = False) -> ExperimentResul
         )
     notes = []
     if tenancy:
-        totals = db.governor.totals()
+        totals = db.governor.snapshot(db.now)["totals"]
         notes.append(
             f"governance ON: {totals['shed']} writes shed, "
             f"{totals['queued']} admitted via backpressure queue"

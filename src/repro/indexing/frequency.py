@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.slo.sketch import rank_top_k
 
@@ -31,21 +31,27 @@ class FrequencyTracker:
     write_counts: Counter = field(default_factory=Counter)
     query_counts: Counter = field(default_factory=Counter)
 
-    @staticmethod
-    def _names(subattribute_names: Iterable[str]) -> Iterable[str]:
-        # Accept the parse_attributes() dict directly: its *keys* are the
-        # names (Counter.update would otherwise treat values as counts).
-        if isinstance(subattribute_names, Mapping):
-            return subattribute_names.keys()
-        return subattribute_names
-
     def record_write(self, subattribute_names: Iterable[str]) -> None:
         """Record one written document's sub-attribute names."""
-        self.write_counts.update(self._names(subattribute_names))
+        self.write_counts.update(subattribute_names)
 
     def record_query(self, subattribute_names: Iterable[str]) -> None:
         """Record the sub-attributes a query filtered on."""
-        self.query_counts.update(self._names(subattribute_names))
+        self.query_counts.update(subattribute_names)
+
+    # -- the facade's recording consumer -------------------------------------
+    def on_writes(self, batch) -> None:
+        for _, _, subattr_names in batch.shards:
+            for names in subattr_names:
+                if names:
+                    self.record_write(names)
+
+    def on_query(self, query) -> None:
+        if query.subattrs and query.result is not None:
+            self.record_query(query.subattrs)
+
+    def on_round(self, balance) -> None:
+        pass
 
     def top_k(self, k: int) -> frozenset:
         """Return the *k* most valuable sub-attributes to index.

@@ -251,10 +251,9 @@ def cat_hotkeys(source, k: int | None = None) -> CatTable:
     query fingerprints per scope (global, per shard, per tenant), each
     estimate paired with its Space-Saving count-error bound (the true
     count lies in ``[count - error, count]``). Empty and well-formed
-    without profiling; a snapshot holds the profiler's ``top_k`` ranks."""
-    rows = _section(
-        source, lambda db: read_hotkey_table(db, k), "cluster", "hotkey_table"
-    )
+    without profiling; *k* beyond the profiler's ``TOP_K`` ranks shows
+    ``TOP_K``, live or from a snapshot."""
+    rows = _section(source, read_hotkey_table, "cluster", "hotkey_table")
     return CatTable.from_dicts(
         "hotkeys",
         ("dimension", "scope", "subject", "rank", "key", "count", "error"),

@@ -1,13 +1,14 @@
 """The per-instance Observer: slow logs + skew windows + alerts in one box.
 
-The ESDB facade owns one Observer (when ``ObsvConfig.enabled``); its write
-and query paths feed the slow logs after each operation's span closes. The
-observer counts no load of its own: whenever the workload monitor closes a
-window — mid-stream or at ``ESDB.rebalance`` — the facade calls
-:meth:`Observer.roll`, which derives that window's skew statistics and
-alerts, so an alert and the rule it triggers share one measurement. Alerts
-and slow-log volumes are mirrored into the telemetry registry (``obsv_*``
-series) so they travel with metric exports.
+The ESDB facade owns one Observer (when ``ObsvConfig.enabled``), one of its
+recording consumers (:mod:`repro.consumers`): each write batch and query
+feeds the slow logs after its span closes. The observer counts no load of
+its own: every window the workload monitor closed — mid-stream or at
+``ESDB.rebalance`` — is rolled once, oldest first (:meth:`Observer.roll`),
+deriving that window's skew statistics and alerts, so an alert and the
+rule it triggers share one measurement. Alerts and slow-log volumes are
+mirrored into the telemetry registry (``obsv_*`` series) so they travel
+with metric exports.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.obsv.config import (
     ObsvConfig,
 )
 from repro.obsv.skew import (
-    WindowStats,
     annotation_reason,
     detect_alerts,
     rule_measurement,
@@ -32,11 +32,11 @@ from repro.obsv.skew import (
     window_stats,
 )
 from repro.obsv.slowlog import SlowLog
+from repro.telemetry.runtime import NULL_REGISTRY
 
 if TYPE_CHECKING:
     from repro.balancer.monitor import WorkloadMonitor
     from repro.obsv.slowlog import SlowLogEntry
-    from repro.routing.rules import RuleList
     from repro.telemetry import Span
 
 
@@ -48,7 +48,7 @@ class Observer:
         monitor: "WorkloadMonitor",
         num_shards: int,
         config: ObsvConfig | None = None,
-        metrics=None,
+        metrics=NULL_REGISTRY,
     ) -> None:
         self.config = config or ObsvConfig()
         self.monitor = monitor
@@ -56,6 +56,8 @@ class Observer:
         #: Statistics of the monitor's closed windows, one per window, in
         #: order (the monitor's retention).
         self.windows: deque = deque(maxlen=monitor.windows.maxlen)
+        #: The monitor's closed-window count this observer has rolled up to.
+        self._rolled = monitor.closed
         self.index_slowlog = SlowLog(
             "index",
             warn_seconds=INDEX_WARN_SECONDS,
@@ -67,14 +69,14 @@ class Observer:
             info_seconds=self.config.search_info_seconds,
         )
         self.alerts: deque = deque(maxlen=MAX_ALERTS)
-        #: Alerts raised by the most recent :meth:`roll` — the batch the
-        #: facade hands to the tenant governor's governance policy.
-        self.last_alerts: list = []
-        #: Optional alert attribution callback ``alert -> dict``: extra
-        #: measurement entries merged into every fired alert (the facade
-        #: installs the heavy-hitter profiler here, upgrading "tenant X is
-        #: hot" to "tenant X is hot *because of these keys and queries*").
-        self.attributor = None
+        #: Alerts raised since the previous balance round: what the round
+        #: hands to the tenant governor's governance policy.
+        self.unclaimed_alerts: deque = deque(maxlen=MAX_ALERTS)
+        #: Alert attribution callback ``alert -> dict``: extra measurement
+        #: entries merged into every fired alert (the facade installs the
+        #: heavy-hitter profiler here when SLOs are on, upgrading "tenant X
+        #: is hot" to "tenant X is hot *because of these keys and queries*").
+        self.attributor = lambda alert: {}
         self._metrics = metrics
 
     # -- recording ---------------------------------------------------------
@@ -109,53 +111,81 @@ class Observer:
         )
 
     def _count(self, entry: "SlowLogEntry | None") -> "SlowLogEntry | None":
-        if entry is not None and self._metrics is not None:
+        if entry is not None:
             self._metrics.counter(
                 "obsv_slowlog_entries_total", log=entry.log, level=entry.level
             ).inc()
         return entry
 
     # -- windows and alerts ------------------------------------------------
-    def roll(self) -> WindowStats:
-        """Derive the statistics of the window the monitor just closed and
-        run hot-spot detection on them."""
-        stats = window_stats(self.monitor.windows[-1], self.num_shards)
+    def roll(self) -> None:
+        """Derive the statistics of the oldest window the monitor closed
+        that this observer has not rolled yet, and run hot-spot detection
+        on them."""
+        monitor = self.monitor
+        stats = window_stats(monitor.windows[self._rolled - monitor.closed], self.num_shards)
+        self._rolled += 1
         self.windows.append(stats)
         fresh = detect_alerts(
             stats,
             hot_tenant_share=HOT_TENANT_SHARE,
             hot_shard_ratio=HOT_SHARD_RATIO,
         )
-        self.last_alerts = list(fresh)
         for alert in fresh:
-            if self.attributor is not None:
-                # Alert is frozen but its measurement dict is shared state
-                # by design: attribution enriches it in place.
-                alert.measurement.update(self.attributor(alert))
+            # Alert is frozen but its measurement dict is shared state by
+            # design: attribution enriches it in place.
+            alert.measurement.update(self.attributor(alert))
             self.alerts.append(alert)
-            if self._metrics is not None:
-                self._metrics.counter("obsv_alerts_total", kind=alert.kind).inc()
-        return stats
+            self.unclaimed_alerts.append(alert)
+            self._metrics.counter("obsv_alerts_total", kind=alert.kind).inc()
 
-    # -- rule annotations --------------------------------------------------
-    def annotate_committed(
-        self,
-        rules: "RuleList",
-        tenant: object,
-        offset: int,
-        effective_time: float,
-    ) -> None:
-        """Annotate a freshly committed rule with the window measurement
-        that triggered it ("why did L(k1) grow"): the window the
-        rebalance round closed."""
-        measurement = rule_measurement(self.windows[-1], tenant)
-        rules.annotate(
-            effective_time,
-            offset,
-            tenant,
-            reason=annotation_reason(tenant, offset, measurement),
-            measurement=measurement or {},
+    def _catch_up(self) -> None:
+        """Roll every window the monitor closed since the last roll (one
+        write batch can close several), skipping any it already evicted."""
+        monitor = self.monitor
+        self._rolled = max(self._rolled, monitor.closed - len(monitor.windows))
+        while self._rolled < monitor.closed:
+            self.roll()
+
+    # -- the facade's recording consumer -------------------------------------
+    def on_writes(self, batch) -> None:
+        """Roll the windows the batch closed — before the profiler records
+        the batch, which attribution reads — then log each applied write."""
+        if self._rolled < self.monitor.closed:
+            self._catch_up()
+        tenants = batch.tenants
+        for item in batch.applied:
+            self.record_write(
+                tenants[item.position], item.shard_id, batch.per_doc, batch.now, batch.span
+            )
+
+    def on_query(self, query) -> None:
+        """Log an executed query; an entry is a ``slow_query`` event."""
+        if query.result is None:
+            return
+        entry = self.record_search(
+            query.tenant, query.root.duration, query.now, query.sql, query.root
         )
+        if entry is not None:
+            query.emit(
+                "slow_query", tenant=entry.tenant, ctx=query.ctx,
+                level=entry.level, elapsed=entry.elapsed,
+            )
+
+    def on_round(self, balance) -> None:
+        """Roll the round's window; annotate each rule it committed with
+        that window's measurement ("why did L(k1) grow"); hand the round
+        every alert raised since the previous one."""
+        self._catch_up()
+        for tenant, offset, effective_time in balance.committed:
+            measurement = rule_measurement(self.windows[-1], tenant)
+            balance.rules.annotate(
+                effective_time, offset, tenant,
+                reason=annotation_reason(tenant, offset, measurement),
+                measurement=measurement or {},
+            )
+        balance.alerts.extend(self.unclaimed_alerts)
+        self.unclaimed_alerts.clear()
 
     # -- snapshot -----------------------------------------------------------
     def snapshot(self) -> dict:

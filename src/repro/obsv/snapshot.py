@@ -306,13 +306,33 @@ def read_tenancy(db) -> dict | None:
     return db.governor.snapshot(db.now) if db.governor is not None else None
 
 
-def read_hotkey_table(db, k: int | None = None) -> list[dict]:
-    """``cat_hotkeys`` rows (top-*k* per sketch, default the profiler's
-    ``top_k``); empty without profiling."""
+def read_hotkey_table(db) -> list[dict]:
+    """``cat_hotkeys`` rows, read off the profiler's snapshot: the top
+    ``TOP_K`` of each sketch with its count-error bound, global scope first
+    in each dimension, then shards and tenants in sorted order. Empty
+    without profiling."""
     if db.hotkeys is None:
         return []
-    columns = ("dimension", "scope", "subject", "rank", "key", "count", "error")
-    return [dict(zip(columns, row)) for row in db.hotkeys.table_rows(k)]
+    hotkeys = db.hotkeys.snapshot()
+    rows = []
+    for dimension, sketch, scoped in (
+        ("routing_key", "routing_keys", (("shard", "shards"), ("tenant", "tenants"))),
+        ("filter_term", "filter_terms", (("tenant", "tenant_terms"),)),
+        ("query_fingerprint", "query_fingerprints", (("tenant", "tenant_fingerprints"),)),
+    ):
+        sketches = [("global", "-", hotkeys[sketch])]
+        sketches += [
+            (scope, subject, top) for scope, key in scoped
+            for subject, top in hotkeys[key].items()
+        ]
+        rows += [
+            {"dimension": dimension, "scope": scope, "subject": subject, "rank": rank,
+             "key": entry["key"], "count": round(entry["count"], 3),
+             "error": round(entry["error"], 3)}
+            for scope, subject, top in sketches
+            for rank, entry in enumerate(top["top"], 1)
+        ]
+    return rows
 
 
 def read_events(db) -> dict:

@@ -13,7 +13,7 @@ the logical clock:
 
 from repro.slo.config import OBJECTIVES, SloObjective
 from repro.slo.engine import BurnAlert, SloEngine
-from repro.slo.profiler import HeavyHitterProfiler
+from repro.slo.profiler import HeavyHitterProfiler, query_terms
 from repro.slo.sketch import SpaceSavingSketch, rank_top_k
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "BurnAlert",
     "SloEngine",
     "HeavyHitterProfiler",
+    "query_terms",
     "SpaceSavingSketch",
     "rank_top_k",
 ]

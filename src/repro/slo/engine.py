@@ -11,6 +11,9 @@ fires ``slo_recovered``. Evaluation happens only at logical-clock ticks
 (``maybe_evaluate(now)``), so for a seeded workload the firing ticks are
 identical run-over-run and across exec backends.
 
+The engine builds its :class:`~repro.slo.HeavyHitterProfiler` and is the
+recording consumer for both (:mod:`repro.consumers`).
+
 Nothing here reads the wall clock or any RNG: with deterministic inputs
 (logical timestamps, deterministic outcomes) every number the engine
 produces is deterministic. Wall-clock latency SLIs are supported — they
@@ -24,6 +27,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
+from repro.errors import InvalidDocumentError
 from repro.slo.config import (
     BUCKET_SECONDS,
     BURN_THRESHOLD,
@@ -33,6 +37,8 @@ from repro.slo.config import (
     SLOW_WINDOW_SECONDS,
     SloObjective,
 )
+from repro.slo.profiler import HeavyHitterProfiler
+from repro.telemetry.runtime import NULL_REGISTRY
 
 #: Closed buckets an objective keeps: enough to cover the slow window.
 _MAX_BUCKETS = int(math.ceil(SLOW_WINDOW_SECONDS / BUCKET_SECONDS)) + 1
@@ -92,9 +98,10 @@ class _ObjectiveState:
 
 
 class SloEngine:
-    """Rolling-window SLO evaluation with multi-window burn-rate alerts."""
+    """Rolling-window SLO evaluation with multi-window burn-rate alerts,
+    and the heavy-hitter profiler (:attr:`hotkeys`) behind its attribution."""
 
-    def __init__(self, metrics=None) -> None:
+    def __init__(self, metrics=NULL_REGISTRY) -> None:
         self._states = [_ObjectiveState(objective) for objective in OBJECTIVES]
         #: Hot-path index: record() only walks the states matching its op.
         self._states_by_op: dict[str, list] = {}
@@ -105,6 +112,8 @@ class SloEngine:
         self.evaluations = 0
         self._next_evaluation: float | None = None
         self._metrics = metrics
+        self.hotkeys = HeavyHitterProfiler()
+        self._concentration = metrics.gauge("slo_hotkey_concentration_pct")
 
     # -- recording ---------------------------------------------------------
     def record(self, op: str, elapsed: float, now: float, error: bool = False) -> None:
@@ -157,8 +166,10 @@ class SloEngine:
 
     def evaluate(self, now: float) -> list[BurnAlert]:
         """One evaluation tick: recompute burn rates over both windows for
-        every objective, advance alert state machines, update gauges.
-        Returns the transitions fired at this tick."""
+        every objective, advance alert state machines, update gauges (the
+        profiler's hot-key concentration too: here, not per write, to keep
+        the write path lean). Returns the transitions fired at this tick."""
+        self._concentration.set(100.0 * self.hotkeys.routing_keys.concentration())
         fired: list[BurnAlert] = []
         threshold = BURN_THRESHOLD
         for state in self._states:
@@ -215,8 +226,6 @@ class SloEngine:
 
     def _export(self, state: _ObjectiveState) -> None:
         metrics = self._metrics
-        if metrics is None:
-            return
         name = state.objective.name
         metrics.gauge("slo_budget_remaining_pct", slo=name).set(
             state.budget_remaining_pct()
@@ -231,30 +240,47 @@ class SloEngine:
         metrics.gauge("slo_bad_total", slo=name).set(state.total_bad)
         metrics.gauge("slo_burn_alerts_total", slo=name).set(state.burn_count)
 
-    # -- introspection -----------------------------------------------------
-    def status(self) -> list[dict]:
-        """One dict per objective, in declaration order — the ``cat_slo``
-        rows and the bundle's ``slo.objectives`` entries."""
-        rows = []
-        for state in self._states:
-            objective = state.objective
-            rows.append(
-                {
-                    "slo": objective.name,
-                    "op": objective.op,
-                    "kind": objective.kind,
-                    "objective": objective.objective,
-                    "good": state.total_good,
-                    "bad": state.total_bad,
-                    "budget_remaining_pct": state.budget_remaining_pct(),
-                    "fast_burn": state.fast_burn,
-                    "slow_burn": state.slow_burn,
-                    "state": "burning" if state.burning else "ok",
-                    "burn_alerts": state.burn_count,
-                }
+    # -- the facade's recording consumer -------------------------------------
+    def tick(self, now: float, ctx, emit) -> None:
+        """One deterministic heartbeat at the logical clock *now*: decay the
+        heavy-hitter sketches when their window closed, and when an
+        evaluation is due, advance every objective's burn state machine,
+        emitting ``slo_burn``/``slo_recovered`` events for the transitions."""
+        self.hotkeys.maybe_roll(now)
+        for alert in self.maybe_evaluate(now):
+            emit(
+                alert.kind,
+                ctx=ctx,
+                slo=alert.slo,
+                fast_burn=round(alert.fast_burn, 4),
+                slow_burn=round(alert.slow_burn, 4),
+                budget_remaining_pct=round(alert.budget_remaining_pct, 2),
             )
-        return rows
 
+    def on_writes(self, batch) -> None:
+        """A refusal is an error at its routing clock — unless the document
+        was malformed: the caller's error spends no availability budget."""
+        for at, error in batch.refused:
+            if not isinstance(error, InvalidDocumentError):
+                self.record("write", 0.0, at, error=True)
+        hotkeys = self.hotkeys
+        for item in batch.applied:
+            self.record("write", batch.per_doc, batch.now)
+            hotkeys.record_write(batch.tenants[item.position], item.shard_id, item.doc_id)
+        self.tick(batch.now, batch.ctx, batch.emit)
+
+    def on_query(self, query) -> None:
+        if query.result is None:
+            self.record("query", 0.0, query.now, error=True)
+        else:
+            self.record("query", query.root.duration, query.now)
+            self.hotkeys.record_query(query.tenant, query.fingerprint, query.terms)
+        self.tick(query.now, query.ctx, query.emit)
+
+    def on_round(self, balance) -> None:
+        self.tick(balance.now, balance.ctx, balance.emit)
+
+    # -- introspection -----------------------------------------------------
     def snapshot(self) -> dict:
         """JSON-ready dump (the bundle's ``slo`` section)."""
         return {
@@ -263,6 +289,21 @@ class SloEngine:
             "fast_window_seconds": FAST_WINDOW_SECONDS,
             "slow_window_seconds": SLOW_WINDOW_SECONDS,
             "evaluations": self.evaluations,
-            "objectives": self.status(),
+            "objectives": [
+                {
+                    "slo": state.objective.name,
+                    "op": state.objective.op,
+                    "kind": state.objective.kind,
+                    "objective": state.objective.objective,
+                    "good": state.total_good,
+                    "bad": state.total_bad,
+                    "budget_remaining_pct": state.budget_remaining_pct(),
+                    "fast_burn": state.fast_burn,
+                    "slow_burn": state.slow_burn,
+                    "state": "burning" if state.burning else "ok",
+                    "burn_alerts": state.burn_count,
+                }
+                for state in self._states
+            ],
             "alerts": [alert.to_dict() for alert in self.alerts],
         }

@@ -20,13 +20,30 @@ from repro.slo.config import (
     SKETCH_CAPACITY,
     TOP_K,
 )
+from repro.query.ast import ComparisonPredicate, SubAttributePredicate, iter_predicates
 from repro.slo.sketch import SpaceSavingSketch
+
+
+def query_terms(statement) -> tuple[str, ...]:
+    """The filter terms a statement exercises, for heavy-hitter tracking:
+    ``column=value`` for equality comparisons, the bare column for ranges,
+    ``attr:key`` for sub-attribute filters."""
+    terms: list[str] = []
+    for predicate in iter_predicates(statement.where):
+        if isinstance(predicate, SubAttributePredicate):
+            terms.append(f"attr:{predicate.key_name}")
+        elif isinstance(predicate, ComparisonPredicate):
+            if predicate.op == "=":
+                terms.append(f"{predicate.column}={predicate.value}")
+            else:
+                terms.append(str(predicate.column))
+    return tuple(terms)
 
 
 class HeavyHitterProfiler:
     """Bounded per-shard / per-tenant heavy-hitter tracking."""
 
-    def __init__(self, metrics=None) -> None:
+    def __init__(self) -> None:
         self.routing_keys = SpaceSavingSketch(SKETCH_CAPACITY)
         self.filter_terms = SpaceSavingSketch(SKETCH_CAPACITY)
         self.query_fingerprints = SpaceSavingSketch(SKETCH_CAPACITY)
@@ -37,9 +54,6 @@ class HeavyHitterProfiler:
         self.dropped_tenants = 0
         self.decays = 0
         self._next_decay: float | None = None
-        self._conc_gauge = (
-            metrics.gauge("slo_hotkey_concentration_pct") if metrics is not None else None
-        )
 
     # -- recording ---------------------------------------------------------
     def record_write(self, tenant, shard_id: int, routing_key) -> None:
@@ -53,12 +67,6 @@ class HeavyHitterProfiler:
         tenant_sketch = self._tenant_sketch(self.tenant_keys, tenant)
         if tenant_sketch is not None:
             tenant_sketch.offer(routing_key)
-
-    def export_gauges(self) -> None:
-        """Refresh the concentration gauge — called from the SLO
-        evaluation tick, not per write, to keep the write path lean."""
-        if self._conc_gauge is not None:
-            self._conc_gauge.set(100.0 * self.routing_keys.concentration())
 
     def record_query(self, tenant, fingerprint: str, terms) -> None:
         """Absorb one executed query: its fingerprint and each filter
@@ -123,37 +131,23 @@ class HeavyHitterProfiler:
         sketch = self.shard_keys.get(shard_id)
         return sketch.top(k) if sketch is not None else []
 
-    # -- tables / snapshots ------------------------------------------------
-    def table_rows(self, k: int | None = None) -> list[tuple]:
-        """``cat_hotkeys`` rows: (dimension, scope, subject, rank, key,
-        count, error) — global rows first, then per-shard and per-tenant
-        scopes in sorted subject order. Fully deterministic."""
-        k = TOP_K if k is None else k
-        rows: list[tuple] = []
+    def attribute(self, alert) -> dict:
+        """Name the heavy hitters behind one skew alert (the observer's
+        attributor when SLOs are on): hot routing keys and query
+        fingerprints for a hot tenant, hot routing keys for a hot shard."""
+        subject = str(alert.subject)
+        if alert.kind == "hot_tenant":
+            found = {
+                "hot_keys": self.hot_keys_for_tenant(subject),
+                "hot_queries": self.hot_queries_for_tenant(subject),
+            }
+        elif alert.kind == "hot_shard" and subject.startswith("shard-"):
+            found = {"hot_keys": self.hot_keys_for_shard(int(subject.split("-", 1)[1]))}
+        else:
+            return {}
+        return {name: ",".join(str(key) for key, _, _ in top) for name, top in found.items() if top}
 
-        def extend(dimension: str, scope: str, subject: str,
-                   sketch: SpaceSavingSketch) -> None:
-            for rank, (key, count, error) in enumerate(sketch.top(k), 1):
-                rows.append(
-                    (dimension, scope, subject, rank, str(key),
-                     round(count, 3), round(error, 3))
-                )
-
-        extend("routing_key", "global", "-", self.routing_keys)
-        for shard_id in sorted(self.shard_keys):
-            extend("routing_key", "shard", str(shard_id),
-                   self.shard_keys[shard_id])
-        for tenant in sorted(self.tenant_keys):
-            extend("routing_key", "tenant", tenant, self.tenant_keys[tenant])
-        extend("filter_term", "global", "-", self.filter_terms)
-        for tenant in sorted(self.tenant_terms):
-            extend("filter_term", "tenant", tenant, self.tenant_terms[tenant])
-        extend("query_fingerprint", "global", "-", self.query_fingerprints)
-        for tenant in sorted(self.tenant_fingerprints):
-            extend("query_fingerprint", "tenant", tenant,
-                   self.tenant_fingerprints[tenant])
-        return rows
-
+    # -- snapshot -----------------------------------------------------------
     def snapshot(self) -> dict:
         """JSON-ready dump (the bundle's ``hotkeys`` section)."""
         k = TOP_K
@@ -173,5 +167,13 @@ class HeavyHitterProfiler:
             "tenants": {
                 tenant: self.tenant_keys[tenant].to_dict(k)
                 for tenant in sorted(self.tenant_keys)
+            },
+            "tenant_terms": {
+                tenant: self.tenant_terms[tenant].to_dict(k)
+                for tenant in sorted(self.tenant_terms)
+            },
+            "tenant_fingerprints": {
+                tenant: self.tenant_fingerprints[tenant].to_dict(k)
+                for tenant in sorted(self.tenant_fingerprints)
             },
         }

@@ -30,6 +30,7 @@ import math
 from typing import Any, Iterable
 
 from repro.errors import ConfigurationError
+from repro.telemetry.runtime import NULL_REGISTRY
 
 #: Eight-level bar ramp used by :func:`sparkline`.
 SPARK_BARS = "▁▂▃▄▅▆▇█"
@@ -323,7 +324,7 @@ class TimeSeriesStore:
 
     def __init__(
         self,
-        registry=None,
+        registry=NULL_REGISTRY,
         interval: float = 1.0,
         capacity: int = 240,
         max_series: int = 512,
@@ -381,15 +382,23 @@ class TimeSeriesStore:
         self._derivations.append(derivation)
         return self
 
-    def due(self, now: float) -> bool:
-        return self._next_sample is None or now >= self._next_sample
-
     def maybe_sample(self, now: float) -> bool:
         """Sample iff *now* has reached the next interval boundary."""
-        if not self.due(now):
+        if self._next_sample is not None and now < self._next_sample:
             return False
         self.sample(now)
         return True
+
+    # -- the facade's recording consumer -------------------------------------
+    def on_writes(self, batch) -> None:
+        self.maybe_sample(batch.now)
+
+    on_round = on_writes
+
+    def on_query(self, query) -> None:
+        # A refused query ran nothing worth a sample.
+        if query.result is not None:
+            self.maybe_sample(query.now)
 
     def sample(self, now: float) -> None:
         """Take one sampling round stamped at *now* unconditionally."""
@@ -397,26 +406,24 @@ class TimeSeriesStore:
             now - self._last_sample_time if self._last_sample_time is not None else None
         )
         registry = self.registry
-        if registry is not None:
-            # Derived series first: they are the dashboard's headline rows,
-            # so they must win the max_series cap over raw labeled series
-            # (a 512-shard topology alone can exhaust the cap).
-            for derivation in self._derivations:
-                for series_name, value in derivation.compute(registry, now, elapsed):
-                    self.record(series_name, now, value)
-            metric_series = self._metric_series
-            for name in registry.names():
-                kind = registry.kind(name) if hasattr(registry, "kind") else None
-                histogram = kind == "histogram"
-                for metric in registry.series(name):
-                    try:
-                        series = metric_series[metric]
-                    except KeyError:
-                        series = metric_series[metric] = self.series(
-                            f"{name}.count" if histogram else name, **metric.labels
-                        )
-                    if series is not None:
-                        series.append(now, metric.count if histogram else metric.value)
+        # Derived series first: they are the dashboard's headline rows,
+        # so they must win the max_series cap over raw labeled series
+        # (a 512-shard topology alone can exhaust the cap).
+        for derivation in self._derivations:
+            for series_name, value in derivation.compute(registry, now, elapsed):
+                self.record(series_name, now, value)
+        metric_series = self._metric_series
+        for name in registry.names():
+            histogram = registry.kind(name) == "histogram"
+            for metric in registry.series(name):
+                try:
+                    series = metric_series[metric]
+                except KeyError:
+                    series = metric_series[metric] = self.series(
+                        f"{name}.count" if histogram else name, **metric.labels
+                    )
+                if series is not None:
+                    series.append(now, metric.count if histogram else metric.value)
         self.samples_taken += 1
         self._last_sample_time = now
         self._next_sample = now + self.interval

@@ -16,12 +16,10 @@ Enable it per instance with ``EsdbConfig(tenancy=TenancyConfig(enabled=True,
 from repro.tenancy.bucket import QuotaLedger, TokenBucket
 from repro.tenancy.config import CLUSTER_TENANT, QUEUE_SHARES, TenancyConfig
 from repro.tenancy.governor import TenantGovernor, cat_tenant_governance, doc_bytes
-from repro.tenancy.policy import GovernancePolicy
 
 __all__ = [
     "CLUSTER_TENANT",
     "QUEUE_SHARES",
-    "GovernancePolicy",
     "QuotaLedger",
     "TenancyConfig",
     "TenantGovernor",

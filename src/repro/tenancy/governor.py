@@ -1,8 +1,10 @@
 """The per-instance tenant governor: admission control on every hot path.
 
 The ESDB facade owns one :class:`TenantGovernor` (when
-``TenancyConfig.enabled``) and consults it at the top of ``write`` and of
-the query pipeline. An operation meets four gates, in order:
+``TenancyConfig.enabled``): its admission hook at the top of ``write`` and
+of the query pipeline, and a recording consumer (:mod:`repro.consumers`)
+that charges CPU and query resources and applies each balance round's skew
+alerts. An operation meets four gates, in order:
 
 1. **Quotas** — byte/operation budgets over tumbling logical-clock windows
    (indexed bytes on the write path; result-set bytes and scanned
@@ -31,10 +33,12 @@ import heapq
 from typing import Any, Iterable, Mapping
 
 from repro.errors import TenantThrottledError
+from repro.telemetry.runtime import NULL_REGISTRY
 from repro.tenancy.bucket import QuotaLedger, TokenBucket
 from repro.tenancy.config import (
     CLUSTER_TENANT,
     DEMOTE_SECONDS,
+    DEMOTE_SHARE,
     QUEUE_SHARES,
     TenancyConfig,
 )
@@ -59,7 +63,6 @@ class _TenantState:
         "admitted",
         "queued",
         "shed",
-        "cpu_seconds",
     )
 
     def __init__(self, config: TenancyConfig) -> None:
@@ -71,33 +74,33 @@ class _TenantState:
         self.admitted = 0
         self.queued = 0
         self.shed = 0
-        self.cpu_seconds = 0.0
 
 
 class TenantGovernor:
     """Admission control, QoS, quotas and backpressure for one instance.
 
-    Its :class:`~repro.tenancy.policy.GovernancePolicy` consumes the
-    observer's skew alerts via :meth:`apply_alerts` and may demote abusive
-    tenants.
+    Its governance policy (:meth:`apply_alerts`) consumes the observer's
+    skew alerts and may demote abusive tenants.
     """
 
-    def __init__(self, config: TenancyConfig, metrics=None) -> None:
-        from repro.tenancy.policy import GovernancePolicy
-
+    def __init__(self, config: TenancyConfig, metrics=NULL_REGISTRY) -> None:
         self.config = config
-        self.policy = GovernancePolicy()
         self._metrics = metrics
         self._tenants: dict[object, _TenantState] = {}
         #: Booked admission-queue slots: release times, a min-heap.
         self._queue: list[float] = []
         self.demotions: list[tuple[float, object, str]] = []
-        # Labelled counter handles, resolved once: admission runs on every
-        # write and query, so the registry lookup must not be paid per op.
-        self._admit_counters: dict[tuple, object] = {}
-        self._queued_counters: dict[str, object] = {}
-        self._shed_counters: dict[tuple, object] = {}
-        self._depth_gauge = metrics.gauge("tenancy_queue_depth") if metrics else None
+        self._counters: dict[tuple, object] = {}  # see _counter
+        self._depth_gauge = metrics.gauge("tenancy_queue_depth")
+
+    def _counter(self, name: str, **labels):
+        """The labelled counter, resolved once: admission runs on every
+        write and query, so the registry lookup must not be paid per op."""
+        key = (name, *labels.values())
+        counter = self._counters.get(key)
+        if counter is None:
+            counter = self._counters[key] = self._metrics.counter(name, **labels)
+        return counter
 
     # -- tenant state --------------------------------------------------------
     def _state(self, tenant: object) -> _TenantState:
@@ -157,6 +160,13 @@ class TenantGovernor:
         state.ledger.charge("indexed_bytes", size_bytes, now)
         return delay
 
+    def admit_document(self, tenant: object, now: float, source: Mapping[str, Any]) -> float:
+        """:meth:`admit_write` for document *source*. Sizing a document
+        costs a str() per field, so it is sized only when an indexed-byte
+        budget consumes the size."""
+        sized = self.config.indexed_bytes_quota is not None
+        return self.admit_write(tenant, now, doc_bytes(source) if sized else 0)
+
     def admit_query(self, tenant: object | None, now: float) -> float:
         """Admit one query for *tenant* (None = cross-tenant, accounted to
         the ``*`` pseudo-tenant). Same contract as :meth:`admit_write`."""
@@ -184,29 +194,6 @@ class TenantGovernor:
         if scanned:
             ledger.charge("scanned_docs", scanned, now)
 
-    def charge_cpu(self, tenant: object | None, seconds: float, op: str = "") -> None:
-        """Account CPU time a tenant's work consumed, measured where the
-        work actually executed (a write batch's engine time on its shard)
-        — per-tenant *CPU* accounting. Accounting only:
-        it never sheds load, so admission decisions (and with them the
-        chaos fingerprints) are unchanged."""
-        tenant = CLUSTER_TENANT if tenant is None else tenant
-        self._state(tenant).cpu_seconds += seconds
-        if self._metrics is not None:
-            # Labeled by operation only — tenant cardinality stays out of
-            # the registry; per-tenant totals live on the states and
-            # surface through cat_tenant_governance / cpu_seconds().
-            self._metrics.counter("tenancy_cpu_seconds_total", op=op or "other").inc(
-                seconds
-            )
-
-    def cpu_seconds(self, tenant: object | None = None) -> float:
-        """CPU seconds charged to *tenant* (every tenant when None)."""
-        if tenant is not None:
-            state = self._tenants.get(tenant)
-            return state.cpu_seconds if state is not None else 0.0
-        return sum(state.cpu_seconds for state in self._tenants.values())
-
     def _admit(
         self,
         state: _TenantState,
@@ -228,8 +215,7 @@ class TenantGovernor:
             retry_after = (
                 self._queue[0] - now if self._queue else bucket.wait_time(now)
             )
-            self._shed(state, tenant, op, "queue", max(retry_after, 0.0), qos,
-                       rate_budget=rate_budget)
+            self._shed(state, tenant, op, "queue", max(retry_after, 0.0), qos)
         delay = bucket.wait_time(now)
         if bucket.acquire(now, max_debt=float(allowed)) is None:
             self._shed(state, tenant, op, rate_budget, delay, qos)
@@ -239,25 +225,11 @@ class TenantGovernor:
 
     def _admitted(self, state: _TenantState, op: str, qos: str, queued: bool) -> None:
         state.admitted += 1
+        self._counter("tenancy_admitted_total", op=op, qos=qos).inc()
         if queued:
             state.queued += 1
-        if self._metrics is not None:
-            counter = self._admit_counters.get((op, qos))
-            if counter is None:
-                counter = self._metrics.counter(
-                    "tenancy_admitted_total", op=op, qos=qos
-                )
-                self._admit_counters[(op, qos)] = counter
-            counter.inc()
-            if queued:
-                queued_counter = self._queued_counters.get(op)
-                if queued_counter is None:
-                    queued_counter = self._metrics.counter(
-                        "tenancy_queued_total", op=op
-                    )
-                    self._queued_counters[op] = queued_counter
-                queued_counter.inc()
-            self._depth_gauge.set(len(self._queue))
+            self._counter("tenancy_queued_total", op=op).inc()
+        self._depth_gauge.set(len(self._queue))
 
     def _shed(
         self,
@@ -267,40 +239,57 @@ class TenantGovernor:
         budget: str,
         retry_after: float,
         qos: str,
-        rate_budget: str | None = None,
     ) -> None:
         state.shed += 1
-        if self._metrics is not None:
-            counter = self._shed_counters.get((op, budget))
-            if counter is None:
-                counter = self._metrics.counter(
-                    "tenancy_shed_total", op=op, budget=budget
-                )
-                self._shed_counters[(op, budget)] = counter
-            counter.inc()
-            self._depth_gauge.set(len(self._queue))
+        self._counter("tenancy_shed_total", op=op, budget=budget).inc()
+        self._depth_gauge.set(len(self._queue))
         raise TenantThrottledError(tenant, op, budget, retry_after, qos)
 
-    # -- the governance-policy hook ------------------------------------------
+    # -- the governance policy ----------------------------------------------
     def apply_alerts(self, alerts: Iterable, now: float) -> list[object]:
-        """Feed freshly raised skew alerts to the policy; returns the
-        tenants it demoted this round."""
-        return self.policy.on_alerts(self, alerts, now)
+        """Close the loop on skew alerts: a ``hot_tenant`` alert whose
+        window share reaches :data:`~repro.tenancy.config.DEMOTE_SHARE`
+        demotes its tenant to ``batch`` for ``DEMOTE_SECONDS`` — its backlog
+        then sheds first under saturation while well-behaved tenants keep
+        their priority. Returns the tenants demoted (an already-demoted
+        tenant is not re-demoted, its window just restarts)."""
+        demoted: list[object] = []
+        for alert in alerts:
+            share = float(alert.measurement.get("share", 0.0))
+            if alert.kind != "hot_tenant" or share < DEMOTE_SHARE:
+                continue
+            already = self.is_demoted(alert.subject, now)
+            self.demote(alert.subject, now, reason=f"hot_tenant share={share:.2f}")
+            if not already:
+                demoted.append(alert.subject)
+        return demoted
+
+    # -- the facade's recording consumer -------------------------------------
+    def on_writes(self, batch) -> None:
+        """Account each shard batch's engine time, where the work ran."""
+        for _, elapsed, _ in batch.shards:
+            self._counter("tenancy_cpu_seconds_total", op=batch.op).inc(elapsed)
+
+    def on_query(self, query) -> None:
+        if query.result is None:
+            return
+        # Summing row sizes costs a str() per field; only pay it when a
+        # result-byte budget actually consumes the number.
+        sized = self.config.result_bytes_quota is not None
+        rows = query.result.rows if sized else ()
+        self.charge_query(
+            query.tenant, query.now, sum(doc_bytes(row) for row in rows), query.scanned
+        )
+
+    def on_round(self, balance) -> None:
+        for tenant in self.apply_alerts(balance.alerts, balance.now):
+            balance.emit("demotion", tenant=tenant, ctx=balance.ctx)
 
     # -- introspection -------------------------------------------------------
     def tenant_counts(self, tenant: object) -> tuple[int, int, int]:
         """(admitted, queued, shed) for one tenant (zeros when unseen)."""
         state = self._tenants.get(tenant)
         return (state.admitted, state.queued, state.shed) if state else (0, 0, 0)
-
-    def totals(self) -> dict[str, int]:
-        return {
-            "tenants": len(self._tenants),
-            "admitted": sum(s.admitted for s in self._tenants.values()),
-            "queued": sum(s.queued for s in self._tenants.values()),
-            "shed": sum(s.shed for s in self._tenants.values()),
-            "demotions": len(self.demotions),
-        }
 
     def snapshot(self, now: float) -> dict:
         """Totals, queue, demotions and one row per governed tenant,
@@ -309,8 +298,15 @@ class TenantGovernor:
             self._tenants.items(),
             key=lambda item: (-(item[1].admitted + item[1].shed), str(item[0])),
         )
+        states = self._tenants.values()
         return {
-            "totals": self.totals(),
+            "totals": {
+                "tenants": len(self._tenants),
+                "admitted": sum(s.admitted for s in states),
+                "queued": sum(s.queued for s in states),
+                "shed": sum(s.shed for s in states),
+                "demotions": len(self.demotions),
+            },
             "queue_depth": self.queue_depth(now),
             "queue_capacity": self.config.queue_capacity,
             "tenants": [

@@ -9,8 +9,13 @@ from repro.balancer import BalancerConfig
 from repro.cluster import ClusterTopology
 from repro.errors import DocumentNotFoundError, EsdbError, InvalidDocumentError
 from repro.esdb import RoutingBounds, common_tenant, routing_bounds
+from repro.indexing import FrequencyTracker
+from repro.obsv import Observer, ObsvConfig
 from repro.query import parse_sql
 from repro.query.ast import AndNode, ComparisonPredicate
+from repro.slo import HeavyHitterProfiler, SloEngine
+from repro.telemetry.timeseries import TimeSeriesStore
+from repro.tenancy import TenancyConfig, TenantGovernor
 from repro.workload import TransactionLogGenerator, WorkloadConfig
 from tests.conftest import make_log
 
@@ -755,3 +760,40 @@ class TestClusterShardRelocation:
         cluster = Cluster(ClusterTopology(num_nodes=2, num_shards=4, replicas_per_shard=0))
         cluster.fail_node(1)
         assert cluster.relocate_primaries_of(1) == {}
+
+
+class TestOffIsAbsent:
+    """A recording subsystem that is off is never built, and the consumer
+    tuple holds only the ones that are on, in the order they are fed."""
+
+    OPTIONAL = (Observer, SloEngine, HeavyHitterProfiler, TimeSeriesStore, TenantGovernor)
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        """The optional subsystem classes constructed while it is in use."""
+        built = []
+        for cls in self.OPTIONAL:
+            def init(self, *args, original=cls.__init__, **kwargs):
+                built.append(type(self))
+                original(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", init)
+        return built
+
+    def test_all_off_builds_none_of_them(self, built):
+        db = ESDB(EsdbConfig(obsv=ObsvConfig.off(), timeseries_enabled=False))
+        assert built == []
+        assert db.consumers == (db._subattr_frequencies,)
+        db.write(make_log(1))
+        db.refresh()
+        assert db.execute_sql("SELECT * FROM transaction_logs WHERE tenant_id = 't1'").rows
+        db.rebalance()
+        assert built == []
+
+    def test_all_on_builds_each_once_and_feeds_them_in_order(self, built):
+        db = ESDB(EsdbConfig(slo=True, tenancy=TenancyConfig(enabled=True)))
+        assert sorted(cls.__name__ for cls in built) == sorted(
+            cls.__name__ for cls in self.OPTIONAL
+        )
+        assert [type(consumer) for consumer in db.consumers] == [
+            Observer, FrequencyTracker, TenantGovernor, SloEngine, TimeSeriesStore,
+        ]

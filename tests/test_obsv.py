@@ -28,6 +28,7 @@ from repro.obsv import (
 from repro.obsv.config import INDEX_WARN_SECONDS, SEARCH_WARN_SECONDS
 from repro.obsv.slowlog import describe_slowlog
 from repro.telemetry import MetricsRegistry, Tracer
+from repro.telemetry.runtime import NULL_REGISTRY
 
 
 class TestImbalanceStatistics:
@@ -58,7 +59,7 @@ class TestImbalanceStatistics:
             assert stat([0.0, 0.0]) == 0.0
 
 
-def _observed(num_shards: int, config=None, metrics=None, window: float = 10.0):
+def _observed(num_shards: int, config=None, metrics=NULL_REGISTRY, window: float = 10.0):
     """A workload monitor and the observer that reads its windows."""
     monitor = WorkloadMonitor(window_seconds=window)
     return monitor, Observer(monitor, num_shards, config or ObsvConfig(), metrics=metrics)

@@ -190,6 +190,17 @@ class TestFacadeAcceptance:
         (note,) = db.policy.rules.annotations()
         assert "100.0% of 5 writes in window [10.00, 10.80)" in note.reason
 
+    def test_bulk_write_closing_two_windows_rolls_each_once(self):
+        """One bulk call can close several monitor windows: the observer
+        rolls each of them, oldest first, not the last one twice."""
+        db = _tiny_db()
+        docs = [make_log(i, tenant=f"t{i}", created=5.0 + 10.0 * i) for i in range(3)]
+        db.bulk_write(docs)
+        assert [dict(w.tenant_loads) for w in db.obsv.windows] == [{"t0": 1}, {"t1": 1}]
+        assert [(w.start, w.end) for w in db.obsv.windows] == [
+            (w.start, w.end) for w in db.monitor.windows
+        ]
+
     def test_shard_skew_drops_after_balancing(self):
         """The live version of Fig 12: the per-shard CV of the first window
         (before any rule lands) exceeds the last window's once rebalance

@@ -270,3 +270,39 @@ class TestEveryNameIsReferenced:
                 ):
                     unnamed.append(f"{path.relative_to(self.ROOT)}:{node.name}")
         assert not unnamed, f"defined but named nowhere else: {unnamed}"
+
+
+class TestFacadeBranchesOnNoConsumer:
+    """The facade hands each write batch, query and balance round to the
+    recording subsystems through its ``consumers`` tuple: outside
+    ``ESDB.__init__`` no method reads the observer, the SLO engine or its
+    profiler, the time series or the frequency tracker, and the governor
+    is read only at the write and query admission points. The frequency
+    tracker's one reader is the index advisor."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+    HANDLES = frozenset(
+        ("obsv", "slo", "hotkeys", "timeseries", "_subattr_frequencies", "governor")
+    )
+    ALLOWED = {
+        ("governor", "_write_batch"),
+        ("governor", "_execute_traced"),
+        ("_subattr_frequencies", "suggest_subattribute_indexes"),
+    }
+
+    def test_subsystems_are_read_only_where_allowed(self):
+        tree = ast.parse((self.ROOT / "src" / "repro" / "esdb.py").read_text())
+        (facade,) = (
+            node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ESDB"
+        )
+        reads = {
+            (node.attr, method.name)
+            for method in facade.body
+            if isinstance(method, ast.FunctionDef) and method.name != "__init__"
+            for node in ast.walk(method)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+            and node.attr in self.HANDLES
+        }
+        assert reads == self.ALLOWED

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.cluster import ClusterTopology
 from repro.errors import ConfigurationError, TenantThrottledError
 from repro.esdb import ESDB, EsdbConfig
 from repro.obsv import cat_hotkeys, cat_slo, render_report, snapshot
+from repro.obsv.snapshot import read_hotkey_table
 from repro.slo import (
     OBJECTIVES,
     HeavyHitterProfiler,
@@ -212,7 +214,7 @@ class TestObjectives:
 
 
 def status_of(engine: SloEngine, name: str) -> dict:
-    return next(row for row in engine.status() if row["slo"] == name)
+    return next(row for row in engine.snapshot()["objectives"] if row["slo"] == name)
 
 
 class TestSloEngine:
@@ -419,19 +421,24 @@ class TestHeavyHitterProfiler:
             for i in range(30):
                 profiler.record_write(f"t{i % 3}", i % 2, f"k{i % 5}")
             profiler.record_query("t0", "fp", ["status=1"])
-            return profiler.table_rows(k=3)
+            # The table is read off the profiler's snapshot.
+            table = read_hotkey_table(SimpleNamespace(hotkeys=profiler))
+            return [row for row in table if row["rank"] <= 3]
 
         rows = build()
         assert rows == build()
-        dimensions = [row[0] for row in rows]
+        dimensions = [row["dimension"] for row in rows]
         assert dimensions == sorted(
             dimensions,
             key=["routing_key", "filter_term", "query_fingerprint"].index,
         )
         # Global scope leads each dimension; ranks restart from 1.
-        assert rows[0][:4] == ("routing_key", "global", "-", 1)
+        first = rows[0]
+        assert (first["dimension"], first["scope"], first["subject"], first["rank"]) == (
+            "routing_key", "global", "-", 1,
+        )
         for row in rows:
-            assert row[5] >= 0 and row[6] >= 0  # count, error
+            assert row["count"] >= 0 and row["error"] >= 0
 
     def test_snapshot_shape(self):
         profiler = HeavyHitterProfiler()

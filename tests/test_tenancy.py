@@ -335,6 +335,21 @@ class TestFacadeGovernance:
         assert governor.qos_of("whale", db.now) == "standard"
         assert not governor.is_demoted("whale", db.now)
 
+    def test_alert_from_a_window_closed_mid_stream_reaches_the_governor(self):
+        """The whale fills one window; the writes of the next close it
+        mid-stream, and the alert that window raises is still handed to
+        the governor at the next balance round."""
+        db = governed_db(write_rate=1e9, write_burst=1e9, queue_capacity=10**6)
+        generator = TransactionLogGenerator(WorkloadConfig(num_tenants=10, seed=3))
+        for i in range(200):
+            db.write(generator.generate(created_time=i * 0.05, tenant_id="whale"))
+        for j in range(50):
+            db.write(generator.generate(created_time=10.0 + j * 0.01, tenant_id=f"small-{j}"))
+        db.rebalance()
+        assert ("hot_tenant", "whale") in [(a.kind, a.subject) for a in db.obsv.alerts]
+        assert db.governor.is_demoted("whale", db.now)
+        assert [event.tenant for event in db.events.query(kind="demotion")] == ["whale"]
+
     def test_governed_write_sheds_and_surfaces_error(self):
         db = governed_db(write_rate=1.0, write_burst=1.0, queue_capacity=1)
         generator = TransactionLogGenerator(WorkloadConfig(num_tenants=10, seed=1))
@@ -385,7 +400,7 @@ class TestFacadeGovernance:
         assert db.governor.tenant_counts(charged)[0] == 1
         db.execute_sql(sql)  # a result-cache hit is admitted for the same tenant
         assert db.governor.tenant_counts(charged)[0] == 2
-        assert db.governor.totals()["admitted"] == 2
+        assert db.governor.snapshot(db.now)["totals"]["admitted"] == 2
 
     def test_cat_tenants_gains_governance_columns(self):
         db = governed_db()

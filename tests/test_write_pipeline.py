@@ -58,6 +58,18 @@ def skewed_stream() -> list[dict]:
     return docs
 
 
+def crossing_stream() -> list[dict]:
+    """:func:`skewed_stream` with a 10 s pause after its first 300
+    documents: the next document closes the workload monitor's window
+    mid-stream, so the observer rolls a window and raises its alerts while
+    the stream runs."""
+    docs = skewed_stream()
+    for doc in docs[300:]:
+        if "created_time" in doc:
+            doc["created_time"] += 10.0
+    return docs
+
+
 def _tree(span, root: bool = True):
     """A span tree without what legitimately differs: durations, ids and
     the root's name (the trace id derives from it)."""
@@ -148,6 +160,10 @@ def observable_state(db: ESDB) -> dict:
              entry.trace_id is None, entry.trace and _tree(entry.trace))
             for entry in db.obsv.index_slowlog.tail(10_000)
         ]
+        state["windows"] = [window.to_dict() for window in db.obsv.windows]
+        state["alerts"] = [alert.to_dict() for alert in db.obsv.alerts]
+    if db.governor is not None:
+        state["governor"] = db.governor.snapshot(db.now)
     if db.hotkeys is not None:
         state["hotkeys"] = cat_hotkeys(db).rows
     return state
@@ -156,42 +172,44 @@ def observable_state(db: ESDB) -> dict:
 class TestWriteIsTheOneDocumentBulkWrite:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_write_equals_bulk_write_of_one(self, variant):
-        docs = skewed_stream()
-        single, bulk, batch = (make_db(**VARIANTS[variant]) for _ in range(3))
-        rejected = 0
-        for doc in docs:
-            item = bulk.bulk_write([doc]).items[0]
-            try:
-                shard_id = single.write(doc)
-            except Exception as exc:
-                rejected += 1
-                assert not item.ok and type(item.error) is type(exc)
-            else:
-                assert item.ok and item.shard_id == shard_id
-        assert rejected >= 2
-        if single.slo is not None:
-            assert single.events.counts().get("slo_burn")
-        got, expected = observable_state(bulk), observable_state(single)
-        for key in expected:
-            assert got[key] == expected[key], key
-        metrics = bulk.telemetry.metrics
-        if bulk.telemetry.enabled:
-            assert metrics.value("esdb_bulk_writes_total") == len(docs)
-            assert metrics.value("esdb_bulk_docs_total") == len(docs) - rejected
-        assert single.telemetry.metrics.label_cardinality("esdb_bulk_writes_total") == 0
-        # One bulk of the whole stream places and stores the same
-        # documents (its clock and admission run ahead of the applies,
-        # so only ungoverned variants admit the same set).
-        batch_result = batch.bulk_write(docs)
-        if batch.governor is None:
-            assert batch_result.applied == len(docs) - rejected
-            assert stored_ids(batch) == stored_ids(single)
-        sql = "SELECT * FROM transaction_logs WHERE quantity >= 3"
-        for db in (single, bulk, batch):
-            db.refresh()
-        assert bulk.execute_sql(sql).rows == single.execute_sql(sql).rows
-        if batch.governor is None:
-            assert batch.execute_sql(sql).rows == single.execute_sql(sql).rows
+        # The second stream crosses a monitor window boundary mid-stream.
+        for docs, windows in ((skewed_stream(), 0), (crossing_stream(), 1)):
+            single, bulk, batch = (make_db(**VARIANTS[variant]) for _ in range(3))
+            rejected = 0
+            for doc in docs:
+                item = bulk.bulk_write([doc]).items[0]
+                try:
+                    shard_id = single.write(doc)
+                except Exception as exc:
+                    rejected += 1
+                    assert not item.ok and type(item.error) is type(exc)
+                else:
+                    assert item.ok and item.shard_id == shard_id
+            assert rejected >= 2
+            assert len(single.monitor.windows) == windows
+            if single.slo is not None:
+                assert single.events.counts().get("slo_burn")
+            got, expected = observable_state(bulk), observable_state(single)
+            for key in expected:
+                assert got[key] == expected[key], key
+            metrics = bulk.telemetry.metrics
+            if bulk.telemetry.enabled:
+                assert metrics.value("esdb_bulk_writes_total") == len(docs)
+                assert metrics.value("esdb_bulk_docs_total") == len(docs) - rejected
+            assert single.telemetry.metrics.label_cardinality("esdb_bulk_writes_total") == 0
+            # One bulk of the whole stream places and stores the same
+            # documents (its clock and admission run ahead of the applies,
+            # so only ungoverned variants admit the same set).
+            batch_result = batch.bulk_write(docs)
+            if batch.governor is None:
+                assert batch_result.applied == len(docs) - rejected
+                assert stored_ids(batch) == stored_ids(single)
+            sql = "SELECT * FROM transaction_logs WHERE quantity >= 3"
+            for db in (single, bulk, batch):
+                db.refresh()
+            assert bulk.execute_sql(sql).rows == single.execute_sql(sql).rows
+            if batch.governor is None:
+                assert batch.execute_sql(sql).rows == single.execute_sql(sql).rows
 
     def test_root_span_is_named_after_the_public_method(self):
         single, bulk = make_db(), make_db()
