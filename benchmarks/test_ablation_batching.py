@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import random
 
-from benchmarks.conftest import print_table
 from repro.client import WriteClient, WriteClientConfig
+from repro.experiments.base import ExperimentResult
 from repro.routing import HashRouting
 
 NUM_ROWS = 2_000
@@ -64,7 +64,8 @@ def test_ablation_workload_batching(benchmark):
     with_batching = benchmark.pedantic(lambda: run(10**9), rounds=1, iterations=1)
     without_batching = run(1)  # window of 1: every write flushes immediately
 
-    print_table(
+    print(ExperimentResult(
+        "batching",
         "Ablation: workload batching of repeated row modifications",
         ["variant", "submitted", "dispatched", "writes saved"],
         [
@@ -76,7 +77,7 @@ def test_ablation_workload_batching(benchmark):
             ),
             ("batching off", len(writes), without_batching, "0%"),
         ],
-    )
+    ).render())
 
     # With an unbounded window every row collapses to one dispatched write.
     assert with_batching == NUM_ROWS

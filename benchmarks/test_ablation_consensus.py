@@ -10,7 +10,6 @@ end-to-end adaptation lag in the simulator.
 
 from __future__ import annotations
 
-from benchmarks.conftest import fmt, print_table, workload
 from repro.consensus import (
     ConsensusConfig,
     ConsensusMaster,
@@ -18,6 +17,8 @@ from repro.consensus import (
     RuleProposal,
 )
 from repro.consensus.messages import PrepareMessage
+from repro.experiments.base import ExperimentResult, fmt
+from repro.experiments.write_side import workload
 from repro.routing import DynamicSecondaryHashRouting
 from repro.sim import SimulationConfig, WriteSimulation
 from repro.workload import HotspotShiftScenario
@@ -55,12 +56,13 @@ def test_ablation_interval_vs_blocking(benchmark):
         fraction = blocked_fraction(interval)
         rows.append((interval, f"{fraction * 100:.1f}%"))
     benchmark.pedantic(lambda: blocked_fraction(5.0), rounds=1, iterations=1)
-    print_table(
+    print(ExperimentResult(
+        "consensus",
         "Ablation: writes blocked during a consensus round vs interval T "
         "(consensus takes ~0.5s)",
         ["T (s)", "blocked writes"],
         rows,
-    )
+    ).render())
     # T larger than the consensus time ⇒ non-blocking (the §4.3 guarantee).
     for interval in INTERVALS:
         assert blocked_fraction(interval) == 0.0
@@ -94,11 +96,12 @@ def test_ablation_interval_vs_adaptation_lag(benchmark):
 
     lag_small = benchmark.pedantic(lambda: recovery_time(2.0), rounds=1, iterations=1)
     lag_large = recovery_time(30.0)
-    print_table(
+    print(ExperimentResult(
+        "consensus",
         "Ablation: first post-shift rule effective time vs interval T",
         ["T (s)", "first effective rule (s, shift at 30s)"],
         [(2.0, fmt(lag_small, 1)), (30.0, fmt(lag_large, 1))],
-    )
+    ).render())
     assert lag_small < lag_large
     # Both adapt within the paper's 60 s load-balancing horizon + T.
     assert lag_small < 90.0

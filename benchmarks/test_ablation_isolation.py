@@ -16,7 +16,8 @@ import statistics
 
 import pytest
 
-from benchmarks.conftest import SIM, fmt, print_table, workload
+from repro.experiments.base import ExperimentResult, Scale, fmt
+from repro.experiments.write_side import sim_config, workload
 from repro.routing import HashRouting
 from repro.sim import WriteSimulation
 from repro.workload import StaticScenario
@@ -24,6 +25,7 @@ from repro.workload import StaticScenario
 RATE = 200_000
 DURATION = 60.0
 THETA = 1.5
+SIM = sim_config(Scale.SMALL)
 
 
 def run(isolated: bool) -> WriteSimulation:
@@ -53,7 +55,8 @@ def test_ablation_hotspot_isolation_protects_ordinary_tenants(benchmark, runs):
     ordinary_wait = statistics.fmean(w for _, w, _ in steady)
     hotspot_wait = statistics.fmean(h for _, _, h in steady)
 
-    print_table(
+    print(ExperimentResult(
+        "isolation",
         "Ablation: hotspot isolation under overload (hashing, θ=1.5, 200K TPS)",
         ["variant", "throughput", "ordinary-tenant wait", "hotspot wait"],
         [
@@ -70,7 +73,7 @@ def test_ablation_hotspot_isolation_protects_ordinary_tenants(benchmark, runs):
                 f"{hotspot_wait:.2f}s",
             ),
         ],
-    )
+    ).render())
 
     # Ordinary tenants are fully protected: near-zero queueing even though
     # the hotspot is hopelessly overloaded.

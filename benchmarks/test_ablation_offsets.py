@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 
-from benchmarks.conftest import print_table
 from repro.balancer import compute_offset_size
+from repro.experiments.base import ExperimentResult
 from repro.routing import RuleList
 from repro.workload.zipf import zipf_weights
 
@@ -62,14 +62,15 @@ def test_ablation_power_of_two_offsets(benchmark):
     worst_exact = max(
         float(weights[t]) / exact_offset(float(weights[t])) for t in range(NUM_TENANTS)
     )
-    print_table(
+    print(ExperimentResult(
+        "offsets",
         "Ablation: power-of-two vs exact secondary-hashing offsets",
         ["variant", "rules", "distinct offsets", "worst per-shard share"],
         [
             ("power-of-two", len(pow2_rules), pow2_distinct, f"{worst_pow2:.5f}"),
             ("exact", len(exact_rules), exact_distinct, f"{worst_exact:.5f}"),
         ],
-    )
+    ).render())
 
     # Rule-list economy: pow2 needs log-many distinct offsets...
     assert pow2_distinct <= math.ceil(math.log2(NUM_SHARDS)) + 1

@@ -13,7 +13,7 @@ with and without the early pre-replication call.
 
 from __future__ import annotations
 
-from benchmarks.conftest import print_table
+from repro.experiments.base import ExperimentResult
 from repro.replication import PhysicalReplicator
 from repro.storage import EngineConfig, Schema, ShardEngine, TieredMergePolicy
 
@@ -90,7 +90,8 @@ def _timeline(prereplicate_early: bool) -> float:
 def test_ablation_prereplication_bounds_visibility_delay(benchmark):
     with_pre = benchmark.pedantic(lambda: _timeline(True), rounds=1, iterations=1)
     without_pre = _timeline(False)
-    print_table(
+    print(ExperimentResult(
+        "prereplication",
         "Ablation: visibility delay of a fresh segment (s) with/without "
         "pre-replication of merged segments",
         ["variant", "fresh-segment visibility delay"],
@@ -98,7 +99,7 @@ def test_ablation_prereplication_bounds_visibility_delay(benchmark):
             ("pre-replication on", f"{with_pre:.3f}"),
             ("pre-replication off", f"{without_pre:.3f}"),
         ],
-    )
+    ).render())
     # Shipping the merged segment early keeps it out of the refresh round's
     # diff: the fresh segment becomes visible sooner.
     assert with_pre < without_pre

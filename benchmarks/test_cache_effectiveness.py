@@ -26,9 +26,9 @@ import time
 
 import pytest
 
-from benchmarks.conftest import fmt, print_table
 from repro import ESDB, EsdbConfig
 from repro.cluster import ClusterTopology
+from repro.experiments.base import ExperimentResult, fmt
 from repro.workload import TransactionLogGenerator, WorkloadConfig
 
 NUM_SHARDS = 16
@@ -112,7 +112,8 @@ def test_warm_pass_speedup_and_parity(instances, benchmark):
     warm_off, out_warm_off = _run_pass(uncached, sqls)
     assert out_warm_on == out_warm_off == out_cold_on  # parity stays
 
-    print_table(
+    print(ExperimentResult(
+        "cache",
         "cache effectiveness: pass p50 latency (ms)",
         ["pass", "caches off", "caches on", "speedup"],
         [
@@ -121,7 +122,7 @@ def test_warm_pass_speedup_and_parity(instances, benchmark):
             ("warm", fmt(_p50(warm_off), 3), fmt(_p50(warm_on), 3),
              fmt(_p50(warm_off) / _p50(warm_on), 2) + "x"),
         ],
-    )
+    ).render())
     hits = cached.result_cache.stats.hits
     print(f"result-cache hits on warm pass: {hits}/{len(sqls)} "
           f"({cached.result_cache.stats.hit_rate * 100:.0f}% lifetime hit rate)")

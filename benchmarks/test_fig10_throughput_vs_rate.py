@@ -11,79 +11,37 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import SIM, fmt, make_policies, print_table, workload
-from repro.sim import run_policy_comparison
-from repro.workload import StaticScenario
+from repro.experiments import run
 
-RATES = (40_000, 80_000, 120_000, 160_000, 200_000)
-DURATION = 90.0
-THETA = 1.0
-
-
-def run_rate_sweep() -> dict:
-    """Return {rate: {policy: report}} for the Figure 10 sweep."""
-    results = {}
-    for rate in RATES:
-        results[rate] = run_policy_comparison(
-            make_policies(),
-            lambda rate=rate: StaticScenario(rate=rate, duration=DURATION),
-            config=SIM,
-            workload=workload(THETA),
-        )
-    return results
+NAMES = ("hashing", "double-hashing", "dynamic-secondary-hashing")
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    return run_rate_sweep()
+def sweep(scale):
+    result = run("fig10", scale)
+    print(result.render())
+    return result.values["reports"]
 
 
-def test_fig10a_throughput_vs_generating_rate(benchmark, sweep):
-    benchmark.pedantic(
-        lambda: run_policy_comparison(
-            make_policies(),
-            lambda: StaticScenario(rate=RATES[0], duration=10.0),
-            config=SIM,
-            workload=workload(THETA),
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    names = list(make_policies())
-    rows = [
-        (fmt(rate, 0), *(fmt(sweep[rate][n].throughput, 0) for n in names))
-        for rate in RATES
-    ]
-    print_table("Figure 10a: write throughput (TPS) vs generating rate, θ=1",
-                ["rate"] + names, rows)
-
+def test_fig10a_throughput_vs_generating_rate(sweep):
     # Hashing plateaus: its throughput stops growing between 160K and 200K,
     # while the balanced policies keep improving past hashing's ceiling.
-    hash_top = sweep[RATES[-1]]["hashing"].throughput
+    hash_top = sweep[200_000]["hashing"].throughput
     hash_prev = sweep[160_000]["hashing"].throughput
     assert hash_top <= hash_prev * 1.05
     for name in ("double-hashing", "dynamic-secondary-hashing"):
-        assert sweep[RATES[-1]][name].throughput > hash_top * 1.1, name
+        assert sweep[200_000][name].throughput > hash_top * 1.1, name
     # Dynamic tracks double hashing closely (the paper's headline).
     ratio = (
-        sweep[RATES[-1]]["dynamic-secondary-hashing"].throughput
-        / sweep[RATES[-1]]["double-hashing"].throughput
+        sweep[200_000]["dynamic-secondary-hashing"].throughput
+        / sweep[200_000]["double-hashing"].throughput
     )
     assert ratio > 0.9
 
 
-def test_fig10b_delay_vs_generating_rate(sweep, benchmark):
-    benchmark(lambda: None)  # sweep shared with 10a; nothing to re-time
-    names = list(make_policies())
-    rows = [
-        (fmt(rate, 0), *(fmt(sweep[rate][n].avg_delay, 2) for n in names))
-        for rate in RATES
-    ]
-    print_table("Figure 10b: average write delay (s) vs generating rate, θ=1",
-                ["rate"] + names, rows)
-
+def test_fig10b_delay_vs_generating_rate(sweep):
     # Below every ceiling: all delays small.
-    for name in names:
+    for name in NAMES:
         assert sweep[40_000][name].avg_delay < 1.0
     # Hashing's delay takes off first (before the balanced ceilings) and
     # stays the worst at every saturating rate.

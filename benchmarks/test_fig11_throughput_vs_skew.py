@@ -12,49 +12,21 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import SIM, fmt, make_policies, print_table, workload
-from repro.sim import run_policy_comparison
-from repro.workload import StaticScenario
+from repro.experiments import run
 
-THETAS = (0.0, 0.5, 1.0, 1.5, 2.0)
-RATE = 160_000
-DURATION = 120.0
+NAMES = ("hashing", "double-hashing", "dynamic-secondary-hashing")
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    results = {}
-    for theta in THETAS:
-        results[theta] = run_policy_comparison(
-            make_policies(),
-            lambda: StaticScenario(rate=RATE, duration=DURATION),
-            config=SIM,
-            workload=workload(theta),
-        )
-    return results
+def sweep(scale):
+    result = run("fig11", scale)
+    print(result.render())
+    return result.values["reports"]
 
 
-def test_fig11a_throughput_vs_theta(benchmark, sweep):
-    benchmark.pedantic(
-        lambda: run_policy_comparison(
-            make_policies(),
-            lambda: StaticScenario(rate=RATE, duration=10.0),
-            config=SIM,
-            workload=workload(1.0),
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    names = list(make_policies())
-    rows = [
-        (theta, *(fmt(sweep[theta][n].throughput, 0) for n in names))
-        for theta in THETAS
-    ]
-    print_table(f"Figure 11a: write throughput (TPS) vs θ at {RATE:,} TPS",
-                ["theta"] + names, rows)
-
+def test_fig11a_throughput_vs_theta(sweep):
     # θ=0: all three within a few percent of each other.
-    base = [sweep[0.0][n].throughput for n in names]
+    base = [sweep[0.0][n].throughput for n in NAMES]
     assert max(base) / min(base) < 1.1
     # Hashing collapses as θ grows; balanced policies stay flat.
     assert sweep[2.0]["hashing"].throughput < sweep[0.0]["hashing"].throughput * 0.6
@@ -62,16 +34,7 @@ def test_fig11a_throughput_vs_theta(benchmark, sweep):
         assert sweep[2.0][name].throughput > sweep[0.0][name].throughput * 0.9, name
 
 
-def test_fig11b_delay_vs_theta(sweep, benchmark):
-    benchmark(lambda: None)
-    names = list(make_policies())
-    rows = [
-        (theta, *(fmt(sweep[theta][n].avg_delay, 2) for n in names))
-        for theta in THETAS
-    ]
-    print_table(f"Figure 11b: average write delay (s) vs θ at {RATE:,} TPS",
-                ["theta"] + names, rows)
-
+def test_fig11b_delay_vs_theta(sweep):
     # Hashing's delay at extreme skew is orders of magnitude above its θ=0
     # value (paper: >100x).
     assert (
@@ -80,7 +43,7 @@ def test_fig11b_delay_vs_theta(sweep, benchmark):
     )
     # Balanced policies' delays stay in the same band across θ; dynamic sits
     # at or above double hashing (never perfectly uniform) but stays close.
-    for theta in THETAS:
+    for theta in sweep:
         double = sweep[theta]["double-hashing"].avg_delay
         dynamic = sweep[theta]["dynamic-secondary-hashing"].avg_delay
         assert dynamic <= max(double * 5, double + 15.0), theta

@@ -10,40 +10,22 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import SIM, fmt, make_policies, print_table, workload
-from repro.sim import run_policy_comparison
-from repro.workload import StaticScenario
+from repro.experiments import run
 
-THETAS = (0.0, 0.5, 1.0, 1.5, 2.0)
+NAMES = ("hashing", "double-hashing", "dynamic-secondary-hashing")
 RATE = 160_000
-DURATION = 90.0
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    return {
-        theta: run_policy_comparison(
-            make_policies(),
-            lambda: StaticScenario(rate=RATE, duration=DURATION),
-            config=SIM,
-            workload=workload(theta),
-        )
-        for theta in THETAS
-    }
+def sweep(scale):
+    result = run("fig12", scale)
+    print(result.render())
+    return result.values["reports"]
 
 
-def test_fig12a_node_throughput_stddev(benchmark, sweep):
-    benchmark.pedantic(lambda: sweep, rounds=1, iterations=1)
-    names = list(make_policies())
-    rows = [
-        (theta, *(fmt(sweep[theta][n].node_throughput_std, 0) for n in names))
-        for theta in THETAS
-    ]
-    print_table("Figure 12a: stddev of per-node write throughput vs θ",
-                ["theta"] + names, rows)
-
+def test_fig12a_node_throughput_stddev(sweep):
     # Low θ: all policies comparable (within one order of magnitude).
-    low = [sweep[0.0][n].node_throughput_std for n in names]
+    low = [sweep[0.0][n].node_throughput_std for n in NAMES]
     assert max(low) < RATE * 0.05
     # High θ: hashing's imbalance dominates.
     for theta in (1.5, 2.0):
@@ -54,16 +36,7 @@ def test_fig12a_node_throughput_stddev(benchmark, sweep):
         assert dyn_std >= dbl_std * 0.5, theta  # dynamic close to optimum
 
 
-def test_fig12b_shard_throughput_stddev(sweep, benchmark):
-    benchmark(lambda: None)
-    names = list(make_policies())
-    rows = [
-        (theta, *(fmt(sweep[theta][n].shard_throughput_std, 1) for n in names))
-        for theta in THETAS
-    ]
-    print_table("Figure 12b: stddev of per-shard write throughput vs θ",
-                ["theta"] + names, rows)
-
+def test_fig12b_shard_throughput_stddev(sweep):
     for theta in (1.0, 1.5, 2.0):
         hash_std = sweep[theta]["hashing"].shard_throughput_std
         dyn_std = sweep[theta]["dynamic-secondary-hashing"].shard_throughput_std

@@ -10,45 +10,19 @@ uniform).
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from benchmarks.conftest import SIM, fmt, make_policies, print_table, workload
-from repro.sim import run_policy_comparison
-from repro.workload import StaticScenario
-
-RATE = 160_000
-DURATION = 120.0
-THETA = 1.0
+from repro.experiments import run
 
 
 @pytest.fixture(scope="module")
-def reports():
-    return run_policy_comparison(
-        make_policies(),
-        lambda: StaticScenario(rate=RATE, duration=DURATION),
-        config=SIM,
-        workload=workload(THETA),
-    )
+def reports(scale):
+    result = run("fig13", scale)
+    print(result.render())
+    return result.values["reports"]
 
 
-def test_fig13abc_per_node_throughput_and_cpu(benchmark, reports):
-    benchmark.pedantic(lambda: reports, rounds=1, iterations=1)
-    for name, report in reports.items():
-        rows = [
-            (
-                f"node-{i}",
-                fmt(report.node_throughput[i], 0),
-                f"{report.node_cpu[i] * 100:.0f}%",
-            )
-            for i in range(SIM.num_nodes)
-        ]
-        print_table(
-            f"Figure 13 ({name}): per-node throughput (TPS) and CPU usage",
-            ["node", "throughput", "cpu"],
-            rows,
-        )
-
+def test_fig13abc_per_node_throughput_and_cpu(reports):
     hash_cpu = reports["hashing"].node_cpu
     dyn_cpu = reports["dynamic-secondary-hashing"].node_cpu
 
@@ -65,25 +39,7 @@ def test_fig13abc_per_node_throughput_and_cpu(benchmark, reports):
     )
 
 
-def test_fig13d_normalized_shard_sizes(reports, benchmark):
-    benchmark(lambda: None)
-    rows = []
-    for name, report in reports.items():
-        sizes = report.normalized_shard_sizes()
-        rows.append(
-            (
-                name,
-                fmt(report.shard_size_ratio, 1),
-                fmt(float(np.median(sizes)), 1),
-                len(sizes),
-            )
-        )
-    print_table(
-        "Figure 13d: normalized shard sizes (max/min ratio, median, non-empty shards)",
-        ["policy", "max/min", "median", "shards"],
-        rows,
-    )
-
+def test_fig13d_normalized_shard_sizes(reports):
     # Ordering of imbalance: hashing >> dynamic >= double (paper: >100x, 16x, 13x).
     assert reports["hashing"].shard_size_ratio > 50
     assert reports["dynamic-secondary-hashing"].shard_size_ratio < (

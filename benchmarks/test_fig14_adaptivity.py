@@ -9,37 +9,7 @@ Double hashing is unaffected throughout.
 
 from __future__ import annotations
 
-import pytest
-
-from benchmarks.conftest import fmt, make_policies, print_table, workload
-from repro.sim import SimulationConfig, WriteSimulation
-from repro.workload import HotspotShiftScenario
-
-RATE = 160_000
-DURATION = 360.0
-SHIFTS = (60.0, 210.0)
-
-CONFIG = SimulationConfig(
-    sample_per_tick=1500, balance_window=10.0, consensus_interval=5.0
-)
-
-
-def run_timeline(policy):
-    simulation = WriteSimulation(
-        policy,
-        HotspotShiftScenario(
-            rate=RATE, duration=DURATION, shift_times=SHIFTS, shift_amount=2000
-        ),
-        config=CONFIG,
-        workload=workload(1.0),
-    )
-    simulation.run()
-    return simulation
-
-
-@pytest.fixture(scope="module")
-def timelines():
-    return {name: run_timeline(policy) for name, policy in make_policies().items()}
+from repro.experiments import run
 
 
 def _window_mean(series: dict, start: float, end: float) -> float:
@@ -47,29 +17,12 @@ def _window_mean(series: dict, start: float, end: float) -> float:
     return sum(values) / max(len(values), 1)
 
 
-def test_fig14_adaptive_recovery(benchmark, timelines):
-    benchmark.pedantic(lambda: timelines, rounds=1, iterations=1)
-
-    series = {
-        name: dict(sim.metrics.throughput_series()) for name, sim in timelines.items()
-    }
-    checkpoints = [30.0, 65.0, 120.0, 180.0, 215.0, 300.0]
-    rows = [
-        (
-            f"t={int(t)}s",
-            *(fmt(_window_mean(series[n], t, t + 20.0), 0) for n in series),
-        )
-        for t in checkpoints
-    ]
-    print_table(
-        "Figure 14: real-time throughput (TPS) around two hotspot-group arrivals "
-        f"(shifts at {SHIFTS[0]:.0f}s and {SHIFTS[1]:.0f}s)",
-        ["time"] + list(series),
-        rows,
-    )
-    dyn = timelines["dynamic-secondary-hashing"]
-    print(f"rules committed by dynamic policy: {len(dyn.rule_commits)}")
-
+def test_fig14_adaptive_recovery(scale):
+    result = run("fig14", scale)
+    print(result.render())
+    series = result.values["series"]
+    shifts = result.values["shifts"]
+    commits = result.values["rule_commits"]
     dynamic = series["dynamic-secondary-hashing"]
     hashing = series["hashing"]
     double = series["double-hashing"]
@@ -96,8 +49,8 @@ def test_fig14_adaptive_recovery(benchmark, timelines):
     assert abs(dbl_after - dbl_before) < dbl_before * 0.1
 
     # The recovery is driven by committed rules.
-    assert len(dyn.rule_commits) > 0
+    assert len(commits) > 0
     # New rules were committed after each shift (adaptation to new hotspots).
-    commit_times = [t for t, _, _ in dyn.rule_commits]
-    assert any(t > SHIFTS[0] for t in commit_times)
-    assert any(t > SHIFTS[1] for t in commit_times)
+    commit_times = [t for t, _, _ in commits]
+    assert any(t > shifts[0] for t in commit_times)
+    assert any(t > shifts[1] for t in commit_times)

@@ -11,110 +11,57 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import SIM, fmt, print_table, workload
-from repro.routing import DoubleHashRouting
-from repro.sim import ReplicationCostModel, WriteSimulation
-from repro.workload import StaticScenario
-
-RATES = (80_000, 120_000, 160_000, 200_000, 240_000)
-DURATION = 60.0
-
-MODELS = {
-    "logical": ReplicationCostModel.logical(),
-    "physical": ReplicationCostModel.physical(),
-}
-
-
-def run_one(rate: float, model: ReplicationCostModel):
-    simulation = WriteSimulation(
-        DoubleHashRouting(SIM.num_shards, offset=8),
-        StaticScenario(rate=rate, duration=DURATION),
-        config=SIM,
-        workload=workload(1.0),
-        replication=model,
-    )
-    return simulation.run()
+from repro.experiments import run
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    return {
-        name: {rate: run_one(rate, model) for rate in RATES}
-        for name, model in MODELS.items()
-    }
+def sweep(scale):
+    result = run("fig15", scale)
+    print(result.render())
+    return result.values["reports"]
 
 
-def test_fig15a_throughput_logical_vs_physical(benchmark, sweep):
-    benchmark.pedantic(lambda: run_one(RATES[0], MODELS["logical"]), rounds=1, iterations=1)
-    rows = [
-        (
-            fmt(rate, 0),
-            fmt(sweep["logical"][rate].throughput, 0),
-            fmt(sweep["physical"][rate].throughput, 0),
-        )
-        for rate in RATES
-    ]
-    print_table(
-        "Figure 15a: write throughput (TPS) — logical vs physical replication",
-        ["rate", "logical", "physical"],
-        rows,
-    )
-
+def test_fig15a_throughput_logical_vs_physical(sweep):
+    top = max(sweep["logical"])
     # Logical replication hits its ceiling between 160K and 200K...
-    logical_top = sweep["logical"][RATES[-1]].throughput
-    assert logical_top < RATES[-1] * 0.85
+    logical_top = sweep["logical"][top].throughput
+    assert logical_top < top * 0.85
     # ...while physical replication still scales well past it.
-    physical_top = sweep["physical"][RATES[-1]].throughput
+    physical_top = sweep["physical"][top].throughput
     assert physical_top > logical_top * 1.2
     # Below the ceiling both keep up with the offered rate.
     assert sweep["logical"][80_000].throughput == pytest.approx(80_000, rel=0.05)
     assert sweep["physical"][80_000].throughput == pytest.approx(80_000, rel=0.05)
 
 
-def test_fig15b_cpu_logical_vs_physical(sweep, benchmark):
-    benchmark(lambda: None)
-    rows = [
-        (
-            fmt(rate, 0),
-            f"{sweep['logical'][rate].avg_cpu * 100:.0f}%",
-            f"{sweep['physical'][rate].avg_cpu * 100:.0f}%",
-        )
-        for rate in RATES
-    ]
-    print_table(
-        "Figure 15b: average cluster CPU — logical vs physical replication",
-        ["rate", "logical", "physical"],
-        rows,
-    )
+def test_fig15b_cpu_logical_vs_physical(sweep):
     # Physical replication's CPU is lower at every offered rate.
-    for rate in RATES:
+    for rate in sweep["logical"]:
         assert sweep["physical"][rate].avg_cpu < sweep["logical"][rate].avg_cpu, rate
 
 
-def test_fig15_real_engine_cpu_accounting(benchmark, engine_config=None):
+def test_fig15_real_engine_cpu_accounting():
     """Cross-check the cost model against the real storage engines: replica
-    CPU under physical replication is a small fraction of logical."""
+    CPU under physical replication is a small fraction of logical. Not a
+    figure series, so it builds its own engines."""
     from repro.replication import LogicalReplicator, PhysicalReplicator
     from repro.storage import EngineConfig, Schema, ShardEngine
     from repro.workload import TransactionLogGenerator, WorkloadConfig
 
     config = EngineConfig(schema=Schema.transaction_logs(), auto_refresh_every=None)
     generator = TransactionLogGenerator(WorkloadConfig(num_tenants=100, seed=0))
-    docs = [generator.generate(float(i)) for i in range(300)]
-
-    def replicate_both():
-        logical = LogicalReplicator(ShardEngine(config), ShardEngine(config))
-        primary = ShardEngine(config)
-        physical = PhysicalReplicator(primary)
-        for doc in docs:
-            logical.index(doc)
-            primary.index(doc)
-        logical.refresh()
-        primary.refresh()
-        physical.replicate()
-        return logical.accounting.replica_cpu, physical.accounting.replica_cpu
-
-    logical_cpu, physical_cpu = benchmark.pedantic(replicate_both, rounds=1, iterations=1)
+    logical = LogicalReplicator(ShardEngine(config), ShardEngine(config))
+    primary = ShardEngine(config)
+    physical = PhysicalReplicator(primary)
+    for i in range(300):
+        doc = generator.generate(float(i))
+        logical.index(doc)
+        primary.index(doc)
+    logical.refresh()
+    primary.refresh()
+    physical.replicate()
+    logical_cpu = logical.accounting.replica_cpu
+    physical_cpu = physical.accounting.replica_cpu
     print(
         f"\nreplica CPU for 300 docs — logical: {logical_cpu:,.0f} units, "
         f"physical: {physical_cpu:,.0f} units "

@@ -15,117 +15,53 @@ the real storage engine, inverted into QPS.
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from benchmarks.conftest import fmt, print_table
-from repro import ESDB, EsdbConfig
-from repro.cluster import ClusterTopology
-from repro.routing import DoubleHashRouting, DynamicSecondaryHashRouting, HashRouting
-from repro.workload import TransactionLogGenerator, WorkloadConfig
-
-NUM_SHARDS = 64
-NUM_NODES = 8
-NUM_TENANTS = 5_000
-NUM_DOCS = 40_000
-RANKS = (1, 5, 20, 100, 500, 2000)
-QUERIES_PER_RANK = 8
-
-TOPOLOGY = ClusterTopology(num_nodes=NUM_NODES, num_shards=NUM_SHARDS)
-
-
-def _build_instance(policy) -> ESDB:
-    db = ESDB(EsdbConfig(topology=TOPOLOGY, auto_refresh_every=4096), policy=policy)
-    generator = TransactionLogGenerator(
-        WorkloadConfig(num_tenants=NUM_TENANTS, theta=1.0, seed=11)
-    )
-    for i in range(NUM_DOCS):
-        db.write(generator.generate(created_time=i * 0.001))
-    # Dynamic policy: let the balancer split the hot tenants, then write a
-    # second wave so large tenants actually occupy their widened ranges.
-    committed = db.rebalance()
-    if committed:
-        start = db.now + max(t for _, _, t in committed)
-        for i in range(NUM_DOCS // 4):
-            db.write(generator.generate(created_time=start + 1.0 + i * 0.001))
-    db.refresh()
-    return db
+from repro.experiments import run
 
 
 @pytest.fixture(scope="module")
-def instances():
-    return {
-        "hashing": _build_instance(HashRouting(NUM_SHARDS)),
-        "double-hashing": _build_instance(DoubleHashRouting(NUM_SHARDS, offset=8)),
-        "dynamic-secondary-hashing": _build_instance(
-            DynamicSecondaryHashRouting(NUM_SHARDS)
-        ),
-    }
+def fig16(scale):
+    result = run("fig16", scale)
+    print(result.render())
+    return result.values
 
 
-def _measure_qps(db: ESDB, tenant_rank: int) -> float:
-    """Average single-client QPS for the paper's template query."""
-    sql = (
-        f"SELECT * FROM transaction_logs WHERE tenant_id = {tenant_rank} "
-        "AND created_time BETWEEN 0 AND 100000 LIMIT 100"
-    )
-    start = time.perf_counter()
-    for _ in range(QUERIES_PER_RANK):
-        db.execute_sql(sql)
-    elapsed = time.perf_counter() - start
-    return QUERIES_PER_RANK / elapsed
+def _big_and_small(fig16) -> tuple:
+    """The largest and the smallest tenant rank measured."""
+    ranks = list(fig16["fanout"]["hashing"])
+    return ranks[0], ranks[-1]
 
 
-def test_fig16_query_throughput_by_tenant_rank(benchmark, instances):
-    qps = {name: {} for name in instances}
-    for name, db in instances.items():
-        for rank in RANKS:
-            qps[name][rank] = _measure_qps(db, rank)
-    benchmark.pedantic(
-        lambda: _measure_qps(instances["dynamic-secondary-hashing"], RANKS[0]),
-        rounds=1,
-        iterations=1,
-    )
-
-    rows = [
-        (
-            rank,
-            *(fmt(qps[name][rank], 0) for name in instances),
-            *(
-                instances[name].tenant_fanout(rank)
-                for name in instances
-            ),
-        )
-        for rank in RANKS
-    ]
-    print_table(
-        "Figure 16: query throughput (QPS, single client) and subquery fan-out "
-        "by ranked tenant",
-        ["rank"] + [f"{n} qps" for n in instances] + [f"{n} fanout" for n in instances],
-        rows,
-    )
-
-    small = RANKS[-1]
+def test_fig16_subquery_fanout_by_tenant_rank(fig16):
+    fanout = fig16["fanout"]
+    big, small = _big_and_small(fig16)
     # Small tenants: double hashing pays 8 subqueries; hashing and dynamic
-    # pay one — the paper reports dynamic ≈ hashing, +63% over double there.
-    assert instances["double-hashing"].tenant_fanout(small) == 8
-    assert instances["dynamic-secondary-hashing"].tenant_fanout(small) == 1
+    # pay one.
+    assert fanout["double-hashing"][small] == 8
+    assert fanout["dynamic-secondary-hashing"][small] == 1
+    # Large tenants: dynamic fans out (>1 subquery).
+    assert fanout["dynamic-secondary-hashing"][big] > 1
+
+
+def test_fig16_query_throughput_by_tenant_rank(fig16, clocks):
+    qps = fig16["qps"]
+    big, small = _big_and_small(fig16)
+    # Small tenants: the paper reports dynamic ≈ hashing, +63% over double
+    # hashing there.
     assert qps["dynamic-secondary-hashing"][small] > qps["double-hashing"][small] * 1.3
     ratio_small = (
         qps["dynamic-secondary-hashing"][small] / qps["hashing"][small]
     )
     assert 0.7 < ratio_small < 1.4  # dynamic ≈ hashing for small tenants
 
-    # Large tenants: dynamic fans out (>1 subquery) but must not collapse —
-    # no significant drop versus hashing (paper's claim; shards are smaller).
-    big = RANKS[0]
-    assert instances["dynamic-secondary-hashing"].tenant_fanout(big) > 1
+    # Large tenants must not collapse — no significant drop versus hashing
+    # (paper's claim; shards are smaller).
     assert qps["dynamic-secondary-hashing"][big] > qps["hashing"][big] * 0.5
     # Double hashing is the lowest-QPS policy outside the extreme head —
     # for every tenant whose data fits one shard it pays 8 subqueries for
     # nothing. (For the single largest tenant its smaller shards can win.)
-    for rank in RANKS:
+    for rank in qps["hashing"]:
         if rank < 20:
             continue
         best_other = max(qps["hashing"][rank], qps["dynamic-secondary-hashing"][rank])

@@ -9,173 +9,38 @@ Paper shape: average latency of the top-100 tenants drops by up to 94.1%.
 
 from __future__ import annotations
 
-import random
 import statistics
-import time
 
 import pytest
 
-from benchmarks.conftest import fmt, print_table
-from repro import ESDB, EsdbConfig
-from repro.cluster import ClusterTopology
-from repro.workload import TransactionLogGenerator, WorkloadConfig
-from repro.workload.zipf import ZipfSampler
-
-NUM_SHARDS = 16
-NUM_TENANTS = 500
-NUM_DOCS = 20_000
-TOP_TENANTS = 15
-QUERIES_PER_TENANT = 12
-INDEXED_TOP_K = 30
-
-TOPOLOGY = ClusterTopology(num_nodes=4, num_shards=NUM_SHARDS)
-
-
-def _indexed_names() -> frozenset:
-    return frozenset(
-        TransactionLogGenerator.subattribute_name(rank)
-        for rank in range(1, INDEXED_TOP_K + 1)
-    )
-
-
-def _build(indexed: frozenset | None) -> ESDB:
-    db = ESDB(
-        EsdbConfig(
-            topology=TOPOLOGY,
-            indexed_subattributes=indexed,
-            auto_refresh_every=4096,
-        )
-    )
-    generator = TransactionLogGenerator(
-        WorkloadConfig(num_tenants=NUM_TENANTS, theta=1.0, seed=23)
-    )
-    for i in range(NUM_DOCS):
-        db.write(generator.generate(created_time=i * 0.001))
-    db.refresh()
-    return db
-
-
-def _query_set(seed: int) -> dict:
-    """Per-tenant queries: the template filter plus one Zipf-sampled
-    sub-attribute filter (as in §6.3.3)."""
-    rng = random.Random(seed)
-    subattr_sampler = ZipfSampler(1500, 1.0, seed=seed)
-    queries = {}
-    for tenant in range(1, TOP_TENANTS + 1):
-        sqls = []
-        for _ in range(QUERIES_PER_TENANT):
-            name = TransactionLogGenerator.subattribute_name(
-                subattr_sampler.sample_rank()
-            )
-            sqls.append(
-                f"SELECT * FROM transaction_logs WHERE tenant_id = {tenant} "
-                f"AND created_time BETWEEN 0 AND 100000 "
-                f"AND ATTR({name}) = 'v{rng.randint(0, 9)}' LIMIT 100"
-            )
-        queries[tenant] = sqls
-    return queries
-
-
-def _run(db: ESDB, queries: dict) -> dict:
-    per_tenant = {}
-    pooled = []
-    for tenant, sqls in queries.items():
-        samples = []
-        for sql in sqls:
-            start = time.perf_counter()
-            db.execute_sql(sql)
-            samples.append((time.perf_counter() - start) * 1000.0)
-        per_tenant[tenant] = statistics.fmean(samples)
-        pooled.extend(samples)
-    return {"per_tenant": per_tenant, "pooled": pooled}
+from repro.experiments import run
 
 
 @pytest.fixture(scope="module")
-def measurements():
-    queries = _query_set(seed=31)
-    with_index_db = _build(_indexed_names())
-    without_index_db = _build(frozenset())  # no sub-attribute indexed at all
-    full_index_db = _build(None)  # every one of the 1500 names indexed
-    with_index = _run(with_index_db, queries)
-    without_index = _run(without_index_db, queries)
-    overhead = _storage_overheads(with_index_db, without_index_db, full_index_db)
-    return with_index, without_index, overhead
+def fig18(scale):
+    result = run("fig18", scale)
+    print(result.render())
+    return result.values
 
 
-def _storage_overheads(with_db: ESDB, without_db: ESDB, full_db: ESDB) -> dict:
-    """Two storage views of frequency-based indexing:
-
-    * ``vs_baseline`` — index memory added by the top-30 indices relative to
-      no sub-attribute indexing (the paper quotes 6.7% of the *total*
-      production footprint; our synthetic docs have a far smaller
-      non-attribute footprint, so this ratio runs higher here);
-    * ``vs_full`` — top-30 index cost as a fraction of indexing all 1500
-      sub-attributes, the alternative the paper calls unacceptable.
-    """
-    with_mem = sum(e.index_memory() for e in with_db.engines.values())
-    without_mem = sum(e.index_memory() for e in without_db.engines.values())
-    full_mem = sum(e.index_memory() for e in full_db.engines.values())
-    return {
-        "vs_baseline": (with_mem - without_mem) / max(without_mem, 1),
-        "vs_full": (with_mem - without_mem) / max(full_mem - without_mem, 1),
-    }
-
-
-def test_fig18a_average_latency(benchmark, measurements):
-    with_index, without_index, overhead = measurements
-    benchmark.pedantic(lambda: measurements, rounds=1, iterations=1)
-
-    rows = []
-    for tenant in sorted(with_index["per_tenant"])[:10]:
-        off = without_index["per_tenant"][tenant]
-        on = with_index["per_tenant"][tenant]
-        rows.append((tenant, fmt(off, 2), fmt(on, 2), f"{(1 - on / off) * 100:.0f}%"))
-    print_table(
-        "Figure 18a: avg query latency (ms) per top tenant — frequency indices off/on",
-        ["tenant rank", "no subattr index", "top-30 indexed", "reduction"],
-        rows,
-    )
-    avg_off = statistics.fmean(without_index["pooled"])
-    avg_on = statistics.fmean(with_index["pooled"])
-    print(
-        f"overall avg latency reduction: {(1 - avg_on / avg_off) * 100:.1f}% "
-        f"(paper: 94.1%); storage overhead vs no subattr indexing: "
-        f"{overhead['vs_baseline'] * 100:.1f}% (paper: 6.7% of total footprint); "
-        f"top-30 index = {overhead['vs_full'] * 100:.1f}% of the full-1500 "
-        "index cost"
-    )
-
-    # Indexing the hot sub-attributes must cut the average latency hard.
-    assert avg_on < avg_off * 0.6
+def test_fig18_storage_overhead(fig18):
     # The point of frequency-based indexing: the top-30 selection (2% of the
     # 1500 names) costs well under the full indexing bill while serving the
     # bulk of the (Zipf-skewed) query traffic. With Zipf(1) occurrence
     # frequencies the top 30 carry ≈half the posting mass, so the saving is
     # bounded by that share.
-    assert overhead["vs_full"] < 0.75
+    assert fig18["storage"]["vs_full"] < 0.75
 
 
-def test_fig18b_latency_quantiles(measurements, benchmark):
-    with_index, without_index, _ = measurements
-    benchmark(lambda: None)
+def test_fig18a_average_latency(fig18, clocks):
+    avg_off = statistics.fmean(fig18["without"]["pooled"])
+    avg_on = statistics.fmean(fig18["with"]["pooled"])
+    # Indexing the hot sub-attributes must cut the average latency hard.
+    assert avg_on < avg_off * 0.6
 
-    def quantile(values, q):
-        ordered = sorted(values)
-        return ordered[min(int(q * len(ordered)), len(ordered) - 1)]
 
-    rows = [
-        (
-            f"p{int(q * 100)}",
-            fmt(quantile(without_index["pooled"], q), 2),
-            fmt(quantile(with_index["pooled"], q), 2),
-        )
-        for q in (0.50, 0.90, 0.99)
-    ]
-    print_table(
-        "Figure 18b: query latency quantiles (ms) — frequency indices off/on",
-        ["quantile", "no subattr index", "top-30 indexed"],
-        rows,
-    )
+def test_fig18b_latency_quantiles(fig18, clocks):
+    with_index, without_index = fig18["quantiles"]["with"], fig18["quantiles"]["without"]
     # The median improves the most: most queries hit an indexed (hot)
     # sub-attribute thanks to the Zipf query distribution.
-    assert quantile(with_index["pooled"], 0.5) < quantile(without_index["pooled"], 0.5)
+    assert with_index[0.5] < without_index[0.5]

@@ -16,107 +16,36 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import fmt, print_table, workload
-from repro.routing import DynamicSecondaryHashRouting, HashRouting
-from repro.sim import SimulationConfig, WriteSimulation
-from repro.workload import SinglesDayScenario
-
-CONFIG = SimulationConfig(
-    sample_per_tick=1200, balance_window=10.0, consensus_interval=5.0
-)
-BASELINE_RATE = 40_000
-SPIKE_TIME = 300.0
-DURATION = 1500.0
-BASE_QUERY_MS = 40.0
-
-
-def make_scenario():
-    return SinglesDayScenario(
-        baseline_rate=BASELINE_RATE,
-        duration=DURATION,
-        spike_time=SPIKE_TIME,
-        spike_factor=10.0,
-        decay_seconds=120.0,
-        plateau_factor=3.2,
-        hotspot_shift=1500,
-    )
-
-
-def query_latency_ms(cpu_utilization: float) -> float:
-    """Average query latency from node utilization (M/M/1-style inflation,
-    capped — coordinators shed queries rather than queue unboundedly)."""
-    usable = min(cpu_utilization, 0.97)
-    return min(BASE_QUERY_MS / (1.0 - usable), BASE_QUERY_MS * 40)
-
-
-def run_spike(policy):
-    simulation = WriteSimulation(
-        policy, make_scenario(), config=CONFIG, workload=workload(1.0)
-    )
-    simulation.run()
-    return simulation
+from repro.experiments import run
+from repro.experiments.write_side import BASE_QUERY_MS
 
 
 @pytest.fixture(scope="module")
-def dynamic_run():
-    return run_spike(DynamicSecondaryHashRouting(CONFIG.num_shards))
+def fig19(scale):
+    result = run("fig19", scale)
+    print(result.render())
+    return result.values
 
 
-def test_fig19_spike_digested_after_adaptation(benchmark, dynamic_run):
-    benchmark.pedantic(lambda: dynamic_run, rounds=1, iterations=1)
-    sim = dynamic_run
-    delays = dict(sim.metrics.max_delay_series())
-    cpu_by_tick = {s.time: float(s.node_cpu.mean()) for s in sim.metrics.samples}
-
-    checkpoints = [
-        SPIKE_TIME - 60,
-        SPIKE_TIME + 30,
-        SPIKE_TIME + 120,
-        SPIKE_TIME + 300,
-        SPIKE_TIME + 600,
-        SPIKE_TIME + 1100,
-    ]
-    rows = [
-        (
-            f"t={int(t - SPIKE_TIME):+d}s",
-            fmt(delays[float(t)], 1),
-            fmt(query_latency_ms(cpu_by_tick[float(t)]), 0),
-        )
-        for t in checkpoints
-    ]
-    print_table(
-        "Figure 19: max write delay (s) and avg query latency (ms) around the "
-        "Single's Day kickoff (t=0 is midnight)",
-        ["time", "max write delay", "avg query latency"],
-        rows,
-    )
-    print(f"rules committed during the spike: {len(sim.rule_commits)}")
-
-    before = delays[SPIKE_TIME - 60]
-    peak = max(v for t, v in delays.items() if t >= SPIKE_TIME)
-    tail = delays[SPIKE_TIME + 1100]
+def test_fig19_spike_digested_after_adaptation(fig19):
+    spike, delays = fig19["spike"], fig19["delays"]
+    before = delays[spike - 60]
+    peak = max(v for t, v in delays.items() if t >= spike)
+    tail = delays[fig19["tail"]]
 
     # The spike produces a visible write-delay excursion...
     assert peak > before * 3
     # ...which the system digests: delays return to (near) baseline.
     assert tail < before + 2.0
     # Adaptation happened via committed rules after the spike.
-    assert any(t >= SPIKE_TIME for t, _, _ in sim.rule_commits)
+    assert any(t >= spike for t, _, _ in fig19["rule_commits"])
     # Query latency stays bounded throughout (paper: ≤164 ms).
-    worst_query = max(query_latency_ms(c) for c in cpu_by_tick.values())
-    assert worst_query <= BASE_QUERY_MS * 40
+    assert max(fig19["query_ms"].values()) <= BASE_QUERY_MS * 40
 
 
-def test_fig19_hashing_baseline_never_recovers(benchmark, dynamic_run):
+def test_fig19_hashing_baseline_never_recovers(fig19):
     """Contrast: without adaptive balancing the backlog persists far longer
     (the pre-ESDB '100 minutes of write delay' experience)."""
-    hashing_run = run_spike(HashRouting(CONFIG.num_shards))
-    benchmark.pedantic(lambda: hashing_run, rounds=1, iterations=1)
-
-    dyn_tail = dict(dynamic_run.metrics.max_delay_series())[SPIKE_TIME + 1100]
-    hash_tail = dict(hashing_run.metrics.max_delay_series())[SPIKE_TIME + 1100]
-    print(
-        f"\nmax write delay 1100s after midnight — dynamic: {dyn_tail:.1f}s, "
-        f"hashing: {hash_tail:.1f}s"
-    )
+    dyn_tail = fig19["delays"][fig19["tail"]]
+    hash_tail = fig19["hashing_delays"][fig19["tail"]]
     assert hash_tail > dyn_tail + 10.0

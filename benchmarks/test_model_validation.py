@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import fmt, print_table
+from repro.experiments.base import ExperimentResult, fmt
 from repro.routing import DoubleHashRouting, HashRouting
 from repro.sim import SimulationConfig, WriteSimulation
 from repro.sim.microsim import MicroWriteSimulation
@@ -68,12 +68,13 @@ def test_model_validation_throughput_agreement(benchmark, sweep):
                 f"{micro.throughput / max(fluid.throughput, 1e-9):.2f}",
             )
         )
-    print_table(
+    print(ExperimentResult(
+        "model-validation",
         "Model validation: per-write micro-sim vs fluid-flow model "
         f"(4 nodes / 64 shards, θ={WORKLOAD.theta})",
         ["policy", "offered rate", "micro TPS", "fluid TPS", "micro/fluid"],
         rows,
-    )
+    ).render())
 
     for (name, rate), (micro, fluid) in sweep.items():
         if rate == RATES[0]:

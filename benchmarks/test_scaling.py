@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import fmt, print_table, workload
+from repro.experiments.base import ExperimentResult, fmt
+from repro.experiments.write_side import workload
 from repro.routing import DynamicSecondaryHashRouting, HashRouting
 from repro.sim import SimulationConfig, WriteSimulation
 from repro.workload import StaticScenario
@@ -65,11 +66,12 @@ def test_scaling_dynamic_beats_hashing_at_every_size(benchmark, sweep):
                 len(dynamic_sim.rule_commits),
             )
         )
-    print_table(
+    print(ExperimentResult(
+        "scaling",
         f"Scaling sweep at θ={THETA}: hashing vs dynamic secondary hashing",
         ["cluster", "hashing TPS", "dynamic TPS", "gain", "rules"],
         rows,
-    )
+    ).render())
     for (num_nodes, _), result in sweep.items():
         hashing_report, _ = result["hashing"]
         dynamic_report, dynamic_sim = result["dynamic"]

@@ -8,9 +8,8 @@ evaluation can be regenerated outside pytest::
     python -m repro.experiments fig11 --scale small
     python -m repro.experiments all --scale tiny
 
-The pytest benchmarks under ``benchmarks/`` additionally assert each
-figure's qualitative shape; these harnesses are the library-level way to
-get the numbers.
+These are the figures' only definition: each ``benchmarks/test_figNN_*``
+file asserts the qualitative shape on ``run("figNN", scale).values``.
 """
 
 import inspect

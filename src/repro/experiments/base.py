@@ -13,7 +13,8 @@ class Scale(enum.Enum):
     """How big to run an experiment.
 
     * ``tiny`` — seconds; CI smoke runs.
-    * ``small`` — tens of seconds; the default, matches the benchmark suite.
+    * ``small`` — tens of seconds; the default, and the inputs the
+      ``benchmarks/test_figNN_*`` files assert on.
     * ``paper`` — the paper's full durations/rates where feasible (the
       simulator runs them; engine-backed experiments clamp the corpus to
       what a single Python process can hold and say so in the notes).
@@ -30,13 +31,18 @@ class Scale(enum.Enum):
 
 @dataclass
 class ExperimentResult:
-    """One regenerated figure: a titled table plus free-form notes."""
+    """One regenerated figure: a titled table plus free-form notes.
+
+    *values* holds the numbers behind the table, by name (reports, series,
+    per-tenant latency lists, counts), for the benchmarks to assert on.
+    """
 
     figure: str
     title: str
     headers: list
     rows: list
     notes: list = field(default_factory=list)
+    values: dict = field(default_factory=dict)
 
     def render(self) -> str:
         widths = [
@@ -52,31 +58,6 @@ class ExperimentResult:
             lines.append("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
         for note in self.notes:
             lines.append(f"note: {note}")
-        return "\n".join(lines)
-
-    def render_chart(self, value_column: int = 1, width: int = 50) -> str:
-        """Render one numeric column as a horizontal ASCII bar chart.
-
-        Labels come from column 0; *value_column* selects the series. Rows
-        whose value does not parse as a number are skipped. Figures in a
-        terminal-only environment still deserve a visual.
-        """
-        series: list[tuple[str, float]] = []
-        for row in self.rows:
-            try:
-                value = float(str(row[value_column]).replace(",", "").rstrip("%x"))
-            except (ValueError, IndexError):
-                continue
-            series.append((str(row[0]), value))
-        if not series:
-            return f"=== {self.figure}: {self.title} === (no numeric data)"
-        peak = max(abs(v) for _, v in series) or 1.0
-        label_width = max(len(label) for label, _ in series)
-        header = str(self.headers[value_column]) if value_column < len(self.headers) else ""
-        lines = [f"=== {self.figure}: {self.title} — {header} ==="]
-        for label, value in series:
-            bar = "█" * max(int(abs(value) / peak * width), 1 if value else 0)
-            lines.append(f"{label.rjust(label_width)} | {bar} {value:,.4g}")
         return "\n".join(lines)
 
 

@@ -57,13 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--chart",
-        type=int,
-        metavar="COLUMN",
-        default=None,
-        help="also render the given table column as an ASCII bar chart",
-    )
-    parser.add_argument(
         "--profile",
         metavar="OUT_JSON",
         default=None,
@@ -126,8 +119,6 @@ def main(argv: list | None = None) -> int:
             )
             elapsed = time.perf_counter() - start
             print(result.render())
-            if args.chart is not None:
-                print(result.render_chart(args.chart))
             print(f"({elapsed:.1f}s at scale={args.scale})\n")
     finally:
         if args.dashboard or args.history:

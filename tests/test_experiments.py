@@ -63,7 +63,7 @@ class TestResultRendering:
 class TestTinyRuns:
     """Smoke-run the cheap experiments end to end at tiny scale."""
 
-    @pytest.mark.parametrize("figure", ["fig01", "fig16"])
+    @pytest.mark.parametrize("figure", ["fig01"])
     def test_instant_figures(self, figure):
         result = run(figure, scale="tiny")
         assert result.figure == figure
@@ -71,14 +71,14 @@ class TestTinyRuns:
 
     def test_fig16_paper_scale_gain_note(self):
         result = run("fig16", scale="tiny")
+        assert result.rows
+        assert set(result.values["fanout"]["double-hashing"].values()) == {8}
         assert any("double hashing" in note for note in result.notes)
 
-    def test_fig13_runs_and_orders_policies(self):
-        result = run("fig13", scale="tiny")
-        policies = [row[0] for row in result.rows]
-        assert policies == [
-            "hashing", "double-hashing", "dynamic-secondary-hashing",
-        ]
+    def test_same_comparison_is_simulated_once(self):
+        fig10 = run("fig10", scale="tiny").values["reports"]
+        fig12 = run("fig12", scale="tiny").values["reports"]
+        assert fig10[160_000] is fig12[1.0]
 
 
 class TestCli:
@@ -98,33 +98,3 @@ class TestCli:
         assert main(["fig01", "--scale", "tiny"]) == 0
         out = capsys.readouterr().out
         assert "fig01" in out and "top-10 share" in out
-
-
-class TestChartRendering:
-    def _result(self):
-        return ExperimentResult(
-            figure="figX",
-            title="demo",
-            headers=["rank", "qps"],
-            rows=[(1, "1,000"), (10, "500"), (100, "50")],
-        )
-
-    def test_chart_contains_bars_and_values(self):
-        chart = self._result().render_chart(1)
-        assert "█" in chart
-        assert "1,000".replace(",", "") in chart.replace(",", "")
-
-    def test_chart_scales_to_peak(self):
-        lines = self._result().render_chart(1, width=10).splitlines()
-        first_bar = lines[1].count("█")
-        last_bar = lines[3].count("█")
-        assert first_bar == 10
-        assert last_bar >= 1
-
-    def test_chart_skips_non_numeric(self):
-        result = ExperimentResult("f", "t", ["a", "b"], [("x", "not-a-number")])
-        assert "no numeric data" in result.render_chart(1)
-
-    def test_cli_chart_flag(self, capsys):
-        assert main(["fig01", "--scale", "tiny", "--chart", "1"]) == 0
-        assert "█" in capsys.readouterr().out

@@ -306,3 +306,84 @@ class TestFacadeBranchesOnNoConsumer:
             and node.attr in self.HANDLES
         }
         assert reads == self.ALLOWED
+
+
+class TestOneDefinitionPerFigure:
+    """Each paper figure is defined once, in ``repro.experiments``: fig01 and
+    fig10–fig19 each have exactly one ``benchmarks/test_figNN_*.py``, which
+    gets its figure from ``repro.experiments.run("figNN", scale)`` and
+    builds no instance, simulation, routing policy or workload of its own.
+    Fig 15's real-engine replica-CPU cross-check is the one exception: it is
+    not a figure series."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+    FIGURES = ("fig01",) + tuple(f"fig{n}" for n in range(10, 20))
+    EXCEPTIONS = frozenset({"test_fig15_real_engine_cpu_accounting"})
+
+    @staticmethod
+    def _builders() -> frozenset:
+        import repro.routing
+        import repro.sim
+        import repro.workload
+
+        policies = {
+            name
+            for name in repro.routing.__all__
+            if isinstance(getattr(repro.routing, name), type)
+            and issubclass(getattr(repro.routing, name), repro.routing.RoutingPolicy)
+        }
+        return frozenset(
+            {"ESDB", "EsdbConfig"} | policies | set(repro.sim.__all__) | set(repro.workload.__all__)
+        )
+
+    def _figure_file(self, figure: str) -> Path:
+        files = sorted((self.ROOT / "benchmarks").glob(f"test_{figure}_*.py"))
+        assert len(files) == 1, f"{figure}: {[f.name for f in files]}"
+        return files[0]
+
+    @staticmethod
+    def _called(node) -> str | None:
+        func = node.func
+        return getattr(func, "id", None) or getattr(func, "attr", None)
+
+    @pytest.mark.parametrize("figure", FIGURES)
+    def test_figure_file_calls_experiments_run(self, figure):
+        tree = ast.parse(self._figure_file(figure).read_text())
+        imported = any(
+            isinstance(node, ast.ImportFrom)
+            and node.module == "repro.experiments"
+            and any(alias.name == "run" and alias.asname is None for alias in node.names)
+            for node in tree.body
+        )
+        calls = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "run"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value == figure
+        ]
+        assert imported and calls, f"{figure} does not call repro.experiments.run({figure!r}, ...)"
+
+    @pytest.mark.parametrize("figure", FIGURES)
+    def test_figure_file_builds_nothing(self, figure):
+        tree = ast.parse(self._figure_file(figure).read_text())
+        skipped = {
+            id(inner)
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in self.EXCEPTIONS
+            for inner in ast.walk(node)
+        }
+        builders = self._builders()
+        built = sorted(
+            {
+                self._called(node)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and id(node) not in skipped
+                and self._called(node) in builders
+            }
+        )
+        assert not built, f"{figure} builds {built} instead of running repro.experiments"
