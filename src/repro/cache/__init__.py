@@ -7,14 +7,18 @@ query templates (the §6 workload: 1000 near-identical queries per tenant):
    ``(segment_id, normalized filter)``. Segments are immutable, so entries
    live until a delete dirties the segment or a merge retires it.
 2. :class:`ShardRequestCache` — full per-shard subquery results keyed by
-   statement fingerprint + engine read generation, stored from a
-   statement's second sighting on (a doorkeeper of recent fingerprints);
-   invalidated through the engine's ``on_refresh``/``on_merge`` hooks.
+   statement identity + engine read generation, stored from a statement's
+   second sighting on (a doorkeeper of recent identities); invalidated
+   through the engine's ``on_refresh``/``on_merge`` hooks.
 3. :class:`CoordinatorResultCache` — whole fan-out results in the ESDB
-   facade keyed by ``(sql fingerprint, rule-list version)``; the rule
+   facade keyed by ``(statement identity, rule-list version)``; the rule
    list's monotone version counter makes any routing change invalidate
    every dependent entry atomically, and per-shard generation validators
-   preserve read-your-writes as data refreshes.
+   preserve read-your-writes as data refreshes. A hit is one LRU probe.
+
+A statement's identity is the ``sql:`` fingerprint of its text, which the
+facade memoizes per text (:func:`sql_fingerprint`), so a repeat digests
+nothing.
 
 All levels evict LRU within a byte budget, each entry priced by its caller
 (``rows_cost`` / ``posting_cost``), and report hit/miss/eviction

@@ -2,14 +2,16 @@
 
 Three key spaces, each prefixed so they can never collide:
 
-* ``sql:`` — whitespace-normalized SQL text, the coordinator result
-  cache's only key. Computed *before* parsing, so a result-cache hit skips
-  the whole parse → rewrite → plan → execute pipeline. Normalization is
-  semantics-preserving only (whitespace outside string literals); two
-  queries differing in a literal's case or spacing stay distinct.
-* ``stmt:`` — a parsed (post-Xdriver4ES-rewrite) ``SelectStatement``. Used
-  only by the shard request cache: the statement fully determines the
-  per-shard subquery (filters, projection, pushdown limit, order).
+* ``sql:`` — whitespace-normalized SQL text: a statement's *identity*, the
+  key of both statement caches (the coordinator result cache and the shard
+  request cache). Computed *before* parsing, so a result-cache hit skips
+  the whole parse → rewrite → plan → execute pipeline, and memoized per
+  text by its caller, so a repeated text is normalized and digested once.
+  Normalization is semantics-preserving only (whitespace outside string
+  literals); two queries differing in a literal's case or spacing stay
+  distinct. Equal identities therefore parse to equal statements.
+* ``stmt:`` — a parsed ``SelectStatement``, for a caller that holds a
+  statement without its text. No cache level keys on it.
 * ``filter:`` — one normalized leaf filter of a physical plan, the unit the
   segment filter cache stores posting lists under.
 
@@ -22,9 +24,13 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections import OrderedDict
 from typing import Any
 
 _DIGEST_CHARS = 20
+
+#: Most SQL texts an identity memo remembers; the oldest goes.
+SQL_IDENTITIES = 4096
 
 #: A SQL string literal, in the parser's own grammar ('' escapes a quote).
 _LITERAL_RE = re.compile(r"('(?:[^']|'')*')")
@@ -46,9 +52,19 @@ def normalize_sql(sql: str) -> str:
     return "".join(pieces).strip()
 
 
-def sql_fingerprint(sql: str) -> str:
-    """Fingerprint of one SQL string (whitespace-insensitive)."""
-    return "sql:" + _digest(normalize_sql(sql))
+def sql_fingerprint(sql: str, identities: OrderedDict | None = None) -> str:
+    """Identity of one SQL string (whitespace-insensitive). *identities* is
+    the caller's memo of text → identity, kept to :data:`SQL_IDENTITIES`
+    texts; a text it holds is neither normalized nor digested again. Racing
+    callers can at worst compute one identity twice."""
+    identity = identities.get(sql) if identities is not None else None
+    if identity is None:
+        identity = "sql:" + _digest(normalize_sql(sql))
+        if identities is not None:
+            identities[sql] = identity
+            if len(identities) > SQL_IDENTITIES:
+                identities.popitem(last=False)
+    return identity
 
 
 def statement_fingerprint(statement: Any) -> str:

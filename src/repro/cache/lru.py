@@ -142,39 +142,24 @@ class LruCache:
     def __contains__(self, key: Any) -> bool:
         return key in self._entries
 
-    def get(self, key: Any):
-        """Return the cached value or None; a hit refreshes recency."""
+    def get(self, key: Any, valid: Callable[[Any, Any], bool] | None = None, against=None):
+        """Return the cached value or None; a hit refreshes recency. One
+        probe: a value for which ``valid(value, against)`` is false is
+        dropped (an invalidation) and counts as a miss."""
         with self._mutex:
             entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                self._miss_counter.inc()
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            self._hit_counter.inc()
-            return entry[0]
-
-    def peek(self, key: Any):
-        """Like :meth:`get` but without touching recency or statistics."""
-        with self._mutex:
-            entry = self._entries.get(key)
-            return entry[0] if entry is not None else None
-
-    def touch(self, key: Any) -> None:
-        """Refresh *key*'s recency without counting a hit."""
-        with self._mutex:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-
-    def record_hit(self) -> None:
-        """Explicit accounting for callers that look up via :meth:`peek`."""
-        self.stats.hits += 1
-        self._hit_counter.inc()
-
-    def record_miss(self) -> None:
-        self.stats.misses += 1
-        self._miss_counter.inc()
+            if entry is not None:
+                if valid is None or valid(entry[0], against):
+                    self._entries.move_to_end(key)
+                    self.stats.hits += 1
+                    self._hit_counter.inc()
+                    return entry[0]
+                del self._entries[key]
+                self._account(-entry[1])
+                self.stats.invalidations += 1
+            self.stats.misses += 1
+            self._miss_counter.inc()
+            return None
 
     def put(self, key: Any, value: Any, cost: int) -> bool:
         """Insert *value* under *key*, charged *cost* bytes; returns False

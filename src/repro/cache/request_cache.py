@@ -1,19 +1,23 @@
 """Level 2: the shard request cache.
 
 Caches one shard's full subquery result — ``(fetched source rows, matched
-count)`` — keyed by ``(shard_id, statement fingerprint, generation)``. The
-generation is the shard engine's read generation (bumped by refresh and by
-segment-level deletes), so an entry can only ever be served against the
-exact searchable state it was computed from; this mirrors Elasticsearch's
-shard request cache, which keys on the reader and invalidates on refresh.
+count)`` — keyed by ``(shard_id, statement identity, generation)``. The
+identity is the memoized ``sql:`` fingerprint of the statement's text, as
+in the result cache: equal normalized text rewrites to an equal statement,
+so to equal per-shard rows, and a fan-out digests nothing to reach this
+level. The generation is the shard engine's read generation (bumped by
+refresh and by segment-level deletes), so an entry can only ever be served
+against the exact searchable state it was computed from; this mirrors
+Elasticsearch's shard request cache, which keys on the reader and
+invalidates on refresh.
 
 A statement is stored from its second sighting on. Application traffic
 varies its literals from call to call, so most statements are never seen
 again, and storing them only prices rows, fills the budget and evicts
 entries something might still read. A doorkeeper (TinyLFU's filter of keys
-seen once) records the last :data:`SEEN_STATEMENTS` fingerprints the facade
-asked :meth:`ShardRequestCache.admit` about, once per fan-out; only a
-fingerprint already in it is stored. Lookups do not consult it: a statement
+seen once) records the last :data:`SEEN_STATEMENTS` identities the facade
+asked :meth:`ShardRequestCache.admit` about, once per fan-out; only an
+identity already in it is stored. Lookups do not consult it: a statement
 the doorkeeper forgot still finds its live entries.
 
 The cache additionally invalidates a shard's entries *eagerly* through the
@@ -34,12 +38,12 @@ from collections import OrderedDict
 from repro.cache.lru import LruCache
 from repro.telemetry.runtime import NULL_REGISTRY
 
-#: Most statement fingerprints the doorkeeper remembers; the oldest goes.
+#: Most statement identities the doorkeeper remembers; the oldest goes.
 SEEN_STATEMENTS = 4096
 
 
 class ShardRequestCache:
-    """Per-shard subquery results keyed by fingerprint + generation."""
+    """Per-shard subquery results keyed by statement identity + generation."""
 
     def __init__(self, max_bytes: int, *, metrics=NULL_REGISTRY) -> None:
         self._lru = LruCache(
@@ -56,26 +60,26 @@ class ShardRequestCache:
     def __len__(self) -> int:
         return len(self._lru)
 
-    def admit(self, fingerprint: str) -> bool:
-        """Whether a fan-out of *fingerprint* stores its subqueries: True
+    def admit(self, identity: str) -> bool:
+        """Whether a fan-out of *identity* stores its subqueries: True
         when the statement was asked about before; otherwise remember it
         (forgetting the oldest past :data:`SEEN_STATEMENTS`) and say no."""
         seen = self._seen
         with self._seen_mutex:
-            if fingerprint in seen:
+            if identity in seen:
                 return True
-            seen[fingerprint] = None
+            seen[identity] = None
             if len(seen) > SEEN_STATEMENTS:
                 seen.popitem(last=False)
             return False
 
-    def get(self, shard_id: int, fingerprint: str, generation: object):
-        return self._lru.get((shard_id, fingerprint, generation))
+    def get(self, shard_id: int, identity: str, generation: object):
+        return self._lru.get((shard_id, identity, generation))
 
     def put(
-        self, shard_id: int, fingerprint: str, generation: object, value, cost: int
+        self, shard_id: int, identity: str, generation: object, value, cost: int
     ) -> bool:
-        key = (shard_id, fingerprint, generation)
+        key = (shard_id, identity, generation)
         if not self._lru.put(key, value, cost=cost):
             return False
         self._by_shard.setdefault(shard_id, set()).add(key)

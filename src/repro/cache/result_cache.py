@@ -1,10 +1,12 @@
 """Level 3: the coordinator result cache.
 
 Caches whole fan-out results in the :class:`~repro.esdb.ESDB` facade, keyed
-by ``(sql fingerprint, rule-list version)``. An entry is opaque here: the
-facade stores the result together with what a hit still has to account
-for (the statement's tenant, ``ATTR`` keys and filter terms), and prices
-it by the result's rows.
+by ``(statement identity, rule-list version)``; the identity is the
+memoized ``sql:`` fingerprint of the statement's text
+(:func:`~repro.cache.fingerprint.sql_fingerprint`). An entry is opaque
+here: the facade stores the result together with what a hit still has to
+account for (the statement's tenant, ``ATTR`` keys and filter terms), and
+prices it by the result's rows.
 
 The rule-list version is the
 append-only :class:`~repro.routing.rules.RuleList`'s monotone counter: any
@@ -17,20 +19,20 @@ Routing is not the only thing that can invalidate a coordinator result:
 data visibility changes (refresh, segment delete) do too. Each entry
 therefore carries *validators* — the ``(shard_id, engine generation)``
 pairs observed at compute time — and a lookup revalidates them against the
-live engines before serving, dropping the entry on mismatch. This makes a
-hit safe without parsing the SQL at all.
+live engines inside its one LRU probe, dropping the entry on mismatch. This
+makes a hit safe without parsing the SQL at all.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Mapping
 
 from repro.cache.lru import LruCache
 from repro.telemetry.runtime import NULL_REGISTRY
 
 
 class CoordinatorResultCache:
-    """Query-result entries keyed by ``(fingerprint, rule-list version)``."""
+    """Query-result entries keyed by ``(identity, rule-list version)``."""
 
     def __init__(self, max_bytes: int, *, metrics=NULL_REGISTRY) -> None:
         self._lru = LruCache(max_bytes, level="result", metrics=metrics)
@@ -42,36 +44,27 @@ class CoordinatorResultCache:
     def __len__(self) -> int:
         return len(self._lru)
 
-    def get(
-        self,
-        fingerprint: str,
-        rule_version: int,
-        current_generation: Callable[[int], object],
-    ):
-        """Return the cached entry, or None. *current_generation* maps a
-        shard id to the engine's live read generation; any drift since the
-        entry was stored drops the entry (stale data)."""
-        key = (fingerprint, rule_version)
-        entry = self._lru.peek(key)
-        if entry is None:
-            self._lru.record_miss()
-            return None
-        value, validators = entry
-        for shard_id, generation in validators:
-            if current_generation(shard_id) != generation:
-                self._lru.pop(key)  # stale data: a would-be hit is a miss
-                self._lru.record_miss()
-                return None
-        self._lru.touch(key)
-        self._lru.record_hit()
-        return value
+    def get(self, identity: str, rule_version: int, engines: Mapping):
+        """Return the cached entry, or None. *engines* maps a shard id to
+        its live engine; an entry any of whose shards' read generation moved
+        since it was stored is dropped (stale data), a miss."""
+        entry = self._lru.get((identity, rule_version), _fresh, engines)
+        return entry[0] if entry is not None else None
 
     def put(
-        self, fingerprint: str, rule_version: int, value, validators: tuple, cost: int
+        self, identity: str, rule_version: int, value, validators: tuple, cost: int
     ) -> bool:
         """Store *value* with the ``(shard_id, generation)`` *validators*
         it was computed against, charged *cost* bytes."""
-        return self._lru.put((fingerprint, rule_version), (value, validators), cost=cost)
+        return self._lru.put((identity, rule_version), (value, validators), cost=cost)
 
     def clear(self) -> None:
         self._lru.clear()
+
+
+def _fresh(entry: tuple, engines: Mapping) -> bool:
+    """Whether *entry*'s ``(shard_id, generation)`` validators hold in *engines*."""
+    for shard_id, generation in entry[1]:
+        if engines[shard_id].generation != generation:
+            return False
+    return True

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple
 
@@ -35,7 +36,6 @@ from repro.cache import (
     ShardRequestCache,
     rows_cost,
     sql_fingerprint,
-    statement_fingerprint,
 )
 from repro.cluster import Cluster, ClusterTopology
 from repro.indexing import FrequencyTracker
@@ -300,6 +300,8 @@ class ESDB:
             for shard in self.cluster.shards
         }
         self._executors: dict[int, QueryExecutor] = {}  # see _serial_executor
+        #: SQL text -> its identity, the key of both statement caches
+        self._identities: OrderedDict[str, str] = OrderedDict()
         self.request_cache: ShardRequestCache | None = None
         self.result_cache: CoordinatorResultCache | None = None
         if caches:
@@ -744,9 +746,6 @@ class ESDB:
         rules = getattr(self.policy, "rules", None)
         return rules.version if rules is not None else 0
 
-    def _engine_generation(self, shard_id: int) -> int:
-        return self.engines[shard_id].generation
-
     def _execute_traced(self, tracer, sql: str) -> tuple[QueryResult, Span]:
         """The one query pipeline, behind :meth:`execute_sql` and
         :meth:`explain_analyze`: probe the result cache; on a miss, prepare
@@ -758,13 +757,11 @@ class ESDB:
         governor = self.governor
         result_cache = self.result_cache
         ctx = self._new_trace("query")
-        fingerprint = sql_fingerprint(sql)
+        identity = sql_fingerprint(sql, self._identities)
         with tracer.trace("query", ctx) as root:
-            key = (fingerprint, self._rule_version())
+            key = (identity, self._rule_version())
             cached = (
-                result_cache.get(*key, self._engine_generation)
-                if result_cache is not None
-                else None
+                result_cache.get(*key, self.engines) if result_cache is not None else None
             )
             if cached is None:
                 statement, plan, subattrs = self._prepare(tracer, sql)
@@ -784,13 +781,15 @@ class ESDB:
                         tenant=tenant, ctx=ctx, op="query", budget=exc.budget,
                     )
                     refused = Query(self._clock, ctx, self._emit_event, tenant, sql,
-                                    fingerprint, subattrs, (), root, None, 0)
+                                    identity, subattrs, (), root, None, 0)
                     for consumer in self.consumers:
                         consumer.on_query(refused)
                     raise
             if cached is None:
                 shard_ids = self._target_shards(self._shards_per_bound(bounds))
-                result = self._execute_fanout(tracer, root, statement, plan, shard_ids)
+                result = self._execute_fanout(
+                    tracer, root, identity, statement, plan, shard_ids
+                )
                 scanned = result.total_hits
                 terms = self._filter_terms(statement)
                 if result_cache is not None:
@@ -805,7 +804,7 @@ class ESDB:
             else:
                 # The whole fan-out is skipped: surface the hit as its own
                 # span where the executor subtree would have been.
-                with tracer.span("cache.hit", level="result", fingerprint=fingerprint):
+                with tracer.span("cache.hit", level="result", fingerprint=identity):
                     pass
                 root.tags["cache"] = "hit"
                 root.tags["fanout"] = result.subqueries
@@ -815,7 +814,7 @@ class ESDB:
             self._counters["esdb_subqueries_total"].inc(result.subqueries)
             if self.telemetry.enabled:
                 self._histograms["esdb_query_seconds"].observe(root.duration, ctx)
-        query = Query(self._clock, ctx, self._emit_event, tenant, sql, fingerprint,
+        query = Query(self._clock, ctx, self._emit_event, tenant, sql, identity,
                       subattrs, terms, root, result, scanned)
         for consumer in self.consumers:
             consumer.on_query(query)
@@ -860,12 +859,14 @@ class ESDB:
         self,
         tracer,
         root: Span,
+        identity: str,
         statement: SelectStatement,
         plan: PhysicalPlan,
         shard_ids: list[int],
     ) -> QueryResult:
         """Per-shard execution of a rewritten *statement*'s *plan* on
-        *shard_ids* (through the shard request cache) → aggregation."""
+        *shard_ids* (through the shard request cache, under the *identity*
+        of its text) → aggregation."""
         root.tags["fanout"] = len(shard_ids)
         aggregator = ResultAggregator(
             columns=statement.columns,
@@ -876,21 +877,17 @@ class ESDB:
         )
         push_limit = self._pushdown_limit(statement)
         request_cache = self.request_cache
-        statement_key = store_key = None
-        if request_cache is not None:
-            statement_key = statement_fingerprint(statement)
-            # Asked once per fan-out: another shard of a statement's first
-            # sighting is not its second.
-            if request_cache.admit(statement_key):
-                store_key = statement_key
+        # Asked once per fan-out: another shard of a statement's first
+        # sighting is not its second.
+        store_key = (
+            identity if request_cache is not None and request_cache.admit(identity) else None
+        )
         shard_results = []
         for shard_id in shard_ids:
             with tracer.span(f"query.shard[{shard_id}]") as sub_span:
                 engine = self.engines[shard_id]
-                if statement_key is not None:
-                    entry = request_cache.get(
-                        shard_id, statement_key, engine.generation
-                    )
+                if request_cache is not None:
+                    entry = request_cache.get(shard_id, identity, engine.generation)
                     if entry is not None:
                         # Subquery skipped: a cache.hit span stands in for
                         # the executor subtree.

@@ -3,6 +3,8 @@ the three cache levels in isolation."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cache import (
@@ -47,9 +49,7 @@ class TestLruCache:
         cache.put("b", 2, cost=40)
         cache.get("a")  # refresh a's recency: b is now LRU
         cache.put("c", 3, cost=40)  # over budget -> evict b
-        assert cache.peek("a") == 1
-        assert cache.peek("b") is None
-        assert cache.peek("c") == 3
+        assert cache.keys() == ["a", "c"]  # least recently used first
         assert cache.stats.evictions == 1
         assert cache.stats.bytes == 80
 
@@ -281,31 +281,45 @@ class TestShardRequestCache:
         assert cache.get(0, "stmt:x", 5) == (["new"], 1)
 
 
+def engines_at(**generations):
+    """Stand-ins for the live engines a result-cache probe reads: shard
+    ``s<id>`` at the given read generation."""
+    return {int(name[1:]): SimpleNamespace(generation=g) for name, g in generations.items()}
+
+
 class TestCoordinatorResultCache:
     def test_hit_requires_matching_generations(self):
         cache = CoordinatorResultCache(4096)
         result = object()
         cache.put("sql:q", 0, result, validators=((0, 1), (1, 2)), cost=64)
-        generations = {0: 1, 1: 2}
-        assert cache.get("sql:q", 0, generations.__getitem__) is result
-        generations[1] = 3  # shard 1 refreshed since
-        assert cache.get("sql:q", 0, generations.__getitem__) is None
+        engines = engines_at(s0=1, s1=2)
+        assert cache.get("sql:q", 0, engines) is result
+        engines[1].generation = 3  # shard 1 refreshed since
+        assert cache.get("sql:q", 0, engines) is None
         # The stale entry was dropped, not just skipped.
         assert cache.stats.invalidations == 1
+        assert len(cache) == 0 and cache.stats.bytes == 0
 
     def test_rule_version_is_part_of_the_key(self):
         cache = CoordinatorResultCache(4096)
         result = object()
         cache.put("sql:q", 0, result, validators=(), cost=64)
-        assert cache.get("sql:q", 1, lambda s: 0) is None
-        assert cache.get("sql:q", 0, lambda s: 0) is result
+        assert cache.get("sql:q", 1, {}) is None
+        assert cache.get("sql:q", 0, {}) is result
 
     def test_stale_lookup_counts_as_miss_not_hit(self):
         cache = CoordinatorResultCache(4096)
         cache.put("sql:q", 0, object(), validators=((0, 1),), cost=64)
-        cache.get("sql:q", 0, lambda s: 99)
+        cache.get("sql:q", 0, engines_at(s0=99))
         assert cache.stats.hits == 0
         assert cache.stats.misses == 1
+
+    def test_hit_refreshes_recency(self):
+        cache = CoordinatorResultCache(4096)
+        for name in ("sql:a", "sql:b"):
+            cache.put(name, 0, name, validators=(), cost=64)
+        cache.get("sql:a", 0, {})
+        assert cache._lru.keys() == [("sql:b", 0), ("sql:a", 0)]
 
 
 class TestCacheSwitch:

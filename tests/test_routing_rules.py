@@ -276,7 +276,7 @@ class TestCompactionWithCoordinatorCache:
         cache = CoordinatorResultCache(4096)
         fingerprint = sql_fingerprint("SELECT * FROM logs WHERE tenant_id = 't'")
         cache.put(fingerprint, rules.version, "result@v", validators=(), cost=64)
-        assert cache.get(fingerprint, rules.version, lambda s: 0) == "result@v"
+        assert cache.get(fingerprint, rules.version, {}) == "result@v"
         version_before = rules.version
         assert rules.compact() == 1
         # Match behaviour is unchanged...
@@ -284,7 +284,7 @@ class TestCompactionWithCoordinatorCache:
         assert rules.max_offset("t") == 16
         # ...but the version moved, so the cached entry is unreachable.
         assert rules.version > version_before
-        assert cache.get(fingerprint, rules.version, lambda s: 0) is None
+        assert cache.get(fingerprint, rules.version, {}) is None
 
     def test_end_to_end_compaction_recomputes_through_facade(self):
         from repro import ESDB, EsdbConfig
