@@ -19,6 +19,7 @@ from repro.balancer import BalancerConfig
 from repro.cluster import ClusterTopology
 from repro.query import QueryExecutor, RuleBasedOptimizer, Xdriver4ES, parse_sql
 from repro.query.optimizer import CatalogInfo
+from repro.telemetry import NULL_TELEMETRY
 from repro.workload import TransactionLogGenerator, WorkloadConfig
 
 
@@ -67,25 +68,17 @@ QUERIES = [
 
 
 def explain(db: ESDB, sql: str) -> None:
-    """Show Xdriver4ES's rewrite and the RBO's plan for one query."""
-    statement = parse_sql(sql)
-    translated = db.xdriver.translate(statement)
-    plan = db.optimizer.plan(translated.statement)
-    print(f"\nSQL: {sql}")
-    if translated.dsl is not None:
-        print(f"ES-DSL: {translated.dsl.to_json()}")
-        print(f"AST depth {translated.original_depth} -> "
-              f"{translated.original_depth - translated.depth_reduction}, "
-              f"width {translated.original_width} -> "
-              f"{translated.original_width - translated.width_reduction}")
-    print("plan:")
-    print("  " + plan.describe().replace("\n", "\n  "))
-    print(next(line for line in db.explain(sql).splitlines() if line.startswith("fan-out")))
+    """Show Xdriver4ES's rewrite, the RBO's plan and the fan-out for one
+    query, run it, and check its answer against its plan run on every
+    shard."""
+    print()
+    print(db.explain(sql))
     result = db.execute_sql(sql)
     print(f"rows={len(result.rows)} hits={result.total_hits} "
           f"subqueries={result.subqueries}")
     for row in result.rows[:3]:
         print(f"  {row}")
+    _, plan, _ = db.coordinator.prepare(NULL_TELEMETRY.tracer, sql)
     everywhere = sum(
         len(QueryExecutor(engine).execute(plan)[0]) for engine in db.engines.values()
     )

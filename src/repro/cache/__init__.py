@@ -10,14 +10,14 @@ query templates (the §6 workload: 1000 near-identical queries per tenant):
    statement identity + engine read generation, stored from a statement's
    second sighting on (a doorkeeper of recent identities); invalidated
    through the engine's ``on_refresh``/``on_merge`` hooks.
-3. :class:`CoordinatorResultCache` — whole fan-out results in the ESDB
-   facade keyed by ``(statement identity, rule-list version)``; the rule
+3. :class:`CoordinatorResultCache` — whole fan-out results in the query
+   coordinator keyed by ``(statement identity, rule-list version)``; the rule
    list's monotone version counter makes any routing change invalidate
    every dependent entry atomically, and per-shard generation validators
    preserve read-your-writes as data refreshes. A hit is one LRU probe.
 
 A statement's identity is the ``sql:`` fingerprint of its text, which the
-facade memoizes per text (:func:`sql_fingerprint`), so a repeat digests
+query coordinator memoizes per text (:func:`sql_fingerprint`), so a repeat digests
 nothing.
 
 All levels evict LRU within a byte budget, each entry priced by its caller

@@ -15,7 +15,7 @@ A statement is stored from its second sighting on. Application traffic
 varies its literals from call to call, so most statements are never seen
 again, and storing them only prices rows, fills the budget and evicts
 entries something might still read. A doorkeeper (TinyLFU's filter of keys
-seen once) records the last :data:`SEEN_STATEMENTS` identities the facade
+seen once) records the last :data:`SEEN_STATEMENTS` identities the coordinator
 asked :meth:`ShardRequestCache.admit` about, once per fan-out; only an
 identity already in it is stored. Lookups do not consult it: a statement
 the doorkeeper forgot still finds its live entries.

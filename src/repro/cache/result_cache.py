@@ -1,10 +1,11 @@
 """Level 3: the coordinator result cache.
 
-Caches whole fan-out results in the :class:`~repro.esdb.ESDB` facade, keyed
+Caches whole fan-out results in the query coordinator
+(:class:`~repro.query.coordinator.Coordinator`), keyed
 by ``(statement identity, rule-list version)``; the identity is the
 memoized ``sql:`` fingerprint of the statement's text
 (:func:`~repro.cache.fingerprint.sql_fingerprint`). An entry is opaque
-here: the facade stores the result together with what a hit still has to
+here: the coordinator stores the result together with what a hit still has to
 account for (the statement's tenant, ``ATTR`` keys and filter terms), and
 prices it by the result's rows.
 

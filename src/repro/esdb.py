@@ -1,6 +1,6 @@
 """The ESDB facade: a complete, queryable multi-tenant database instance.
 
-Glues together every subsystem into the end-to-end path a user of the real
+Composes every subsystem into the end-to-end path a user of the real
 system would see:
 
 * a :class:`~repro.cluster.Cluster` topology with one
@@ -9,34 +9,20 @@ system would see:
   write path and the query fan-out;
 * the workload monitor + load balancer + consensus loop that commits new
   secondary hashing rules as hotspots emerge;
-* SQL execution: parse → Xdriver4ES → per-shard RBO plan → execute →
-  coordinator aggregation; a statement whose shape was compiled before
-  binds its literals into that rewrite and plan instead
-  (:mod:`repro.query.shapes`).
-
-This facade favours clarity over throughput — the performance experiments
-use :mod:`repro.sim`; this class is the *functional* system behind the
-examples and the query-side benchmarks (Figures 16–18).
+* SQL execution through the query :class:`~repro.query.coordinator.Coordinator`:
+  parse → Xdriver4ES → per-shard RBO plan → execute → coordinator
+  aggregation, behind the statement caches;
+* the recording subsystems that are on, each handed every write batch,
+  query and balance round (:mod:`repro.consumers`).
 """
 
 from __future__ import annotations
 
-import itertools
-import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.balancer import BalancerConfig, LoadBalancer, WorkloadMonitor
-from repro.cache import (
-    FILTER_CACHE_BYTES,
-    REQUEST_CACHE_BYTES,
-    RESULT_CACHE_BYTES,
-    CoordinatorResultCache,
-    ShardRequestCache,
-    rows_cost,
-    sql_fingerprint,
-)
+from repro.cache import FILTER_CACHE_BYTES, CoordinatorResultCache, ShardRequestCache
 from repro.cluster import Cluster, ClusterTopology
 from repro.indexing import FrequencyTracker
 from repro.obsv import Observer, ObsvConfig
@@ -50,28 +36,12 @@ from repro.errors import (
     TenantThrottledError,
 )
 from repro.exec import BulkItemResult, BulkResult
-from repro.query import (
-    QueryExecutor,
-    ResultAggregator,
-    RuleBasedOptimizer,
-    Xdriver4ES,
-    parse_sql,
-)
+from repro.exec.bulk import apply_shard_batch
 from repro.query.aggregator import QueryResult
-from repro.query.ast import (
-    AndNode,
-    BetweenPredicate,
-    ComparisonPredicate,
-    InPredicate,
-    OrNode,
-    SelectStatement,
-)
-from repro.query.optimizer import CatalogInfo
-from repro.query.planner import PhysicalPlan
-from repro.query.shapes import Shape, ShapeMap, lift, slot_where, subattribute_keys
+from repro.query.coordinator import Coordinator
 from repro.routing import DynamicSecondaryHashRouting, RoutingPolicy
-from repro.slo import SloEngine, query_terms
-from repro.storage import EngineConfig, PostingList, Schema, ShardEngine
+from repro.slo import SloEngine
+from repro.storage import EngineConfig, Schema, ShardEngine
 from repro.telemetry import (
     NULL_TELEMETRY,
     EventLog,
@@ -90,10 +60,6 @@ from repro.telemetry.timeseries import TimeSeriesStore, install_esdb_derivations
 if TYPE_CHECKING:
     from repro.replication import ReplicaSet
 
-#: Distinguishes instances sharing one registry (profiling runs).
-_INSTANCE_IDS = itertools.count()
-
-
 class _BoundSeries(dict):
     """Metric series by key, each resolved through *resolve* at its first
     use and kept: the series is registered when something first records
@@ -109,77 +75,6 @@ class _BoundSeries(dict):
     def __missing__(self, key):
         metric = self[key] = self._resolve(key)
         return metric
-
-
-class RoutingBounds(NamedTuple):
-    """What one disjunct of a WHERE tree pins down for routing: its tenant,
-    the tightest numeric bounds on the creation time, and the record id."""
-
-    tenant: object
-    since: float | None = None
-    until: float | None = None
-    record_id: object = None
-
-
-def _is_time_bound(value: object) -> bool:
-    """A creation-time literal routing can compare: a number, not a bool,
-    not NaN."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and value == value
-
-
-_LOWER_OPS = frozenset(("=", ">", ">="))
-_UPPER_OPS = frozenset(("=", "<", "<="))
-
-
-def routing_bounds(where: object, schema: Schema) -> tuple[RoutingBounds, ...] | None:
-    """The distinct :class:`RoutingBounds` of the disjuncts of the
-    rewritten (DNF) tree *where*, or None when a disjunct names no tenant:
-    the statement is cross-tenant and visits every shard.
-
-    A disjunct's bounds come from its top-level conjuncts only — each one
-    holds for every row the disjunct matches — so a tenant equality under
-    an OR never prunes: ``tenant_id = 1`` = the tenant, ``tenant_id IN (1,
-    2)`` = one bound per listed tenant; ``=``, ``<``, ``<=`` and
-    ``BETWEEN``'s high end on the time field = an upper bound (the smallest
-    wins); ``=``, ``>``, ``>=`` and ``BETWEEN``'s low end = a lower bound;
-    ``=`` on the id field = the record."""
-    if where is None:
-        return None
-    time_field = schema.time_field
-    bounds = []
-    for disjunct in where.children if isinstance(where, OrNode) else (where,):
-        tenants = record_id = since = until = None
-        for predicate in disjunct.children if isinstance(disjunct, AndNode) else (disjunct,):
-            low = high = None
-            if isinstance(predicate, ComparisonPredicate):
-                column, op = predicate.column, predicate.op
-                if column == time_field:
-                    low = predicate.value if op in _LOWER_OPS else None
-                    high = predicate.value if op in _UPPER_OPS else None
-                elif op == "=" and column == schema.tenant_field:
-                    tenants = (predicate.value,) if tenants is None else tenants
-                elif op == "=" and column == schema.id_field:
-                    record_id = predicate.value if record_id is None else record_id
-            elif isinstance(predicate, BetweenPredicate) and predicate.column == time_field:
-                low, high = predicate.low, predicate.high
-            elif isinstance(predicate, InPredicate) and predicate.column == schema.tenant_field:
-                tenants = predicate.values if tenants is None else tenants
-            if low is not None and _is_time_bound(low):
-                since = low if since is None else max(since, low)
-            if high is not None and _is_time_bound(high):
-                until = high if until is None else min(until, high)
-        if tenants is None:
-            return None
-        bounds.extend(RoutingBounds(tenant, since, until, record_id) for tenant in tenants)
-    return tuple(dict.fromkeys(bounds))
-
-
-def common_tenant(bounds: tuple[RoutingBounds, ...] | None) -> object:
-    """The tenant every one of *bounds* names, or None for a cross-tenant
-    statement: one whose disjuncts name different tenants or none."""
-    if bounds is None or any(b.tenant != bounds[0].tenant for b in bounds[1:]):
-        return None
-    return bounds[0].tenant
 
 
 @dataclass(frozen=True)
@@ -264,7 +159,6 @@ class ESDB:
         if telemetry is None:
             telemetry = Telemetry() if self.config.telemetry_enabled else NULL_TELEMETRY
         self.telemetry = telemetry
-        self.instance = f"esdb{next(_INSTANCE_IDS)}"
         self.trace_ids: TraceIdGenerator | None = None
         if self.config.tracing.enabled:
             self.trace_ids = TraceIdGenerator(self.config.topology.seed)
@@ -284,14 +178,13 @@ class ESDB:
         self._shard_writes = _BoundSeries(
             lambda shard: metrics.counter("esdb_writes_total", shard=shard)
         )
-        caches = self.config.cache
         engine_config = EngineConfig(
             schema=self.config.schema,
             composite_columns=self.config.composite_columns,
             scan_columns=self.config.scan_columns,
             indexed_subattributes=self.config.indexed_subattributes,
             auto_refresh_every=self.config.auto_refresh_every,
-            filter_cache_bytes=FILTER_CACHE_BYTES if caches else None,
+            filter_cache_bytes=FILTER_CACHE_BYTES if self.config.cache else None,
         )
         self.engines: dict[int, ShardEngine] = {
             shard.shard_id: ShardEngine(
@@ -299,20 +192,8 @@ class ESDB:
             )
             for shard in self.cluster.shards
         }
-        self._executors: dict[int, QueryExecutor] = {}  # see _serial_executor
-        #: SQL text -> its identity, the key of both statement caches
-        self._identities: OrderedDict[str, str] = OrderedDict()
-        self.request_cache: ShardRequestCache | None = None
-        self.result_cache: CoordinatorResultCache | None = None
-        if caches:
-            self.request_cache = ShardRequestCache(REQUEST_CACHE_BYTES, metrics=metrics)
-            for engine in self.engines.values():
-                self.request_cache.attach(engine)
-            self.result_cache = CoordinatorResultCache(RESULT_CACHE_BYTES, metrics=metrics)
-        self.xdriver = Xdriver4ES()
-        #: statement shape -> its compiled rewrite and plan (repro.query.shapes)
-        self._shapes = ShapeMap(metrics)
-        self._set_catalog(self.config.composite_columns)
+        #: The read path (repro.query.coordinator), statement caches included.
+        self.coordinator = Coordinator(self.config, self.engines, self.policy, self.telemetry)
         self.monitor = WorkloadMonitor()
         self.balancer = LoadBalancer(
             self.monitor, self.cluster.num_shards, self.config.balancer
@@ -329,9 +210,6 @@ class ESDB:
         # time series samples what the others recorded. The attributes are
         # read handles (snapshot, faults, tests), None when off.
         self.obsv = self.timeseries = self.governor = self.slo = self.hotkeys = None
-        #: A statement's filter terms, which a result-cache entry keeps for
-        #: its hits: computed only when the SLO profiler reads them.
-        self._filter_terms = lambda statement: ()
         consumers: list = []
         if self.config.obsv.enabled:
             self.obsv = Observer(self.monitor, self.cluster.num_shards, self.config.obsv, metrics)
@@ -345,7 +223,6 @@ class ESDB:
         if self.config.slo:
             self.slo = SloEngine(metrics)
             self.hotkeys = self.slo.hotkeys
-            self._filter_terms = query_terms
             if self.config.obsv.enabled:
                 # Skew alerts get upgraded with the hitters behind them.
                 self.obsv.attributor = self.hotkeys.attribute
@@ -374,6 +251,16 @@ class ESDB:
                 )
                 for shard_id, engine in self.engines.items()
             }
+
+    @property
+    def request_cache(self) -> ShardRequestCache | None:
+        """The coordinator's shard request cache; None with caches off."""
+        return self.coordinator.request_cache
+
+    @property
+    def result_cache(self) -> CoordinatorResultCache | None:
+        """The coordinator's result cache; None with caches off."""
+        return self.coordinator.result_cache
 
     # -- time ----------------------------------------------------------------
     def advance_clock(self, now: float) -> None:
@@ -467,7 +354,7 @@ class ESDB:
         The routing pass runs in submission order on the coordinator —
         clock advancement, tenant admission (governor), the rule-list
         lookup and workload-monitor accounting per document. Each shard's
-        batch is then applied by :meth:`_apply_shard_batch`, and the rest
+        batch is then applied by :func:`~repro.exec.bulk.apply_shard_batch`, and the rest
         happens once per call, back on the coordinator: the facade's own
         counters, then one :class:`~repro.consumers.WriteBatch` to every
         consumer.
@@ -496,7 +383,7 @@ class ESDB:
                         )
                     except Exception as exc:
                         if not isinstance(exc, EsdbError):
-                            exc = self._unroutable(source) or exc
+                            exc = schema.unroutable(source) or exc
                         if isinstance(exc, TenantThrottledError):
                             self._emit_event(
                                 "shed" if exc.budget == "queue" else "throttle",
@@ -520,10 +407,11 @@ class ESDB:
                     groups.setdefault(shard_id, []).append((position, doc_id, source))
             shard_ids = sorted(groups)
             with tracer.span("write.index", shards=len(shard_ids)):
-                shards = [
-                    (groups[shard_id], *self._apply_shard_batch(shard_id, groups[shard_id], items))
-                    for shard_id in shard_ids
-                ]
+                shards = []
+                for shard_id in shard_ids:
+                    target = self.replica_sets.get(shard_id, self.engines[shard_id])
+                    docs = groups[shard_id]
+                    shards.append((docs, *apply_shard_batch(target, shard_id, docs, items)))
         for shard_id, (_, _, subattr_names) in zip(shard_ids, shards):
             # One names tuple per document the engine applied.
             if subattr_names:
@@ -541,54 +429,6 @@ class ESDB:
         for consumer in self.consumers:
             consumer.on_writes(batch)
         return BulkResult(items=items, took=span.duration)
-
-    def _unroutable(self, source: Any) -> InvalidDocumentError | None:
-        """Exception path of the routing pass: the engine's rejection,
-        naming the field, for a document whose tenant, id or creation time
-        the pass could not read or hash — or None when *source* is
-        well-formed and the failure was something else."""
-        schema = self.config.schema
-        if not isinstance(source, Mapping):
-            return InvalidDocumentError(f"a document must be a mapping, got {source!r}")
-        for name in (schema.tenant_field, schema.id_field, schema.time_field):
-            if name not in source:
-                return InvalidDocumentError(f"document missing field {name!r}")
-        if source[schema.time_field] is None:
-            return InvalidDocumentError(
-                f"field {schema.time_field!r} must be numeric, got None"
-            )
-        try:
-            schema.validate(source)
-        except InvalidDocumentError as invalid:
-            return invalid
-        return None
-
-    def _apply_shard_batch(
-        self,
-        shard_id: int,
-        batch: list[tuple[int, object, Mapping[str, Any]]],
-        items: list,
-    ) -> tuple[float, list[tuple[str, ...]]]:
-        """Apply one shard's documents in submission order, recording each
-        outcome on its item — a failure never aborts the batch and never
-        re-applies a document. Returns the engine seconds the batch took
-        and the applied documents' sub-attribute names (one tuple each)."""
-        target = self.replica_sets.get(shard_id, self.engines[shard_id])
-        subattr_names: list[tuple[str, ...]] = []
-        started = time.perf_counter()
-        for position, doc_id, source in batch:
-            try:
-                target.index(source, subattr_names)
-            except Exception as exc:
-                items[position] = BulkItemResult(
-                    position=position, doc_id=doc_id, shard_id=shard_id,
-                    ok=False, error=exc,
-                )
-                continue
-            items[position] = BulkItemResult(
-                position=position, doc_id=doc_id, shard_id=shard_id
-            )
-        return time.perf_counter() - started, subattr_names
 
     def update(
         self, doc_id: object, changes: Mapping[str, Any], *,
@@ -641,17 +481,10 @@ class ESDB:
             raise EsdbError(f"shard {shard_id} has no replica set")
         promoted = replica_set.promote()
         promoted.refresh()
-        self.engines[shard_id] = promoted
+        self.coordinator.replace_engine(shard_id, promoted)
         self._emit_event("promotion", shard=shard_id)
         if not replica_set.replicators:
             del self.replica_sets[shard_id]
-        # The shard's engine object (and its generation counter) changed:
-        # drop every cached read that might reference the old primary.
-        if self.request_cache is not None:
-            self.request_cache.invalidate_shard(shard_id)
-            self.request_cache.attach(promoted)
-        if self.result_cache is not None:
-            self.result_cache.clear()
 
     # -- fault injection (repro.faults) ----------------------------------------
     def inject_fault(self, kind: str, target: object = None, **params) -> str:
@@ -741,35 +574,21 @@ class ESDB:
             root.tags["trace_id"] = root.trace_id
         return root
 
-    def _rule_version(self) -> int:
-        """Current rule-list version (0 for policies without a rule list)."""
-        rules = getattr(self.policy, "rules", None)
-        return rules.version if rules is not None else 0
-
     def _execute_traced(self, tracer, sql: str) -> tuple[QueryResult, Span]:
         """The one query pipeline, behind :meth:`execute_sql` and
-        :meth:`explain_analyze`: probe the result cache; on a miss, prepare
-        the statement and read its routing bounds once — its tenant and its
-        shards; admit the tenant (governed instances); fan out and put the
-        result; hand the :class:`~repro.consumers.Query` to every consumer. A
-        cache entry carries the tenant, ``ATTR`` keys and filter terms its
-        miss computed, so a hit is accounted for as its miss was."""
-        governor = self.governor
-        result_cache = self.result_cache
+        :meth:`explain_analyze`: the coordinator probes the result cache
+        and, on a miss, prepares the statement and reads its routing bounds
+        — its tenant; the tenant is admitted (governed instances); the
+        coordinator answers — the hit, or the fan-out it caches; the
+        :class:`~repro.consumers.Query` goes to every consumer. A cache
+        entry carries the tenant, ``ATTR`` keys and filter terms its miss
+        computed, so a hit is accounted for as its miss was."""
+        coordinator, governor = self.coordinator, self.governor
         ctx = self._new_trace("query")
-        identity = sql_fingerprint(sql, self._identities)
         with tracer.trace("query", ctx) as root:
-            key = (identity, self._rule_version())
-            cached = (
-                result_cache.get(*key, self.engines) if result_cache is not None else None
-            )
-            if cached is None:
-                statement, plan, subattrs = self._prepare(tracer, sql)
-                bounds = routing_bounds(statement.where, self.config.schema)
-                tenant = common_tenant(bounds)
-            else:
-                result, tenant, subattrs, terms = cached
+            key, entry, prepared = coordinator.begin(tracer, sql)
             if governor is not None:
+                _, tenant, subattrs, _ = entry
                 try:
                     governor.admit_query(tenant, self._clock)
                 except TenantThrottledError as exc:
@@ -780,203 +599,32 @@ class ESDB:
                         "shed" if exc.budget == "queue" else "throttle",
                         tenant=tenant, ctx=ctx, op="query", budget=exc.budget,
                     )
-                    refused = Query(self._clock, ctx, self._emit_event, tenant, sql,
-                                    identity, subattrs, (), root, None, 0)
-                    for consumer in self.consumers:
-                        consumer.on_query(refused)
+                    self._hand_out(ctx, root, sql, key, (None, tenant, subattrs, ()), 0)
                     raise
-            if cached is None:
-                shard_ids = self._target_shards(self._shards_per_bound(bounds))
-                result = self._execute_fanout(
-                    tracer, root, identity, statement, plan, shard_ids
-                )
-                scanned = result.total_hits
-                terms = self._filter_terms(statement)
-                if result_cache is not None:
-                    validators = tuple(
-                        (shard_id, self.engines[shard_id].generation)
-                        for shard_id in shard_ids
-                    )
-                    result_cache.put(
-                        *key, (result, tenant, subattrs, terms), validators,
-                        cost=rows_cost(result.rows) + 24 * len(validators),
-                    )
-            else:
-                # The whole fan-out is skipped: surface the hit as its own
-                # span where the executor subtree would have been.
-                with tracer.span("cache.hit", level="result", fingerprint=identity):
-                    pass
-                root.tags["cache"] = "hit"
-                root.tags["fanout"] = result.subqueries
-                scanned = 0
+            entry = coordinator.execute(tracer, root, key, entry, prepared)
+        result = entry[0]
         self._counters["esdb_queries_total"].inc()
-        if cached is None:
+        if prepared is None:  # a result-cache hit
+            scanned = 0
+        else:
+            scanned = result.total_hits
             self._counters["esdb_subqueries_total"].inc(result.subqueries)
             if self.telemetry.enabled:
                 self._histograms["esdb_query_seconds"].observe(root.duration, ctx)
-        query = Query(self._clock, ctx, self._emit_event, tenant, sql, identity,
-                      subattrs, terms, root, result, scanned)
-        for consumer in self.consumers:
-            consumer.on_query(query)
+        self._hand_out(ctx, root, sql, key, entry, scanned)
         return result, root
 
-    def _prepare(
-        self, tracer, sql: str
-    ) -> tuple[SelectStatement, PhysicalPlan, tuple[str, ...]]:
-        """The rewritten statement of *sql*, its plan and the sub-attributes
-        it filters on: its shape's compiled template bound to its literals,
-        or parse → rewrite → plan when the shape is new, or value-dependent
-        (:mod:`repro.query.shapes`). Routing stays per call: nothing here
-        depends on the rule list."""
-        key, literals = lift(sql)
-        bound = self._shapes.bind(key, literals, tracer)
-        if bound is not None:
-            statement, plan, shape = bound
-            self.optimizer.count_picks(shape.picks)
-            return statement, plan, shape.subattrs
-        with tracer.span("query.parse"):
-            statement = parse_sql(sql)
-        slotted = slot_where(statement, literals)
-        if slotted is None:
-            self._shapes.count_unstable()
-            return self._rewrite_and_plan(tracer, statement)
-        rewritten, plan, _ = self._rewrite_and_plan(tracer, slotted.statement)
-        shape = self._shapes.add(key, Shape(key, slotted, rewritten, plan))
-        # slot_where accepted these very literals, so they bind.
-        return (*shape.bind(literals), shape.subattrs)
-
-    def _rewrite_and_plan(
-        self, tracer, statement: SelectStatement
-    ) -> tuple[SelectStatement, PhysicalPlan, tuple[str, ...]]:
-        with tracer.span("query.rewrite"):
-            statement = self.xdriver.translate(statement).statement
-        with tracer.span("query.plan") as plan_span:
-            plan = self.optimizer.plan(statement)
-            plan_span.tags["root"] = type(plan.root).__name__
-        return statement, plan, subattribute_keys(statement.where)
-
-    def _execute_fanout(
-        self,
-        tracer,
-        root: Span,
-        identity: str,
-        statement: SelectStatement,
-        plan: PhysicalPlan,
-        shard_ids: list[int],
-    ) -> QueryResult:
-        """Per-shard execution of a rewritten *statement*'s *plan* on
-        *shard_ids* (through the shard request cache, under the *identity*
-        of its text) → aggregation."""
-        root.tags["fanout"] = len(shard_ids)
-        aggregator = ResultAggregator(
-            columns=statement.columns,
-            order_by=statement.order_by,
-            limit=statement.limit,
-            group_by=statement.group_by,
-            having=statement.having,
-        )
-        push_limit = self._pushdown_limit(statement)
-        request_cache = self.request_cache
-        # Asked once per fan-out: another shard of a statement's first
-        # sighting is not its second.
-        store_key = (
-            identity if request_cache is not None and request_cache.admit(identity) else None
-        )
-        shard_results = []
-        for shard_id in shard_ids:
-            with tracer.span(f"query.shard[{shard_id}]") as sub_span:
-                engine = self.engines[shard_id]
-                if request_cache is not None:
-                    entry = request_cache.get(shard_id, identity, engine.generation)
-                    if entry is not None:
-                        # Subquery skipped: a cache.hit span stands in for
-                        # the executor subtree.
-                        with tracer.span("cache.hit", level="request"):
-                            pass
-                        sub_span.tags["cache"] = "hit"
-                        sub_span.tags["matched"] = entry[1]
-                        shard_results.append(entry)
-                        continue
-                entry, matched = self._shard_subquery(
-                    shard_id, plan, statement, store_key, push_limit
-                )
-                sub_span.tags["matched"] = matched
-                shard_results.append(entry)
-        with tracer.span("query.aggregate"):
-            return aggregator.aggregate_shards(shard_results)
-
-    def _shard_subquery(
-        self,
-        shard_id: int,
-        plan,
-        statement: SelectStatement,
-        store_key,
-        push_limit: int | None,
-    ) -> tuple[tuple, int]:
-        """Execute one shard's subquery (cache miss path): plan execution,
-        LIMIT pushdown, raw-document fetch, and the request-cache fill under
-        *store_key* — None unless the cache admitted the statement. Returns
-        the shard entry and its matched count."""
-        engine = self.engines[shard_id]
-        rows, _ = self._serial_executor(shard_id).execute(plan)
-        matched = len(rows)
-        if push_limit is not None:
-            if statement.order_by is not None:
-                rows = engine.top_k(
-                    rows,
-                    statement.order_by.column,
-                    push_limit,
-                    descending=statement.order_by.descending,
-                )
-            elif matched > push_limit:
-                rows = PostingList(list(rows)[:push_limit], presorted=True)
-        entry = ([doc.source for doc in engine.fetch(rows)], matched)
-        if store_key is not None:
-            self.request_cache.put(
-                shard_id, store_key, engine.generation, entry, cost=rows_cost(entry[0])
-            )
-        return entry, matched
-
-    def _serial_executor(self, shard_id: int) -> QueryExecutor:
-        """The shard's long-lived executor for the serial fan-out: it counts
-        operators into telemetry through counters it binds once, so it is
-        kept, and rebuilt only when failover swaps the shard's engine."""
-        engine = self.engines[shard_id]
-        executor = self._executors.get(shard_id)
-        if executor is None or executor.engine is not engine:
-            executor = QueryExecutor(engine, telemetry=self.telemetry)
-            self._executors[shard_id] = executor
-        return executor
-
-    @staticmethod
-    def _pushdown_limit(statement: SelectStatement) -> int | None:
-        """LIMIT pushdown: each shard needs at most LIMIT rows when the
-        coordinator only sorts/truncates (no aggregates, which need every
-        row; ORDER BY is satisfied by per-shard top-k + global merge)."""
-        if statement.limit is None or statement.has_aggregates:
-            return None
-        return statement.limit
-
-    def _shards_per_bound(self, bounds: tuple[RoutingBounds, ...] | None) -> list | None:
-        """The shards each of a statement's :func:`routing_bounds` allows,
-        one :meth:`RoutingPolicy.query_shards` call per disjunct; None for a
-        cross-tenant statement."""
-        if bounds is None:
-            return None
-        return [
-            self.policy.query_shards(
-                bound.tenant, until=bound.until, record_id=bound.record_id, since=bound.since
-            )
-            for bound in bounds
-        ]
-
-    def _target_shards(self, per_bound: list | None) -> list[int]:
-        """Shard pruning through the rule list: the union of the disjuncts'
-        shards (:meth:`_shards_per_bound`), in disjunct order; every shard
-        when a disjunct names no tenant."""
-        if per_bound is None:
-            return list(range(self.cluster.num_shards))
-        return list(dict.fromkeys(itertools.chain.from_iterable(per_bound)))
+    def _hand_out(
+        self, ctx, root: Span, sql: str, key: tuple, entry: tuple, scanned: int
+    ) -> None:
+        """Hand one query to every consumer: *entry* is its ``(result,
+        tenant, subattrs, terms)``, the result None when admission refused
+        it; *scanned* the documents its fan-out matched."""
+        result, tenant, subattrs, terms = entry
+        query = Query(self._clock, ctx, self._emit_event, tenant, sql, key[0], subattrs,
+                      terms, root, result, scanned)
+        for consumer in self.consumers:
+            consumer.on_query(query)
 
     # -- introspection -----------------------------------------------------------
     def doc_count(self) -> int:
@@ -1000,72 +648,7 @@ class ESDB:
         """EXPLAIN: show the Xdriver4ES rewrite, the ES-DSL tree, the RBO
         physical plan, and the shard fan-out for *sql* — with the bounds
         that pruned it — without executing it."""
-        statement = parse_sql(sql)
-        translated = self.xdriver.translate(statement)
-        plan = self.optimizer.plan(translated.statement)
-        bounds = routing_bounds(translated.statement.where, self.config.schema)
-        per_bound = self._shards_per_bound(bounds)
-        lines = [f"SQL: {sql.strip()}"]
-        if translated.dsl is not None:
-            lines.append(f"ES-DSL: {translated.dsl.to_json()}")
-            lines.append(
-                "rewrite: depth "
-                f"{translated.original_depth} -> "
-                f"{translated.original_depth - translated.depth_reduction}, "
-                f"width {translated.original_width} -> "
-                f"{translated.original_width - translated.width_reduction}"
-            )
-        lines.append("plan:")
-        lines.append("  " + plan.describe().replace("\n", "\n  "))
-        lines.append(self._describe_fanout(bounds, per_bound))
-        if self._pushdown_limit(translated.statement) is not None:
-            lines.append(f"pushdown: per-shard LIMIT {translated.statement.limit}")
-        return "\n".join(lines)
-
-    def _describe_fanout(
-        self, bounds: tuple[RoutingBounds, ...] | None, per_bound: list | None
-    ) -> str:
-        """EXPLAIN's fan-out line: the shards — ``[first..last]`` when they
-        are consecutive, else the list — and, per disjunct, the bounds that
-        decided them and how far they pruned."""
-        shard_ids = self._target_shards(per_bound)
-        first, total = shard_ids[0], self.cluster.num_shards
-        consecutive = all(
-            (shard - first) % total == i for i, shard in enumerate(shard_ids)
-        )
-        shards = f"[{first}..{shard_ids[-1]}]" if consecutive else str(shard_ids)
-        why = (
-            "cross-tenant: a disjunct names no tenant"
-            if bounds is None
-            else "; ".join(
-                self._describe_bound(bound, len(visited))
-                for bound, visited in zip(bounds, per_bound)
-            )
-        )
-        return f"fan-out: {len(shard_ids)} shard(s) {shards} ({why})"
-
-    def _describe_bound(self, bound: RoutingBounds, visited: int) -> str:
-        schema = self.config.schema
-        time_field = schema.time_field
-        terms = [f"{schema.tenant_field} = {bound.tenant!r}"]
-        # A lower bound narrows only a record's candidates.
-        since = bound.since if bound.record_id is not None else None
-        if since is not None and since == bound.until:
-            terms.append(f"{time_field} = {since!r}")
-        else:
-            if since is not None:
-                terms.append(f"{time_field} >= {since!r}")
-            if bound.until is not None:
-                terms.append(f"{time_field} <= {bound.until!r}")
-        # The unbounded fan-out, read without a query_shards call so that
-        # EXPLAIN adds to the fan-out counters only what execution would.
-        widest = max(self.policy.offsets(bound.tenant))
-        if bound.record_id is None:
-            reach = f"offset {visited} of {widest}"
-        else:
-            terms.append(f"{schema.id_field} = {bound.record_id!r}")
-            reach = f"{visited} of {widest} shard(s)"
-        return f"{', '.join(terms)} -> {reach}"
+        return self.coordinator.explain(sql)
 
     # -- index management (the "Add/Drop Index" box of Figure 3) -------------
     def add_index(self, columns) -> str:
@@ -1075,34 +658,11 @@ class ESDB:
         name = None
         for engine in self.engines.values():
             name = engine.add_composite_index(columns)
-        self._set_catalog(self._catalog.composite_indexes + (columns,))
+        self.coordinator.add_index(columns)
         return name or "_".join(columns)
 
     def drop_index(self, name: str) -> None:
         """Drop a dynamically added composite index cluster-wide."""
         for engine in self.engines.values():
             engine.drop_composite_index(name)
-        self._set_catalog(
-            tuple(
-                columns
-                for columns in self._catalog.composite_indexes
-                if "_".join(columns) != name
-            )
-        )
-
-    def _set_catalog(self, composite_indexes: tuple) -> None:
-        """Point the optimizer at a catalog with *composite_indexes* (the
-        only part of the catalog that changes after construction), and
-        forget every statement shape planned against the old one."""
-        self._shapes.clear()
-        self._catalog = CatalogInfo(
-            schema=self.config.schema,
-            composite_indexes=composite_indexes,
-            scan_columns=self.config.scan_columns,
-            indexed_subattributes=self.config.indexed_subattributes,
-        )
-        self.optimizer = RuleBasedOptimizer(
-            self._catalog,
-            enabled=self.config.optimizer_enabled,
-            telemetry=self.telemetry,
-        )
+        self.coordinator.drop_index(name)

@@ -1,4 +1,5 @@
-"""Result types of the batched bulk-write path (:meth:`ESDB.bulk_write`).
+"""Result types of the batched bulk-write path (:meth:`ESDB.bulk_write`),
+and the application of one shard's batch that fills them.
 
 Mirrors Elasticsearch's ``_bulk`` response shape: the call never throws
 away per-document information — every submitted source gets exactly one
@@ -8,7 +9,9 @@ client can retry precisely the failures.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from typing import Any, Mapping
 
 
 @dataclass(frozen=True)
@@ -29,6 +32,34 @@ class BulkItemResult:
     shard_id: int | None = None
     ok: bool = True
     error: BaseException | None = None
+
+
+def apply_shard_batch(
+    target,
+    shard_id: int,
+    batch: list[tuple[int, object, Mapping[str, Any]]],
+    items: list,
+) -> tuple[float, list[tuple[str, ...]]]:
+    """Apply one shard's documents to *target* (its engine, or its replica
+    set) in submission order, recording each outcome on its item — a
+    failure never aborts the batch and never re-applies a document. Returns
+    the engine seconds the batch took and the applied documents'
+    sub-attribute names (one tuple each)."""
+    subattr_names: list[tuple[str, ...]] = []
+    started = time.perf_counter()
+    for position, doc_id, source in batch:
+        try:
+            target.index(source, subattr_names)
+        except Exception as exc:
+            items[position] = BulkItemResult(
+                position=position, doc_id=doc_id, shard_id=shard_id,
+                ok=False, error=exc,
+            )
+            continue
+        items[position] = BulkItemResult(
+            position=position, doc_id=doc_id, shard_id=shard_id
+        )
+    return time.perf_counter() - started, subattr_names
 
 
 @dataclass

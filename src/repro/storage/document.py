@@ -80,6 +80,23 @@ class Schema:
                     f"field {name!r} must be {expected}, got {value!r}"
                 ) from None
 
+    def unroutable(self, source: Any) -> InvalidDocumentError | None:
+        """The rejection, naming the field, of a document whose tenant, id
+        or creation time routing could not read or hash — or None when
+        *source* is well-formed and routing failed for another reason."""
+        if not isinstance(source, Mapping):
+            return InvalidDocumentError(f"a document must be a mapping, got {source!r}")
+        for name in (self.tenant_field, self.id_field, self.time_field):
+            if name not in source:
+                return InvalidDocumentError(f"document missing field {name!r}")
+        if source[self.time_field] is None:
+            return InvalidDocumentError(f"field {self.time_field!r} must be numeric, got None")
+        try:
+            self.validate(source)
+        except InvalidDocumentError as invalid:
+            return invalid
+        return None
+
     @staticmethod
     def transaction_logs() -> "Schema":
         """The transaction-log schema used throughout the paper's evaluation."""

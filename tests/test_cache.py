@@ -232,7 +232,7 @@ class TestShardRequestCache:
 
     def test_a_forgotten_statement_still_hits_its_live_entries(self):
         db = ESDB(EsdbConfig(auto_refresh_every=None))
-        db.result_cache = None  # every repeat reaches the shards
+        db.coordinator.result_cache = None  # every repeat reaches the shards
         for i in range(20):
             db.write(make_log(i, tenant=i % 2, created=float(i)))
         db.refresh()

@@ -18,7 +18,7 @@ def build_db(result_cache: bool = True, **kwargs) -> ESDB:
     dropped, so repeats reach the shard request cache."""
     db = ESDB(EsdbConfig(topology=TOPOLOGY, auto_refresh_every=None, **kwargs))
     if not result_cache:
-        db.result_cache = None
+        db.coordinator.result_cache = None
     for i in range(40):
         db.write(make_log(i, tenant=f"t{i % 4}", created=float(i), status=i % 3))
     db.refresh()

@@ -87,10 +87,10 @@ class TestFacadeLevel:
         from repro.query import parse_sql
 
         db.add_index(("group", "created_time"))
-        translated = db.xdriver.translate(
+        translated = db.coordinator.xdriver.translate(
             parse_sql("SELECT * FROM t WHERE group = 2 AND created_time BETWEEN 0 AND 50")
         )
-        plan = db.optimizer.plan(translated.statement)
+        plan = db.coordinator.optimizer.plan(translated.statement)
         assert "CompositeSearch" in plan.access_path_counts()
 
     def test_add_index_query_results_correct(self, db):
@@ -115,6 +115,6 @@ class TestFacadeLevel:
     def test_drop_index_reverts_planning(self, db):
         db.add_index(("group",))
         db.drop_index("group")
-        assert ("group",) not in db._catalog.composite_indexes
+        assert ("group",) not in db.coordinator.optimizer.catalog.composite_indexes
         # Queries still answer correctly via single-column paths.
         assert db.execute_sql("SELECT COUNT(*) FROM t WHERE group = 2").scalar() == 8

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import ast
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ESDB, EsdbConfig, HashRouting
 from repro.balancer import BalancerConfig
 from repro.cluster import ClusterTopology
 from repro.errors import DocumentNotFoundError, EsdbError, InvalidDocumentError
-from repro.esdb import RoutingBounds, common_tenant, routing_bounds
+from repro.routing.bounds import RoutingBounds, common_tenant, routing_bounds
 from repro.indexing import FrequencyTracker
 from repro.obsv import Observer, ObsvConfig
 from repro.query import parse_sql
@@ -598,6 +603,46 @@ _PINNED_EXPLAIN = (
 )
 
 
+# -- WHERE trees in routing_bounds' vocabulary ---------------------------------
+
+_TENANTS = ("5", "'w'")  # the two tenants with committed rules
+_TIMES = st.sampled_from(("0", "5.0", "10", "15.5", "20", "50", "100", "150"))
+_TENANT = st.one_of(
+    st.sampled_from(_TENANTS).map(lambda t: f"tenant_id = {t}"),
+    st.just(f"tenant_id IN ({', '.join(_TENANTS)})"),
+)
+_TIME = st.one_of(
+    st.builds("created_time {} {}".format, st.sampled_from(("=", "<", "<=", ">", ">=")), _TIMES),
+    st.lists(_TIMES, min_size=2, max_size=2).map(
+        lambda ends: "created_time BETWEEN {} AND {}".format(*sorted(ends, key=float))
+    ),
+)
+_ID = st.sampled_from(("7", "'x7'", "50")).map(lambda v: f"transaction_id = {v}")
+_CONJUNCTION = st.tuples(
+    # A disjunct without a tenant makes the statement cross-tenant.
+    st.integers(0, 3).flatmap(lambda n: _TENANT.map(lambda t: [t]) if n else st.just([])),
+    st.lists(_TIME, max_size=2),
+    st.lists(_ID, max_size=1),
+    st.lists(st.just("status = 1"), max_size=1),  # the non-routing conjunct
+).map(lambda parts: " AND ".join(sum(parts, [])))
+_WHERE = st.lists(_CONJUNCTION.filter(bool), min_size=1, max_size=3).map(
+    lambda disjuncts: " OR ".join(f"({d})" for d in disjuncts)
+)
+_FANOUT = re.compile(r"^fan-out: (\d+) shard\(s\) (\[[^\]]*\])", re.MULTILINE)
+
+
+def _explained_shards(text: str, num_shards: int) -> list[int]:
+    """The shards EXPLAIN's fan-out line lists, in order: ``[first..last]``
+    is the consecutive run from *first*, wrapping past the last shard."""
+    count, listed = _FANOUT.search(text).groups()
+    if ".." not in listed:
+        return ast.literal_eval(listed)
+    first, last = (int(end) for end in listed[1:-1].split(".."))
+    shards = [(first + i) % num_shards for i in range(int(count))]
+    assert shards[-1] == last
+    return shards
+
+
 class TestExplain:
     def test_explain_names_the_bound_that_pruned(self, db):
         db.policy.rules.update(10.0, 4, 5)
@@ -646,6 +691,22 @@ class TestExplain:
         db.policy.rules.update(100.0, 16, 5)
         for sql, text in _PINNED_EXPLAIN:
             assert db.explain(sql) == text
+
+    @settings(max_examples=60, deadline=None)
+    @given(where=_WHERE)
+    def test_explain_lists_the_shards_execution_visits(self, where):
+        db = ESDB(EsdbConfig(topology=SMALL, auto_refresh_every=None, cache=False))
+        db.policy.rules.update(10.0, 4, 5)
+        db.policy.rules.update(100.0, 16, 5)
+        db.policy.rules.update(20.0, 8, "w")
+        sql = f"SELECT * FROM t WHERE {where}"
+        explained = _explained_shards(db.explain(sql), SMALL.num_shards)
+        executed = [
+            int(span.name[len("query.shard["):-1])
+            for span in db.explain_analyze(sql).children
+            if span.name.startswith("query.shard[")
+        ]
+        assert explained == executed
 
     def test_explain_does_not_execute(self, db):
         fetched_before = sum(e.stats.docs_fetched for e in db.engines.values())

@@ -255,16 +255,17 @@ class TestOneQueryPath:
         sql = STATEMENT_SHAPES["conjunction"]
         expected = db.execute_sql(sql)
         monkeypatch.setattr(
-            db, "_prepare", lambda *args: pytest.fail("a hit prepared its statement")
+            db.coordinator, "prepare", lambda *args: pytest.fail("a hit prepared its statement")
         )
         assert db.execute_sql(sql).rows == expected.rows
 
     def test_miss_reads_the_routing_bounds_once(self, monkeypatch):
-        import repro.esdb
+        import repro.query.coordinator
 
         calls = []
         monkeypatch.setattr(
-            repro.esdb, "routing_bounds", tap(repro.esdb.routing_bounds, calls)
+            repro.query.coordinator, "routing_bounds",
+            tap(repro.query.coordinator.routing_bounds, calls),
         )
         db = tenant_db()
         sql, _ = TENANT_SHAPES["tenant-in-both-disjuncts"]
@@ -345,7 +346,7 @@ class TestResultCacheEviction:
         cost = db.result_cache.stats.bytes
         # Room for two entries of equal cost (each tenant counts 8
         # documents on one shard), not for three.
-        db.result_cache = CoordinatorResultCache(
+        db.coordinator.result_cache = CoordinatorResultCache(
             2 * cost + cost // 2, metrics=db.telemetry.metrics
         )
         return db

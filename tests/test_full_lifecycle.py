@@ -93,7 +93,7 @@ class TestLifecycle:
         assert result.rows[0]["status"] == 9
 
     def test_added_index_is_live(self, story):
-        assert ("group", "amount") in story["db"]._catalog.composite_indexes
+        assert ("group", "amount") in story["db"].coordinator.optimizer.catalog.composite_indexes
 
     def test_aggregate_with_having_after_failover(self, story):
         db = story["db"]

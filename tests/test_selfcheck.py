@@ -308,6 +308,35 @@ class TestFacadeBranchesOnNoConsumer:
         assert reads == self.ALLOWED
 
 
+class TestFacadeOnlyComposes:
+    """The facade composes the query coordinator (``repro.query.coordinator``)
+    and the routing bounds (``repro.routing.bounds``); it knows no statement
+    tree, shape, plan, optimizer or cache key of its own."""
+
+    ROOT = TestFacadeBranchesOnNoConsumer.ROOT
+    MODULES = frozenset(
+        ("repro.query.ast", "repro.query.shapes", "repro.query.planner", "repro.query.optimizer")
+    )
+    CACHE_KEYS = frozenset(("sql_fingerprint", "rows_cost"))
+
+    def test_facade_imports_no_query_internals(self):
+        tree = ast.parse((self.ROOT / "src" / "repro" / "esdb.py").read_text())
+        imported = []  # (module, module.name) per imported name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [(alias.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported += [(node.module, f"{node.module}.{alias.name}") for alias in node.names]
+        internals = sorted(
+            name
+            for module, name in imported
+            if module in self.MODULES
+            or name in self.MODULES
+            or (module.startswith("repro.cache") and name.rsplit(".", 1)[1] in self.CACHE_KEYS)
+        )
+        assert not internals, f"the facade imports query internals: {internals}"
+
+
 class TestOneDefinitionPerFigure:
     """Each paper figure is defined once, in ``repro.experiments``: fig01 and
     fig10–fig19 each have exactly one ``benchmarks/test_figNN_*.py``, which

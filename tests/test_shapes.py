@@ -39,8 +39,8 @@ def _outcomes(db: ESDB) -> dict[str, int]:
 def _compiled(db: ESDB, sql: str):
     """What parse → rewrite → plan makes of *sql* (or the error it raises)."""
     try:
-        statement = db.xdriver.translate(parse_sql(sql)).statement
-        plan = db.optimizer.plan(statement)
+        statement = db.coordinator.xdriver.translate(parse_sql(sql)).statement
+        plan = db.coordinator.optimizer.plan(statement)
     except Exception as exc:  # the error is the outcome compared
         return type(exc), str(exc)
     return repr(statement), repr(plan), plan.picks
@@ -48,7 +48,7 @@ def _compiled(db: ESDB, sql: str):
 
 def _prepared(db: ESDB, sql: str):
     try:
-        statement, plan, _ = db._prepare(UNTRACED, sql)
+        statement, plan, _ = db.coordinator.prepare(UNTRACED, sql)
     except Exception as exc:
         return type(exc), str(exc)
     return repr(statement), repr(plan), plan.picks
@@ -255,7 +255,7 @@ class TestFacade:
     def test_the_attr_key_chooses_the_access_path_at_compile_time(self, loaded):
         for key, path in (("attr_0001", SubAttributeSearch), ("attr_0002", SubAttributeScan)):
             for value in ("v1", "v2"):
-                _, plan, _ = loaded._prepare(
+                _, plan, _ = loaded.coordinator.prepare(
                     UNTRACED, f"SELECT * FROM t WHERE ATTR({key}) = '{value}'"
                 )
                 assert plan.root == path(key, value)
@@ -268,7 +268,7 @@ class TestFacade:
                 loaded.execute_sql("SELECT * FROM t WHERE tenant_id = 2 LIMIT -1")
             with pytest.raises(SqlSyntaxError, match="expected a value"):
                 loaded.execute_sql("SELECT * FROM t WHERE tenant_id = AND status = 1")
-        assert len(loaded._shapes) == 1
+        assert len(loaded.coordinator.shapes) == 1
 
     def test_a_column_named_twice_compiles_every_call(self, loaded):
         for status in range(3):
@@ -288,18 +288,18 @@ class TestFacade:
     def test_an_index_change_forgets_every_shape(self, loaded):
         loaded.execute_sql(_tenant_sql(0, 0))
         loaded.add_index(("tenant_id", "status"))
-        assert not loaded._shapes
-        _, plan, _ = loaded._prepare(UNTRACED, _tenant_sql(1, 1))
+        assert not loaded.coordinator.shapes
+        _, plan, _ = loaded.coordinator.prepare(UNTRACED, _tenant_sql(1, 1))
         assert "tenant_id_status" in plan.describe()
         loaded.drop_index("tenant_id_status")
-        _, plan, _ = loaded._prepare(UNTRACED, _tenant_sql(1, 1))
+        _, plan, _ = loaded.coordinator.prepare(UNTRACED, _tenant_sql(1, 1))
         assert "tenant_id_status" not in plan.describe()
 
     def test_the_map_keeps_the_most_recent_shapes(self, loaded, monkeypatch):
         monkeypatch.setattr("repro.query.shapes.MAX_SHAPES", 2)
         for tenant, column in enumerate(("status", "group", "quantity", "status")):
             loaded.execute_sql(f"SELECT * FROM t WHERE tenant_id = {tenant} AND {column} = 1")
-        assert len(loaded._shapes) == 2
+        assert len(loaded.coordinator.shapes) == 2
         assert _outcomes(loaded)["compile"] == 4
         assert loaded.telemetry.metrics.value("query_shape_evictions_total") == 2
 

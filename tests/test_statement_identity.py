@@ -153,7 +153,7 @@ class TestKeyEquivalence:
 
     def test_whitespace_variants_share_one_request_key(self):
         db = build_db()
-        db.result_cache = None  # every repeat reaches the shards
+        db.coordinator.result_cache = None  # every repeat reaches the shards
         stats = db.request_cache.stats
         shards = db.execute_sql(QUERY).subqueries
         db.execute_sql(self.SPACED)  # the second sighting of one statement
@@ -172,7 +172,7 @@ class TestKeyEquivalence:
         assert db.result_cache.stats.hits == 0
 
         db = build_db()
-        db.result_cache = None
+        db.coordinator.result_cache = None
         for literal in (left, right):
             db.execute_sql(template.format(literal))
         assert db.request_cache.stats.insertions == 0  # neither seen twice

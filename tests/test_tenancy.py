@@ -497,7 +497,7 @@ class TestShedQuery:
             return record(op, latency, now, error=error)
 
         db.slo.record = tapped
-        db._execute_fanout = lambda *args: pytest.fail("a shed query fanned out")
+        db.coordinator.execute = lambda *args: pytest.fail("a shed query fanned out")
         with pytest.raises(TenantThrottledError) as caught:
             db.execute_sql(sql)
         assert (caught.value.tenant, caught.value.budget) == ("t-1", "quota:scanned_docs")
