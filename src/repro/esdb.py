@@ -632,7 +632,7 @@ class ESDB:
 
     def tenant_fanout(self, tenant_id: object) -> int:
         """Subqueries a query for *tenant_id* currently requires."""
-        return len(self.policy.query_shards(tenant_id))
+        return self.policy.span(tenant_id)
 
     def suggest_subattribute_indexes(self, k: int = 30) -> frozenset:
         """Frequency-based indexing advisor (§3.2): the top-*k* sub-attributes

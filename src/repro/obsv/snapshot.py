@@ -199,7 +199,7 @@ def read_tenants(db) -> list[dict]:
             "docs": storage.get(tenant, 0),
             "window_writes": stat.writes if stat else 0,
             "window_share": stat.share if stat else 0.0,
-            "span": len(db.policy.query_shards(tenant)),
+            "span": db.policy.span(tenant),
         }
         if governor is not None:
             admitted, _, shed = governor.tenant_counts(tenant)

@@ -144,7 +144,7 @@ def _describe_bound(
             terms.append(f"{time_field} <= {bound.until!r}")
     # The unbounded fan-out, read without a query_shards call so that
     # EXPLAIN adds to the fan-out counters only what execution would.
-    widest = max(policy.offsets(bound.tenant))
+    widest = policy.span(bound.tenant)
     if bound.record_id is None:
         reach = f"offset {visited} of {widest}"
     else:

@@ -162,6 +162,12 @@ class RoutingPolicy(ABC):
         """Return ``h1(k1) mod N``, the first shard of the tenant's range."""
         return h1(tenant_id) % self.num_shards
 
+    def span(self, tenant_id: object) -> int:
+        """The shards an unbounded statement for *tenant_id* visits — the
+        length of :meth:`query_shards` with no bounds — read without adding
+        to the query fan-out counter, for introspection that runs no query."""
+        return max(self.offsets(tenant_id))
+
 
 class HashRouting(RoutingPolicy):
     """Plain hashing (Figure 2a): every record of a tenant goes to one shard.
@@ -255,6 +261,10 @@ class DynamicSecondaryHashRouting(RoutingPolicy):
     def route_write(self, tenant_id: object, record_id: object, created_time: float = 0.0) -> int:
         self._route_counter.inc()
         offset = self.offset_for(tenant_id, created_time)
+        if offset == 1:
+            # (b + h mod 1) mod N = b: a write routed at offset 1 needs no
+            # record-id hash.
+            return self.base_shard(tenant_id)
         return (self.base_shard(tenant_id) + h2(record_id) % offset) % self.num_shards
 
     def query_shards(

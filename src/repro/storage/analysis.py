@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+|[一-鿿]", re.UNICODE)
 
@@ -29,25 +28,12 @@ class StandardAnalyzer:
 
     Attributes:
         stopwords: tokens to drop (empty set disables filtering).
-        min_token_length: drop shorter tokens (CJK single chars exempt).
     """
 
     stopwords: frozenset = DEFAULT_STOPWORDS
-    min_token_length: int = 1
 
     def analyze(self, text: str) -> list[str]:
         """Return the index terms of *text* in order (duplicates kept so
         positional/frequency features can be layered later)."""
-        return list(self.iter_terms(text))
-
-    def iter_terms(self, text: str) -> Iterator[str]:
-        for token in tokenize(text):
-            if token in self.stopwords:
-                continue
-            if len(token) < self.min_token_length and not _is_cjk(token):
-                continue
-            yield token
-
-
-def _is_cjk(token: str) -> bool:
-    return len(token) == 1 and "一" <= token <= "鿿"
+        stopwords = self.stopwords
+        return [token for token in _TOKEN_RE.findall(text.lower()) if token not in stopwords]

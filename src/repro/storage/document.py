@@ -27,9 +27,12 @@ class FieldType(enum.Enum):
 
 
 # Member access through the enum class costs a metaclass lookup each time;
-# the per-write validator reads these once per field.
+# the per-write validator and a segment's field plan read these once per
+# field.
 _KEYWORD = FieldType.KEYWORD
 _NUMERIC = FieldType.NUMERIC
+_TEXT = FieldType.TEXT
+_ATTRIBUTES = FieldType.ATTRIBUTES
 
 
 @dataclass(frozen=True)

@@ -31,13 +31,14 @@ class DocValues:
     def append(self, row_id: int, value: Any) -> None:
         """Store *value* for *row_id*; gaps are padded with None (sparse
         columns — a row may lack any given sub-attribute)."""
+        values = self._values
         index = row_id - self._base
-        while len(self._values) < index:
-            self._values.append(None)
-        if index == len(self._values):
-            self._values.append(value)
+        if index > len(values):
+            values += [None] * (index - len(values))
+        if index == len(values):
+            values.append(value)
         else:
-            self._values[index] = value
+            values[index] = value
 
     @classmethod
     def merged(

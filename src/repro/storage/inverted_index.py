@@ -48,20 +48,24 @@ class InvertedIndex:
     def add(self, term: object, row_id: int) -> None:
         """Index *row_id* under *term*. Row ids must arrive non-decreasing
         (they do: the buffer assigns them sequentially)."""
-        postings = self._postings
-        bucket = postings.get(term)
-        if bucket is None:
-            postings[term] = row_id
-        elif isinstance(bucket, bytearray):
-            packed = _ROW.pack(row_id)
-            if not bucket.endswith(packed):
-                bucket += packed
-        elif bucket != row_id:
-            postings[term] = bytearray(_ROW_PAIR.pack(bucket, row_id))
+        self.add_all((term,), row_id)
 
     def add_all(self, terms: Iterable[object], row_id: int) -> None:
+        """:meth:`add` for each of *terms*: a term the row already holds
+        (a repeated token) is indexed once."""
+        postings = self._postings
+        packed = None
         for term in terms:
-            self.add(term, row_id)
+            bucket = postings.get(term)
+            if bucket is None:
+                postings[term] = row_id
+            elif isinstance(bucket, bytearray):
+                if packed is None:
+                    packed = _ROW.pack(row_id)
+                if not bucket.endswith(packed):
+                    bucket += packed
+            elif bucket != row_id:
+                postings[term] = bytearray(_ROW_PAIR.pack(bucket, row_id))
 
     @classmethod
     def merged(

@@ -17,7 +17,15 @@ from typing import Iterator, NamedTuple
 from repro.errors import StorageError
 from repro.storage.analysis import StandardAnalyzer
 from repro.storage.composite import CompositeIndex
-from repro.storage.document import Document, FieldType, Schema, parse_attributes
+from repro.storage.document import (
+    _ATTRIBUTES,
+    _KEYWORD,
+    _NUMERIC,
+    _TEXT,
+    Document,
+    Schema,
+    parse_attributes,
+)
 from repro.storage.docvalues import DocValues
 from repro.storage.inverted_index import InvertedIndex
 from repro.storage.postings import PostingList
@@ -88,10 +96,16 @@ class Segment:
         self._composites: dict[str, CompositeIndex] = {}
         self._doc_values: dict[str, DocValues] = {}
         self._subattr_index = InvertedIndex()
-        self._sealed = False
         for columns in spec.composite_columns:
             index = CompositeIndex(columns)
             self._composites[index.name] = index
+        #: While the segment is built: each field name seen so far →
+        #: ``(type, add, store)``, the field's type, the adder of the
+        #: structure its values go into (a term index's ``add_all`` or a
+        #: sorted index's ``add_pair``) and its doc-values column's
+        #: ``append``. Resolved the first time the name carries a value;
+        #: None once sealed.
+        self._plan: dict[str, tuple] | None = {}
 
     # -- sizes -------------------------------------------------------------
     def __len__(self) -> int:
@@ -107,7 +121,7 @@ class Segment:
 
     @property
     def sealed(self) -> bool:
-        return self._sealed
+        return self._plan is None
 
     def row_ids(self) -> range:
         return range(self.base_row_id, self.base_row_id + len(self._docs))
@@ -120,58 +134,81 @@ class Segment:
         ``EngineStats.indexing_cost``) and every sub-attribute name the
         document carries, indexed or not. The last two are by-products for
         the caller to consume; nothing parsed is retained on the document."""
-        if self._sealed:
+        plan = self._plan
+        if plan is None:
             raise StorageError(f"segment {self.segment_id} is sealed")
         row_id = self.base_row_id + len(self._docs)
         self._docs.append(doc)
         self._live.append(True)
-        schema = self.spec.schema
         entries = 0
         subattr_names: tuple[str, ...] = ()
         for name, value in doc.source.items():
             if value is None:
                 continue
-            ftype = schema.type_of(name)
-            if ftype is FieldType.KEYWORD:
-                self._term_index(name).add(value, row_id)
-                entries += 1
-            elif ftype is FieldType.NUMERIC:
+            entry = plan.get(name)
+            if entry is None:
+                entry = self._plan_field(name)
+            ftype, add, store = entry
+            if ftype is _NUMERIC:
                 number = float(value)
-                self._numeric_index(name).add(number, row_id)
+                add((number, row_id))
                 entries += 1
                 if isinstance(value, str):
                     # A numeric string: a scan must see what the index holds.
                     value = number
-            elif ftype is FieldType.TEXT:
-                tokens = _ANALYZER.analyze(str(value))
-                self._term_index(name).add_all(tokens, row_id)
-                entries += len(tokens)
-            elif ftype is FieldType.ATTRIBUTES:
-                # Only sub-attributes selected by frequency-based indexing
-                # receive index terms; unindexed ones stay queryable by
-                # (slow) scan over the raw column in doc values.
-                allowed = self.spec.indexed_subattributes
-                subattrs = parse_attributes(str(value))
-                subattr_names += tuple(subattrs)
-                for key, subvalue in subattrs.items():
-                    if allowed is None or key in allowed:
-                        self._subattr_index.add((key, subvalue), row_id)
-                        entries += 1
+            else:
+                if ftype is _KEYWORD:
+                    terms = (value,)
+                elif ftype is _TEXT:
+                    terms = _ANALYZER.analyze(str(value))
+                else:
+                    # Only sub-attributes selected by frequency-based
+                    # indexing receive index terms; unindexed ones stay
+                    # queryable by (slow) scan over the raw column in doc
+                    # values.
+                    subattrs = parse_attributes(str(value))
+                    subattr_names += tuple(subattrs)
+                    allowed = self.spec.indexed_subattributes
+                    terms = (
+                        subattrs.items()
+                        if allowed is None
+                        else [term for term in subattrs.items() if term[0] in allowed]
+                    )
+                add(terms, row_id)
+                entries += len(terms)
             # Value kept in doc values so scans and LIKE/wildcard work.
-            self._dv(name).append(row_id, value)
+            store(row_id, value)
         for composite in self._composites.values():
             values = [doc.get(column) for column in composite.columns]
             composite.add(values, row_id)
             entries += 1
         return row_id, entries, subattr_names
 
+    def _plan_field(self, name: str) -> tuple:
+        """Resolve *name*'s plan entry, creating the structures it writes:
+        a term index (KEYWORD, TEXT), a sorted index (NUMERIC) or the shared
+        sub-attribute index (ATTRIBUTES), and a doc-values column."""
+        ftype = self.spec.schema.type_of(name)
+        if ftype is _NUMERIC:
+            numbers = self._numeric_indexes[name] = SortedIndex()
+            add = numbers.add_pair
+        elif ftype is _ATTRIBUTES:
+            add = self._subattr_index.add_all
+        else:
+            terms = self._term_indexes[name] = InvertedIndex()
+            add = terms.add_all
+        column = self._doc_values[name] = DocValues(self.base_row_id)
+        entry = self._plan[name] = (ftype, add, column.append)
+        return entry
+
     def seal(self) -> None:
-        """Freeze the segment: no more writes; sort numeric/composite blocks."""
+        """Freeze the segment: no more writes; sort numeric/composite blocks
+        and drop the field plan."""
         for index in self._numeric_indexes.values():
             index.seal()
         for composite in self._composites.values():
             composite.seal()
-        self._sealed = True
+        self._plan = None
 
     @classmethod
     def merged(
@@ -233,7 +270,7 @@ class Segment:
                 composite.columns,
                 [(run.segment._composites[name], run.dropped) for run in runs],
             )
-        merged._sealed = True
+        merged._plan = None
         return merged
 
     # -- deletes -----------------------------------------------------------------
@@ -264,21 +301,6 @@ class Segment:
         return PostingList([r for r in rows if live[r - base]], presorted=True)
 
     # -- access paths ---------------------------------------------------------
-    def _term_index(self, name: str) -> InvertedIndex:
-        if name not in self._term_indexes:
-            self._term_indexes[name] = InvertedIndex()
-        return self._term_indexes[name]
-
-    def _numeric_index(self, name: str) -> SortedIndex:
-        if name not in self._numeric_indexes:
-            self._numeric_indexes[name] = SortedIndex()
-        return self._numeric_indexes[name]
-
-    def _dv(self, name: str) -> DocValues:
-        if name not in self._doc_values:
-            self._doc_values[name] = DocValues(self.base_row_id)
-        return self._doc_values[name]
-
     def term_postings(self, field_name: str, term: object) -> PostingList:
         index = self._term_indexes.get(field_name)
         if index is None:

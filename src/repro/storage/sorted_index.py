@@ -44,7 +44,12 @@ class SortedIndex:
         """Buffer one ``(value, row_id)`` pair."""
         if value is None:
             raise StorageError("cannot index None; use doc values for sparse columns")
-        self._pending.append((float(value), row_id))
+        self.add_pair((float(value), row_id))
+
+    def add_pair(self, pair: tuple[float, int]) -> None:
+        """Buffer a ``(value, row_id)`` pair whose value is already a float:
+        a segment converts each numeric value once and keeps the float."""
+        self._pending.append(pair)
         self._sealed = False
 
     def add_all(self, pairs: Iterable[tuple[float, int]]) -> None:

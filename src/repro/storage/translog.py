@@ -9,6 +9,7 @@ corruption.
 
 from __future__ import annotations
 
+import marshal
 import zlib
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
@@ -43,15 +44,23 @@ class TranslogEntry:
 
 
 def _checksum(sequence: int, op: str, doc_id: object, source: Mapping[str, Any] | None) -> int:
-    # Canonicalize by repr of the key: plain ``sorted(source.items())``
-    # raises TypeError for sources with mixed-type keys (e.g. int and str),
-    # which would make a perfectly valid write unloggable.
+    """CRC of one ``marshal`` encoding of the entry, the source's items
+    sorted by key so the checksum does not depend on key order. Keys that
+    cannot be ordered (an int next to a str) sort by ``repr``; a value
+    ``marshal`` rejects (any object but a builtin value) falls back to a
+    ``repr`` payload, so every source a schema accepts can be logged.
+    Version 2 of the format writes neither back-references nor interning
+    flags, so equal payloads encode alike whatever their refcounts."""
+    items = None
     if source:
-        items = sorted(source.items(), key=lambda item: repr(item[0]))
-    else:
-        items = None
-    payload = f"{sequence}|{op}|{doc_id!r}|{items!r}"
-    return zlib.crc32(payload.encode("utf-8"))
+        try:
+            items = sorted(source.items())
+        except TypeError:
+            items = sorted(source.items(), key=lambda item: repr(item[0]))
+    try:
+        return zlib.crc32(marshal.dumps((sequence, op, repr(doc_id), items), 2))
+    except ValueError:
+        return zlib.crc32(f"{sequence}|{op}|{doc_id!r}|{items!r}".encode("utf-8"))
 
 
 class Translog:

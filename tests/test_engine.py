@@ -10,7 +10,8 @@ from repro.errors import (
     TranslogCorruptionError,
 )
 from repro.storage import (
-
+    EngineConfig,
+    Schema,
     ShardEngine,
     TieredMergePolicy,
     Translog,
@@ -79,6 +80,42 @@ class TestTranslog:
         a = log_a.append("index", 1, {7: "x", "b": 1})
         b = log_b.append("index", 1, {"b": 1, 7: "x"})
         assert a.checksum == b.checksum
+
+    def test_checksum_is_independent_of_key_order(self):
+        source = make_log(1, tenant="t1", created=2.5)
+        reordered = dict(reversed(list(source.items())))
+        assert list(reordered) != list(source)
+        a = Translog().append("index", 1, source)
+        b = Translog().append("index", 1, reordered)
+        assert a.checksum == b.checksum
+
+    def test_unmarshallable_value_logs_verifies_and_recovers(self):
+        class Tag:
+            """Hashable, so a KEYWORD field accepts it; marshal does not."""
+
+            def __repr__(self) -> str:
+                return "Tag()"
+
+        engine = ShardEngine(EngineConfig(schema=Schema.transaction_logs()))
+        tag = Tag()
+        engine.index(make_log(1, tenant="t", created=1.0, status=tag))
+        (entry,) = engine.translog.recover()
+        assert entry.verify() and entry.source["status"] is tag
+        engine.simulate_crash()
+        assert engine.recover_from_translog() == 1
+        assert engine.get(1)["status"] is tag
+
+    def test_changing_one_field_changes_the_checksum(self):
+        source = make_log(1, tenant="t", created=1.0, status=1, amount=0.0,
+                          attributes="a:1;b:2", buyer_nickname="bob", seller_nickname=None)
+        logged = Translog().append("index", 1, source).checksum
+        for name, value in source.items():
+            # Another value, an equal one of another type, and no value.
+            for other in ("x", value, 1, True, 1.0, -0.0, None):
+                if type(other) is type(value) and other == value:
+                    other = (value, "changed")
+                changed = {**source, name: other}
+                assert Translog().append("index", 1, changed).checksum != logged, (name, other)
 
     def test_replica_sync_requires_order(self):
         primary = Translog()

@@ -714,6 +714,24 @@ class TestExplain:
         assert sum(e.stats.docs_fetched for e in db.engines.values()) == fetched_before
 
 
+class TestIntrospectionIsNotAQuery:
+    def test_snapshot_and_tenant_fanout_leave_the_fanout_counter(self, db):
+        from repro.obsv import snapshot
+
+        for i in range(30):
+            db.write(make_log(i, tenant=i % 3, created=float(i)))
+        db.policy.rules.update(10.0, 4, 1)
+        db.refresh()
+        metrics, policy = db.telemetry.metrics, db.policy.name
+        before = metrics.value("routing_query_fanout_total", policy=policy)
+        spans = {row["tenant"]: row["span"] for row in snapshot(db)["cluster"]["tenants"]}
+        assert spans == {"0": 1, "1": 4, "2": 1}
+        assert [db.tenant_fanout(t) for t in range(3)] == [1, 4, 1]
+        assert metrics.value("routing_query_fanout_total", policy=policy) == before == 0
+        # The span is what an unbounded statement for the tenant visits.
+        assert db.execute_sql("SELECT * FROM t WHERE tenant_id = 1").subqueries == 4
+
+
 class TestFacadeReplication:
     def _replicated_db(self):
         return ESDB(
