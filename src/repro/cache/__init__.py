@@ -7,9 +7,8 @@ query templates (the §6 workload: 1000 near-identical queries per tenant):
    ``(segment_id, normalized filter)``. Segments are immutable, so entries
    live until a delete dirties the segment or a merge retires it.
 2. :class:`ShardRequestCache` — full per-shard subquery results keyed by
-   statement identity + engine read generation, stored from a statement's
-   second sighting on (a doorkeeper of recent identities); invalidated
-   through the engine's ``on_refresh``/``on_merge`` hooks.
+   statement identity + engine read generation; invalidated through the
+   engine's ``on_refresh``/``on_merge`` hooks.
 3. :class:`CoordinatorResultCache` — whole fan-out results in the query
    coordinator keyed by ``(statement identity, rule-list version)``; the rule
    list's monotone version counter makes any routing change invalidate
@@ -19,6 +18,13 @@ query templates (the §6 workload: 1000 near-identical queries per tenant):
 A statement's identity is the ``sql:`` fingerprint of its text, which the
 query coordinator memoizes per text (:func:`sql_fingerprint`), so a repeat digests
 nothing.
+
+Admission follows TinyLFU's doorkeeper (:class:`Doorkeeper`): a key seen
+once never displaces anything. The coordinator asks the request level's
+doorkeeper once per fan-out, and a statement's first sighting probes no
+shard (unless its identity still holds live entries), stores no subquery,
+and stores its result only into free budget. A shard stores a filter's
+postings from the filter's second sighting on, through its own doorkeeper.
 
 All levels evict LRU within a byte budget, each entry priced by its caller
 (``rows_cost`` / ``posting_cost``), and report hit/miss/eviction
@@ -35,7 +41,14 @@ from repro.cache.fingerprint import (
     sql_fingerprint,
     statement_fingerprint,
 )
-from repro.cache.lru import CacheStats, LruCache, estimate_bytes, posting_cost, rows_cost
+from repro.cache.lru import (
+    CacheStats,
+    Doorkeeper,
+    LruCache,
+    estimate_bytes,
+    posting_cost,
+    rows_cost,
+)
 from repro.cache.request_cache import ShardRequestCache
 from repro.cache.result_cache import CoordinatorResultCache
 
@@ -51,6 +64,7 @@ __all__ = [
     "REQUEST_CACHE_BYTES",
     "RESULT_CACHE_BYTES",
     "CacheStats",
+    "Doorkeeper",
     "LruCache",
     "SegmentFilterCache",
     "ShardRequestCache",

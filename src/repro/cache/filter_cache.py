@@ -9,14 +9,21 @@ invalidates eagerly:
   live-filtered at build time, so they would go stale);
 * a merge replaces the segment entirely (its ``segment_id`` dies with it).
 
-Eviction is LRU by posting-list byte cost, so one huge match-everything
-filter cannot pin the budget.
+A shard stores a filter's per-segment lists from the filter's second
+sighting on: a :class:`~repro.cache.lru.Doorkeeper` of the last
+:data:`SEEN_FILTERS` filters the engine asked :meth:`SegmentFilterCache.admit`
+about, once per lookup. Lookups probe either way. Eviction is LRU by
+posting-list byte cost, so one huge match-everything filter cannot pin the
+budget.
 """
 
 from __future__ import annotations
 
-from repro.cache.lru import LruCache, posting_cost
+from repro.cache.lru import Doorkeeper, LruCache, posting_cost
 from repro.telemetry.runtime import NULL_REGISTRY
+
+#: Most filters a shard's doorkeeper remembers; the oldest goes.
+SEEN_FILTERS = 4096
 
 
 class SegmentFilterCache:
@@ -27,6 +34,7 @@ class SegmentFilterCache:
             max_bytes, level="filter", metrics=metrics, on_evict=self._forget
         )
         self._by_segment: dict[int, set] = {}
+        self._doorkeeper = Doorkeeper(SEEN_FILTERS)
 
     @property
     def stats(self):
@@ -34,6 +42,11 @@ class SegmentFilterCache:
 
     def __len__(self) -> int:
         return len(self._lru)
+
+    def admit(self, filter_key: tuple) -> bool:
+        """Whether a lookup of *filter_key* stores the lists it computes:
+        True when the filter was asked about before."""
+        return self._doorkeeper.admit(filter_key)
 
     def get(self, segment_id: int, filter_key: tuple):
         return self._lru.get((segment_id, filter_key))

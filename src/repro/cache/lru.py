@@ -9,6 +9,10 @@ available, even with telemetry disabled) and mirrors them into a
 ``cache_hits_total`` / ``cache_misses_total`` / ``cache_evictions_total``
 counters and a ``cache_bytes`` gauge, all labeled with the cache's
 ``level`` so every shard's filter cache aggregates into one series.
+
+A :class:`Doorkeeper` is the admission filter in front of a cache: it
+remembers the keys it was asked about, so a cache can store a key from its
+second sighting on (TinyLFU's doorkeeper, Einziger et al., TOS 2017).
 """
 
 from __future__ import annotations
@@ -216,3 +220,28 @@ class LruCache:
     def _account(self, delta: int) -> None:
         self.stats.bytes += delta
         self._bytes_gauge.add(delta)
+
+
+class Doorkeeper:
+    """The last *capacity* keys asked about, oldest forgotten first.
+
+    :meth:`admit` answers whether a key was seen before: a key seen once
+    never displaces a cached entry. A repeat keeps its place: the order
+    is insertion order, not recency."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._seen: OrderedDict[Any, None] = OrderedDict()
+        self._mutex = threading.Lock()
+
+    def admit(self, key: Any) -> bool:
+        """True when *key* was asked about before; otherwise remember it
+        (forgetting the oldest past :attr:`capacity`) and say no."""
+        seen = self._seen
+        with self._mutex:
+            if key in seen:
+                return True
+            seen[key] = None
+            if len(seen) > self.capacity:
+                seen.popitem(last=False)
+            return False

@@ -11,14 +11,16 @@ against the exact searchable state it was computed from; this mirrors
 Elasticsearch's shard request cache, which keys on the reader and
 invalidates on refresh.
 
-A statement is stored from its second sighting on. Application traffic
-varies its literals from call to call, so most statements are never seen
-again, and storing them only prices rows, fills the budget and evicts
-entries something might still read. A doorkeeper (TinyLFU's filter of keys
-seen once) records the last :data:`SEEN_STATEMENTS` identities the coordinator
-asked :meth:`ShardRequestCache.admit` about, once per fan-out; only an
-identity already in it is stored. Lookups do not consult it: a statement
-the doorkeeper forgot still finds its live entries.
+A fan-out probes and stores from its statement's second sighting on.
+Application traffic varies its literals from call to call, so most
+statements are never seen again: probing for them only misses, and storing
+them only prices rows, fills the budget and evicts entries something might
+still read. A :class:`~repro.cache.lru.Doorkeeper` records the last
+:data:`SEEN_STATEMENTS` identities the coordinator asked
+:meth:`ShardRequestCache.admit` about, once per fan-out; only an identity
+already in it is stored. A first sighting probes no shard unless its
+identity still holds live entries (:meth:`ShardRequestCache.holds`): a
+statement the doorkeeper forgot still finds them.
 
 The cache additionally invalidates a shard's entries *eagerly* through the
 engine's ``on_refresh``/``on_merge`` hooks (:meth:`ShardRequestCache.attach`)
@@ -32,10 +34,7 @@ queries populate the new one.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-
-from repro.cache.lru import LruCache
+from repro.cache.lru import Doorkeeper, LruCache
 from repro.telemetry.runtime import NULL_REGISTRY
 
 #: Most statement identities the doorkeeper remembers; the oldest goes.
@@ -50,8 +49,8 @@ class ShardRequestCache:
             max_bytes, level="request", metrics=metrics, on_evict=self._forget
         )
         self._by_shard: dict[int, set] = {}
-        self._seen: OrderedDict[str, None] = OrderedDict()  # the doorkeeper
-        self._seen_mutex = threading.Lock()
+        self._by_identity: dict[str, set] = {}
+        self._doorkeeper = Doorkeeper(SEEN_STATEMENTS)
 
     @property
     def stats(self):
@@ -61,17 +60,13 @@ class ShardRequestCache:
         return len(self._lru)
 
     def admit(self, identity: str) -> bool:
-        """Whether a fan-out of *identity* stores its subqueries: True
-        when the statement was asked about before; otherwise remember it
-        (forgetting the oldest past :data:`SEEN_STATEMENTS`) and say no."""
-        seen = self._seen
-        with self._seen_mutex:
-            if identity in seen:
-                return True
-            seen[identity] = None
-            if len(seen) > SEEN_STATEMENTS:
-                seen.popitem(last=False)
-            return False
+        """Whether a fan-out of *identity* probes and stores its
+        subqueries: True when the statement was asked about before."""
+        return self._doorkeeper.admit(identity)
+
+    def holds(self, identity: str) -> bool:
+        """Whether *identity* has a live entry on any shard."""
+        return identity in self._by_identity
 
     def get(self, shard_id: int, identity: str, generation: object):
         return self._lru.get((shard_id, identity, generation))
@@ -83,6 +78,7 @@ class ShardRequestCache:
         if not self._lru.put(key, value, cost=cost):
             return False
         self._by_shard.setdefault(shard_id, set()).add(key)
+        self._by_identity.setdefault(identity, set()).add(key)
         return True
 
     def invalidate_shard(self, shard_id: int) -> int:
@@ -92,6 +88,7 @@ class ShardRequestCache:
             return 0
         dropped = 0
         for key in keys:
+            self._unindex(self._by_identity, key[1], key)
             if self._lru.pop(key) is not None:
                 dropped += 1
         return dropped
@@ -106,11 +103,17 @@ class ShardRequestCache:
     def clear(self) -> None:
         self._lru.clear()
         self._by_shard.clear()
+        self._by_identity.clear()
 
     def _forget(self, key, _value) -> None:
-        shard_id = key[0]
-        keys = self._by_shard.get(shard_id)
+        self._unindex(self._by_shard, key[0], key)
+        self._unindex(self._by_identity, key[1], key)
+
+    @staticmethod
+    def _unindex(index: dict, name, key) -> None:
+        """Drop *key* from *index*'s set under *name*, and the set once empty."""
+        keys = index.get(name)
         if keys is not None:
             keys.discard(key)
             if not keys:
-                del self._by_shard[shard_id]
+                del index[name]

@@ -22,6 +22,13 @@ therefore carries *validators* — the ``(shard_id, engine generation)``
 pairs observed at compute time — and a lookup revalidates them against the
 live engines inside its one LRU probe, dropping the entry on mismatch. This
 makes a hit safe without parsing the SQL at all.
+
+A statement's first sighting is stored only into free budget: it evicts
+nothing, because most statements are never seen again (a seller's
+varying literals) and an entry no query reads is worth less than any
+entry already cached. From the second sighting on, a put evicts
+least-recently-used entries as usual. The coordinator asks the request
+level's doorkeeper once per fan-out and passes the answer on.
 """
 
 from __future__ import annotations
@@ -53,11 +60,22 @@ class CoordinatorResultCache:
         return entry[0] if entry is not None else None
 
     def put(
-        self, identity: str, rule_version: int, value, validators: tuple, cost: int
+        self,
+        identity: str,
+        rule_version: int,
+        value,
+        validators: tuple,
+        cost: int,
+        *,
+        seen: bool = True,
     ) -> bool:
         """Store *value* with the ``(shard_id, generation)`` *validators*
-        it was computed against, charged *cost* bytes."""
-        return self._lru.put((identity, rule_version), (value, validators), cost=cost)
+        it was computed against, charged *cost* bytes. A first sighting
+        (*seen* false) is stored only if it fits without evicting."""
+        lru = self._lru
+        if not seen and cost > lru.max_bytes - lru.stats.bytes:
+            return False
+        return lru.put((identity, rule_version), (value, validators), cost=cost)
 
     def clear(self) -> None:
         self._lru.clear()

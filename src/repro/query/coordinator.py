@@ -105,8 +105,9 @@ class Coordinator:
         ``cache.hit`` span where the executor subtree would have been. A
         miss runs the statement's plan on the shards its bounds allow —
         each through the shard request cache under the statement's
-        identity — aggregates, and puts the entry in the result cache with
-        the generation of every shard it read."""
+        identity, from its second sighting on — aggregates, and puts the
+        entry in the result cache with the generation of every shard it
+        read."""
         if prepared is None:
             with tracer.span("cache.hit", level="result", fingerprint=key[0]):
                 pass
@@ -126,15 +127,20 @@ class Coordinator:
         )
         push_limit = self._pushdown_limit(statement)
         request_cache = self.request_cache
-        # Asked once per fan-out: another shard of a statement's first
-        # sighting is not its second.
-        store_key = (
-            identity if request_cache is not None and request_cache.admit(identity) else None
-        )
+        # The doorkeeper is asked once per fan-out (another shard of a
+        # first sighting is not its second), and its answer gates both
+        # statement levels: a first sighting probes no shard unless its
+        # identity still holds entries, stores no subquery, and evicts no
+        # cached result.
+        seen = probe = False
+        if request_cache is not None:
+            seen = request_cache.admit(identity)
+            probe = seen or request_cache.holds(identity)
+        store_key = identity if seen else None
         shard_results = []
         for shard_id in shard_ids:
             with tracer.span(f"query.shard[{shard_id}]") as sub_span:
-                if request_cache is not None:
+                if probe:
                     cached = request_cache.get(
                         shard_id, identity, self.engines[shard_id].generation
                     )
@@ -162,6 +168,7 @@ class Coordinator:
             self.result_cache.put(
                 *key, entry, validators,
                 cost=rows_cost(result.rows) + 24 * len(validators),
+                seen=seen,
             )
         return entry
 

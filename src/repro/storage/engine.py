@@ -40,8 +40,10 @@ class EngineConfig:
     Attributes:
         schema: field types for documents in this shard.
         composite_columns: composite indexes to maintain (§5.1).
-        scan_columns: the "scan list" — low-cardinality columns answered by
-            sequential scan over doc values instead of an index (§5.1).
+        scan_columns: the optimizer catalog's "scan list" — low-cardinality
+            columns it answers by sequential scan over doc values instead of
+            an index (§5.1). The engine itself does not read it: every
+            segment indexes these columns like any other field.
         indexed_subattributes: frequency-based indexing selection for the
             "attributes" column; None indexes all sub-attributes.
         auto_refresh_every: refresh automatically after this many buffered
@@ -62,7 +64,6 @@ class EngineConfig:
         return SegmentSpec(
             schema=self.schema,
             composite_columns=self.composite_columns,
-            scan_columns=self.scan_columns,
             indexed_subattributes=self.indexed_subattributes,
         )
 
@@ -342,20 +343,24 @@ class ShardEngine:
 
     def _cached_postings(self, key: tuple, per_segment) -> PostingList:
         """Union per-segment posting lists, serving each segment's list from
-        the filter cache when present. Segments are immutable, so a cached
-        list stays valid until a delete dirties the segment (invalidated in
-        :meth:`_apply_delete`) or a merge retires it (:meth:`maybe_merge`)."""
+        the filter cache when present and storing the lists it computes
+        from the filter's second sighting on. Segments are immutable, so a
+        cached list stays valid until a delete dirties the segment
+        (invalidated in :meth:`_apply_delete`) or a merge retires it
+        (:meth:`maybe_merge`)."""
         cache = self.filter_cache
         if cache is None:
             return PostingList.union_all(
                 [per_segment(s) for s in self._searchable_segments()]
             )
+        store = cache.admit(key)  # once per lookup, not per segment
         lists = []
         for segment in self._searchable_segments():
             postings = cache.get(segment.segment_id, key)
             if postings is None:
                 postings = per_segment(segment)
-                cache.put(segment.segment_id, key, postings)
+                if store:
+                    cache.put(segment.segment_id, key, postings)
             lists.append(postings)
         return PostingList.union_all(lists)
 

@@ -49,7 +49,6 @@ class SegmentSpec:
     Attributes:
         schema: field types.
         composite_columns: column tuples to build composite indexes on.
-        scan_columns: columns kept only in doc values for sequential scan.
         indexed_subattributes: names of "attributes" sub-attributes that get
             their own inverted-index terms (frequency-based indexing, §3.2).
             None means index every sub-attribute (the expensive default ESDB
@@ -58,7 +57,6 @@ class SegmentSpec:
 
     schema: Schema
     composite_columns: tuple = ()
-    scan_columns: frozenset = frozenset()
     indexed_subattributes: frozenset | None = None
 
 

@@ -51,3 +51,24 @@ def test_one_more_posting_fails(tmp_path):
     done = _check(tmp_path, values)
     assert done.returncode == 1
     assert "query_cold query.postings_per_row" in done.stdout
+
+
+def test_spans_mode_names_what_moved(tmp_path):
+    run, ref = tmp_path / "run", tmp_path / "ref"
+    for directory, names in ((run, ["query", "cache.result_get"]),
+                             (ref, ["query", "cache.result_get", "cache.request_get"])):
+        directory.mkdir()
+        for workload in COUNTS["workloads"]:
+            lines = [json.dumps({"id": i, "name": name}) for i, name in enumerate(names)]
+            (directory / f"{workload}.spans.jsonl").write_text("\n".join(lines) + "\n")
+    results = {"seed": COUNTS["seed"], "sets": [_pinned_run()]}
+    (run / "results.json").write_text(json.dumps(results))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "check_bench_counts.py"), str(run),
+         "--spans", str(ref)],
+        capture_output=True, text=True, check=False,
+    )
+    assert done.returncode == 0, done.stdout
+    assert "query_cold spans 3 -> 2 (-1)" in done.stdout
+    assert "  cache.request_get 1 -> 0 (-1)" in done.stdout
+    assert "  query " not in done.stdout  # equal counts are not printed

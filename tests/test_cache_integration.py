@@ -134,18 +134,18 @@ class TestResultCacheHitAccounting:
 
 class TestShardRequestCache:
     def test_per_shard_hits_when_result_cache_off(self):
-        """A statement is stored from its second sighting on: the first
-        misses every shard and stores nothing, the second stores one entry
-        per shard, the third hits every shard."""
+        """A statement is probed and stored from its second sighting on:
+        the first probes no shard and stores nothing, the second misses
+        and stores one entry per shard, the third hits every shard."""
         db = build_db(result_cache=False)
         assert db.result_cache is None
         stats = db.request_cache.stats
         first = db.execute_sql(QUERY)
         shards = first.subqueries
         assert shards >= 1
-        assert (stats.misses, stats.insertions) == (shards, 0)
+        assert (stats.misses, stats.insertions) == (0, 0)
         db.execute_sql(QUERY)
-        assert (stats.hits, stats.insertions) == (0, shards)
+        assert (stats.hits, stats.misses, stats.insertions) == (0, shards, shards)
         third = db.execute_sql(QUERY)
         assert stats.hits == shards
         assert rows_of(first) == rows_of(third)

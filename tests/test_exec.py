@@ -344,6 +344,9 @@ class TestResultCacheEviction:
         db = tenant_db(**extras)
         db.execute_sql(self.STATEMENT.format(1))
         cost = db.result_cache.stats.bytes
+        # Only a repeat evicts: statement 3, which fills the cache below,
+        # is seen once here first.
+        db.execute_sql(self.STATEMENT.format(3))
         # Room for two entries of equal cost (each tenant counts 8
         # documents on one shard), not for three.
         db.coordinator.result_cache = CoordinatorResultCache(
