@@ -5,12 +5,13 @@ Run:  python examples/quickstart.py
 
 from repro import ESDB, EsdbConfig
 from repro.cluster import ClusterTopology
+from repro.obsv import cat_nodes
 
 
 def main() -> None:
     # A small cluster: 4 worker nodes, 32 shards, 1 replica per shard.
     db = ESDB(EsdbConfig(topology=ClusterTopology(num_nodes=4, num_shards=32)))
-    print(db.cluster.describe())
+    print(cat_nodes(db).render())
 
     # Transaction logs mix structured columns with full text and the
     # free-form "attributes" column of customized sub-attributes.

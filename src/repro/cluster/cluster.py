@@ -99,19 +99,9 @@ class Cluster:
             raise ClusterError(f"unknown shard {shard_id}")
         return self.shards[shard_id]
 
-    def node_of_shard(self, shard_id: int) -> Node:
-        """Return the node hosting the primary of *shard_id*."""
-        return self.nodes[self.shard(shard_id).node_id]
-
     def replica_nodes_of_shard(self, shard_id: int) -> list[Node]:
         self.shard(shard_id)
         return [self.nodes[r.node_id] for r in self.replicas.get(shard_id, [])]
-
-    def nodes_touched_by_write(self, shard_id: int) -> list[Node]:
-        """Primary node plus replica nodes — every node that spends CPU on a
-        write to *shard_id* (the doubling the paper's physical replication
-        attacks)."""
-        return [self.node_of_shard(shard_id)] + self.replica_nodes_of_shard(shard_id)
 
     # -- master election ---------------------------------------------------------
     @property
@@ -178,16 +168,3 @@ class Cluster:
     def shard_counts_per_node(self) -> dict[int, int]:
         """Return {node_id: primary shard count} (allocation balance check)."""
         return {n.node_id: len(n.shard_ids) for n in self.nodes}
-
-    def describe(self) -> str:
-        lines = [
-            f"cluster: {self.num_nodes} nodes, {self.num_shards} shards, "
-            f"{self.topology.replicas_per_shard} replica(s)/shard, master={self.master.name}"
-        ]
-        for node in self.nodes:
-            lines.append(
-                f"  {node.name}: {len(node.shard_ids)} primaries, "
-                f"{len(node.replica_shard_ids)} replicas, "
-                f"capacity={node.capacity:.0f} ops/s"
-            )
-        return "\n".join(lines)

@@ -64,7 +64,3 @@ class Node:
 
     def restart(self) -> None:
         self.alive = True
-
-    def hosted_shards(self) -> set:
-        """All shard ids hosted here, primaries and replicas alike."""
-        return self.shard_ids | self.replica_shard_ids

@@ -97,8 +97,9 @@ class EsdbConfig:
             enabling :meth:`ESDB.replicate` and :meth:`ESDB.fail_primary`.
         telemetry_enabled: collect metrics and traces for this instance
             (default). With False the instance runs on the no-op telemetry
-            singletons — near-zero overhead, and the report
-            (:func:`repro.obsv.render_report`) shows no registry counters.
+            singletons — near-zero overhead, and the dashboard
+            (:func:`repro.obsv.render_dashboard`) shows the engines' own
+            totals but no registry counters.
         cache: the three query-cache levels (:mod:`repro.cache`) — segment
             filter, shard request and coordinator result cache — all on
             (default) or all off, within the budgets

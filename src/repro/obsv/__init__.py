@@ -9,11 +9,10 @@ and N renderers:
   returns it as one JSON-ready dict, which is also the flight-recorder
   **diagnostics bundle** (:func:`diagnostics_bundle`, schema-checked by
   :func:`validate_bundle`, ``python -m repro.obsv --bundle out.json``);
-* **renderers** of that dict, which never touch the instance: the text
-  report (:func:`render_report`), the dashboard (:func:`render_dashboard`,
-  ``python -m repro.obsv``), the JSON cluster snapshot
-  (``python -m repro.obsv --json``, the dict's ``cluster`` section) and the
-  ``_cat``-style tables (:func:`cat_nodes`, :func:`cat_shards`,
+* **renderers** of that dict, which never touch the instance: the one
+  text page (:func:`render_dashboard`, ``python -m repro.obsv``), the JSON
+  cluster snapshot (``python -m repro.obsv --json``, the dict's ``cluster``
+  section) and the ``_cat``-style tables (:func:`cat_nodes`, :func:`cat_shards`,
   :func:`cat_tenants`, :func:`cat_rules`, :func:`cat_caches`,
   :func:`cat_events`, ...) — structured rows plus aligned-column text,
   exactly the shape of ``GET _cat/...``. A table also accepts a live
@@ -55,7 +54,6 @@ from repro.obsv.cat import (
 from repro.obsv.config import ObsvConfig
 from repro.obsv.dashboard import render_dashboard, shard_heatmap
 from repro.obsv.observer import Observer
-from repro.obsv.report import render_report
 from repro.obsv.skew import (
     Alert,
     WindowStats,
@@ -98,7 +96,6 @@ __all__ = [
     "gini",
     "max_mean_ratio",
     "render_dashboard",
-    "render_report",
     "rule_measurement",
     "shard_heatmap",
     "snapshot",

@@ -9,7 +9,9 @@ retained structured events (``--events``, filterable with ``--kind`` /
 diagnostics bundle instead — the payload CI validates and archives as a
 workflow artifact; ``--governed`` and ``--chaos`` spice the demo workload
 with admission control and a mid-run node crash so the bundle's event log
-has throttle/shed and fault entries to show.
+has throttle/shed and fault entries to show, and ``--slo`` turns on SLO
+tracking and heavy-hitter profiling, which fill the dashboard's ``slo`` and
+``heavy hitters`` sections.
 """
 
 from __future__ import annotations
@@ -135,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--slo",
         action="store_true",
         help=(
-            "enable SLO tracking + heavy-hitter profiling and print the "
-            "SLO view (objectives, burn alerts, hot-key tables)"
+            "enable SLO tracking + heavy-hitter profiling in the demo (the "
+            "dashboard's slo and heavy-hitter sections)"
         ),
     )
     parser.add_argument(
@@ -162,8 +164,8 @@ def main(argv: list | None = None) -> int:
         print("--writes must be >= 1", file=sys.stderr)
         return 2
     from repro.obsv.bundle import validate_bundle
-    from repro.obsv.cat import cat_events, cat_hotkeys, cat_slo
-    from repro.obsv.dashboard import burn_alert_line, render_dashboard
+    from repro.obsv.cat import cat_events
+    from repro.obsv.dashboard import render_dashboard
     from repro.obsv.snapshot import snapshot
 
     db = build_demo(
@@ -191,15 +193,6 @@ def main(argv: list | None = None) -> int:
         return 0
     if args.events:
         print(cat_events(snap, kind=args.kind, tenant=args.tenant).render())
-        return 0
-    if args.slo and not args.json:
-        lines = ["== slo objectives ==", cat_slo(snap).render()]
-        alerts = snap["slo"]["alerts"]
-        if alerts:
-            lines.append("== burn alerts ==")
-            lines += [burn_alert_line(alert) for alert in alerts]
-        lines += ["== heavy hitters ==", cat_hotkeys(snap, k=5).render()]
-        print("\n".join(lines))
         return 0
     if args.json:
         print(json.dumps(snap["cluster"], indent=2, sort_keys=True))

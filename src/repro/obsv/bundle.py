@@ -5,8 +5,8 @@ can see of a live instance in one JSON-ready capture, the artifact an
 operator (or CI) attaches to a bug report so the failure can be diagnosed
 without reproducing it: cluster snapshot, metric registry, recent trace
 trees, the structured event log, the fault log and the slow-log tails.
-The report and dashboard render a bundle loaded from disk exactly as they
-render the live instance. The shape is versioned
+The dashboard and the ``_cat`` tables render a bundle loaded from disk
+exactly as they render the live instance. The shape is versioned
 (:data:`BUNDLE_SCHEMA_VERSION`) and checked by :func:`validate_bundle`,
 which returns a list of problems (empty = valid) instead of raising — CI
 treats a non-empty list as a failed smoke step.

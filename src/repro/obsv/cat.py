@@ -117,11 +117,10 @@ def cat_tenants(source, k: int | None = None) -> CatTable:
     ``qos`` / ``admitted`` / ``shed`` / ``demoted``.
     """
     rows = _section(source, read_tenants, "cluster", "tenants")[:k]
-    columns = (
-        tuple(rows[0])
-        if rows
-        else ("tenant", "docs", "window_writes", "window_share", "span")
-    )
+    # Fixed column order: a bundle saved with sorted keys renders the same.
+    columns = ("tenant", "docs", "window_writes", "window_share", "span")
+    if rows and "qos" in rows[0]:
+        columns += ("qos", "admitted", "shed", "demoted")
     return CatTable.from_dicts("tenants", columns, rows)
 
 

@@ -3,9 +3,10 @@
 ``render_dashboard(snap)`` composes one terminal-friendly page from the
 dict :func:`repro.obsv.snapshot` returns: topology header, node table, a
 per-shard document heatmap, the top-k tenants, routing rules, governance,
-SLOs, arrivals, heavy hitters, caches, performance history, events, recent
-skew alerts and the slow-log tail. It never reads the instance, so a saved
-bundle renders exactly as the live instance did.
+SLOs, arrivals, heavy hitters, caches, totals (engine, query, optimizer,
+latency, consensus and slow-log counters), performance history, events,
+recent skew alerts and the slow-log tail. It never reads the instance, so a
+saved bundle renders exactly as the live instance did.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.obsv.config import TOP_K
 from repro.obsv.skew import Alert, describe_window
 from repro.obsv.slowlog import SlowLogEntry
 from repro.telemetry.events import Event
-from repro.telemetry.timeseries import DASHBOARD_SERIES, sparkline, summarize_values
+from repro.telemetry.timeseries import DASHBOARD_SERIES, sparkline
 
 #: Heat ramp from cold to hot, index scaled by load relative to the max.
 _HEAT = " .:-=+*#%@"
@@ -61,9 +62,7 @@ def shard_heatmap(counts: dict) -> str:
     return "\n".join(lines)
 
 
-def history_lines(
-    timeseries: dict, rows=DASHBOARD_SERIES, width: int = 40, with_max: bool = False
-) -> list[str]:
+def history_lines(timeseries: dict, rows=DASHBOARD_SERIES) -> list[str]:
     """One sparkline line per ``(label, series name)`` row that has
     samples in a snapshot's ``timeseries`` section."""
     values_by_name = {
@@ -76,15 +75,11 @@ def history_lines(
         values = values_by_name.get(name)
         if not values:
             continue
-        summary = summarize_values(values)
-        line = f"  {label:<14} {sparkline(values, width=width)} last={summary['last']:.3f}"
-        if with_max:
-            line += f" max={summary['max']:.3f}"
-        lines.append(line)
+        lines.append(f"  {label:<14} {sparkline(values, width=40)} last={values[-1]:.3f}")
     return lines
 
 
-def burn_alert_line(alert: dict) -> str:
+def _burn_alert_line(alert: dict) -> str:
     """One SLO burn alert (a snapshot ``slo.alerts`` entry)."""
     return (
         f"  {alert['kind']} {alert['slo']} @ t={alert['time']:.2f} "
@@ -133,7 +128,7 @@ def render_dashboard(snap: dict) -> str:
     if slo is not None:
         sections += ["", "-- slo --", cat_slo(snap).render()]
         sections += history_lines(cluster["timeseries"], _SLO_SERIES)
-        sections += [burn_alert_line(alert) for alert in slo["alerts"][-5:]]
+        sections += [_burn_alert_line(alert) for alert in slo["alerts"][-5:]]
     arrivals = cluster.get("arrivals")
     if arrivals is not None:
         quantiles = arrivals["interarrival"]
@@ -165,6 +160,7 @@ def render_dashboard(snap: dict) -> str:
     exec_table = cat_exec(snap)
     if len(exec_table):
         sections += ["", "-- batched execution --", exec_table.render()]
+    sections += ["", "-- totals --"] + _totals_lines(cluster)
     sections += ["", "-- performance history --"]
     timeseries = cluster["timeseries"]
     history = history_lines(timeseries)
@@ -196,8 +192,8 @@ def render_dashboard(snap: dict) -> str:
             sections.append(f"  last window: {describe_window(windows[-1])}")
         sections += ["", "-- slow log tail --"]
         slowlog = observer["slowlog"]
-        tail = slowlog["index"][-5:] + slowlog["search"][-5:]
-        tail.sort(key=lambda entry: entry["time"])
+        # The newest 8 of both retained tails, whichever log they sit in.
+        tail = sorted(slowlog["index"] + slowlog["search"], key=lambda e: e["time"])
         if tail:
             sections += [
                 f"  {SlowLogEntry(**{'trace': None, **entry}).describe()}"
@@ -206,3 +202,44 @@ def render_dashboard(snap: dict) -> str:
         else:
             sections.append("  (empty)")
     return "\n".join(sections)
+
+
+def _totals_lines(cluster: dict) -> list[str]:
+    """Engine, query, optimizer, latency and consensus totals, and each
+    slow log's per-level counts when the observer is on."""
+    engines = cluster["engines"]
+    lines = [
+        f"  engines: {engines['writes']} writes, {engines['refreshes']} refreshes, "
+        f"{engines['merges']} merges, {engines['segments']} live segments"
+    ]
+    queries = cluster["queries"]
+    if queries["executed"]:
+        lines.append(
+            f"  queries: {queries['executed']} executed, avg fan-out "
+            f"{queries['subqueries'] / queries['executed']:.1f} shard(s)"
+        )
+    if queries["plan_picks"]:
+        picks = ", ".join(
+            f"{path}={count}" for path, count in sorted(queries["plan_picks"].items())
+        )
+        lines.append(f"  optimizer picks: {picks}")
+    lines += [
+        f"  {op} latency: p50={p['p50'] * 1e3:.3f}ms p95={p['p95'] * 1e3:.3f}ms "
+        f"p99={p['p99'] * 1e3:.3f}ms max={p['max'] * 1e3:.3f}ms"
+        for op in ("write", "query")
+        if (p := cluster["latency"].get(op)) is not None
+    ]
+    rounds = cluster["consensus"]
+    if rounds:
+        lines.append(
+            f"  consensus rounds: {rounds.get('committed', 0)} committed, "
+            f"{rounds.get('aborted', 0)} aborted"
+        )
+    observer = cluster.get("obsv")
+    if observer is not None:
+        counts = observer["slowlog"]["counts"]
+        lines += [
+            f"  slowlog[{log}]: {counts[log]['warn']} warn / {counts[log]['info']} info"
+            for log in ("index", "search")
+        ]
+    return lines

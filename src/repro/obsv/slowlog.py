@@ -141,36 +141,3 @@ class SlowLog:
         """The most recent *n* entries, oldest first."""
         entries = list(self.entries)
         return entries[-n:] if n < len(entries) else entries
-
-    def slowest(self) -> SlowLogEntry | None:
-        """The slowest retained entry."""
-        return max(self.entries, key=lambda e: e.elapsed, default=None)
-
-    def summary(self) -> dict:
-        """Per-level totals, retained entries and the slowest retained
-        entry — what :func:`describe_slowlog` renders."""
-        slowest = self.slowest()
-        return {
-            **self.counts,
-            "retained": len(self.entries),
-            "slowest": (
-                {"elapsed": slowest.elapsed, "tenant": slowest.tenant}
-                if slowest is not None
-                else None
-            ),
-        }
-
-
-def describe_slowlog(log: str, summary: dict) -> str:
-    """One report line for a slow log's :meth:`SlowLog.summary`."""
-    slowest = summary["slowest"]
-    suffix = (
-        f", slowest {slowest['elapsed'] * 1e3:.3f}ms"
-        + (f" tenant={slowest['tenant']}" if slowest["tenant"] else "")
-        if slowest is not None
-        else ""
-    )
-    return (
-        f"slowlog[{log}]: {summary['warn']} warn / "
-        f"{summary['info']} info (retained {summary['retained']}){suffix}"
-    )

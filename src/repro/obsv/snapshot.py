@@ -1,13 +1,15 @@
 """The one reader of operator state: ``snapshot(db)``.
 
-Every operator surface — the text report, the dashboard, the ``_cat``
-tables, ``python -m repro.obsv --json`` and the flight-recorder bundle —
+Every operator surface — the text dashboard, the ``_cat`` tables,
+``python -m repro.obsv --json`` and the flight-recorder bundle —
 renders the JSON-ready dict :func:`snapshot` returns and never touches the
 instance, so a bundle loaded from disk renders exactly as the live
 instance did. The functions below are the only code that reads the
 facade's subsystems (governor, SLO engine, profiler, observer, history,
 event log, fault injector); a ``cat_*`` table over a live instance calls
-the one ``read_*`` it needs instead of taking a whole snapshot.
+the one ``read_*`` it needs instead of taking a whole snapshot. One
+snapshot reads each subsystem once: the ``cluster`` section shares the SLO
+and profiler dumps with the top-level ``slo`` / ``hotkeys`` sections.
 
 The dict is the diagnostics bundle (schema :data:`BUNDLE_SCHEMA_VERSION`).
 Sections for an optional subsystem are absent from ``cluster`` when it is
@@ -39,20 +41,13 @@ def format_cell(value) -> str:
 def snapshot(db) -> dict:
     """Everything an operator can see of *db*, as one JSON-ready dict."""
     finished = list(db.telemetry.tracer.finished)[-MAX_SNAPSHOT_TRACES:]
-    hotkeys = {
-        "enabled": False,
-        "sketch_capacity": 0,
-        "decays": 0,
-        "dropped_tenants": 0,
-        "concentration_pct": 0.0,
-        "shards": {},
-        "tenants": {},
-    }
+    slo = read_slo(db)
+    hotkeys = db.hotkeys.snapshot() if db.hotkeys is not None else None
     return {
         "schema_version": BUNDLE_SCHEMA_VERSION,
         "kind": "esdb-diagnostics",
         "time": float(db.now),
-        "cluster": read_cluster(db),
+        "cluster": read_cluster(db, slo, hotkeys),
         "metrics": db.telemetry.metrics.snapshot(),
         "events": read_events(db),
         "faults": read_faults(db),
@@ -61,16 +56,26 @@ def snapshot(db) -> dict:
             "enabled": db.config.tracing.enabled,
             "traces_started": db.trace_ids.issued if db.trace_ids is not None else 0,
         },
-        "slo": read_slo(db),
-        "hotkeys": db.hotkeys.snapshot() if db.hotkeys is not None else hotkeys,
+        "slo": slo,
+        "hotkeys": hotkeys if hotkeys is not None else {
+            "enabled": False,
+            "sketch_capacity": 0,
+            "decays": 0,
+            "dropped_tenants": 0,
+            "concentration_pct": 0.0,
+            "shards": {},
+            "tenants": {},
+        },
     }
 
 
-def read_cluster(db) -> dict:
+def read_cluster(db, slo: dict, hotkeys: dict | None) -> dict:
     """The ``cluster`` section (``python -m repro.obsv --json``): the
-    ``_cat`` rows plus the report's engine, query, latency and consensus
-    totals. Engine totals come from the registry, or from each engine's
-    local ``EngineStats`` when telemetry is off."""
+    ``_cat`` rows plus the dashboard's engine, query, latency and consensus
+    totals, over the *slo* (:func:`read_slo`) and *hotkeys* (the
+    profiler's, None without profiling) dumps :func:`snapshot` read. Engine
+    totals come from the registry, or from each engine's local
+    ``EngineStats`` when telemetry is off."""
     shard_rows = read_shards(db)
     metrics = db.telemetry.metrics
     engines = db.engines.values()
@@ -93,7 +98,6 @@ def read_cluster(db) -> dict:
             "shards": db.cluster.num_shards,
             "docs": sum(row["docs"] for row in shard_rows),
         },
-        "describe": db.cluster.describe(),
         "nodes": read_nodes(db),
         "shards": shard_rows,
         "tenants": read_tenants(db),
@@ -123,26 +127,22 @@ def read_cluster(db) -> dict:
             "total": db.events.total,
             "recent": db.events.to_dicts(limit=20),
         },
-        "hotkey_table": read_hotkey_table(db),
+        "hotkey_table": hotkey_rows(hotkeys) if hotkeys is not None else [],
     }
     if isinstance(db.policy, DynamicSecondaryHashRouting):
         cluster["rule_count"] = len(db.policy.rules)
     if db.governor is not None:
         cluster["tenancy"] = read_tenancy(db)
     if db.slo is not None:
-        cluster["slo"] = db.slo.snapshot()
-    if db.hotkeys is not None:
-        cluster["hotkeys"] = db.hotkeys.snapshot()
+        cluster["slo"] = slo
+    if hotkeys is not None:
+        cluster["hotkeys"] = hotkeys
     arrivals = getattr(db, "arrivals", None)  # set by a trace replay only
     if arrivals is not None:
         cluster["arrivals"] = arrivals.summary()
     observer = db.obsv
     if observer is not None:
         cluster["obsv"] = observer.snapshot()
-        cluster["slowlogs"] = {
-            log.log: log.summary()
-            for log in (observer.index_slowlog, observer.search_slowlog)
-        }
     return cluster
 
 
@@ -307,13 +307,14 @@ def read_tenancy(db) -> dict | None:
 
 
 def read_hotkey_table(db) -> list[dict]:
-    """``cat_hotkeys`` rows, read off the profiler's snapshot: the top
-    ``TOP_K`` of each sketch with its count-error bound, global scope first
-    in each dimension, then shards and tenants in sorted order. Empty
-    without profiling."""
-    if db.hotkeys is None:
-        return []
-    hotkeys = db.hotkeys.snapshot()
+    """``cat_hotkeys`` rows of a live instance; empty without profiling."""
+    return hotkey_rows(db.hotkeys.snapshot()) if db.hotkeys is not None else []
+
+
+def hotkey_rows(hotkeys: dict) -> list[dict]:
+    """``cat_hotkeys`` rows of one profiler snapshot: the top ``TOP_K`` of
+    each sketch with its count-error bound, global scope first in each
+    dimension, then shards and tenants in sorted order."""
     rows = []
     for dimension, sketch, scoped in (
         ("routing_key", "routing_keys", (("shard", "shards"), ("tenant", "tenants"))),

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from repro import ESDB, EsdbConfig
 from repro.cluster import ClusterTopology
-from repro.obsv import render_report, snapshot
+from repro.obsv import cat_caches, snapshot
 from tests.conftest import make_log
 
 TOPOLOGY = ClusterTopology(num_nodes=2, num_shards=8)
@@ -216,26 +216,34 @@ class TestExplainAnalyzeCacheSpans:
             assert span.find("cache.hit") is not None
 
 
-class TestRenderedReport:
-    def test_cache_lines_present_after_activity(self):
+def active_levels(db) -> dict:
+    """``cat_caches`` rows of *db*'s snapshot that saw a hit or a miss."""
+    return {
+        row["level"]: row
+        for row in cat_caches(snapshot(db)).to_dicts()
+        if row["hits"] + row["misses"]
+    }
+
+
+class TestCacheTable:
+    def test_cache_rows_active_after_activity(self):
         db = build_db()
         db.execute_sql(QUERY)
         db.execute_sql(QUERY)
         # A term query on a non-composite column reaches the segment filter
         # cache (tenant-prefixed queries use the composite index instead).
         db.execute_sql("SELECT * FROM transaction_logs WHERE group = 1")
-        report = render_report(snapshot(db))
-        assert "cache[filter]:" in report
-        assert "cache[result]:" in report
+        levels = active_levels(db)
+        assert "filter" in levels
+        assert "result" in levels
 
-    def test_no_cache_lines_when_disabled(self):
+    def test_no_cache_rows_active_when_disabled(self):
         db = build_db(cache=False)
         db.execute_sql(QUERY)
-        report = render_report(snapshot(db))
-        for level in ("filter", "request", "result"):
-            assert f"cache[{level}]" not in report
+        levels = active_levels(db)
         # The statement-shape map is no cache level: it always runs.
-        assert "cache[shapes]: 0 hits / 1 misses" in report
+        assert list(levels) == ["shapes"]
+        assert (levels["shapes"]["hits"], levels["shapes"]["misses"]) == (0, 1)
 
     def test_works_with_telemetry_disabled(self):
         db = build_db(telemetry_enabled=False)
@@ -243,4 +251,4 @@ class TestRenderedReport:
         db.execute_sql(QUERY)
         # Local stats still track even though the registry is a no-op.
         assert db.result_cache.stats.hits == 1
-        assert "cache[" not in render_report(snapshot(db))
+        assert active_levels(db) == {}

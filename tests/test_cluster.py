@@ -38,12 +38,6 @@ class TestAllocation:
             for replica in cluster.replicas[shard.shard_id]:
                 assert replica.node_id != shard.node_id
 
-    def test_nodes_touched_by_write_includes_primary_and_replica(self):
-        cluster = Cluster(ClusterTopology(num_nodes=4, num_shards=8))
-        nodes = cluster.nodes_touched_by_write(0)
-        assert len(nodes) == 2
-        assert nodes[0].node_id != nodes[1].node_id
-
     def test_zero_replicas_supported(self):
         cluster = Cluster(ClusterTopology(num_nodes=2, num_shards=4, replicas_per_shard=0))
         assert cluster.replica_nodes_of_shard(0) == []
@@ -100,14 +94,3 @@ class TestNode:
         node = cluster.nodes[0]
         assert node.roles & NodeRole.WORKER
         assert node.roles & NodeRole.COORDINATOR
-
-    def test_hosted_shards_union(self):
-        cluster = Cluster(ClusterTopology(num_nodes=4, num_shards=8))
-        node = cluster.nodes[0]
-        assert node.hosted_shards() == node.shard_ids | node.replica_shard_ids
-
-    def test_describe_mentions_all_nodes(self):
-        cluster = Cluster(ClusterTopology(num_nodes=3, num_shards=6))
-        text = cluster.describe()
-        for node in cluster.nodes:
-            assert node.name in text

@@ -14,7 +14,7 @@ import pytest
 from repro import ESDB, EsdbConfig
 from repro.balancer import BalancerConfig
 from repro.cluster import ClusterTopology
-from repro.obsv import render_report, snapshot
+from repro.obsv import render_dashboard, snapshot
 from tests.conftest import make_log
 
 
@@ -109,8 +109,8 @@ class TestLifecycle:
         suggested = db.suggest_subattribute_indexes(k=1)
         assert suggested == frozenset({"activity"})
 
-    def test_rendered_report_coherent(self, story):
+    def test_rendered_dashboard_coherent(self, story):
         db = story["db"]
-        report = render_report(snapshot(db))
-        assert "routing rules:" in report
-        assert "whale" in report
+        page = render_dashboard(snapshot(db))
+        rules = page.split("-- routing rules --\n", 1)[1].split("\n\n", 1)[0]
+        assert "whale" in rules

@@ -8,7 +8,7 @@ from repro import ESDB, EsdbConfig, DynamicSecondaryHashRouting
 from repro.balancer import BalancerConfig
 from repro.client import WriteClient, WriteClientConfig
 from repro.cluster import ClusterTopology
-from repro.obsv import render_report, snapshot
+from repro.obsv import render_dashboard, snapshot
 from repro.replication import PhysicalReplicator
 from repro.storage import ShardEngine
 from repro.workload import TransactionLogGenerator, WorkloadConfig
@@ -177,8 +177,8 @@ class TestRuleCompactionLifecycle:
         assert before.scalar() == after.scalar() == 300
 
 
-class TestRenderedReport:
-    def test_report_mentions_everything(self):
+class TestRenderedDashboard:
+    def test_dashboard_mentions_everything(self):
         db = ESDB(
             EsdbConfig(
                 topology=SMALL,
@@ -190,9 +190,9 @@ class TestRenderedReport:
             db.write(make_log(i, tenant="whale", created=i * 0.01))
         db.rebalance()
         db.refresh()
-        report = render_report(snapshot(db))
-        assert "cluster: 4 nodes" in report
-        assert "documents per node" in report
-        assert "120 writes" in report
-        assert "routing rules:" in report
-        assert "whale" in report
+        page = render_dashboard(snapshot(db))
+        assert "== esdb dashboard :: 4 nodes / " in page
+        assert "-- nodes --\nnode   roles health primaries replicas docs" in page
+        assert "  engines: 120 writes" in page
+        rules = page.split("-- routing rules --\n", 1)[1].split("\n\n", 1)[0]
+        assert "whale" in rules

@@ -26,7 +26,6 @@ from repro.obsv import (
     window_stats,
 )
 from repro.obsv.config import INDEX_WARN_SECONDS, SEARCH_WARN_SECONDS
-from repro.obsv.slowlog import describe_slowlog
 from repro.telemetry import MetricsRegistry, Tracer
 from repro.telemetry.runtime import NULL_REGISTRY
 
@@ -198,11 +197,8 @@ class TestSlowLog:
         assert len(log) == 5
         assert log.counts["info"] == 20
         assert [e.detail for e in log.tail(3)] == ["q17", "q18", "q19"]
-        line = describe_slowlog(log.log, log.summary())
-        assert "20 info" in line
-        assert "retained 5" in line
 
-    def test_slowest_and_trace_attachment(self):
+    def test_trace_attachment(self):
         tracer = Tracer()
         with tracer.span("write") as span:
             with tracer.span("write.index"):
@@ -210,8 +206,6 @@ class TestSlowLog:
         log = SlowLog("index", warn_seconds=10.0, info_seconds=0.0)
         log.record(time=0.0, elapsed=0.002, trace=span)
         log.record(time=1.0, elapsed=0.009, tenant="t9")
-        slowest = log.slowest()
-        assert slowest.elapsed == 0.009
         first = log.tail()[0]
         assert first.trace is span
         assert first.to_dict()["trace"]["children"][0]["name"] == "write.index"

@@ -4,6 +4,7 @@ CLI plumbing, and ``python -m repro.obsv``."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -18,7 +19,6 @@ from repro.obsv import (
     cat_shards,
     cat_tenants,
     render_dashboard,
-    render_report,
     snapshot,
 )
 from repro.obsv import runtime as obsv_runtime
@@ -226,51 +226,44 @@ class TestFacadeAcceptance:
         assert windows[-1].shard_cv < windows[0].shard_cv
 
 
-class TestRenderedReportSections:
-    def test_slowlog_and_skew_sections_present_and_sorted(self):
+class TestRenderedDashboardFacts:
+    def test_slowlog_and_skew_facts_present_and_stable(self):
         db = _tiny_db()
         _skewed_burst(db)
         db.rebalance()
         db.refresh()
         db.execute_sql("SELECT * FROM transactions WHERE tenant_id = 'whale'")
-        report = render_report(snapshot(db))
-        assert "slowlog[index]:" in report
-        assert "slowlog[search]:" in report
-        assert "skew[shard]: cv=" in report
-        assert "skew[tenant]: cv=" in report
-        assert "skew alerts: " in report
-        # Deterministic sorted section order: routing < skew < slowlog.
-        assert (
-            report.index("routing rules:")
-            < report.index("skew[shard]")
-            < report.index("slowlog[index]")
-        )
-        assert report == render_report(snapshot(db))
+        page = render_dashboard(snapshot(db))
+        index, search = db.obsv.index_slowlog.counts, db.obsv.search_slowlog.counts
+        assert f"  slowlog[index]: {index['warn']} warn / {index['info']} info" in page
+        assert f"  slowlog[search]: {search['warn']} warn / {search['info']} info" in page
+        assert index["info"] == 100 and search["info"] == 1
+        window = next(line for line in page.splitlines() if line.startswith("  last window: "))
+        assert "| shard cv=" in window and "| tenant cv=" in window
+        alerts = page.split("-- skew alerts --\n", 1)[1]
+        assert alerts.startswith("  [hot_")
+        assert page == render_dashboard(snapshot(db))
 
-    def test_report_without_observer_keeps_legacy_content(self):
+    def test_dashboard_without_observer_keeps_the_totals(self):
         db = _tiny_db(obsv=ObsvConfig.off())
         _skewed_burst(db)
-        report = render_report(snapshot(db))
-        assert "cluster: 2 nodes" in report
-        assert "100 writes" in report
-        assert "slowlog" not in report
-        assert "skew" not in report
+        page = render_dashboard(snapshot(db))
+        assert page.startswith("== esdb dashboard :: 2 nodes / ")
+        assert "  engines: 100 writes" in page
+        assert "slowlog[" not in page and "-- slow log tail --" not in page
+        assert "-- skew alerts --" not in page
 
     def test_one_document_count_per_node(self):
-        """Report, ``cat_nodes`` and the snapshot totals all count the
+        """Dashboard, ``cat_nodes`` and the snapshot totals all count the
         unrefreshed buffer, so they agree before the first refresh."""
         db = _tiny_db(auto_refresh_every=None)
         for i in range(50):
             db.write(make_log(i, tenant=f"t{i % 5}", created=i * 0.01))
         snap = snapshot(db)
-        report = render_report(snap)
-        per_node = [
-            int(line.rsplit(": ", 1)[1])
-            for line in report.split("documents per node:\n", 1)[1].splitlines()
-            if line.startswith("  node-")
-        ]
+        per_node = [row["docs"] for row in cat_nodes(snap).to_dicts()]
         assert len(per_node) == 2
         assert sum(per_node) == 50
+        assert "/ 50 docs /" in render_dashboard(snap)
         assert sum(row["docs"] for row in cat_nodes(db).to_dicts()) == 50
         assert snap["cluster"]["totals"]["docs"] == 50
 
@@ -285,7 +278,9 @@ class TestRenderersReadOnlyTheDict:
         db = build_demo(writes=200, governed=True, slo=True, chaos=True)
         snap = snapshot(db)
         loaded = json.loads(json.dumps(snap))
-        renderers = [render_report, render_dashboard] + [
+        # A saved bundle is written with sorted keys (``--bundle``).
+        saved = json.loads(json.dumps(snap, sort_keys=True))
+        renderers = [render_dashboard] + [
             lambda source, cat=cat: cat(source).render()
             for cat in (
                 cat_nodes, cat_shards, cat_tenants, cat_rules, cat_timeseries,
@@ -294,9 +289,9 @@ class TestRenderersReadOnlyTheDict:
             )
         ]
         for render in renderers:
-            assert render(snap) == render(loaded)
+            assert render(snap) == render(loaded) == render(saved)
         assert "-- nodes --" in render_dashboard(loaded)
-        assert "cluster:" in render_report(loaded)
+        assert "\n  engines: " in render_dashboard(loaded)
 
 
 class TestDashboardAndSnapshot:
@@ -329,6 +324,48 @@ class TestDashboardAndSnapshot:
         assert cluster["totals"]["docs"] == total
         assert sum(row["docs"] for row in cluster["shards"]) == total
         assert cluster["obsv"]["skew"]["summary"]["windows"] >= 1
+
+    @pytest.mark.parametrize("ops", ["w" * 5 + "s" * 10, "ws" * 8])
+    def test_slow_log_tail_shows_the_newest_entries(self, ops):
+        """The tail is the newest 8 entries of both logs in time order:
+        after 5 writes and 10 searches it is the last 8 searches."""
+        db = _tiny_db()
+        sql = "SELECT * FROM transactions WHERE tenant_id = 't' LIMIT {}"
+        expected = []
+        for i, op in enumerate(ops):
+            db.advance_clock(float(i))
+            if op == "w":
+                db.write(make_log(i, tenant="t", created=float(i)))
+                expected.append("index")
+            else:
+                db.execute_sql(sql.format(i))
+                expected.append(sql.format(i))
+        page = render_dashboard(snapshot(db))
+        tail = page.split("-- slow log tail --\n", 1)[1].splitlines()
+        shown = [
+            "index" if "] index " in line else line.split(" :: ", 1)[1].split(" trace=")[0]
+            for line in tail
+        ]
+        assert shown == expected[-8:]
+
+    def test_snapshot_reads_each_subsystem_once(self, monkeypatch):
+        from repro.obsv.__main__ import build_demo
+
+        db = build_demo(writes=100, governed=True, slo=True)
+        calls = Counter()
+        for name in ("slo", "hotkeys", "governor", "obsv", "timeseries"):
+            subsystem = getattr(db, name)
+            read = subsystem.snapshot
+
+            def counted(*args, name=name, read=read):
+                calls[name] += 1
+                return read(*args)
+
+            monkeypatch.setattr(subsystem, "snapshot", counted)
+        snap = snapshot(db)
+        assert calls == dict.fromkeys(("slo", "hotkeys", "governor", "obsv", "timeseries"), 1)
+        assert snap["cluster"]["slo"] is snap["slo"]
+        assert snap["cluster"]["hotkeys"] is snap["hotkeys"]
 
     def test_observer_disabled_drops_obsv_surfaces_only(self):
         db = _tiny_db(obsv=ObsvConfig.off())

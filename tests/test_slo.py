@@ -19,7 +19,7 @@ import pytest
 from repro.cluster import ClusterTopology
 from repro.errors import ConfigurationError, TenantThrottledError
 from repro.esdb import ESDB, EsdbConfig
-from repro.obsv import cat_hotkeys, cat_slo, render_report, snapshot
+from repro.obsv import cat_hotkeys, cat_slo, render_dashboard, snapshot
 from repro.obsv.snapshot import read_hotkey_table
 from repro.slo import (
     OBJECTIVES,
@@ -334,7 +334,7 @@ class TestSloEngine:
         assert row["fast_burn"] == 0.0
         assert row["slow_burn"] == 0.0
 
-    def test_snapshot_and_rendered_report(self):
+    def test_snapshot_and_rendered_dashboard(self):
         engine = SloEngine()
         engine.record("write", 0.0, 1.0)
         engine.evaluate(1.0)
@@ -346,10 +346,12 @@ class TestSloEngine:
         ]
         db = make_db(slo=True)
         db.write(make_log(0, "t", 1.0))
-        lines = render_report(snapshot(db)).splitlines()
-        start = next(i for i, line in enumerate(lines) if line.startswith("slo: "))
-        assert lines[start].startswith(f"slo: {len(OBJECTIVES)} objective(s), ")
-        assert lines[start + 1].startswith("  write-latency: write/latency")
+        lines = render_dashboard(snapshot(db)).splitlines()
+        start = lines.index("-- slo --")
+        assert lines[start + 1].split()[:3] == ["slo", "op", "kind"]
+        rows = [line.split()[:3] for line in lines[start + 2 : start + 2 + len(OBJECTIVES)]]
+        assert rows == [[o.name, o.op, o.kind] for o in OBJECTIVES]
+        assert rows[0] == ["write-latency", "write", "latency"]
 
 
 # -- HeavyHitterProfiler -------------------------------------------------------
@@ -588,19 +590,14 @@ class TestEsdbSloIntegration:
         off = snapshot(disabled)["cluster"]
         assert "slo" not in off and "hotkeys" not in off
 
-    def test_rendered_report_sections_sorted_and_stable(self):
+    def test_rendered_dashboard_sections_stable(self):
         db = governed_slo_db()
         drive_whale(db)
-        report = render_report(snapshot(db))
-        assert "slo: 4 objective(s)" in report
-        assert "hotkeys: capacity=" in report
-        # Sorted section order: hotkeys < slo < tenancy.
-        assert (
-            report.index("hotkeys: capacity=")
-            < report.index("slo: 4 objective(s)")
-            < report.index("tenancy:")
-        )
-        assert report == render_report(snapshot(db))
+        page = render_dashboard(snapshot(db))
+        assert "-- slo --\n" + cat_slo(db).render() in page
+        assert "-- heavy hitters --\n" + cat_hotkeys(db, k=3).render() in page
+        assert "-- tenancy governance --" in page
+        assert page == render_dashboard(snapshot(db))
 
     def test_malformed_documents_spend_no_availability_budget(self):
         """A document rejected for a bad field is the caller's error,
@@ -639,7 +636,7 @@ class TestEsdbSloIntegration:
     def test_overhead_is_one_branch_when_off(self):
         db = make_db()
         assert db.config.slo is False
-        assert "slo" not in render_report(snapshot(db))
+        assert "-- slo --" not in render_dashboard(snapshot(db))
 
 
 # -- event-log behaviour with the new kinds ------------------------------------
@@ -790,9 +787,10 @@ class TestSloCli:
 
         assert main(["--slo", "--governed", "--writes", "200"]) == 0
         out = capsys.readouterr().out
-        assert "== slo objectives ==" in out
+        assert out.startswith("== esdb dashboard :: ")
+        assert "\n-- slo --\n" in out
         assert "write-availability" in out
-        assert "== heavy hitters ==" in out
+        assert "\n-- heavy hitters --\n" in out
 
     def test_bundle_from_slo_demo_validates(self, tmp_path, capsys):
         from repro.obsv.__main__ import main

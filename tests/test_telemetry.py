@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.esdb import ESDB
-from repro.obsv import render_report, snapshot
+from repro.obsv import render_dashboard, snapshot
 from repro.storage import ShardEngine
 from repro.telemetry import (
     DEFAULT_BUCKETS,
@@ -378,13 +378,13 @@ class TestFacadeIntegration:
         assert metrics.total("esdb_queries_total") >= 1.0
         assert metrics.total("optimizer_plan_picks_total") >= 1.0
 
-    def test_rendered_report_built_on_registry(self):
+    def test_rendered_dashboard_built_on_registry(self):
         db = self._loaded_db()
         db.execute_sql("SELECT * FROM transactions WHERE tenant_id = 't1'")
-        report = render_report(snapshot(db))
-        assert "40 writes" in report
-        assert "optimizer picks:" in report
-        assert "write latency:" in report
+        page = render_dashboard(snapshot(db))
+        assert "40 writes" in page
+        assert "optimizer picks:" in page
+        assert "write latency:" in page
 
     def test_disabled_facade_still_works(self):
         from repro.esdb import EsdbConfig
@@ -395,4 +395,4 @@ class TestFacadeIntegration:
         result = db.execute_sql("SELECT * FROM transactions WHERE tenant_id = 't1'")
         assert result is not None
         assert db.telemetry is NULL_TELEMETRY
-        assert "5 writes" in render_report(snapshot(db))
+        assert "5 writes" in render_dashboard(snapshot(db))

@@ -13,7 +13,7 @@ from repro.faults.__main__ import (
     build_failover_plan,
     build_noisy_neighbor_plan,
 )
-from repro.obsv import cat_tenants, render_dashboard, render_report, snapshot
+from repro.obsv import cat_tenants, render_dashboard, snapshot
 from repro.obsv.skew import Alert
 from repro.tenancy import (
     CLUSTER_TENANT,
@@ -270,7 +270,7 @@ class TestTenantGovernor:
         # Re-alerting restarts the window without re-reporting the tenant.
         assert governor.apply_alerts(alerts[:1], now=2.0) == []
 
-    def test_rows_and_rendered_report(self):
+    def test_rows_and_rendered_dashboard(self):
         governor = TenantGovernor(TenancyConfig(enabled=True))
         governor.admit_write("a", 0.0)
         governor.admit_write("b", 0.0)
@@ -281,9 +281,11 @@ class TestTenantGovernor:
         generator = TransactionLogGenerator(WorkloadConfig(num_tenants=10, seed=1))
         for tenant in ("a", "b", "a"):
             db.write(generator.generate(created_time=0.0, tenant_id=tenant))
-        lines = render_report(snapshot(db)).splitlines()
-        tenancy = next(line for line in lines if line.startswith("tenancy: "))
-        assert tenancy.endswith("0 shed across 2 tenant(s)")
+        snap = snapshot(db)
+        lines = render_dashboard(snap).splitlines()
+        tenancy = lines[lines.index("-- tenancy governance --") + 1]
+        assert tenancy.startswith("  3 admitted / 0 queued / 0 shed, ")
+        assert snap["cluster"]["tenancy"]["totals"]["tenants"] == 2
 
 
 # -- config -----------------------------------------------------------------
@@ -425,17 +427,15 @@ class TestFacadeGovernance:
         empty = cat_tenant_governance(ESDB(EsdbConfig()))
         assert empty.rows == []
 
-    def test_rendered_report_and_dashboard_sections(self):
+    def test_rendered_dashboard_sections(self):
         db = governed_db()
         generator = TransactionLogGenerator(WorkloadConfig(num_tenants=10, seed=1))
         db.write(generator.generate(created_time=0.0, tenant_id="t-1"))
         snap = snapshot(db)
-        assert "tenancy" in render_report(snap)
         assert "tenancy governance" in render_dashboard(snap)
         ungoverned = ESDB(EsdbConfig())
         ungoverned.write(generator.generate(created_time=0.0, tenant_id="t-1"))
         snap = snapshot(ungoverned)
-        assert "tenancy" not in render_report(snap)
         assert "tenancy governance" not in render_dashboard(snap)
 
     def test_snapshot_tenancy_key_only_when_governed(self):

@@ -8,7 +8,7 @@ import pytest
 from repro import ESDB, EsdbConfig
 from repro.cluster import ClusterTopology
 from repro.errors import ConfigurationError
-from repro.obsv import cat_timeseries, render_dashboard, render_report, snapshot
+from repro.obsv import cat_timeseries, render_dashboard, snapshot
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.timeseries import (
     DASHBOARD_SERIES,
@@ -307,12 +307,12 @@ class TestEsdbIntegration:
             assert label in text
         assert any(bar in text for bar in SPARK_BARS)
 
-    def test_rendered_report_has_history_section(self):
+    def test_rendered_dashboard_states_history_samples(self):
         db = small_db()
         self.write_run(db)
-        report = render_report(snapshot(db))
-        assert "history:" in report
-        assert "writes/s" in report
+        page = render_dashboard(snapshot(db))
+        assert f"  {db.timeseries.samples_taken} samples @ " in page
+        assert "writes/s" in page
 
     def test_cat_timeseries_lists_series(self):
         db = small_db()
@@ -369,7 +369,6 @@ class TestDisabledModes:
         assert "(no samples)" in text
         assert snap["cluster"]["timeseries"]["series"] == []
         assert cat_timeseries(db).rows == []
-        assert "history:" in render_report(snap)
 
     def test_timeseries_disabled_is_well_formed(self):
         db = small_db(timeseries_enabled=False)
@@ -385,4 +384,3 @@ class TestDisabledModes:
             "series": [],
         }
         assert cat_timeseries(db).rows == []
-        assert "history:" not in render_report(snap)
