@@ -48,6 +48,7 @@ from repro.cache.lru import (
     estimate_bytes,
     posting_cost,
     rows_cost,
+    rows_cost_floor,
 )
 from repro.cache.request_cache import ShardRequestCache
 from repro.cache.result_cache import CoordinatorResultCache
@@ -72,6 +73,7 @@ __all__ = [
     "estimate_bytes",
     "posting_cost",
     "rows_cost",
+    "rows_cost_floor",
     "filter_key",
     "normalize_sql",
     "sql_fingerprint",

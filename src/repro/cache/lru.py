@@ -106,6 +106,13 @@ def rows_cost(rows) -> int:
     return 56 + len(rows) * (8 + estimate_bytes(rows[0]))
 
 
+def rows_cost_floor(rows) -> int:
+    """A lower bound of :func:`rows_cost` from the row count alone, for a
+    refusal that need not price the rows: :func:`estimate_bytes` charges a
+    value at least 16 bytes, and a list 8 per slot."""
+    return 56 + 24 * len(rows)
+
+
 def posting_cost(postings) -> int:
     """Byte cost of a posting list: header + 8 bytes per row id."""
     return 64 + 8 * len(postings)

@@ -28,7 +28,9 @@ nothing, because most statements are never seen again (a seller's
 varying literals) and an entry no query reads is worth less than any
 entry already cached. From the second sighting on, a put evicts
 least-recently-used entries as usual. The coordinator asks the request
-level's doorkeeper once per fan-out and passes the answer on.
+level's doorkeeper once per fan-out and passes the answer on; a first
+sighting whose cost's floor (:func:`~repro.cache.lru.rows_cost_floor`)
+already exceeds the free budget it does not price at all.
 """
 
 from __future__ import annotations
@@ -72,10 +74,14 @@ class CoordinatorResultCache:
         """Store *value* with the ``(shard_id, generation)`` *validators*
         it was computed against, charged *cost* bytes. A first sighting
         (*seen* false) is stored only if it fits without evicting."""
-        lru = self._lru
-        if not seen and cost > lru.max_bytes - lru.stats.bytes:
+        if not seen and not self.fits(cost):
             return False
-        return lru.put((identity, rule_version), (value, validators), cost=cost)
+        return self._lru.put((identity, rule_version), (value, validators), cost=cost)
+
+    def fits(self, cost: int) -> bool:
+        """Whether *cost* bytes fit the free budget, evicting nothing."""
+        lru = self._lru
+        return cost <= lru.max_bytes - lru.stats.bytes
 
     def clear(self) -> None:
         self._lru.clear()

@@ -213,10 +213,10 @@ def _totals_lines(cluster: dict) -> list[str]:
         f"{engines['merges']} merges, {engines['segments']} live segments"
     ]
     queries = cluster["queries"]
-    if queries["executed"]:
+    if queries["fanned_out"]:
         lines.append(
-            f"  queries: {queries['executed']} executed, avg fan-out "
-            f"{queries['subqueries'] / queries['executed']:.1f} shard(s)"
+            f"  queries: {queries['executed']} executed, {queries['fanned_out']} fanned out, "
+            f"avg fan-out {queries['subqueries'] / queries['fanned_out']:.1f} shard(s)"
         )
     if queries["plan_picks"]:
         picks = ", ".join(

@@ -110,6 +110,9 @@ def read_cluster(db, slo: dict, hotkeys: dict | None) -> dict:
         },
         "queries": {
             "executed": int(metrics.total("esdb_queries_total")),
+            # esdb_query_seconds observes each statement that fanned out
+            # (a result-cache hit does not), as esdb_subqueries_total counts.
+            "fanned_out": latency.get("query", {}).get("count", 0),
             "subqueries": int(metrics.total("esdb_subqueries_total")),
             "plan_picks": {
                 metric.labels["path"]: int(metric.value)

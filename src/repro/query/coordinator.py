@@ -19,10 +19,11 @@ from repro.cache import (
     CoordinatorResultCache,
     ShardRequestCache,
     rows_cost,
+    rows_cost_floor,
     sql_fingerprint,
 )
 from repro.query.aggregator import ResultAggregator
-from repro.query.executor import QueryExecutor
+from repro.query.executor import BoundPlan, QueryExecutor, bind_plan
 from repro.query.optimizer import CatalogInfo, RuleBasedOptimizer
 from repro.query.shapes import Shape, ShapeMap, lift, slot_where, subattribute_keys
 from repro.query.sql_parser import parse_sql
@@ -34,6 +35,7 @@ from repro.storage import PostingList
 if TYPE_CHECKING:
     from repro.esdb import EsdbConfig
     from repro.query.ast import SelectStatement
+    from repro.query.executor import ExecutionTrace
     from repro.query.planner import PhysicalPlan
     from repro.routing import RoutingPolicy
     from repro.storage import ShardEngine
@@ -70,7 +72,9 @@ class Coordinator:
         self._filter_terms = query_terms if config.slo else lambda statement: ()
         #: SQL text -> its identity, the key of both statement caches
         self._identities: OrderedDict[str, str] = OrderedDict()
-        self._executors: dict[int, QueryExecutor] = {}  # see _executor
+        #: operator -> its executor_operators_total series (see _count_operators)
+        self._operator_counters: dict = {}
+        self._postings_counter = metrics.counter("executor_postings_total")
         self.xdriver = Xdriver4ES()
         #: statement shape -> its compiled rewrite and plan (repro.query.shapes)
         self.shapes = ShapeMap(metrics)
@@ -138,6 +142,7 @@ class Coordinator:
             probe = seen or request_cache.holds(identity)
         store_key = identity if seen else None
         shard_results = []
+        executed = postings = 0
         for shard_id in shard_ids:
             with tracer.span(f"query.shard[{shard_id}]") as sub_span:
                 if probe:
@@ -153,19 +158,28 @@ class Coordinator:
                         sub_span.tags["matched"] = cached[1]
                         shard_results.append(cached)
                         continue
-                shard_entry, matched = self._shard_subquery(
+                shard_entry, trace = self._shard_subquery(
                     shard_id, plan, statement, store_key, push_limit
                 )
-                sub_span.tags["matched"] = matched
+                sub_span.tags["matched"] = shard_entry[1]
                 shard_results.append(shard_entry)
+                executed += 1
+                postings += trace.total_postings
+        if executed:
+            self._count_operators(plan, executed, postings)
         with tracer.span("query.aggregate"):
             result = aggregator.aggregate_shards(shard_results)
         entry = (result, entry[1], entry[2], self._filter_terms(statement))
-        if self.result_cache is not None:
+        result_cache = self.result_cache
+        # A validator costs 24 bytes: a first sighting whose cost's floor
+        # already exceeds the free budget is refused before it is priced.
+        if result_cache is not None and (
+            seen or result_cache.fits(rows_cost_floor(result.rows) + 24 * len(shard_ids))
+        ):
             validators = tuple(
                 (shard_id, self.engines[shard_id].generation) for shard_id in shard_ids
             )
-            self.result_cache.put(
+            result_cache.put(
                 *key, entry, validators,
                 cost=rows_cost(result.rows) + 24 * len(validators),
                 seen=seen,
@@ -174,12 +188,12 @@ class Coordinator:
 
     def prepare(
         self, tracer, sql: str
-    ) -> tuple[SelectStatement, PhysicalPlan, tuple[str, ...]]:
-        """The rewritten statement of *sql*, its plan and the sub-attributes
-        it filters on: its shape's compiled template bound to its literals,
-        or parse → rewrite → plan when the shape is new, or value-dependent
-        (:mod:`repro.query.shapes`). Routing stays per call: nothing here
-        depends on the rule list."""
+    ) -> tuple[SelectStatement, BoundPlan, tuple[str, ...]]:
+        """The rewritten statement of *sql*, its bound plan and the
+        sub-attributes it filters on: its shape's compiled template bound to
+        its literals, or parse → rewrite → plan → compile when the shape is
+        new, or value-dependent (:mod:`repro.query.shapes`). Routing stays
+        per call: nothing here depends on the rule list."""
         key, literals = lift(sql)
         bound = self.shapes.bind(key, literals, tracer)
         if bound is not None:
@@ -189,11 +203,13 @@ class Coordinator:
         with tracer.span("query.parse"):
             statement = parse_sql(sql)
         slotted = slot_where(statement, literals)
+        catalog = self.optimizer.catalog
         if slotted is None:
             self.shapes.count_unstable()
-            return self._rewrite_and_plan(tracer, statement)
+            statement, plan, subattrs = self._rewrite_and_plan(tracer, statement)
+            return statement, bind_plan(plan, catalog), subattrs
         rewritten, plan, _ = self._rewrite_and_plan(tracer, slotted.statement)
-        shape = self.shapes.add(key, Shape(key, slotted, rewritten, plan))
+        shape = self.shapes.add(key, Shape(key, slotted, rewritten, plan, catalog))
         # slot_where accepted these very literals, so they bind.
         return (*shape.bind(literals), shape.subattrs)
 
@@ -210,17 +226,18 @@ class Coordinator:
     def _shard_subquery(
         self,
         shard_id: int,
-        plan: PhysicalPlan,
+        plan: BoundPlan,
         statement: SelectStatement,
         store_key: str | None,
         push_limit: int | None,
-    ) -> tuple[tuple, int]:
-        """Execute one shard's subquery (cache miss path): plan execution,
-        LIMIT pushdown, raw-document fetch, and the request-cache fill under
-        *store_key* — None unless the cache admitted the statement. Returns
-        the shard entry and its matched count."""
+    ) -> tuple[tuple, ExecutionTrace]:
+        """Execute one shard's subquery (cache miss path): the plan's
+        steps, LIMIT pushdown, raw-document fetch, and the request-cache
+        fill under *store_key* — None unless the cache admitted the
+        statement. Returns the shard entry ``(sources, matched)`` and the
+        operator trace."""
         engine = self.engines[shard_id]
-        rows, _ = self._executor(shard_id).execute(plan)
+        rows, trace = QueryExecutor(engine).execute(plan)
         matched = len(rows)
         if push_limit is not None:
             if statement.order_by is not None:
@@ -237,17 +254,21 @@ class Coordinator:
             self.request_cache.put(
                 shard_id, store_key, engine.generation, entry, cost=rows_cost(entry[0])
             )
-        return entry, matched
+        return entry, trace
 
-    def _executor(self, shard_id: int) -> QueryExecutor:
-        """The shard's long-lived executor: it counts operators into
-        telemetry through counters it binds once, so it is kept — built on
-        the shard's first subquery, and again after :meth:`replace_engine`."""
-        executor = self._executors.get(shard_id)
-        if executor is None:
-            executor = QueryExecutor(self.engines[shard_id], telemetry=self.telemetry)
-            self._executors[shard_id] = executor
-        return executor
+    def _count_operators(self, plan: BoundPlan, subqueries: int, postings: int) -> None:
+        """``executor_operators_total{operator}`` and
+        ``executor_postings_total``, once per statement: each of its
+        *subqueries* ran every step of *plan*."""
+        counters = self._operator_counters
+        for step in plan.steps:
+            counter = counters.get(step[1])
+            if counter is None:
+                counter = counters[step[1]] = self.telemetry.metrics.counter(
+                    "executor_operators_total", operator=step[1]
+                )
+            counter.inc(subqueries)
+        self._postings_counter.inc(postings)
 
     @staticmethod
     def _pushdown_limit(statement: SelectStatement) -> int | None:
@@ -291,9 +312,8 @@ class Coordinator:
         """Serve shard *shard_id* from *engine* (a promoted replica): the
         shard's engine object and its generation counter changed, so every
         cached read that might reference the old one is dropped and the
-        shard's executor is rebuilt on its next subquery."""
+        shard's subqueries run on *engine* from now on."""
         self.engines[shard_id] = engine
-        self._executors.pop(shard_id, None)
         if self.request_cache is not None:
             self.request_cache.invalidate_shard(shard_id)
             self.request_cache.attach(engine)

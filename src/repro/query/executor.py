@@ -1,4 +1,19 @@
-"""Plan executor: interprets physical plans against one shard engine.
+"""Plan executor: compiles a physical plan once and runs it on each shard.
+
+:func:`compile_plan` turns a :class:`~repro.query.planner.PhysicalPlan`
+into two flat tapes. The *bind* tape builds, once per statement, every
+constant the plan's operators read: each engine call's arguments, each
+scan's predicate (LIKE regex included) and each composite search's
+encoded key bounds. The *steps*, one per operator in post-order, are what
+:meth:`QueryExecutor.execute` runs on every shard a statement fans out to:
+an engine call or a posting-list merge, chosen when the plan compiled, so
+no shard dispatches on node type or rebuilds what its siblings share. A
+statement shape compiles its plan once (:mod:`repro.query.shapes`); any
+other plan compiles where it is executed.
+
+Both tapes hold only ints, strings, numbers and tuples of them — a step
+names its function by position in ``_STEPS`` — so the cyclic collector
+stops tracking a compiled shape's program after a collection or two.
 
 Every operator returns a :class:`PostingList`; the executor also keeps an
 operator trace (operator name, produced list size) so tests and benchmarks
@@ -10,10 +25,11 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.errors import PlanningError
+from repro.query.optimizer import CatalogInfo
 from repro.query.planner import (
     CompositeSearch,
     Exclude,
@@ -21,7 +37,6 @@ from repro.query.planner import (
     Intersect,
     MatchAll,
     PhysicalPlan,
-    PlanNode,
     RangeSearch,
     SequentialScanFilter,
     SubAttributeScan,
@@ -32,20 +47,18 @@ from repro.query.planner import (
     Union,
     WildcardScan,
 )
+from repro.storage.composite import key_bounds, leftmost
 from repro.storage.document import FieldType, parse_attributes
 from repro.storage.engine import ShardEngine
 from repro.storage.postings import PostingList
-from repro.telemetry.runtime import NULL_TELEMETRY
 
 
 @dataclass
 class ExecutionTrace:
-    """Per-operator accounting for one plan execution."""
+    """Per-operator accounting for one plan execution: ``(operator,
+    produced)`` per step, in the order the steps ran."""
 
-    steps: list = field(default_factory=list)
-
-    def record(self, operator: str, produced: int) -> None:
-        self.steps.append((operator, produced))
+    steps: list
 
     @property
     def total_postings(self) -> int:
@@ -70,115 +83,185 @@ def _like_to_regex(pattern: str) -> re.Pattern:
     return re.compile("^" + "".join(parts) + "$", re.IGNORECASE)
 
 
+class BoundPlan:
+    """A compiled plan bound to one statement: the steps each shard runs
+    and the constants they read. It reads as its :class:`PhysicalPlan`
+    (``root``, ``picks``, ``describe()``, ``repr``), which it rebuilds
+    only when asked: ``decode(*plan)`` when *decode* is given, else *plan*
+    is the plan itself."""
+
+    __slots__ = ("steps", "constants", "_plan", "_decode")
+
+    def __init__(self, steps: tuple, constants: list, plan, decode: Callable | None = None) -> None:
+        self.steps = steps
+        self.constants = constants
+        self._plan = plan
+        self._decode = decode
+
+    @property
+    def plan(self) -> PhysicalPlan:
+        if self._decode is not None:
+            self._plan = self._decode(*self._plan)
+            self._decode = None
+        return self._plan
+
+    def __getattr__(self, name: str):
+        return getattr(self.plan, name)
+
+    def __repr__(self) -> str:
+        return repr(self.plan)
+
+
 class QueryExecutor:
-    """Executes physical plans on one :class:`ShardEngine`."""
+    """Runs plans on one :class:`ShardEngine`."""
 
-    def __init__(self, engine: ShardEngine, telemetry=None) -> None:
+    __slots__ = ("engine",)
+
+    def __init__(self, engine: ShardEngine) -> None:
         self.engine = engine
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        # Counters are bound once per executor (one per operator type, on its
-        # first use), not looked up by label per operator per execution.
-        self._operator_counters: dict[str, Any] = {}
-        self._postings_counter = self.telemetry.metrics.counter("executor_postings_total")
 
-    def execute(self, plan: PhysicalPlan) -> tuple[PostingList, ExecutionTrace]:
-        """Run *plan*; returns the matched rows and the operator trace."""
-        trace = ExecutionTrace()
-        rows = self._run(plan.root, trace)
-        if self.telemetry.enabled:
-            counters = self._operator_counters
-            for operator, _ in trace.steps:
-                counter = counters.get(operator)
-                if counter is None:
-                    counter = counters[operator] = self.telemetry.metrics.counter(
-                        "executor_operators_total", operator=operator
-                    )
-                counter.inc()
-            self._postings_counter.inc(trace.total_postings)
-        return rows, trace
+    def execute(self, plan: BoundPlan | PhysicalPlan) -> tuple[PostingList, ExecutionTrace]:
+        """Run *plan*'s steps; returns the matched rows and the operator
+        trace. A :class:`PhysicalPlan` is compiled and bound here first."""
+        engine = self.engine
+        if isinstance(plan, PhysicalPlan):
+            plan = bind_plan(plan, CatalogInfo(engine.config.schema, engine.composite_indexes()))
+        constants = plan.constants
+        produced: list = []
+        steps = []
+        for step in plan.steps:
+            rows = _STEPS[step[0]](engine, step, constants, produced)
+            produced.append(rows)
+            steps.append((step[1], len(rows)))
+        return rows, ExecutionTrace(steps)
 
-    # -- operator dispatch -----------------------------------------------------
-    def _run(self, node: PlanNode, trace: ExecutionTrace) -> PostingList:
-        if isinstance(node, MatchAll):
-            rows = self._all_rows()
-        elif isinstance(node, TermSearch):
-            rows = self._term(node.column, node.value)
-        elif isinstance(node, TermsSearch):
-            rows = PostingList.union_all(
-                [self._term(node.column, v) for v in node.values]
-            )
-        elif isinstance(node, RangeSearch):
-            rows = self.engine.numeric_range(
-                node.column,
-                node.low,
-                node.high,
-                include_low=node.include_low,
-                include_high=node.include_high,
-            )
-        elif isinstance(node, TextMatch):
-            rows = self.engine.text_postings(node.column, node.text)
-        elif isinstance(node, WildcardScan):
-            rows = self._full_scan(node.column, "like", node.pattern)
-        elif isinstance(node, SubAttributeSearch):
-            rows = self.engine.subattribute_postings(node.key, node.value)
-        elif isinstance(node, SubAttributeScan):
-            rows = self._full_scan("attributes", "attr", (node.key, node.value))
-        elif isinstance(node, CompositeSearch):
-            kwargs: dict[str, Any] = {}
-            if node.range_column is not None:
-                kwargs = {
-                    "range_column": node.range_column,
-                    "low": node.low,
-                    "high": node.high,
-                    "include_low": node.include_low,
-                    "include_high": node.include_high,
-                }
-            rows = self.engine.composite_search(
-                node.index_name, dict(node.equalities), **kwargs
-            )
-        elif isinstance(node, SequentialScanFilter):
-            child_rows = self._run(node.child, trace)
-            rows = self._scan_filter(child_rows, node.column, node.op, node.value)
-        elif isinstance(node, FullScan):
-            rows = self._full_scan(node.column, node.op, node.value)
-        elif isinstance(node, Intersect):
-            rows = PostingList.intersect_all(
-                [self._run(child, trace) for child in node.children]
-            )
-        elif isinstance(node, Union):
-            rows = PostingList.union_all(
-                [self._run(child, trace) for child in node.children]
-            )
-        elif isinstance(node, Exclude):
-            keep = self._run(node.child, trace)
-            drop = self._run(node.excluded, trace)
-            rows = keep.difference(drop)
+
+# -- compile: once per plan ---------------------------------------------------
+
+#: Bind-tape instruction kinds besides a tuple's (``-1``, as in
+#: :mod:`repro.query.shapes`' tapes): the builders of a scan's and of a
+#: composite search's arguments.
+_TUPLE, _SCAN_ARGS, _COMPOSITE_ARGS = -1, -2, -3
+
+
+def compile_plan(
+    plan: PhysicalPlan, catalog: CatalogInfo, encode: Callable | None = None
+) -> tuple[tuple, tuple]:
+    """*plan*, planned against *catalog* (its schema and composite indexes
+    are read), as ``(bind tape, steps)``. *encode(value, tape)* appends the
+    instructions that build a field's value from the statement's slot
+    values and returns its reference (:func:`repro.query.shapes._encode`),
+    or None for a value used as is — every value, without *encode*.
+    Raises :class:`PlanningError` for an operator no step runs."""
+    compiler = _Compiler(catalog, encode or (lambda value, tape: None))
+    compiler.node(plan.root)
+    return tuple(compiler.tape), tuple(compiler.steps)
+
+
+def bind_plan(plan: PhysicalPlan, catalog: CatalogInfo) -> BoundPlan:
+    """Compile *plan*, which holds its values, and bind it to them."""
+    tape, steps = compile_plan(plan, catalog)
+    constants = [
+        fields if kind == _TUPLE else BUILDERS[kind](*fields) for kind, fields, _ in tape
+    ]
+    return BoundPlan(steps, constants, plan)
+
+
+class _Compiler:
+    def __init__(self, catalog: CatalogInfo, encode: Callable) -> None:
+        self.schema = catalog.schema
+        self.indexes = {"_".join(columns): tuple(columns) for columns in catalog.composite_indexes}
+        self.encode = encode
+        self.tape: list = []
+        self.steps: list = []
+
+    def node(self, node) -> int:
+        """Append the steps of *node*'s subtree, children first; returns
+        the position of its own step."""
+        kind = type(node)
+        if kind is SequentialScanFilter:
+            child = self.node(node.child)
+            step = (_SCAN, child, self.constant(_SCAN_ARGS, node.column, node.op, node.value))
+        elif kind is Intersect or kind is Union:
+            children = tuple(self.node(child) for child in node.children)
+            step = (_INTERSECT if kind is Intersect else _UNION, children)
+        elif kind is Exclude:
+            step = (_EXCLUDE, self.node(node.child), self.node(node.excluded))
+        elif kind is MatchAll:
+            step = (_MATCH_ALL,)
+        elif kind is TermsSearch:
+            calls = [self.term(node.column, value) for value in node.values]
+            method = calls[0][0] if calls else "term_postings"
+            step = (_CALLS, method, tuple(arguments for _, arguments in calls))
         else:
-            raise PlanningError(f"executor has no operator for {type(node).__name__}")
-        trace.record(type(node).__name__, len(rows))
-        return rows
+            step = (_CALL, *self.call(node))
+        self.steps.append((step[0], kind.__name__, *step[1:]))
+        return len(self.steps) - 1
 
-    # -- helpers -----------------------------------------------------------------
-    def _all_rows(self) -> PostingList:
-        return PostingList.union_all(
-            [
-                segment.filter_live(PostingList(segment.row_ids(), presorted=True))
-                for segment in self.engine.segments
-            ]
-        )
+    def call(self, node) -> tuple[str, int]:
+        """The engine method that answers the leaf *node*, and the position
+        of its arguments in the bind tape."""
+        kind, constant = type(node), self.constant
+        if kind is TermSearch:
+            return self.term(node.column, node.value)
+        if kind is RangeSearch:
+            return "numeric_range", constant(
+                _TUPLE, node.column, node.low, node.high, node.include_low, node.include_high
+            )
+        if kind is TextMatch:
+            return "text_postings", constant(_TUPLE, node.column, node.text)
+        if kind is SubAttributeSearch:
+            return "subattribute_postings", constant(_TUPLE, node.key, node.value)
+        if kind is FullScan:
+            return "full_scan", constant(_SCAN_ARGS, node.column, node.op, node.value)
+        if kind is WildcardScan:
+            return "full_scan", constant(_SCAN_ARGS, node.column, "like", node.pattern)
+        if kind is SubAttributeScan:
+            return "full_scan", constant(_SCAN_ARGS, "attributes", "attr", (node.key, node.value))
+        if kind is CompositeSearch:
+            # The catalog knows the index's columns; an index it does not
+            # know is keyed by the columns the search names.
+            named = tuple(column for column, _ in node.equalities) + (
+                (node.range_column,) if node.range_column is not None else ()
+            )
+            columns = self.indexes.get(node.index_name, named)
+            prefix = leftmost(columns, dict(node.equalities), node.range_column)
+            return "composite_search", constant(
+                _COMPOSITE_ARGS, node.index_name, tuple(prefix), node.range_column is not None,
+                node.low, node.high, node.include_low, node.include_high,
+            )
+        raise PlanningError(f"executor has no operator for {kind.__name__}")
 
-    def _term(self, column: str, value: Any) -> PostingList:
-        ftype = self.engine.config.schema.type_of(column)
-        if ftype is FieldType.NUMERIC:
-            return self.engine.numeric_range(column, value, value)
-        return self.engine.term_postings(column, value)
+    def term(self, column: str, value) -> tuple[str, int]:
+        if self.schema.type_of(column) is FieldType.NUMERIC:
+            return "numeric_range", self.constant(_TUPLE, column, value, value)
+        return "term_postings", self.constant(_TUPLE, column, value)
 
-    def _scan_filter(self, rows: PostingList, column: str, op: str, value: Any) -> PostingList:
-        predicate = _scan_predicate(op, value)
-        return self.engine.scan_filter(column, rows, predicate)
+    def constant(self, kind: int, *items) -> int:
+        """Append the instruction that builds ``kind(*items)`` per statement;
+        returns its position in the bind tape."""
+        fields, refs = list(items), []
+        for position, item in enumerate(items):
+            reference = self.encode(item, self.tape)
+            if reference is not None:
+                fields[position] = None
+                refs += (position, reference)
+        self.tape.append((kind, tuple(fields), tuple(refs)))
+        return len(self.tape) - 1
 
-    def _full_scan(self, column: str, op: str, value: Any) -> PostingList:
-        return self.engine.full_scan(column, _scan_predicate(op, value))
+
+# -- bind: once per statement -------------------------------------------------
+
+def _scan_args(column: str, op: str, value: Any) -> tuple:
+    return column, _scan_predicate(op, value)
+
+
+def _composite_args(index_name: str, *request) -> tuple:
+    return index_name, key_bounds(*request)
+
+
+#: The builder of each bind-tape kind but a tuple's.
+BUILDERS = {_SCAN_ARGS: _scan_args, _COMPOSITE_ARGS: _composite_args}
 
 
 def _scan_predicate(op: str, value: Any):
@@ -220,3 +303,44 @@ def _scan_predicate(op: str, value: Any):
         key, wanted = value
         return lambda v: v is not None and parse_attributes(str(v)).get(key) == wanted
     raise PlanningError(f"unknown scan op {op!r}")
+
+
+# -- run: once per shard ------------------------------------------------------
+# A step is ``(function, operator, operands...)``; *produced* holds the rows
+# of the steps before it, which its child operands index.
+
+def _call(engine, step, constants, produced):
+    return getattr(engine, step[2])(*constants[step[3]])
+
+
+def _calls(engine, step, constants, produced):
+    read = getattr(engine, step[2])
+    return PostingList.union_all([read(*constants[i]) for i in step[3]])
+
+
+def _scan(engine, step, constants, produced):
+    column, predicate = constants[step[3]]
+    return engine.scan_filter(column, produced[step[2]], predicate)
+
+
+def _intersect(engine, step, constants, produced):
+    return PostingList.intersect_all([produced[i] for i in step[2]])
+
+
+def _union(engine, step, constants, produced):
+    return PostingList.union_all([produced[i] for i in step[2]])
+
+
+def _exclude(engine, step, constants, produced):
+    return produced[step[2]].difference(produced[step[3]])
+
+
+def _match_all(engine, step, constants, produced):
+    return PostingList.union_all([
+        segment.filter_live(PostingList(segment.row_ids(), presorted=True))
+        for segment in engine.segments
+    ])
+
+
+_STEPS = (_call, _calls, _scan, _intersect, _union, _exclude, _match_all)
+_CALL, _CALLS, _SCAN, _INTERSECT, _UNION, _EXCLUDE, _MATCH_ALL = range(len(_STEPS))

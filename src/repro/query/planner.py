@@ -6,10 +6,10 @@ shape of the paper's Figures 7 and 8: leaf operators produce posting lists
 combine them (intersect, union), and the sequential-scan operator filters an
 incoming posting list through doc values.
 
-Plans here are *descriptive*: the executor interprets them against a
-:class:`~repro.storage.engine.ShardEngine`. Keeping them as data makes the
-optimizer testable (assert the plan shape) and lets benchmarks count
-operator costs.
+Plans here are *descriptive*: the executor compiles them into steps it
+runs against a :class:`~repro.storage.engine.ShardEngine`. Keeping them as
+data makes the optimizer testable (assert the plan shape) and lets
+benchmarks count operator costs.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ each WHERE literal replaced by a slot of the literal's kind — and those
 literals. The first statement of a shape is parsed, and its WHERE values
 are replaced by slots (:func:`slot_where`) before it is rewritten and
 planned; the resulting :class:`Shape` binds every later statement's literals
-into that rewritten statement and plan, so parse, rewrite and plan do not
+into that rewritten statement and into the plan's compiled program
+(:mod:`repro.query.executor`), so parse, rewrite, plan and compile do not
 run again.
 
 What stays in the shape (so it selects the compiled template rather than
@@ -32,7 +33,7 @@ from __future__ import annotations
 import re
 from collections import OrderedDict
 from dataclasses import fields, is_dataclass, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.query import ast as query_ast
 from repro.query import planner
@@ -49,8 +50,12 @@ from repro.query.ast import (
     SubAttributePredicate,
     iter_predicates,
 )
+from repro.query.executor import BUILDERS, BoundPlan, compile_plan
 from repro.query.planner import PhysicalPlan
 from repro.query.sql_parser import literal_value, unquote
+
+if TYPE_CHECKING:
+    from repro.query.optimizer import CatalogInfo
 
 #: Most shapes one instance keeps compiled; the least recently used goes.
 MAX_SHAPES = 512
@@ -207,7 +212,7 @@ _NODE_TYPES = tuple(
 )
 _NODE_KINDS = {cls: kind for kind, cls in enumerate(_NODE_TYPES)}
 _NODE_FIELDS = tuple(tuple(f.name for f in fields(cls)) for cls in _NODE_TYPES)
-_TUPLE = -1
+_TUPLE = -1  # a tuple's kind; the other negative kinds are compiled plans' BUILDERS
 
 
 def _encode(node, tape: list) -> int | None:
@@ -248,24 +253,31 @@ def _encode(node, tape: list) -> int | None:
     return ~(len(tape) - 1)
 
 
-def _decode(tape: tuple, values: list):
-    """Run *tape* (:func:`_encode`) with the slot *values*; the last
-    instruction builds the root."""
+def _run(tape: tuple, values: list) -> list:
+    """Run *tape* (:func:`_encode`, or a compiled plan's bind tape,
+    :func:`~repro.query.executor.compile_plan`) with the slot *values*:
+    what each instruction builds, in order."""
     built: list = []
     for kind, fields_, refs in tape:
         items = list(fields_)
         for i in range(0, len(refs), 2):
             reference = refs[i + 1]
             items[refs[i]] = values[reference] if reference >= 0 else built[~reference]
-        if kind == _TUPLE:
-            built.append(tuple(items))
+        if kind < 0:
+            built.append(tuple(items) if kind == _TUPLE else BUILDERS[kind](*items))
             continue
         # The fields were validated when the shape compiled, so the node is
         # filled in directly rather than through its (frozen) constructor.
         node = object.__new__(_NODE_TYPES[kind])
         node.__dict__.update(zip(_NODE_FIELDS[kind], items))
         built.append(node)
-    return built[-1]
+    return built
+
+
+def _decode(template, values: list):
+    """What a shape keeps of a node (:func:`_template`), rebuilt with the
+    slot *values*."""
+    return _run(template, values)[-1] if isinstance(template, tuple) else template
 
 
 def _template(node) -> tuple | object:
@@ -277,8 +289,10 @@ def _template(node) -> tuple | object:
 
 class Shape:
     """One compiled shape: the rewritten statement and plan built from its
-    :class:`SlottedStatement`, kept as tapes and rebuilt per call by
-    :meth:`bind`.
+    :class:`SlottedStatement`, kept as tapes, and the plan compiled
+    (:func:`~repro.query.executor.compile_plan`) against the catalog it was
+    planned with. :meth:`bind` rebuilds the statement and the plan's
+    constants per call; the plan itself only when asked.
 
     Attributes:
         label: the shape's text, for spans.
@@ -286,7 +300,10 @@ class Shape:
         subattrs: the ``ATTR`` keys the rewritten statement filters on.
     """
 
-    __slots__ = ("label", "picks", "subattrs", "_converters", "_in_lists", "_statement", "_plan")
+    __slots__ = (
+        "label", "picks", "subattrs", "_converters", "_in_lists", "_statement", "_plan",
+        "_program",
+    )
 
     def __init__(
         self,
@@ -294,6 +311,7 @@ class Shape:
         slotted: SlottedStatement,
         statement: SelectStatement,
         plan: PhysicalPlan,
+        catalog: CatalogInfo,
     ) -> None:
         self.label = "".join(key)
         self.picks = plan.picks
@@ -302,22 +320,20 @@ class Shape:
         self._in_lists = tuple(slotted.in_lists)
         self._statement = _template(statement)
         self._plan = _template(plan)
+        self._program = compile_plan(plan, catalog, _encode)
 
-    def bind(self, literals: list[str]) -> tuple[SelectStatement, PhysicalPlan] | None:
-        """The rewritten statement and plan of the statement whose WHERE
-        literals are *literals*, or None when its ``IN`` lists repeat a value
-        (compile it). A literal the parser cannot convert raises as the
+    def bind(self, literals: list[str]) -> tuple[SelectStatement, BoundPlan] | None:
+        """The rewritten statement and bound plan of the statement whose
+        WHERE literals are *literals*, or None when its ``IN`` lists repeat a
+        value (compile it). A literal the parser cannot convert raises as the
         parser does."""
         values = [convert(literal) for convert, literal in zip(self._converters, literals)]
         for start, stop in self._in_lists:
             if len(set(values[start:stop])) < stop - start:
                 return None
-        statement, plan = self._statement, self._plan
-        if isinstance(statement, tuple):
-            statement = _decode(statement, values)
-        if isinstance(plan, tuple):
-            plan = _decode(plan, values)
-        return statement, plan
+        tape, steps = self._program
+        plan = BoundPlan(steps, _run(tape, values), (self._plan, values), _decode)
+        return _decode(self._statement, values), plan
 
 
 class ShapeMap:

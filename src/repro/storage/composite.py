@@ -14,7 +14,7 @@ prefix it holds finds it, and a search naming the column it lacks never does.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.errors import PlanningError, StorageError
 from repro.storage.postings import PostingList
@@ -144,62 +144,32 @@ class CompositeIndex:
         principle (the optimizer should never let that happen; the check
         protects direct users of the engine API).
         """
-        self.seal()
-        prefix: tuple = ()
-        consumed = 0
-        for column in self.columns:
-            if column in equalities:
-                prefix += _encode(equalities[column])
-                consumed += 1
-            else:
-                break
-        if consumed != len(equalities):
-            extra = set(equalities) - set(self.columns[:consumed])
-            raise PlanningError(
-                f"equality columns {sorted(extra)} violate leftmost principle of {self.name}"
-            )
-        if range_column is not None:
-            if consumed >= len(self.columns) or self.columns[consumed] != range_column:
-                raise PlanningError(
-                    f"range column {range_column!r} must be column {consumed} of {self.name}"
-                )
+        return self.search_bounds(self.bounds(
+            equalities, range_column, low, high,
+            include_low=include_low, include_high=include_high,
+        ))
 
-        low_key = prefix + (
-            _encode(low) if (range_column is not None and low is not None) else ()
+    def bounds(self, equalities: dict[str, Any], range_column: str | None = None,
+               low: Any = None, high: Any = None, *,
+               include_low: bool = True, include_high: bool = True) -> tuple:
+        """:meth:`search`'s request as key bounds (:func:`key_bounds`)."""
+        return key_bounds(
+            leftmost(self.columns, equalities, range_column), range_column is not None,
+            low, high, include_low, include_high,
         )
-        high_key = prefix + (
-            _encode(high) if (range_column is not None and high is not None) else ()
-        )
-        # Prefix scans: pad with a sentinel so that any longer key sorts inside.
-        if range_column is not None and low is None:
-            # A key equal to the bare prefix is a row lacking the range
-            # column: an open low bound starts after it, not at it.
-            lo_idx = bisect_right(self._keys, prefix)
-        else:
-            lo_idx = self._lower_bound(low_key, inclusive=include_low,
-                                       is_range=range_column is not None)
-        hi_idx = self._upper_bound(high_key, inclusive=include_high,
-                                   is_range=range_column is not None and high is not None)
+
+    def search_bounds(self, bounds: tuple) -> PostingList:
+        """The rows whose keys lie within *bounds* (:func:`key_bounds`): two
+        bisections, whatever the bounds were encoded from."""
+        self.seal()
+        low_key, low_after, high_key, high_after = bounds
+        keys = self._keys
+        lo_idx = (bisect_right if low_after else bisect_left)(keys, low_key)
+        hi_idx = (bisect_right if high_after else bisect_left)(keys, high_key)
         if lo_idx >= hi_idx:
             return PostingList.empty()
         # One entry per row, so no duplicates to drop: order by row id only.
         return PostingList(sorted(self._rows[lo_idx:hi_idx]), presorted=True)
-
-    def _lower_bound(self, key: tuple, *, inclusive: bool, is_range: bool) -> int:
-        if not key:
-            return 0
-        if is_range and not inclusive:
-            # strictly greater on the range part: skip every key whose range
-            # component equals the bound.
-            return bisect_right(self._keys, key + _MAX_KEYPAD)
-        return bisect_left(self._keys, key)
-
-    def _upper_bound(self, key: tuple, *, inclusive: bool, is_range: bool) -> int:
-        if not key:
-            return len(self._keys)
-        if is_range and not inclusive:
-            return bisect_left(self._keys, key)
-        return bisect_right(self._keys, key + _MAX_KEYPAD)
 
     # -- storage accounting -----------------------------------------------------
     def stored_bytes(self, *, prefix_compressed: bool = True) -> int:
@@ -223,6 +193,59 @@ class CompositeIndex:
 # A type rank that sorts after every real one (3 is unused by _encode):
 # appended to a prefix it bounds every longer key that starts with it.
 _MAX_KEYPAD = (3,)
+
+
+def leftmost(columns: Sequence[str], equalities: Mapping[str, Any],
+             range_column: str | None = None) -> list:
+    """The values of *equalities* in the order of the index *columns*,
+    checked against the leftmost principle: they name a prefix of the
+    columns, and *range_column*, if any, is the column after it."""
+    values = []
+    for column in columns:
+        if column not in equalities:
+            break
+        values.append(equalities[column])
+    name = "_".join(columns)
+    if len(values) != len(equalities):
+        extra = set(equalities) - set(columns[:len(values)])
+        raise PlanningError(
+            f"equality columns {sorted(extra)} violate leftmost principle of {name}"
+        )
+    if range_column is not None and columns[len(values):len(values) + 1] != (range_column,):
+        raise PlanningError(
+            f"range column {range_column!r} must be column {len(values)} of {name}"
+        )
+    return values
+
+
+def key_bounds(prefix: Sequence[Any], ranged: bool, low: Any, high: Any,
+               include_low: bool, include_high: bool) -> tuple:
+    """The keys a search for the equality *prefix* values (leftmost first)
+    and, when *ranged*, a range on the next column spans, as ``(low_key,
+    low_after, high_key, high_after)``: the rows lie from the insertion
+    point of ``low_key`` to that of ``high_key``, after equal keys where
+    ``*_after``. An open bound is None. Encoded once, the bounds serve every
+    segment and shard a statement searches."""
+    key: tuple = ()
+    for value in prefix:
+        key += _encode(value)
+    if not ranged:
+        return key, False, key + _MAX_KEYPAD, True
+    if low is None:
+        # A key equal to the bare prefix is a row lacking the range
+        # column: an open low bound starts after it, not at it.
+        lower = key, True
+    elif include_low:
+        lower = key + _encode(low), False
+    else:
+        lower = key + _encode(low) + _MAX_KEYPAD, True
+    if high is None:
+        upper = key + _MAX_KEYPAD, True
+    elif include_high:
+        upper = key + _encode(high) + _MAX_KEYPAD, True
+    else:
+        upper = key + _encode(high), False
+    return lower + upper
 
 
 def _common_prefix_len(a: str, b: str) -> int:

@@ -376,18 +376,12 @@ class ShardEngine:
             lambda s: s.text_postings(field_name, text),
         )
 
-    def numeric_range(self, field_name: str, low, high, **bounds) -> PostingList:
-        key = filter_key(
-            "range",
-            field_name,
-            low,
-            high,
-            bounds.get("include_low", True),
-            bounds.get("include_high", True),
-        )
-        return self._cached_postings(
-            key, lambda s: s.numeric_range(field_name, low, high, **bounds)
-        )
+    def numeric_range(self, field_name: str, low, high,
+                      include_low: bool = True, include_high: bool = True) -> PostingList:
+        key = filter_key("range", field_name, low, high, include_low, include_high)
+        return self._cached_postings(key, lambda s: s.numeric_range(
+            field_name, low, high, include_low=include_low, include_high=include_high
+        ))
 
     def subattribute_postings(self, key: str, value: str) -> PostingList:
         return self._cached_postings(
@@ -399,15 +393,24 @@ class ShardEngine:
         allowed = self.config.indexed_subattributes
         return allowed is None or key in allowed
 
-    def composite_search(self, index_name: str, equalities: dict, **kwargs) -> PostingList:
+    def composite_search(self, index_name: str, bounds, **kwargs) -> PostingList:
+        """The live rows the composite index *index_name* finds within the
+        key *bounds* a plan encoded once for all of its shards
+        (:func:`~repro.storage.composite.key_bounds`), or for a dict of
+        leftmost-prefix equalities with the range in *kwargs*
+        (:meth:`CompositeIndex.search`), encoded here."""
         lists = []
         for segment in self._searchable_segments():
             composite = segment.composite(index_name)
             if composite is not None:
-                lists.append(segment.filter_live(composite.search(equalities, **kwargs)))
+                if isinstance(bounds, dict):
+                    bounds = composite.bounds(bounds, **kwargs)
+                lists.append(segment.filter_live(composite.search_bounds(bounds)))
         dynamic = self._dynamic_composites.get(index_name)
         if dynamic is not None:
-            lists.append(self._filter_searchable(dynamic.search(equalities, **kwargs)))
+            if isinstance(bounds, dict):
+                bounds = dynamic.bounds(bounds, **kwargs)
+            lists.append(self._filter_searchable(dynamic.search_bounds(bounds)))
         return PostingList.union_all(lists)
 
     def _live_blocks(self, rows: PostingList) -> Iterator[tuple[Segment, PostingList]]:
@@ -439,10 +442,7 @@ class ShardEngine:
         mirroring how Lucene queries ignore deleted doc ids.
         """
         index = CompositeIndex(tuple(columns))
-        static_names = {
-            "_".join(static) for static in self.config.composite_columns
-        }
-        if index.name in self._dynamic_composites or index.name in static_names:
+        if index.name in self.list_composite_indexes():
             raise StorageError(f"index {index.name!r} already exists")
         for row_id, doc in self.iter_documents():
             index.add([doc.get(column) for column in index.columns], row_id)
@@ -460,11 +460,16 @@ class ShardEngine:
             raise StorageError(f"no dynamic index named {name!r}")
         del self._dynamic_composites[name]
 
+    def composite_indexes(self) -> tuple:
+        """The columns of every composite index usable on this shard
+        (static, then dynamic)."""
+        return tuple(self.config.composite_columns) + tuple(
+            index.columns for index in self._dynamic_composites.values()
+        )
+
     def list_composite_indexes(self) -> list[str]:
         """All composite indexes usable on this shard (static + dynamic)."""
-        names = {c.name for c in (CompositeIndex(cols) for cols in self.config.composite_columns)}
-        names.update(self._dynamic_composites)
-        return sorted(names)
+        return sorted({"_".join(columns) for columns in self.composite_indexes()})
 
     def scan_filter(self, field_name: str, rows: PostingList,
                     predicate: Callable[[Any], bool]) -> PostingList:

@@ -107,6 +107,11 @@ class PostingList:
             return self
         return PostingList(ids[lo:hi], presorted=True)
 
+    def within(self, low: int, high: int) -> bool:
+        """Whether every id lies in ``[low, high)``: the first and the last."""
+        ids = self._ids
+        return not ids or (low <= ids[0] and ids[-1] < high)
+
     def shifted(self, base: int) -> "PostingList":
         """Return a copy with *base* added to every id — used to map
         segment-local doc ids to shard-global row ids."""
@@ -129,6 +134,8 @@ class PostingList:
 
     @staticmethod
     def union_all(lists: list["PostingList"]) -> "PostingList":
+        if len(lists) == 1:
+            return lists[0]
         result = PostingList.empty()
         for other in lists:
             result = result.union(other)

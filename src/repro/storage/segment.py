@@ -288,11 +288,12 @@ class Segment:
 
     def filter_live(self, rows: PostingList) -> PostingList:
         """The live rows of *rows*, which must all lie in this segment's row
-        range (its own indexes' postings do; two bisections check it). One
-        look at the delete counter when nothing was deleted — the input comes
-        back untouched — and one pass over the live bitmap otherwise."""
+        range (its own indexes' postings do; the first and last row are
+        checked). One look at the delete counter when nothing was deleted —
+        the input comes back untouched — and one pass over the live bitmap
+        otherwise."""
         live, base = self._live, self.base_row_id
-        if len(rows.between(base, base + len(live))) != len(rows):
+        if not rows.within(base, base + len(live)):
             raise StorageError(f"rows outside segment {self.segment_id}'s row range")
         if not self._deleted:
             return rows

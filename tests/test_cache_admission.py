@@ -21,6 +21,7 @@ from repro.cache import (
     SegmentFilterCache,
     ShardRequestCache,
 )
+from repro.cache import lru as lru_module
 from repro.cache.request_cache import SEEN_STATEMENTS
 from repro.cluster import ClusterTopology
 from repro.storage import ShardEngine
@@ -29,6 +30,14 @@ from tests.conftest import make_log
 TOPOLOGY = ClusterTopology(num_nodes=3, num_shards=6)
 COUNT = "SELECT COUNT(*) FROM t WHERE tenant_id = 't{}'"
 WIDE = "SELECT * FROM t WHERE status = 1"  # every shard
+#: Statements run on a 3,000-byte result level, and the (statement, cost)
+#: of each result it handed the LRU when every miss was priced before the
+#: level decided: the first sightings of statements 8 and 9 are refused
+#: (9's by its floor alone), results of 12,776 bytes never fit.
+SCRIPT = [COUNT.format(0), WIDE, COUNT.format(1), WIDE, COUNT.format(2), WIDE + " LIMIT 3",
+          COUNT.format(2), WIDE + " LIMIT 3", COUNT.format(3), WIDE + " LIMIT 5",
+          COUNT.format(0), WIDE]
+STORED = [(0, 237), (2, 237), (1, 12776), (4, 237), (5, 2558), (0, 237), (1, 12776)]
 
 
 def build_db(**kwargs) -> ESDB:
@@ -80,6 +89,41 @@ class TestResultLevel:
         assert cache.stats.hits == hits + 2
         db.execute_sql(COUNT.format(0))
         assert cache.stats.hits == hits + 2
+
+
+    def test_a_refused_first_sighting_is_not_priced(self, monkeypatch):
+        db = build_db()
+        # Less than any result's floor (56 bytes + 24 per row and per shard).
+        db.coordinator.result_cache = CoordinatorResultCache(100, metrics=db.telemetry.metrics)
+        priced = counted(monkeypatch, lru_module, "estimate_bytes")
+        db.execute_sql(WIDE)
+        assert priced == [] and len(db.result_cache) == 0
+        db.execute_sql(WIDE)  # its repeat is priced, and too large to store
+        assert priced and len(db.result_cache) == 0
+
+    def test_what_is_stored_is_what_pricing_every_miss_stored(self, monkeypatch):
+        """The floor refuses only what the full price refused: the keys
+        and costs of :data:`SCRIPT` reach the LRU as :data:`STORED`."""
+        db = build_db()
+        db.coordinator.result_cache = CoordinatorResultCache(
+            3000, metrics=db.telemetry.metrics
+        )
+        cache = db.result_cache
+        stored = []
+        put = cache._lru.put
+
+        def recording(key, value, cost):
+            sql = next(sql for sql, identity in db.coordinator._identities.items()
+                       if identity == key[0])
+            stored.append((SCRIPT.index(sql), cost))
+            return put(key, value, cost=cost)
+
+        monkeypatch.setattr(cache._lru, "put", recording)
+        for sql in SCRIPT:
+            db.execute_sql(sql)
+        assert stored == STORED
+        assert (len(cache), cache.stats.bytes, cache.stats.evictions) == (2, 2795, 3)
+
 
 
 class TestRequestLevel:

@@ -244,6 +244,20 @@ class TestRenderedDashboardFacts:
         assert alerts.startswith("  [hot_")
         assert page == render_dashboard(snapshot(db))
 
+    def test_fan_out_averages_the_statements_that_fanned_out(self):
+        db = _tiny_db()
+        _skewed_burst(db)
+        db.rebalance()
+        db.refresh()
+        sql = "SELECT * FROM transactions WHERE tenant_id = 'whale'"
+        fanout = db.execute_sql(sql).subqueries
+        for _ in range(3):
+            db.execute_sql(sql)  # result-cache hits: nothing fans out
+        page = render_dashboard(snapshot(db))
+        line = next(line for line in page.splitlines() if line.startswith("  queries: "))
+        assert line == f"  queries: 4 executed, 1 fanned out, avg fan-out {fanout:.1f} shard(s)"
+        assert float(line.split("avg fan-out ")[1].split()[0]) >= 1.0
+
     def test_dashboard_without_observer_keeps_the_totals(self):
         db = _tiny_db(obsv=ObsvConfig.off())
         _skewed_burst(db)
