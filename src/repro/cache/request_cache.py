@@ -25,11 +25,6 @@ statement the doorkeeper forgot still finds them.
 The cache additionally invalidates a shard's entries *eagerly* through the
 engine's ``on_refresh``/``on_merge`` hooks (:meth:`ShardRequestCache.attach`)
 to reclaim memory as soon as the old reader state becomes unreachable.
-Generations are plain keys, not a gatekeeper: a point-in-time
-:class:`~repro.storage.searcher.Searcher`'s pinned generation remains a
-valid key after a concurrent refresh, so repeated reads through an open
-searcher can re-populate and hit under the old generation while fresh
-queries populate the new one.
 """
 
 from __future__ import annotations

@@ -43,8 +43,6 @@ class WriteClientConfig:
         batch_size: maximum writes dispatched to one worker per flush.
         coalesce_window: pending writes to the same row id within the queue
             are merged (the "frequently modified row" batching).
-        hotspot_tenants_hint: tenants to isolate from the start (the monitor
-            updates this set at runtime via :meth:`WriteClient.mark_hotspot`).
         dispatch_retries: extra dispatch attempts per batch after the first
             fails (bounded retry with exponential backoff).
         backoff_base_seconds: backoff before retry ``n`` is
@@ -53,7 +51,6 @@ class WriteClientConfig:
 
     batch_size: int = 128
     coalesce_window: int = 1024
-    hotspot_tenants_hint: frozenset = frozenset()
     dispatch_retries: int = 3
     backoff_base_seconds: float = 0.005
 
@@ -100,7 +97,7 @@ class WriteClient:
         self._sleep = sleep if sleep is not None else time.sleep
         self._main_queue: OrderedDict = OrderedDict()
         self._hotspot_queue: OrderedDict = OrderedDict()
-        self._hotspots: set = set(self.config.hotspot_tenants_hint)
+        self._hotspots: set = set()
         self.dead_letters: list[PendingWrite] = []
         self.stats = {
             "queued": 0,
@@ -161,12 +158,6 @@ class WriteClient:
     def mark_hotspot(self, tenant_id: object) -> None:
         """Isolate future writes of *tenant_id* into the hotspot queue."""
         self._hotspots.add(tenant_id)
-
-    def clear_hotspot(self, tenant_id: object) -> None:
-        self._hotspots.discard(tenant_id)
-
-    def is_hotspot(self, tenant_id: object) -> bool:
-        return tenant_id in self._hotspots
 
     # -- submission ------------------------------------------------------------
     def submit(
@@ -331,8 +322,3 @@ class WriteClient:
             )
             queue[key] = pending
         return len(letters)
-
-    # -- introspection -------------------------------------------------------------
-    def queue_depths(self) -> tuple[int, int]:
-        """(main queue depth, hotspot queue depth)."""
-        return len(self._main_queue), len(self._hotspot_queue)

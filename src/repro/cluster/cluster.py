@@ -99,10 +99,6 @@ class Cluster:
             raise ClusterError(f"unknown shard {shard_id}")
         return self.shards[shard_id]
 
-    def replica_nodes_of_shard(self, shard_id: int) -> list[Node]:
-        self.shard(shard_id)
-        return [self.nodes[r.node_id] for r in self.replicas.get(shard_id, [])]
-
     # -- master election ---------------------------------------------------------
     @property
     def master(self) -> Node:
@@ -128,43 +124,5 @@ class Cluster:
         if self._master_id == node_id:
             self.elect_master()
 
-    def relocate_primaries_of(self, node_id: int) -> dict[int, int]:
-        """Promote replicas of a dead node's primaries: each shard whose
-        primary lived on *node_id* moves to one of its replica nodes (the
-        master's shard-allocation duty, §3.2). Returns
-        ``{shard_id: new_node_id}``; shards without a live replica are left
-        in place (data loss would need operator action)."""
-        moved: dict[int, int] = {}
-        dead = self.nodes[node_id]
-        if dead.alive:
-            raise ClusterError(f"node {node_id} is alive; fail it first")
-        for shard_id in sorted(dead.shard_ids):
-            candidates = [
-                replica
-                for replica in self.replicas.get(shard_id, [])
-                if self.nodes[replica.node_id].alive
-            ]
-            if not candidates:
-                continue
-            target = candidates[0]
-            shard = self.shards[shard_id]
-            new_node = target.node_id
-            shard.node_id = new_node
-            self.nodes[new_node].shard_ids.add(shard_id)
-            self.nodes[new_node].replica_shard_ids.discard(shard_id)
-            # The dead node keeps the shard's replica slot (stale copy)
-            # until an operator reseeds it.
-            target.node_id = node_id
-            dead.replica_shard_ids.add(shard_id)
-            moved[shard_id] = new_node
-        for shard_id in moved:
-            dead.shard_ids.discard(shard_id)
-        return moved
-
     def restart_node(self, node_id: int) -> None:
         self.nodes[node_id].restart()
-
-    # -- introspection --------------------------------------------------------
-    def shard_counts_per_node(self) -> dict[int, int]:
-        """Return {node_id: primary shard count} (allocation balance check)."""
-        return {n.node_id: len(n.shard_ids) for n in self.nodes}

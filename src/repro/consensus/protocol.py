@@ -33,6 +33,9 @@ from repro.errors import ConfigurationError, ConsensusAborted
 from repro.routing.rules import RuleList
 from repro.telemetry.runtime import NULL_TELEMETRY
 
+#: One prepare or commit broadcast round trip (logical seconds).
+ROUNDTRIP_LATENCY = 0.1
+
 
 @dataclass
 class ClockModel:
@@ -55,22 +58,13 @@ class ConsensusConfig:
     Attributes:
         effective_interval: the buffering interval ``T`` added to the master's
             local time to produce the rule's effective time.
-        roundtrip_latency: one prepare or commit broadcast round trip.
     """
 
     effective_interval: float = 5.0
-    roundtrip_latency: float = 0.1
 
     def __post_init__(self) -> None:
         if self.effective_interval <= 0:
             raise ConfigurationError("effective_interval must be positive")
-        if self.roundtrip_latency < 0:
-            raise ConfigurationError("roundtrip_latency must be >= 0")
-
-    @property
-    def prepare_timeout(self) -> float:
-        """Participants must reply within ``T/2`` or the round aborts."""
-        return self.effective_interval / 2.0
 
 
 class Participant:
@@ -128,9 +122,6 @@ class Participant:
             self.latest_executed_creation_time, created_time
         )
         return True
-
-    def is_blocked(self, created_time: float) -> bool:
-        return self.blocked_after is not None and created_time > self.blocked_after
 
     # -- protocol handlers ---------------------------------------------------
     def on_prepare(self, message: PrepareMessage) -> PrepareReply | None:
@@ -266,7 +257,7 @@ class ConsensusMaster:
                     effective_time=effective_time,
                     proposal=proposal,
                     abort_reason=reason,
-                    elapsed=self.config.roundtrip_latency,
+                    elapsed=ROUNDTRIP_LATENCY,
                 )
                 self.history.append(outcome)
                 self._aborted_counter.inc()
@@ -283,7 +274,7 @@ class ConsensusMaster:
                 effective_time=effective_time,
                 proposal=proposal,
                 unreachable_participants=tuple(unreachable),
-                elapsed=2 * self.config.roundtrip_latency,
+                elapsed=2 * ROUNDTRIP_LATENCY,
             )
             self.history.append(outcome)
             self._committed_counter.inc()
@@ -301,17 +292,6 @@ class ConsensusMaster:
             if participant.on_commit(message) is None:
                 unreachable.append(participant.name)
         return unreachable
-
-    def repair(self, participant: Participant) -> int:
-        """Re-synchronize a recovered participant's rule list from the master
-        (the paper's manual fault-tolerance path). Returns rules copied."""
-        copied = 0
-        for rule in self.rules:
-            participant.rules.insert(rule.effective_time, rule.offset, rule.tenants)
-            copied += 1
-        participant.blocked_after = None
-        participant._pending = None
-        return copied
 
     def catch_up(self, participant: Participant) -> int:
         """Heal-time catch-up: deliver the commit/abort decisions a

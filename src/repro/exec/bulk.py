@@ -89,11 +89,3 @@ class BulkResult:
         for item in self.items:
             if not item.ok:
                 raise item.error
-
-    def shard_counts(self) -> dict[int, int]:
-        """Applied documents per shard (diagnostics / tests)."""
-        counts: dict[int, int] = {}
-        for item in self.items:
-            if item.ok and item.shard_id is not None:
-                counts[item.shard_id] = counts.get(item.shard_id, 0) + 1
-        return counts

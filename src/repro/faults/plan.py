@@ -153,9 +153,6 @@ class FaultPlan:
     def kinds(self) -> set[str]:
         return {event.kind for event in self.events}
 
-    def last_step(self) -> int:
-        return self.events[-1].at_step if self.events else 0
-
     def __len__(self) -> int:
         return len(self.events)
 

@@ -38,6 +38,18 @@ from repro.errors import (
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 
+#: Client flush cadence (workload steps).
+FLUSH_EVERY = 16
+#: Replication-round cadence (workload steps).
+REPLICATE_EVERY = 64
+#: Consensus rule-proposal cadence (workload steps): keeps rounds in flight
+#: so node faults actually exercise the protocol.
+PROPOSE_EVERY = 50
+#: Logical seconds per workload step.
+TIME_STEP = 0.05
+#: Tenant universe of the Zipf workload.
+NUM_TENANTS = 200
+
 
 @dataclass(frozen=True)
 class ChaosConfig:
@@ -46,12 +58,6 @@ class ChaosConfig:
     Attributes:
         steps: workload steps (one submitted write per step).
         num_nodes / num_shards / replicas_per_shard: topology under test.
-        num_tenants: tenant universe of the Zipf workload.
-        flush_every: client flush cadence (steps).
-        replicate_every: replication-round cadence (steps).
-        propose_every: consensus rule-proposal cadence (0 = never) — keeps
-            rounds in flight so node faults actually exercise the protocol.
-        time_step: logical seconds per workload step.
         flood_tenant / flood_factor: the noisy-neighbor workload — when
             set, every step submits ``flood_factor`` extra writes pinned to
             ``flood_tenant`` on top of the ordinary Zipf write.
@@ -70,7 +76,7 @@ class ChaosConfig:
             :mod:`repro.workload.trace`) to drive the run instead of the
             built-in Zipf generator — one workload step per trace record,
             the logical clock following the recorded arrival timestamps.
-            ``steps`` and ``time_step`` are ignored on trace runs (the
+            ``steps`` and :data:`TIME_STEP` are ignored on trace runs (the
             trace supplies both count and clock); None (the default) keeps
             historical fingerprints bit-identical.
     """
@@ -79,11 +85,6 @@ class ChaosConfig:
     num_nodes: int = 3
     num_shards: int = 8
     replicas_per_shard: int = 2
-    num_tenants: int = 200
-    flush_every: int = 16
-    replicate_every: int = 64
-    propose_every: int = 50
-    time_step: float = 0.05
     flood_tenant: object | None = None
     flood_factor: int = 0
     tenancy: object | None = None
@@ -94,18 +95,10 @@ class ChaosConfig:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ConfigurationError("steps must be >= 1")
-        if self.num_nodes < 1 or self.num_shards < 1 or self.num_tenants < 1:
-            raise ConfigurationError(
-                "num_nodes/num_shards/num_tenants must be >= 1"
-            )
+        if self.num_nodes < 1 or self.num_shards < 1:
+            raise ConfigurationError("num_nodes/num_shards must be >= 1")
         if self.replicas_per_shard < 0:
             raise ConfigurationError("replicas_per_shard must be >= 0")
-        if self.flush_every < 1 or self.replicate_every < 1:
-            raise ConfigurationError("flush_every/replicate_every must be >= 1")
-        if self.propose_every < 0:
-            raise ConfigurationError("propose_every must be >= 0")
-        if self.time_step <= 0:
-            raise ConfigurationError("time_step must be positive")
         if self.flood_factor < 0:
             raise ConfigurationError("flood_factor must be >= 0")
         if self.flood_factor and self.flood_tenant is None:
@@ -239,12 +232,12 @@ class ChaosRunner:
             telemetry=self.db.telemetry,
         )
         self.generator = TransactionLogGenerator(
-            WorkloadConfig(num_tenants=self.config.num_tenants, seed=plan.seed)
+            WorkloadConfig(num_tenants=NUM_TENANTS, seed=plan.seed)
         )
         # A recorded trace replaces the generator: load it eagerly so a
         # malformed file fails construction, not step 137 of the run.
         self._trace_events: list[tuple[float, dict]] | None = None
-        self._end_time = self.config.steps * self.config.time_step
+        self._end_time = self.config.steps * TIME_STEP
         if self.config.trace_path is not None:
             from repro.workload.trace import read_trace_events
 
@@ -309,11 +302,11 @@ class ChaosRunner:
                 )
                 self.client.submit(flood_doc)
                 self.report.writes_submitted += 1
-            if (step + 1) % config.flush_every == 0:
+            if (step + 1) % FLUSH_EVERY == 0:
                 self.client.flush()
-            if (step + 1) % config.replicate_every == 0:
+            if (step + 1) % REPLICATE_EVERY == 0:
                 self._replicate(now)
-            if config.propose_every and (step + 1) % config.propose_every == 0:
+            if (step + 1) % PROPOSE_EVERY == 0:
                 self._propose(step, now)
         self.recover()
         self.report.writes_acked = len(self.acked)
@@ -328,13 +321,13 @@ class ChaosRunner:
     def _steps(self):
         """Yield ``(now, document)`` per workload step — from the recorded
         trace when configured, else the built-in Zipf generator on the
-        fixed ``time_step`` grid."""
+        fixed :data:`TIME_STEP` grid."""
         if self._trace_events is not None:
             for now, doc in self._trace_events:
                 yield now, dict(doc)
             return
         for step in range(self.config.steps):
-            now = step * self.config.time_step
+            now = step * TIME_STEP
             yield now, self.generator.generate(created_time=now)
 
     def _apply(self, event, now: float) -> None:

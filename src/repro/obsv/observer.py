@@ -34,6 +34,9 @@ from repro.obsv.skew import (
 from repro.obsv.slowlog import SlowLog
 from repro.telemetry.runtime import NULL_REGISTRY
 
+#: Newest entries of each slow log a snapshot retains.
+SNAPSHOT_SLOWLOG_TAIL = 20
+
 if TYPE_CHECKING:
     from repro.balancer.monitor import WorkloadMonitor
     from repro.obsv.slowlog import SlowLogEntry
@@ -188,12 +191,22 @@ class Observer:
         self.unclaimed_alerts.clear()
 
     # -- snapshot -----------------------------------------------------------
+    def slow_traces(self) -> list["Span"]:
+        """The span trees of the slow-log entries :meth:`snapshot` retains
+        (an entry carries only its ``trace_id``)."""
+        return [
+            entry.trace
+            for log in (self.index_slowlog, self.search_slowlog)
+            for entry in log.tail(SNAPSHOT_SLOWLOG_TAIL)
+            if entry.trace is not None
+        ]
+
     def snapshot(self) -> dict:
         """JSON-ready dump of everything the observer holds."""
         return {
             "slowlog": {
-                "index": [e.to_dict() for e in self.index_slowlog.tail(20)],
-                "search": [e.to_dict() for e in self.search_slowlog.tail(20)],
+                "index": [e.to_dict() for e in self.index_slowlog.tail(SNAPSHOT_SLOWLOG_TAIL)],
+                "search": [e.to_dict() for e in self.search_slowlog.tail(SNAPSHOT_SLOWLOG_TAIL)],
                 "counts": {
                     "index": dict(self.index_slowlog.counts),
                     "search": dict(self.search_slowlog.counts),

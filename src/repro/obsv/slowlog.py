@@ -66,8 +66,6 @@ class SlowLogEntry:
         }
         if self.trace_id is not None:
             out["trace_id"] = self.trace_id
-        if self.trace is not None:
-            out["trace"] = self.trace.to_dict()
         return out
 
 

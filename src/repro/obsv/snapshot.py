@@ -26,7 +26,7 @@ from repro.routing import DynamicSecondaryHashRouting
 #: the sampler settings from ``tracing``.
 BUNDLE_SCHEMA_VERSION = 3
 
-#: Maximum finished traces serialised into a snapshot.
+#: Finished traces serialised into a snapshot, besides the slow-log ones.
 MAX_SNAPSHOT_TRACES = 20
 
 
@@ -40,7 +40,6 @@ def format_cell(value) -> str:
 
 def snapshot(db) -> dict:
     """Everything an operator can see of *db*, as one JSON-ready dict."""
-    finished = list(db.telemetry.tracer.finished)[-MAX_SNAPSHOT_TRACES:]
     slo = read_slo(db)
     hotkeys = db.hotkeys.snapshot() if db.hotkeys is not None else None
     return {
@@ -51,7 +50,7 @@ def snapshot(db) -> dict:
         "metrics": db.telemetry.metrics.snapshot(),
         "events": read_events(db),
         "faults": read_faults(db),
-        "traces": [span.to_dict() for span in finished],
+        "traces": read_traces(db),
         "tracing": {
             "enabled": db.config.tracing.enabled,
             "traces_started": db.trace_ids.issued if db.trace_ids is not None else 0,
@@ -67,6 +66,23 @@ def snapshot(db) -> dict:
             "tenants": {},
         },
     }
+
+
+def read_traces(db) -> list:
+    """The ``traces`` section: the last finished traces, then every tree a
+    retained slow-log entry points at by ``trace_id`` — each tree written
+    once. Maintenance spans carry no trace id and are kept as they are."""
+    trees = list(db.telemetry.tracer.finished)[-MAX_SNAPSHOT_TRACES:]
+    if db.obsv is not None:
+        trees += db.obsv.slow_traces()
+    seen = set()
+    out = []
+    for tree in trees:
+        key = tree.trace_id if tree.trace_id is not None else id(tree)
+        if key not in seen:
+            seen.add(key)
+            out.append(tree.to_dict())
+    return out
 
 
 def read_cluster(db, slo: dict, hotkeys: dict | None) -> dict:

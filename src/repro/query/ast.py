@@ -2,7 +2,7 @@
 
 The AST mirrors what the SQL parser produces and what Xdriver4ES rewrites:
 predicates (leaves) combined by AND/OR/NOT nodes. Normalization helpers
-(flattening, CNF/DNF conversion, predicate merge) live here because they are
+(flattening, DNF conversion, predicate merge) live here because they are
 pure tree transforms; the cost-aware decisions live in the optimizer.
 """
 
@@ -257,7 +257,7 @@ def iter_predicates(node: object) -> Iterator[Predicate]:
 
 
 def depth(node: object) -> int:
-    """Return the AST depth (the metric CNF/DNF conversion reduces)."""
+    """Return the AST depth (the metric DNF conversion reduces)."""
     if node is None:
         return 0
     if isinstance(node, (AndNode, OrNode)):
@@ -367,36 +367,6 @@ def _dnf(node: object) -> list[tuple]:
             product = [p + c for p in product for c in child_terms]
             if len(product) > 4096:
                 # Give up early; caller falls back to the flattened tree.
-                return product
-        return product
-    return [(node,)]
-
-
-def to_cnf(node: object, *, max_terms: int = 256) -> object:
-    """Convert to conjunctive normal form: AND of ORs of leaves."""
-    node = flatten(push_down_not(node))
-    result = _cnf(node)
-    if len(result) > max_terms:
-        return node
-    disjunctions = []
-    for disj in result:
-        merged = _dedupe(list(disj))
-        disjunctions.append(merged[0] if len(merged) == 1 else OrNode(tuple(merged)))
-    return flatten(disjunctions[0] if len(disjunctions) == 1 else AndNode(tuple(disjunctions)))
-
-
-def _cnf(node: object) -> list[tuple]:
-    if isinstance(node, AndNode):
-        out: list[tuple] = []
-        for child in node.children:
-            out.extend(_cnf(child))
-        return out
-    if isinstance(node, OrNode):
-        product: list[tuple] = [()]
-        for child in node.children:
-            child_terms = _cnf(child)
-            product = [p + c for p in product for c in child_terms]
-            if len(product) > 4096:
                 return product
         return product
     return [(node,)]

@@ -233,11 +233,3 @@ class PhysicalPlan:
 
     def describe(self) -> str:
         return self.root.describe()
-
-    def access_path_counts(self) -> dict[str, int]:
-        """Count leaf operators by type — the metric Figures 7/8 contrast."""
-        counts: dict[str, int] = {}
-        for leaf in self.root.leaf_operators():
-            name = type(leaf).__name__
-            counts[name] = counts.get(name, 0) + 1
-        return counts

@@ -2,29 +2,27 @@
 
 A "smart translator" that produces cost-effective ES-DSL from SQL:
 
-* **CNF/DNF conversion** — queries viewed as boolean formulas are converted
-  to normal form to reduce AST depth;
+* **DNF conversion** — queries viewed as boolean formulas are converted
+  to disjunctive normal form to reduce AST depth (each disjunct plans
+  independently);
 * **predicate merge** — same-column predicates are folded
   (``tenant_id=1 OR tenant_id=2`` → ``tenant_id IN (1,2)``) to reduce AST
   width;
-* **result mapping** — rows coming back from the engine are mapped into a
-  SQL-shaped result set, with built-in functions such as ``IFNULL`` and
-  ``date_format`` applied on projection.
+* **result mapping** — the built-in functions ``IFNULL`` and
+  ``date_format``, which the aggregator applies on projection.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any
 
-from repro.errors import UnsupportedSqlError
 from repro.query.ast import (
     SelectStatement,
     depth,
     flatten,
     merge_predicates,
-    to_cnf,
     to_dnf,
     width,
 )
@@ -67,29 +65,14 @@ class TranslatedQuery:
 
 
 class Xdriver4ES:
-    """SQL → ES-DSL translator with normalization and result mapping.
-
-    Args:
-        normal_form: "dnf" (default — each disjunct plans independently),
-            "cnf", or "none" to skip conversion.
-    """
-
-    def __init__(self, normal_form: str = "dnf") -> None:
-        if normal_form not in ("dnf", "cnf", "none"):
-            raise UnsupportedSqlError(f"unknown normal form {normal_form!r}")
-        self._normal_form = normal_form
+    """SQL → ES-DSL translator: flatten, DNF, predicate merge."""
 
     def translate(self, statement: SelectStatement) -> TranslatedQuery:
         """Rewrite *statement*'s WHERE tree (its ES-DSL tree is
         :attr:`TranslatedQuery.dsl`)."""
         where = statement.where
         if where is not None:
-            where = flatten(where)
-            if self._normal_form == "dnf":
-                where = to_dnf(where)
-            elif self._normal_form == "cnf":
-                where = to_cnf(where)
-            where = merge_predicates(where)
+            where = merge_predicates(to_dnf(flatten(where)))
         rewritten = SelectStatement(
             columns=statement.columns,
             table=statement.table,
@@ -100,21 +83,6 @@ class Xdriver4ES:
             having=statement.having,
         )
         return TranslatedQuery(statement=rewritten, original_where=statement.where)
-
-    # -- result mapping -----------------------------------------------------
-    def map_row(self, row: Mapping[str, Any], columns: tuple) -> dict:
-        """Project engine documents into SQL-shaped rows.
-
-        Columns may be plain names or built-in function calls rendered by
-        :func:`apply_function` (``IFNULL``, ``date_format``).
-        """
-        if columns == ("*",):
-            return dict(row)
-        out = {}
-        for column in columns:
-            out[column] = row.get(column)
-        return out
-
 
 def ifnull(value: Any, default: Any) -> Any:
     """SQL ``IFNULL``: *default* when *value* is None, else *value*."""

@@ -45,7 +45,3 @@ class ReplicationAccounting:
     def note_visibility(self, primary_time: float, replica_time: float) -> None:
         """Record one segment's visibility delay."""
         self.visibility_delays.append(max(replica_time - primary_time, 0.0))
-
-    @property
-    def max_visibility_delay(self) -> float:
-        return max(self.visibility_delays, default=0.0)

@@ -7,10 +7,9 @@ The replica never re-executes writes. Instead:
   primary/replica switch).
 * **Quick incremental replication** — after each refresh the primary builds
   a snapshot of its current segment list; the replica computes the *segment
-  diff* against its own state, requests only the missing segments, deletes
-  segments the primary dropped, and acknowledges so the primary can unlock
-  the snapshot. Short refresh intervals therefore never restart a long
-  monolithic copy.
+  diff* against its own state, requests only the missing segments and
+  deletes segments the primary dropped. Short refresh intervals therefore
+  never restart a long monolithic copy.
 * **Pre-replication of merged segments** — merged segments are shipped the
   moment the merge finishes, on an independent track, so a large merged
   segment never sits in the refresh-snapshot diff delaying fresh data.
@@ -77,8 +76,6 @@ class PhysicalReplicator:
         self.replica_translog: list[TranslogEntry] = []
         self.snapshots: list[SegmentSnapshot] = []
         self._snapshot_counter = 0
-        self._locked_segments: set[int] = set()
-        self._prereplicated: set[int] = set()
         primary.on_refresh(self._on_primary_refresh)
         primary.on_merge(self._on_primary_merge)
         self._pending_refreshed: list[tuple[Segment, float]] = []
@@ -138,24 +135,18 @@ class PhysicalReplicator:
         ):
             self.run_prereplication()
             snapshot = self.build_snapshot(now)
-            # Step 3: primary locks the snapshot's segments during the round.
-            self._locked_segments = set(snapshot.segment_ids)
-            try:
-                missing, stale = self.segment_diff(snapshot)
-                by_id = {s.segment_id: s for s in self.primary.segments}
-                for segment_id in sorted(missing):
-                    segment = by_id.get(segment_id)
-                    if segment is None:
-                        raise ReplicationError(
-                            f"snapshot {snapshot.snapshot_id} references segment "
-                            f"{segment_id} no longer on the primary"
-                        )
-                    self._copy_segment(segment)
-                for segment_id in stale:
-                    del self.replica_segments[segment_id]
-                # Step 6: replica acknowledges; primary unlocks.
-            finally:
-                self._locked_segments = set()
+            missing, stale = self.segment_diff(snapshot)
+            by_id = {s.segment_id: s for s in self.primary.segments}
+            for segment_id in sorted(missing):
+                segment = by_id.get(segment_id)
+                if segment is None:
+                    raise ReplicationError(
+                        f"snapshot {snapshot.snapshot_id} references segment "
+                        f"{segment_id} no longer on the primary"
+                    )
+                self._copy_segment(segment)
+            for segment_id in stale:
+                del self.replica_segments[segment_id]
             self._note_visibility()
             return snapshot
 
@@ -166,7 +157,6 @@ class PhysicalReplicator:
             merged = self._pending_merged.pop(0)
             if merged.segment_id not in self.replica_segments:
                 self._copy_segment(merged)
-                self._prereplicated.add(merged.segment_id)
                 self._prereplicated_counter.inc()
                 shipped += 1
         return shipped
@@ -201,12 +191,6 @@ class PhysicalReplicator:
         """True when the replica holds exactly the primary's segment set."""
         primary_ids = {s.segment_id for s in self.primary.segments}
         return set(self.replica_segments) == primary_ids
-
-    def locked_segment_ids(self) -> set:
-        return set(self._locked_segments)
-
-    def was_prereplicated(self, segment_id: int) -> bool:
-        return segment_id in self._prereplicated
 
     def valid_translog_prefix(self) -> int:
         """Length of the leading run of translog entries passing their

@@ -17,6 +17,9 @@ from repro.replication.costs import ReplicationAccounting
 from repro.replication.physical import PhysicalReplicator
 from repro.storage.engine import ShardEngine
 
+#: Extra attempts per replica after a failed replication round.
+REPLICATE_RETRIES = 2
+
 
 @dataclass(frozen=True)
 class ReplicaStatus:
@@ -33,15 +36,11 @@ class ReplicaSet:
     """A primary shard engine plus N physical replicas."""
 
     def __init__(self, primary: ShardEngine, num_replicas: int = 1,
-                 network_seconds_per_byte: float = 0.0, telemetry=None,
-                 replicate_retries: int = 2) -> None:
+                 network_seconds_per_byte: float = 0.0, telemetry=None) -> None:
         if num_replicas < 1:
             raise ReplicationError("a replica set needs at least one replica")
-        if replicate_retries < 0:
-            raise ReplicationError("replicate_retries must be >= 0")
         self.primary = primary
         self.telemetry = telemetry
-        self.replicate_retries = replicate_retries
         self.replicators: dict[str, PhysicalReplicator] = {}
         for index in range(num_replicas):
             name = f"replica-{index}"
@@ -81,7 +80,7 @@ class ReplicaSet:
         many replicas finished in sync. A replica that raises keeps the
         others replicating (slow/faulty replicas must not block the set).
 
-        A failed round is retried up to ``replicate_retries`` times with an
+        A failed round is retried up to ``REPLICATE_RETRIES`` times with an
         exponentially growing (simulated) backoff added to the replica's
         clock: a retry rebuilds the snapshot from scratch, which resolves
         the common transient where a segment the previous snapshot named
@@ -96,7 +95,7 @@ class ReplicaSet:
         )
         for name, replicator in self.replicators.items():
             last_error: ReplicationError | None = None
-            for attempt in range(1 + self.replicate_retries):
+            for attempt in range(1 + REPLICATE_RETRIES):
                 if attempt and retry_counter is not None:
                     retry_counter.inc()
                 try:
@@ -129,9 +128,6 @@ class ReplicaSet:
                 )
             )
         return out
-
-    def in_sync_count(self) -> int:
-        return sum(1 for s in self.status() if s.in_sync)
 
     # -- failover -----------------------------------------------------------------
     def promote(self, name: str | None = None) -> ShardEngine:

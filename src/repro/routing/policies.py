@@ -55,10 +55,6 @@ class ShardRange:
         offset = (shard - self.start) % self.total
         return offset < self.length
 
-    def as_set(self) -> frozenset:
-        return frozenset(self)
-
-
 class RoutingPolicy(ABC):
     """Maps writes to shards and tenant queries to shard ranges."""
 

@@ -178,11 +178,6 @@ class RuleList:
         """All annotations, ordered like the rule list (time, offset, tenant)."""
         return [self._annotations[key] for key in sorted(self._annotations)]
 
-    def annotation_for(
-        self, effective_time: float, offset: int, tenant: object
-    ) -> RuleAnnotation | None:
-        return self._annotations.get((effective_time, offset, str(tenant)))
-
     def match(self, tenant_id: object, created_time: float) -> int:
         """Return the secondary-hashing offset ``s`` for a record.
 
@@ -219,12 +214,6 @@ class RuleList:
         """Return an immutable snapshot of the current rules (for replication
         to other coordinators after a consensus round)."""
         return tuple(iter(self))
-
-    def effective_times(self) -> list[float]:
-        """Return the sorted distinct effective times (used by tests and by
-        the consensus layer to verify monotone append order)."""
-        times = sorted({rule.effective_time for rule in self._rules})
-        return times
 
     def compact(self) -> int:
         """Remove *dead* rule memberships; returns how many were dropped.

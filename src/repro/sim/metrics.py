@@ -77,9 +77,6 @@ class MetricsCollector:
     def throughput_series(self) -> list[tuple[float, float]]:
         return [(s.time, s.completed) for s in self.samples]
 
-    def delay_series(self) -> list[tuple[float, float]]:
-        return [(s.time, s.avg_delay) for s in self.samples]
-
     def max_delay_series(self) -> list[tuple[float, float]]:
         return [(s.time, s.max_delay) for s in self.samples]
 
@@ -158,11 +155,3 @@ class SimulationReport:
         if nonzero.size == 0:
             return 1.0
         return float(nonzero.max() / nonzero.min())
-
-    def normalized_shard_sizes(self) -> np.ndarray:
-        """Shard sizes sorted descending, normalized to the smallest
-        non-empty shard (the Figure 13d series)."""
-        nonzero = np.sort(self.shard_sizes[self.shard_sizes > 0])[::-1]
-        if nonzero.size == 0:
-            return nonzero
-        return nonzero / nonzero.min()

@@ -49,11 +49,6 @@ class MicroReport:
     def throughput(self) -> float:
         return self.completed / self.duration if self.duration > 0 else 0.0
 
-    @property
-    def node_utilization(self) -> np.ndarray:
-        return self.node_busy / max(self.duration, 1e-9)
-
-
 class MicroWriteSimulation:
     """Event-driven per-write simulation of one routing policy."""
 
@@ -76,9 +71,9 @@ class MicroWriteSimulation:
         self.duration = duration
         self.replication = replication or ReplicationCostModel.logical()
         self.generator = TransactionLogGenerator(
-            workload or WorkloadConfig(seed=self.config.seed)
+            workload or WorkloadConfig()
         )
-        self._rng = random.Random(self.config.seed + 13)
+        self._rng = random.Random(13)
         shards = np.arange(self.config.num_shards)
         self._primary_node = shards % self.config.num_nodes
         self._replica_node = (shards + 1) % self.config.num_nodes

@@ -15,6 +15,16 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
+#: Simulation step (seconds): the scenarios' default tick.
+TICK_SECONDS = 1.0
+#: Fixed per-write completion latency (seconds) added on top of queueing
+#: delay: refresh interval + network; the paper's balanced-policy delays
+#: bottom out around 0.2 s.
+BASE_WRITE_LATENCY = 0.2
+#: Hard cap on a client queue's backlog, in seconds of arrivals, so saturated
+#: scenarios don't accumulate unbounded state.
+MAX_QUEUE_SECONDS = 600.0
+
 
 @dataclass(frozen=True)
 class ReplicationCostModel:
@@ -59,29 +69,18 @@ class SimulationConfig:
             units/s put the balanced-policy ceiling at 168K TPS — just above
             the paper's 160K operating point (Fig 11), with the rate sweep
             of Fig 10 crossing it.
-        base_write_latency: fixed per-write completion latency added on top
-            of queueing delay (refresh interval + network; the paper's
-            balanced-policy delays bottom out around 0.2 s).
         sample_per_tick: how many representative writes are routed per tick;
             arrival mass is scaled from the sample (fluid-flow approximation).
-        tick_seconds: simulation step.
         balance_window: monitor reporting period for the dynamic policy.
         consensus_interval: the effective-time lag T of rule commits.
-        max_queue_seconds: drop the run into a hard backlog cap so saturated
-            scenarios don't accumulate unbounded state.
-        seed: RNG seed.
     """
 
     num_nodes: int = 8
     num_shards: int = 512
     node_capacity: float = 42_000.0
-    base_write_latency: float = 0.2
     sample_per_tick: int = 2_000
-    tick_seconds: float = 1.0
     balance_window: float = 10.0
     consensus_interval: float = 5.0
-    max_queue_seconds: float = 600.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1 or self.num_shards < 1:
@@ -90,5 +89,3 @@ class SimulationConfig:
             raise ConfigurationError("node_capacity must be positive")
         if self.sample_per_tick < 1:
             raise ConfigurationError("sample_per_tick must be >= 1")
-        if self.tick_seconds <= 0:
-            raise ConfigurationError("tick_seconds must be positive")

@@ -59,16 +59,6 @@ class QueryCostModel:
         """Single-client queries/second (work model: QPS = 1 / work)."""
         return 1.0 / self.work(docs, fanout)
 
-    def cluster_qps(self, docs: float, fanout: int, num_nodes: int = 8) -> float:
-        """Aggregate QPS the cluster sustains for concurrent clients (the
-        paper's setup: three client machines pushing the upper bound): every
-        node contributes one engine-second per second, and each query burns
-        ``work`` engine-seconds wherever its subqueries land."""
-        if num_nodes < 1:
-            raise ConfigurationError("num_nodes must be >= 1")
-        return num_nodes / self.work(docs, fanout)
-
-
 @dataclass(frozen=True)
 class QueryScaleResult:
     """Per-rank query throughput for one policy at full scale."""

@@ -20,10 +20,6 @@ Each tick:
    exactly at the committed effective time because router and simulator
    share one rule list.
 
-Setting ``hol_blocking=False`` switches to independent per-node queues (no
-client back-pressure); the ablation bench uses this to show the blocking
-model is what produces the paper's hashing collapse.
-
 The model deliberately omits per-write event scheduling: at 160K writes/s x
 15 min the paper's workloads are beyond per-event simulation in Python, and
 the phenomena under study (saturation points, backlog growth, imbalance)
@@ -33,38 +29,28 @@ are flow-level. See DESIGN.md for the substitution argument.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.balancer import BalancerConfig, LoadBalancer, WorkloadMonitor
+from repro.balancer import LoadBalancer, WorkloadMonitor
 from repro.consensus import ConsensusConfig, ConsensusMaster, Participant, RuleProposal
 from repro.errors import ConsensusAborted, SimulationError
 from repro.routing import DynamicSecondaryHashRouting, RoutingPolicy
 from repro.sim.metrics import MetricsCollector, SimulationReport
-from repro.sim.models import ReplicationCostModel, SimulationConfig
+from repro.sim.models import (
+    BASE_WRITE_LATENCY,
+    MAX_QUEUE_SECONDS,
+    TICK_SECONDS,
+    ReplicationCostModel,
+    SimulationConfig,
+)
 from repro.workload.generator import TransactionLogGenerator, WorkloadConfig
 from repro.workload.scenarios import Scenario
 
 
-@dataclass
-class _NodeState:
-    """Mutable per-node queueing state (in service units)."""
-
-    capacity: float
-    backlog: float = 0.0
-
-    def serve(self, arriving_work: float, tick_seconds: float) -> float:
-        """Serve up to capacity*tick; returns work completed this tick."""
-        available = self.capacity * tick_seconds
-        total = self.backlog + arriving_work
-        served = min(total, available)
-        self.backlog = total - served
-        return served
-
-    def wait_time(self) -> float:
-        """Backlog drain time — the queueing delay a new arrival sees."""
-        return self.backlog / self.capacity
+#: A tenant whose share of a tick's sample reaches this is a hotspot in
+#: isolation mode.
+ISOLATION_THRESHOLD = 0.02
 
 
 class WriteSimulation:
@@ -77,10 +63,7 @@ class WriteSimulation:
         config: SimulationConfig | None = None,
         workload: WorkloadConfig | None = None,
         replication: ReplicationCostModel | None = None,
-        balancer_config: BalancerConfig | None = None,
-        hol_blocking: bool = True,
         hotspot_isolation: bool = False,
-        isolation_threshold: float = 0.02,
     ) -> None:
         self.config = config or SimulationConfig()
         if policy.num_shards != self.config.num_shards:
@@ -91,35 +74,27 @@ class WriteSimulation:
         self.policy = policy
         self.scenario = scenario
         self.replication = replication or ReplicationCostModel.logical()
-        self.hol_blocking = hol_blocking
         self.hotspot_isolation = hotspot_isolation
-        self.isolation_threshold = isolation_threshold
         self._hot_backlog = 0.0  # hotspot-queue writes (isolation mode)
         #: (time, ordinary_wait, hotspot_wait) per tick in isolation mode.
         self.isolation_delays: list[tuple[float, float, float]] = []
         self.generator = TransactionLogGenerator(
-            workload or WorkloadConfig(seed=self.config.seed)
+            workload or WorkloadConfig()
         )
         self.metrics = MetricsCollector(self.config.num_nodes, self.config.num_shards)
-        self._nodes = [
-            _NodeState(capacity=self.config.node_capacity)
-            for _ in range(self.config.num_nodes)
-        ]
         # Shard placement: primary on shard % nodes, replica on the next node
         # (never co-located), matching repro.cluster's allocation invariant.
         shards = np.arange(self.config.num_shards)
         self._primary_node = shards % self.config.num_nodes
         self._replica_node = (shards + 1) % self.config.num_nodes
-        self._rng = random.Random(self.config.seed + 7)
+        self._rng = random.Random(7)
         self._client_backlog = 0.0  # writes waiting in the client queue
         self._work_ewma: np.ndarray | None = None  # smoothed node-load estimate
 
         # Dynamic-policy machinery (inert for static policies).
         self._is_dynamic = isinstance(policy, DynamicSecondaryHashRouting)
         self.monitor = WorkloadMonitor(window_seconds=self.config.balance_window)
-        self.balancer = LoadBalancer(
-            self.monitor, self.config.num_shards, balancer_config or BalancerConfig()
-        )
+        self.balancer = LoadBalancer(self.monitor, self.config.num_shards)
         participants = [Participant(f"node-{i}") for i in range(self.config.num_nodes)]
         self.consensus = ConsensusMaster(
             participants,
@@ -148,7 +123,7 @@ class WriteSimulation:
 
     def _step(self, now: float, rate: float) -> None:
         cfg = self.config
-        sample_size = min(cfg.sample_per_tick, max(int(rate * cfg.tick_seconds), 1))
+        sample_size = min(cfg.sample_per_tick, max(int(rate * TICK_SECONDS), 1))
 
         # Route a representative sample through the real policy to get the
         # current per-shard distribution of the write stream. When hotspot
@@ -173,7 +148,7 @@ class WriteSimulation:
             hot_tenants = {
                 tenant
                 for tenant, count in tenant_counts.items()
-                if count / sample_size >= self.isolation_threshold
+                if count / sample_size >= ISOLATION_THRESHOLD
             }
             hot_shard_fraction = np.zeros(cfg.num_shards)
             for tenant, shard in samples:
@@ -204,7 +179,7 @@ class WriteSimulation:
             self._work_ewma = alpha * node_work_per_write + (1 - alpha) * self._work_ewma
         smoothed_work = self._work_ewma
 
-        offered = rate * cfg.tick_seconds
+        offered = rate * TICK_SECONDS
 
         if self.hotspot_isolation and hot_shard_fraction is not None:
             admitted, node_served, client_wait = self._dispatch_isolated(
@@ -212,26 +187,17 @@ class WriteSimulation:
             )
         else:
             dispatchable = self._client_backlog + offered
-            if self.hol_blocking:
-                admitted, node_served = self._dispatch_blocking(
-                    dispatchable, smoothed_work, cfg.tick_seconds
-                )
-            else:
-                admitted, node_served = self._dispatch_unblocked(
-                    dispatchable, smoothed_work, cfg.tick_seconds
-                )
+            admitted, node_served = self._dispatch_blocking(dispatchable, smoothed_work)
             self._client_backlog = dispatchable - admitted
-            max_backlog = rate * cfg.max_queue_seconds
+            max_backlog = rate * MAX_QUEUE_SECONDS
             self._client_backlog = min(self._client_backlog, max_backlog)
-            admit_rate = max(admitted / cfg.tick_seconds, 1e-9)
+            admit_rate = max(admitted / TICK_SECONDS, 1e-9)
             client_wait = self._client_backlog / admit_rate
-        node_waits = np.array([node.wait_time() for node in self._nodes])
-        avg_delay = cfg.base_write_latency + client_wait + float(
-            np.average(node_waits, weights=node_work_per_write + 1e-12)
-        )
-        max_delay = cfg.base_write_latency + client_wait + float(node_waits.max())
+        # Admission never overloads a node, so nodes hold no backlog: the
+        # whole queueing delay is the client's.
+        avg_delay = max_delay = BASE_WRITE_LATENCY + client_wait
 
-        node_cpu = node_served / (cfg.node_capacity * cfg.tick_seconds)
+        node_cpu = node_served / (cfg.node_capacity * TICK_SECONDS)
         primary_per_write = np.zeros(cfg.num_nodes)
         np.add.at(
             primary_per_write,
@@ -244,9 +210,9 @@ class WriteSimulation:
             )
         node_throughput = (
             node_served * primary_share / self.replication.primary_write_cost
-        ) / cfg.tick_seconds
+        ) / TICK_SECONDS
 
-        completed = float(node_throughput.sum() * cfg.tick_seconds)
+        completed = float(node_throughput.sum() * TICK_SECONDS)
         self.metrics.record_tick(
             time=now,
             offered=offered,
@@ -290,7 +256,7 @@ class WriteSimulation:
         :attr:`isolation_delays`.
         """
         cfg = self.config
-        capacity = cfg.node_capacity * cfg.tick_seconds
+        capacity = cfg.node_capacity * TICK_SECONDS
         hot_share = float(hot_shard_fraction.sum())
         normal_share = max(1.0 - hot_share, 0.0)
         normal_fraction = shard_fraction - hot_shard_fraction
@@ -312,7 +278,7 @@ class WriteSimulation:
         normal_cap = capacity / positive.max() if positive.size else 0.0
         admitted_normal = min(normal_dispatchable, normal_cap)
         self._client_backlog = min(
-            normal_dispatchable - admitted_normal, rate * cfg.max_queue_seconds
+            normal_dispatchable - admitted_normal, rate * MAX_QUEUE_SECONDS
         )
 
         headroom = capacity - normal_work * admitted_normal
@@ -325,16 +291,16 @@ class WriteSimulation:
         hot_cap = max(min(hot_caps), 0.0) if hot_caps else 0.0
         admitted_hot = min(hot_dispatchable, hot_cap)
         self._hot_backlog = min(
-            hot_dispatchable - admitted_hot, rate * cfg.max_queue_seconds
+            hot_dispatchable - admitted_hot, rate * MAX_QUEUE_SECONDS
         )
 
         ordinary_wait = min(
-            self._client_backlog / max(admitted_normal / cfg.tick_seconds, 1e-9),
-            cfg.max_queue_seconds,
+            self._client_backlog / max(admitted_normal / TICK_SECONDS, 1e-9),
+            MAX_QUEUE_SECONDS,
         )
         hotspot_wait = min(
-            self._hot_backlog / max(admitted_hot / cfg.tick_seconds, 1e-9),
-            cfg.max_queue_seconds,
+            self._hot_backlog / max(admitted_hot / TICK_SECONDS, 1e-9),
+            MAX_QUEUE_SECONDS,
         )
         self.isolation_delays.append((now, ordinary_wait, hotspot_wait))
 
@@ -348,31 +314,17 @@ class WriteSimulation:
         return admitted, node_served, blended_wait
 
     def _dispatch_blocking(
-        self, dispatchable: float, work_per_write: np.ndarray, tick_seconds: float
+        self, dispatchable: float, work_per_write: np.ndarray
     ) -> tuple[float, np.ndarray]:
         """Admit writes only as fast as the most loaded node can absorb its
         share — the client queue blocks on the hotspot (§3.1)."""
         positive = work_per_write[work_per_write > 0]
         if positive.size == 0:
             return 0.0, np.zeros_like(work_per_write)
-        capacity = self.config.node_capacity * tick_seconds
+        capacity = self.config.node_capacity * TICK_SECONDS
         admit_cap = capacity / positive.max()
         admitted = min(dispatchable, admit_cap)
         node_served = work_per_write * admitted  # all ≤ capacity by design
-        return admitted, node_served
-
-    def _dispatch_unblocked(
-        self, dispatchable: float, work_per_write: np.ndarray, tick_seconds: float
-    ) -> tuple[float, np.ndarray]:
-        """No back-pressure: everything dispatches; overloaded nodes queue
-        locally (the ablation mode)."""
-        admitted = dispatchable
-        node_served = np.zeros_like(work_per_write)
-        for node_id, node in enumerate(self._nodes):
-            arriving = work_per_write[node_id] * admitted
-            node_served[node_id] = node.serve(arriving, tick_seconds)
-            cap_backlog = node.capacity * self.config.max_queue_seconds
-            node.backlog = min(node.backlog, cap_backlog)
         return admitted, node_served
 
     # -- balancing -----------------------------------------------------------

@@ -6,8 +6,7 @@ evaluation depends on:
 * documents with flexible schema (the "attributes" column of §1);
 * an analyzer and inverted index for full-text columns;
 * a sorted numeric index (the role Bkd-trees play in Elasticsearch);
-* composite indexes over concatenated columns with common-prefix
-  compression (§5.1);
+* composite indexes over concatenated columns (§5.1);
 * columnar doc values enabling sequential scan (§5.1);
 * immutable segments, an in-memory buffer with refresh (near-real-time
   search), a translog WAL with recovery, and a segment merge policy (§3.3);
@@ -23,7 +22,6 @@ from repro.storage.engine import EngineConfig, ShardEngine
 from repro.storage.inverted_index import InvertedIndex
 from repro.storage.merge import MergePolicy, TieredMergePolicy
 from repro.storage.postings import PostingList
-from repro.storage.searcher import Searcher
 from repro.storage.segment import Segment
 from repro.storage.sorted_index import SortedIndex
 from repro.storage.translog import Translog, TranslogEntry
@@ -35,7 +33,6 @@ __all__ = [
     "StandardAnalyzer",
     "tokenize",
     "PostingList",
-    "Searcher",
     "InvertedIndex",
     "SortedIndex",
     "CompositeIndex",

@@ -2,9 +2,9 @@
 
 ESDB builds concatenated columns and one-dimensional Bkd-trees over them as
 composite indexes. This module reproduces that design: keys are tuples of
-column values concatenated in declaration order, stored sorted with
-common-prefix compression in leaf blocks (the paper's storage/key-comparison
-optimization). Searches must comply with the leftmost principle — equality on
+column values concatenated in declaration order and stored sorted (the
+paper also compresses common key prefixes in leaf blocks; keys here are
+kept whole). Searches must comply with the leftmost principle — equality on
 a prefix of the columns, optionally a range on the next column.
 
 A row that lacks a column is keyed by the columns before it: an equality
@@ -14,7 +14,7 @@ prefix it holds finds it, and a search naming the column it lacks never does.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.errors import PlanningError, StorageError
 from repro.storage.postings import PostingList
@@ -113,19 +113,6 @@ class CompositeIndex:
         merged._load(merge_runs([(ix._keys, ix._rows, dropped) for ix, dropped in parts]))
         return merged
 
-    # -- planner support -----------------------------------------------------
-    def match_length(self, equality_columns: Iterable[str]) -> int:
-        """Return how many leading index columns are covered by equality
-        predicates — the "longest match" metric the RBO ranks on."""
-        available = set(equality_columns)
-        length = 0
-        for column in self.columns:
-            if column in available:
-                length += 1
-            else:
-                break
-        return length
-
     # -- search ----------------------------------------------------------------
     def search(
         self,
@@ -170,25 +157,6 @@ class CompositeIndex:
             return PostingList.empty()
         # One entry per row, so no duplicates to drop: order by row id only.
         return PostingList(sorted(self._rows[lo_idx:hi_idx]), presorted=True)
-
-    # -- storage accounting -----------------------------------------------------
-    def stored_bytes(self, *, prefix_compressed: bool = True) -> int:
-        """Approximate key storage in bytes, with or without common-prefix
-        compression — quantifies the §5.1 optimization."""
-        self.seal()
-        total = 0
-        previous: tuple | None = None
-        for key in self._keys:
-            flat = "\x00".join(map(str, key[1::2]))
-            if prefix_compressed and previous is not None:
-                prev_flat = "\x00".join(map(str, previous[1::2]))
-                common = _common_prefix_len(flat, prev_flat)
-                total += len(flat) - common + 2  # 2 bytes to encode prefix len
-            else:
-                total += len(flat)
-            previous = key
-        return total
-
 
 # A type rank that sorts after every real one (3 is unused by _encode):
 # appended to a prefix it bounds every longer key that starts with it.
@@ -246,11 +214,3 @@ def key_bounds(prefix: Sequence[Any], ranged: bool, low: Any, high: Any,
     else:
         upper = key + _encode(high), False
     return lower + upper
-
-
-def _common_prefix_len(a: str, b: str) -> int:
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    return i

@@ -105,7 +105,3 @@ class DocValues:
             if predicate(value)
         ]
         return PostingList(out, presorted=True)
-
-    def distinct_count(self) -> int:
-        """Cardinality estimate used to decide scan-list membership."""
-        return len({v for v in self._values if v is not None})

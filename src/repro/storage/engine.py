@@ -496,15 +496,6 @@ class ShardEngine:
         self._fetch_counter.inc(len(rows))
         return [self._get_by_row(row) for row in rows]
 
-    def field_value(self, field_name: str, row_id: int):
-        """Read one column value for *row_id* from doc values (None when the
-        row or column is absent) — used for sort-key extraction without
-        materializing the whole document."""
-        for segment, _ in self._live_blocks(PostingList.of(row_id)):
-            values = segment.doc_values(field_name)
-            return values.get(row_id) if values is not None else None
-        return None
-
     def top_k(self, rows: PostingList, order_column: str, k: int,
               *, descending: bool = False) -> PostingList:
         """Per-shard top-k pushdown: reduce *rows* to the *k* best by
@@ -553,14 +544,6 @@ class ShardEngine:
     def iter_documents(self) -> Iterator[tuple[int, Document]]:
         for segment in self._searchable_segments():
             yield from segment.iter_live()
-
-    def acquire_searcher(self):
-        """Return a point-in-time :class:`~repro.storage.searcher.Searcher`
-        pinned to the current segment list (near-real-time semantics: the
-        buffer's unrefreshed documents are not visible through it)."""
-        from repro.storage.searcher import Searcher
-
-        return Searcher(list(self.segments), generation=self.stats.refreshes)
 
     # -- accounting -------------------------------------------------------------
     def index_memory(self) -> int:

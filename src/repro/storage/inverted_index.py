@@ -104,9 +104,6 @@ class InvertedIndex:
             return PostingList(memoryview(bucket).cast("q"), presorted=True)
         return PostingList((bucket,), presorted=True)
 
-    def doc_frequency(self, term: object) -> int:
-        return _rows_in(self._postings.get(term))
-
     def memory_terms(self) -> int:
         """Approximate index size in stored (term, row) pairs — the storage
         overhead metric used by frequency-based indexing (§6.3.3)."""

@@ -61,9 +61,6 @@ class PostingList:
         suffix = ", ..." if len(self._ids) > 8 else ""
         return f"PostingList([{preview}{suffix}], n={len(self._ids)})"
 
-    def to_list(self) -> list[int]:
-        return list(self._ids)
-
     # -- algebra ----------------------------------------------------------------
     def intersect(self, other: "PostingList") -> "PostingList":
         """Intersection; galloping when sizes are lopsided, one hashed pass

@@ -114,10 +114,6 @@ class Segment:
         return len(self._live) - self._deleted
 
     @property
-    def deleted_count(self) -> int:
-        return self._deleted
-
-    @property
     def sealed(self) -> bool:
         return self._plan is None
 
@@ -281,10 +277,6 @@ class Segment:
             self._deleted += was_live
             return was_live
         return False
-
-    def is_live(self, row_id: int) -> bool:
-        index = row_id - self.base_row_id
-        return 0 <= index < len(self._live) and self._live[index]
 
     def filter_live(self, rows: PostingList) -> PostingList:
         """The live rows of *rows*, which must all lie in this segment's row

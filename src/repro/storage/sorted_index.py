@@ -114,21 +114,6 @@ class SortedIndex:
         self.seal()
         return self._values[-1] if self._values else None
 
-    def blocks_touched(self, low: float | None, high: float | None) -> int:
-        """Return how many blocks a range query reads — the I/O metric the
-        block structure exists to minimize (used by tests and cost model)."""
-        self.seal()
-        if not self._values:
-            return 0
-        lo_idx = 0 if low is None else bisect_left(self._values, float(low))
-        hi_idx = len(self._values) if high is None else bisect_right(self._values, float(high))
-        if lo_idx >= hi_idx:
-            return 0
-        first_block = lo_idx // self._block_size
-        last_block = (hi_idx - 1) // self._block_size
-        return last_block - first_block + 1
-
-
 def merge_runs(runs: list[tuple[list, list[int], frozenset]]) -> list[tuple]:
     """The ``(key, row)`` pairs of sorted runs — each ``(keys, rows,
     dropped)`` — minus the dropped rows, in one sorted list. Row ids are

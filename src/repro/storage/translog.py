@@ -86,18 +86,6 @@ class Translog:
         self._next_sequence += 1
         return entry
 
-    def append_entry(self, entry: TranslogEntry) -> None:
-        """Append an entry received from a primary (real-time replica sync,
-        §5.2). Sequence numbers must arrive in order."""
-        if not entry.verify():
-            raise TranslogCorruptionError(f"entry {entry.sequence} failed checksum on sync")
-        if entry.sequence != self._next_sequence:
-            raise TranslogCorruptionError(
-                f"out-of-order sync: expected seq {self._next_sequence}, got {entry.sequence}"
-            )
-        self._entries.append(entry)
-        self._next_sequence += 1
-
     def mark_flushed(self, sequence: int) -> None:
         """Record that all operations up to *sequence* are durable in segments."""
         self.flush_sequence = max(self.flush_sequence, sequence)

@@ -36,6 +36,12 @@ from repro.telemetry.runtime import NULL_REGISTRY
 SPARK_BARS = "▁▂▃▄▅▆▇█"
 #: Placeholder for missing (None/NaN) samples inside a sparkline.
 SPARK_GAP = "·"
+#: Logical seconds between two registry samples.
+SAMPLE_INTERVAL = 1.0
+#: Points each series keeps (its ring-buffer length).
+SERIES_CAPACITY = 240
+#: Most series one store holds; new keys beyond it are counted, not stored.
+MAX_SERIES = 512
 
 
 def _label_key(labels: dict) -> tuple:
@@ -315,28 +321,15 @@ class TimeSeriesStore:
     Raw registry sampling records every labeled counter/gauge value and
     every histogram's count; derived series (rates, ratios, quantiles,
     spreads) come from :meth:`add_derivation`. Total series count is capped
-    by ``max_series`` (new keys beyond the cap are counted in
+    by :data:`MAX_SERIES` (new keys beyond the cap are counted in
     :attr:`dropped_series`, never stored), so a tenant-cardinality explosion
     cannot turn the history buffer into a leak. A registry metric's series —
     or the cap's verdict that it has none — is looked up once, so a round
     costs one probe per metric and a dropped metric counts as one drop.
     """
 
-    def __init__(
-        self,
-        registry=NULL_REGISTRY,
-        interval: float = 1.0,
-        capacity: int = 240,
-        max_series: int = 512,
-    ) -> None:
-        if interval <= 0:
-            raise ConfigurationError("sampling interval must be positive")
-        if capacity < 2:
-            raise ConfigurationError("time series capacity must be >= 2")
+    def __init__(self, registry=NULL_REGISTRY) -> None:
         self.registry = registry
-        self.interval = float(interval)
-        self.capacity = capacity
-        self.max_series = max_series
         self.samples_taken = 0
         self.dropped_series = 0
         self._series: dict[tuple[str, tuple], TimeSeries] = {}
@@ -348,15 +341,15 @@ class TimeSeriesStore:
     # -- series access -----------------------------------------------------
     def series(self, name: str, **labels) -> TimeSeries | None:
         """The series for ``(name, labels)``, created on first use (None
-        only when the ``max_series`` cap is hit)."""
+        only when the :data:`MAX_SERIES` cap is hit)."""
         key = (name, _label_key(labels))
         existing = self._series.get(key)
         if existing is not None:
             return existing
-        if len(self._series) >= self.max_series:
+        if len(self._series) >= MAX_SERIES:
             self.dropped_series += 1
             return None
-        created = TimeSeries(name, labels, capacity=self.capacity)
+        created = TimeSeries(name, labels, capacity=SERIES_CAPACITY)
         self._series[key] = created
         return created
 
@@ -407,7 +400,7 @@ class TimeSeriesStore:
         )
         registry = self.registry
         # Derived series first: they are the dashboard's headline rows,
-        # so they must win the max_series cap over raw labeled series
+        # so they must win the MAX_SERIES cap over raw labeled series
         # (a 512-shard topology alone can exhaust the cap).
         for derivation in self._derivations:
             for series_name, value in derivation.compute(registry, now, elapsed):
@@ -426,15 +419,15 @@ class TimeSeriesStore:
                     series.append(now, metric.count if histogram else metric.value)
         self.samples_taken += 1
         self._last_sample_time = now
-        self._next_sample = now + self.interval
+        self._next_sample = now + SAMPLE_INTERVAL
 
     # -- export ------------------------------------------------------------
     def snapshot(self, names: Iterable[str] | None = None) -> dict:
         """JSON-ready dump: config, counts, and every (or the named) series."""
         wanted = set(names) if names is not None else None
         return {
-            "interval": self.interval,
-            "capacity": self.capacity,
+            "interval": SAMPLE_INTERVAL,
+            "capacity": SERIES_CAPACITY,
             "samples": self.samples_taken,
             "dropped_series": self.dropped_series,
             "series": [

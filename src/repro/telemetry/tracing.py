@@ -129,20 +129,12 @@ class Span:
         for child in self.children:
             yield from child.walk()
 
-    def stage_names(self) -> list[str]:
-        """Names of every span in the tree, pre-order."""
-        return [span.name for span in self.walk()]
-
     def find(self, name: str) -> "Span | None":
         """First descendant (or self) whose name equals *name*."""
         for span in self.walk():
             if span.name == name:
                 return span
         return None
-
-    def find_prefix(self, prefix: str) -> list["Span"]:
-        """All spans in the tree whose name starts with *prefix*."""
-        return [span for span in self.walk() if span.name.startswith(prefix)]
 
     def to_dict(self) -> dict:
         """JSON-ready representation of the span tree."""

@@ -24,7 +24,6 @@ from repro.workload.arrivals import (
     ArrivalScenario,
     ArrivalStats,
     BurstyProcess,
-    CdfSampler,
     ConstantRate,
     DiurnalRate,
     PoissonProcess,
@@ -62,7 +61,6 @@ __all__ = [
     "ArrivalScenario",
     "ArrivalStats",
     "BurstyProcess",
-    "CdfSampler",
     "ConstantRate",
     "DiurnalRate",
     "PoissonProcess",

@@ -1,4 +1,4 @@
-"""Deterministic arrival processes, flow-size CDFs and tenant churn.
+"""Deterministic arrival processes and tenant churn.
 
 The paper's headline scenario — the Single's-Day kickoff — is a bursty,
 non-stationary arrival stream hitting a *churning* tenant population, but
@@ -12,8 +12,6 @@ pieces:
   :class:`BurstyProcess`) turn a curve into a concrete sequence of event
   timestamps via Lewis–Shedler thinning (non-homogeneous Poisson) or a
   Markov-modulated on/off chain;
-* :class:`CdfSampler` draws batch/flow sizes from an explicit CDF (the
-  rotorsim ``flow_generator`` technique);
 * :class:`TenantChurn` scripts flash-sale tenants that appear, burn hot
   at a top Zipf rank, and die — remapping the rank→tenant table over
   time;
@@ -31,12 +29,11 @@ seed yields a byte-identical arrival stream on every run.
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.errors import ConfigurationError
 from repro.telemetry.metrics import summarize
@@ -53,7 +50,6 @@ __all__ = [
     "PoissonProcess",
     "BurstyProcess",
     "arrival_from_json",
-    "CdfSampler",
     "ChurnEvent",
     "TenantChurn",
     "ArrivalStats",
@@ -290,7 +286,6 @@ class BurstyProcess(ArrivalProcess):
         mean_on_seconds: float = 1.0,
         mean_off_seconds: float = 1.0,
         seed: int = 0,
-        start_on: bool = True,
     ) -> None:
         super().__init__(duration, seed)
         if on_rate <= 0:
@@ -305,15 +300,12 @@ class BurstyProcess(ArrivalProcess):
         self.off_rate = off_rate
         self.mean_on_seconds = mean_on_seconds
         self.mean_off_seconds = mean_off_seconds
-        self.start_on = start_on
 
     def times(self) -> Iterator[float]:
         rng = random.Random(self.seed)
         t = 0.0
-        on = self.start_on
-        state_end = rng.expovariate(
-            1.0 / (self.mean_on_seconds if on else self.mean_off_seconds)
-        )
+        on = True
+        state_end = rng.expovariate(1.0 / self.mean_on_seconds)
         while t < self.duration:
             rate = self.on_rate if on else self.off_rate
             if rate <= 0:
@@ -349,7 +341,6 @@ class BurstyProcess(ArrivalProcess):
             "off_rate": self.off_rate,
             "mean_on_seconds": self.mean_on_seconds,
             "mean_off_seconds": self.mean_off_seconds,
-            "start_on": self.start_on,
         }
 
 
@@ -373,77 +364,8 @@ def arrival_from_json(payload: dict) -> ArrivalProcess:
             mean_on_seconds=payload.get("mean_on_seconds", 1.0),
             mean_off_seconds=payload.get("mean_off_seconds", 1.0),
             seed=payload.get("seed", 0),
-            start_on=payload.get("start_on", True),
         )
     raise ConfigurationError(f"unknown arrival-process kind {kind!r}")
-
-
-# -- CDF-driven size sampling --------------------------------------------------
-
-
-class CdfSampler:
-    """Draw discrete sizes from an explicit CDF (batch/flow-size realism).
-
-    Built from ``(cumulative_probability, value)`` points with strictly
-    increasing probabilities ending at 1.0 — the rotorsim
-    ``flow_generator.py`` file format. Sampling is inverse-transform via
-    binary search, so a million draws stay cheap; the caller supplies the
-    :class:`random.Random` (or a seed) to keep one deterministic stream per
-    use site.
-    """
-
-    def __init__(self, points: Sequence[tuple[float, float]], seed: int = 0) -> None:
-        if not points:
-            raise ConfigurationError("CDF needs at least one point")
-        cumulative = [float(p) for p, _ in points]
-        if any(b <= a for a, b in zip(cumulative, cumulative[1:])):
-            raise ConfigurationError("CDF probabilities must strictly increase")
-        if not 0.0 < cumulative[0] <= 1.0 or abs(cumulative[-1] - 1.0) > 1e-9:
-            raise ConfigurationError("CDF must end at probability 1.0")
-        self._cumulative = cumulative
-        self._values = [v for _, v in points]
-        self._rng = random.Random(seed)
-
-    @property
-    def mean(self) -> float:
-        """Expected value of one draw."""
-        previous = 0.0
-        total = 0.0
-        for probability, value in zip(self._cumulative, self._values):
-            total += (probability - previous) * value
-            previous = probability
-        return total
-
-    def sample(self, rng: random.Random | None = None):
-        """Draw one value (from *rng* when given, else the sampler's own)."""
-        u = (rng or self._rng).random()
-        return self._values[bisect.bisect_left(self._cumulative, u)]
-
-    def sample_many(self, count: int, rng: random.Random | None = None) -> list:
-        return [self.sample(rng) for _ in range(count)]
-
-    def to_json(self) -> list:
-        return [[p, v] for p, v in zip(self._cumulative, self._values)]
-
-    @classmethod
-    def from_json(cls, payload: Iterable, seed: int = 0) -> "CdfSampler":
-        return cls([(float(p), v) for p, v in payload], seed=seed)
-
-    @classmethod
-    def from_weights(cls, weights: Sequence[tuple[float, float]], seed: int = 0) -> "CdfSampler":
-        """Build from ``(weight, value)`` pairs (normalized internally)."""
-        total = sum(w for w, _ in weights)
-        if total <= 0:
-            raise ConfigurationError("weights must sum to a positive total")
-        cumulative = 0.0
-        points = []
-        for weight, value in weights:
-            if weight <= 0:
-                raise ConfigurationError("weights must be positive")
-            cumulative += weight
-            points.append((cumulative / total, value))
-        points[-1] = (1.0, points[-1][1])  # guard against fp drift
-        return cls(points, seed=seed)
 
 
 # -- tenant churn --------------------------------------------------------------
@@ -467,9 +389,8 @@ class TenantChurn:
     """Flash-sale tenants that appear, burn hot, and die.
 
     Spawns follow a Poisson process at ``spawn_rate``; each flash tenant
-    picks a hot Zipf rank in ``[1, hot_rank_span]`` and a lifetime (an
-    exponential with ``mean_lifetime_seconds``, or a draw from
-    ``lifetime_cdf`` when given). While alive it *occupies* its rank —
+    picks a hot Zipf rank in ``[1, hot_rank_span]`` and an exponential
+    lifetime with ``mean_lifetime_seconds``. While alive it *occupies* its rank —
     :meth:`apply_event` remaps the sampler's rank→tenant table and restores
     the previous occupant on death, so the same rank distribution keeps
     hitting different tenants over time. The full schedule is materialized
@@ -485,9 +406,7 @@ class TenantChurn:
         spawn_rate: float = 0.05,
         mean_lifetime_seconds: float = 30.0,
         hot_rank_span: int = 10,
-        lifetime_cdf: CdfSampler | None = None,
         seed: int = 0,
-        tenant_prefix: str = "flash",
     ) -> None:
         if duration <= 0:
             raise ConfigurationError("duration must be positive")
@@ -501,9 +420,7 @@ class TenantChurn:
         self.spawn_rate = spawn_rate
         self.mean_lifetime_seconds = mean_lifetime_seconds
         self.hot_rank_span = hot_rank_span
-        self.lifetime_cdf = lifetime_cdf
         self.seed = seed
-        self.tenant_prefix = tenant_prefix
         self.events: list[ChurnEvent] = self._schedule()
         #: rank → stack of buried occupants (earliest first).
         self._buried: dict[int, list] = {}
@@ -517,12 +434,9 @@ class TenantChurn:
             t += rng.expovariate(self.spawn_rate)
             if t >= self.duration:
                 break
-            if self.lifetime_cdf is not None:
-                lifetime = float(self.lifetime_cdf.sample(rng))
-            else:
-                lifetime = rng.expovariate(1.0 / self.mean_lifetime_seconds)
+            lifetime = rng.expovariate(1.0 / self.mean_lifetime_seconds)
             rank = rng.randint(1, self.hot_rank_span)
-            tenant = f"{self.tenant_prefix}-{index:04d}"
+            tenant = f"flash-{index:04d}"
             index += 1
             events.append(ChurnEvent(t, "spawn", tenant, rank))
             death = t + lifetime
@@ -539,14 +453,6 @@ class TenantChurn:
                 break
             live += 1 if event.kind == "spawn" else -1
         return live
-
-    def peak_live(self) -> int:
-        """Maximum simultaneously-live flash tenants over the schedule."""
-        live = peak = 0
-        for event in self.events:
-            live += 1 if event.kind == "spawn" else -1
-            peak = max(peak, live)
-        return peak
 
     def apply_event(self, sampler: ZipfSampler, event: ChurnEvent) -> None:
         """Apply one churn edge to *sampler*'s rank→tenant mapping."""
@@ -565,31 +471,24 @@ class TenantChurn:
                 stack.remove(event.tenant)
 
     def describe(self) -> dict:
-        payload = {
+        return {
             "duration": self.duration,
             "spawn_rate": self.spawn_rate,
             "mean_lifetime_seconds": self.mean_lifetime_seconds,
             "hot_rank_span": self.hot_rank_span,
             "seed": self.seed,
-            "tenant_prefix": self.tenant_prefix,
         }
-        if self.lifetime_cdf is not None:
-            payload["lifetime_cdf"] = self.lifetime_cdf.to_json()
-        return payload
 
     @classmethod
     def from_json(cls, payload: dict) -> "TenantChurn":
         if not isinstance(payload, dict) or "duration" not in payload:
             raise ConfigurationError(f"not a tenant-churn payload: {payload!r}")
-        cdf = payload.get("lifetime_cdf")
         return cls(
             duration=payload["duration"],
             spawn_rate=payload.get("spawn_rate", 0.05),
             mean_lifetime_seconds=payload.get("mean_lifetime_seconds", 30.0),
             hot_rank_span=payload.get("hot_rank_span", 10),
-            lifetime_cdf=CdfSampler.from_json(cdf) if cdf else None,
             seed=payload.get("seed", 0),
-            tenant_prefix=payload.get("tenant_prefix", "flash"),
         )
 
 

@@ -20,6 +20,8 @@ from repro.workload.zipf import ZipfSampler
 
 SUB_ATTRIBUTE_COUNT = 1500
 SUB_ATTRIBUTES_PER_ROW = 20
+#: Zipf skewness of sub-attribute popularity.
+SUB_ATTRIBUTE_THETA = 1.0
 
 _TITLE_WORDS = (
     "red blue black cotton silk leather wireless portable vintage classic "
@@ -38,22 +40,16 @@ class WorkloadConfig:
     Attributes:
         num_tenants: tenant universe size (paper: 100K for query tests).
         theta: Zipf skewness factor θ.
-        subattribute_theta: skewness of sub-attribute popularity.
-        subattributes_per_row: sampled sub-attributes per document.
         seed: RNG seed for full determinism.
     """
 
     num_tenants: int = 100_000
     theta: float = 1.0
-    subattribute_theta: float = 1.0
-    subattributes_per_row: int = SUB_ATTRIBUTES_PER_ROW
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.num_tenants < 1:
             raise ConfigurationError("num_tenants must be >= 1")
-        if self.subattributes_per_row < 0:
-            raise ConfigurationError("subattributes_per_row must be >= 0")
 
 
 class TransactionLogGenerator:
@@ -71,7 +67,7 @@ class TransactionLogGenerator:
         )
         self._subattrs = ZipfSampler(
             SUB_ATTRIBUTE_COUNT,
-            self.config.subattribute_theta,
+            SUB_ATTRIBUTE_THETA,
             seed=self.config.seed + 1,
         )
         self._rng = random.Random(self.config.seed + 2)
@@ -91,7 +87,7 @@ class TransactionLogGenerator:
     def _build_attributes(self) -> str:
         names = {
             self.sample_subattribute()
-            for _ in range(self.config.subattributes_per_row)
+            for _ in range(SUB_ATTRIBUTES_PER_ROW)
         }
         return render_attributes(
             {name: f"v{self._rng.randint(0, 9)}" for name in sorted(names)}

@@ -32,30 +32,20 @@ def zipf_weights(num_tenants: int, theta: float) -> np.ndarray:
 class ZipfSampler:
     """Deterministic sampler of tenant ranks from Zipf(θ).
 
-    Ranks are 1-based (rank 1 is the hottest tenant). A rank→tenant-id
-    mapping can be supplied (or remapped later) so scenario scripts can make
+    Ranks are 1-based (rank 1 is the hottest tenant). The rank→tenant-id
+    mapping can be remapped so scenario scripts can make
     *different* tenants hot over time while keeping the same rank
     distribution — exactly how Figure 14 injects new hotspot groups.
     """
 
-    def __init__(
-        self,
-        num_tenants: int,
-        theta: float,
-        seed: int = 0,
-        tenant_ids: Sequence | None = None,
-    ) -> None:
+    def __init__(self, num_tenants: int, theta: float, seed: int = 0) -> None:
         self.num_tenants = num_tenants
         self.theta = theta
         weights = zipf_weights(num_tenants, theta)
         self._cumulative = np.cumsum(weights)
         self._cumulative[-1] = 1.0  # guard against fp drift
         self._rng = random.Random(seed)
-        if tenant_ids is not None and len(tenant_ids) != num_tenants:
-            raise ConfigurationError(
-                f"tenant_ids must have length {num_tenants}, got {len(tenant_ids)}"
-            )
-        self._tenant_ids = list(tenant_ids) if tenant_ids is not None else None
+        self._tenant_ids: list | None = None
 
     def weight(self, rank: int) -> float:
         """Return the probability mass of 1-based *rank*."""
@@ -63,12 +53,6 @@ class ZipfSampler:
             raise ConfigurationError(f"rank {rank} out of range")
         previous = self._cumulative[rank - 2] if rank > 1 else 0.0
         return float(self._cumulative[rank - 1] - previous)
-
-    def top_share(self, k: int) -> float:
-        """Aggregate probability mass of the top *k* ranks (Fig 1's 14.14%
-        for the top 10 sellers corresponds to θ≈1 with ~100K tenants)."""
-        k = min(k, self.num_tenants)
-        return float(self._cumulative[k - 1]) if k >= 1 else 0.0
 
     def sample_rank(self) -> int:
         """Draw one 1-based rank."""
@@ -81,9 +65,6 @@ class ZipfSampler:
         if self._tenant_ids is None:
             return rank
         return self._tenant_ids[rank - 1]
-
-    def sample_many(self, count: int) -> list:
-        return [self.sample() for _ in range(count)]
 
     def remap(self, tenant_ids: Sequence) -> None:
         """Replace the rank→tenant mapping (hotspot injection, Fig 14)."""

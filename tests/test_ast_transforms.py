@@ -1,4 +1,4 @@
-"""Tests for AST normalization: flatten, NOT push-down, CNF/DNF, predicate
+"""Tests for AST normalization: flatten, NOT push-down, DNF, predicate
 merge — the Xdriver4ES optimizations of §3.1."""
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.query.ast import (
     iter_predicates,
     merge_predicates,
     push_down_not,
-    to_cnf,
     to_dnf,
     width,
 )
@@ -93,13 +92,6 @@ class TestNormalForms:
             assert isinstance(conj, AndNode)
             assert P("c", "=", 3) in conj.children
 
-    def test_cnf_distributes_or_over_and(self):
-        # (a AND b) OR c  →  (a OR c) AND (b OR c)
-        tree = o(a(P("a", "=", 1), P("b", "=", 2)), P("c", "=", 3))
-        cnf = to_cnf(tree)
-        assert isinstance(cnf, AndNode)
-        assert len(cnf.children) == 2
-
     def test_dnf_reduces_depth_of_deep_tree(self):
         tree = a(o(a(o(P("a", "=", 1), P("b", "=", 2)), P("c", "=", 3)), P("d", "=", 4)), P("e", "=", 5))
         assert depth(to_dnf(tree)) <= depth(tree)
@@ -119,7 +111,6 @@ class TestNormalForms:
     def test_leaf_passthrough(self):
         p = P("x", "=", 1)
         assert to_dnf(p) == p
-        assert to_cnf(p) == p
 
 
 class TestPredicateMerge:
@@ -226,14 +217,6 @@ def _evaluate(node, row: dict) -> bool:
 )
 def test_property_dnf_preserves_semantics(tree, row):
     assert _evaluate(to_dnf(tree), row) == _evaluate(tree, row)
-
-
-@given(
-    tree=_tree_strategy(),
-    row=st.fixed_dictionaries({c: st.integers(0, 4) for c in _COLUMNS}),
-)
-def test_property_cnf_preserves_semantics(tree, row):
-    assert _evaluate(to_cnf(tree), row) == _evaluate(tree, row)
 
 
 @given(

@@ -273,7 +273,7 @@ class TestShardRequestCache:
 
     def test_old_generation_remains_a_valid_key(self):
         """Generations gate nothing: an entry can be (re)stored under a past
-        generation — what point-in-time searchers rely on."""
+        generation."""
         cache = ShardRequestCache(4096)
         cache.put(0, "stmt:x", 5, (["new"], 1), cost=64)
         cache.put(0, "stmt:x", 3, (["pinned"], 1), cost=64)
@@ -362,7 +362,7 @@ class TestEngineFilterCache:
         before = engine.filter_cache.stats.hits
         third = engine.term_postings("status", 1)
         assert engine.filter_cache.stats.hits > before
-        assert first.to_list() == third.to_list()
+        assert list(first) == list(third)
 
     def test_delete_invalidates_and_stays_correct(self, engine):
         for i in range(4):

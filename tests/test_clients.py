@@ -82,7 +82,32 @@ class TestHotspotIsolation:
         client.mark_hotspot("whale")
         decision = client.submit(make_log(1, tenant="whale"))
         assert decision is BatchDecision.ISOLATED
-        assert client.queue_depths() == (0, 1)
+        assert client.stats["isolated"] == 1 and not sink.batches
+        assert client.flush() == 1
+
+    def test_a_new_client_isolates_no_tenant(self):
+        """Hotspots are learned at runtime; a client starts with none."""
+        sink = _Sink()
+        client = WriteClient(HashRouting(8), sink)
+        decisions = {client.submit(make_log(i, tenant=f"t{i % 3}")) for i in range(9)}
+        assert decisions == {BatchDecision.QUEUED}
+        assert client.stats["isolated"] == 0
+        assert client.flush() == 9
+
+    def test_marking_isolates_only_the_marked_tenant(self):
+        client = WriteClient(HashRouting(8), _Sink())
+        client.mark_hotspot("whale")
+        assert client.submit(make_log(1, tenant="whale")) is BatchDecision.ISOLATED
+        assert client.submit(make_log(2, tenant="minnow")) is BatchDecision.QUEUED
+
+    def test_hotspot_queue_coalesces_repeated_row_modifications(self):
+        sink = _Sink()
+        client = WriteClient(HashRouting(8), sink)
+        client.mark_hotspot("whale")
+        assert client.submit(make_log(1, tenant="whale", status=0)) is BatchDecision.ISOLATED
+        assert client.submit(make_log(1, tenant="whale", status=3)) is BatchDecision.COALESCED
+        assert client.flush() == 1
+        assert [s["status"] for s in sink.all_sources()] == [3]
 
     def test_main_queue_flushes_before_hotspot_queue(self):
         sink = _Sink()
@@ -93,14 +118,6 @@ class TestHotspotIsolation:
         client.flush()
         tenants_in_order = [batch[0]["tenant_id"] for _, batch in sink.batches]
         assert tenants_in_order == ["normal", "whale"]
-
-    def test_clear_hotspot(self):
-        client = WriteClient(HashRouting(8), _Sink())
-        client.mark_hotspot("x")
-        client.clear_hotspot("x")
-        assert not client.is_hotspot("x")
-        assert client.submit(make_log(1, tenant="x")) is BatchDecision.QUEUED
-
 
 class TestBatchDispatch:
     def test_batch_size_respected(self):
@@ -122,8 +139,8 @@ class TestBatchDispatch:
         for i in range(5):
             client.submit(make_log(i))
         # Window reached: queue flushed without an explicit flush() call.
-        assert client.queue_depths() == (0, 0)
         assert len(sink.all_sources()) == 5
+        assert client.flush() == 0
 
 
 class TestCrossQueueCoalescing:
@@ -141,18 +158,6 @@ class TestCrossQueueCoalescing:
         sources = sink.all_sources()
         assert len(sources) == 1  # no duplicate dispatch
         assert sources[0]["status"] == 5  # eventual state, not the stale one
-
-    def test_hotspot_clear_migrates_back(self):
-        sink = _Sink()
-        client = WriteClient(HashRouting(8), sink)
-        client.mark_hotspot("t")
-        assert client.submit(make_log(1, tenant="t", status=0)) is BatchDecision.ISOLATED
-        client.clear_hotspot("t")
-        assert client.submit(make_log(1, tenant="t", status=9)) is BatchDecision.COALESCED
-        client.flush()
-        sources = sink.all_sources()
-        assert len(sources) == 1
-        assert sources[0]["status"] == 9
 
     def test_flip_does_not_merge_distinct_rows(self):
         sink = _Sink()

@@ -29,8 +29,7 @@ class TestTopologyValidation:
 class TestAllocation:
     def test_primaries_balanced_across_nodes(self):
         cluster = Cluster(ClusterTopology(num_nodes=8, num_shards=512))
-        counts = cluster.shard_counts_per_node()
-        assert set(counts.values()) == {64}
+        assert {len(node.shard_ids) for node in cluster.nodes} == {64}
 
     def test_replica_never_on_primary_node(self):
         cluster = Cluster(ClusterTopology(num_nodes=8, num_shards=512))
@@ -40,7 +39,7 @@ class TestAllocation:
 
     def test_zero_replicas_supported(self):
         cluster = Cluster(ClusterTopology(num_nodes=2, num_shards=4, replicas_per_shard=0))
-        assert cluster.replica_nodes_of_shard(0) == []
+        assert cluster.replicas.get(0, []) == []
 
     def test_seed_changes_placement(self):
         a = Cluster(ClusterTopology(num_nodes=8, num_shards=16, seed=1))

@@ -11,6 +11,7 @@ from repro.consensus import (
     Participant,
     RuleProposal,
 )
+from repro.consensus.protocol import ROUNDTRIP_LATENCY
 from repro.errors import ConfigurationError, ConsensusAborted
 
 
@@ -56,9 +57,37 @@ class TestHappyPath:
         master, _ = make_cluster()
         o1 = master.propose(PROPOSAL, 0.0)
         o2 = master.propose(RuleProposal("c0", "hot", 16), 50.0)
-        times = master.rules.effective_times()
+        times = [rule.effective_time for rule in master.rules]
         assert times == sorted(times)
         assert o2.effective_time > o1.effective_time
+
+
+class TestRoundLatency:
+    def test_committed_round_costs_two_round_trips(self):
+        """Prepare and commit are one broadcast round trip each."""
+        master, _ = make_cluster()
+        outcome = master.propose(PROPOSAL, global_time=0.0)
+        assert outcome.elapsed == pytest.approx(2 * ROUNDTRIP_LATENCY)
+
+    def test_aborted_round_costs_one_round_trip(self):
+        master, participants = make_cluster()
+        participants[2].crash()
+        with pytest.raises(ConsensusAborted):
+            master.propose(PROPOSAL, global_time=0.0)
+        assert master.history[-1].elapsed == pytest.approx(ROUNDTRIP_LATENCY)
+
+    def test_abort_reason_names_every_silent_participant(self):
+        """Each participant that never answers prepare times out at T/2,
+        and the abort reason names it."""
+        master, participants = make_cluster()
+        participants[0].partition()
+        participants[2].crash()
+        with pytest.raises(ConsensusAborted) as aborted:
+            master.propose(PROPOSAL, global_time=0.0)
+        reason = str(aborted.value)
+        assert "p0: prepare timeout (T/2)" in reason
+        assert "p2: prepare timeout (T/2)" in reason
+        assert "p1" not in reason
 
 
 class TestPrepareValidation:
@@ -93,7 +122,7 @@ class TestPrepareValidation:
         assert reply.accepted
         assert participant.execute_write(49.0)  # before t: proceeds
         assert not participant.execute_write(51.0)  # after t: held
-        assert participant.is_blocked(51.0)
+        assert participant.blocked_after == 50.0
 
 
 class TestFailures:
@@ -120,7 +149,7 @@ class TestFailures:
 
     def test_crash_during_commit_reported_for_manual_repair(self):
         """Failure after prepare (during commit broadcast) leaves the node
-        out of sync — surfaced in the outcome, repaired via master.repair."""
+        out of sync — surfaced in the outcome, repaired via master.catch_up."""
         master, participants = make_cluster()
 
         # Crash p2 after it accepts prepare but before commit reaches it.
@@ -138,7 +167,7 @@ class TestFailures:
         assert len(participants[2].rules) == 0
 
         participants[2].recover()
-        copied = master.repair(participants[2])
+        copied = master.catch_up(participants[2])
         assert copied == 1
         assert participants[2].rules.match("hot", 1e9) == 8
         assert participants[2].blocked_after is None
@@ -162,9 +191,6 @@ class TestConfigValidation:
     def test_empty_participants_rejected(self):
         with pytest.raises(ConfigurationError):
             ConsensusMaster([])
-
-    def test_prepare_timeout_is_half_interval(self):
-        assert ConsensusConfig(effective_interval=10.0).prepare_timeout == 5.0
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -117,20 +117,6 @@ class TestTranslog:
                 changed = {**source, name: other}
                 assert Translog().append("index", 1, changed).checksum != logged, (name, other)
 
-    def test_replica_sync_requires_order(self):
-        primary = Translog()
-        replica = Translog()
-        e0 = primary.append("index", 1, {"x": 1})
-        e1 = primary.append("index", 2, {"x": 2})
-        replica.append_entry(e0)
-        replica.append_entry(e1)
-        assert len(replica) == 2
-        out_of_order = primary.append("index", 3, {})
-        replica_b = Translog()
-        with pytest.raises(TranslogCorruptionError):
-            replica_b.append_entry(out_of_order)  # expects seq 0, got 2
-
-
 class TestSegmentLifecycle:
     def test_sealed_segment_rejects_writes(self, engine_config):
         from repro.storage.document import Document
@@ -148,7 +134,7 @@ class TestSegmentLifecycle:
         r0, _, _ = segment.add_document(Document.from_source(make_log(1, status=1), engine_config.schema))
         segment.add_document(Document.from_source(make_log(2, status=1), engine_config.schema))
         segment.mark_deleted(r0)
-        assert segment.term_postings("status", 1).to_list() == [1]
+        assert list(segment.term_postings("status", 1)) == [1]
         assert segment.live_count == 1
 
 
@@ -168,7 +154,7 @@ class TestEngineWritePath:
         engine.index(make_log(1, status=0))
         engine.update(1, {"status": 3})
         engine.refresh()
-        assert engine.term_postings("status", 3).to_list() != []
+        assert list(engine.term_postings("status", 3)) != []
         assert not engine.term_postings("status", 0)
         assert engine.doc_count() == 1
 
@@ -252,7 +238,7 @@ class TestMerging:
         seg_b.add_document(Document.from_source(make_log(3, status=1), engine_config.schema))
         seg_a.seal(), seg_b.seal()
         merged = merge_segments([seg_a, seg_b], spec)
-        assert merged.term_postings("status", 1).to_list() == [0, 2]
+        assert list(merged.term_postings("status", 1)) == [0, 2]
         assert merged.live_count == 3
         assert merged.generation == 1
 
@@ -310,9 +296,54 @@ class TestMerging:
                 e.refresh()
         assert merging.stats.merges >= 1
         assert (
-            no_merge.term_postings("status", 1).to_list()
-            == merging.term_postings("status", 1).to_list()
+            list(no_merge.term_postings("status", 1))
+            == list(merging.term_postings("status", 1))
         )
+
+
+class TestSealedSegmentsStayPut:
+    """Replication ships sealed segments by id (§5.2): a segment a replica
+    holds answers the same after the primary writes, refreshes and merges
+    on. Only deletes reach it, through its live bitmap."""
+
+    def _engine(self, engine_config, merge_factor):
+        from dataclasses import replace
+
+        config = replace(engine_config, auto_refresh_every=None)
+        return ShardEngine(config, merge_policy=TieredMergePolicy(merge_factor=merge_factor))
+
+    def test_later_writes_and_refreshes_leave_a_sealed_segment_unchanged(self, engine_config):
+        engine = self._engine(engine_config, merge_factor=99)
+        for i in range(3):
+            engine.index(make_log(i, status=1))
+        sealed = engine.refresh()
+        for i in range(3, 6):
+            engine.index(make_log(i, status=1))
+        engine.refresh()
+        assert list(sealed.term_postings("status", 1)) == [0, 1, 2]
+        assert sealed.live_count == 3
+        assert list(engine.term_postings("status", 1)) == list(range(6))
+
+    def test_merge_victims_keep_answering_after_the_merge(self, engine_config):
+        engine = self._engine(engine_config, merge_factor=2)
+        engine.index(make_log(0, status=1))
+        first = engine.refresh()
+        engine.index(make_log(1, status=1))
+        second = engine.refresh()
+        assert engine.stats.merges == 1
+        assert first not in engine.segments and second not in engine.segments
+        assert list(first.term_postings("status", 1)) == [0]
+        assert list(second.term_postings("status", 1)) == [1]
+        assert list(engine.term_postings("status", 1)) == [0, 1]
+
+    def test_a_delete_reaches_the_sealed_segment_holding_the_doc(self, engine_config):
+        engine = self._engine(engine_config, merge_factor=99)
+        engine.index(make_log(1, status=1))
+        engine.index(make_log(2, status=1))
+        sealed = engine.refresh()
+        engine.delete(1)
+        assert list(sealed.term_postings("status", 1)) == [1]
+        assert sealed.live_count == 1
 
 
 class TestIndexingCost:
@@ -386,8 +417,8 @@ def _engine_state(engine: ShardEngine) -> tuple:
         engine.stats.writes,
         engine.stats.deletes,
         sorted(engine._doc_locations),
-        engine.term_postings("tenant_id", "t1").to_list(),
-        engine.numeric_range("amount", None, None).to_list(),
+        list(engine.term_postings("tenant_id", "t1")),
+        list(engine.numeric_range("amount", None, None)),
     )
 
 
@@ -408,7 +439,7 @@ class TestValidateBeforeLog:
     def _assert_untouched(self, engine: ShardEngine, before: tuple) -> None:
         assert _engine_state(engine) == before
         engine.refresh()
-        assert engine.term_postings("tenant_id", "t1").to_list() == [0, 1]
+        assert list(engine.term_postings("tenant_id", "t1")) == [0, 1]
         assert [d["amount"] for d in engine.fetch(
             engine.numeric_range("amount", None, None)
         )] == [5.0, 7.0]
@@ -444,5 +475,5 @@ class TestValidateBeforeLog:
     def test_none_and_numeric_strings_are_accepted(self, engine):
         engine.index(make_log(1, amount=None, quantity="3"))
         engine.refresh()
-        assert engine.numeric_range("quantity", 3, 3).to_list() == [0]
+        assert list(engine.numeric_range("quantity", 3, 3)) == [0]
 

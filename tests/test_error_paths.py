@@ -144,20 +144,19 @@ class TestSortedIndexEdges:
         index = SortedIndex()
         assert not index.range(0, 100)
         assert index.min_value() is None
-        assert index.blocks_touched(0, 10) == 0
 
     def test_single_element(self):
         index = SortedIndex()
         index.add(5.0, 0)
-        assert index.range(5, 5).to_list() == [0]
-        assert index.range(5.1, 6).to_list() == []
+        assert list(index.range(5, 5)) == [0]
+        assert list(index.range(5.1, 6)) == []
 
     def test_negative_and_float_values(self):
         index = SortedIndex()
         index.add(-1.5, 0)
         index.add(0.0, 1)
         index.add(1.5, 2)
-        assert index.range(-2, 0).to_list() == [0, 1]
+        assert list(index.range(-2, 0)) == [0, 1]
 
     def test_invalid_block_size(self):
         with pytest.raises(StorageError):

@@ -17,6 +17,13 @@ from repro.faults import (
     FaultPlan,
 )
 from repro.faults.__main__ import build_failover_plan, main
+from repro.faults.runner import (
+    FLUSH_EVERY,
+    NUM_TENANTS,
+    PROPOSE_EVERY,
+    REPLICATE_EVERY,
+    TIME_STEP,
+)
 from repro.obsv import cat_faults
 
 
@@ -60,7 +67,6 @@ class TestFaultPlan:
         )
         assert [e.at_step for e in plan] == [10, 30]
         assert len(plan) == 2
-        assert plan.last_step() == 30
         assert plan.kinds() == {"crash_node"}
         assert [e.at_step for e in plan.events_at(10)] == [10]
         assert plan.events_at(11) == []
@@ -326,6 +332,60 @@ class TestChaosRunner:
         assert report.ok
         assert report.dead_letters_redriven > 0
         assert report.writes_acked == report.writes_submitted
+
+    def test_workload_steps_sit_on_the_time_step_grid(self):
+        runner = ChaosRunner(FaultPlan(seed=1), ChaosConfig(steps=40))
+        runner.run()
+        times = sorted(doc["created_time"] for doc in runner.acked.values())
+        assert times == pytest.approx([step * TIME_STEP for step in range(40)])
+
+    def test_workload_draws_from_num_tenants_zipf_tenants(self):
+        runner = ChaosRunner(FaultPlan(seed=1), ChaosConfig(steps=400))
+        runner.run()
+        tenants = [doc["tenant_id"] for doc in runner.acked.values()]
+        assert set(tenants) <= set(range(1, NUM_TENANTS + 1))
+        # Zipf-skewed: the hottest tenant takes far more than a uniform share.
+        assert max(tenants.count(t) for t in set(tenants)) > 10 * len(tenants) / NUM_TENANTS
+
+    def test_client_flushes_every_flush_every_steps(self):
+        steps = 3 * FLUSH_EVERY
+        runner = ChaosRunner(FaultPlan(seed=1), ChaosConfig(steps=steps))
+        flushed_after = []
+        flush = runner.client.flush
+
+        def counting_flush():
+            flushed_after.append(runner.report.writes_submitted)
+            return flush()
+
+        runner.client.flush = counting_flush
+        runner.run()
+        # Three cadence flushes, then recovery's flush before and after
+        # the dead-letter redrive.
+        assert flushed_after == [FLUSH_EVERY, 2 * FLUSH_EVERY, steps, steps, steps]
+
+    def test_replicas_sync_every_replicate_every_steps_and_at_recovery(self):
+        steps = 2 * REPLICATE_EVERY
+        runner = ChaosRunner(FaultPlan(seed=1), ChaosConfig(steps=steps))
+        rounds = []
+        replicate = runner.db.replicate
+
+        def counting_replicate(now=None):
+            rounds.append(now)
+            return replicate(now)
+
+        runner.db.replicate = counting_replicate
+        runner.run()
+        assert rounds == pytest.approx([
+            (REPLICATE_EVERY - 1) * TIME_STEP,
+            (steps - 1) * TIME_STEP,
+            steps * TIME_STEP,
+        ])
+
+    def test_a_rule_is_proposed_every_propose_every_steps(self):
+        report = ChaosRunner(
+            FaultPlan(seed=1), ChaosConfig(steps=3 * PROPOSE_EVERY + 7)
+        ).run()
+        assert (report.consensus_commits, report.consensus_aborts) == (3, 0)
 
     def test_report_render_mentions_key_numbers(self):
         report = ChaosRunner(FaultPlan(seed=1), ChaosConfig(steps=60)).run()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import struct
 from itertools import takewhile
-from os.path import commonprefix
 
 import pytest
 from hypothesis import given, strategies as st
@@ -62,7 +61,7 @@ class TestInvertedIndex:
         ix.add("x", 1)
         ix.add("x", 5)
         ix.add("x", 9)
-        assert ix.postings("x").to_list() == [1, 5, 9]
+        assert list(ix.postings("x")) == [1, 5, 9]
 
     def test_duplicate_row_id_collapsed(self):
         ix = InvertedIndex()
@@ -74,11 +73,14 @@ class TestInvertedIndex:
         assert not InvertedIndex().postings("nope")
 
     def test_doc_frequency(self):
+        """A term's postings list holds one row per document with it."""
         ix = InvertedIndex()
         ix.add_all(["a", "b"], 1)
         ix.add("a", 2)
-        assert ix.doc_frequency("a") == 2
-        assert ix.doc_frequency("b") == 1
+        ix.add("a", 2)
+        assert len(ix.postings("a")) == 2
+        assert len(ix.postings("b")) == 1
+        assert len(ix.postings("c")) == 0
 
     def test_memory_terms_counts_pairs(self):
         ix = InvertedIndex()
@@ -90,10 +92,10 @@ class TestInvertedIndex:
         ix = InvertedIndex()
         ix.add("a", 1)
         snapshot = ix.postings("a")
-        assert snapshot.to_list() == [1]
+        assert list(snapshot) == [1]
         ix.add("a", 2)
-        assert ix.postings("a").to_list() == [1, 2]
-        assert snapshot.to_list() == [1]
+        assert list(ix.postings("a")) == [1, 2]
+        assert list(snapshot) == [1]
 
     def test_row_id_past_int64_raises_instead_of_wrapping(self):
         ix = InvertedIndex()
@@ -103,7 +105,7 @@ class TestInvertedIndex:
         ix.add("a", 2)
         with pytest.raises(struct.error):  # later rows pack one
             ix.add("a", 2**63)
-        assert ix.postings("a").to_list() == [1, 2]
+        assert list(ix.postings("a")) == [1, 2]
 
     @given(
         st.integers(0, 2**62),
@@ -132,17 +134,16 @@ class TestInvertedIndex:
             ix.add(term, row)
             model.setdefault(term, set()).add(row)
             if read_back:
-                assert ix.postings(term).to_list() == sorted(model[term])
-                assert ix.doc_frequency(term) == len(model[term])
+                assert list(ix.postings(term)) == sorted(model[term])
+                assert len(ix.postings(term)) == len(model[term])
         assert len(ix) == len(model)
         assert set(ix.terms()) == set(model)
         assert ix.memory_terms() == sum(len(rows) for rows in model.values())
         for term, rows in model.items():
             assert term in ix
-            assert ix.postings(term).to_list() == sorted(rows)
-            assert ix.doc_frequency(term) == len(rows)
+            assert list(ix.postings(term)) == sorted(rows)
+            assert len(ix.postings(term)) == len(rows)
         assert not ix.postings("never added")
-        assert ix.doc_frequency("never added") == 0
 
     @given(st.data())
     def test_property_merging_sealed_parts_equals_one_index_over_their_union(self, data):
@@ -185,21 +186,21 @@ class TestSortedIndex:
 
     def test_range_inclusive_both_ends(self):
         ix = self._index([10, 20, 30, 40, 50])
-        assert ix.range(20, 40).to_list() == [1, 2, 3]
+        assert list(ix.range(20, 40)) == [1, 2, 3]
 
     def test_range_exclusive_bounds(self):
         ix = self._index([10, 20, 30, 40])
-        assert ix.range(10, 40, include_low=False, include_high=False).to_list() == [1, 2]
+        assert list(ix.range(10, 40, include_low=False, include_high=False)) == [1, 2]
 
     def test_open_ended_ranges(self):
         ix = self._index([1, 2, 3])
-        assert ix.range(None, 2).to_list() == [0, 1]
-        assert ix.range(2, None).to_list() == [1, 2]
-        assert ix.range(None, None).to_list() == [0, 1, 2]
+        assert list(ix.range(None, 2)) == [0, 1]
+        assert list(ix.range(2, None)) == [1, 2]
+        assert list(ix.range(None, None)) == [0, 1, 2]
 
     def test_point_lookup_with_duplicates(self):
         ix = self._index([5, 5, 5, 7])
-        assert ix.point(5).to_list() == [0, 1, 2]
+        assert list(ix.point(5)) == [0, 1, 2]
 
     def test_empty_range(self):
         ix = self._index([1, 2, 3])
@@ -212,18 +213,9 @@ class TestSortedIndex:
 
     def test_add_after_seal_reseals(self):
         ix = self._index([1, 3])
-        assert ix.range(1, 3).to_list() == [0, 1]
+        assert list(ix.range(1, 3)) == [0, 1]
         ix.add(2, 99)
-        assert ix.range(2, 2).to_list() == [99]
-
-    def test_blocks_touched_proportional_to_range(self):
-        ix = SortedIndex(block_size=4)
-        for row in range(64):
-            ix.add(float(row), row)
-        narrow = ix.blocks_touched(0, 3)
-        wide = ix.blocks_touched(0, 63)
-        assert narrow == 1
-        assert wide == 16
+        assert list(ix.range(2, 2)) == [99]
 
     def test_none_value_rejected(self):
         with pytest.raises(StorageError):
@@ -240,7 +232,7 @@ class TestSortedIndex:
         for row, value in enumerate(values):
             ix.add(value, row)
         expected = sorted(row for row, v in enumerate(values) if low <= v <= high)
-        assert ix.range(low, high).to_list() == expected
+        assert list(ix.range(low, high)) == expected
 
     @given(st.data())
     def test_property_merging_sealed_parts_equals_one_index_over_their_union(self, data):
@@ -280,19 +272,6 @@ def _nested_key(values) -> tuple:
     return tuple(parts)
 
 
-def _nested_stored_bytes(keys: list[tuple], prefix_compressed: bool) -> int:
-    total = 0
-    previous = None
-    for key in keys:
-        flat = "\x00".join(str(part[1]) for part in key)
-        if prefix_compressed and previous is not None:
-            total += len(flat) - len(commonprefix([flat, previous])) + 2
-        else:
-            total += len(flat)
-        previous = flat
-    return total
-
-
 def _held(values) -> tuple:
     """The values a row's composite key holds: those before its first None."""
     return tuple(takewhile(lambda value: value is not None, values))
@@ -326,12 +305,12 @@ class TestCompositeIndex:
 
     def test_prefix_equality_search(self):
         ix = self._index()
-        assert ix.search({"tenant": "a"}).to_list() == [0, 1, 2]
+        assert list(ix.search({"tenant": "a"})) == [0, 1, 2]
 
     def test_prefix_plus_range(self):
         ix = self._index()
         result = ix.search({"tenant": "a"}, range_column="time", low=2.0, high=3.0)
-        assert result.to_list() == [1, 2]
+        assert list(result) == [1, 2]
 
     def test_range_exclusive_bounds(self):
         ix = self._index()
@@ -339,11 +318,11 @@ class TestCompositeIndex:
             {"tenant": "a"}, range_column="time", low=1.0, high=3.0,
             include_low=False, include_high=False,
         )
-        assert result.to_list() == [1]
+        assert list(result) == [1]
 
     def test_full_equality_both_columns(self):
         ix = self._index()
-        assert ix.search({"tenant": "b", "time": 9.0}).to_list() == [4]
+        assert list(ix.search({"tenant": "b", "time": 9.0})) == [4]
 
     def test_leftmost_principle_violation_raises(self):
         ix = self._index()
@@ -355,43 +334,29 @@ class TestCompositeIndex:
         with pytest.raises(PlanningError):
             ix.search({"tenant": "a"}, range_column="other", low=0, high=1)
 
-    def test_match_length_leftmost(self):
-        ix = CompositeIndex(("a", "b", "c"))
-        assert ix.match_length({"a", "b"}) == 2
-        assert ix.match_length({"a", "c"}) == 1
-        assert ix.match_length({"b", "c"}) == 0
-
     def test_row_lacking_a_column_is_keyed_by_the_columns_before_it(self):
         ix = CompositeIndex(("x", "y"))
         ix.add(("k", None), 0)
         ix.add(("k", 1), 1)
         ix.add((None, 1), 2)  # lacks the first column: not indexed
         assert len(ix) == 2
-        assert ix.search({"x": "k"}).to_list() == [0, 1]
-        assert ix.search({"x": "k", "y": 1}).to_list() == [1]
+        assert list(ix.search({"x": "k"})) == [0, 1]
+        assert list(ix.search({"x": "k", "y": 1})) == [1]
         # A range on y never matches the row lacking y, whichever bound is open.
-        assert ix.search({"x": "k"}, range_column="y").to_list() == [1]
-        assert ix.search({"x": "k"}, range_column="y", high=5).to_list() == [1]
-        assert ix.search({"x": "k"}, range_column="y", low=0).to_list() == [1]
+        assert list(ix.search({"x": "k"}, range_column="y")) == [1]
+        assert list(ix.search({"x": "k"}, range_column="y", high=5)) == [1]
+        assert list(ix.search({"x": "k"}, range_column="y", low=0)) == [1]
 
     def test_mixed_type_values_do_not_crash_comparison(self):
         ix = CompositeIndex(("x",))
         ix.add((1,), 0)
         ix.add(("s",), 1)
-        assert ix.search({"x": 1}).to_list() == [0]
-        assert ix.search({"x": "s"}).to_list() == [1]
+        assert list(ix.search({"x": 1})) == [0]
+        assert list(ix.search({"x": "s"})) == [1]
 
     def test_duplicate_columns_rejected(self):
         with pytest.raises(StorageError):
             CompositeIndex(("a", "a"))
-
-    def test_prefix_compression_saves_bytes(self):
-        ix = CompositeIndex(("tenant", "time"))
-        for i in range(100):
-            ix.add(("common-long-tenant-prefix", float(i)), i)
-        compressed = ix.stored_bytes(prefix_compressed=True)
-        raw = ix.stored_bytes(prefix_compressed=False)
-        assert compressed < raw * 0.5
 
     @given(
         st.lists(
@@ -413,7 +378,7 @@ class TestCompositeIndex:
             if t == tenant and low <= v <= high
         )
         got = ix.search({"tenant": tenant}, range_column="v", low=low, high=high)
-        assert got.to_list() == expected
+        assert list(got) == expected
 
     @given(st.data())
     def test_property_flat_keys_order_like_nested_keys(self, data):
@@ -465,12 +430,7 @@ class TestCompositeIndex:
             return True
 
         got = ix.search(dict(zip(columns, prefix)), **bounds)
-        assert got.to_list() == sorted(row for key, row in oracle if selected(key))
-        keys = [key for key, _ in oracle]
-        for compressed in (True, False):
-            assert ix.stored_bytes(prefix_compressed=compressed) == _nested_stored_bytes(
-                keys, compressed
-            )
+        assert list(got) == sorted(row for key, row in oracle if selected(key))
 
     @given(st.data())
     def test_property_search_matches_a_filter_over_optional_columns(self, data):
@@ -509,7 +469,7 @@ class TestCompositeIndex:
             return high is None or held < high or (held == high and bounds["include_high"])
 
         got = ix.search(dict(zip(columns, prefix)), **bounds)
-        assert got.to_list() == [row_id for row_id, row in enumerate(rows) if matches(row)]
+        assert list(got) == [row_id for row_id, row in enumerate(rows) if matches(row)]
 
         # Merging sealed parts of the rows equals one index over their union.
         parts_rows, dropped, _ = data.draw(_partitions(list(range(len(rows)))))
@@ -559,7 +519,7 @@ class TestDocValues:
         for row in range(10):
             dv.append(row, row % 3)
         rows = PostingList(range(10))
-        assert dv.scan(rows, lambda v: v == 0).to_list() == [0, 3, 6, 9]
+        assert list(dv.scan(rows, lambda v: v == 0)) == [0, 3, 6, 9]
 
     def test_scan_reads_none_outside_the_column(self):
         """Rows before the base, in a gap, or past a sparse column's end."""
@@ -567,19 +527,12 @@ class TestDocValues:
         dv.append(10, "a")
         dv.append(13, "b")
         rows = PostingList([8, 10, 11, 13, 15])
-        assert dv.scan(rows, lambda v: v is not None).to_list() == [10, 13]
-        assert dv.scan(rows, lambda v: v is None).to_list() == [8, 11, 15]
-        assert dv.scan(rows, lambda v: v != "a").to_list() == [8, 11, 13, 15]
+        assert list(dv.scan(rows, lambda v: v is not None)) == [10, 13]
+        assert list(dv.scan(rows, lambda v: v is None)) == [8, 11, 15]
+        assert list(dv.scan(rows, lambda v: v != "a")) == [8, 11, 13, 15]
 
     def test_full_scan(self):
         dv = DocValues()
         for row in range(6):
             dv.append(row, row)
-        assert dv.full_scan(lambda v: v is not None and v > 3).to_list() == [4, 5]
-
-    def test_distinct_count_ignores_none(self):
-        dv = DocValues()
-        dv.append(0, "a")
-        dv.append(2, "a")
-        dv.append(3, "b")
-        assert dv.distinct_count() == 2
+        assert list(dv.full_scan(lambda v: v is not None and v > 3)) == [4, 5]

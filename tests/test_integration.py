@@ -130,9 +130,9 @@ class TestBalancingUnderNodeFailure:
         assert db.rebalance() == []
         assert db.tenant_fanout("whale") == 1
 
-        # Recover and repair; the *next* hotspot window succeeds.
+        # Recover and catch up; the *next* hotspot window succeeds.
         victim.recover()
-        db.consensus.repair(victim)
+        db.consensus.catch_up(victim)
         for i in range(100, 220):
             db.write(make_log(i, tenant="whale", created=i * 0.01))
         committed = db.rebalance()

@@ -108,33 +108,33 @@ def _answers(segment: Segment) -> dict:
             for row in range(segment.base_row_id - 1, segment.base_row_id + len(segment) + 1)
         ],
         "terms": {
-            key: segment.term_postings(*key).to_list()
+            key: list(segment.term_postings(*key))
             for key in sorted(terms, key=repr)
         },
         "text": {
-            text: segment.text_postings("auction_title", text).to_list()
+            text: list(segment.text_postings("auction_title", text))
             for text in ("red", "red shirt", "blue", "the")
         },
         "subattrs": {
-            repr(term): segment.subattribute_postings(*term).to_list()
+            repr(term): list(segment.subattribute_postings(*term))
             for term in segment._subattr_index.terms()
         },
     }
     for name in ("created_time", "amount", "quantity"):
         answers[name] = [
-            segment.numeric_range(name, low, high).to_list()
+            list(segment.numeric_range(name, low, high))
             for low, high in ((None, None), (0, 2), (1.5, None), (None, 1))
         ]
     for name, composite in segment._composites.items():
         answers[name] = [
-            segment.filter_live(composite.search({composite.columns[0]: value})).to_list()
+            list(segment.filter_live(composite.search({composite.columns[0]: value})))
             for value in (0, 1, "t0", "t1", "t2")
         ]
     rows_all = [row for row, _ in live]
     for name, column in segment._doc_values.items():
         answers["dv", name] = (
-            column.scan(PostingList(rows_all, presorted=True), lambda v: v is None).to_list(),
-            segment.filter_live(column.full_scan(lambda v: v is not None)).to_list(),
+            list(column.scan(PostingList(rows_all, presorted=True), lambda v: v is None)),
+            list(segment.filter_live(column.full_scan(lambda v: v is not None))),
             [column.get(row, "absent") for row in rows_all],
         )
     return answers
@@ -146,7 +146,7 @@ def assert_same_merge(segments: list[Segment], spec: SegmentSpec) -> Segment:
     reference = reindex_merge(segments, spec)
     assert _structures(merged) == _structures(reference)
     assert _answers(merged) == _answers(reference)
-    # Inputs are never written: a pinned searcher may still read them.
+    # Inputs are never written: a reader of the old segment list may still read them.
     assert [_snapshot(segment) for segment in segments] == before
     return merged
 
@@ -271,7 +271,7 @@ def test_interleaved_inputs_are_merged_in_row_order():
     assert outer.row_ids() == range(0, 9)
     assert outer.live_count == 6
     merged = assert_same_merge([outer, segments[1]], spec)
-    assert merged.term_postings("status", 1).to_list() == [1, 3, 5, 7]
+    assert list(merged.term_postings("status", 1)) == [1, 3, 5, 7]
     assert merged.live_count == 9
 
 
@@ -303,7 +303,7 @@ def test_merge_parses_and_analyzes_nothing(monkeypatch):
     merged = merge_segments(segments, spec)
     assert calls == {"parse": 0, "analyze": 0}
     assert merged.live_count == 6
-    assert merged.text_postings("auction_title", "blue shirt").to_list() == [0, 2, 3, 4, 6, 7]
+    assert list(merged.text_postings("auction_title", "blue shirt")) == [0, 2, 3, 4, 6, 7]
 
 
 def test_a_merge_that_drops_a_deleted_tail_never_hands_its_rows_out_again():

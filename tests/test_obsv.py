@@ -208,7 +208,24 @@ class TestSlowLog:
         log.record(time=1.0, elapsed=0.009, tenant="t9")
         first = log.tail()[0]
         assert first.trace is span
-        assert first.to_dict()["trace"]["children"][0]["name"] == "write.index"
+        assert "trace" not in first.to_dict()
+        # In a snapshot the entry's trace id resolves to its tree in `traces`.
+        from repro import ESDB, EsdbConfig
+        from repro.cluster import ClusterTopology
+        from repro.obsv import snapshot
+        from tests.conftest import make_log
+
+        db = ESDB(
+            EsdbConfig(
+                topology=ClusterTopology(num_nodes=2, num_shards=4),
+                obsv=ObsvConfig(index_info_seconds=0.0, search_info_seconds=0.0),
+            )
+        )
+        db.write(make_log(1, tenant="t9"))
+        snap = snapshot(db)
+        (entry,) = snap["cluster"]["obsv"]["slowlog"]["index"]
+        (tree,) = [t for t in snap["traces"] if t.get("trace_id") == entry["trace_id"]]
+        assert [child["name"] for child in tree["children"]] == ["write.route", "write.index"]
 
     def test_detail_clipped(self):
         log = SlowLog("search", warn_seconds=0.0, info_seconds=0.0)

@@ -147,12 +147,7 @@ class TestFacadeAcceptance:
         # The measurement survives compaction (annotations are metadata).
         db.policy.rules.compact()
         assert db.policy.rules.annotations() == annotations
-        assert (
-            db.policy.rules.annotation_for(
-                note.effective_time, note.offset, "whale"
-            )
-            is note
-        )
+        assert db.policy.rules.annotations()[0] is note
 
     def test_observer_windows_are_the_monitors(self):
         """Crossing the window boundary mid-stream closes one window, in the
@@ -306,6 +301,83 @@ class TestRenderersReadOnlyTheDict:
             assert render(snap) == render(loaded) == render(saved)
         assert "-- nodes --" in render_dashboard(loaded)
         assert "\n  engines: " in render_dashboard(loaded)
+
+
+class TestSnapshotTraces:
+    def test_each_tree_is_written_once_and_every_slow_log_id_resolves(self):
+        """A slow-log entry carries its trace id; the tree it names is in
+        ``traces`` exactly once, beside the last finished traces."""
+        from repro.obsv.__main__ import build_demo
+
+        snap = snapshot(build_demo(writes=300, governed=True, chaos=True))
+        ids = [tree["trace_id"] for tree in snap["traces"] if "trace_id" in tree]
+        assert len(ids) == len(set(ids))
+        slowlog = snap["cluster"]["obsv"]["slowlog"]
+        entries = slowlog["index"] + slowlog["search"]
+        assert entries and all("trace" not in entry for entry in entries)
+        assert {entry["trace_id"] for entry in entries} <= set(ids)
+
+    @staticmethod
+    def _slow_writes_db() -> ESDB:
+        """Every write enters the index slow log; no query is slow enough
+        for the search slow log."""
+        from repro.obsv.config import SEARCH_WARN_SECONDS
+
+        return _tiny_db(obsv=ObsvConfig(
+            index_info_seconds=0.0, search_info_seconds=SEARCH_WARN_SECONDS
+        ))
+
+    def test_without_a_slow_log_traces_are_the_newest_finished(self):
+        from repro.obsv.snapshot import MAX_SNAPSHOT_TRACES
+
+        db = _tiny_db(obsv=ObsvConfig.off())
+        db.write(make_log(1, tenant="t"))
+        for _ in range(MAX_SNAPSHOT_TRACES + 5):
+            db.execute_sql("SELECT * FROM transactions WHERE tenant_id = 't'")
+        finished = [span.trace_id for span in db.telemetry.tracer.finished]
+        traces = snapshot(db)["traces"]
+        assert [tree["trace_id"] for tree in traces] == finished[-MAX_SNAPSHOT_TRACES:]
+
+    def test_a_slow_entry_older_than_the_recent_traces_still_resolves(self):
+        from repro.obsv.snapshot import MAX_SNAPSHOT_TRACES
+
+        db = self._slow_writes_db()
+        db.write(make_log(1, tenant="t"))
+        for _ in range(MAX_SNAPSHOT_TRACES + 5):
+            db.execute_sql("SELECT * FROM transactions WHERE tenant_id = 't'")
+        snap = snapshot(db)
+        (entry,) = snap["cluster"]["obsv"]["slowlog"]["index"]
+        traces = snap["traces"]
+        assert len(traces) == MAX_SNAPSHOT_TRACES + 1
+        assert traces[-1]["trace_id"] == entry["trace_id"]
+        assert traces[-1]["name"] == "write"
+
+    def test_a_slow_tree_among_the_recent_ones_is_written_once(self):
+        db = self._slow_writes_db()
+        db.write(make_log(1, tenant="t"))
+        for _ in range(3):
+            db.execute_sql("SELECT * FROM transactions WHERE tenant_id = 't'")
+        snap = snapshot(db)
+        (entry,) = snap["cluster"]["obsv"]["slowlog"]["index"]
+        names = [tree["name"] for tree in snap["traces"]]
+        assert names == ["write", "query", "query", "query"]
+        assert snap["traces"][0]["trace_id"] == entry["trace_id"]
+
+    def test_spans_without_a_trace_id_are_each_kept(self):
+        """Refreshes and replication rounds finish as root spans with no
+        trace id; deduplication by id must not fold them into one."""
+        db = _tiny_db(
+            topology=ClusterTopology(num_nodes=2, num_shards=4, replicas_per_shard=1),
+            replication="physical",
+        )
+        db.write(make_log(1, tenant="t"))
+        db.refresh()
+        db.replicate(1.0)
+        names = [tree["name"] for tree in snapshot(db)["traces"]]
+        finished = [span.name for span in db.telemetry.tracer.finished]
+        assert names == finished
+        assert names.count("engine.refresh") >= 4  # one per shard at least
+        assert names.count("replication.round") == 4
 
 
 class TestDashboardAndSnapshot:

@@ -228,7 +228,7 @@ def test_every_access_path_matches_a_naive_filter_over_live_sources(ops, wheres)
             for cached, engine in engines.items():
                 for _ in range(2 if cached else 1):  # second run reads the filter cache
                     rows, _ = QueryExecutor(engine).execute(plan)
-                    assert rows.to_list() == sorted(set(rows))
+                    assert list(rows) == sorted(set(rows))
                     got = {doc.doc_id for doc in engine.fetch(rows)}
                     assert got == expected, (
                         f"optimizer={enabled} filter_cache={cached}\n{plan.describe()}"

@@ -83,11 +83,11 @@ def test_property_consensus_safety_under_failures(steps):
     times = [o.effective_time for o in committed]
     assert times == sorted(times)
 
-    # Recoverability: heal everyone, repair, and require full convergence.
+    # Recoverability: heal everyone, catch up, and require full convergence.
     for participant in participants:
         participant.recover()
         participant.heal()
-        master.repair(participant)
+        master.catch_up(participant)
         assert participant.rules.snapshot() == reference
 
 

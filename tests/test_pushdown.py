@@ -43,7 +43,7 @@ class TestEngineTopK:
         engine.refresh()
         rows = PostingList(range(20))
         top = engine.top_k(rows, "created_time", 3)
-        values = sorted(engine.field_value("created_time", r) for r in top)
+        values = sorted(doc["created_time"] for doc in engine.fetch(top))
         assert values == [0.0, 1.0, 2.0]
 
     def test_top_k_descending(self, engine):
@@ -51,7 +51,7 @@ class TestEngineTopK:
             engine.index(make_log(i, created=float(i)))
         engine.refresh()
         top = engine.top_k(PostingList(range(10)), "created_time", 2, descending=True)
-        values = {engine.field_value("created_time", r) for r in top}
+        values = {doc["created_time"] for doc in engine.fetch(top)}
         assert values == {8.0, 9.0}
 
     def test_top_k_noop_when_k_covers_rows(self, engine):
@@ -60,8 +60,22 @@ class TestEngineTopK:
         rows = PostingList([0])
         assert engine.top_k(rows, "created_time", 5) == rows
 
-    def test_field_value_missing_row(self, engine):
-        assert engine.field_value("created_time", 999) is None
+    def test_top_k_ranks_rows_across_segments(self, engine):
+        for i in range(6):
+            engine.index(make_log(i, created=float(i)))
+            if i % 2:
+                engine.refresh()  # three segments of two rows each
+        assert engine.segment_count() >= 2
+        top = engine.top_k(PostingList(range(6)), "created_time", 3, descending=True)
+        assert sorted(doc["created_time"] for doc in engine.fetch(top)) == [3.0, 4.0, 5.0]
+
+    def test_descending_top_k_ranks_rows_lacking_the_column_last(self, engine):
+        for i in range(6):
+            extra = {"amount": float(i)} if i < 3 else {}
+            engine.index(make_log(i, **extra))
+        engine.refresh()
+        top = engine.top_k(PostingList(range(6)), "amount", 3, descending=True)
+        assert list(top) == [0, 1, 2]  # the rows holding an amount
 
 
 class TestFacadePushdown:

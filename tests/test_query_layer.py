@@ -3,6 +3,8 @@ the coordinator-side aggregator."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import QueryError
@@ -28,6 +30,11 @@ from repro.query.planner import (
 from repro.query.xdriver import date_format, ifnull
 from repro.storage import ShardEngine
 from tests.conftest import make_log
+
+
+def leaf_counts(plan) -> Counter:
+    """Leaf operators of *plan* by type — the metric Figures 7/8 contrast."""
+    return Counter(type(leaf).__name__ for leaf in plan.root.leaf_operators())
 
 
 @pytest.fixture()
@@ -99,17 +106,49 @@ class TestXdriver:
         assert translated.width_reduction > 0
         assert translated.dsl.kind == "terms"
 
+    def test_conjunction_of_disjunctions_is_distributed_into_dnf(self):
+        """DNF is the one normal form: (a OR b) AND (c OR d) becomes four
+        conjunctions under one OR, and its DSL a ``should`` of ``must``s."""
+        from repro.query.ast import AndNode, OrNode
+
+        translated = Xdriver4ES().translate(
+            parse_sql("SELECT * FROM t WHERE (a = 1 OR b = 2) AND (c = 3 OR d = 4)")
+        )
+        where = translated.statement.where
+        assert isinstance(where, OrNode)
+        assert [
+            tuple(p.column for p in conj.children)
+            for conj in where.children
+            if isinstance(conj, AndNode)
+        ] == [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
+        assert isinstance(translated.original_where, AndNode)
+        assert translated.width_reduction == -4  # distribution widens it
+        dsl = translated.dsl
+        assert dsl.kind == "bool" and not dsl.must and len(dsl.should) == 4
+        assert all(len(clause.must) == 2 for clause in dsl.should)
+
+    def test_negations_are_pushed_to_the_leaves(self):
+        """De Morgan before distribution: NOT (a AND b) is a disjunction of
+        inequalities, NOT (a OR b) one conjunction of them."""
+        from repro.query.ast import AndNode, OrNode
+
+        def where(sql):
+            return Xdriver4ES().translate(parse_sql("SELECT * FROM t WHERE " + sql)).statement.where
+
+        for sql, node in (("NOT (a = 1 AND b = 2)", OrNode), ("NOT (a = 1 OR b = 2)", AndNode)):
+            translated = where(sql)
+            assert isinstance(translated, node), sql
+            assert [(p.column, p.op) for p in translated.children] == [("a", "!="), ("b", "!=")]
+
+    def test_a_disjunction_of_conjunctions_is_left_as_it_is(self):
+        stmt = parse_sql("SELECT * FROM t WHERE (a = 1 AND b = 2) OR c = 3")
+        translated = Xdriver4ES().translate(stmt)
+        assert translated.statement.where == translated.original_where
+        assert translated.depth_reduction == translated.width_reduction == 0
+
     def test_no_where_translates_to_none(self):
         translated = Xdriver4ES().translate(parse_sql("SELECT * FROM t"))
         assert translated.dsl is None
-
-    def test_cnf_mode(self):
-        stmt = parse_sql("SELECT * FROM t WHERE (a = 1 AND b = 2) OR c = 3")
-        translated = Xdriver4ES(normal_form="cnf").translate(stmt)
-        # CNF of the above is (a OR c) AND (b OR c).
-        from repro.query.ast import AndNode
-
-        assert isinstance(translated.statement.where, AndNode)
 
     def test_ifnull(self):
         assert ifnull(None, 5) == 5
@@ -121,13 +160,6 @@ class TestXdriver:
         epoch = timestamp_to_epoch("2021-09-16 08:30:00")
         assert date_format(epoch) == "2021-09-16 08:30:00"
         assert date_format(epoch, "%Y-%m-%d") == "2021-09-16"
-
-    def test_map_row_projection(self):
-        row = {"a": 1, "b": 2}
-        assert Xdriver4ES().map_row(row, ("a",)) == {"a": 1}
-        assert Xdriver4ES().map_row(row, ("*",)) == row
-        assert Xdriver4ES().map_row(row, ("missing",)) == {"missing": None}
-
 
 class TestOptimizerPlans:
     def test_figure8_shape_composite_plus_scan_plus_union(self, catalog):
@@ -143,7 +175,7 @@ class TestOptimizerPlans:
         assert isinstance(scan_branch, SequentialScanFilter)
         assert isinstance(scan_branch.child, CompositeSearch)
         assert scan_branch.child.index_name == "tenant_id_created_time"
-        counts = plan.access_path_counts()
+        counts = leaf_counts(plan)
         assert counts.get("CompositeSearch") == 1
         assert counts.get("TermSearch") == 1
 
@@ -155,7 +187,7 @@ class TestOptimizerPlans:
         )
         translated = Xdriver4ES().translate(stmt)
         plan = RuleBasedOptimizer(catalog, enabled=False).plan(translated.statement)
-        counts = plan.access_path_counts()
+        counts = leaf_counts(plan)
         assert "CompositeSearch" not in counts
         assert counts.get("RangeSearch", 0) == 1  # created_time
         assert counts.get("TermSearch", 0) == 3  # tenant_id, status, group
@@ -211,7 +243,7 @@ class TestOptimizerPlans:
         )
         assert isinstance(plan.root, SequentialScanFilter) and plan.root.op == op
         assert isinstance(plan.root.child, CompositeSearch)
-        assert plan.access_path_counts() == {"CompositeSearch": 1}
+        assert leaf_counts(plan) == {"CompositeSearch": 1}
         # a single-column index narrows just as well as a composite one
         plan = self._plan(catalog, f"{unindexed} AND seller_id = 4")
         assert isinstance(plan.root, SequentialScanFilter)
@@ -344,7 +376,7 @@ class TestExecutor:
             for row, doc in loaded_engine.iter_documents()
             if "attr_0001:v1" in doc.get("attributes", "")
         ]
-        assert rows.to_list() == expected
+        assert list(rows) == expected
 
     def test_subattribute_unindexed_falls_back_to_scan(self, engine_config):
         from dataclasses import replace
@@ -364,7 +396,7 @@ class TestExecutor:
             parse_sql("SELECT * FROM t WHERE ATTR(attr_0777) = 'y'")
         )
         plan = RuleBasedOptimizer(catalog).plan(translated.statement)
-        assert plan.access_path_counts().get("SubAttributeScan") == 1
+        assert leaf_counts(plan)["SubAttributeScan"] == 1
         rows, _ = QueryExecutor(engine).execute(plan)
         assert len(rows) == 1
 

@@ -38,17 +38,6 @@ class TestQueryCostModel:
         with pytest.raises(ConfigurationError):
             QueryCostModel().work(10, 0)
 
-    def test_cluster_qps_scales_with_nodes(self):
-        cost = QueryCostModel()
-        assert cost.cluster_qps(1000, 1, num_nodes=16) == pytest.approx(
-            cost.cluster_qps(1000, 1, num_nodes=8) * 2
-        )
-
-    def test_cluster_qps_invalid_nodes(self):
-        with pytest.raises(ConfigurationError):
-            QueryCostModel().cluster_qps(10, 1, num_nodes=0)
-
-
 class TestCommitPaperScaleRules:
     def test_only_head_tenants_get_rules(self):
         policy = DynamicSecondaryHashRouting(N)

@@ -56,7 +56,7 @@ class TestLogicalReplication:
         repl = LogicalReplicator(primary, replica)
         repl.index(make_log(1))
         repl.refresh(now=42.0)
-        assert repl.accounting.max_visibility_delay == 0.0
+        assert max(repl.accounting.visibility_delays, default=0.0) == 0.0
 
 
 class TestPhysicalReplicationBasics:
@@ -115,15 +115,6 @@ class TestPhysicalReplicationBasics:
         physical.replicate()
         assert physical.accounting.replica_cpu < logical.accounting.replica_cpu * 0.2
 
-    def test_snapshot_lock_released_after_round(self, engine_config):
-        primary = ShardEngine(engine_config)
-        repl = PhysicalReplicator(primary)
-        primary.index(make_log(1))
-        primary.refresh()
-        repl.replicate()
-        assert repl.locked_segment_ids() == set()
-
-
 class TestTranslogSync:
     def test_translog_synced_in_real_time(self, engine_config):
         primary = ShardEngine(engine_config)
@@ -132,6 +123,25 @@ class TestTranslogSync:
             primary.index(make_log(i))
             repl.sync_translog_entry(primary.translog._entries[-1])
         assert len(repl.replica_translog) == 5
+
+    def test_replica_set_forwards_every_operation_as_the_primary_logged_it(
+        self, engine_config
+    ):
+        from repro.replication import ReplicaSet
+
+        rs = ReplicaSet(ShardEngine(engine_config, shard_id=0), num_replicas=2)
+        for i in range(3):
+            rs.index(make_log(i))
+        rs.update(1, {"status": 9})
+        rs.delete(2)
+        logged = list(rs.primary.translog.recover())
+        assert [(e.sequence, e.op, e.doc_id) for e in logged] == [
+            (0, "index", 0), (1, "index", 1), (2, "index", 2),
+            (3, "update", 1), (4, "delete", 2),
+        ]
+        for replicator in rs.replicators.values():
+            assert replicator.replica_translog == logged
+            assert replicator.valid_translog_prefix() == len(logged)
 
     def test_promote_replica_recovers_unreplicated_writes(self, engine_config):
         """Primary/replica switch: segments + translog replay must recover
@@ -152,6 +162,27 @@ class TestTranslogSync:
         assert promoted.doc_count() == 7
         assert promoted.contains(6)
 
+    def test_promote_replays_only_the_valid_translog_prefix(self, engine_config):
+        """A forwarded entry that fails its checksum ends the replay at
+        promote: neither it nor any entry after it is applied."""
+        from repro.replication import ReplicaSet
+        from repro.storage.translog import TranslogEntry
+
+        rs = ReplicaSet(ShardEngine(engine_config, shard_id=0), num_replicas=1)
+        for i in range(5):
+            rs.index(make_log(i, tenant="t"))
+        replicator = rs.replicators["replica-0"]
+        log = replicator.replica_translog
+        entry = log[2]
+        log[2] = TranslogEntry(
+            entry.sequence, entry.op, entry.doc_id, entry.source, entry.checksum ^ 0xFF
+        )
+        assert replicator.valid_translog_prefix() == 2
+        promoted = replicator.promote_replica()
+        promoted.refresh()
+        assert promoted.doc_count() == 2
+        assert [promoted.contains(i) for i in range(5)] == [True, True, False, False, False]
+
 
 class TestPreReplication:
     def _merging_primary(self, engine_config):
@@ -170,7 +201,7 @@ class TestPreReplication:
         shipped = repl.run_prereplication()
         assert shipped == 1
         merged_id = primary.segments[-1].segment_id
-        assert repl.was_prereplicated(merged_id)
+        assert merged_id in repl.replica_segments
 
     def test_merged_segment_never_in_diff_after_prereplication(self, engine_config):
         primary = self._merging_primary(engine_config)
@@ -202,7 +233,7 @@ class TestVisibilityDelay:
         primary.index(make_log(1))
         primary.refresh()
         repl.replicate(now=10.5)
-        assert repl.accounting.max_visibility_delay > 0.0
+        assert max(repl.accounting.visibility_delays) > 0.0
 
     def test_accounting_skip_counts(self):
         acc = ReplicationAccounting()
@@ -232,7 +263,7 @@ class TestReplicaSet:
             rs.index(make_log(i))
         rs.primary.refresh()
         assert rs.replicate_all() == 3
-        assert rs.in_sync_count() == 3
+        assert all(s.in_sync for s in rs.status())
         assert all(s.doc_count == 10 for s in rs.status())
 
     def test_promote_picks_most_up_to_date(self, engine_config):
@@ -389,8 +420,7 @@ class TestFailoverRegressions:
         from repro.errors import ReplicationError
         from repro.replication import ReplicaSet
 
-        rs = ReplicaSet(ShardEngine(engine_config, shard_id=0), num_replicas=1,
-                        replicate_retries=2)
+        rs = ReplicaSet(ShardEngine(engine_config, shard_id=0), num_replicas=1)
         rs.index(make_log(1))
         rs.primary.refresh()
         replicator = rs.replicators["replica-0"]
@@ -411,8 +441,7 @@ class TestFailoverRegressions:
         from repro.errors import ReplicationError
         from repro.replication import ReplicaSet
 
-        rs = ReplicaSet(ShardEngine(engine_config, shard_id=0), num_replicas=1,
-                        replicate_retries=1)
+        rs = ReplicaSet(ShardEngine(engine_config, shard_id=0), num_replicas=1)
         rs.index(make_log(1))
         rs.primary.refresh()
 
@@ -422,3 +451,75 @@ class TestFailoverRegressions:
         rs.replicators["replica-0"].replicate = always_fails
         with pytest.raises(ReplicationError, match="permanently down"):
             rs.replicate_all()
+
+
+class TestReplicateRetries:
+    """``ReplicaSet.replicate_all`` retries a failed round
+    ``REPLICATE_RETRIES`` times, each on a later simulated clock."""
+
+    def _set(self, engine_config, num_replicas=1, telemetry=None):
+        from repro.replication import ReplicaSet
+
+        rs = ReplicaSet(
+            ShardEngine(engine_config, shard_id=0),
+            num_replicas=num_replicas,
+            telemetry=telemetry,
+        )
+        rs.index(make_log(1))
+        rs.primary.refresh()
+        return rs
+
+    def test_a_down_replica_gets_one_attempt_plus_every_retry(self, engine_config):
+        from repro.errors import ReplicationError
+        from repro.replication.replicaset import REPLICATE_RETRIES
+
+        rs = self._set(engine_config)
+        attempts = []
+
+        def always_fails(now=None):
+            attempts.append(now)
+            raise ReplicationError("down")
+
+        rs.replicators["replica-0"].replicate = always_fails
+        with pytest.raises(ReplicationError):
+            rs.replicate_all(now=5.0)
+        assert len(attempts) == 1 + REPLICATE_RETRIES
+        # Exponential backoff on the simulated clock: 0, 0.01, 0.03, ...
+        assert attempts == pytest.approx(
+            [5.0 + 0.01 * (2**attempt - 1) for attempt in range(1 + REPLICATE_RETRIES)]
+        )
+
+    def test_success_on_the_last_retry_counts_as_in_sync(self, engine_config):
+        from repro.errors import ReplicationError
+        from repro.replication.replicaset import REPLICATE_RETRIES
+
+        rs = self._set(engine_config)
+        replicator = rs.replicators["replica-0"]
+        replicate = replicator.replicate
+        failures = {"left": REPLICATE_RETRIES}
+
+        def fails_until_the_last_retry(now=None):
+            if failures["left"]:
+                failures["left"] -= 1
+                raise ReplicationError("transient")
+            return replicate(now)
+
+        replicator.replicate = fails_until_the_last_retry
+        assert rs.replicate_all() == 1
+        assert replicator.in_sync()
+
+    def test_a_down_replica_does_not_stop_the_others(self, engine_config):
+        from repro.errors import ReplicationError
+        from repro.telemetry import Telemetry
+        from repro.replication.replicaset import REPLICATE_RETRIES
+
+        telemetry = Telemetry()
+        rs = self._set(engine_config, num_replicas=2, telemetry=telemetry)
+
+        def always_fails(now=None):
+            raise ReplicationError("down")
+
+        rs.replicators["replica-0"].replicate = always_fails
+        assert rs.replicate_all() == 1
+        assert [s.in_sync for s in rs.status()] == [False, True]
+        assert telemetry.metrics.get("replication_retries_total").value == REPLICATE_RETRIES

@@ -109,13 +109,6 @@ class TestRuleListSnapshot:
         rules.update(3.0, 2, "c")
         assert [r.effective_time for r in rules] == [1.0, 3.0, 5.0]
 
-    def test_effective_times_distinct_sorted(self):
-        rules = RuleList()
-        rules.update(5.0, 2, "a")
-        rules.update(5.0, 2, "b")
-        rules.update(1.0, 4, "c")
-        assert rules.effective_times() == [1.0, 5.0]
-
     def test_rebuild_from_rules_iterable(self):
         original = RuleList()
         original.update(1.0, 2, "a")

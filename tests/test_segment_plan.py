@@ -53,11 +53,11 @@ class TestFieldsResolveOnce:
         for i in range(6):
             segment.add_document(Document(i, make_log(i, tenant="t", created=float(i))))
             # Each lookup seals the index implicitly; the plan keeps writing.
-            assert segment.numeric_range("created_time", None, None).to_list() == list(
+            assert list(segment.numeric_range("created_time", None, None)) == list(
                 range(i + 1)
             )
             composite = segment.composite("tenant_id_created_time")
-            assert composite.search({"tenant_id": "t"}).to_list() == list(range(i + 1))
+            assert list(composite.search({"tenant_id": "t"})) == list(range(i + 1))
 
 
 # -- the naive model ----------------------------------------------------------
@@ -220,9 +220,9 @@ class TestPlanMatchesTheModel:
         for name, terms in model.terms.items():
             assert set(segment._term_indexes[name].terms()) == set(terms)
             for term, rows in terms.items():
-                assert segment.term_postings(name, term).to_list() == sorted(rows)
+                assert list(segment.term_postings(name, term)) == sorted(rows)
                 if isinstance(term, str) and name in ("auction_title", "buyer_nickname"):
-                    assert segment.text_postings(name, term).to_list() == sorted(rows)
+                    assert list(segment.text_postings(name, term)) == sorted(rows)
 
         # Numbers: every range the model's values bound.
         assert set(segment._numeric_indexes) == set(model.numbers)
@@ -233,12 +233,12 @@ class TestPlanMatchesTheModel:
                     row for value, row in pairs
                     if (low is None or value >= low) and (high is None or value <= high)
                 )
-                assert segment.numeric_range(name, low, high).to_list() == expected
+                assert list(segment.numeric_range(name, low, high)) == expected
 
         # Sub-attributes: only the indexed ones, and the whole index size.
         assert set(segment._subattr_index.terms()) == set(model.subattrs)
         for (key, value), rows in model.subattrs.items():
-            assert segment.subattribute_postings(key, value).to_list() == sorted(rows)
+            assert list(segment.subattribute_postings(key, value)) == sorted(rows)
         pairs = sum(map(len, model.subattrs.values()))
         pairs += sum(len(rows) for terms in model.terms.values() for rows in terms.values())
         assert segment.index_memory() == pairs
@@ -261,7 +261,7 @@ class TestPlanMatchesTheModel:
                     if any(source.get(c) is None for c in columns[:depth]):
                         break
                     equalities = {c: source[c] for c in columns[:depth]}
-                    assert composite.search(equalities).to_list() == model.composite_rows(
+                    assert list(composite.search(equalities)) == model.composite_rows(
                         columns, equalities
                     )
 

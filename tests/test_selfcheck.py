@@ -100,6 +100,21 @@ def _public_names(module: Path) -> set[str]:
     return {name for name in names if not name.startswith("_")}
 
 
+#: What the censuses count as a caller: code that is not a test. CI runs
+#: ``tools/`` and the inline scripts of its workflow, so both count.
+READERS = ("src", "bench", "benchmarks", "examples", "tools", ".github/workflows/ci.yml")
+
+
+def _reader_files(root: Path) -> list[Path]:
+    """The files under :data:`READERS`: every ``.py`` below a directory, and
+    a named file itself."""
+    files = []
+    for reader in READERS:
+        path = root / reader
+        files += sorted(path.rglob("*.py")) if path.is_dir() else [path]
+    return files
+
+
 def _registered_modules(init: Path, package: str) -> set[str]:
     """The submodules *init* imports as module objects (``from <package>
     import <module>``) — registration, as ``repro.experiments`` does."""
@@ -113,21 +128,18 @@ def _registered_modules(init: Path, package: str) -> set[str]:
 
 class TestEveryModuleIsNeeded:
     """The deletion census: every module under ``src/repro`` is reached from
-    code that is not a test. Some file under ``src/``, ``bench/``,
-    ``benchmarks/`` or ``examples/`` other than the module itself and its
-    package ``__init__`` names one of its public top-level names, or that
-    ``__init__`` imports the module object to register it. ``__main__``
-    modules are reached by their command (checked above)."""
+    code that is not a test. Some file under :data:`READERS` other than the
+    module itself and its package ``__init__`` names one of its public
+    top-level names, or that ``__init__`` imports the module object to
+    register it. ``__main__`` modules are reached by their command (checked
+    above)."""
 
     ROOT = Path(__file__).resolve().parents[1]
-    READERS = ("src", "bench", "benchmarks", "examples")
 
     def test_every_module_is_reached_from_non_test_code(self):
         src = self.ROOT / "src"
         words = {
-            path: set(re.findall(r"\w+", path.read_text()))
-            for top in self.READERS
-            for path in (self.ROOT / top).rglob("*.py")
+            path: set(re.findall(r"\w+", path.read_text())) for path in _reader_files(self.ROOT)
         }
         unreached = []
         for module in sorted((src / "repro").rglob("*.py")):
@@ -147,15 +159,15 @@ class TestEveryModuleIsNeeded:
 
 class TestEveryOptionHasACaller:
     """The option census, one level below the module census: every field of
-    the instance configuration is passed by keyword from code that is not
+    every configuration dataclass is passed by keyword from code that is not
     a test. A field only tests set is a default nobody changes — it belongs
     in a module constant, with the code only its other values reached
     deleted."""
 
     ROOT = Path(__file__).resolve().parents[1]
-    #: ``config class -> field -> a file (under src/, bench/, benchmarks/ or
-    #: examples/) that passes the field by keyword``. A preset such as
-    #: ``ObsvConfig.off()`` counts where it is defined: bench reaches it.
+    #: ``config class -> field -> a file (under one of the READERS) that
+    #: passes the field by keyword``. A preset such as ``ObsvConfig.off()``
+    #: counts where it is defined: bench reaches it.
     CALLERS = {
         "EsdbConfig": {
             "topology": "bench/runner.py",
@@ -193,57 +205,133 @@ class TestEveryOptionHasACaller:
         "TraceConfig": {
             "enabled": "src/repro/telemetry/context.py",
         },
+        "ConsensusConfig": {
+            "effective_interval": "src/repro/esdb.py",
+        },
+        "ChaosConfig": {
+            "steps": "src/repro/faults/__main__.py",
+            "num_nodes": "src/repro/faults/__main__.py",
+            "num_shards": "src/repro/faults/__main__.py",
+            "replicas_per_shard": "src/repro/faults/__main__.py",
+            "flood_tenant": "src/repro/faults/__main__.py",
+            "flood_factor": "src/repro/faults/__main__.py",
+            "tenancy": "src/repro/faults/__main__.py",
+            "trace_path": "src/repro/faults/__main__.py",
+        },
+        "SimulationConfig": {
+            "num_nodes": "benchmarks/test_model_validation.py",
+            "num_shards": "benchmarks/test_model_validation.py",
+            "node_capacity": "benchmarks/test_model_validation.py",
+            "sample_per_tick": "src/repro/experiments/write_side.py",
+            "balance_window": "src/repro/experiments/write_side.py",
+            "consensus_interval": "src/repro/experiments/write_side.py",
+        },
+        "EngineConfig": {
+            "schema": "src/repro/esdb.py",
+            "composite_columns": "src/repro/esdb.py",
+            "scan_columns": "src/repro/esdb.py",
+            "indexed_subattributes": "src/repro/esdb.py",
+            "auto_refresh_every": "src/repro/esdb.py",
+            "filter_cache_bytes": "src/repro/esdb.py",
+        },
+        "WorkloadConfig": {
+            "num_tenants": "bench/workloads.py",
+            "theta": "bench/workloads.py",
+            "seed": "bench/workloads.py",
+        },
+        "WriteClientConfig": {
+            "batch_size": "src/repro/faults/runner.py",
+            "coalesce_window": "src/repro/faults/runner.py",
+            "dispatch_retries": "src/repro/faults/runner.py",
+            "backoff_base_seconds": "src/repro/faults/runner.py",
+        },
+        "BalancerConfig": {
+            "hotspot_share": "examples/flash_sale_balancing.py",
+            "target_share_per_shard": "examples/flash_sale_balancing.py",
+            "max_offset": "examples/seller_analytics.py",
+        },
     }
     #: The paper's Figure 3 catalog: no caller outside the tests changes
     #: it, but tests build custom schemas and index sets through it.
     CATALOG = {"schema", "composite_columns", "scan_columns"}
+    #: Fields no caller outside the tests sets, kept for a stated reason.
+    EXEMPT = {
+        "EsdbConfig": CATALOG,
+        # Algorithm 1's initialization threshold, named by the paper.
+        "BalancerConfig": {"init_storage_share"},
+        # The seams through which tests prove a chaos run's fingerprint does
+        # not depend on tracing or SLO tracking being on.
+        "ChaosConfig": {"tracing", "slo"},
+    }
 
     @staticmethod
     def _classes() -> dict:
+        from repro.balancer import BalancerConfig
+        from repro.client import WriteClientConfig
+        from repro.consensus import ConsensusConfig
         from repro.esdb import EsdbConfig
+        from repro.faults import ChaosConfig
         from repro.obsv import ObsvConfig
+        from repro.sim import SimulationConfig
+        from repro.storage import EngineConfig
         from repro.telemetry import TraceConfig
         from repro.tenancy import TenancyConfig
+        from repro.workload import WorkloadConfig
 
         return {
             cls.__name__: cls
-            for cls in (EsdbConfig, ObsvConfig, TenancyConfig, TraceConfig)
+            for cls in (
+                EsdbConfig, ObsvConfig, TenancyConfig, TraceConfig, ConsensusConfig,
+                ChaosConfig, SimulationConfig, EngineConfig, WorkloadConfig,
+                WriteClientConfig, BalancerConfig,
+            )
         }
 
     def test_table_names_every_field(self):
         import dataclasses
 
-        for name, cls in self._classes().items():
+        classes = self._classes()
+        assert set(self.CALLERS) == set(classes)
+        for name, cls in classes.items():
             fields = {field.name for field in dataclasses.fields(cls)}
-            exempt = self.CATALOG if name == "EsdbConfig" else set()
+            exempt = self.EXEMPT.get(name, set())
             assert set(self.CALLERS[name]) == fields - exempt, name
             assert exempt <= fields
 
     def test_each_field_is_passed_by_its_caller(self):
         for name, callers in self.CALLERS.items():
             for field, path in callers.items():
-                assert path.split("/")[0] in ("src", "bench", "benchmarks", "examples")
+                assert path.split("/")[0] in READERS
                 text = (self.ROOT / path).read_text()
                 assert re.search(rf"\b{field}\s*=", text), f"{name}.{field}: {path}"
 
-    def test_at_most_31_settable_values(self):
+    def test_at_most_65_settable_values(self):
         import dataclasses
 
-        assert sum(len(dataclasses.fields(cls)) for cls in self._classes().values()) <= 31
+        assert sum(len(dataclasses.fields(cls)) for cls in self._classes().values()) <= 65
 
 
 class TestEveryNameIsReferenced:
     """The census one level below the option census: every function,
-    method and class defined under ``src/`` is named again somewhere under
-    ``src/``, ``tests/``, ``bench/``, ``benchmarks/`` or ``examples/``. A
-    name that only its own ``def`` spells is dead code. Exempt are dunders,
-    the fault handlers :class:`~repro.faults.FaultInjector` reaches by
-    ``getattr(self, f"_inject_{kind}")`` / ``_recover_``, and the figures
-    ``@experiment`` registers by figure id."""
+    method and class defined under ``src/`` is named again somewhere in
+    :data:`READERS`. A name that only its own ``def`` and the tests spell is
+    dead code. Exempt are dunders, the fault handlers
+    :class:`~repro.faults.FaultInjector` reaches by
+    ``getattr(self, f"_inject_{kind}")`` / ``_recover_``, the figures
+    ``@experiment`` registers by figure id, and :attr:`PUBLIC_API`."""
 
     ROOT = Path(__file__).resolve().parents[1]
-    READERS = ("src", "tests", "bench", "benchmarks", "examples")
     DISPATCHED = re.compile(r"__\w+__|_inject_\w+|_recover_\w+")
+    #: Names kept although no code outside the tests calls them, each with
+    #: the reason it stays.
+    PUBLIC_API = {
+        "for_esdb": "WriteClient's wiring to a live instance, which README documents",
+        "suggest_subattribute_indexes": "the §3.2 index advisor; ROADMAP item 1 decides it",
+        "coverage": "FrequencyTracker's half of that advisor; ROADMAP item 1 decides it",
+        "initialize": "LoadBalancer's Algorithm 1 initialization phase, which PAPER.md names",
+        "seed_storage": "WorkloadMonitor's input to that initialization phase",
+        "corrupt_entry": "the one way to reach the checksum check ShardEngine recovery runs",
+    }
 
     @staticmethod
     def _registered(node) -> bool:
@@ -254,10 +342,9 @@ class TestEveryNameIsReferenced:
 
     def test_every_definition_is_named_elsewhere(self):
         words: dict = {}
-        for top in self.READERS:
-            for path in (self.ROOT / top).rglob("*.py"):
-                for word in re.findall(r"\w+", path.read_text()):
-                    words[word] = words.get(word, 0) + 1
+        for path in _reader_files(self.ROOT):
+            for word in re.findall(r"\w+", path.read_text()):
+                words[word] = words.get(word, 0) + 1
         defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
         unnamed = []
         for path in sorted((self.ROOT / "src").rglob("*.py")):
@@ -266,10 +353,19 @@ class TestEveryNameIsReferenced:
                     isinstance(node, defs)
                     and not self.DISPATCHED.fullmatch(node.name)
                     and not self._registered(node)
-                    and words[node.name] < 2
+                    and node.name not in self.PUBLIC_API
+                    and words.get(node.name, 0) < 2
                 ):
                     unnamed.append(f"{path.relative_to(self.ROOT)}:{node.name}")
-        assert not unnamed, f"defined but named nowhere else: {unnamed}"
+        assert not unnamed, f"defined but named only by tests: {unnamed}"
+
+    def test_public_api_is_short_and_still_unreached(self):
+        """Each allow-list entry is a name the tests alone reach: one that
+        gains a caller, or is deleted, leaves the list."""
+        assert len(self.PUBLIC_API) <= 12
+        text = " ".join(path.read_text() for path in _reader_files(self.ROOT))
+        for name in self.PUBLIC_API:
+            assert len(re.findall(rf"\b{name}\b", text)) == 1, name
 
 
 class TestFacadeBranchesOnNoConsumer:

@@ -238,7 +238,7 @@ class TestFacade:
             root = loaded.explain_analyze(sql)
             picks.append(metrics.total("optimizer_plan_picks_total") - before)
             frequencies.append(loaded._subattr_frequencies.query_counts["attr_0001"])
-        stages = root.stage_names()
+        stages = [span.name for span in root.walk()]
         assert stages.count("query.bind") == 1
         assert not {"query.parse", "query.rewrite", "query.plan"} & set(stages)
         assert root.find("query.bind").tags["shape"] == (
@@ -248,7 +248,7 @@ class TestFacade:
         assert frequencies == [1, 2]
 
     def test_a_fresh_shape_records_parse_rewrite_and_plan(self, loaded):
-        stages = loaded.explain_analyze(_tenant_sql(1, 1)).stage_names()
+        stages = [span.name for span in loaded.explain_analyze(_tenant_sql(1, 1)).walk()]
         assert {"query.parse", "query.rewrite", "query.plan"} <= set(stages)
         assert "query.bind" not in stages
 

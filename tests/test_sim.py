@@ -6,6 +6,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim.models import BASE_WRITE_LATENCY, MAX_QUEUE_SECONDS
+from repro.sim.simulator import ISOLATION_THRESHOLD
 from repro.routing import DoubleHashRouting, DynamicSecondaryHashRouting, HashRouting
 from repro.sim import (
     ReplicationCostModel,
@@ -19,6 +21,9 @@ FAST = SimulationConfig(sample_per_tick=400)
 WL = WorkloadConfig(num_tenants=10_000, theta=1.0, seed=0)
 SATURATING_RATE = 200_000
 COMFORTABLE_RATE = 80_000
+#: Two nodes that serve 100 writes/s each: 1,000 writes/s overload them
+#: tenfold, so the client queue reaches its cap within the run.
+TINY = SimulationConfig(num_nodes=2, num_shards=4, node_capacity=100.0, sample_per_tick=50)
 
 
 def _policies():
@@ -63,7 +68,35 @@ class TestBasicBehaviour:
             workload=WL,
         )
         report = sim.run()
-        assert report.avg_delay >= FAST.base_write_latency
+        assert report.avg_delay >= BASE_WRITE_LATENCY
+
+    def test_under_capacity_delay_is_the_base_write_latency(self):
+        sim = WriteSimulation(
+            HashRouting(TINY.num_shards),
+            StaticScenario(rate=20.0, duration=20.0),
+            config=TINY,
+            workload=WorkloadConfig(num_tenants=1000, theta=0.0, seed=0),
+        )
+        sim.run()
+        assert {s.avg_delay for s in sim.metrics.samples} == {BASE_WRITE_LATENCY}
+
+    def test_client_queue_holds_at_most_max_queue_seconds_of_offered_writes(self):
+        """Past the cap the backlog stops growing: the wait plateaus at
+        ``MAX_QUEUE_SECONDS`` of offered writes over the admitted rate."""
+        rate = 1000.0
+        sim = WriteSimulation(
+            HashRouting(TINY.num_shards),
+            StaticScenario(rate=rate, duration=900.0),
+            config=TINY,
+            workload=WorkloadConfig(num_tenants=1000, theta=1.0, seed=0),
+        )
+        report = sim.run()
+        delays = [s.avg_delay for s in sim.metrics.samples]
+        assert delays[100] < delays[200] < delays[300]  # growing before the cap
+        plateau = BASE_WRITE_LATENCY + rate * MAX_QUEUE_SECONDS / report.throughput
+        assert max(delays) == pytest.approx(plateau)
+        late = [s.avg_delay for s in sim.metrics.samples if s.time >= 800.0]
+        assert late == pytest.approx([plateau] * len(late))
 
 
 class TestPaperShapes:
@@ -226,28 +259,6 @@ class TestReplicationModel:
         assert physical.avg_cpu < logical.avg_cpu
 
 
-class TestHolBlockingAblation:
-    def test_blocking_is_what_caps_hashing(self):
-        """Without client head-of-line blocking, hashing's total throughput
-        recovers (other nodes absorb work) — the collapse in the paper comes
-        from the blocked client queue."""
-        skewed = WorkloadConfig(num_tenants=10_000, theta=1.5, seed=0)
-
-        def run(hol):
-            sim = WriteSimulation(
-                HashRouting(FAST.num_shards),
-                StaticScenario(rate=SATURATING_RATE, duration=60.0),
-                config=FAST,
-                workload=skewed,
-                hol_blocking=hol,
-            )
-            return sim.run()
-
-        blocked = run(True)
-        unblocked = run(False)
-        assert unblocked.throughput > blocked.throughput
-
-
 class TestHotspotIsolationMode:
     def test_ordinary_tenants_protected_under_overload(self):
         skewed = WorkloadConfig(num_tenants=10_000, theta=1.5, seed=0)
@@ -265,6 +276,36 @@ class TestHotspotIsolationMode:
         hotspot = max(h for _, _, h in steady)
         assert ordinary < 1.0
         assert hotspot > ordinary
+
+    def test_per_class_wait_is_capped_at_max_queue_seconds(self):
+        sim = WriteSimulation(
+            HashRouting(TINY.num_shards),
+            StaticScenario(rate=1000.0, duration=700.0),
+            config=TINY,
+            workload=WorkloadConfig(num_tenants=1000, theta=1.5, seed=0),
+            hotspot_isolation=True,
+        )
+        sim.run()
+        hotspot = [h for _, _, h in sim.isolation_delays]
+        assert max(hotspot) == MAX_QUEUE_SECONDS
+        assert hotspot[-1] == MAX_QUEUE_SECONDS
+        assert max(o for _, o, _ in sim.isolation_delays) <= MAX_QUEUE_SECONDS
+
+    def test_no_tenant_under_the_isolation_threshold_is_isolated(self):
+        """A uniform stream over 10,000 tenants puts no tenant near
+        ``ISOLATION_THRESHOLD`` of a tick's sample, so the hotspot queue
+        never holds a write."""
+        assert 1 / 10_000 < ISOLATION_THRESHOLD / 10
+        sim = WriteSimulation(
+            HashRouting(FAST.num_shards),
+            StaticScenario(rate=SATURATING_RATE, duration=20.0),
+            config=FAST,
+            workload=WorkloadConfig(num_tenants=10_000, theta=0.0, seed=0),
+            hotspot_isolation=True,
+        )
+        sim.run()
+        assert sim.isolation_delays
+        assert all(h == 0.0 for _, _, h in sim.isolation_delays)
 
     def test_isolation_off_records_nothing(self):
         sim = WriteSimulation(

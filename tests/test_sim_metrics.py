@@ -39,7 +39,7 @@ class TestCollector:
     def test_delay_and_max_delay_series(self):
         collector = MetricsCollector(num_nodes=2, num_shards=4)
         _tick(collector, 0.0, 10.0, delay=1.5)
-        assert collector.delay_series() == [(0.0, 1.5)]
+        assert [(s.time, s.avg_delay) for s in collector.samples] == [(0.0, 1.5)]
         assert collector.max_delay_series() == [(0.0, 3.0)]
 
     def test_shard_totals_accumulate(self):
@@ -92,8 +92,3 @@ class TestReportProperties:
     def test_shard_size_ratio_all_empty(self):
         report = self._report([1, 1], [1] * 4, [0.5, 0.5], [0, 0, 0, 0])
         assert report.shard_size_ratio == 1.0
-
-    def test_normalized_shard_sizes_sorted_descending(self):
-        report = self._report([1, 1], [1] * 4, [0.5, 0.5], [4, 1, 0, 2])
-        sizes = report.normalized_shard_sizes()
-        assert sizes.tolist() == [4.0, 2.0, 1.0]

@@ -144,7 +144,7 @@ class TestTracing:
                     pass
             with tracer.span("child-b"):
                 pass
-        assert root.stage_names() == ["root", "child-a", "grandchild", "child-b"]
+        assert [span.name for span in root.walk()] == ["root", "child-a", "grandchild", "child-b"]
         assert tracer.last_trace() is root
         assert tracer.current is None
 
@@ -186,7 +186,7 @@ class TestTracing:
             with tracer.span("query.shard[1]"):
                 pass
         assert root.find("query.shard[1]") is not None
-        assert len(root.find_prefix("query.shard")) == 2
+        assert len([span for span in root.walk() if span.name.startswith("query.shard")]) == 2
 
     def test_to_dict_round_trip_through_json(self):
         tracer = Tracer()
@@ -359,7 +359,7 @@ class TestFacadeIntegration:
         root = db.explain_analyze(
             "SELECT * FROM transactions WHERE tenant_id = 't1' AND status = 1"
         )
-        stages = root.stage_names()
+        stages = [span.name for span in root.walk()]
         assert "query.rewrite" in stages
         assert "query.plan" in stages
         assert any(name.startswith("query.shard[") for name in stages)

@@ -12,6 +12,9 @@ from repro.obsv import cat_timeseries, render_dashboard, snapshot
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.timeseries import (
     DASHBOARD_SERIES,
+    MAX_SERIES,
+    SAMPLE_INTERVAL,
+    SERIES_CAPACITY,
     SPARK_BARS,
     SPARK_GAP,
     CounterRate,
@@ -130,7 +133,7 @@ class TestTimeSeriesStore:
     def test_sampling_cadence_under_logical_clock(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(1)
-        store = TimeSeriesStore(registry, interval=1.0, capacity=16)
+        store = TimeSeriesStore(registry)
         assert store.maybe_sample(0.0) is True  # anchor sample
         assert store.maybe_sample(0.5) is False
         assert store.maybe_sample(0.99) is False
@@ -144,7 +147,7 @@ class TestTimeSeriesStore:
         registry.counter("writes_total", tenant="a").inc(3)
         registry.gauge("queue_depth").set(7.0)
         registry.histogram("latency_seconds").observe(0.01)
-        store = TimeSeriesStore(registry, interval=1.0)
+        store = TimeSeriesStore(registry)
         store.sample(0.0)
         assert store.get("writes_total", tenant="a").values() == [3.0]
         assert store.get("queue_depth").values() == [7.0]
@@ -153,22 +156,44 @@ class TestTimeSeriesStore:
 
     def test_max_series_cap_counts_drops(self):
         registry = MetricsRegistry()
-        for i in range(10):
+        for i in range(MAX_SERIES + 6):
             registry.counter("c", tenant=f"t{i}").inc(1)
-        store = TimeSeriesStore(registry, interval=1.0, max_series=4)
+        store = TimeSeriesStore(registry)
         store.sample(0.0)
-        assert len(store.all_series()) == 4
+        assert len(store.all_series()) == MAX_SERIES
         assert store.dropped_series == 6
         snapshot = store.snapshot()
         assert snapshot["dropped_series"] == 6
         # A second round re-drops the same six metrics: still six drops.
         store.sample(1.0)
-        assert len(store.all_series()) == 4
+        assert len(store.all_series()) == MAX_SERIES
         assert all(len(series) == 2 for series in store.all_series())
         assert store.dropped_series == 6
 
+    def test_store_series_keep_the_last_series_capacity_points(self):
+        store = TimeSeriesStore()
+        for t in range(SERIES_CAPACITY + 10):
+            store.record("x", float(t), float(t))
+        series = store.get("x")
+        assert len(series) == SERIES_CAPACITY
+        assert series.times()[0] == 10.0
+        assert series.last() == (SERIES_CAPACITY + 9.0, SERIES_CAPACITY + 9.0)
+
+    def test_derived_series_win_the_max_series_cap(self):
+        """Derivations are recorded before raw registry series, so a
+        registry that alone fills the cap never crowds out a derived row."""
+        registry = MetricsRegistry()
+        for i in range(MAX_SERIES):
+            registry.counter("writes_total", tenant=f"t{i}").inc(1)
+        store = TimeSeriesStore(registry)
+        store.add_derivation(CounterRate("writes_per_s", "writes_total"))
+        store.sample(0.0)
+        assert store.get("writes_per_s") is not None
+        assert len(store.all_series()) == MAX_SERIES
+        assert store.dropped_series == 1
+
     def test_store_level_queries(self):
-        store = TimeSeriesStore(interval=1.0)
+        store = TimeSeriesStore()
         store.record("x", 0.0, 10.0)
         store.record("x", 1.0, 30.0)
         assert store.get("x").points() == [(0.0, 10.0), (1.0, 30.0)]
@@ -176,26 +201,19 @@ class TestTimeSeriesStore:
         assert store.get("missing") is None
 
     def test_snapshot_filters_names(self):
-        store = TimeSeriesStore(interval=2.0, capacity=8)
+        store = TimeSeriesStore()
         store.record("a", 0.0, 1.0)
         store.record("b", 0.0, 2.0)
         snapshot = store.snapshot(names=["b"])
-        assert snapshot["interval"] == 2.0
-        assert snapshot["capacity"] == 8
+        assert snapshot["interval"] == SAMPLE_INTERVAL
+        assert snapshot["capacity"] == SERIES_CAPACITY
         assert [s["name"] for s in snapshot["series"]] == ["b"]
-
-    def test_config_validated(self):
-        with pytest.raises(ConfigurationError):
-            TimeSeriesStore(interval=0.0)
-        with pytest.raises(ConfigurationError):
-            TimeSeriesStore(capacity=1)
-
 
 class TestDerivations:
     def test_counter_rate(self):
         registry = MetricsRegistry()
         counter = registry.counter("writes_total")
-        store = TimeSeriesStore(registry, interval=1.0)
+        store = TimeSeriesStore(registry)
         store.add_derivation(CounterRate("writes_per_s", "writes_total"))
         counter.inc(5)
         store.sample(0.0)
@@ -207,7 +225,7 @@ class TestDerivations:
         registry = MetricsRegistry()
         hits = registry.counter("cache_hits_total", cache="x")
         misses = registry.counter("cache_misses_total", cache="x")
-        store = TimeSeriesStore(registry, interval=1.0)
+        store = TimeSeriesStore(registry)
         store.add_derivation(
             HitRatio("hit_pct", "cache_hits_total", "cache_misses_total")
         )
@@ -225,7 +243,7 @@ class TestDerivations:
         for _ in range(50):
             fast.observe(0.001)
             slow.observe(0.5)
-        store = TimeSeriesStore(registry, interval=1.0)
+        store = TimeSeriesStore(registry)
         store.add_derivation(
             HistogramQuantile("op_p99_ms", "op_seconds", 0.99, scale=1e3)
         )
@@ -238,7 +256,7 @@ class TestDerivations:
         registry = MetricsRegistry()
         a = registry.counter("writes_total", shard="0")
         b = registry.counter("writes_total", shard="1")
-        store = TimeSeriesStore(registry, interval=1.0)
+        store = TimeSeriesStore(registry)
         store.add_derivation(LabelSpread("shard_writes", "writes_total"))
         store.sample(0.0)
         a.inc(9)
@@ -249,7 +267,7 @@ class TestDerivations:
 
     def test_derivations_silent_when_metric_never_registered(self):
         registry = MetricsRegistry()
-        store = install_esdb_derivations(TimeSeriesStore(registry, interval=1.0))
+        store = install_esdb_derivations(TimeSeriesStore(registry))
         store.sample(0.0)
         store.sample(1.0)
         assert store.all_series() == []
@@ -347,11 +365,11 @@ class TestEsdbIntegration:
         for i in range(10_000):
             db.write(make_log(i, tenant=f"t{i % 7}", created=i * 0.05))
         store = db.timeseries
-        assert store.capacity == 240
-        assert store.samples_taken > store.capacity  # the ring actually wrapped
+        assert SERIES_CAPACITY == 240
+        assert store.samples_taken > SERIES_CAPACITY  # the ring actually wrapped
         assert store.all_series()  # and something was recorded
         for series in store.all_series():
-            assert len(series) <= store.capacity
+            assert len(series) <= SERIES_CAPACITY
 
 
 class TestDisabledModes:

@@ -366,7 +366,7 @@ class TestOneTraceDrivesAll:
         assert stats.realized_rate > 0
         # The recorded churn schedule rides the replay: two flash tenants
         # overlap at its peak.
-        assert stats.peak_live_tenants == trace_churn(info).peak_live() == 2
+        assert stats.peak_live_tenants == 2
         # Replay republishes the recorded stream's realized statistics.
         assert db.telemetry.metrics.gauge("workload_realized_rate").value == (
             pytest.approx(stats.realized_rate)
@@ -378,7 +378,7 @@ class TestOneTraceDrivesAll:
         info, path = recorded
         fingerprints = []
         for _ in range(2):
-            config = ChaosConfig(trace_path=str(path), num_tenants=100)
+            config = ChaosConfig(trace_path=str(path))
             report = ChaosRunner(FaultPlan(seed=1), config).run()
             assert report.steps == info.count
             fingerprints.append(report.fingerprint())

@@ -295,7 +295,8 @@ class TestEsdbTracing:
             ]
         query = traces[-1]
         assert query.name == "query"
-        assert len(query.find_prefix("query.shard[")) == TOPOLOGY.num_shards
+        shards = [span for span in query.walk() if span.name.startswith("query.shard[")]
+        assert len(shards) == TOPOLOGY.num_shards
         assert db.trace_ids.issued == len(docs) + 1
 
     def test_event_log_keeps_the_last_256_events(self):

@@ -18,6 +18,11 @@ from repro.workload import (
     zipf_weights,
 )
 from repro.storage.document import parse_attributes
+from repro.workload.generator import (
+    SUB_ATTRIBUTE_COUNT,
+    SUB_ATTRIBUTE_THETA,
+    SUB_ATTRIBUTES_PER_ROW,
+)
 
 
 class TestZipfWeights:
@@ -47,43 +52,45 @@ class TestZipfWeights:
 
 class TestZipfSampler:
     def test_deterministic_given_seed(self):
-        a = ZipfSampler(1000, 1.0, seed=5).sample_many(100)
-        b = ZipfSampler(1000, 1.0, seed=5).sample_many(100)
-        assert a == b
+        a, b = ZipfSampler(1000, 1.0, seed=5), ZipfSampler(1000, 1.0, seed=5)
+        draws = [a.sample() for _ in range(100)]
+        assert draws == [b.sample() for _ in range(100)]
+        assert len(set(draws)) > 1
 
     def test_rank1_is_most_frequent_at_high_theta(self):
         sampler = ZipfSampler(1000, 1.5, seed=0)
-        counts = Counter(sampler.sample_many(20_000))
+        counts = Counter([sampler.sample() for _ in range(20_000)])
         assert counts.most_common(1)[0][0] == 1
 
     def test_empirical_top_share_tracks_theory(self):
         sampler = ZipfSampler(10_000, 1.0, seed=1)
-        counts = Counter(sampler.sample_many(50_000))
+        counts = Counter([sampler.sample() for _ in range(50_000)])
         top10 = sum(counts.get(r, 0) for r in range(1, 11)) / 50_000
-        assert top10 == pytest.approx(sampler.top_share(10), abs=0.02)
+        assert top10 == pytest.approx(sum(sampler.weight(r) for r in range(1, 11)), abs=0.02)
+
+    def test_weights_over_every_rank_sum_to_one(self):
+        sampler = ZipfSampler(50, 1.0)
+        weights = [sampler.weight(rank) for rank in range(1, 51)]
+        assert sum(weights) == pytest.approx(1.0)
+        assert weights == sorted(weights, reverse=True)
 
     def test_remap_changes_identity_not_distribution(self):
         sampler = ZipfSampler(100, 1.0, seed=2)
-        before = Counter(sampler.sample_many(5000))
+        before = Counter([sampler.sample() for _ in range(5000)])
         sampler = ZipfSampler(100, 1.0, seed=2)
         sampler.remap([f"tenant-{i}" for i in range(100)])
-        after = Counter(sampler.sample_many(5000))
+        after = Counter([sampler.sample() for _ in range(5000)])
         assert before[1] == after["tenant-0"]
 
     def test_rotate_hotspots_moves_hot_rank(self):
         sampler = ZipfSampler(100, 2.0, seed=3)
         sampler.rotate_hotspots(10)
-        counts = Counter(sampler.sample_many(10_000))
+        counts = Counter([sampler.sample() for _ in range(10_000)])
         assert counts.most_common(1)[0][0] == 11  # id 11 now holds rank 1
-
-    def test_weight_sums_match_top_share(self):
-        sampler = ZipfSampler(50, 1.0)
-        total = sum(sampler.weight(r) for r in range(1, 11))
-        assert total == pytest.approx(sampler.top_share(10))
 
     def test_bad_mapping_length_rejected(self):
         with pytest.raises(ConfigurationError):
-            ZipfSampler(10, 1.0, tenant_ids=[1, 2, 3])
+            ZipfSampler(10, 1.0).remap([1, 2, 3])
 
 
 class TestTransactionLogGenerator:
@@ -113,8 +120,15 @@ class TestTransactionLogGenerator:
     def test_attributes_parse_and_bounded(self, generator):
         doc = generator.generate(0.0)
         attrs = parse_attributes(doc["attributes"])
-        assert 0 < len(attrs) <= 20
+        assert 0 < len(attrs) <= SUB_ATTRIBUTES_PER_ROW
         assert all(name.startswith("attr_") for name in attrs)
+
+    def test_attributes_name_each_drawn_subattribute_once_in_rank_order(self, generator):
+        for _ in range(50):
+            text = generator.generate(0.0)["attributes"]
+            names = [pair.split(":")[0] for pair in text.split(";")]
+            assert names == sorted(set(names))
+            assert all(value.startswith("v") for value in parse_attributes(text).values())
 
     def test_subattribute_popularity_skewed(self, generator):
         counts = Counter()
@@ -122,6 +136,25 @@ class TestTransactionLogGenerator:
             counts.update(parse_attributes(generator.generate(0.0)["attributes"]).keys())
         top30 = sum(c for _, c in counts.most_common(30))
         assert top30 / sum(counts.values()) > 0.35  # paper: top 30 ≈ 50%
+
+    def test_subattribute_draws_follow_the_fixed_zipf_law(self, generator):
+        weights = zipf_weights(SUB_ATTRIBUTE_COUNT, SUB_ATTRIBUTE_THETA)
+        draws = Counter(generator.sample_subattribute() for _ in range(20_000))
+        assert set(draws) <= {
+            generator.subattribute_name(rank) for rank in range(1, SUB_ATTRIBUTE_COUNT + 1)
+        }
+        for rank in (1, 2, 10):
+            share = draws[generator.subattribute_name(rank)] / 20_000
+            assert share == pytest.approx(weights[rank - 1], abs=0.01), rank
+
+    def test_subattribute_names_sort_in_rank_order(self):
+        names = [
+            TransactionLogGenerator.subattribute_name(rank)
+            for rank in range(1, SUB_ATTRIBUTE_COUNT + 1)
+        ]
+        assert names[0] == "attr_0001"
+        assert sorted(names) == names
+        assert len(set(names)) == SUB_ATTRIBUTE_COUNT
 
     def test_stream_rate_and_spacing(self, generator):
         docs = list(generator.stream(rate=100, duration=2.0, start_time=10.0))
@@ -152,10 +185,10 @@ class TestScenarios:
     def test_hotspot_shift_applies_rotation(self):
         generator = TransactionLogGenerator(WorkloadConfig(num_tenants=100, theta=2.0, seed=0))
         scenario = HotspotShiftScenario(rate=1, duration=2.0, shift_times=(1.0,), shift_amount=10)
-        hot_before = Counter(generator.tenants.sample_many(3000)).most_common(1)[0][0]
+        hot_before = Counter([generator.tenants.sample() for _ in range(3000)]).most_common(1)[0][0]
         for tick in scenario.ticks():
             scenario.apply(generator, tick)
-        hot_after = Counter(generator.tenants.sample_many(3000)).most_common(1)[0][0]
+        hot_after = Counter([generator.tenants.sample() for _ in range(3000)]).most_common(1)[0][0]
         assert hot_before != hot_after
 
     def test_singles_day_spike_shape(self):
