@@ -12,8 +12,6 @@ These are the figures' only definition: each ``benchmarks/test_figNN_*``
 file asserts the qualitative shape on ``run("figNN", scale).values``.
 """
 
-import inspect
-
 from repro.experiments.base import ExperimentResult, Scale, registry
 from repro.experiments import (  # noqa: F401  (register)
     query_side,
@@ -29,17 +27,8 @@ def available() -> list[str]:
     return sorted(registry)
 
 
-def run(figure: str, scale: str = "small", **options) -> ExperimentResult:
-    """Run one registered experiment and return its result.
-
-    Extra keyword *options* (e.g. ``tenancy=True``) are forwarded to
-    experiments whose signature accepts them and silently dropped for the
-    rest, so one CLI flag can target the experiments it concerns without
-    every function growing the parameter.
-    """
+def run(figure: str, scale: str = "small") -> ExperimentResult:
+    """Run one registered experiment at *scale* and return its result."""
     if figure not in registry:
         raise KeyError(f"unknown figure {figure!r}; available: {available()}")
-    func = registry[figure]
-    accepted = inspect.signature(func).parameters
-    kwargs = {key: value for key, value in options.items() if key in accepted}
-    return func(Scale(scale), **kwargs)
+    return registry[figure](Scale(scale))

@@ -38,25 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list", action="store_true", help="list available figure ids and exit"
     )
     parser.add_argument(
-        "--tenancy",
-        action="store_true",
-        help=(
-            "enable multi-tenant governance in the experiments that support "
-            "it (the fig20 Single's-Day facade spike): the flash-sale tenant "
-            "is throttled and a per-tenant admit/shed table is printed"
-        ),
-    )
-    parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help=(
-            "a recorded workload trace (python -m repro.workload.trace) for "
-            "the experiments that support it (fig21 adds a row replaying "
-            "the trace's arrival stream through the simulator)"
-        ),
-    )
-    parser.add_argument(
         "--profile",
         metavar="OUT_JSON",
         default=None,
@@ -114,9 +95,7 @@ def main(argv: list | None = None) -> int:
     try:
         for figure in figures:
             start = time.perf_counter()
-            result = run(
-                figure, scale=args.scale, tenancy=args.tenancy, trace=args.trace
-            )
+            result = run(figure, scale=args.scale)
             elapsed = time.perf_counter() - start
             print(result.render())
             print(f"({elapsed:.1f}s at scale={args.scale})\n")

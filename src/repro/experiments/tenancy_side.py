@@ -1,10 +1,10 @@
 """Governance experiment: the Single's-Day spike through the ESDB facade.
 
 Unlike the simulator-backed fig19 (which measures routing's write-delay
-digestion), this drives real facade writes so tenant governance — when
-enabled with ``--tenancy`` — sits in the hot path: the flash-sale tenant
-blows through its token bucket and quota during the kickoff window and is
-throttled, while every background tenant keeps writing untouched.
+digestion), this drives real facade writes through two instances, one
+ungoverned and one with tenant governance in the hot path: there the
+flash-sale tenant blows through its token bucket during the kickoff window
+and is throttled, while every background tenant keeps writing untouched.
 """
 
 from __future__ import annotations
@@ -15,14 +15,14 @@ from repro.experiments.base import ExperimentResult, Scale, experiment
 FLASH_TENANT = "flash-sale"
 
 
-def _spike_db(tenancy_enabled: bool):
+def _spike_db(governed: bool):
     from repro.cluster import ClusterTopology
     from repro.esdb import ESDB, EsdbConfig
     from repro.tenancy import TenancyConfig
 
-    extras = {}
-    if tenancy_enabled:
-        extras["tenancy"] = TenancyConfig.strict(
+    tenancy = TenancyConfig()
+    if governed:
+        tenancy = TenancyConfig.strict(
             write_rate=30.0,
             write_burst=60.0,
             queue_capacity=24,
@@ -35,47 +35,31 @@ def _spike_db(tenancy_enabled: bool):
             topology=ClusterTopology(num_nodes=3, num_shards=8,
                                      replicas_per_shard=0),
             consensus_interval=1.0,
-            **extras,
+            tenancy=tenancy,
         )
     )
 
 
-@experiment("fig20")
-def fig20_governed_spike(scale: Scale, tenancy: bool = False) -> ExperimentResult:
-    """Single's-Day kickoff against the facade, optionally governed.
+#: The spike's three phases, each a third of the run's steps.
+PHASES = ("pre-spike", "spike", "post-spike")
 
-    One flash-sale tenant multiplies its write rate during the spike
-    window while zipf background tenants keep their steady trickle. The
-    table reports offered vs. shed writes per phase and per population —
-    with governance on, every shed write belongs to the flash tenant.
-    """
+
+def _drive_spike(steps: int, governed: bool):
+    """Drive one instance through the kickoff; returns it with the
+    offered and shed writes per phase and population."""
     from repro.errors import TenantThrottledError
-    from repro.tenancy import cat_tenant_governance
     from repro.workload.generator import TransactionLogGenerator, WorkloadConfig
 
-    steps = scale.pick(600, 2400, 9600)
     dt = 0.05  # 20 background writes per logical second
     spike_start, spike_end = steps // 3, 2 * steps // 3
     spike_factor = 8  # flash writes per step inside the window
 
-    db = _spike_db(tenancy)
+    db = _spike_db(governed)
     generator = TransactionLogGenerator(WorkloadConfig(num_tenants=5_000, seed=3))
-    phases = (
-        ("pre-spike", 0, spike_start),
-        ("spike", spike_start, spike_end),
-        ("post-spike", spike_end, steps),
-    )
     counts = {
-        name: {"flash_offered": 0, "flash_shed": 0,
-               "bg_offered": 0, "bg_shed": 0}
-        for name, _, _ in phases
+        name: {"flash_offered": 0, "flash_shed": 0, "bg_offered": 0, "bg_shed": 0}
+        for name in PHASES
     }
-
-    def phase_of(step: int) -> str:
-        for name, lo, hi in phases:
-            if lo <= step < hi:
-                return name
-        return phases[-1][0]
 
     def submit(doc: dict, bucket: dict, kind: str) -> None:
         bucket[f"{kind}_offered"] += 1
@@ -86,46 +70,53 @@ def fig20_governed_spike(scale: Scale, tenancy: bool = False) -> ExperimentResul
 
     for step in range(steps):
         now = step * dt
-        bucket = counts[phase_of(step)]
+        phase = PHASES[(step >= spike_start) + (step >= spike_end)]
+        bucket = counts[phase]
         submit(generator.generate(created_time=now), bucket, "bg")
-        if spike_start <= step < spike_end:
+        if phase == "spike":
             for _ in range(spike_factor):
                 submit(
                     generator.generate(created_time=now, tenant_id=FLASH_TENANT),
                     bucket,
                     "flash",
                 )
+    return db, counts
 
-    rows = []
-    for name, lo, hi in phases:
-        bucket = counts[name]
-        rows.append(
-            (
-                name,
-                bucket["flash_offered"],
-                bucket["flash_shed"],
-                bucket["bg_offered"],
-                bucket["bg_shed"],
-            )
-        )
-    notes = []
-    if tenancy:
-        totals = db.governor.snapshot(db.now)["totals"]
-        notes.append(
-            f"governance ON: {totals['shed']} writes shed, "
-            f"{totals['queued']} admitted via backpressure queue"
-        )
-        notes.extend(cat_tenant_governance(db, k=6).render().splitlines())
-    else:
-        notes.append(
-            "governance OFF — rerun with --tenancy to throttle the flash tenant"
-        )
+
+@experiment("fig20")
+def fig20_governed_spike(scale: Scale) -> ExperimentResult:
+    """Single's-Day kickoff against the facade, ungoverned and governed.
+
+    One flash-sale tenant multiplies its write rate during the spike
+    window while zipf background tenants keep their steady trickle. The
+    same writes run through an ungoverned and a governed instance; the
+    table reports offered vs. shed writes per arm, phase and population —
+    ungoverned nothing is shed, governed every shed write belongs to the
+    flash tenant.
+    """
+    from repro.tenancy import cat_tenant_governance
+
+    steps = scale.pick(600, 2400, 9600)
+    arms = {"ungoverned": _drive_spike(steps, False), "governed": _drive_spike(steps, True)}
+    rows = [
+        (arm, name, bucket["flash_offered"], bucket["flash_shed"],
+         bucket["bg_offered"], bucket["bg_shed"])
+        for arm, (_, counts) in arms.items()
+        for name, bucket in counts.items()
+    ]
+    db = arms["governed"][0]
+    totals = db.governor.snapshot(db.now)["totals"]
+    notes = [
+        f"governed: {totals['shed']} writes shed, "
+        f"{totals['queued']} admitted via backpressure queue",
+        *cat_tenant_governance(db, k=6).render().splitlines(),
+    ]
     return ExperimentResult(
         figure="fig20",
-        title="Single's-Day kickoff through the facade "
-              f"({'governed' if tenancy else 'ungoverned'})",
-        headers=["phase", "flash offered", "flash shed",
+        title="Single's-Day kickoff through the facade, ungoverned vs. governed",
+        headers=["arm", "phase", "flash offered", "flash shed",
                  "background offered", "background shed"],
         rows=rows,
         notes=notes,
+        values={arm: counts for arm, (_, counts) in arms.items()},
     )

@@ -349,109 +349,3 @@ def fig19_online_spike(scale: Scale) -> ExperimentResult:
             "rule_commits": commits,
         },
     )
-
-
-@experiment("fig21")
-def fig21_arrival_realism(scale: Scale, trace: str | None = None) -> ExperimentResult:
-    """Write delay under realistic arrivals: stationary ticks vs open-loop
-    Poisson vs bursty on/off vs a diurnal + Single's-Day spike curve, all
-    through the dynamic policy. With ``--trace`` a recorded trace file is
-    replayed as an extra row, proving one file drives the simulator."""
-    from repro.workload.arrivals import (
-        ArrivalScenario,
-        BurstyProcess,
-        PoissonProcess,
-        SpikeRate,
-        TenantChurn,
-    )
-
-    config = SimulationConfig(
-        sample_per_tick=scale.pick(300, 1200, 2400),
-        balance_window=10.0,
-        consensus_interval=5.0,
-    )
-    duration = scale.pick(60.0, 180.0, 600.0)
-    rate = 40_000.0
-
-    def churn() -> TenantChurn:
-        return TenantChurn(
-            duration=duration,
-            spawn_rate=scale.pick(0.1, 0.2, 0.2),
-            mean_lifetime_seconds=duration / 6.0,
-            hot_rank_span=20,
-            seed=2,
-        )
-
-    scenarios = {
-        "stationary": lambda: StaticScenario(rate=rate, duration=duration),
-        "poisson": lambda: ArrivalScenario(
-            PoissonProcess(rate, duration=duration, seed=1)
-        ),
-        "bursty": lambda: ArrivalScenario(
-            BurstyProcess(
-                rate * 1.8,
-                duration=duration,
-                off_rate=rate * 0.2,
-                mean_on_seconds=duration / 12.0,
-                mean_off_seconds=duration / 12.0,
-                seed=1,
-            ),
-            churn=churn(),
-        ),
-        "diurnal+spike": lambda: ArrivalScenario(
-            PoissonProcess(
-                SpikeRate(
-                    rate * 0.6,
-                    spike_time=duration / 3.0,
-                    spike_factor=6.0,
-                    decay_seconds=duration / 8.0,
-                    plateau_factor=2.5,
-                ),
-                duration=duration,
-                seed=1,
-            ),
-            churn=churn(),
-        ),
-    }
-    if trace is not None:
-        from repro.workload.trace import scenario_from_trace
-
-        scenarios["trace"] = lambda: scenario_from_trace(trace)
-
-    rows = []
-    notes = []
-    for name, factory in scenarios.items():
-        sim = WriteSimulation(
-            DynamicSecondaryHashRouting(config.num_shards),
-            factory(),
-            config=config,
-            workload=workload(1.0, _tenants(scale)),
-        )
-        report = sim.run()
-        stats = sim.arrival_stats
-        burstiness = f"{stats.burstiness:+.2f}" if stats is not None else "—"
-        live = str(stats.peak_live_tenants) if stats is not None else "—"
-        rows.append(
-            (
-                name,
-                fmt(report.throughput, 0),
-                fmt(report.avg_delay, 2),
-                fmt(report.max_delay, 1),
-                burstiness,
-                live,
-            )
-        )
-    notes.append(
-        "burstiness = (σ−μ)/(σ+μ) of interarrivals: ≈0 Poisson, →1 bursty"
-    )
-    if trace is not None:
-        notes.append(f"'trace' row replays {trace}")
-    return ExperimentResult(
-        figure="fig21",
-        title="write throughput and delay under realistic arrival processes "
-              "(dynamic policy)",
-        headers=["arrivals", "tput", "avg delay", "max delay", "burstiness",
-                 "peak flash tenants"],
-        rows=rows,
-        notes=notes,
-    )

@@ -3,7 +3,7 @@
 ``render_dashboard(snap)`` composes one terminal-friendly page from the
 dict :func:`repro.obsv.snapshot` returns: topology header, node table, a
 per-shard document heatmap, the top-k tenants, routing rules, governance,
-SLOs, arrivals, heavy hitters, caches, totals (engine, query, optimizer,
+SLOs, heavy hitters, caches, totals (engine, query, optimizer,
 latency, consensus and slow-log counters), performance history, events,
 recent skew alerts and the slow-log tail. It never reads the instance, so a
 saved bundle renders exactly as the live instance did.
@@ -129,26 +129,6 @@ def render_dashboard(snap: dict) -> str:
         sections += ["", "-- slo --", cat_slo(snap).render()]
         sections += history_lines(cluster["timeseries"], _SLO_SERIES)
         sections += [_burn_alert_line(alert) for alert in slo["alerts"][-5:]]
-    arrivals = cluster.get("arrivals")
-    if arrivals is not None:
-        quantiles = arrivals["interarrival"]
-        sections += [
-            "",
-            "-- workload arrivals --",
-            (
-                f"  {arrivals['count']} arrivals @ {arrivals['realized_rate']:.1f}/s, "
-                f"burstiness {arrivals['burstiness']:+.2f}"
-            ),
-            (
-                f"  interarrival p50={quantiles['p50'] * 1000:.1f}ms "
-                f"p95={quantiles['p95'] * 1000:.1f}ms "
-                f"p99={quantiles['p99'] * 1000:.1f}ms"
-            ),
-            (
-                f"  live flash tenants {arrivals['live_tenants']} "
-                f"(peak {arrivals['peak_live_tenants']})"
-            ),
-        ]
     if "hotkeys" in cluster:
         sections += ["", "-- heavy hitters --"]
         hot_table = cat_hotkeys(snap, k=3)

@@ -156,9 +156,6 @@ def read_cluster(db, slo: dict, hotkeys: dict | None) -> dict:
         cluster["slo"] = slo
     if hotkeys is not None:
         cluster["hotkeys"] = hotkeys
-    arrivals = getattr(db, "arrivals", None)  # set by a trace replay only
-    if arrivals is not None:
-        cluster["arrivals"] = arrivals.summary()
     observer = db.obsv
     if observer is not None:
         cluster["obsv"] = observer.snapshot()

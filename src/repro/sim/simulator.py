@@ -102,9 +102,6 @@ class WriteSimulation:
         )
         self._next_balance_time = self.config.balance_window
         self.rule_commits: list[tuple[float, object, int]] = []
-        #: Realized arrival statistics (set after ``run`` for scenarios
-        #: that carry an :class:`~repro.workload.arrivals.ArrivalStats`).
-        self.arrival_stats = None
 
     # -- main loop -----------------------------------------------------------
     def run(self) -> SimulationReport:
@@ -112,10 +109,6 @@ class WriteSimulation:
         for tick in self.scenario.ticks():
             self.scenario.apply(self.generator, tick)
             self._step(tick.time, tick.rate)
-        # Arrival-driven scenarios accumulate realized-stream statistics
-        # (interarrival quantiles, burstiness) as their ticks are drawn;
-        # surface them for reports and the dashboard.
-        self.arrival_stats = getattr(self.scenario, "stats", None)
         return self.metrics.report(warmup=self._warmup_seconds())
 
     def _warmup_seconds(self) -> float:

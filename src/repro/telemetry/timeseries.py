@@ -519,6 +519,4 @@ DASHBOARD_SERIES = (
     ("burn fast max", "slo.burn_fast_max"),
     ("burn slow max", "slo.burn_slow_max"),
     ("hot key conc %", "slo_hotkey_concentration_pct"),
-    ("arrivals/s", "workload.arrival_rate"),
-    ("live tenants", "workload.live_tenants"),
 )

@@ -4,9 +4,11 @@ The paper's benchmark samples tenant ids from a Zipf distribution with
 skewness factor θ ∈ {0, 0.5, 1, 1.5, 2} (θ=1 ≈ production), generates
 transaction-log documents from the production template, and scripts hotspot
 scenarios (Fig 14's injected hotspot groups, Fig 19's Single's-Day spike).
-`repro.workload.arrivals` layers arrival realism on top: Poisson/bursty/
-diurnal arrival processes, CDF-driven size sampling, and flash-tenant churn
-— recordable to (and replayable from) v2 trace files.
+`repro.workload.arrivals` adds Poisson and bursty on/off arrival processes
+and flash-tenant churn; `repro.workload.trace` records a workload to a
+JSON Lines trace (v1, or v2 with an arrival process) that the chaos runner
+replays. Import trace names from `repro.workload.trace` itself: the package
+does not import it, so `python -m repro.workload.trace` runs it once.
 """
 
 from repro.workload.zipf import ZipfSampler, zipf_weights
@@ -20,36 +22,9 @@ from repro.workload.scenarios import (
     SinglesDayScenario,
     StaticScenario,
 )
-from repro.workload.arrivals import (
-    ArrivalScenario,
-    ArrivalStats,
-    BurstyProcess,
-    ConstantRate,
-    DiurnalRate,
-    PoissonProcess,
-    SpikeRate,
-    TenantChurn,
-    TraceScenario,
-    arrival_from_json,
-)
-from repro.workload.trace import (
-    TraceInfo,
-    load_into,
-    read_trace,
-    read_trace_events,
-    replay_trace,
-    scenario_from_trace,
-    write_trace,
-)
+from repro.workload.arrivals import BurstyProcess, PoissonProcess, TenantChurn
 
 __all__ = [
-    "TraceInfo",
-    "write_trace",
-    "read_trace",
-    "read_trace_events",
-    "replay_trace",
-    "scenario_from_trace",
-    "load_into",
     "ZipfSampler",
     "zipf_weights",
     "TransactionLogGenerator",
@@ -58,14 +33,7 @@ __all__ = [
     "StaticScenario",
     "HotspotShiftScenario",
     "SinglesDayScenario",
-    "ArrivalScenario",
-    "ArrivalStats",
     "BurstyProcess",
-    "ConstantRate",
-    "DiurnalRate",
     "PoissonProcess",
-    "SpikeRate",
     "TenantChurn",
-    "TraceScenario",
-    "arrival_from_json",
 ]

@@ -55,7 +55,7 @@ class WorkloadConfig:
 class TransactionLogGenerator:
     """Streams deterministic transaction-log documents.
 
-    The generator exposes the tenant sampler so scenario scripts can remap
+    The generator exposes the tenant sampler so scenario scripts can move
     hotspots mid-stream, and a separate sub-attribute sampler matching the
     frequency-based-indexing experiment.
     """

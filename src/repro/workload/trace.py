@@ -1,23 +1,21 @@
-"""Workload traces: persist generated workloads and replay them.
+"""Workload traces: persist a generated workload and replay it.
 
 The paper's production experiments run against recorded transaction-log
 traces. This module gives the reproduction the same workflow: generate a
-deterministic trace once, save it as JSON Lines, and replay it — into an
-:class:`~repro.esdb.ESDB` instance, into a benchmark, or into another tool —
-so that two systems under comparison consume byte-identical workloads.
+deterministic trace once, save it as JSON Lines, and read it back — so that
+two runs under comparison consume byte-identical workloads. The chaos runner
+(``python -m repro.faults --trace``) is the reader.
 
 Two on-disk versions:
 
 * **v1** — header + one document per line, evenly spaced ``created_time``
-  (the stationary ``stream(rate, duration)`` generator). Still written
-  when no arrival process is supplied, byte-identical to older releases,
-  and always readable.
+  (the stationary ``stream(rate, duration)`` generator). Written when no
+  arrival process is supplied, byte-identical to older releases, and always
+  readable.
 * **v2** — written when an :class:`~repro.workload.arrivals.ArrivalProcess`
-  is supplied. The header carries the process (and optional tenant-churn)
-  metadata needed to rebuild the stream; each body line is
-  ``{"t": <arrival timestamp>, "doc": {...}}``. One recorded v2 trace
-  drives the simulator (:func:`scenario_from_trace`), a live instance
-  (:func:`replay_trace`) and the chaos runner from the same file.
+  is supplied. The header carries the process's (and optional tenant
+  churn's) ``describe()`` record and the body-record count; each body line
+  is ``{"t": <arrival timestamp>, "doc": {...}}``.
 
 Also exposes a tiny CLI::
 
@@ -31,18 +29,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.errors import ConfigurationError
 from repro.workload.arrivals import (
     ArrivalProcess,
-    ArrivalStats,
     BurstyProcess,
-    DiurnalRate,
     PoissonProcess,
-    SpikeRate,
     TenantChurn,
-    TraceScenario,
 )
 from repro.workload.generator import TransactionLogGenerator, WorkloadConfig
 
@@ -58,9 +52,8 @@ class TraceInfo:
     """Header record describing how a trace was produced.
 
     ``count``/``arrival``/``churn`` are v2-only: the exact number of body
-    records plus the JSON payloads that rebuild the arrival process and
-    tenant-churn schedule (see :func:`repro.workload.arrivals.arrival_from_json`
-    and :meth:`repro.workload.arrivals.TenantChurn.from_json`).
+    records plus the ``describe()`` records of the arrival process and the
+    tenant-churn schedule that produced them.
     """
 
     version: int
@@ -174,7 +167,7 @@ def write_trace(
     # Occupancy bookkeeping is stateful — replay the schedule on a fresh
     # instance so writing the same trace twice stays byte-identical even
     # when the caller reuses one churn object.
-    live_churn = TenantChurn.from_json(churn.describe()) if churn is not None else None
+    live_churn = TenantChurn(**churn.describe()) if churn is not None else None
     churn_events = live_churn.events if live_churn is not None else []
     churn_index = 0
     with path.open("w", encoding="utf-8") as handle:
@@ -190,11 +183,18 @@ def write_trace(
     return info
 
 
-def _open_trace(path: Path):
-    """Open *path* and parse its header; the handle is closed on every
-    error path (empty file, non-JSON header, rejected header)."""
+def read_trace_events(path: str | Path) -> tuple[TraceInfo, Iterator[tuple[float, dict]]]:
+    """Open a trace; returns ``(header, (arrival_time, document) iterator)``.
+
+    The iterator is lazy, so a large trace replays in constant memory, and
+    closes the file when exhausted (or abandoned). v1 traces report each
+    document's ``created_time`` as its arrival time, so a consumer handles
+    both versions through one code path. Blank lines are skipped; a
+    malformed line raises :class:`ConfigurationError` with its line number.
+    """
+    path = Path(path)
     handle = path.open("r", encoding="utf-8")
-    try:
+    try:  # the handle is closed on every header error
         first = handle.readline()
         if not first:
             raise ConfigurationError(f"trace {path} is empty")
@@ -206,237 +206,37 @@ def _open_trace(path: Path):
     except BaseException:
         handle.close()
         raise
-    return info, handle
-
-
-def _body_records(path: Path, handle) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line_number, parsed_record)`` for the body, closing the
-    handle when exhausted (or when the caller abandons the iterator)."""
-    with handle:
-        for line_number, line in enumerate(handle, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield line_number, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(
-                    f"trace {path} line {line_number} is not JSON"
-                ) from exc
-
-
-def _unwrap(path: Path, info: TraceInfo, line_number: int, record) -> tuple[float, dict]:
-    """Normalize one body record to ``(arrival_time, document)``."""
-    if info.version >= 2:
-        if (
-            not isinstance(record, dict)
-            or "t" not in record
-            or not isinstance(record.get("doc"), dict)
-        ):
-            raise ConfigurationError(
-                f"trace {path} line {line_number} is not a v2 arrival record"
-            )
-        return float(record["t"]), record["doc"]
-    if not isinstance(record, dict):
-        raise ConfigurationError(
-            f"trace {path} line {line_number} is not a document"
-        )
-    return float(record.get("created_time", 0.0)), record
-
-
-def read_trace(path: str | Path) -> tuple[TraceInfo, Iterator[dict]]:
-    """Open a trace; returns ``(header, documents iterator)``.
-
-    The iterator is lazy so arbitrarily large traces replay in constant
-    memory, and yields plain documents for *both* versions (v2's arrival
-    envelope is stripped). Malformed lines raise
-    :class:`ConfigurationError` with the line number.
-    """
-    path = Path(path)
-    info, handle = _open_trace(path)
-
-    def documents() -> Iterator[dict]:
-        for line_number, record in _body_records(path, handle):
-            yield _unwrap(path, info, line_number, record)[1]
-
-    return info, documents()
-
-
-def read_trace_events(path: str | Path) -> tuple[TraceInfo, Iterator[tuple[float, dict]]]:
-    """Open a trace; returns ``(header, (arrival_time, document) iterator)``.
-
-    v1 traces report each document's ``created_time`` as its arrival time,
-    so time-aware consumers (simulator, chaos runner) handle both versions
-    through one code path.
-    """
-    path = Path(path)
-    info, handle = _open_trace(path)
 
     def events() -> Iterator[tuple[float, dict]]:
-        for line_number, record in _body_records(path, handle):
-            yield _unwrap(path, info, line_number, record)
+        with handle:
+            for line_number, line in enumerate(handle, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ConfigurationError(
+                        f"trace {path} line {line_number} is not JSON"
+                    ) from exc
+                if info.version == 1:
+                    if not isinstance(record, dict):
+                        raise ConfigurationError(
+                            f"trace {path} line {line_number} is not a document"
+                        )
+                    yield float(record.get("created_time", 0.0)), record
+                elif (
+                    not isinstance(record, dict)
+                    or "t" not in record
+                    or not isinstance(record.get("doc"), dict)
+                ):
+                    raise ConfigurationError(
+                        f"trace {path} line {line_number} is not a v2 arrival record"
+                    )
+                else:
+                    yield float(record["t"]), record["doc"]
 
     return info, events()
-
-
-def trace_churn(info: TraceInfo) -> TenantChurn | None:
-    """Rebuild the recorded churn schedule from a v2 header (None when the
-    trace carries no churn)."""
-    if info.churn is None:
-        return None
-    return TenantChurn.from_json(info.churn)
-
-
-def scenario_from_trace(path: str | Path, tick_seconds: float = 1.0) -> TraceScenario:
-    """Build a :class:`~repro.workload.arrivals.TraceScenario` from a
-    recorded trace, so the simulator replays the trace's exact offered-rate
-    curve (and churn schedule) tick by tick."""
-    info, events = read_trace_events(path)
-    times = [t for t, _ in events]
-    return TraceScenario(
-        times,
-        duration=info.duration,
-        churn=trace_churn(info),
-        tick_seconds=tick_seconds,
-    )
-
-
-def load_into(
-    db,
-    documents: Iterable[dict],
-    *,
-    refresh: bool = True,
-    batch_size: int = 256,
-    stop_on_error: bool = True,
-    errors: list | None = None,
-) -> int:
-    """Replay trace *documents* into an :class:`~repro.esdb.ESDB` instance
-    through the batched ``bulk_write`` path.
-
-    Returns the number of documents actually applied (not merely
-    submitted). Failures are surfaced per document: each is appended to
-    *errors* (when given) as ``(absolute_position, exception)``, and with
-    ``stop_on_error`` (the default) the first failure re-raises after its
-    batch completes. Falls back to one ``db.write`` per document for
-    database objects without a bulk path.
-    """
-    if batch_size < 1:
-        raise ConfigurationError("batch_size must be >= 1")
-    bulk = getattr(db, "bulk_write", None)
-    applied = 0
-    if bulk is None:
-        position = 0
-        first_error: BaseException | None = None
-        for doc in documents:
-            try:
-                db.write(doc)
-                applied += 1
-            except Exception as exc:
-                if errors is not None:
-                    errors.append((position, exc))
-                if stop_on_error:
-                    first_error = exc
-                    break
-            position += 1
-        if first_error is not None:
-            raise first_error
-    else:
-        base = 0
-        batch: list[dict] = []
-
-        def flush() -> BaseException | None:
-            nonlocal applied, base
-            result = bulk(batch, stop_on_error=stop_on_error)
-            applied += result.applied
-            first = None
-            for item in result.errors:
-                if errors is not None:
-                    errors.append((base + item.position, item.error))
-                if first is None:
-                    first = item.error
-            base += len(batch)
-            batch.clear()
-            return first
-
-        first_error = None
-        for doc in documents:
-            batch.append(doc)
-            if len(batch) >= batch_size:
-                first_error = flush()
-                if first_error is not None and stop_on_error:
-                    break
-        if batch and not (first_error is not None and stop_on_error):
-            first_error = first_error or flush()
-        if first_error is not None and stop_on_error:
-            raise first_error
-    if refresh:
-        db.refresh()
-    return applied
-
-
-def replay_trace(
-    db,
-    path: str | Path,
-    *,
-    batch_size: int = 256,
-    refresh: bool = True,
-) -> ArrivalStats:
-    """Replay a recorded trace into *db* with full workload realism:
-    the logical clock advances along the recorded arrival timestamps,
-    documents land through the batched bulk path, and the realized stream's
-    statistics are published to telemetry.
-
-    Emits ``workload.arrival_rate`` / ``workload.live_tenants`` time-series
-    points (when the instance records time series), sets
-    ``workload_realized_rate`` / ``workload_burstiness`` /
-    ``workload_live_tenants`` gauges, and leaves the stats object on
-    ``db.arrivals`` for the dashboard. Returns the stats.
-    """
-    info, events = read_trace_events(path)
-    churn = trace_churn(info)
-    stats = ArrivalStats()
-    timeseries = getattr(db, "timeseries", None)
-    batch: list[dict] = []
-    batch_start: float | None = None
-    last_t = 0.0
-
-    def flush(now: float) -> None:
-        nonlocal batch_start
-        if not batch:
-            return
-        db.advance_clock(now)
-        load_into(db, batch, refresh=False, batch_size=batch_size)
-        if timeseries is not None:
-            span = max(now - (batch_start or 0.0), 1e-9)
-            timeseries.record("workload.arrival_rate", now, len(batch) / span)
-            if churn is not None:
-                timeseries.record(
-                    "workload.live_tenants", now, float(churn.live_count(now))
-                )
-        batch.clear()
-        batch_start = None
-
-    for t, doc in events:
-        stats.record(t)
-        if churn is not None:
-            stats.set_live_tenants(churn.live_count(t))
-        if batch_start is None:
-            batch_start = t
-        batch.append(doc)
-        last_t = t
-        if len(batch) >= batch_size:
-            flush(t)
-    flush(last_t)
-    if refresh:
-        db.refresh()
-
-    metrics = getattr(getattr(db, "telemetry", None), "metrics", None)
-    if metrics is not None:
-        metrics.gauge("workload_realized_rate").set(stats.realized_rate)
-        metrics.gauge("workload_burstiness").set(stats.burstiness)
-        metrics.gauge("workload_live_tenants").set(float(stats.live_tenants))
-    db.arrivals = stats
-    return stats
 
 
 def _build_arrival(args) -> tuple[ArrivalProcess | None, TenantChurn | None]:
@@ -449,7 +249,7 @@ def _build_arrival(args) -> tuple[ArrivalProcess | None, TenantChurn | None]:
         process: ArrivalProcess = PoissonProcess(
             args.rate, duration=args.duration, seed=args.seed
         )
-    elif args.arrival == "bursty":
+    else:
         process = BurstyProcess(
             on_rate=args.rate,
             duration=args.duration,
@@ -458,20 +258,6 @@ def _build_arrival(args) -> tuple[ArrivalProcess | None, TenantChurn | None]:
             mean_off_seconds=args.mean_off,
             seed=args.seed,
         )
-    elif args.arrival == "diurnal":
-        process = PoissonProcess(
-            DiurnalRate(args.rate, amplitude=0.6, period=args.duration),
-            duration=args.duration,
-            seed=args.seed,
-        )
-    elif args.arrival == "spike":
-        process = PoissonProcess(
-            SpikeRate(args.rate, spike_time=args.duration / 3.0),
-            duration=args.duration,
-            seed=args.seed,
-        )
-    else:  # pragma: no cover - argparse choices guard this
-        raise ConfigurationError(f"unknown arrival kind {args.arrival!r}")
     churn = None
     if args.churn:
         churn = TenantChurn(
@@ -498,7 +284,7 @@ def _main(argv: list | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--arrival",
-        choices=("none", "poisson", "bursty", "diurnal", "spike"),
+        choices=("none", "poisson", "bursty"),
         default="none",
         help="arrival process (v2 trace); 'none' writes a classic v1 trace",
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +32,7 @@ class ZipfSampler:
     """Deterministic sampler of tenant ranks from Zipf(θ).
 
     Ranks are 1-based (rank 1 is the hottest tenant). The rank→tenant-id
-    mapping can be remapped so scenario scripts can make
+    mapping can be rotated or reassigned so scenario scripts can make
     *different* tenants hot over time while keeping the same rank
     distribution — exactly how Figure 14 injects new hotspot groups.
     """
@@ -65,14 +64,6 @@ class ZipfSampler:
         if self._tenant_ids is None:
             return rank
         return self._tenant_ids[rank - 1]
-
-    def remap(self, tenant_ids: Sequence) -> None:
-        """Replace the rank→tenant mapping (hotspot injection, Fig 14)."""
-        if len(tenant_ids) != self.num_tenants:
-            raise ConfigurationError(
-                f"tenant_ids must have length {self.num_tenants}, got {len(tenant_ids)}"
-            )
-        self._tenant_ids = list(tenant_ids)
 
     def tenant_at(self, rank: int):
         """Return the tenant id currently occupying 1-based *rank*."""

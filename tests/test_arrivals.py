@@ -1,74 +1,24 @@
-"""Tests for the arrival-realism layer (repro.workload.arrivals)."""
+"""Tests for the arrival processes and tenant churn (repro.workload.arrivals)."""
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.workload.arrivals import (
-    ArrivalScenario,
-    ArrivalStats,
-    BurstyProcess,
-    ConstantRate,
-    DiurnalRate,
-    PoissonProcess,
-    SpikeRate,
-    TenantChurn,
-    TraceScenario,
-    arrival_from_json,
-    rate_curve_from_json,
-)
-from repro.workload.generator import TransactionLogGenerator, WorkloadConfig
+from repro.workload.arrivals import BurstyProcess, ChurnEvent, PoissonProcess, TenantChurn
 from repro.workload.zipf import ZipfSampler
 
 
-class TestRateCurves:
-    def test_constant(self):
-        curve = ConstantRate(50.0)
-        assert curve.rate_at(0.0) == curve.rate_at(123.4) == 50.0
-        assert curve.peak(100.0) == 50.0
-
-    def test_diurnal_oscillates_around_base(self):
-        curve = DiurnalRate(100.0, amplitude=0.5, period=100.0)
-        rates = [curve.rate_at(t) for t in range(100)]
-        assert max(rates) == pytest.approx(150.0, rel=0.01)
-        assert min(rates) == pytest.approx(50.0, rel=0.01)
-        assert all(r > 0 for r in rates)
-        assert curve.peak(100.0) == pytest.approx(150.0)
-
-    def test_spike_matches_singles_day_shape(self):
-        curve = SpikeRate(100.0, spike_time=60.0, spike_factor=10.0,
-                          decay_seconds=30.0, plateau_factor=3.0)
-        assert curve.rate_at(0.0) == 100.0
-        assert curve.rate_at(60.0) == pytest.approx(1000.0)
-        assert curve.rate_at(90.0) < 1000.0
-        assert curve.rate_at(1e6) == pytest.approx(300.0, rel=0.01)
-        assert curve.peak(120.0) == pytest.approx(1000.0)
-
-    def test_json_roundtrip(self):
-        for curve in (
-            ConstantRate(10.0),
-            DiurnalRate(20.0, amplitude=0.3, period=50.0, phase=5.0),
-            SpikeRate(30.0, spike_time=10.0),
-        ):
-            rebuilt = rate_curve_from_json(curve.to_json())
-            assert rebuilt == curve
-
-    def test_invalid_curves_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ConstantRate(0.0)
-        with pytest.raises(ConfigurationError):
-            DiurnalRate(10.0, amplitude=1.0)
-        with pytest.raises(ConfigurationError):
-            SpikeRate(10.0, spike_time=-1.0)
-        with pytest.raises(ConfigurationError):
-            SpikeRate(10.0, spike_time=0.0, spike_factor=2.0, plateau_factor=3.0)
-        with pytest.raises(ConfigurationError):
-            rate_curve_from_json({"kind": "nope"})
-        with pytest.raises(ConfigurationError):
-            rate_curve_from_json("not a dict")
+def burstiness(times) -> float:
+    """Goh–Barabási ``(σ−μ)/(σ+μ)`` of the interarrival gaps: ≈0 for
+    Poisson, towards 1 for bursts, −1 for a perfectly regular stream."""
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    mean = sum(gaps) / len(gaps)
+    sigma = math.sqrt(sum((gap - mean) ** 2 for gap in gaps) / len(gaps))
+    return (sigma - mean) / (sigma + mean)
 
 
 class TestPoissonProcess:
@@ -88,38 +38,35 @@ class TestPoissonProcess:
         # Poisson(5000): 5 sigma ≈ 354.
         assert abs(len(times) - 5000) < 400
 
-    def test_thinning_tracks_diurnal_curve(self):
-        curve = DiurnalRate(200.0, amplitude=0.8, period=20.0, phase=0.0)
-        times = list(PoissonProcess(curve, duration=20.0, seed=2).times())
-        by_half = Counter(t >= 10.0 for t in times)
-        # phase=0: the positive sine lobe spans the first half-period, the
-        # negative lobe the second, so the first half carries ~3x the mass.
-        assert by_half[False] > 1.5 * by_half[True]
-
-    def test_describe_roundtrip(self):
-        process = PoissonProcess(
-            DiurnalRate(50.0, amplitude=0.4, period=30.0), duration=30.0, seed=9
-        )
-        rebuilt = arrival_from_json(process.describe())
-        assert list(rebuilt.times()) == list(process.times())
+    def test_describe_payload(self):
+        """The trace v2 header's ``arrival`` record: a constant-rate curve."""
+        assert PoissonProcess(50.0, duration=30.0, seed=9).describe() == {
+            "kind": "poisson",
+            "duration": 30.0,
+            "seed": 9,
+            "curve": {"kind": "constant", "rate": 50.0},
+        }
 
     def test_invalid_duration_rejected(self):
         with pytest.raises(ConfigurationError):
             PoissonProcess(10.0, duration=0.0)
 
+    def test_invalid_rate_rejected(self):
+        for rate in (0.0, -1.0):
+            with pytest.raises(ConfigurationError):
+                PoissonProcess(rate, duration=1.0)
+
     def test_seeded_event_counts_are_pinned(self):
         """Every stream is drawn from ``random.Random(seed)``, so its length
         is exact: a recorded trace, a chaos fingerprint and a benchmark
-        stream all move if a generator drifts. Homogeneous, thinned against
-        a diurnal curve, and the on/off process beside them."""
+        stream all move if a generator drifts. Homogeneous Poisson, and the
+        on/off process beside it."""
         streams = (
             PoissonProcess(300.0, duration=20.0, seed=1),
             BurstyProcess(300.0, duration=20.0, off_rate=15.0,
                           mean_on_seconds=2.0, mean_off_seconds=3.0, seed=2),
-            PoissonProcess(DiurnalRate(300.0, amplitude=0.7, period=20.0),
-                           duration=20.0, seed=3),
         )
-        assert [sum(1 for _ in s.times()) for s in streams] == [5913, 2934, 6043]
+        assert [sum(1 for _ in s.times()) for s in streams] == [5913, 2934]
 
 
 class TestBurstyProcess:
@@ -131,15 +78,11 @@ class TestBurstyProcess:
         )
 
     def test_burstier_than_poisson(self):
-        poisson = ArrivalStats()
-        for t in PoissonProcess(100.0, duration=20.0, seed=1).times():
-            poisson.record(t)
-        bursty = ArrivalStats()
-        for t in BurstyProcess(100.0, duration=20.0, mean_on_seconds=1.0,
-                               mean_off_seconds=3.0, seed=1).times():
-            bursty.record(t)
-        assert abs(poisson.burstiness) < 0.1
-        assert bursty.burstiness > poisson.burstiness + 0.2
+        poisson = burstiness(list(PoissonProcess(100.0, duration=20.0, seed=1).times()))
+        bursty = burstiness(list(BurstyProcess(100.0, duration=20.0, mean_on_seconds=1.0,
+                                               mean_off_seconds=3.0, seed=1).times()))
+        assert abs(poisson) < 0.1
+        assert bursty > poisson + 0.2
 
     def test_silent_off_state_produces_gaps(self):
         times = list(BurstyProcess(200.0, duration=30.0, off_rate=0.0,
@@ -157,9 +100,12 @@ class TestBurstyProcess:
         assert next(times) < 0.05
 
     def test_describe_roundtrip(self):
+        """The header record names every constructor argument, so a trace
+        header rebuilds its own stream."""
         process = BurstyProcess(80.0, duration=12.0, off_rate=4.0, seed=5)
-        rebuilt = arrival_from_json(process.describe())
-        assert list(rebuilt.times()) == list(process.times())
+        payload = process.describe()
+        assert payload.pop("kind") == "bursty"
+        assert list(BurstyProcess(**payload).times()) == list(process.times())
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -168,8 +114,6 @@ class TestBurstyProcess:
             BurstyProcess(10.0, duration=10.0, off_rate=10.0)
         with pytest.raises(ConfigurationError):
             BurstyProcess(10.0, duration=10.0, mean_on_seconds=0.0)
-        with pytest.raises(ConfigurationError):
-            arrival_from_json({"kind": "mystery"})
 
 
 class TestTenantChurn:
@@ -188,18 +132,10 @@ class TestTenantChurn:
         died = {e.tenant for e in churn.events if e.kind == "die"}
         assert died <= spawned
 
-    def test_live_count_tracks_schedule(self):
-        churn = TenantChurn(duration=40.0, spawn_rate=0.5,
-                            mean_lifetime_seconds=5.0, seed=2)
-        assert churn.live_count(0.0) == 0
-        assert max(churn.live_count(t) for t in range(41)) >= 1
-
     def test_spawn_then_die_restores_previous_occupant(self):
         sampler = ZipfSampler(20, 1.0, seed=0)
         churn = TenantChurn(duration=10.0, spawn_rate=0.5, seed=0)
         original = sampler.tenant_at(3)
-        from repro.workload.arrivals import ChurnEvent
-
         churn.apply_event(sampler, ChurnEvent(1.0, "spawn", "flash-a", 3))
         assert sampler.tenant_at(3) == "flash-a"
         churn.apply_event(sampler, ChurnEvent(2.0, "die", "flash-a", 3))
@@ -209,8 +145,6 @@ class TestTenantChurn:
         sampler = ZipfSampler(20, 1.0, seed=0)
         churn = TenantChurn(duration=10.0, spawn_rate=0.5, seed=0)
         original = sampler.tenant_at(5)
-        from repro.workload.arrivals import ChurnEvent
-
         churn.apply_event(sampler, ChurnEvent(1.0, "spawn", "flash-a", 5))
         churn.apply_event(sampler, ChurnEvent(2.0, "spawn", "flash-b", 5))
         assert sampler.tenant_at(5) == "flash-b"
@@ -240,7 +174,7 @@ class TestTenantChurn:
     def test_describe_roundtrip(self):
         churn = TenantChurn(duration=25.0, spawn_rate=0.3,
                             mean_lifetime_seconds=4.0, hot_rank_span=7, seed=8)
-        rebuilt = TenantChurn.from_json(churn.describe())
+        rebuilt = TenantChurn(**churn.describe())
         assert rebuilt.events == churn.events
 
     def test_invalid_params_rejected(self):
@@ -250,107 +184,6 @@ class TestTenantChurn:
             TenantChurn(duration=10.0, spawn_rate=0.0)
         with pytest.raises(ConfigurationError):
             TenantChurn(duration=10.0, hot_rank_span=0)
-        with pytest.raises(ConfigurationError):
-            TenantChurn.from_json({"nope": 1})
-
-
-class TestArrivalStats:
-    def test_moments_and_rate(self):
-        stats = ArrivalStats()
-        for t in (0.0, 1.0, 2.0, 3.0, 4.0):
-            stats.record(t)
-        assert stats.count == 5
-        assert stats.realized_rate == pytest.approx(1.0)
-        # Perfectly regular: burstiness -> -1.
-        assert stats.burstiness == pytest.approx(-1.0)
-
-    def test_rejects_time_going_backwards(self):
-        stats = ArrivalStats()
-        stats.record(5.0)
-        with pytest.raises(ConfigurationError):
-            stats.record(4.0)
-
-    def test_quantiles_and_summary(self):
-        stats = ArrivalStats()
-        t = 0.0
-        for gap in [0.01] * 90 + [0.5] * 10:
-            t += gap
-            stats.record(t)
-        quantiles = stats.interarrival_quantiles()
-        assert quantiles["p50"] < quantiles["p99"]
-        stats.set_live_tenants(3)
-        stats.set_live_tenants(1)
-        summary = stats.summary()
-        assert summary["live_tenants"] == 1
-        assert summary["peak_live_tenants"] == 3
-        assert summary["count"] == 100
-
-    def test_empty_stats_are_zero(self):
-        stats = ArrivalStats()
-        assert stats.realized_rate == 0.0
-        assert stats.burstiness == 0.0
-        assert stats.interarrival_quantiles()["p50"] == 0.0
-
-
-class TestArrivalScenario:
-    def test_tick_rates_conserve_event_count(self):
-        process = BurstyProcess(100.0, duration=10.0, seed=2)
-        expected = len(list(process.times()))
-        scenario = ArrivalScenario(
-            BurstyProcess(100.0, duration=10.0, seed=2), tick_seconds=0.5
-        )
-        ticks = list(scenario.ticks())
-        assert len(ticks) == 20
-        assert sum(t.rate for t in ticks) * 0.5 == pytest.approx(expected)
-        assert scenario.stats.count == expected
-
-    def test_churn_events_ride_ticks_and_remap_generator(self):
-        generator = TransactionLogGenerator(
-            WorkloadConfig(num_tenants=50, theta=1.0, seed=0)
-        )
-        churn = TenantChurn(duration=20.0, spawn_rate=0.5,
-                            mean_lifetime_seconds=4.0, hot_rank_span=3, seed=1)
-        assert churn.events, "seed must schedule at least one flash tenant"
-        scenario = ArrivalScenario(
-            PoissonProcess(50.0, duration=20.0, seed=0),
-            churn=TenantChurn(duration=20.0, spawn_rate=0.5,
-                              mean_lifetime_seconds=4.0, hot_rank_span=3,
-                              seed=1),
-        )
-        carried = []
-        saw_flash = False
-        for tick in scenario.ticks():
-            scenario.apply(generator, tick)
-            carried.extend(tick.events)
-            if any(
-                str(generator.tenants.tenant_at(rank)).startswith("flash")
-                for rank in (1, 2, 3)
-            ):
-                saw_flash = True
-        assert [e.time for e in carried] == [e.time for e in churn.events]
-        assert saw_flash
-        assert scenario.stats.peak_live_tenants >= 1
-
-    def test_duration_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ArrivalScenario(
-                PoissonProcess(10.0, duration=5.0),
-                churn=TenantChurn(duration=6.0),
-            )
-
-
-class TestTraceScenario:
-    def test_buckets_recorded_times(self):
-        scenario = TraceScenario([0.1, 0.2, 1.5, 2.9], duration=3.0)
-        ticks = list(scenario.ticks())
-        assert [t.rate for t in ticks] == [2.0, 1.0, 1.0]
-        assert scenario.stats.count == 4
-
-    def test_invalid_times_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TraceScenario([1.0, 0.5], duration=3.0)
-        with pytest.raises(ConfigurationError):
-            TraceScenario([0.5, 3.0], duration=3.0)
 
 
 class TestZipfRankMapping:

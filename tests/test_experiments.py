@@ -15,7 +15,6 @@ class TestRegistry:
             "fig01", "fig10", "fig11", "fig12", "fig13", "fig14",
             "fig15", "fig16", "fig17", "fig18", "fig19",
             "fig20",  # extension: governed Single's-Day spike
-            "fig21",  # extension: realistic arrival processes
         }
         assert set(available()) == expected
 

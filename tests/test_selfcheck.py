@@ -71,6 +71,32 @@ class TestDocumentedCommandsExist:
                 runnable = '__name__ == "__main__"' in Path(spec.origin).read_text()
             assert runnable, f"{source} names {name}, which has no entry point"
 
+    #: A ``python -m repro.experiments`` command's arguments: up to the end
+    #: of its code span, comment or shell operator, and on through indented
+    #: lines that go on with a flag.
+    EXPERIMENTS = re.compile(
+        r"python3? -m repro\.experiments\b([^`#|;&)\n]*(?:\n[ \t]+--[^`#|;&)\n]*)*)"
+    )
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_experiments_commands_name_registered_figures_and_flags(self, source):
+        """Every figure id a documented ``python -m repro.experiments``
+        command names is registered, and every ``--flag`` on it is one the
+        CLI defines — a deleted figure or flag cannot leave a command that
+        exits with a usage error."""
+        from repro.experiments import available
+        from repro.experiments.cli import build_parser
+
+        flags = {flag for action in build_parser()._actions for flag in action.option_strings}
+        unknown = [
+            token
+            for arguments in self.EXPERIMENTS.findall((self.ROOT / source).read_text())
+            for token in arguments.split()
+            if (token.startswith("--") and token.split("=")[0] not in flags)
+            or (re.fullmatch(r"fig\w+", token) and token not in available())
+        ]
+        assert not unknown, f"{source} runs repro.experiments with {unknown}"
+
     METHOD = re.compile(r"\bdb\.(\w+)\(|\bESDB\.(\w+)")
 
     @pytest.mark.parametrize(
@@ -115,6 +141,23 @@ def _reader_files(root: Path) -> list[Path]:
     return files
 
 
+def _caller_text(path: Path) -> str:
+    """*path*'s text as the censuses read it: a package ``__init__``'s
+    ``from … import`` lines and its ``__all__`` only re-export names, so
+    they are blanked — they are not callers."""
+    text = path.read_text()
+    if path.name != "__init__.py":
+        return text
+    lines = text.splitlines()
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.ImportFrom) or (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        ):
+            lines[node.lineno - 1:node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
+    return "\n".join(lines)
+
+
 def _registered_modules(init: Path, package: str) -> set[str]:
     """The submodules *init* imports as module objects (``from <package>
     import <module>``) — registration, as ``repro.experiments`` does."""
@@ -139,7 +182,7 @@ class TestEveryModuleIsNeeded:
     def test_every_module_is_reached_from_non_test_code(self):
         src = self.ROOT / "src"
         words = {
-            path: set(re.findall(r"\w+", path.read_text())) for path in _reader_files(self.ROOT)
+            path: set(re.findall(r"\w+", _caller_text(path))) for path in _reader_files(self.ROOT)
         }
         unreached = []
         for module in sorted((src / "repro").rglob("*.py")):
@@ -155,6 +198,62 @@ class TestEveryModuleIsNeeded:
             ):
                 unreached.append(str(module.relative_to(src)))
         assert not unreached, f"modules no figure, tool or example reaches: {unreached}"
+
+
+def _passed_keywords(source: str, cls: str) -> set[str]:
+    """The keywords *source* passes to the config class named *cls*: in a
+    call to the class, to one of its presets (``cls.strict(...)``), to
+    ``cls(...)`` inside the class body, or to ``replace(...)``. One hop
+    further, the keywords of a call to a same-file function whose
+    ``**kwargs`` is splatted into such a call, and of a ``dict(...)``
+    assigned to a name that is splatted into one."""
+    tree = ast.parse(source)
+    in_class = {
+        id(node)
+        for owner in ast.walk(tree)
+        if isinstance(owner, ast.ClassDef) and owner.name == cls
+        for node in ast.walk(owner)
+    }
+
+    def reaches(call: ast.Call) -> bool:
+        func = call.func
+        if isinstance(func, ast.Name):
+            return func.id in (cls, "replace") or (func.id == "cls" and id(call) in in_class)
+        return isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == cls
+
+    def called(call: ast.Call) -> str | None:
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    def splats(call: ast.Call) -> set[str]:
+        return {
+            keyword.value.id
+            for keyword in call.keywords
+            if keyword.arg is None and isinstance(keyword.value, ast.Name)
+        }
+
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    direct = [call for call in calls if reaches(call)]
+    splatted = set().union(*map(splats, direct))
+    hops = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.args.kwarg is not None
+        and any(
+            isinstance(call, ast.Call) and reaches(call) and node.args.kwarg.arg in splats(call)
+            for call in ast.walk(node)
+        )
+    }
+    dicts = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "id", None) == "dict"
+        and any(isinstance(t, ast.Name) and t.id in splatted for t in node.targets)
+    ]
+    passing = direct + dicts + [call for call in calls if called(call) in hops]
+    return {keyword.arg for call in passing for keyword in call.keywords if keyword.arg}
 
 
 class TestEveryOptionHasACaller:
@@ -302,8 +401,40 @@ class TestEveryOptionHasACaller:
         for name, callers in self.CALLERS.items():
             for field, path in callers.items():
                 assert path.split("/")[0] in READERS
-                text = (self.ROOT / path).read_text()
-                assert re.search(rf"\b{field}\s*=", text), f"{name}.{field}: {path}"
+                passed = _passed_keywords((self.ROOT / path).read_text(), name)
+                assert field in passed, f"{name}.{field}: {path}"
+
+    def test_a_keyword_counts_only_for_the_class_it_is_passed_to(self):
+        source = (
+            "sim = WriteSimulation(policy, scenario, config=SimulationConfig(num_shards=8),\n"
+            "                      workload=WorkloadConfig(num_tenants=50, seed=3))\n"
+        )
+        assert _passed_keywords(source, "SimulationConfig") == {"num_shards"}
+        assert _passed_keywords(source, "WorkloadConfig") == {"num_tenants", "seed"}
+
+    def test_one_hop_through_a_splatted_function_or_dict(self):
+        source = (
+            "def new_db(**overrides):\n"
+            "    return ESDB(EsdbConfig(topology=t, **overrides))\n"
+            "def unrelated(**options):\n"
+            "    return EsdbConfig(topology=t)\n"
+            "class TenancyConfig:\n"
+            "    def strict(**overrides):\n"
+            "        params = dict(enabled=True, query_rate=20.0)\n"
+            "        return TenancyConfig(**params)\n"
+            "    @classmethod\n"
+            "    def off(cls):\n"
+            "        return cls(write_rate=0.0)\n"
+            "new_db(cache=False)\n"
+            "unrelated(slo=True)\n"
+            "TenancyConfig.strict(queue_capacity=8)\n"
+            "replace(config, trace_path=p)\n"
+            "cls(tracing=None)\n"
+        )
+        assert _passed_keywords(source, "EsdbConfig") == {"topology", "cache", "trace_path"}
+        assert _passed_keywords(source, "TenancyConfig") == {
+            "enabled", "query_rate", "write_rate", "queue_capacity", "trace_path",
+        }
 
     def test_at_most_65_settable_values(self):
         import dataclasses
@@ -343,7 +474,7 @@ class TestEveryNameIsReferenced:
     def test_every_definition_is_named_elsewhere(self):
         words: dict = {}
         for path in _reader_files(self.ROOT):
-            for word in re.findall(r"\w+", path.read_text()):
+            for word in re.findall(r"\w+", _caller_text(path)):
                 words[word] = words.get(word, 0) + 1
         defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
         unnamed = []
@@ -363,7 +494,7 @@ class TestEveryNameIsReferenced:
         """Each allow-list entry is a name the tests alone reach: one that
         gains a caller, or is deleted, leaves the list."""
         assert len(self.PUBLIC_API) <= 12
-        text = " ".join(path.read_text() for path in _reader_files(self.ROOT))
+        text = " ".join(_caller_text(path) for path in _reader_files(self.ROOT))
         for name in self.PUBLIC_API:
             assert len(re.findall(rf"\b{name}\b", text)) == 1, name
 

@@ -648,18 +648,28 @@ class TestNoisyNeighborChaos:
 
 class TestGovernanceExperiment:
     def test_fig20_governed_vs_ungoverned(self):
+        """Fig 20's claim, from one run of both arms: ungoverned nothing is
+        shed; governed the flash tenant is shed during the spike; no
+        background write is shed in either arm."""
         from repro.experiments import run
 
-        ungoverned = run("fig20", scale="tiny")
-        assert all(row[2] == 0 for row in ungoverned.rows)  # nothing shed
-        governed = run("fig20", scale="tiny", tenancy=True)
-        spike_row = next(row for row in governed.rows if row[0] == "spike")
-        assert spike_row[2] > 0  # flash tenant shed during the spike
-        assert all(row[4] == 0 for row in governed.rows)  # background intact
-        assert any("flash-sale" in note for note in governed.notes)
-
-    def test_unknown_options_are_dropped_for_other_experiments(self):
-        from repro.experiments import run
-
-        result = run("fig01", scale="tiny", tenancy=True)
-        assert result.rows
+        result = run("fig20", scale="tiny")
+        ungoverned, governed = result.values["ungoverned"], result.values["governed"]
+        assert set(ungoverned) == set(governed) == {"pre-spike", "spike", "post-spike"}
+        assert all(
+            bucket["flash_shed"] == bucket["bg_shed"] == 0
+            for bucket in ungoverned.values()
+        )
+        assert governed["spike"]["flash_offered"] == ungoverned["spike"]["flash_offered"] > 0
+        assert governed["spike"]["flash_shed"] > 0
+        assert all(
+            bucket["bg_shed"] == 0
+            for arm in (ungoverned, governed)
+            for bucket in arm.values()
+        )
+        assert [row[:2] for row in result.rows] == [
+            (arm, phase)
+            for arm in ("ungoverned", "governed")
+            for phase in ("pre-spike", "spike", "post-spike")
+        ]
+        assert any("flash-sale" in note for note in result.notes)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,23 +13,20 @@ import pytest
 from repro import ESDB, EsdbConfig
 from repro.cluster import ClusterTopology
 from repro.errors import ConfigurationError
-from repro.exec.bulk import BulkItemResult, BulkResult
 from repro.workload import WorkloadConfig
-from repro.workload.arrivals import BurstyProcess, TenantChurn, arrival_from_json
-from repro.workload.trace import (
-    load_into,
-    read_trace,
-    read_trace_events,
-    replay_trace,
-    scenario_from_trace,
-    trace_churn,
-    write_trace,
-)
+from repro.workload.arrivals import BurstyProcess, TenantChurn
+from repro.workload.trace import read_trace_events, write_trace
 
 
 @pytest.fixture()
 def trace_path(tmp_path):
     return tmp_path / "trace.jsonl"
+
+
+def read_documents(path):
+    """``(header, documents)``: the trace's arrival envelope stripped."""
+    info, events = read_trace_events(path)
+    return info, (doc for _, doc in events)
 
 
 class TestWriteRead:
@@ -37,18 +37,18 @@ class TestWriteRead:
             duration=1.0,
             workload=WorkloadConfig(num_tenants=500, theta=1.5, seed=9),
         )
-        loaded, _ = read_trace(trace_path)
+        loaded, _ = read_documents(trace_path)
         assert loaded == info
         assert loaded.theta == 1.5
 
     def test_document_count_matches_rate_times_duration(self, trace_path):
         write_trace(trace_path, rate=50, duration=2.0)
-        _, docs = read_trace(trace_path)
+        _, docs = read_documents(trace_path)
         assert sum(1 for _ in docs) == 100
 
     def test_documents_have_template_columns(self, trace_path):
         write_trace(trace_path, rate=10, duration=1.0)
-        _, docs = read_trace(trace_path)
+        _, docs = read_documents(trace_path)
         doc = next(docs)
         assert {"transaction_id", "tenant_id", "created_time", "attributes"} <= set(doc)
 
@@ -62,33 +62,33 @@ class TestWriteRead:
     def test_empty_file_rejected(self, trace_path):
         trace_path.write_text("")
         with pytest.raises(ConfigurationError):
-            read_trace(trace_path)
+            read_documents(trace_path)
 
     def test_missing_header_rejected(self, trace_path):
         trace_path.write_text('{"transaction_id": 1}\n')
         with pytest.raises(ConfigurationError):
-            read_trace(trace_path)
+            read_documents(trace_path)
 
     def test_bad_version_rejected(self, trace_path):
         header = {"type": "header", "version": 99, "num_tenants": 1,
                   "theta": 1.0, "seed": 0, "rate": 1.0, "duration": 1.0}
         trace_path.write_text(json.dumps(header) + "\n")
         with pytest.raises(ConfigurationError):
-            read_trace(trace_path)
+            read_documents(trace_path)
 
     def test_corrupt_body_line_raises_with_line_number(self, trace_path):
         write_trace(trace_path, rate=5, duration=1.0)
         lines = trace_path.read_text().splitlines()
         lines[2] = "{not json"
         trace_path.write_text("\n".join(lines) + "\n")
-        _, docs = read_trace(trace_path)
+        _, docs = read_documents(trace_path)
         with pytest.raises(ConfigurationError, match="line 3"):
             list(docs)
 
     def test_blank_lines_skipped(self, trace_path):
         write_trace(trace_path, rate=5, duration=1.0)
         trace_path.write_text(trace_path.read_text() + "\n\n")
-        _, docs = read_trace(trace_path)
+        _, docs = read_documents(trace_path)
         assert sum(1 for _ in docs) == 5
 
 
@@ -109,7 +109,7 @@ class TestHandleLeak:
 
         monkeypatch.setattr(Path, "open", spying_open)
         with pytest.raises(ConfigurationError):
-            read_trace(trace_path)
+            read_documents(trace_path)
         assert handles and all(h.closed for h in handles)
 
     def test_non_json_header_closes_handle(self, trace_path, monkeypatch):
@@ -138,7 +138,7 @@ class TestHandleLeak:
             return handle
 
         monkeypatch.setattr(Path, "open", spying_open)
-        _, docs = read_trace(trace_path)
+        _, docs = read_documents(trace_path)
         list(docs)
         assert handles and all(h.closed for h in handles)
 
@@ -171,15 +171,16 @@ class TestTraceV2:
             arrival=self._bursty(),
             churn=churn,
         )
-        loaded, docs = read_trace(trace_path)
+        loaded, docs = read_documents(trace_path)
         assert loaded == info
         assert loaded.version == 2
         assert loaded.count == sum(1 for _ in docs)
         assert loaded.arrival["kind"] == "bursty"
         assert loaded.churn is not None
         # The header rebuilds both the process and the churn schedule.
-        assert list(arrival_from_json(loaded.arrival).times()) == list(self._bursty().times())
-        assert trace_churn(loaded).events == churn.events
+        params = {key: value for key, value in loaded.arrival.items() if key != "kind"}
+        assert list(BurstyProcess(**params).times()) == list(self._bursty().times())
+        assert TenantChurn(**loaded.churn).events == churn.events
 
     def test_v2_events_carry_arrival_timestamps(self, trace_path):
         write_trace(trace_path, arrival=self._bursty())
@@ -209,7 +210,7 @@ class TestTraceV2:
         lines = trace_path.read_text().splitlines()
         lines[3] = json.dumps({"transaction_id": 1})  # v1-style bare doc
         trace_path.write_text("\n".join(lines) + "\n")
-        _, docs = read_trace(trace_path)
+        _, docs = read_documents(trace_path)
         with pytest.raises(ConfigurationError, match="line 4"):
             list(docs)
 
@@ -228,102 +229,31 @@ class TestTraceV2:
                 churn=TenantChurn(duration=99.0),
             )
 
-    def test_scenario_from_trace_matches_recorded_stream(self, trace_path):
-        info = write_trace(trace_path, arrival=self._bursty())
-        scenario = scenario_from_trace(trace_path, tick_seconds=0.5)
-        ticks = list(scenario.ticks())
-        assert sum(t.rate for t in ticks) * 0.5 == pytest.approx(info.count)
-        assert scenario.stats.count == info.count
-
-
-class _FlakyBulkDb:
-    """A stand-in database whose bulk_write fails at chosen absolute
-    positions — exercises load_into's error accounting across batches."""
-
-    def __init__(self, fail_at=()):
-        self.fail_at = set(fail_at)
-        self.total = 0
-        self.applied = 0
-        self.refreshed = 0
-
-    def bulk_write(self, docs, stop_on_error=True):
-        items = []
-        for i, _doc in enumerate(docs):
-            if self.total + i in self.fail_at:
-                items.append(BulkItemResult(
-                    position=i, ok=False,
-                    error=ValueError(f"boom at {self.total + i}"),
-                ))
-            else:
-                self.applied += 1
-                items.append(BulkItemResult(position=i, ok=True))
-        self.total += len(items)
-        return BulkResult(items=items)
-
-    def refresh(self):
-        self.refreshed += 1
-
-
-class _WriteOnlyDb:
-    """No bulk path: load_into must fall back to per-document writes."""
-
-    def __init__(self, fail_at=()):
-        self.fail_at = set(fail_at)
-        self.written = 0
-        self.position = 0
-
-    def write(self, doc):
-        position, self.position = self.position, self.position + 1
-        if position in self.fail_at:
-            raise ValueError(f"boom at {position}")
-        self.written += 1
-
-    def refresh(self):
-        pass
-
-
-class TestLoadIntoBulk:
-    def test_count_is_applied_not_submitted(self):
-        db = _FlakyBulkDb(fail_at={2, 5})
-        errors = []
-        applied = load_into(
-            db, [{} for _ in range(10)], batch_size=3,
-            stop_on_error=False, errors=errors,
+    def test_churn_puts_flash_tenants_into_the_documents(self, trace_path):
+        """A flash tenant takes its hot rank's documents while it lives: the
+        body names flash tenants, and none before the first spawn."""
+        churn = TenantChurn(duration=4.0, spawn_rate=0.5,
+                            mean_lifetime_seconds=1.0, hot_rank_span=3, seed=1)
+        assert churn.events, "seed must schedule at least one flash tenant"
+        write_trace(
+            trace_path,
+            workload=WorkloadConfig(num_tenants=50, theta=1.0, seed=0),
+            arrival=self._bursty(),
+            churn=churn,
         )
-        assert applied == 8 == db.applied
-        assert [position for position, _ in errors] == [2, 5]
-        assert all(isinstance(exc, ValueError) for _, exc in errors)
-        assert "boom at 5" in str(errors[1][1])
-
-    def test_stop_on_error_raises_first_failure(self):
-        db = _FlakyBulkDb(fail_at={4})
-        with pytest.raises(ValueError, match="boom at 4"):
-            load_into(db, [{} for _ in range(10)], batch_size=3)
-        # The failing batch completed, later batches never started.
-        assert db.total == 6
-
-    def test_fallback_per_doc_write(self):
-        db = _WriteOnlyDb()
-        assert load_into(db, [{} for _ in range(7)], batch_size=3) == 7
-        assert db.written == 7
-
-    def test_fallback_surfaces_errors_too(self):
-        db = _WriteOnlyDb(fail_at={1})
-        errors = []
-        applied = load_into(
-            db, [{} for _ in range(5)], stop_on_error=False, errors=errors
-        )
-        assert applied == 4
-        assert [position for position, _ in errors] == [1]
-
-    def test_invalid_batch_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            load_into(_FlakyBulkDb(), [], batch_size=0)
+        _, events = read_trace_events(trace_path)
+        flash = [
+            (t, doc["tenant_id"]) for t, doc in events
+            if str(doc["tenant_id"]).startswith("flash-")
+        ]
+        spawned = {e.tenant for e in churn.events if e.kind == "spawn"}
+        assert flash and {tenant for _, tenant in flash} <= spawned
+        assert min(t for t, _ in flash) >= churn.events[0].time
 
 
-class TestOneTraceDrivesAll:
-    """Acceptance: one recorded bursty trace drives the simulator, the
-    database replay path, and the chaos runner from the same file."""
+class TestChaosReplay:
+    """One recorded bursty+churn trace drives the chaos runner, which is
+    what CI's workload-realism step runs."""
 
     @pytest.fixture()
     def recorded(self, trace_path):
@@ -338,39 +268,6 @@ class TestOneTraceDrivesAll:
                               mean_lifetime_seconds=1.5, seed=5),
         )
         return info, trace_path
-
-    def test_simulator_consumes_trace(self, recorded):
-        from repro.routing import HashRouting
-        from repro.sim import SimulationConfig, WriteSimulation
-
-        info, path = recorded
-        sim = WriteSimulation(
-            HashRouting(8),
-            scenario_from_trace(path),
-            config=SimulationConfig(num_shards=8, sample_per_tick=50),
-            workload=WorkloadConfig(num_tenants=100, theta=1.0, seed=5),
-        )
-        report = sim.run()
-        assert report.throughput > 0
-        assert sim.arrival_stats is not None
-        assert sim.arrival_stats.count == info.count
-
-    def test_replay_into_database(self, recorded):
-        info, path = recorded
-        db = ESDB(
-            EsdbConfig(topology=ClusterTopology(num_nodes=2, num_shards=8))
-        )
-        stats = replay_trace(db, path)
-        assert db.doc_count() == info.count == stats.count
-        assert db.arrivals is stats
-        assert stats.realized_rate > 0
-        # The recorded churn schedule rides the replay: two flash tenants
-        # overlap at its peak.
-        assert stats.peak_live_tenants == 2
-        # Replay republishes the recorded stream's realized statistics.
-        assert db.telemetry.metrics.gauge("workload_realized_rate").value == (
-            pytest.approx(stats.realized_rate)
-        )
 
     def test_chaos_runner_consumes_trace_deterministically(self, recorded):
         from repro.faults import ChaosConfig, ChaosRunner, FaultPlan
@@ -396,9 +293,10 @@ class TestReplay:
         db = ESDB(
             EsdbConfig(topology=ClusterTopology(num_nodes=2, num_shards=8))
         )
-        _, docs = read_trace(trace_path)
-        count = load_into(db, docs)
-        assert count == 100
+        _, docs = read_documents(trace_path)
+        result = db.bulk_write(list(docs))
+        db.refresh()
+        assert result.applied == 100
         assert db.doc_count() == 100
 
     def test_two_instances_get_identical_workloads(self, trace_path):
@@ -414,8 +312,9 @@ class TestReplay:
             db = ESDB(
                 EsdbConfig(topology=ClusterTopology(num_nodes=2, num_shards=8))
             )
-            _, docs = read_trace(trace_path)
-            load_into(db, docs)
+            _, docs = read_documents(trace_path)
+            db.bulk_write(list(docs))
+            db.refresh()
             result = db.execute_sql("SELECT COUNT(*) FROM t WHERE tenant_id = 1")
             results.append(result.scalar())
         assert results[0] == results[1]
@@ -439,7 +338,7 @@ class TestCli:
         )
         assert code == 0
         assert "wrote 10 docs" in capsys.readouterr().out
-        info, docs = read_trace(trace_path)
+        info, docs = read_documents(trace_path)
         assert info.num_tenants == 50
         assert sum(1 for _ in docs) == 10
 
@@ -453,7 +352,7 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "arrival=bursty" in out and "churn" in out
-        info, docs = read_trace(trace_path)
+        info, docs = read_documents(trace_path)
         assert info.version == 2
         assert info.count == sum(1 for _ in docs)
         assert info.churn is not None
@@ -465,3 +364,21 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().out
         assert not trace_path.exists()
+
+    def test_cli_runs_as_a_module_without_warnings(self, trace_path):
+        """``python -m repro.workload.trace`` imports the module once: the
+        package does not import it first, so runpy prints no warning."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.workload.trace", "--out", str(trace_path),
+             "--arrival", "bursty", "--rate", "40", "--duration", "2",
+             "--tenants", "50", "--churn"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert "arrival=bursty, churn" in done.stdout

@@ -74,23 +74,11 @@ class TestZipfSampler:
         assert sum(weights) == pytest.approx(1.0)
         assert weights == sorted(weights, reverse=True)
 
-    def test_remap_changes_identity_not_distribution(self):
-        sampler = ZipfSampler(100, 1.0, seed=2)
-        before = Counter([sampler.sample() for _ in range(5000)])
-        sampler = ZipfSampler(100, 1.0, seed=2)
-        sampler.remap([f"tenant-{i}" for i in range(100)])
-        after = Counter([sampler.sample() for _ in range(5000)])
-        assert before[1] == after["tenant-0"]
-
     def test_rotate_hotspots_moves_hot_rank(self):
         sampler = ZipfSampler(100, 2.0, seed=3)
         sampler.rotate_hotspots(10)
         counts = Counter([sampler.sample() for _ in range(10_000)])
         assert counts.most_common(1)[0][0] == 11  # id 11 now holds rank 1
-
-    def test_bad_mapping_length_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ZipfSampler(10, 1.0).remap([1, 2, 3])
 
 
 class TestTransactionLogGenerator:
