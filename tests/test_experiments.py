@@ -22,6 +22,12 @@ class TestRegistry:
         with pytest.raises(KeyError):
             run("fig99")
 
+    def test_run_takes_only_a_scale(self):
+        """An experiment is a function of its scale alone: ``run`` forwards
+        no other option, so a stray one is an error, not silently dropped."""
+        with pytest.raises(TypeError):
+            run("fig20", "tiny", tenancy=True)
+
     def test_duplicate_registration_rejected(self):
         from repro.errors import ConfigurationError
         from repro.experiments.base import experiment
@@ -89,6 +95,15 @@ class TestCli:
     def test_unknown_figure_exit_code(self, capsys):
         assert main(["fig99"]) == 2
         assert "unknown" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--tenancy"], ["--trace", "trace.jsonl"]])
+    def test_no_per_figure_options(self, flag, capsys):
+        """Fig 20 reports both arms in one run, so the CLI takes no option
+        that only one figure reads."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig20", "--scale", "tiny", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_no_args_prints_help(self, capsys):
         assert main([]) == 2

@@ -97,6 +97,24 @@ class TestDocumentedCommandsExist:
         ]
         assert not unknown, f"{source} runs repro.experiments with {unknown}"
 
+    def test_experiments_pattern_reads_the_whole_command(self):
+        """The pattern reads a command's figures and flags up to its code
+        span, comment or pipe, and on through an indented flag line."""
+        text = (
+            "`python -m repro.experiments fig20 --scale tiny` and more\n"
+            "python -m repro.experiments fig10 fig12 # --not-a-flag\n"
+            "python -m repro.experiments fig11 --profile p.json | tee out\n"
+            "python -m repro.experiments fig16 \\\n"
+            "    --scale small --dashboard\n"
+            "next paragraph --history\n"
+        )
+        assert [args.split() for args in self.EXPERIMENTS.findall(text)] == [
+            ["fig20", "--scale", "tiny"],
+            ["fig10", "fig12"],
+            ["fig11", "--profile", "p.json"],
+            ["fig16", "\\", "--scale", "small", "--dashboard"],
+        ]
+
     METHOD = re.compile(r"\bdb\.(\w+)\(|\bESDB\.(\w+)")
 
     @pytest.mark.parametrize(
@@ -156,6 +174,32 @@ def _caller_text(path: Path) -> str:
         ):
             lines[node.lineno - 1:node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
     return "\n".join(lines)
+
+
+def test_caller_text_blanks_only_a_package_inits_reexports(tmp_path):
+    """A package ``__init__``'s ``from … import`` lines and ``__all__`` call
+    nothing, so the censuses do not read them; its other code, and every
+    line of a plain module, they do."""
+    source = (
+        "from repro.workload.trace import (\n"
+        "    read_trace_events,\n"
+        ")\n"
+        "import json\n"
+        "__all__ = [\n"
+        "    'read_trace_events',\n"
+        "]\n"
+        "DEFAULT = write_trace(path)\n"
+    )
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text(source)
+    (package / "module.py").write_text(source)
+    init_words = set(re.findall(r"\w+", _caller_text(package / "__init__.py")))
+    assert "read_trace_events" not in init_words
+    assert {"json", "DEFAULT", "write_trace"} <= init_words
+    # Blanked, not removed: the line numbers still match the file's.
+    assert _caller_text(package / "__init__.py").splitlines()[7] == "DEFAULT = write_trace(path)"
+    assert _caller_text(package / "module.py") == source
 
 
 def _registered_modules(init: Path, package: str) -> set[str]:

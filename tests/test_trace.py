@@ -14,7 +14,7 @@ from repro import ESDB, EsdbConfig
 from repro.cluster import ClusterTopology
 from repro.errors import ConfigurationError
 from repro.workload import WorkloadConfig
-from repro.workload.arrivals import BurstyProcess, TenantChurn
+from repro.workload.arrivals import BurstyProcess, PoissonProcess, TenantChurn
 from repro.workload.trace import read_trace_events, write_trace
 
 
@@ -58,6 +58,21 @@ class TestWriteRead:
         write_trace(trace_path, rate=20, duration=1.0, workload=config)
         write_trace(other, rate=20, duration=1.0, workload=config)
         assert trace_path.read_bytes() == other.read_bytes()
+
+    def test_v1_requires_rate_and_duration(self, trace_path):
+        for kwargs in ({"rate": 10}, {"duration": 1.0}, {}):
+            with pytest.raises(ConfigurationError):
+                write_trace(trace_path, **kwargs)
+        assert not trace_path.exists()
+
+    def test_v1_body_record_must_be_a_document(self, trace_path):
+        write_trace(trace_path, rate=5, duration=1.0)
+        lines = trace_path.read_text().splitlines()
+        lines[1] = "[1, 2]"
+        trace_path.write_text("\n".join(lines) + "\n")
+        _, docs = read_documents(trace_path)
+        with pytest.raises(ConfigurationError, match="line 2 is not a document"):
+            list(docs)
 
     def test_empty_file_rejected(self, trace_path):
         trace_path.write_text("")
@@ -181,6 +196,35 @@ class TestTraceV2:
         params = {key: value for key, value in loaded.arrival.items() if key != "kind"}
         assert list(BurstyProcess(**params).times()) == list(self._bursty().times())
         assert TenantChurn(**loaded.churn).events == churn.events
+
+    def test_v2_header_rate_is_the_realized_rate(self, trace_path):
+        """A v2 header's ``rate`` is the recorded stream's, not a target:
+        its count over the process's duration."""
+        info = write_trace(trace_path, rate=999.0, duration=99.0, arrival=self._bursty())
+        count = sum(1 for _ in self._bursty().times())
+        assert (info.count, info.duration) == (count, 4.0)
+        assert info.rate == count / 4.0
+
+    def test_poisson_header_rebuilds_its_stream(self, trace_path):
+        process = PoissonProcess(60.0, duration=3.0, seed=4)
+        info = write_trace(trace_path, arrival=process)
+        header = json.loads(trace_path.read_text().splitlines()[0])
+        assert header["arrival"] == info.arrival == process.describe()
+        _, events = read_trace_events(trace_path)
+        rebuilt = PoissonProcess(
+            header["arrival"]["curve"]["rate"],
+            duration=header["arrival"]["duration"],
+            seed=header["arrival"]["seed"],
+        )
+        assert [t for t, _ in events] == list(rebuilt.times())
+
+    def test_v2_without_churn_has_no_churn_key_and_no_flash_tenants(self, trace_path):
+        write_trace(trace_path, arrival=self._bursty())
+        header = json.loads(trace_path.read_text().splitlines()[0])
+        assert "churn" not in header
+        info, docs = read_documents(trace_path)
+        assert info.churn is None
+        assert not any(str(doc["tenant_id"]).startswith("flash-") for doc in docs)
 
     def test_v2_events_carry_arrival_timestamps(self, trace_path):
         write_trace(trace_path, arrival=self._bursty())
@@ -364,6 +408,47 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().out
         assert not trace_path.exists()
+
+    @pytest.mark.parametrize("arrival", ["diurnal", "spike"])
+    def test_cli_offers_only_none_poisson_and_bursty(self, arrival, trace_path, capsys):
+        from repro.workload.trace import _main
+
+        with pytest.raises(SystemExit) as exit_info:
+            _main(["--out", str(trace_path), "--arrival", arrival])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not trace_path.exists()
+
+    def test_cli_poisson_trace_is_the_library_trace(self, trace_path, tmp_path, capsys):
+        from repro.workload.trace import _main
+
+        code = _main(["--out", str(trace_path), "--arrival", "poisson", "--rate", "30",
+                      "--duration", "2", "--tenants", "40", "--seed", "3"])
+        assert code == 0
+        other = tmp_path / "library.jsonl"
+        write_trace(other, workload=WorkloadConfig(num_tenants=40, theta=1.0, seed=3),
+                    arrival=PoissonProcess(30.0, duration=2.0, seed=3))
+        assert trace_path.read_bytes() == other.read_bytes()
+
+    def test_cli_bursty_header_records_its_flags(self, trace_path, capsys):
+        """The bursty off state trickles at 5 % of ``--rate``; the dwell and
+        churn flags land in the header's records."""
+        from repro.workload.trace import _main
+
+        code = _main(["--out", str(trace_path), "--arrival", "bursty", "--rate", "40",
+                      "--duration", "3", "--tenants", "50", "--seed", "2",
+                      "--mean-on", "0.5", "--mean-off", "1.5", "--churn",
+                      "--churn-rate", "0.7", "--churn-lifetime", "2.5"])
+        assert code == 0
+        info, _ = read_trace_events(trace_path)
+        assert info.arrival == {
+            "kind": "bursty", "duration": 3.0, "seed": 2, "on_rate": 40.0,
+            "off_rate": 2.0, "mean_on_seconds": 0.5, "mean_off_seconds": 1.5,
+        }
+        assert info.churn == {
+            "duration": 3.0, "spawn_rate": 0.7, "mean_lifetime_seconds": 2.5,
+            "hot_rank_span": 10, "seed": 2,
+        }
 
     def test_cli_runs_as_a_module_without_warnings(self, trace_path):
         """``python -m repro.workload.trace`` imports the module once: the
