@@ -114,39 +114,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args):
+    from dataclasses import replace
+
     from repro.faults import ChaosConfig, ChaosRunner, FaultPlan
 
-    steps = args.steps
-    if args.trace is not None:
-        # Scale the plan to the trace so every scheduled fault actually
-        # fires inside the recorded workload.
-        from repro.workload.trace import read_trace_events
-
-        _, events = read_trace_events(args.trace)
-        steps = max(sum(1 for _ in events), 10)
     if args.scenario == "noisy-neighbor":
-        plan = build_noisy_neighbor_plan(args.seed, steps, args.shards)
-        config = noisy_neighbor_config(args)
-        if args.trace is not None:
-            from dataclasses import replace
-
-            config = replace(config, trace_path=args.trace)
+        config = replace(noisy_neighbor_config(args), trace_path=args.trace)
     else:
-        if args.scenario == "random":
-            plan = FaultPlan.random(
-                args.seed, steps, args.nodes, args.shards,
-                intensity=args.intensity,
-            )
-        else:
-            plan = build_failover_plan(args.seed, steps, args.shards)
         config = ChaosConfig(
-            steps=steps,
+            steps=args.steps,
             num_nodes=args.nodes,
             num_shards=args.shards,
             replicas_per_shard=args.replicas,
             trace_path=args.trace,
         )
-    runner = ChaosRunner(plan, config)
+    # The runner reads its workload when built (a trace, once), and a plan
+    # is read only when the run starts: the plan is scaled to the steps the
+    # runner loaded, so every scheduled fault fires inside a recorded trace.
+    runner = ChaosRunner(FaultPlan(seed=args.seed), config)
+    steps = max(runner.report.steps, 10)
+    if args.scenario == "noisy-neighbor":
+        plan = build_noisy_neighbor_plan(args.seed, steps, args.shards)
+    elif args.scenario == "random":
+        plan = FaultPlan.random(
+            args.seed, steps, args.nodes, args.shards, intensity=args.intensity,
+        )
+    else:
+        plan = build_failover_plan(args.seed, steps, args.shards)
+    runner.plan = plan
     report = runner.run()
     return plan, runner, report
 

@@ -249,7 +249,7 @@ class Coordinator:
                 )
             elif matched > push_limit:
                 rows = PostingList(list(rows)[:push_limit], presorted=True)
-        entry = ([doc.source for doc in engine.fetch(rows)], matched)
+        entry = (engine.fetch(rows), matched)
         if store_key is not None:
             self.request_cache.put(
                 shard_id, store_key, engine.generation, entry, cost=rows_cost(entry[0])

@@ -3,13 +3,14 @@
 :func:`compile_plan` turns a :class:`~repro.query.planner.PhysicalPlan`
 into two flat tapes. The *bind* tape builds, once per statement, every
 constant the plan's operators read: each engine call's arguments, each
-scan's predicate (LIKE regex included) and each composite search's
-encoded key bounds. The *steps*, one per operator in post-order, are what
-:meth:`QueryExecutor.execute` runs on every shard a statement fans out to:
-an engine call or a posting-list merge, chosen when the plan compiled, so
-no shard dispatches on node type or rebuilds what its siblings share. A
-statement shape compiles its plan once (:mod:`repro.query.shapes`); any
-other plan compiles where it is executed.
+scan's predicate (LIKE regex included), each composite search's encoded
+key bounds and each sub-attribute search's index term. The *steps*, one
+per operator in post-order, are what :meth:`QueryExecutor.execute` runs
+on every shard a statement fans out to: an engine call or a posting-list
+merge, chosen when the plan compiled, so no shard dispatches on node type
+or rebuilds what its siblings share. A statement shape compiles its plan
+once (:mod:`repro.query.shapes`); any other plan compiles where it is
+executed.
 
 Both tapes hold only ints, strings, numbers and tuples of them — a step
 names its function by position in ``_STEPS`` — so the cyclic collector
@@ -48,7 +49,7 @@ from repro.query.planner import (
     WildcardScan,
 )
 from repro.storage.composite import key_bounds, leftmost
-from repro.storage.document import FieldType, parse_attributes
+from repro.storage.document import FieldType, parse_attributes, subattribute_term
 from repro.storage.engine import ShardEngine
 from repro.storage.postings import PostingList
 
@@ -139,9 +140,9 @@ class QueryExecutor:
 # -- compile: once per plan ---------------------------------------------------
 
 #: Bind-tape instruction kinds besides a tuple's (``-1``, as in
-#: :mod:`repro.query.shapes`' tapes): the builders of a scan's and of a
-#: composite search's arguments.
-_TUPLE, _SCAN_ARGS, _COMPOSITE_ARGS = -1, -2, -3
+#: :mod:`repro.query.shapes`' tapes): the builders of a scan's, of a
+#: composite search's and of a sub-attribute search's arguments.
+_TUPLE, _SCAN_ARGS, _COMPOSITE_ARGS, _SUBATTR_ARGS = -1, -2, -3, -4
 
 
 def compile_plan(
@@ -211,7 +212,7 @@ class _Compiler:
         if kind is TextMatch:
             return "text_postings", constant(_TUPLE, node.column, node.text)
         if kind is SubAttributeSearch:
-            return "subattribute_postings", constant(_TUPLE, node.key, node.value)
+            return "subattribute_postings", constant(_SUBATTR_ARGS, node.key, node.value)
         if kind is FullScan:
             return "full_scan", constant(_SCAN_ARGS, node.column, node.op, node.value)
         if kind is WildcardScan:
@@ -260,8 +261,14 @@ def _composite_args(index_name: str, *request) -> tuple:
     return index_name, key_bounds(*request)
 
 
+def _subattr_args(key: str, value: str) -> tuple:
+    return key, value, subattribute_term(key, value)
+
+
 #: The builder of each bind-tape kind but a tuple's.
-BUILDERS = {_SCAN_ARGS: _scan_args, _COMPOSITE_ARGS: _composite_args}
+BUILDERS = {
+    _SCAN_ARGS: _scan_args, _COMPOSITE_ARGS: _composite_args, _SUBATTR_ARGS: _subattr_args,
+}
 
 
 def _scan_predicate(op: str, value: Any):

@@ -264,4 +264,4 @@ class PhysicalReplicator:
         new_primary.on_merge(self._on_primary_merge)
         self._pending_refreshed = []
         self._pending_merged = []
-        self.replica_translog = list(new_primary.translog._entries)
+        self.replica_translog = list(new_primary.translog)

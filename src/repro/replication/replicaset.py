@@ -56,21 +56,21 @@ class ReplicaSet:
         """Write through the primary, forwarding the translog entry to every
         replica in real time (§5.2's durability channel)."""
         row_id = self.primary.index(source, subattr_names)
-        entry = self.primary.translog._entries[-1]
+        entry = self.primary.translog[-1]
         for replicator in self.replicators.values():
             replicator.sync_translog_entry(entry)
         return row_id
 
     def update(self, doc_id: object, changes: dict) -> int:
         row_id = self.primary.update(doc_id, changes)
-        entry = self.primary.translog._entries[-1]
+        entry = self.primary.translog[-1]
         for replicator in self.replicators.values():
             replicator.sync_translog_entry(entry)
         return row_id
 
     def delete(self, doc_id: object) -> None:
         self.primary.delete(doc_id)
-        entry = self.primary.translog._entries[-1]
+        entry = self.primary.translog[-1]
         for replicator in self.replicators.values():
             replicator.sync_translog_entry(entry)
 

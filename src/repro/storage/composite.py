@@ -55,17 +55,18 @@ class CompositeIndex:
             raise StorageError("block_size must be >= 2")
         self.columns = tuple(columns)
         self._block_size = block_size
-        self._pending: list[tuple[tuple, int]] = []
+        #: Rows added since the last seal, as two parallel columns.
+        self._pending_keys: list[tuple] = []
+        self._pending_rows: list[int] = []
         self._keys: list[tuple] = []
         self._rows: list[int] = []
-        self._sealed = False
 
     @property
     def name(self) -> str:
         return "_".join(self.columns)
 
     def __len__(self) -> int:
-        return len(self._pending) + len(self._keys)
+        return len(self._pending_rows) + len(self._keys)
 
     # -- construction ------------------------------------------------------
     def add(self, values: Sequence[Any], row_id: int) -> None:
@@ -84,13 +85,13 @@ class CompositeIndex:
             key += _encode(value)
         if not key:
             return
-        self._pending.append((key, row_id))
-        self._sealed = False
+        self._pending_keys.append(key)
+        self._pending_rows.append(row_id)
 
     def seal(self) -> None:
-        if self._sealed:
+        if not self._pending_rows:
             return
-        merged = self._pending
+        merged = list(zip(self._pending_keys, self._pending_rows))
         if self._keys:
             merged += zip(self._keys, self._rows)
         merged.sort()
@@ -100,8 +101,7 @@ class CompositeIndex:
         """Seal onto sorted *pairs*, replacing whatever the index held."""
         self._keys = [k for k, _ in pairs]
         self._rows = [r for _, r in pairs]
-        self._pending = []
-        self._sealed = True
+        self._pending_keys, self._pending_rows = [], []
 
     @classmethod
     def merged(

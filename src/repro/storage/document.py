@@ -170,6 +170,26 @@ def parse_attributes(raw: str) -> dict[str, str]:
     return out
 
 
+def subattribute_term(name: object, value: object) -> str | None:
+    """The one index term of sub-attribute *name* holding *value*:
+    ``"name:value"``. :func:`parse_attributes` splits a fragment at its
+    first colon, so no parsed name holds one and no two parsed pairs share
+    a term. A pair no parse yields — a name that is not a colon-free string,
+    a value that is not a string — has no term: None, which no index holds."""
+    if type(name) is not str or type(value) is not str or ":" in name:
+        return None
+    return f"{name}:{value}"
+
+
+def subattribute_terms(subattrs: Mapping[str, str], allowed: frozenset | None) -> list[str]:
+    """The :func:`subattribute_term` of each parsed sub-attribute in
+    *subattrs* whose name *allowed* holds (every one when None)."""
+    return [
+        f"{name}:{value}" for name, value in subattrs.items()
+        if allowed is None or name in allowed
+    ]
+
+
 def render_attributes(subattrs: Mapping[str, str]) -> str:
     """Inverse of :func:`parse_attributes`."""
     return ";".join(f"{k}:{v}" for k, v in subattrs.items())

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.cache import SegmentFilterCache, filter_key
-from repro.errors import DocumentNotFoundError, StorageError
+from repro.errors import DocumentNotFoundError, InvalidDocumentError, StorageError
 from repro.storage.buffer import InMemoryBuffer
 from repro.storage.composite import CompositeIndex
-from repro.storage.document import Document, Schema
+from repro.storage.document import Document, Schema, subattribute_term
 from repro.storage.merge import MergePolicy, TieredMergePolicy, merge_segments
 from repro.storage.postings import PostingList
 from repro.storage.segment import Segment, SegmentSpec
@@ -168,16 +168,22 @@ class ShardEngine:
         return row_id
 
     def update(self, doc_id: object, changes: Mapping[str, Any]) -> int:
-        """Update a document by id (delete-then-reinsert, the Lucene model)."""
+        """Update a document by id (delete-then-reinsert, the Lucene model).
+        A stored row's id is its source's id field, so *changes* may set
+        that field only to the id it already holds."""
         with self._mutex:
             row_id = self._doc_locations.get(doc_id)
             if row_id is None:
                 raise DocumentNotFoundError(
                     f"doc {doc_id!r} not in shard {self.shard_id}"
                 )
-            existing = self._get_by_row(row_id)
-            merged_source = dict(existing.source)
+            merged_source = dict(self._source(row_id))
             merged_source.update(changes)
+            id_field = self.config.schema.id_field
+            if merged_source[id_field] != doc_id:
+                raise InvalidDocumentError(
+                    f"an update cannot change id field {id_field!r} of doc {doc_id!r}"
+                )
             self.config.schema.validate(merged_source)
             self.translog.append("update", doc_id, merged_source)
             self._apply_delete(doc_id)
@@ -383,10 +389,15 @@ class ShardEngine:
             field_name, low, high, include_low=include_low, include_high=include_high
         ))
 
-    def subattribute_postings(self, key: str, value: str) -> PostingList:
+    def subattribute_postings(self, key: str, value: str, term: str | None = None) -> PostingList:
+        """The rows whose sub-attribute *key* holds *value*. *term*, their
+        :func:`~repro.storage.document.subattribute_term`, is encoded here
+        unless the caller's bind step encoded it once for every shard."""
+        if term is None:
+            term = subattribute_term(key, value)
         return self._cached_postings(
             filter_key("subattr", key, value),
-            lambda s: s.subattribute_postings(key, value),
+            lambda s: s.subattribute_postings(key, value, term),
         )
 
     def has_subattribute_index(self, key: str) -> bool:
@@ -489,12 +500,25 @@ class ShardEngine:
                 lists.append(segment.filter_live(values.full_scan(predicate)))
         return PostingList.union_all(lists)
 
-    def fetch(self, rows: PostingList) -> list[Document]:
-        """Fetch raw documents for a posting list (the coordinator's second
-        phase: row-id collection then raw-data fetch, §3.2)."""
+    def fetch(self, rows: PostingList) -> list[dict]:
+        """The stored sources of a posting list's rows, in its order (the
+        coordinator's second phase: row-id collection then raw-data fetch,
+        §3.2) — the dicts themselves, which a caller must not write. The
+        write buffer is asked for its segment once per call, and the sorted
+        rows are read in one pass: a row is looked up first in the segment
+        that held the row before it, and the segments are walked only when
+        that segment does not hold it live."""
         self.stats.docs_fetched += len(rows)
         self._fetch_counter.inc(len(rows))
-        return [self._get_by_row(row) for row in rows]
+        segments = self._readable_segments()
+        sources = []
+        holder = None
+        for row in rows:
+            source = holder.source(row) if holder is not None else None
+            if source is None:
+                holder, source = self._holder(row, segments)
+            sources.append(source)
+        return sources
 
     def top_k(self, rows: PostingList, order_column: str, k: int,
               *, descending: bool = False) -> PostingList:
@@ -519,24 +543,29 @@ class ShardEngine:
             return rows  # mixed-type column: fall back, coordinator decides
         return PostingList([row for _, row in keyed[:k]])
 
-    def _get_by_row(self, row_id: int) -> Document:
+    def _readable_segments(self) -> list[Segment]:
+        """Every segment a stored row may live in: the write buffer's, then
+        the searchable ones."""
         live = self.buffer.live_segment()
-        if live is not None:
-            doc = live.get_document(row_id)
-            if doc is not None:
-                return doc
-        for segment in self._searchable_segments():
-            doc = segment.get_document(row_id)
-            if doc is not None:
-                return doc
+        return self.segments if live is None else [live, *self.segments]
+
+    def _holder(self, row_id: int, segments: list[Segment]) -> tuple[Segment, dict]:
+        """The one of *segments* row *row_id* is live in, and its source."""
+        for segment in segments:
+            source = segment.source(row_id)
+            if source is not None:
+                return segment, source
         raise DocumentNotFoundError(f"row {row_id} not found in shard {self.shard_id}")
+
+    def _source(self, row_id: int) -> dict:
+        return self._holder(row_id, self._readable_segments())[1]
 
     def get(self, doc_id: object) -> Document:
         """Point lookup by document id (reads its own writes via locations)."""
         row_id = self._doc_locations.get(doc_id)
         if row_id is None:
             raise DocumentNotFoundError(f"doc {doc_id!r} not in shard {self.shard_id}")
-        return self._get_by_row(row_id)
+        return Document(doc_id, self._source(row_id))
 
     def contains(self, doc_id: object) -> bool:
         return doc_id in self._doc_locations

@@ -25,6 +25,8 @@ from repro.storage.document import (
     Document,
     Schema,
     parse_attributes,
+    subattribute_term,
+    subattribute_terms,
 )
 from repro.storage.docvalues import DocValues
 from repro.storage.inverted_index import InvertedIndex
@@ -37,9 +39,10 @@ _segment_ids = itertools.count(1)
 # holds the tokens its inputs were indexed with.
 _ANALYZER = StandardAnalyzer()
 
-# What a row that holds no document reads as: a slot a merge keeps for a
-# reclaimed delete or for another segment's row. Never live, never indexed.
-_TOMBSTONE = Document(doc_id="__tombstone__", source={})
+# What a row that holds no document stores: a slot a merge keeps for a
+# reclaimed delete or for another segment's row, one source shared by every
+# such row. Never live, never indexed.
+_TOMBSTONE: dict = {}
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,13 @@ class LiveRun(NamedTuple):
 
 
 class Segment:
-    """One immutable segment of a shard."""
+    """One immutable segment of a shard.
+
+    A row stores its document's source dict and nothing else: a dict of
+    scalars is one the cyclic collector does not track, and the row's id
+    is its source's id field. :meth:`iter_live` builds the
+    :class:`Document` view when asked.
+    """
 
     def __init__(
         self,
@@ -86,7 +95,7 @@ class Segment:
         self.spec = spec
         self.base_row_id = base_row_id
         self.generation = generation  # merge depth: 0 = fresh refresh
-        self._docs: list[Document] = []
+        self._docs: list[dict] = []  # each row's source
         self._live: list[bool] = []
         self._deleted = 0  # rows of _live that are False
         self._term_indexes: dict[str, InvertedIndex] = {}
@@ -123,20 +132,23 @@ class Segment:
     # -- construction -----------------------------------------------------------
     def add_document(self, doc: Document) -> tuple[int, int, tuple[str, ...]]:
         """Index one document — the only place a written document is
-        parsed. Returns ``(row_id, entries, subattr_names)``: the shard-global
-        row id, the index entries written (the unit of
-        ``EngineStats.indexing_cost``) and every sub-attribute name the
-        document carries, indexed or not. The last two are by-products for
-        the caller to consume; nothing parsed is retained on the document."""
+        parsed — and store its source. Returns ``(row_id, entries,
+        subattr_names)``: the shard-global row id, the index entries written
+        (the unit of ``EngineStats.indexing_cost``) and every sub-attribute
+        name the document carries, indexed or not. The last two are
+        by-products for the caller to consume; nothing parsed is retained
+        on the document. Every entry is appended to a column an index
+        already owns: a string term, a float, a row id."""
         plan = self._plan
         if plan is None:
             raise StorageError(f"segment {self.segment_id} is sealed")
         row_id = self.base_row_id + len(self._docs)
-        self._docs.append(doc)
+        source = doc.source
+        self._docs.append(source)
         self._live.append(True)
         entries = 0
         subattr_names: tuple[str, ...] = ()
-        for name, value in doc.source.items():
+        for name, value in source.items():
             if value is None:
                 continue
             entry = plan.get(name)
@@ -145,7 +157,7 @@ class Segment:
             ftype, add, store = entry
             if ftype is _NUMERIC:
                 number = float(value)
-                add((number, row_id))
+                add(number, row_id)
                 entries += 1
                 if isinstance(value, str):
                     # A numeric string: a scan must see what the index holds.
@@ -162,18 +174,13 @@ class Segment:
                     # values.
                     subattrs = parse_attributes(str(value))
                     subattr_names += tuple(subattrs)
-                    allowed = self.spec.indexed_subattributes
-                    terms = (
-                        subattrs.items()
-                        if allowed is None
-                        else [term for term in subattrs.items() if term[0] in allowed]
-                    )
+                    terms = subattribute_terms(subattrs, self.spec.indexed_subattributes)
                 add(terms, row_id)
                 entries += len(terms)
             # Value kept in doc values so scans and LIKE/wildcard work.
             store(row_id, value)
         for composite in self._composites.values():
-            values = [doc.get(column) for column in composite.columns]
+            values = [source.get(column) for column in composite.columns]
             composite.add(values, row_id)
             entries += 1
         return row_id, entries, subattr_names
@@ -315,8 +322,12 @@ class Segment:
             return PostingList.empty()
         return self.filter_live(index.range(low, high, **bounds))
 
-    def subattribute_postings(self, key: str, value: str) -> PostingList:
-        return self.filter_live(self._subattr_index.postings((key, value)))
+    def subattribute_postings(self, key: str, value: str, term: str | None = None) -> PostingList:
+        """The live rows whose sub-attribute *key* holds *value*; *term* is
+        their :func:`subattribute_term` when the caller encoded it already."""
+        if term is None:
+            term = subattribute_term(key, value)
+        return self.filter_live(self._subattr_index.postings(term))
 
     def has_subattribute_index(self, key: str) -> bool:
         allowed = self.spec.indexed_subattributes
@@ -328,11 +339,14 @@ class Segment:
     def doc_values(self, field_name: str) -> DocValues | None:
         return self._doc_values.get(field_name)
 
-    def get_document(self, row_id: int) -> Document | None:
+    def source(self, row_id: int) -> dict | None:
+        """The stored source of live row *row_id*; None for a row that is
+        not live here."""
         index = row_id - self.base_row_id
         if 0 <= index < len(self._docs) and self._live[index]:
             return self._docs[index]
         return None
+
 
     def live_run(self) -> LiveRun | None:
         """This segment's part in a merge; None when no row is live."""
@@ -354,9 +368,10 @@ class Segment:
         )
 
     def iter_live(self) -> Iterator[tuple[int, Document]]:
-        for offset, (doc, live) in enumerate(zip(self._docs, self._live)):
+        id_field = self.spec.schema.id_field
+        for offset, (source, live) in enumerate(zip(self._docs, self._live)):
             if live:
-                yield self.base_row_id + offset, doc
+                yield self.base_row_id + offset, Document(source.get(id_field), source)
 
     # -- accounting -----------------------------------------------------------
     def index_memory(self) -> int:
@@ -368,4 +383,4 @@ class Segment:
 
     def approx_bytes(self) -> int:
         """Rough segment size used by the merge policy and replication model."""
-        return sum(len(repr(doc.source)) for doc in self._docs)
+        return sum(len(repr(source)) for source in self._docs)

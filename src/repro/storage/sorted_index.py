@@ -24,43 +24,45 @@ class SortedIndex:
 
     Values are buffered unsorted during segment construction and sealed into
     sorted blocks on :meth:`seal` (mirroring how Lucene writes points at
-    flush time). Lookups before sealing seal implicitly.
+    flush time). Lookups before sealing seal implicitly. The buffer is two
+    parallel columns, values and rows: an entry adds a float and an int to
+    lists the index owns, and nothing the cyclic collector tracks.
     """
 
     def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE) -> None:
         if block_size < 2:
             raise StorageError("block_size must be >= 2")
         self._block_size = block_size
-        self._pending: list[tuple[float, int]] = []
+        self._pending_values: list[float] = []
+        self._pending_rows: list[int] = []
         self._values: list[float] = []
         self._rows: list[int] = []
         self._block_mins: list[float] = []
-        self._sealed = False
 
     def __len__(self) -> int:
-        return len(self._pending) + len(self._values)
+        return len(self._pending_rows) + len(self._values)
 
     def add(self, value: float, row_id: int) -> None:
-        """Buffer one ``(value, row_id)`` pair."""
+        """Buffer one ``(value, row_id)`` entry."""
         if value is None:
             raise StorageError("cannot index None; use doc values for sparse columns")
-        self.add_pair((float(value), row_id))
+        self.add_pair(float(value), row_id)
 
-    def add_pair(self, pair: tuple[float, int]) -> None:
-        """Buffer a ``(value, row_id)`` pair whose value is already a float:
+    def add_pair(self, value: float, row_id: int) -> None:
+        """Buffer a ``(value, row_id)`` entry whose value is already a float:
         a segment converts each numeric value once and keeps the float."""
-        self._pending.append(pair)
-        self._sealed = False
+        self._pending_values.append(value)
+        self._pending_rows.append(row_id)
 
     def add_all(self, pairs: Iterable[tuple[float, int]]) -> None:
         for value, row_id in pairs:
             self.add(value, row_id)
 
     def seal(self) -> None:
-        """Sort the buffered pairs into the block structure."""
-        if self._sealed:
+        """Sort the buffered entries into the block structure."""
+        if not self._pending_rows:
             return
-        merged = self._pending
+        merged = list(zip(self._pending_values, self._pending_rows))
         if self._values:
             merged += zip(self._values, self._rows)
         merged.sort()
@@ -70,11 +72,10 @@ class SortedIndex:
         """Seal onto sorted *pairs*, replacing whatever the index held."""
         self._values = [v for v, _ in pairs]
         self._rows = [r for _, r in pairs]
-        self._pending = []
+        self._pending_values, self._pending_rows = [], []
         self._block_mins = [
             self._values[i] for i in range(0, len(self._values), self._block_size)
         ]
-        self._sealed = True
 
     @classmethod
     def merged(cls, parts: list[tuple[SortedIndex, frozenset]]) -> SortedIndex:

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import marshal
 import zlib
-from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, NamedTuple
 
 from repro.errors import TranslogCorruptionError
 
 
-@dataclass(frozen=True)
-class TranslogEntry:
-    """One durable operation record.
+class TranslogEntry(NamedTuple):
+    """One durable operation record, as a reader sees it: the log keeps its
+    fields in columns and builds the entry when one is read.
 
     Attributes:
         sequence: monotonically increasing per-shard sequence number.
@@ -34,10 +33,6 @@ class TranslogEntry:
     doc_id: object
     source: Mapping[str, Any] | None
     checksum: int
-
-    @staticmethod
-    def make(sequence: int, op: str, doc_id: object, source: Mapping[str, Any] | None) -> "TranslogEntry":
-        return TranslogEntry(sequence, op, doc_id, source, _checksum(sequence, op, doc_id, source))
 
     def verify(self) -> bool:
         return self.checksum == _checksum(self.sequence, self.op, self.doc_id, self.source)
@@ -69,22 +64,64 @@ class Translog:
     ``flush_sequence`` marks the last operation known to be durable in
     segment files; recovery replays everything after it. ``truncate_before``
     drops entries covered by a flush (log rotation).
+
+    The log is four parallel columns — op, doc id, source, checksum — and
+    the sequences they hold are consecutive, ending at the last one
+    appended: an append adds no container of its own. Indexing the log or
+    iterating it yields :class:`TranslogEntry` views.
     """
 
     def __init__(self) -> None:
-        self._entries: list[TranslogEntry] = []
+        self._ops: list[str] = []
+        self._doc_ids: list[object] = []
+        self._sources: list[Mapping[str, Any] | None] = []
+        self._checksums: list[int] = []
         self._next_sequence = 0
         self.flush_sequence = -1
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._ops)
+
+    def __getitem__(self, position: int) -> TranslogEntry:
+        """The entry at *position* among those held (negative counts from
+        the newest)."""
+        position = range(len(self._ops))[position]
+        return TranslogEntry(
+            self._next_sequence - len(self._ops) + position,
+            self._ops[position],
+            self._doc_ids[position],
+            self._sources[position],
+            self._checksums[position],
+        )
+
+    def __iter__(self) -> Iterator[TranslogEntry]:
+        return self._entries_from(0)
+
+    def _entries_from(self, position: int) -> Iterator[TranslogEntry]:
+        return map(
+            TranslogEntry,
+            range(self._next_sequence - len(self._ops) + position, self._next_sequence),
+            self._ops[position:],
+            self._doc_ids[position:],
+            self._sources[position:],
+            self._checksums[position:],
+        )
+
+    def _first_unflushed(self) -> int:
+        """The position of the first entry after the flush point."""
+        first = self._next_sequence - len(self._ops)
+        return min(max(0, self.flush_sequence + 1 - first), len(self._ops))
 
     def append(self, op: str, doc_id: object, source: Mapping[str, Any] | None = None) -> TranslogEntry:
         """Append one operation; returns the durable entry."""
-        entry = TranslogEntry.make(self._next_sequence, op, doc_id, source)
-        self._entries.append(entry)
-        self._next_sequence += 1
-        return entry
+        sequence = self._next_sequence
+        checksum = _checksum(sequence, op, doc_id, source)
+        self._ops.append(op)
+        self._doc_ids.append(doc_id)
+        self._sources.append(source)
+        self._checksums.append(checksum)
+        self._next_sequence = sequence + 1
+        return TranslogEntry(sequence, op, doc_id, source, checksum)
 
     def mark_flushed(self, sequence: int) -> None:
         """Record that all operations up to *sequence* are durable in segments."""
@@ -92,9 +129,9 @@ class Translog:
 
     def truncate_before_flush(self) -> int:
         """Drop entries already covered by the last flush; returns count dropped."""
-        keep = [e for e in self._entries if e.sequence > self.flush_sequence]
-        dropped = len(self._entries) - len(keep)
-        self._entries = keep
+        dropped = self._first_unflushed()
+        for column in (self._ops, self._doc_ids, self._sources, self._checksums):
+            del column[:dropped]
         return dropped
 
     def last_sequence(self) -> int:
@@ -106,10 +143,10 @@ class Translog:
         A corrupted *final* entry is treated as a torn write and recovery
         stops cleanly before it; corruption anywhere else raises.
         """
-        pending = [e for e in self._entries if e.sequence > self.flush_sequence]
-        for i, entry in enumerate(pending):
+        last = self._next_sequence - 1
+        for entry in self._entries_from(self._first_unflushed()):
             if not entry.verify():
-                if i == len(pending) - 1:
+                if entry.sequence == last:
                     return  # torn tail: ignore the partial record
                 raise TranslogCorruptionError(
                     f"checksum mismatch at sequence {entry.sequence}"
@@ -118,10 +155,7 @@ class Translog:
 
     def corrupt_entry(self, sequence: int) -> None:
         """Test hook: flip the stored checksum of one entry."""
-        for i, entry in enumerate(self._entries):
-            if entry.sequence == sequence:
-                self._entries[i] = TranslogEntry(
-                    entry.sequence, entry.op, entry.doc_id, entry.source, entry.checksum ^ 0xFF
-                )
-                return
-        raise TranslogCorruptionError(f"no entry with sequence {sequence}")
+        position = sequence - (self._next_sequence - len(self._ops))
+        if not 0 <= position < len(self._ops):
+            raise TranslogCorruptionError(f"no entry with sequence {sequence}")
+        self._checksums[position] ^= 0xFF

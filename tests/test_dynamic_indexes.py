@@ -45,7 +45,7 @@ class TestEngineLevel:
         engine.delete(1)
         rows = engine.composite_search("group", {"group": 5})
         docs = engine.fetch(rows)
-        assert [d.doc_id for d in docs] == [2]
+        assert [d["transaction_id"] for d in docs] == [2]
 
     def test_duplicate_add_rejected(self, engine):
         engine.add_composite_index(("group",))

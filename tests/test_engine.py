@@ -253,8 +253,8 @@ class TestMerging:
         seg.seal()
         merged = merge_segments([seg], spec)
         assert merged.live_count == 1
-        assert merged.get_document(1).doc_id == 2
-        assert merged.get_document(0) is None
+        assert merged.source(1)["transaction_id"] == 2
+        assert merged.source(0) is None
 
     def test_tiered_policy_triggers_at_merge_factor(self, engine_config):
         from dataclasses import replace
@@ -471,6 +471,21 @@ class TestValidateBeforeLog:
                 engine.update(1, bad)
         assert engine.get(1)["amount"] == 5.0
         self._assert_untouched(engine, before)
+
+    def test_an_update_keeps_the_id_its_row_is_stored_under(self, engine):
+        """A stored row's id is its source's id field: an update may name
+        that field with the id the row holds, and is rejected, before the
+        log, for any other value."""
+        self._seed(engine)
+        before = _engine_state(engine)
+        with pytest.raises(InvalidDocumentError, match="transaction_id"):
+            engine.update(1, {"transaction_id": 9, "amount": 6.0})
+        assert not engine.contains(9) and engine.get(1)["amount"] == 5.0
+        self._assert_untouched(engine, before)
+        engine.update(1, {"transaction_id": 1, "amount": 6.0})
+        engine.refresh()
+        (source,) = engine.fetch(engine.numeric_range("amount", 6.0, 6.0))
+        assert source["transaction_id"] == 1 and engine.get(1).source is source
 
     def test_none_and_numeric_strings_are_accepted(self, engine):
         engine.index(make_log(1, amount=None, quantity="3"))

@@ -196,7 +196,7 @@ class TestFaultInjector:
         injector.inject("corrupt_translog", shard_id, entries=2)
         # Primary translog entries stay valid: corruption replaced the
         # replica's *copies*, never the shared objects.
-        for entry in db.engines[shard_id].translog._entries:
+        for entry in db.engines[shard_id].translog:
             assert entry.verify()
         replica_logs = [
             r.replica_translog
@@ -406,6 +406,26 @@ class TestCli:
     def test_determinism_check_passes(self, capsys):
         assert main(["--steps", "60", "--check-determinism", "--quiet"]) == 0
         assert "determinism check ok" in capsys.readouterr().out
+
+    def test_a_trace_is_read_once_per_run(self, tmp_path, monkeypatch, capsys):
+        """The plan is scaled to the events the runner loaded: a
+        determinism check of a trace-driven run reads the trace twice, once
+        per run, and scales both plans to its length."""
+        from repro.workload import trace
+
+        path = tmp_path / "trace.jsonl"
+        trace.write_trace(path, rate=20.0, duration=2.0)
+        reads = []
+        real = trace.read_trace_events
+
+        def counted(*args, **kwargs):
+            reads.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trace, "read_trace_events", counted)
+        assert main(["--trace", str(path), "--check-determinism", "--quiet"]) == 0
+        assert len(reads) == 2
+        assert "determinism check ok: seed=0 steps=40 " in capsys.readouterr().out
 
     def test_random_scenario(self, capsys):
         assert main(

@@ -74,13 +74,13 @@ class TestReplicatedShardFailover:
         primary, replicator = self._replicated_engine(engine_config)
         for i in range(20):
             primary.index(make_log(i, tenant="t", created=float(i), status=i % 2))
-            replicator.sync_translog_entry(primary.translog._entries[-1])
+            replicator.sync_translog_entry(primary.translog[-1])
         primary.refresh()
         replicator.replicate()
         # Two writes after the last replication round (only in the translog).
         for i in range(20, 23):
             primary.index(make_log(i, tenant="t", created=float(i), status=1))
-            replicator.sync_translog_entry(primary.translog._entries[-1])
+            replicator.sync_translog_entry(primary.translog[-1])
 
         # Primary dies; replica takes over.
         promoted = replicator.promote_replica()
@@ -88,7 +88,7 @@ class TestReplicatedShardFailover:
         assert promoted.doc_count() == 23
         rows = promoted.term_postings("status", 1)
         docs = promoted.fetch(rows)
-        assert {d.doc_id for d in docs} == {i for i in range(23) if i % 2 or i >= 20}
+        assert {d["transaction_id"] for d in docs} == {i for i in range(23) if i % 2 or i >= 20}
 
     def test_failover_loses_nothing_across_merge(self, engine_config):
         from dataclasses import replace
@@ -102,7 +102,7 @@ class TestReplicatedShardFailover:
             for i in range(4):
                 doc_id = batch * 10 + i
                 primary.index(make_log(doc_id, tenant="t", created=float(doc_id)))
-                replicator.sync_translog_entry(primary.translog._entries[-1])
+                replicator.sync_translog_entry(primary.translog[-1])
             primary.refresh()
             replicator.replicate()
         assert primary.stats.merges >= 1

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.storage import EngineConfig, Schema, ShardEngine, TieredMergePolicy
 from repro.storage.analysis import StandardAnalyzer
-from repro.storage.document import Document
+from repro.storage.document import Document, parse_attributes
 from repro.storage.merge import merge_segments
 from repro.storage.postings import PostingList
 from repro.storage.segment import _TOMBSTONE, Segment, SegmentSpec
@@ -36,7 +36,7 @@ def reindex_merge(segments: list[Segment], spec: SegmentSpec) -> Segment:
 
     def pad_to(row_id: int) -> None:
         while merged.base_row_id + len(merged) < row_id:
-            pad_row, _, _ = merged.add_document(_TOMBSTONE)
+            pad_row, _, _ = merged.add_document(Document("__tombstone__", _TOMBSTONE))
             merged.mark_deleted(pad_row)
 
     rows = sorted(
@@ -71,12 +71,11 @@ def _structures(segment: Segment) -> dict:
             term: (type(b), b) for term, b in segment._subattr_index._postings.items()
         },
         "numeric": {
-            name: (_typed(ix._values), ix._rows, _typed(ix._block_mins), ix._pending,
-                   ix._sealed)
+            name: (_typed(ix._values), ix._rows, _typed(ix._block_mins), len(ix))
             for name, ix in segment._numeric_indexes.items()
         },
         "composites": {
-            name: (ix.columns, ix._keys, ix._rows, ix._pending, ix._sealed)
+            name: (ix.columns, ix._keys, ix._rows, len(ix))
             for name, ix in segment._composites.items()
         },
         "doc_values": {
@@ -99,12 +98,12 @@ def _answers(segment: Segment) -> dict:
         for term in ix.terms()
     }
     answers: dict = {
-        "live": [(row, id(doc)) for row, doc in live],
+        "live": [(row, doc.doc_id, id(doc.source)) for row, doc in live],
         "live_count": segment.live_count,
         "bytes": segment.approx_bytes(),
         "memory": segment.index_memory(),
         "rows": [
-            (row, id(segment.get_document(row)))
+            (row, id(segment.source(row)))
             for row in range(segment.base_row_id - 1, segment.base_row_id + len(segment) + 1)
         ],
         "terms": {
@@ -116,8 +115,12 @@ def _answers(segment: Segment) -> dict:
             for text in ("red", "red shirt", "blue", "the")
         },
         "subattrs": {
-            repr(term): list(segment.subattribute_postings(*term))
-            for term in segment._subattr_index.terms()
+            pair: list(segment.subattribute_postings(*pair))
+            for pair in sorted({
+                pair
+                for _, doc in live
+                for pair in parse_attributes(str(doc.get("attributes") or "")).items()
+            })
         },
     }
     for name in ("created_time", "amount", "quantity"):
@@ -327,4 +330,4 @@ def test_a_merge_that_drops_a_deleted_tail_never_hands_its_rows_out_again():
     assert row == 3
     assert not engine.composite_search(name, {"status": 9, "group": 9})
     found = engine.composite_search(name, {"status": 1, "group": 1})
-    assert [doc.doc_id for doc in engine.fetch(found)] == [4]
+    assert [doc["transaction_id"] for doc in engine.fetch(found)] == [4]

@@ -229,7 +229,7 @@ def test_every_access_path_matches_a_naive_filter_over_live_sources(ops, wheres)
                 for _ in range(2 if cached else 1):  # second run reads the filter cache
                     rows, _ = QueryExecutor(engine).execute(plan)
                     assert list(rows) == sorted(set(rows))
-                    got = {doc.doc_id for doc in engine.fetch(rows)}
+                    got = {doc["transaction_id"] for doc in engine.fetch(rows)}
                     assert got == expected, (
                         f"optimizer={enabled} filter_cache={cached}\n{plan.describe()}"
                     )

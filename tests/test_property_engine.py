@@ -122,7 +122,7 @@ class EngineModel(RuleBasedStateMachine):
         self.engine.refresh()
         for status in STATUSES:
             rows = self.engine.term_postings("status", status)
-            docs = {self.engine.fetch(rows)[i].doc_id for i in range(len(rows))}
+            docs = {self.engine.fetch(rows)[i]["transaction_id"] for i in range(len(rows))}
             expected = {
                 d for d, s in self.model.items() if s["status"] == status
             }

@@ -163,7 +163,7 @@ def test_property_pipeline_matches_bruteforce(docs, where):
     for enabled in (True, False):
         plan = RuleBasedOptimizer(_CATALOG, enabled=enabled).plan(translated.statement)
         rows, _ = QueryExecutor(engine).execute(plan)
-        got = {doc.doc_id for doc in engine.fetch(rows)}
+        got = {doc["transaction_id"] for doc in engine.fetch(rows)}
         assert got == expected, f"optimizer={enabled}\nplan:\n{plan.describe()}"
 
 
@@ -190,6 +190,6 @@ def test_property_pipeline_stable_across_refresh_boundaries(docs, where):
     plan = RuleBasedOptimizer(_CATALOG).plan(translated.statement)
     rows_a, _ = QueryExecutor(one_segment).execute(plan)
     rows_b, _ = QueryExecutor(many_segments).execute(plan)
-    ids_a = {d.doc_id for d in one_segment.fetch(rows_a)}
-    ids_b = {d.doc_id for d in many_segments.fetch(rows_b)}
+    ids_a = {d["transaction_id"] for d in one_segment.fetch(rows_a)}
+    ids_b = {d["transaction_id"] for d in many_segments.fetch(rows_b)}
     assert ids_a == ids_b

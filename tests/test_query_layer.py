@@ -355,7 +355,7 @@ class TestExecutor:
                 rows, _, plan = self._run(
                     engine, catalog, f"SELECT * FROM t WHERE {where}", enabled=enabled
                 )
-                got = [doc.doc_id for doc in engine.fetch(rows)]
+                got = [doc["transaction_id"] for doc in engine.fetch(rows)]
                 assert got == expected, f"{where} (optimizer={enabled})\n{plan.describe()}"
 
     def test_optimizer_reduces_intermediate_postings(self, loaded_engine, catalog):

@@ -121,7 +121,7 @@ class TestTranslogSync:
         repl = PhysicalReplicator(primary)
         for i in range(5):
             primary.index(make_log(i))
-            repl.sync_translog_entry(primary.translog._entries[-1])
+            repl.sync_translog_entry(primary.translog[-1])
         assert len(repl.replica_translog) == 5
 
     def test_replica_set_forwards_every_operation_as_the_primary_logged_it(
@@ -150,13 +150,13 @@ class TestTranslogSync:
         repl = PhysicalReplicator(primary)
         for i in range(5):
             primary.index(make_log(i, tenant="t"))
-            repl.sync_translog_entry(primary.translog._entries[-1])
+            repl.sync_translog_entry(primary.translog[-1])
         primary.refresh()
         repl.replicate()
         # Two more writes reach the translog but never a replicated segment.
         for i in range(5, 7):
             primary.index(make_log(i, tenant="t"))
-            repl.sync_translog_entry(primary.translog._entries[-1])
+            repl.sync_translog_entry(primary.translog[-1])
         promoted = repl.promote_replica()
         promoted.refresh()
         assert promoted.doc_count() == 7
@@ -276,7 +276,7 @@ class TestReplicaSet:
         rs.replicate_all()
         # One replica misses the last translog entries (lagging network).
         rs.primary.index(make_log(99))
-        entry = rs.primary.translog._entries[-1]
+        entry = rs.primary.translog[-1]
         rs.replicators["replica-0"].sync_translog_entry(entry)
         promoted = rs.promote()
         promoted.refresh()
@@ -313,7 +313,7 @@ class TestFailoverRegressions:
         repl = PhysicalReplicator(primary)
         for i in range(docs):
             primary.index(make_log(i, tenant="t", status=0))
-            repl.sync_translog_entry(primary.translog._entries[-1])
+            repl.sync_translog_entry(primary.translog[-1])
         primary.refresh()
         repl.replicate()
         return primary, repl
@@ -324,7 +324,7 @@ class TestFailoverRegressions:
         state than the segment copy and used to be silently dropped."""
         primary, repl = self._synced_pair(engine_config)
         primary.update(1, {"status": 9})
-        repl.sync_translog_entry(primary.translog._entries[-1])
+        repl.sync_translog_entry(primary.translog[-1])
         promoted = repl.promote_replica()
         promoted.refresh()
         assert promoted.get(1).get("status") == 9
@@ -332,7 +332,7 @@ class TestFailoverRegressions:
     def test_promote_replays_reindex_of_shipped_doc(self, engine_config):
         primary, repl = self._synced_pair(engine_config)
         primary.index(make_log(2, tenant="t", status=7))  # replace doc 2
-        repl.sync_translog_entry(primary.translog._entries[-1])
+        repl.sync_translog_entry(primary.translog[-1])
         promoted = repl.promote_replica()
         promoted.refresh()
         assert promoted.get(2).get("status") == 7
